@@ -65,20 +65,12 @@ def cmd_domain_stats(args) -> int:
 
 
 def cmd_query(args) -> int:
-    """Run any registry query standalone; write parquet or print."""
-    from bb_ocr_ray.pipelines.queries import QUERIES
-
-    if args.name == "list" or args.name not in QUERIES:
-        names = "\n".join(sorted(QUERIES))
-        if args.name == "list":
-            print(names)
-            return 0
-        print(f"unknown query {args.name!r}; available:\n{names}",
-              file=sys.stderr)
-        return 2
-
+    """Run one registry query standalone; write parquet or print.
+    ``main`` has already answered ``list`` and rejected unknown names."""
     import pandas as pd
     import ray.data
+
+    from bb_ocr_ray.pipelines.queries import QUERIES
 
     res = QUERIES[args.name](args.sf_dir)
     if args.out:

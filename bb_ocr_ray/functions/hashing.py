@@ -282,30 +282,6 @@ def hll_estimate(registers: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bloom filter bit positions (mergeable membership sketch, integer-exact)
-# ---------------------------------------------------------------------------
-_BLOOM_BITS = 512
-_BLOOM_HASHES = 3
-
-
-def bloom_positions_u64(key: str, n_bits: int = _BLOOM_BITS,
-                        n_hashes: int = _BLOOM_HASHES) -> list:
-    """Bit positions of one key under md5-only double hashing
-    (Kirsch-Mitzenmacher: pos_i = (h1 + i*h2) mod m).
-
-    Same double-hashing scheme as ``stages.joins.BloomFilter`` but
-    both halves derive from the stable md5 hash — crc32 (the join
-    filter's h1) has no DuckDB builtin, while this split is exactly
-    ``md5_number_upper & 0xFFFFFFFF`` / ``(>> 32) | 1`` in integer
-    SQL, so the filter's REGISTER STATE is oracle-checkable the same
-    way the HLL registers are."""
-    h = stable_u64(key)
-    h1 = h & 0xFFFFFFFF
-    h2 = ((h >> 32) & 0xFFFFFFFF) | 1
-    return [(h1 + i * h2) % n_bits for i in range(n_hashes)]
-
-
-# ---------------------------------------------------------------------------
 # Count-Min sketch buckets (mergeable frequency sketch, integer-exact)
 # ---------------------------------------------------------------------------
 _CMS_DEPTH = 4
@@ -321,6 +297,5 @@ def cms_buckets(key: str, depth: int = _CMS_DEPTH,
     string (not a seeded permutation) keeps the DuckDB mirror a plain
     ``md5_number_upper('cms0|' || k) % width`` so the register STATE
     and the per-key min-over-rows estimate are both integer-exact and
-    oracle-checkable (same pattern as the HLL / Bloom registers
-    above)."""
+    oracle-checkable (same pattern as the HLL registers above)."""
     return [stable_u64(f"cms{i}|{key}") % width for i in range(depth)]

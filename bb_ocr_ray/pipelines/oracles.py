@@ -761,63 +761,6 @@ ORACLES["q_band_join"] = """
 """
 
 
-ORACLES["q_left_join"] = """
-    SELECT c.c_custkey, c.c_mktsegment,
-           count(o.o_custkey) AS n_orders,
-           round(coalesce(sum(o.o_totalprice), 0), 2) AS total_spent
-    FROM customer c LEFT JOIN orders o ON o.o_custkey = c.c_custkey
-    GROUP BY 1, 2
-"""
-
-
-ORACLES["q_pivot_events"] = """
-    SELECT user_id,
-           count(*) FILTER (WHERE event_type = 'click')    AS n_click,
-           count(*) FILTER (WHERE event_type = 'error')    AS n_error,
-           count(*) FILTER (WHERE event_type = 'purchase') AS n_purchase,
-           count(*) FILTER (WHERE event_type = 'signup')   AS n_signup,
-           count(*) FILTER (WHERE event_type = 'view')     AS n_view,
-           round(coalesce(
-               sum(value) FILTER (WHERE event_type = 'purchase'), 0), 2)
-               AS purchase_value
-    FROM events WHERE user_id IS NOT NULL GROUP BY 1
-"""
-
-
-ORACLES["q_event_gaps"] = """
-    WITH lagged AS (
-        SELECT user_id,
-               date_diff('microsecond',
-                         lag(ts) OVER (PARTITION BY user_id
-                                       ORDER BY ts, event_id),
-                         ts) AS gap_us
-        FROM events WHERE ts IS NOT NULL)
-    SELECT user_id,
-           count(gap_us) AS n_gaps,
-           CAST(sum(gap_us) AS BIGINT) AS sum_gap_us,
-           max(gap_us)   AS max_gap_us
-    FROM lagged GROUP BY 1 HAVING count(*) >= 2
-"""
-
-
-ORACLES["q_group_concat"] = """
-    SELECT r_name,
-           string_agg(n_name, '|' ORDER BY n_name) AS nations,
-           count(*) AS n_nations
-    FROM nation JOIN region ON r_regionkey = n_regionkey
-    GROUP BY 1
-"""
-
-
-ORACLES["q_cube"] = """
-    SELECT o_orderstatus, o_orderpriority,
-           count(*) AS n_orders,
-           round(sum(CAST(round(o_totalprice * 100.0) AS BIGINT)) / 100.0, 2) AS revenue
-    FROM orders
-    GROUP BY CUBE (o_orderstatus, o_orderpriority)
-"""
-
-
 # Tokenization fragment shared with the sketch oracles: the engine's
 # ws_tokens (ASCII whitespace class, empties dropped).  The \t\n\r\f\v
 # below are REAL characters in the SQL string — RE2 char class.
@@ -874,34 +817,6 @@ ORACLES["q_decontaminate"] = f"""
 """
 
 
-ORACLES["q_percentiles"] = """
-    SELECT event_type,
-           quantile_disc(value, 0.25) AS p25,
-           quantile_disc(value, 0.50) AS p50,
-           quantile_disc(value, 0.75) AS p75
-    FROM events GROUP BY 1
-"""
-
-
-ORACLES["q_first_last"] = """
-    WITH ordered AS (
-        SELECT user_id, event_id, event_type,
-               row_number() OVER (PARTITION BY user_id
-                                  ORDER BY ts, event_id) AS rn,
-               count(*) OVER (PARTITION BY user_id) AS n
-        FROM events WHERE user_id IS NOT NULL)
-    SELECT f.user_id,
-           f.event_id   AS first_event_id,
-           f.event_type AS first_type,
-           l.event_id   AS last_event_id,
-           l.event_type AS last_type,
-           f.n          AS n_events
-    FROM ordered f
-    JOIN ordered l ON f.user_id = l.user_id AND l.rn = l.n
-    WHERE f.rn = 1
-"""
-
-
 ORACLES["q_ngram_freq"] = f"""
     WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
     bg AS (SELECT CASE WHEN len(tk) < 2 THEN CAST([] AS VARCHAR[])
@@ -937,31 +852,6 @@ ORACLES["q_hll_registers"] = """
 """
 
 
-ORACLES["q_composite_join"] = """
-    SELECT l.l_linestatus AS status,
-           round(sum(CAST(round(l.l_extendedprice * 100.0) AS BIGINT)
-                     * (100 - CAST(round(l.l_discount * 100.0) AS BIGINT)))
-                 / 10000.0, 2) AS revenue,
-           count(*) AS n
-    FROM lineitem l JOIN orders o
-      ON l.l_orderkey = o.o_orderkey
-     AND l.l_linestatus = o.o_orderstatus
-    GROUP BY 1
-"""
-
-
-ORACLES["q_full_join"] = """
-    WITH c AS (SELECT user_id, count(*) AS n_clicks FROM events
-               WHERE event_type = 'click' AND user_id % 2 = 0 GROUP BY 1),
-    p AS (SELECT user_id, count(*) AS n_purchases FROM events
-          WHERE event_type = 'purchase' AND user_id % 3 = 0 GROUP BY 1)
-    SELECT coalesce(c.user_id, p.user_id) AS user_id,
-           coalesce(n_clicks, 0)    AS n_clicks,
-           coalesce(n_purchases, 0) AS n_purchases
-    FROM c FULL JOIN p ON c.user_id = p.user_id
-"""
-
-
 ORACLES["q_training_prep"] = f"""
     WITH toks AS (SELECT doc_id, source, {_TOKS} AS tk,
                          coalesce(text, '') AS txt
@@ -990,15 +880,6 @@ ORACLES["q_training_prep"] = f"""
            CAST(sum((len(tk) - 1) // 24 + 1) AS BIGINT) AS n_chunks,
            CAST(sum(len(tk)) AS BIGINT) AS n_tokens
     FROM clean GROUP BY 1
-"""
-
-
-ORACLES["q_pushdown_filter"] = """
-    SELECT count(*) AS n,
-           round(sum(CAST(round(l_extendedprice * 100.0) AS BIGINT)
-                     * (100 - CAST(round(l_discount * 100.0) AS BIGINT)))
-                 / 10000.0, 2) AS revenue
-    FROM lineitem WHERE l_quantity < 10.0
 """
 
 
@@ -1098,20 +979,6 @@ ORACLES["q_tfidf"] = f"""
     SELECT doc_id, tok, tf, df,
            round(tf * ln((SELECT n FROM n) * 1.0 / df), 6) AS score
     FROM rk WHERE rn <= 3
-"""
-
-
-# Bloom register state: md5-only Kirsch-Mitzenmacher double hashing,
-# (h1 + i*h2) % 512 for i in 0..2 — mirrors hashing.bloom_positions_u64.
-ORACLES["q_bloom_registers"] = """
-    WITH h AS (SELECT md5_number_upper(CAST(o_custkey AS VARCHAR)) AS hv
-               FROM orders WHERE o_custkey IS NOT NULL),
-    d AS (SELECT CAST(hv & 4294967295 AS BIGINT) AS h1,
-                 CAST(((hv >> 32) & 4294967295) | 1 AS BIGINT) AS h2
-          FROM h),
-    p AS (SELECT (h1 + i * h2) % 512 AS bit_pos
-          FROM d, (SELECT unnest(generate_series(0, 2)) AS i) t)
-    SELECT DISTINCT CAST(bit_pos AS BIGINT) AS bit_pos FROM p
 """
 
 
@@ -1272,62 +1139,6 @@ ORACLES["q_outlier_filter"] = """
 """
 
 
-# Greedy-earliest 3-step funnel; strict (ts, event_id) succession.
-ORACLES["q_funnel"] = """
-    WITH e AS (SELECT user_id, ts, event_id, event_type FROM events
-               WHERE ts IS NOT NULL AND user_id IS NOT NULL),
-    u AS (SELECT DISTINCT user_id FROM e),
-    v1 AS (SELECT user_id, ts, event_id FROM (
-               SELECT user_id, ts, event_id,
-                      row_number() OVER (PARTITION BY user_id
-                                         ORDER BY ts, event_id) AS rn
-               FROM e WHERE event_type = 'view') WHERE rn = 1),
-    c1 AS (SELECT user_id, ts, event_id FROM (
-               SELECT e.user_id, e.ts, e.event_id,
-                      row_number() OVER (PARTITION BY e.user_id
-                                         ORDER BY e.ts, e.event_id) AS rn
-               FROM e JOIN v1 USING (user_id)
-               WHERE e.event_type = 'click'
-                 AND (e.ts, e.event_id) > (v1.ts, v1.event_id))
-           WHERE rn = 1),
-    p1 AS (SELECT user_id FROM (
-               SELECT e.user_id,
-                      row_number() OVER (PARTITION BY e.user_id
-                                         ORDER BY e.ts, e.event_id) AS rn
-               FROM e JOIN c1 USING (user_id)
-               WHERE e.event_type = 'purchase'
-                 AND (e.ts, e.event_id) > (c1.ts, c1.event_id))
-           WHERE rn = 1)
-    SELECT u.user_id,
-           CAST(CASE WHEN p1.user_id IS NOT NULL THEN 3
-                     WHEN c1.user_id IS NOT NULL THEN 2
-                     WHEN v1.user_id IS NOT NULL THEN 1
-                     ELSE 0 END AS BIGINT) AS stage
-    FROM u LEFT JOIN v1 ON u.user_id = v1.user_id
-           LEFT JOIN c1 ON u.user_id = c1.user_id
-           LEFT JOIN p1 ON u.user_id = p1.user_id
-"""
-
-
-# Cohort retention: epoch-day // 7 week index (never date_trunc);
-# distinct users per (cohort_week, offset) cell.
-ORACLES["q_retention"] = """
-    WITH e AS (SELECT user_id, event_type,
-                      CAST(datediff('day', DATE '1970-01-01',
-                                    CAST(ts AS DATE)) // 7
-                           AS BIGINT) AS wk
-               FROM events
-               WHERE ts IS NOT NULL AND user_id IS NOT NULL),
-    s AS (SELECT user_id, min(wk) AS cohort_week FROM e
-          WHERE event_type = 'signup' GROUP BY 1),
-    a AS (SELECT DISTINCT e.user_id, s.cohort_week,
-                          e.wk - s.cohort_week AS week_offset
-          FROM e JOIN s USING (user_id))
-    SELECT cohort_week, week_offset, count(*) AS n_users
-    FROM a GROUP BY 1, 2
-"""
-
-
 # Five-stage CTE mirror of q_corpus_pipeline: short-line clean ->
 # keep-min exact dedup on md5 -> hash-rank quota 50 -> 90/5/5 split.
 ORACLES["q_corpus_pipeline"] = """
@@ -1435,70 +1246,6 @@ ORACLES["q_cms_heavy_hitters"] = """
 """
 
 
-ORACLES["q_rank_window"] = """
-    WITH r AS (SELECT s_nationkey, s_name, s_acctbal,
-                      rank() OVER (PARTITION BY s_nationkey
-                                   ORDER BY s_acctbal DESC) AS rnk
-               FROM supplier WHERE s_acctbal IS NOT NULL)
-    SELECT n.n_name, r.s_name, round(r.s_acctbal, 2) AS s_acctbal,
-           r.rnk
-    FROM r JOIN nation n ON r.s_nationkey = n.n_nationkey
-    WHERE r.rnk <= 3
-    ORDER BY n.n_name, r.rnk, r.s_name
-"""
-
-
-ORACLES["q_cross_join"] = """
-    SELECT r.r_name, n.n_name
-    FROM region r CROSS JOIN nation n
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_intersect"] = """
-    SELECT user_id FROM events
-    WHERE event_type = 'click' AND user_id IS NOT NULL
-    INTERSECT
-    SELECT user_id FROM events
-    WHERE event_type = 'purchase' AND value > 90
-      AND user_id IS NOT NULL
-    ORDER BY user_id
-"""
-
-
-ORACLES["q_except"] = """
-    SELECT user_id FROM events
-    WHERE event_type = 'click' AND user_id IS NOT NULL
-    EXCEPT
-    SELECT user_id FROM events
-    WHERE event_type = 'purchase' AND value > 90
-      AND user_id IS NOT NULL
-    ORDER BY user_id
-"""
-
-
-# Same binning expression as q_value_histogram; quantile pick via
-# integer cross-multiplication (cum*den >= num*tot == cum >= ceil(q*tot)).
-ORACLES["q_quantile_sketch"] = """
-    WITH b AS (SELECT event_type,
-                      CAST(least(greatest(CAST(floor((value - 0.0)
-                           / (100.0 - 0.0) * 20) AS INTEGER), 0), 19)
-                           AS BIGINT) AS bin
-               FROM events WHERE value IS NOT NULL),
-    h AS (SELECT event_type, bin, count(*) AS n FROM b GROUP BY 1, 2),
-    c AS (SELECT event_type, bin, n,
-                 sum(n) OVER (PARTITION BY event_type ORDER BY bin) AS cum,
-                 sum(n) OVER (PARTITION BY event_type) AS tot
-          FROM h)
-    SELECT event_type,
-           min(CASE WHEN cum * 2 >= tot THEN bin END) AS p50_bin,
-           min(CASE WHEN cum * 10 >= tot * 9 THEN bin END) AS p90_bin,
-           min(CASE WHEN cum * 100 >= tot * 99 THEN bin END) AS p99_bin,
-           CAST(any_value(tot) AS BIGINT) AS n
-    FROM c GROUP BY 1 ORDER BY 1
-"""
-
-
 ORACLES["q_pseudo_shuffle"] = """
     SELECT doc_id, md5('shuf1|' || CAST(doc_id AS VARCHAR)) AS h,
            CAST(row_number() OVER (ORDER BY
@@ -1506,22 +1253,6 @@ ORACLES["q_pseudo_shuffle"] = """
                AS rank
     FROM documents WHERE doc_id IS NOT NULL
     ORDER BY h LIMIT 100
-"""
-
-
-# Six-moment OLS mirror; DuckDB's regr_*/corr use running algorithms
-# that agree with the moment formulas to ~1e-12 here — round-6 on both
-# sides absorbs it (the repo's float determinism convention).
-ORACLES["q_regression"] = """
-    SELECT event_type,
-           CAST(count(*) AS BIGINT) AS n,
-           round(regr_slope(value, CAST(hour(ts) AS DOUBLE)), 6)
-               AS slope,
-           round(regr_intercept(value, CAST(hour(ts) AS DOUBLE)), 6)
-               AS intercept,
-           round(corr(value, CAST(hour(ts) AS DOUBLE)), 6) AS corr_xy
-    FROM events WHERE value IS NOT NULL AND ts IS NOT NULL
-    GROUP BY 1 ORDER BY 1
 """
 
 
@@ -1571,57 +1302,6 @@ ORACLES["q_ntile"] = """
 """
 
 
-ORACLES["q_densify_hours"] = """
-    WITH agg AS (SELECT event_type,
-                        CAST(epoch(date_trunc('hour', ts)) AS BIGINT)
-                            AS hour_epoch,
-                        count(*) AS n
-                 FROM events WHERE ts IS NOT NULL GROUP BY 1, 2),
-    b AS (SELECT min(hour_epoch) AS lo, max(hour_epoch) AS hi FROM agg),
-    hours AS (SELECT unnest(generate_series(lo, hi, 3600)) AS hour_epoch
-              FROM b),
-    types AS (SELECT DISTINCT event_type FROM agg),
-    grid AS (SELECT t.event_type, h.hour_epoch
-             FROM types t CROSS JOIN hours h)
-    SELECT g.event_type, g.hour_epoch, coalesce(a.n, 0) AS n
-    FROM grid g LEFT JOIN agg a USING (event_type, hour_epoch)
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_transitions"] = """
-    WITH s AS (SELECT user_id, event_type,
-                      lag(event_type) OVER (PARTITION BY user_id
-                                            ORDER BY ts, event_id)
-                          AS prev_type
-               FROM events WHERE user_id IS NOT NULL)
-    SELECT prev_type, event_type AS next_type, count(*) AS n
-    FROM s WHERE prev_type IS NOT NULL
-    GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-ORACLES["q_share_of_total"] = """
-    WITH a AS (SELECT o_orderstatus,
-                      count(*) AS n_orders,
-                      sum(CAST(round(o_totalprice * 100.0) AS BIGINT))
-                          AS rev_c
-               FROM orders GROUP BY 1)
-    SELECT o_orderstatus, n_orders,
-           round(CAST(rev_c AS DOUBLE) / 100.0, 2) AS revenue,
-           round(100.0 * CAST(rev_c AS DOUBLE)
-                 / CAST(sum(rev_c) OVER () AS DOUBLE), 4) AS share_pct
-    FROM a ORDER BY o_orderstatus
-"""
-
-
-ORACLES["q_unpivot"] = """
-    SELECT user_id, event_type, count(*) AS n
-    FROM events WHERE user_id IS NOT NULL
-    GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 ORACLES["q_bm25"] = f"""
     WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
     lens AS (SELECT doc_id, len(tk) AS L FROM toks),
@@ -1647,7 +1327,7 @@ ORACLES["q_bm25"] = f"""
     scored AS (
         -- sum order over the <=3 term contributions is engine-chosen;
         -- round-4 absorbs the last-bit difference vs the engine's
-        -- fixed-order fold (same absorption rule as q_regression)
+        -- fixed-order fold
         SELECT l.doc_id, round(coalesce(sum(x.c), 0.0), 4) AS score
         FROM lens l LEFT JOIN contrib x ON x.doc_id = l.doc_id
         GROUP BY l.doc_id)
@@ -1680,7 +1360,7 @@ ORACLES["q_url_dedup"] = """
 # md5(VARCHAR) hashes the same utf-8 bytes the engine encodes, and the
 # high nibble of byte i is hex char 2i-1 of hex(encode(text)).  The
 # 16-term entropy sum's float order differs between engines; the
-# driver's round-6 canon absorbs it (same rule as q_regression).
+# driver's round-6 canon absorbs it.
 _HEXVAL = "(strpos('0123456789abcdef', lower({c})) - 1)"
 ORACLES["q_binary_features"] = f"""
     WITH b AS (
@@ -1877,23 +1557,6 @@ ORACLES["q_mix_balance"] = """
 """
 
 
-ORACLES["q_skew_join"] = """
-    WITH e AS (SELECT event_type,
-                      CAST(round(value * 1000000) AS BIGINT) AS v_u
-               FROM events),
-    d AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n_events,
-                 SUM(v_u) AS sum_u
-          FROM e GROUP BY 1)
-    SELECT e.event_type AS event_type,
-           CAST(count(*) AS BIGINT) AS n_events,
-           CAST(sum(CASE WHEN e.v_u * d.n_events > d.sum_u
-                         THEN 1 ELSE 0 END) AS BIGINT) AS n_above
-    FROM e JOIN d USING (event_type)
-    GROUP BY 1
-    ORDER BY 1
-"""
-
-
 ORACLES["q_connected_components"] = """
     WITH n AS (SELECT doc_id AS d FROM documents),
     e AS (SELECT a.d AS u FROM n a JOIN n b ON b.d = a.d + 1
@@ -1961,22 +1624,6 @@ ORACLES["q_triangle_count"] = """
           WHERE EXISTS (SELECT 1 FROM e z WHERE z.u = w.a AND z.v = w.c))
     SELECT a % 10 AS bucket, CAST(count(*) AS BIGINT) AS n_triangles
     FROM t GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_interval_join"] = """
-    WITH c AS (SELECT event_id, user_id, epoch_us(ts) AS s,
-                      epoch_us(ts)
-                    + CAST(round(value * 3600) AS BIGINT) * 1000000 AS e
-               FROM events WHERE event_type = 'click'),
-    r AS (SELECT event_id, user_id, epoch_us(ts) AS s,
-                 epoch_us(ts) + 1800000000 AS e
-          FROM events WHERE event_type = 'error')
-    SELECT c.event_id AS click_id, r.event_id AS error_id,
-           least(c.e, r.e) - greatest(c.s, r.s) AS overlap_us
-    FROM c JOIN r ON c.user_id = r.user_id
-                 AND c.s <= r.e AND r.s <= c.e
-    ORDER BY 1, 2
 """
 
 
@@ -2215,54 +1862,6 @@ ORACLES["q_crawl_schedule"] = """
 """
 
 
-ORACLES["q_hll_intersect"] = """
-    WITH e AS (SELECT event_type,
-                      md5_number_upper(CAST(user_id AS VARCHAR)) AS hv
-               FROM events
-               WHERE user_id IS NOT NULL
-                 AND event_type IN ('click', 'view')),
-    r AS (SELECT CASE WHEN event_type = 'click' THEN 'a' ELSE 'b' END
-                   AS part,
-                 CAST(hv & 63 AS BIGINT) AS bucket,
-                 CASE WHEN hv >> 6 = 0 THEN 59
-                      ELSE least(59, 1 + bit_count(
-                          xor(hv >> 6, (hv >> 6) - 1) >> 1)) END AS rho
-          FROM e),
-    ab AS (SELECT part, bucket, CAST(max(rho) AS BIGINT) AS val
-           FROM r GROUP BY 1, 2),
-    u AS (SELECT 'u' AS part, bucket, CAST(max(val) AS BIGINT) AS val
-          FROM ab GROUP BY 2),
-    cu AS (SELECT DISTINCT user_id FROM events
-           WHERE event_type = 'click' AND user_id IS NOT NULL),
-    vu AS (SELECT DISTINCT user_id FROM events
-           WHERE event_type = 'view' AND user_id IS NOT NULL),
-    x AS (SELECT 'x' AS part, CAST(-1 AS BIGINT) AS bucket,
-                 CAST(count(*) AS BIGINT) AS val
-          FROM cu JOIN vu USING (user_id))
-    SELECT * FROM ab UNION ALL SELECT * FROM u UNION ALL
-    SELECT * FROM x ORDER BY 1, 2
-"""
-
-ORACLES["q_heavy_hitters"] = """
-    WITH keyed AS (
-        SELECT CASE
-                 WHEN user_id IS NULL THEN NULL
-                 WHEN user_id % 3 = 0 THEN CAST(user_id % 13 AS VARCHAR)
-                 WHEN user_id % 3 = 1
-                   THEN CAST(100 + user_id % 97 AS VARCHAR)
-                 ELSE CAST(event_id + 1000000000 AS VARCHAR)
-               END AS key
-        FROM events),
-    nn AS (SELECT key FROM keyed WHERE key IS NOT NULL),
-    tot AS (SELECT count(*) AS t FROM nn)
-    SELECT key, CAST(count(*) AS BIGINT) AS n
-    FROM nn CROSS JOIN tot
-    GROUP BY key, tot.t
-    HAVING count(*) * 50 > tot.t
-    ORDER BY key
-"""
-
-
 def _hits_sql(iters: int = 5) -> str:
     """Unrolled HITS sweep — same graph generator as _pagerank_sql,
     L2 normalization after each half-step, hub update reading the
@@ -2330,68 +1929,6 @@ ORACLES["q_posting_lists"] = f"""
     FROM g CROSS JOIN nd
     WHERE df >= 5 AND df * 5 <= nd.n * 3
     ORDER BY term
-"""
-
-
-ORACLES["q_covisit"] = """
-    WITH e AS (SELECT DISTINCT user_id AS u, event_id % 251 AS item
-               FROM events WHERE user_id IS NOT NULL),
-    r AS (SELECT u, item,
-                 row_number() OVER (PARTITION BY u ORDER BY item) AS rn
-          FROM e),
-    k AS (SELECT u, item FROM r WHERE rn <= 12),
-    p AS (SELECT a.item AS i1, b.item AS i2
-          FROM k a JOIN k b ON a.u = b.u AND a.item < b.item)
-    SELECT i1, i2, CAST(count(*) AS BIGINT) AS n
-    FROM p GROUP BY 1, 2 HAVING count(*) >= 2
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_funnel_windowed"] = """
-    WITH e AS (SELECT user_id AS u, ts, event_id, event_type
-               FROM events WHERE user_id IS NOT NULL),
-    v1 AS (SELECT u, ts, event_id FROM (
-        SELECT u, ts, event_id,
-               row_number() OVER (PARTITION BY u
-                                  ORDER BY ts, event_id) AS rn
-        FROM e WHERE event_type = 'view') WHERE rn = 1),
-    c1 AS (SELECT u, ts, event_id FROM (
-        SELECT e.u, e.ts, e.event_id,
-               row_number() OVER (PARTITION BY e.u
-                                  ORDER BY e.ts, e.event_id) AS rn
-        FROM e JOIN v1 ON e.u = v1.u
-         AND (e.ts > v1.ts OR (e.ts = v1.ts AND e.event_id > v1.event_id))
-         AND e.ts <= v1.ts + INTERVAL 24 HOUR
-        WHERE e.event_type = 'click') WHERE rn = 1),
-    p1 AS (SELECT DISTINCT e.u
-        FROM e JOIN c1 ON e.u = c1.u
-         AND (e.ts > c1.ts OR (e.ts = c1.ts AND e.event_id > c1.event_id))
-         AND e.ts <= c1.ts + INTERVAL 24 HOUR
-        WHERE e.event_type = 'purchase'),
-    users AS (SELECT DISTINCT u FROM e),
-    staged AS (SELECT users.u,
-        CASE WHEN p1.u IS NOT NULL THEN 'purchase'
-             WHEN c1.u IS NOT NULL THEN 'click'
-             WHEN v1.u IS NOT NULL THEN 'view'
-             ELSE 'none' END AS stage
-        FROM users LEFT JOIN v1 ON users.u = v1.u
-                   LEFT JOIN c1 ON users.u = c1.u
-                   LEFT JOIN p1 ON users.u = p1.u)
-    SELECT stage, CAST(count(*) AS BIGINT) AS n_users
-    FROM staged GROUP BY stage ORDER BY stage
-"""
-
-
-ORACLES["q_exact_kth"] = """
-    WITH v AS (SELECT value FROM events WHERE value IS NOT NULL),
-    n AS (SELECT CAST(count(*) AS BIGINT) AS n FROM v),
-    med AS (SELECT value AS median FROM v, n
-            ORDER BY value LIMIT 1 OFFSET (SELECT (n + 1) // 2 - 1 FROM n)),
-    p90 AS (SELECT value AS p90 FROM v
-            ORDER BY value LIMIT 1
-            OFFSET (SELECT (9 * n + 9) // 10 - 1 FROM n))
-    SELECT n.n, med.median, p90.p90 FROM n, med, p90
 """
 
 
@@ -2503,35 +2040,6 @@ ORACLES["q_upsert"] = """
     SELECT url, CAST(rev AS BIGINT) AS last_rev, content_hash, n_versions
     FROM ranked WHERE rn = 1 AND op <> 'D'
     ORDER BY url
-"""
-
-
-ORACLES["q_scd2"] = """
-    WITH e AS (
-        SELECT user_id, epoch_us(ts) AS t_us, event_id, event_type
-        FROM events WHERE user_id IS NOT NULL),
-    m AS (
-        SELECT *, CASE WHEN lag(event_type) OVER (
-                           PARTITION BY user_id ORDER BY t_us, event_id)
-                       IS DISTINCT FROM event_type THEN 1 ELSE 0 END AS chg
-        FROM e),
-    g AS (
-        SELECT *, sum(chg) OVER (PARTITION BY user_id
-                                 ORDER BY t_us, event_id
-                                 ROWS UNBOUNDED PRECEDING) AS grp
-        FROM m),
-    r AS (
-        SELECT user_id, grp,
-               min(event_type) AS event_type,
-               min(t_us) AS valid_from_us,
-               CAST(count(*) AS BIGINT) AS n_events
-        FROM g GROUP BY user_id, grp)
-    SELECT user_id, event_type,
-           CAST(valid_from_us AS BIGINT) AS valid_from_us,
-           CAST(lead(valid_from_us) OVER (
-                PARTITION BY user_id ORDER BY grp) AS DOUBLE) AS valid_to_us,
-           n_events
-    FROM r
 """
 
 
@@ -2679,81 +2187,6 @@ ORACLES["q_url_canonical"] = """
 """
 
 
-ORACLES["q_link_predict"] = """
-    WITH e AS (SELECT DISTINCT user_id AS u, event_id % 251 AS item
-               FROM events WHERE user_id IS NOT NULL),
-    r AS (SELECT u, item,
-                 row_number() OVER (PARTITION BY u ORDER BY item) AS rn
-          FROM e),
-    k AS (SELECT u, item FROM r WHERE rn <= 12),
-    d AS (SELECT u, count(*) AS deg FROM k GROUP BY u),
-    p AS (SELECT a.item AS i1, b.item AS i2, 27720 // d.deg AS w
-          FROM k a JOIN k b ON a.u = b.u AND a.item < b.item
-          JOIN d ON d.u = a.u)
-    SELECT i1, i2, CAST(count(*) AS BIGINT) AS n_users,
-           CAST(sum(w) AS BIGINT) AS ra_scaled
-    FROM p GROUP BY 1, 2 HAVING count(*) >= 2
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_corr_grouped"] = """
-    -- same closed form from the same exact integers as the engine:
-    -- HUGEINT sums, double conversion only at the final expression
-    WITH s AS (SELECT l_returnflag AS flag,
-                      CAST(count(*) AS HUGEINT) AS n,
-                      sum(CAST(CAST(round(l_quantity) AS BIGINT)
-                               AS HUGEINT)) AS sx,
-                      sum(CAST(CAST(round(l_extendedprice * 100) AS BIGINT)
-                               AS HUGEINT)) AS sy,
-                      sum(CAST(CAST(round(l_quantity) AS BIGINT)
-                               AS HUGEINT) *
-                          CAST(round(l_extendedprice * 100) AS BIGINT))
-                          AS sxy,
-                      sum(CAST(CAST(round(l_quantity) AS BIGINT)
-                               AS HUGEINT) *
-                          CAST(round(l_quantity) AS BIGINT)) AS sxx,
-                      sum(CAST(CAST(round(l_extendedprice * 100) AS BIGINT)
-                               AS HUGEINT) *
-                          CAST(round(l_extendedprice * 100) AS BIGINT))
-                          AS syy
-               FROM lineitem GROUP BY 1)
-    SELECT flag AS l_returnflag, CAST(n AS BIGINT) AS n,
-           round(CAST(n * sxy - sx * sy AS DOUBLE) /
-                 (sqrt(CAST(n * sxx - sx * sx AS DOUBLE)) *
-                  sqrt(CAST(n * syy - sy * sy AS DOUBLE))), 6)
-               AS corr_qty_price
-    FROM s ORDER BY 1
-"""
-
-
-ORACLES["q_ewma"] = """
-    -- last-8-event EWMA, alpha = 1/4, as an exact scaled-integer pair:
-    -- S_n = 4^(n-1) E_n = sum c_i x_i, c_1 = 3^(n-1),
-    -- c_i = 3^(n-i) * 4^(i-2); powers <= 3^7*4^6 are exact doubles so
-    -- the BIGINT casts are lossless
-    WITH e AS (SELECT user_id AS u, value, ts, event_id FROM events
-               WHERE user_id IS NOT NULL AND value IS NOT NULL),
-    r AS (SELECT u, CAST(round(value * 100) AS BIGINT) AS x,
-                 row_number() OVER (PARTITION BY u
-                                    ORDER BY ts DESC, event_id DESC) AS rd
-          FROM e),
-    w AS (SELECT u, x, rd FROM r WHERE rd <= 8),
-    s AS (SELECT u, x,
-                 count(*) OVER (PARTITION BY u) AS n,
-                 count(*) OVER (PARTITION BY u) - rd + 1 AS i
-          FROM w)
-    SELECT u AS user_id,
-           CAST(sum(x * CASE WHEN i = 1
-                             THEN CAST(power(3, n - 1) AS BIGINT)
-                             ELSE CAST(power(3, n - i) AS BIGINT) *
-                                  CAST(power(4, i - 2) AS BIGINT)
-                        END) AS BIGINT) AS ewma_num,
-           CAST(power(4, max(n) - 1) AS BIGINT) AS ewma_den
-    FROM s GROUP BY u ORDER BY user_id
-"""
-
-
 ORACLES["q_trimmed_mean"] = """
     WITH r AS (SELECT l_returnflag AS f,
                       CAST(round(l_quantity) AS BIGINT) AS q,
@@ -2880,35 +2313,6 @@ ORACLES["q_ks_test"] = """
 """
 
 
-ORACLES["q_ab_test"] = """
-    WITH e AS (SELECT event_type, CAST(user_id AS BIGINT) % 2 AS arm,
-                      CAST(round(value * 100) AS HUGEINT) AS x
-               FROM events
-               WHERE user_id IS NOT NULL AND value IS NOT NULL),
-    s AS (SELECT event_type, arm, count(*) AS n,
-                 sum(x) AS sx, sum(x * x) AS sxx
-          FROM e GROUP BY 1, 2),
-    j AS (SELECT a.event_type,
-                 a.n AS na, a.sx AS sa, a.sxx AS ssa,
-                 b.n AS nb, b.sx AS sb, b.sxx AS ssb
-          FROM s a JOIN s b ON a.event_type = b.event_type
-          WHERE a.arm = 0 AND b.arm = 1)
-    SELECT event_type,
-           CAST(na AS BIGINT) AS n_a, CAST(nb AS BIGINT) AS n_b,
-           round(CAST(sa AS DOUBLE) / na, 6) AS mean_a_cents,
-           round(CAST(sb AS DOUBLE) / nb, 6) AS mean_b_cents,
-           round((CAST(sa AS DOUBLE) / na - CAST(sb AS DOUBLE) / nb)
-                 / sqrt(((CAST(ssa AS DOUBLE)
-                          - CAST(sa AS DOUBLE) * CAST(sa AS DOUBLE) / na)
-                         / (na - 1)) / na
-                        + ((CAST(ssb AS DOUBLE)
-                            - CAST(sb AS DOUBLE) * CAST(sb AS DOUBLE) / nb)
-                           / (nb - 1)) / nb),
-                 6) AS t_welch
-    FROM j ORDER BY 1
-"""
-
-
 ORACLES["q_feature_hash"] = f"""
     WITH probe AS (SELECT doc_id, text FROM documents
                    WHERE doc_id % 41 = 0),
@@ -2985,47 +2389,6 @@ ORACLES["q_chi2_cells"] = """
 """
 
 
-ORACLES["q_mad"] = """
-    WITH c AS (SELECT l_returnflag,
-                      CAST(round(l_extendedprice * 100) AS BIGINT) AS cents
-               FROM lineitem)
-    SELECT l_returnflag, CAST(count(*) AS BIGINT) AS n_rows,
-           round(median(cents) / 100.0, 6) AS median_price,
-           round(mad(cents) / 100.0, 6) AS mad_price
-    FROM c GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_mannwhitney"] = """
-    WITH e AS (SELECT event_type, CAST(user_id AS BIGINT) % 2 AS arm,
-                      CAST(round(value * 100) AS BIGINT) AS x
-               FROM events
-               WHERE user_id IS NOT NULL AND value IS NOT NULL),
-    h AS (SELECT event_type, x,
-                 count(*) FILTER (WHERE arm = 0) AS ca,
-                 count(*) FILTER (WHERE arm = 1) AS cb
-          FROM e GROUP BY 1, 2),
-    w AS (SELECT event_type, x, ca, cb,
-                 CAST(coalesce(sum(cb) OVER
-                          (PARTITION BY event_type ORDER BY x
-                           ROWS BETWEEN UNBOUNDED PRECEDING
-                                    AND 1 PRECEDING), 0) AS HUGEINT)
-                     AS cb_below
-          FROM h),
-    u AS (SELECT event_type,
-                 CAST(sum(ca) AS HUGEINT) AS na,
-                 CAST(sum(cb) AS HUGEINT) AS nb,
-                 CAST(sum(ca * (2 * cb_below + cb)) AS HUGEINT) AS u2
-          FROM w GROUP BY 1)
-    SELECT event_type,
-           CAST(na AS BIGINT) AS n_a, CAST(nb AS BIGINT) AS n_b,
-           CAST(u2 AS DOUBLE) / 2 AS u_a,
-           round(CAST(u2 AS DOUBLE)
-                 / (2 * CAST(na AS DOUBLE) * CAST(nb AS DOUBLE)), 6) AS auc
-    FROM u ORDER BY 1
-"""
-
-
 ORACLES["q_robots_filter"] = """
     WITH d AS (SELECT 'site' || CAST(doc_id % 3 AS VARCHAR) || '.com' AS host,
                       '/p/' || CAST(doc_id // 16 AS VARCHAR) AS path
@@ -3040,26 +2403,6 @@ ORACLES["q_robots_filter"] = """
            CAST(count(*) FILTER (WHERE blocked = 0) AS BIGINT) AS n_allowed,
            CAST(count(*) FILTER (WHERE blocked = 1) AS BIGINT) AS n_blocked
     FROM f GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_market_basket"] = """
-    WITH bi AS (SELECT DISTINCT l_orderkey AS o, l_partkey % 97 AS i
-                FROM lineitem),
-    n AS (SELECT count(DISTINCT o) AS n_orders FROM bi),
-    ic AS (SELECT i, count(*) AS c FROM bi GROUP BY 1),
-    p AS (SELECT a.i AS i1, b.i AS i2, count(*) AS sup
-          FROM bi a JOIN bi b ON a.o = b.o AND a.i < b.i
-          GROUP BY 1, 2 HAVING count(*) >= 25),
-    r AS (SELECT i1 AS ante, i2 AS cons, sup FROM p
-          UNION ALL SELECT i2, i1, sup FROM p)
-    SELECT r.ante, r.cons, CAST(r.sup AS BIGINT) AS support,
-           round(CAST(r.sup AS DOUBLE) / ca.c, 6) AS confidence,
-           round(CAST(r.sup AS DOUBLE) * n.n_orders / (ca.c * cb.c), 6)
-               AS lift
-    FROM r JOIN ic ca ON ca.i = r.ante
-           JOIN ic cb ON cb.i = r.cons CROSS JOIN n
-    ORDER BY 1, 2
 """
 
 
@@ -3116,31 +2459,6 @@ ORACLES["q_new_users"] = """
 """
 
 
-ORACLES["q_attribution"] = """
-    WITH e AS (SELECT event_id, CAST(user_id AS BIGINT) AS u, event_type,
-                      epoch_us(ts) AS t
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL
-                 AND event_type IN ('click', 'purchase')),
-    w AS (SELECT *, max(CASE WHEN event_type = 'click'
-                             THEN CAST(t AS HUGEINT) * 4294967296
-                                  + event_id END) OVER
-              (PARTITION BY u ORDER BY t, event_id
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS lck
-          FROM e)
-    SELECT event_id AS purchase_id, u AS user_id,
-           CASE WHEN lck IS NOT NULL
-                 AND t - CAST(lck // 4294967296 AS BIGINT) <= 259200000000
-                THEN CAST(lck % 4294967296 AS BIGINT) ELSE -1 END
-               AS click_id,
-           CASE WHEN lck IS NOT NULL
-                 AND t - CAST(lck // 4294967296 AS BIGINT) <= 259200000000
-                THEN t - CAST(lck // 4294967296 AS BIGINT) ELSE -1 END
-               AS lag_us
-    FROM w WHERE event_type = 'purchase' ORDER BY 1
-"""
-
-
 ORACLES["q_zipf_slope"] = f"""
     WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
     pc AS (SELECT unnest(tk) AS tok FROM toks),
@@ -3183,25 +2501,6 @@ ORACLES["q_rolling_actives"] = """
                  WHERE p.day BETWEEN d.day - 6 AND d.day) AS BIGINT)
                AS mau7
     FROM d ORDER BY 1
-"""
-
-
-ORACLES["q_cohort_ltv"] = """
-    WITH s AS (SELECT CAST(user_id AS BIGINT) AS u,
-                      min(epoch_us(ts) // 604800000000) AS cohort_week
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL
-                 AND event_type = 'signup' GROUP BY 1),
-    p AS (SELECT CAST(user_id AS BIGINT) AS u,
-                 epoch_us(ts) // 604800000000 AS week,
-                 CAST(round(value * 100) AS BIGINT) AS cents
-          FROM events
-          WHERE user_id IS NOT NULL AND ts IS NOT NULL
-            AND value IS NOT NULL AND event_type = 'purchase')
-    SELECT s.cohort_week, p.week - s.cohort_week AS week_offset,
-           CAST(count(*) AS BIGINT) AS n_purchases,
-           CAST(sum(p.cents) AS BIGINT) AS revenue_cents
-    FROM p JOIN s USING (u) GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
@@ -3264,63 +2563,6 @@ ORACLES["q_dup_cluster_sizes"] = """
            CAST(count(*) AS BIGINT) AS n_clusters,
            CAST(c * count(*) AS BIGINT) AS n_docs
     FROM h GROUP BY c ORDER BY 1
-"""
-
-
-ORACLES["q_rfm"] = """
-    WITH p AS (SELECT CAST(user_id AS BIGINT) AS u,
-                      epoch_us(ts) // 86400000000 AS day,
-                      CAST(round(value * 100) AS BIGINT) AS cents
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL
-                 AND value IS NOT NULL AND event_type = 'purchase'),
-    pu AS (SELECT u, max(day) AS last_day, count(*) AS f,
-                  CAST(sum(cents) AS BIGINT) AS cents
-           FROM p GROUP BY 1),
-    band AS (SELECT ((SELECT max(day) FROM p) - last_day) // 7 AS r_band,
-                    CAST(floor(log2(CAST(f AS DOUBLE))) AS BIGINT) + 1
-                        AS f_band,
-                    CASE WHEN cents // 100 = 0 THEN 0
-                         ELSE CAST(floor(log2(CAST(cents // 100
-                                                   AS DOUBLE)))
-                                   AS BIGINT) + 1 END AS m_band
-             FROM pu)
-    SELECT r_band, f_band, m_band, CAST(count(*) AS BIGINT) AS n_users
-    FROM band GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-"""
-
-
-ORACLES["q_streak"] = """
-    WITH p AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u,
-                      epoch_us(ts) // 86400000000 AS day
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    r AS (SELECT u, day,
-                 day - row_number() OVER (PARTITION BY u ORDER BY day)
-                     AS grp
-          FROM p),
-    runs AS (SELECT u, count(*) AS len FROM r GROUP BY u, grp),
-    mx AS (SELECT u, max(len) AS streak FROM runs GROUP BY u)
-    SELECT CAST(streak AS BIGINT) AS streak,
-           CAST(count(*) AS BIGINT) AS n_users
-    FROM mx GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_burst_peak"] = """
-    WITH e AS (SELECT event_type, ts FROM events WHERE ts IS NOT NULL),
-    c AS (SELECT x.event_type,
-                 epoch_us(x.ts) // 86400000000 AS day,
-                 count(*) AS c
-          FROM e x JOIN e y
-            ON y.event_type = x.event_type
-           AND y.ts >= x.ts - INTERVAL 1 HOUR AND y.ts <= x.ts
-          GROUP BY x.event_type, x.ts, day),
-    m AS (SELECT event_type, max(c) AS peak FROM c GROUP BY 1)
-    SELECT m.event_type, CAST(m.peak AS BIGINT) AS peak,
-           CAST(min(c.day) AS BIGINT) AS peak_day
-    FROM m JOIN c ON c.event_type = m.event_type AND c.c = m.peak
-    GROUP BY 1, 2 ORDER BY 1
 """
 
 
@@ -3447,27 +2689,6 @@ ORACLES["q_two_hop"] = """
 """
 
 
-ORACLES["q_churn"] = """
-    WITH p AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u,
-                      epoch_us(ts) // (86400000000 * 7) AS wk
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    mx AS (SELECT max(wk) AS m FROM p),
-    c AS (SELECT a.wk,
-                 count(*) AS n_active,
-                 sum(CASE WHEN b.u IS NULL THEN 1 ELSE 0 END)
-                     AS n_churned
-          FROM p a LEFT JOIN p b ON b.u = a.u AND b.wk = a.wk + 1
-          WHERE a.wk < (SELECT m FROM mx)
-          GROUP BY 1)
-    SELECT CAST(wk AS BIGINT) AS week,
-           CAST(n_active AS BIGINT) AS n_active,
-           CAST(n_churned AS BIGINT) AS n_churned,
-           round(CAST(n_churned AS DOUBLE) / n_active, 6) AS churn_rate
-    FROM c ORDER BY 1
-"""
-
-
 ORACLES["q_winsorize"] = """
     WITH q AS (SELECT l_returnflag AS f,
                       quantile_disc(l_quantity, 0.1) AS lo,
@@ -3579,23 +2800,6 @@ ORACLES["q_ngram_entropy"] = f"""
 """
 
 
-ORACLES["q_event_paths"] = """
-    WITH seq AS (SELECT user_id,
-                        list(event_type ORDER BY ts, event_id) AS s
-                 FROM events
-                 WHERE user_id IS NOT NULL AND ts IS NOT NULL
-                 GROUP BY 1),
-    tg AS (SELECT CASE WHEN len(s) < 3 THEN CAST([] AS VARCHAR[])
-                       ELSE list_transform(generate_series(1, len(s) - 2),
-                                i -> s[i] || '>' || s[i+1] || '>' || s[i+2])
-                  END AS tgs
-           FROM seq)
-    SELECT path, CAST(count(*) AS BIGINT) AS n
-    FROM (SELECT unnest(tgs) AS path FROM tg)
-    GROUP BY 1 ORDER BY n DESC, path LIMIT 10
-"""
-
-
 ORACLES["q_zone_map"] = """
     WITH s AS (SELECT doc_id // 64 AS shard, min(n_chars) AS mn,
                       max(n_chars) AS mx, count(*) AS rows_
@@ -3608,22 +2812,6 @@ ORACLES["q_zone_map"] = """
            round(CAST(sum(CASE WHEN mx < 400 THEN 1 ELSE 0 END)
                       AS DOUBLE) / count(*), 6) AS prune_ratio
     FROM s
-"""
-
-
-ORACLES["q_tail_index"] = """
-    WITH c AS (SELECT user_id, count(*) AS c FROM events
-               WHERE user_id IS NOT NULL GROUP BY 1),
-    kk AS (SELECT least(100, count(*) - 1) AS k FROM c),
-    r AS (SELECT c, row_number() OVER (ORDER BY c DESC) AS i FROM c),
-    xk AS (SELECT c AS xk1 FROM r, kk WHERE i = k + 1),
-    h AS (SELECT sum(ln(CAST(r.c AS DOUBLE) / xk.xk1)) / kk.k AS hill
-          FROM r, kk, xk WHERE r.i <= kk.k GROUP BY kk.k)
-    SELECT (SELECT CAST(k AS BIGINT) FROM kk) AS k,
-           (SELECT CAST(xk1 AS BIGINT) FROM xk) AS x_kplus1,
-           round(h.hill, 6) AS hill,
-           round(1.0 / h.hill, 6) AS alpha
-    FROM h
 """
 
 
@@ -3669,32 +2857,6 @@ ORACLES["q_emb_quantize"] = """
            round(max(abs(v - recon)), 6) AS max_abs_err,
            round(avg((v - recon) * (v - recon)) * 1e6, 6) AS mse_e6
     FROM r
-"""
-
-
-ORACLES["q_bounce_rate"] = """
-    WITH e AS (SELECT CAST(user_id AS BIGINT) AS u, ts, event_id
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    l AS (SELECT u, ts,
-                 lag(ts) OVER (PARTITION BY u ORDER BY ts, event_id)
-                     AS prev
-          FROM e),
-    m AS (SELECT u, ts,
-                 CASE WHEN prev IS NULL
-                           OR epoch_us(ts) - epoch_us(prev) > 1800000000
-                      THEN 1 ELSE 0 END AS new_s
-          FROM l),
-    s AS (SELECT u, sum(new_s) OVER (PARTITION BY u ORDER BY ts
-                                     ROWS UNBOUNDED PRECEDING) AS sid
-          FROM m),
-    z AS (SELECT u, sid, count(*) AS sz FROM s GROUP BY 1, 2)
-    SELECT CAST(count(*) AS BIGINT) AS n_sessions,
-           CAST(sum(CASE WHEN sz = 1 THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_bounce,
-           round(CAST(sum(CASE WHEN sz = 1 THEN 1 ELSE 0 END) AS DOUBLE)
-                 / count(*), 6) AS bounce_rate
-    FROM z
 """
 
 
@@ -3838,23 +3000,6 @@ ORACLES["q_vocab_coverage"] = f"""
 """
 
 
-ORACLES["q_conversion_lag"] = """
-    WITH v AS (SELECT CAST(user_id AS BIGINT) AS u, min(ts) AS vts
-               FROM events
-               WHERE event_type = 'view' AND user_id IS NOT NULL
-                 AND ts IS NOT NULL
-               GROUP BY 1),
-    p AS (SELECT v.u, min(e.ts) AS pts, min(v.vts) AS vts
-          FROM v JOIN events e
-            ON CAST(e.user_id AS BIGINT) = v.u
-           AND e.event_type = 'purchase' AND e.ts >= v.vts
-          GROUP BY 1)
-    SELECT (epoch_us(pts) - epoch_us(vts)) // 86400000000 AS lag_days,
-           CAST(count(*) AS BIGINT) AS n_users
-    FROM p GROUP BY 1 ORDER BY 1
-"""
-
-
 ORACLES["q_gopher_rules"] = f"""
     WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
     f AS (SELECT len(tk) AS wc,
@@ -3994,38 +3139,6 @@ ORACLES["q_case_stats"] = f"""
 """
 
 
-ORACLES["q_profit_by_brand"] = """
-    WITH j AS (SELECT n.n_name, p.p_brand,
-                      CAST(round(l.l_extendedprice * 100) AS HUGEINT)
-                      * (100 - CAST(round(l.l_discount * 100)
-                                    AS HUGEINT)) AS rev_c
-               FROM lineitem l
-               JOIN part p ON p.p_partkey = l.l_partkey
-               JOIN supplier s ON s.s_suppkey = l.l_suppkey
-               JOIN nation n ON n.n_nationkey = s.s_nationkey)
-    SELECT n_name, p_brand, CAST(count(*) AS BIGINT) AS n_items,
-           round(CAST(sum(rev_c) AS DOUBLE) / 10000.0, 2) AS revenue
-    FROM j GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-ORACLES["q_dow_profile"] = """
-    WITH e AS (SELECT epoch_us(ts) // 86400000000 AS day,
-                      (epoch_us(ts) % 86400000000) // 3600000000 AS hod
-               FROM events WHERE ts IS NOT NULL),
-    c AS (SELECT (day + 4) % 7 AS dow, hod, count(*) AS n
-          FROM e GROUP BY 1, 2),
-    dd AS (SELECT (day + 4) % 7 AS dow, count(DISTINCT day) AS n_days
-           FROM e GROUP BY 1)
-    SELECT CAST(c.dow AS BIGINT) AS dow, CAST(c.hod AS BIGINT) AS hod,
-           CAST(c.n AS BIGINT) AS n,
-           CAST(dd.n_days AS BIGINT) AS n_days,
-           round(CAST(c.n AS DOUBLE) / dd.n_days, 6) AS avg_events
-    FROM c JOIN dd ON dd.dow = c.dow
-    ORDER BY 1, 2
-"""
-
-
 ORACLES["q_rolling_median"] = """
     WITH d AS (SELECT epoch_us(ts) // 86400000000 AS day,
                       count(*) AS n
@@ -4129,27 +3242,6 @@ ORACLES["q_active_days"] = """
     SELECT CAST(days AS BIGINT) AS days,
            CAST(count(*) AS BIGINT) AS n_users
     FROM c GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_hhi"] = """
-    WITH r AS (SELECT s.s_nationkey, l.l_suppkey,
-                      CAST(sum(CAST(round(l.l_extendedprice * 100)
-                                    AS HUGEINT)) AS HUGEINT) AS cents
-               FROM lineitem l
-               JOIN supplier s ON s.s_suppkey = l.l_suppkey
-               GROUP BY 1, 2),
-    a AS (SELECT s_nationkey, count(*) AS n_suppliers,
-                 sum(cents * cents) AS sq,
-                 sum(cents) AS tot
-          FROM r GROUP BY 1)
-    SELECT n.n_name, CAST(a.n_suppliers AS BIGINT) AS n_suppliers,
-           round(CAST(a.sq AS DOUBLE)
-                 / (CAST(a.tot AS DOUBLE) * CAST(a.tot AS DOUBLE)), 6)
-               AS hhi
-    FROM a JOIN nation n ON n.n_nationkey = a.s_nationkey
-    WHERE a.tot > 0
-    ORDER BY 1
 """
 
 

@@ -1622,212 +1622,6 @@ QUERIES.update({"q_provider_fanout": q_provider_fanout})
 
 
 # ---------------------------------------------------------------------------
-# Left outer join (hash_join how="left"): customers keep their row even
-# with zero orders
-# ---------------------------------------------------------------------------
-def q_left_join(sf_dir: str):
-    """Left outer join at scale: customer LEFT JOIN a per-custkey order
-    aggregate; customers without any order survive with zeroed stats
-    (the unmatched-row path of ``hash_join(how="left")``).
-
-    Scale shape: orders are aggregated per custkey BEFORE the join
-    (aggregate-then-join), so the join shuffle moves one row per
-    ordering customer instead of every order row."""
-    from bb_ocr_ray.stages.joins import hash_join
-
-    orders = _read_parquet(_t(sf_dir, "orders"),
-                           columns=["o_custkey", "o_totalprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("o_custkey", as_index=False).agg(
-            n_orders=("o_totalprice", "size"),
-            total_spent=("o_totalprice", "sum"))
-
-    def final(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("o_custkey", as_index=False).agg(
-            n_orders=("n_orders", "sum"),
-            total_spent=("total_spent", "sum"))
-        return g.rename(columns={"o_custkey": "c_custkey"})
-
-    # The partial set is BOUNDED (<= ordering customers x blocks), so
-    # the final aggregate coalesces into ONE pandas task instead of
-    # Ray's sort-based Aggregate, whose per-block boundary cost ran
-    # 1.2 s/block on 700-row partials (measured: 7.7 s -> ~1 s).  At
-    # key cardinalities past one task's heap, use the salted
-    # groupby path (stages/domain_agg) instead.  materialize():
-    # hash_join's schema inspection executes a lazy pandas lineage
-    # once and the join run would execute it again.
-    agg = (
-        orders.map_batches(partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(final, batch_format="pandas", batch_size=None)
-        .materialize()
-    )
-    cust = _read_parquet(_t(sf_dir, "customer"),
-                         columns=["c_custkey", "c_mktsegment"])
-    out = hash_join(cust, agg, on="c_custkey", how="left").to_pandas()
-    out["n_orders"] = out["n_orders"].fillna(0).astype("int64")
-    out["total_spent"] = _round_sql(
-        out["total_spent"].astype("float64").fillna(0.0), 2)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pivot (long -> wide): per-user event-type count columns
-# ---------------------------------------------------------------------------
-def q_pivot_events(sf_dir: str):
-    """Pivot: one count column per event type plus summed purchase
-    value, per user.  The per-batch partial is ALREADY wide (a local
-    crosstab), so the groupby shuffles one wide row per (batch, user)
-    instead of one long row per event.  NULL user_id rows are dropped
-    (pd.crosstab excludes NaN index keys; the oracle mirrors with
-    WHERE user_id IS NOT NULL — same convention as q_unpivot/q_funnel/
-    q_cms)."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "event_type", "value"])
-    types = ["click", "error", "purchase", "signup", "view"]
-    cols = [f"n_{t}" for t in types]
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        ct = pd.crosstab(b["user_id"], b["event_type"])
-        ct = ct.reindex(columns=types, fill_value=0)
-        ct.columns = cols
-        pv = (b[b["event_type"] == "purchase"]
-              .groupby("user_id")["value"].sum())
-        ct["purchase_value"] = pv.reindex(ct.index).fillna(0.0)
-        return ct.reset_index()
-
-    # user_id is row-cardinality: coarse_agg (per-group tax)
-    spec = {c: (c, "sum") for c in cols}
-    spec["purchase_value"] = ("purchase_value", "sum")
-    out = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["user_id"], spec,
-    ).to_pandas()
-    for c in cols:
-        out[c] = out[c].astype("int64")
-    # blocks containing NULL users arrive with a float64 user_id column;
-    # crosstab dropped the NaN keys, so the cast is always exact
-    out["user_id"] = out["user_id"].astype("int64")
-    out["purchase_value"] = _round_sql(out["purchase_value"], 2)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Window lag: per-user inter-event gaps (integer-microsecond exact)
-# ---------------------------------------------------------------------------
-def q_event_gaps(sf_dir: str):
-    """Per-user inter-event gap stats via the lag window shape: events
-    ordered by (ts, event_id) per user; gaps summed/maxed as EXACT
-    integer microseconds (no float summation-order drift to absorb).
-    Users with a single event have no gap and are omitted (mirrors
-    HAVING count(*) >= 2)."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id"])
-
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.dropna(subset=["ts"])  # mirror WHERE ts IS NOT NULL
-        if len(g) < 2:
-            return pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                                 "n_gaps": pd.Series([], dtype="int64"),
-                                 "sum_gap_us": pd.Series([], dtype="int64"),
-                                 "max_gap_us": pd.Series([], dtype="int64")})
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        # unit-safe exact microseconds (parquet timestamps arrive as
-        # datetime64[us]; a plain .astype(int64) would be ns-dependent)
-        d = (g["ts"].diff().dropna()
-             .astype("timedelta64[us]").astype("int64"))
-        return pd.DataFrame({"user_id": [g["user_id"].iloc[0]],
-                             "n_gaps": [len(d)],
-                             "sum_gap_us": [int(d.sum())],
-                             "max_gap_us": [int(d.max())]})
-
-    return _grouped_per_key(ds, "user_id", gaps)
-
-
-QUERIES.update({
-    "q_left_join": q_left_join,
-    "q_pivot_events": q_pivot_events,
-    "q_event_gaps": q_event_gaps,
-})
-
-
-# ---------------------------------------------------------------------------
-# Ordered fold (A6 as a query-level op): grouped string_agg
-# ---------------------------------------------------------------------------
-def q_group_concat(sf_dir: str):
-    """Per region name, the '|'-joined ALPHABETICAL list of its nations
-    — the reference's ordered list->string fold (authors -> CSV,
-    `stages/sinks.flatten_metadata`) expressed as a grouped aggregate
-    with a deterministic intra-group order."""
-    from bb_ocr_ray.stages.joins import broadcast_join
-
-    nation = _read_parquet(_t(sf_dir, "nation"),
-                           columns=["n_regionkey", "n_name"])
-    region = pd.read_parquet(_t(sf_dir, "region"),
-                             columns=["r_regionkey", "r_name"])
-
-    folded = nation.groupby("n_regionkey").map_groups(
-        lambda g: pd.DataFrame({
-            "n_regionkey": [int(g["n_regionkey"].iloc[0])],
-            "nations": ["|".join(sorted(g["n_name"]))],
-            "n_nations": [len(g)]}),
-        batch_format="pandas")
-    out = broadcast_join(
-        folded, region.rename(columns={"r_regionkey": "n_regionkey"}),
-        on="n_regionkey").to_pandas()
-    out = out[["r_name", "nations", "n_nations"]]
-    out["n_nations"] = out["n_nations"].astype("int64")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# CUBE: all four grouping sets from one distributed pass
-# ---------------------------------------------------------------------------
-def q_cube(sf_dir: str):
-    """GROUP BY CUBE (status, priority): the fine level comes from the
-    one distributed partial-agg pass; the three coarser grouping sets
-    — (status), (priority), () — are derived from the TINY fine-level
-    aggregate on the driver (aggregate-of-aggregate; no second scan).
-    Extends q_rollup's level-union pattern to the full cross."""
-    ds = _read_parquet(
-        _t(sf_dir, "orders"),
-        columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
-    )
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        # integer cents (see q1: float sums drift past round-2 at sf0.1)
-        batch = batch.assign(rev_c=_round_sql(
-            batch["o_totalprice"] * 100.0, 0).astype("int64"))
-        return batch.groupby(["o_orderstatus", "o_orderpriority"],
-                             as_index=False).agg(
-            n_orders=("rev_c", "size"),
-            revenue=("rev_c", "sum"))
-
-    fine = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Sum("n_orders", alias_name="n_orders"),
-                   Sum("revenue", alias_name="revenue"))
-        .to_pandas()
-    )
-    by_status = fine.groupby("o_orderstatus", as_index=False).agg(
-        n_orders=("n_orders", "sum"), revenue=("revenue", "sum"))
-    by_status["o_orderpriority"] = None
-    by_prio = fine.groupby("o_orderpriority", as_index=False).agg(
-        n_orders=("n_orders", "sum"), revenue=("revenue", "sum"))
-    by_prio["o_orderstatus"] = None
-    total = pd.DataFrame(
-        {"o_orderstatus": [None], "o_orderpriority": [None],
-         "n_orders": [fine["n_orders"].sum()],
-         "revenue": [fine["revenue"].sum()]})
-    out = pd.concat([fine, by_status, by_prio, total], ignore_index=True)
-    out["revenue"] = _round_sql(out["revenue"].astype("int64") / 100.0, 2)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return out[["o_orderstatus", "o_orderpriority", "n_orders", "revenue"]]
-
-
-# ---------------------------------------------------------------------------
 # Token-repetition quality stats (Gopher-style repetition filter inputs)
 # ---------------------------------------------------------------------------
 def q_repetition(sf_dir: str):
@@ -1910,66 +1704,9 @@ def q_decontaminate(sf_dir: str, k: int = 8):
 
 
 QUERIES.update({
-    "q_group_concat": q_group_concat,
-    "q_cube": q_cube,
     "q_repetition": q_repetition,
     "q_decontaminate": q_decontaminate,
 })
-
-
-# ---------------------------------------------------------------------------
-# Grouped exact discrete quantiles (p25/p50/p75)
-# ---------------------------------------------------------------------------
-def q_percentiles(sf_dir: str):
-    """Exact grouped quantiles at three points — extends q_median's
-    shape.  quantile_disc picks the element at ceil(q*n)-1 of the
-    NULL-free sorted values (probed against DuckDB for n=4..6), so the
-    output is an exact element, bit-identical on both sides."""
-    import math
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "value"])
-
-    def qtl(group: pd.DataFrame) -> pd.DataFrame:
-        v = group["value"].dropna().sort_values(kind="mergesort").to_numpy()
-
-        def pick(q: float) -> float:
-            return float(v[math.ceil(q * len(v)) - 1]) if len(v) else np.nan
-
-        return pd.DataFrame({
-            "event_type": [group["event_type"].iloc[0]],
-            "p25": pd.Series([pick(0.25)], dtype="float64"),
-            "p50": pd.Series([pick(0.50)], dtype="float64"),
-            "p75": pd.Series([pick(0.75)], dtype="float64")})
-
-    return ds.groupby("event_type").map_groups(qtl, batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
-# first_value / last_value window shape: first and last event per user
-# ---------------------------------------------------------------------------
-def q_first_last(sf_dir: str):
-    """First and last event per user in (ts, event_id) order — the
-    first_value/last_value window pair as one per-group pass (the
-    sessionizer's ordering convention; NULL ts sorts last on both
-    sides).  NULL user_id rows are dropped (repo convention; the
-    oracle's self-join already drops them — made explicit there)."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id", "event_type"])
-    ds = ds.map_batches(lambda b: b.dropna(subset=["user_id"]),
-                        batch_format="pandas")
-
-    def fl(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        return pd.DataFrame({
-            "user_id": [int(g["user_id"].iloc[0])],
-            "first_event_id": [int(g["event_id"].iloc[0])],
-            "first_type": [g["event_type"].iloc[0]],
-            "last_event_id": [int(g["event_id"].iloc[-1])],
-            "last_type": [g["event_type"].iloc[-1]],
-            "n_events": [len(g)]})
-
-    return _grouped_per_key(ds, "user_id", fl)
 
 
 # ---------------------------------------------------------------------------
@@ -2037,12 +1774,7 @@ def q_doc_freq(sf_dir: str):
             .head(20).reset_index(drop=True))
 
 
-QUERIES.update({
-    "q_percentiles": q_percentiles,
-    "q_first_last": q_first_last,
-    "q_ngram_freq": q_ngram_freq,
-    "q_doc_freq": q_doc_freq,
-})
+QUERIES.update({"q_ngram_freq": q_ngram_freq, "q_doc_freq": q_doc_freq})
 
 
 # ---------------------------------------------------------------------------
@@ -2092,54 +1824,6 @@ QUERIES.update({"q_minhash_est": q_minhash_est})
 
 
 # ---------------------------------------------------------------------------
-# Composite-key join: lineitem x orders on (orderkey, status)
-# ---------------------------------------------------------------------------
-def q_composite_join(sf_dir: str):
-    """Two-column equality join: lineitem rows whose line status equals
-    their order's status, revenue per status — exercises hash_join's
-    composite keys (ordered-tuple bucket hash + multi-key acero join).
-    Both sides project the key pair to shared names first (the join
-    contract: align names, then join)."""
-    from bb_ocr_ray.stages.joins import hash_join
-
-    li = _read_parquet(
-        _t(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_linestatus", "l_extendedprice",
-                 "l_discount"],
-    ).map_batches(
-        # integer 1e-4-dollar units (see q1: float sums drift at sf0.1)
-        lambda b: pd.DataFrame(
-            {"okey": b["l_orderkey"], "status": b["l_linestatus"],
-             "revenue_u": _round_sql(b["l_extendedprice"] * 100.0, 0)
-             .astype("int64")
-             * (100 - _round_sql(b["l_discount"] * 100.0, 0)
-                .astype("int64"))}),
-        batch_format="pandas")
-    orders = _read_parquet(
-        _t(sf_dir, "orders"), columns=["o_orderkey", "o_orderstatus"]
-    ).map_batches(
-        lambda b: pd.DataFrame({"okey": b["o_orderkey"],
-                                "status": b["o_orderstatus"]}),
-        batch_format="pandas")
-    joined = hash_join(li, orders, on=["okey", "status"])
-    partials = joined.map_batches(
-        lambda b: b.groupby("status", as_index=False).agg(
-            revenue_u=("revenue_u", "sum"), n=("revenue_u", "size")),
-        batch_format="pandas")
-    out = partials.groupby("status").aggregate(
-        Sum("revenue_u", alias_name="revenue_u"),
-        Sum("n", alias_name="n"),
-    ).to_pandas()
-    out["revenue"] = _round_sql(
-        out["revenue_u"].astype("int64") / 10000.0, 2)
-    out["n"] = out["n"].astype("int64")
-    return out.drop(columns=["revenue_u"])
-
-
-QUERIES.update({"q_composite_join": q_composite_join})
-
-
-# ---------------------------------------------------------------------------
 # Training-data chunking: fixed token windows with stride (flat_map)
 # ---------------------------------------------------------------------------
 def q_chunk_docs(sf_dir: str, window: int = 32, stride: int = 24):
@@ -2176,52 +1860,6 @@ def q_chunk_docs(sf_dir: str, window: int = 32, stride: int = 24):
 
 
 QUERIES.update({"q_chunk_docs": q_chunk_docs})
-
-
-# ---------------------------------------------------------------------------
-# Full outer join: two sparse per-user aggregates, either side survives
-# ---------------------------------------------------------------------------
-def q_full_join(sf_dir: str):
-    """Full outer join (hash_join how="full"): click counts of
-    even-id users x purchase counts of div-by-3-id users — the
-    disjoint predicates guarantee unmatched rows on BOTH sides, which
-    survive with zeroed counts (aggregate-then-join, as in
-    q_left_join)."""
-    from bb_ocr_ray.stages.joins import hash_join
-
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "event_type"])
-
-    def side(etype: str, mod: int, out_col: str):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[(b["event_type"] == etype) & (b["user_id"] % mod == 0)]
-            g = b.groupby("user_id", as_index=False).agg(
-                **{out_col: ("event_type", "size")})
-            return g
-
-        def final(b: pd.DataFrame) -> pd.DataFrame:
-            return b.groupby("user_id", as_index=False).agg(
-                **{out_col: (out_col, "sum")})
-
-        # bounded partial set -> one-task final aggregate +
-        # materialize (see q_left_join for both rationales)
-        return (ev.map_batches(fn, batch_format="pandas")
-                .repartition(1)
-                .map_batches(final, batch_format="pandas",
-                             batch_size=None)
-                .materialize())
-
-    clicks = side("click", 2, "n_clicks")
-    purchases = side("purchase", 3, "n_purchases")
-    out = hash_join(clicks, purchases, on="user_id",
-                    how="full").to_pandas()
-    out["user_id"] = out["user_id"].astype("int64")
-    out["n_clicks"] = out["n_clicks"].fillna(0).astype("int64")
-    out["n_purchases"] = out["n_purchases"].fillna(0).astype("int64")
-    return out
-
-
-QUERIES.update({"q_full_join": q_full_join})
 
 
 # ---------------------------------------------------------------------------
@@ -2304,41 +1942,6 @@ QUERIES.update({"q_training_prep": q_training_prep})
 
 
 # ---------------------------------------------------------------------------
-# Read-level predicate pushdown ("prune at the read" as a query)
-# ---------------------------------------------------------------------------
-def q_pushdown_filter(sf_dir: str):
-    """The quantity predicate is evaluated INSIDE the parquet scan
-    (``filter=`` pushes to the fragment reader; row-group statistics
-    prune whole groups), so filtered-out rows never enter the object
-    store — unlike q6's post-read mask.  Q6-shaped aggregate on the
-    pushed-down subset."""
-    import pyarrow.compute as pc
-
-    ds = _read_parquet(
-        _t(sf_dir, "lineitem"),
-        columns=["l_quantity", "l_extendedprice", "l_discount"],
-        filter=(pc.field("l_quantity") < 10.0),
-    )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        # integer 1e-4-dollar units (see q1: float sums drift at sf0.1)
-        rev_u = (_round_sql(b["l_extendedprice"] * 100.0, 0)
-                 .astype("int64")
-                 * (100 - _round_sql(b["l_discount"] * 100.0, 0)
-                    .astype("int64"))).sum()
-        return pd.DataFrame({"n": [len(b)],
-                             "revenue_u": pd.Series([rev_u],
-                                                    dtype="int64")})
-
-    agg = (ds.map_batches(partial, batch_format="pandas")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("revenue_u", alias_name="revenue_u")))
-    return pd.DataFrame({"n": pd.array([agg["n"]], dtype="int64"),
-                         "revenue": [float(_round_sql(
-                             int(agg["revenue_u"]) / 10000.0, 2))]})
-
-
-# ---------------------------------------------------------------------------
 # Inverted index build (search-index shape)
 # ---------------------------------------------------------------------------
 def q_inverted_index(sf_dir: str):
@@ -2401,8 +2004,7 @@ def q_inverted_index(sf_dir: str):
             .groupby("tok").map_groups(fold, batch_format="pandas"))
 
 
-QUERIES.update({"q_pushdown_filter": q_pushdown_filter,
-                "q_inverted_index": q_inverted_index})
+QUERIES.update({"q_inverted_index": q_inverted_index})
 
 
 # ---------------------------------------------------------------------------
@@ -2543,41 +2145,6 @@ QUERIES.update({"q_tfidf": q_tfidf})
 
 
 # ---------------------------------------------------------------------------
-# Bloom-filter register state (mergeable membership sketch)
-# ---------------------------------------------------------------------------
-def q_bloom_registers(sf_dir: str):
-    """Set bit positions of a 512-bit / 3-hash Bloom filter built over
-    every order's customer key — the register-state-as-output pattern
-    of q_hll_registers applied to the join layer's membership filter
-    (``stages.joins.build_bloom`` is the production consumer; this
-    md5-only variant is the SQL-mirrorable cousin, see
-    ``hashing.bloom_positions_u64``).  Per-batch partial bitmaps are
-    64-byte numpy arrays OR-merged on the driver — the mergeable-
-    sketch shape: shuffle bytes are O(batches × 64 B), never O(keys)."""
-    import ray.data  # noqa: F401  (Dataset already imported)
-
-    from bb_ocr_ray.functions.hashing import _BLOOM_BITS, bloom_positions_u64
-
-    ds = _read_parquet(_t(sf_dir, "orders"), columns=["o_custkey"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        bits = np.zeros(_BLOOM_BITS, dtype=bool)
-        for k in b["o_custkey"]:
-            if pd.isna(k):
-                continue
-            for p in bloom_positions_u64(str(int(k))):
-                bits[p] = True
-        return pd.DataFrame({"bits": [np.packbits(bits).tobytes()]})
-
-    merged = np.zeros(_BLOOM_BITS // 8, dtype=np.uint8)
-    for part in ds.map_batches(partial,
-                               batch_format="pandas").to_pandas()["bits"]:
-        merged |= np.frombuffer(part, dtype=np.uint8)
-    pos = np.nonzero(np.unpackbits(merged))[0]
-    return pd.DataFrame({"bit_pos": pd.array(pos, dtype="int64")})
-
-
-# ---------------------------------------------------------------------------
 # Deterministic train/val/test split assignment
 # ---------------------------------------------------------------------------
 def q_train_split(sf_dir: str):
@@ -2614,8 +2181,7 @@ def q_train_split(sf_dir: str):
             .map_batches(final, batch_format="pandas", batch_size=None))
 
 
-QUERIES.update({"q_bloom_registers": q_bloom_registers,
-                "q_train_split": q_train_split})
+QUERIES.update({"q_train_split": q_train_split})
 
 
 # ---------------------------------------------------------------------------
@@ -3003,128 +2569,6 @@ QUERIES.update({"q_outlier_filter": q_outlier_filter})
 
 
 # ---------------------------------------------------------------------------
-# Sequential funnel (view -> click -> purchase), per-user stage
-# ---------------------------------------------------------------------------
-def q_funnel(sf_dir: str):
-    """Three-step strict-order funnel: each user's furthest stage,
-    where a step counts only if it occurs strictly after the PREVIOUS
-    matched step in (ts, event_id) order — the earliest view, then the
-    earliest click after that view, then the earliest purchase after
-    that click (MATCH_RECOGNIZE-lite; greedy-earliest matching is the
-    standard funnel semantics and is order-deterministic).  NULL-ts
-    events can't be ordered and NULL users can't be grouped; both are
-    excluded on both engines.  One
-    shuffle by user_id (inherent: the match is a per-user sequential
-    scan), then a linear pass per group — the sessionizer's scale
-    shape.  Output: (user_id, stage 0-3)."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id", "event_type"])
-
-    steps = ("view", "click", "purchase")
-
-    def scan(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["ts"].notna()]
-        if not len(g):
-            return pd.DataFrame({"user_id": pd.array([], dtype="int64"),
-                                 "stage": pd.array([], dtype="int64")})
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        et = g["event_type"].to_numpy()
-        stage = 0
-        i = 0
-        for step in steps:
-            nxt = np.nonzero(et[i:] == step)[0]
-            if not len(nxt):
-                break
-            stage += 1
-            i += nxt[0] + 1   # next step must come strictly after
-        return pd.DataFrame({
-            "user_id": pd.array([int(g["user_id"].iloc[0])], dtype="int64"),
-            "stage": pd.array([stage], dtype="int64")})
-
-    def prefilter(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["ts"].notna() & b["user_id"].notna()]
-
-    return _grouped_per_key(
-        ds.map_batches(prefilter, batch_format="pandas"), "user_id", scan)
-
-
-QUERIES.update({"q_funnel": q_funnel})
-
-
-# ---------------------------------------------------------------------------
-# Cohort retention matrix (signup week x week offset -> distinct users)
-# ---------------------------------------------------------------------------
-def q_retention(sf_dir: str):
-    """Weekly cohort retention: users grouped by the week of their
-    first 'signup' event, counted (distinct) in every week offset
-    where they have ANY activity — the canonical product-analytics
-    matrix.  Week index is integer epoch-day // 7 on both engines
-    (never date_trunc: week-start conventions differ across engines).
-    Plan: per-batch min-signup partial -> distributed groupby-Min
-    (cohort side, user-cardinality — NOT assumed to fit anywhere),
-    hash_join back to the batch-deduped (user, week) activity pairs,
-    then a bounded groupby over (cohort_week, offset) cells whose
-    group sizes are capped by cohort size.  NULL ts/user rows are
-    unorderable/ungroupable and excluded on both engines.  Offsets
-    can be negative (pre-signup activity) and are reported as such."""
-    from bb_ocr_ray.stages.joins import hash_join
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_type"])
-
-    _US_PER_DAY = 86_400_000_000
-
-    def _wk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["ts"].notna() & b["user_id"].notna()].copy()
-        us = b["ts"].astype("datetime64[us]").astype("int64")
-        b["wk"] = (us // _US_PER_DAY // 7).astype("int64")
-        b["user_id"] = b["user_id"].astype("int64")
-        return b
-
-    def sign_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = _wk(b)
-        b = b[b["event_type"] == "signup"]
-        return (b.groupby("user_id", as_index=False)
-                .agg(cohort_week=("wk", "min")))
-
-    # user_id is row-cardinality: coarse_agg (per-group tax)
-    sign = coarse_agg(
-        ds.map_batches(sign_partial, batch_format="pandas"),
-        ["user_id"], {"cohort_week": ("cohort_week", "min")},
-    ).materialize()
-
-    def act_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = _wk(b)
-        return (b[["user_id", "wk"]].drop_duplicates()
-                .rename(columns={"wk": "act_week"}))
-
-    act = ds.map_batches(act_partial, batch_format="pandas")
-
-    def cell_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["week_offset"] = (b["act_week"].astype("int64")
-                            - b["cohort_week"].astype("int64"))
-        return (b[["cohort_week", "week_offset", "user_id"]]
-                .drop_duplicates())
-
-    def cell_count(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "cohort_week": pd.array([int(g["cohort_week"].iloc[0])],
-                                    dtype="int64"),
-            "week_offset": pd.array([int(g["week_offset"].iloc[0])],
-                                    dtype="int64"),
-            "n_users": pd.array([g["user_id"].nunique()], dtype="int64")})
-
-    return (hash_join(act, sign, on="user_id", how="inner")
-            .map_batches(cell_partial, batch_format="pandas")
-            .groupby(["cohort_week", "week_offset"])
-            .map_groups(cell_count, batch_format="pandas"))
-
-
-QUERIES.update({"q_retention": q_retention})
-
-
-# ---------------------------------------------------------------------------
 # Flagship composition #2: clean -> dedup -> quota -> split -> summary
 # ---------------------------------------------------------------------------
 def q_corpus_pipeline(sf_dir: str, quota: int = 50):
@@ -3419,203 +2863,6 @@ QUERIES.update({"q_cms_heavy_hitters": q_cms_heavy_hitters})
 
 
 # ---------------------------------------------------------------------------
-# Window rank per partition (SQL rank() OVER semantics, ties included)
-# ---------------------------------------------------------------------------
-def q_rank_window(sf_dir: str):
-    """Top-3-ranked suppliers by account balance within each nation —
-    rank() OVER (PARTITION BY ... ORDER BY ... DESC) with SQL tie
-    semantics (equal balances share a rank; the next rank skips), so
-    boundary ties can return MORE than 3 rows per nation.  Distinct
-    from q_topk_per_group, which is row-limit top-k without a rank
-    column.
-
-    Shape: one groupby(s_nationkey).map_groups — partition key is the
-    shuffle key, rank is computed group-locally via pandas
-    rank(method="min") (== SQL rank()) — then the nation name comes
-    from a broadcast dim lookup, never a second shuffle."""
-    from bb_ocr_ray.stages.joins import broadcast_join
-
-    sup = _read_parquet(
-        _t(sf_dir, "supplier"),
-        columns=["s_nationkey", "s_name", "s_acctbal"])
-
-    def rnk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.dropna(subset=["s_acctbal"])
-        if not len(g):
-            return pd.DataFrame({
-                "s_nationkey": pd.array([], dtype="int64"),
-                "s_name": pd.array([], dtype="object"),
-                "s_acctbal": pd.array([], dtype="float64"),
-                "rnk": pd.array([], dtype="int64")})
-        out = g.copy()
-        out["rnk"] = (out["s_acctbal"]
-                      .rank(method="min", ascending=False)
-                      .astype("int64"))
-        out = out[out["rnk"] <= 3]
-        return out[["s_nationkey", "s_name", "s_acctbal", "rnk"]]
-
-    ranked = sup.groupby("s_nationkey").map_groups(
-        rnk, batch_format="pandas")
-    dim = _read_parquet(_t(sf_dir, "nation"),
-                        columns=["n_nationkey", "n_name"]).to_pandas()
-    dim = dim.rename(columns={"n_nationkey": "s_nationkey"})
-    out = broadcast_join(ranked, dim, on="s_nationkey").to_pandas()
-    out["s_acctbal"] = _round_sql(out["s_acctbal"].astype("float64"), 2)
-    out = (out[["n_name", "s_name", "s_acctbal", "rnk"]]
-           .sort_values(["n_name", "rnk", "s_name"])
-           .reset_index(drop=True))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Cross join (cartesian product via broadcast replication)
-# ---------------------------------------------------------------------------
-def q_cross_join(sf_dir: str):
-    """region x nation cartesian product — the small side is put in
-    the object store ONCE and replicated per batch with np.repeat /
-    np.tile (each big-side batch of B rows expands to B x |small|
-    rows inside the task, so the product streams and no shuffle
-    happens).  At 100 TB the big side streams block-by-block and the
-    broadcast side must be driver-small — the same contract as every
-    broadcast join in the repo."""
-    import ray
-
-    nat = _read_parquet(_t(sf_dir, "nation"), columns=["n_name"])
-    reg = _read_parquet(_t(sf_dir, "region"),
-                        columns=["r_name"]).to_pandas()
-    reg_ref = ray.put(reg["r_name"].to_numpy())
-
-    def cross(b: pd.DataFrame) -> pd.DataFrame:
-        r = ray.get(reg_ref)
-        return pd.DataFrame({
-            "r_name": np.tile(r, len(b)),
-            "n_name": np.repeat(b["n_name"].to_numpy(), len(r))})
-
-    return (nat.map_batches(cross, batch_format="pandas")
-            .sort(["r_name", "n_name"]))
-
-
-QUERIES.update({"q_rank_window": q_rank_window,
-                "q_cross_join": q_cross_join})
-
-
-# ---------------------------------------------------------------------------
-# Distributed set ops: INTERSECT / EXCEPT (tag -> union -> flag groupby)
-# ---------------------------------------------------------------------------
-def _set_op_users(sf_dir: str, keep: str):
-    """Shared core of q_intersect / q_except: distinct click-users vs
-    distinct BIG-purchase users (purchase with value > 90 — every user
-    has every event type in the synthetic corpus, so a plain
-    purchase right side would make EXCEPT vacuously empty).  Each side
-    streams a per-batch DISTINCT partial with a side flag; the union
-    shuffles only (key, flag_a, flag_b) distinct partials — one
-    groupby on the key with Max flags, never the raw rows — then a
-    flag filter picks the set op.  At scale the shuffle payload is
-    bounded by key cardinality x blocks, the same combiner argument
-    as q_dedup_exact."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "event_type", "value"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        a = np.unique(
-            b.loc[b["event_type"] == "click", "user_id"].to_numpy())
-        p = np.unique(
-            b.loc[(b["event_type"] == "purchase")
-                  & (b["value"] > 90), "user_id"].to_numpy())
-        keys = np.union1d(a, p)
-        return pd.DataFrame({
-            "user_id": keys.astype(np.int64),
-            "in_a": np.isin(keys, a).astype(np.int64),
-            "in_b": np.isin(keys, p).astype(np.int64)})
-
-    flags = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["user_id"],
-        {"in_a": ("in_a", "max"), "in_b": ("in_b", "max")},
-    ).to_pandas()
-    if not len(flags):
-        return pd.DataFrame({"user_id": pd.array([], dtype="int64")})
-    if keep == "intersect":
-        out = flags[(flags["in_a"] == 1) & (flags["in_b"] == 1)]
-    else:
-        out = flags[(flags["in_a"] == 1) & (flags["in_b"] == 0)]
-    return (out[["user_id"]].astype("int64")
-            .sort_values("user_id").reset_index(drop=True))
-
-
-def q_intersect(sf_dir: str):
-    """Distinct users present in BOTH the click and purchase streams —
-    SQL INTERSECT as a distributed tag-union-flag groupby (no
-    driver-side sets, no pairwise join)."""
-    return _set_op_users(sf_dir, "intersect")
-
-
-def q_except(sf_dir: str):
-    """Distinct users in the click stream but NOT the purchase stream —
-    SQL EXCEPT via the same one-shuffle flag machinery as
-    q_intersect (an anti-join restricted to distinct keys)."""
-    return _set_op_users(sf_dir, "except")
-
-
-# ---------------------------------------------------------------------------
-# Approximate quantiles from the mergeable histogram sketch
-# ---------------------------------------------------------------------------
-def q_quantile_sketch(sf_dir: str):
-    """p50/p90/p99 PER event_type estimated from the same fixed-bin
-    histogram sketch as q_value_histogram — the scale path for
-    quantiles (exact per-group percentiles need a per-group sort;
-    the sketch is one additive shuffle of <=20 ints per group per
-    block).  The estimate is the smallest bin whose cumulative count
-    reaches ceil(q*n) — deterministic integer logic the oracle
-    mirrors with integer cross-multiplication (cum * 2 >= n etc.),
-    so the result is value-hash exact, not approximately compared.
-    NULL values are excluded on both sides."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "value"])
-    lo, hi, nbins = 0.0, 100.0, 20
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["value"].notna()]
-        b = np.clip(((batch["value"] - lo) / (hi - lo) * nbins).astype(int),
-                    0, nbins - 1)
-        df = pd.DataFrame({"event_type": batch["event_type"], "bin": b,
-                           "n": 1})
-        return df.groupby(["event_type", "bin"], as_index=False).sum()
-
-    hist = (ds.map_batches(partial, batch_format="pandas")
-            .groupby(["event_type", "bin"])
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas())
-    if not len(hist):
-        return pd.DataFrame({
-            "event_type": pd.array([], dtype="object"),
-            "p50_bin": pd.array([], dtype="int64"),
-            "p90_bin": pd.array([], dtype="int64"),
-            "p99_bin": pd.array([], dtype="int64"),
-            "n": pd.array([], dtype="int64")})
-
-    rows = []
-    for et, g in hist.groupby("event_type"):
-        g = g.sort_values("bin")
-        cum = g["n"].cumsum().to_numpy()
-        bins = g["bin"].to_numpy()
-        tot = int(cum[-1])
-        def pick(num, den):
-            # smallest bin with cum * den >= num * tot  (== ceil logic)
-            return int(bins[np.argmax(cum * den >= num * tot)])
-        rows.append((et, pick(1, 2), pick(9, 10), pick(99, 100), tot))
-    return (pd.DataFrame(rows, columns=["event_type", "p50_bin",
-                                        "p90_bin", "p99_bin", "n"])
-            .sort_values("event_type").reset_index(drop=True))
-
-
-QUERIES.update({"q_intersect": q_intersect,
-                "q_except": q_except,
-                "q_quantile_sketch": q_quantile_sketch})
-
-
-# ---------------------------------------------------------------------------
 # Deterministic global shuffle (hash-order training-data reordering)
 # ---------------------------------------------------------------------------
 def q_pseudo_shuffle(sf_dir: str):
@@ -3642,60 +2889,6 @@ def q_pseudo_shuffle(sf_dir: str):
 
 
 QUERIES.update({"q_pseudo_shuffle": q_pseudo_shuffle})
-
-
-# ---------------------------------------------------------------------------
-# Grouped linear regression / correlation (mergeable moment sketches)
-# ---------------------------------------------------------------------------
-def q_regression(sf_dir: str):
-    """Per-event-type OLS of value against hour-of-day via the six
-    mergeable moments (n, sum_x, sum_y, sum_xx, sum_yy, sum_xy) — the
-    canonical distributed-statistics pattern: each batch collapses to
-    one moment row per group, the shuffle carries only moments, and
-    slope/intercept/corr are derived after the merge.  Float
-    summation-order drift between engine and oracle is absorbed by
-    round-6 (documented determinism convention).  Groups never have
-    zero x-variance in the fixtures; a production guard would emit
-    NULL like regr_slope does."""
-    ds = _read_parquet(_t(sf_dir, "events"), columns=["event_type",
-                                                      "ts", "value"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["value"].notna() & b["ts"].notna()]
-        if not len(b):
-            return pd.DataFrame({
-                "event_type": pd.array([], dtype="object"),
-                **{c: pd.array([], dtype="float64")
-                   for c in ("n", "sx", "sy", "sxx", "syy", "sxy")}})
-        x = b["ts"].dt.hour.to_numpy(dtype=np.float64)
-        y = b["value"].to_numpy(dtype=np.float64)
-        g = pd.DataFrame({"event_type": b["event_type"], "x": x, "y": y,
-                          "xx": x * x, "yy": y * y, "xy": x * y,
-                          "one": 1.0})
-        agg = g.groupby("event_type", as_index=False).sum()
-        return agg.rename(columns={"one": "n", "x": "sx", "y": "sy",
-                                   "xx": "sxx", "yy": "syy",
-                                   "xy": "sxy"})
-
-    def final(b: pd.DataFrame) -> pd.DataFrame:
-        m = b.groupby("event_type", as_index=False)[
-            ["n", "sx", "sy", "sxx", "syy", "sxy"]].sum()
-        n = m["n"]
-        cov = m["n"] * m["sxy"] - m["sx"] * m["sy"]
-        varx = m["n"] * m["sxx"] - m["sx"] ** 2
-        vary = m["n"] * m["syy"] - m["sy"] ** 2
-        slope = cov / varx
-        return pd.DataFrame({
-            "event_type": m["event_type"],
-            "n": n.astype("int64"),
-            "slope": _round_sql(slope, 6),
-            "intercept": _round_sql((m["sy"] - slope * m["sx"]) / n, 6),
-            "corr_xy": _round_sql(cov / np.sqrt(varx * vary), 6)})
-
-    return (ds.map_batches(partial, batch_format="pandas")
-            .repartition(1)
-            .map_batches(final, batch_format="pandas", batch_size=None)
-            .sort("event_type"))
 
 
 # ---------------------------------------------------------------------------
@@ -3739,7 +2932,7 @@ def q_mode(sf_dir: str):
             .sort("event_type"))
 
 
-QUERIES.update({"q_regression": q_regression, "q_mode": q_mode})
+QUERIES.update({"q_mode": q_mode})
 
 
 # ---------------------------------------------------------------------------
@@ -3922,192 +3115,6 @@ def q_ntile(sf_dir: str):
 
 
 QUERIES.update({"q_ntile": q_ntile})
-
-
-# ---------------------------------------------------------------------------
-# Calendar densification (gap-filled hourly series)
-# ---------------------------------------------------------------------------
-def q_densify_hours(sf_dir: str):
-    """Zero-filled hourly event counts per type — the time-series
-    densification step downstream dashboards/models need (a groupby
-    emits only OBSERVED hours; forecasting wants the gaps as explicit
-    zero rows).  The distributed part is the same partial+groupby as
-    q_events_hourly; the grid join happens driver-side because the
-    grid is aggregate-sized (types x hours), never row-sized.  Hours
-    are epoch-second int64 (repo convention: unit-independent across
-    engines)."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "ts"])
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["ts"].notna()]
-        if not len(batch):
-            return pd.DataFrame({
-                "event_type": pd.array([], dtype="object"),
-                "hour_epoch": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64")})
-        hour = ((batch["ts"].dt.floor("h") - pd.Timestamp("1970-01-01"))
-                .dt.total_seconds().astype("int64"))
-        return (batch.assign(hour_epoch=hour, n=1)
-                .groupby(["event_type", "hour_epoch"], as_index=False)
-                ["n"].sum())
-
-    # hour buckets grow with the corpus time span: coarse_agg
-    agg = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["event_type", "hour_epoch"], {"n": ("n", "sum")},
-    ).to_pandas()
-    if not len(agg):
-        return pd.DataFrame({
-            "event_type": pd.array([], dtype="object"),
-            "hour_epoch": pd.array([], dtype="int64"),
-            "n": pd.array([], dtype="int64")})
-    lo, hi = int(agg["hour_epoch"].min()), int(agg["hour_epoch"].max())
-    hours = np.arange(lo, hi + 1, 3600, dtype=np.int64)
-    types = sorted(agg["event_type"].unique())
-    grid = pd.DataFrame({
-        "event_type": np.repeat(types, len(hours)),
-        "hour_epoch": np.tile(hours, len(types))})
-    out = grid.merge(agg, on=["event_type", "hour_epoch"], how="left")
-    out["n"] = out["n"].fillna(0).astype("int64")
-    out["hour_epoch"] = out["hour_epoch"].astype("int64")
-    return out.sort_values(["event_type", "hour_epoch"]).reset_index(
-        drop=True)
-
-
-QUERIES.update({"q_densify_hours": q_densify_hours})
-
-
-# ---------------------------------------------------------------------------
-# Event-sequence transition counts (sequential pattern mining input)
-# ---------------------------------------------------------------------------
-def q_transitions(sf_dir: str):
-    """Global counts of adjacent event-type transitions per user
-    (prev -> curr in (ts, event_id) order) — the first-order Markov /
-    sequence-mining input.  One coarse shuffle on user_id; the ordered
-    pairing is BUCKET-local and fully vectorized: sort the bucket by
-    (user_id, ts, event_id), shift once, and mask rows where the user
-    changes — adjacency within a user is identical to a per-user sort
-    because the bucket holds each user's whole sequence, and the
-    vectorized shape skips the per-key pandas tax grouped_per_key pays
-    (measured 4.4 -> ~1 s at sf0.1 with 1500 users).  The transition
-    vocabulary (|types|^2) bounds the per-bucket output, so the final
-    groupby moves at most 25 partial rows per bucket."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id",
-                                "event_type"])
-    n_buckets = _auto_num_buckets()
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"]).copy()
-        b["__coarse"] = _bucket_ids(b, ["user_id"], n_buckets)
-        return b
-
-    _EMPTY = {"prev_type": pd.array([], dtype="object"),
-              "next_type": pd.array([], dtype="object"),
-              "n": pd.array([], dtype="int64")}
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        et = g["event_type"].to_numpy()
-        same = u[1:] == u[:-1]
-        if not same.any():
-            return pd.DataFrame(_EMPTY)
-        out = (pd.DataFrame({"prev_type": et[:-1][same],
-                             "next_type": et[1:][same]})
-               .groupby(["prev_type", "next_type"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    out = (ds.map_batches(stamp, batch_format="pandas")
-           .groupby("__coarse").map_groups(bucket_pairs,
-                                           batch_format="pandas")
-           .groupby(["prev_type", "next_type"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
-    if not len(out):
-        return pd.DataFrame({
-            "prev_type": pd.array([], dtype="object"),
-            "next_type": pd.array([], dtype="object"),
-            "n": pd.array([], dtype="int64")})
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["prev_type", "next_type"]).reset_index(
-        drop=True)
-
-
-QUERIES.update({"q_transitions": q_transitions})
-
-
-# ---------------------------------------------------------------------------
-# Percent-of-total (window share over a grand total)
-# ---------------------------------------------------------------------------
-def q_share_of_total(sf_dir: str):
-    """Revenue share per order status — x / sum(x) OVER () as a
-    distributed aggregate: one integer-cent partial+groupby (see q1),
-    then the share division happens on the aggregate-sized result
-    where the grand total is exact, so the percentages are the same
-    IEEE doubles the oracle computes from the same integers."""
-    ds = _read_parquet(_t(sf_dir, "orders"),
-                       columns=["o_orderstatus", "o_totalprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(rev_c=_round_sql(
-            b["o_totalprice"] * 100.0, 0).astype("int64"))
-        return b.groupby("o_orderstatus", as_index=False).agg(
-            rev_c=("rev_c", "sum"), n_orders=("rev_c", "size"))
-
-    out = (ds.map_batches(partial, batch_format="pandas")
-           .groupby("o_orderstatus")
-           .aggregate(Sum("rev_c", alias_name="rev_c"),
-                      Sum("n_orders", alias_name="n_orders"))
-           .to_pandas())
-    total = int(out["rev_c"].sum())
-    out["revenue"] = _round_sql(out["rev_c"].astype("int64") / 100.0, 2)
-    out["share_pct"] = _round_sql(
-        100.0 * out["rev_c"].astype("int64") / total, 4)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return (out[["o_orderstatus", "n_orders", "revenue", "share_pct"]]
-            .sort_values("o_orderstatus").reset_index(drop=True))
-
-
-QUERIES.update({"q_share_of_total": q_share_of_total})
-
-
-# ---------------------------------------------------------------------------
-# Unpivot (wide -> long melt), inverse of q_pivot_events
-# ---------------------------------------------------------------------------
-def q_unpivot(sf_dir: str):
-    """Melt the distributed pivot back to long (user_id, event_type,
-    n) rows, dropping the zero cells the pivot introduced — the
-    UNPIVOT relational op as an np.repeat/tile expansion.  Here it
-    runs driver-side because q_pivot_events already returns its
-    aggregate-sized frame (one wide row per user); on a row-sized
-    wide Dataset the identical expansion goes inside map_batches
-    (each wide row of k columns -> <=k long rows per task, streaming,
-    no shuffle).  Oracle = the original long counts, so the round
-    trip pivot∘unpivot == identity is what the gate checks."""
-    types = ["click", "error", "purchase", "signup", "view"]
-    cols = [f"n_{t}" for t in types]
-    wide = q_pivot_events(sf_dir)
-
-    vals = wide[cols].to_numpy(dtype=np.int64)
-    users = np.repeat(wide["user_id"].to_numpy(dtype=np.int64),
-                      len(types))
-    etypes = np.tile(np.array(types, dtype=object), len(wide))
-    n = vals.ravel()
-    m = n > 0
-    return (pd.DataFrame({"user_id": users[m], "event_type": etypes[m],
-                          "n": n[m]})
-            .sort_values(["user_id", "event_type"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_unpivot": q_unpivot})
 
 
 # ---------------------------------------------------------------------------
@@ -4465,7 +3472,7 @@ def q_lm_quality(sf_dir: str):
     q_inverted_index pattern); the per-doc fold is one more
     coarse_agg.  Nothing row-unbounded on the driver.  avg_logp
     rounds to 6 dp (sum-order + libm-ulp drift is ~1e-13, far under
-    the grain — the q_regression argument)."""
+    the grain)."""
     from collections import Counter
 
     from bb_ocr_ray.functions.hashing import ws_tokens
@@ -4661,60 +3668,6 @@ def q_mix_balance(sf_dir: str):
 
 
 QUERIES.update({"q_mix_balance": q_mix_balance})
-
-
-# ---------------------------------------------------------------------------
-# Skew-salted join (hot-key mitigation; SURVEY §2.4 join family)
-# ---------------------------------------------------------------------------
-def q_skew_join(sf_dir: str):
-    """Hot-key join through :func:`stages.joins.skew_join`: events
-    (probe, every event_type is hot — 5 keys over the whole table, the
-    worst case a hash-partitioned join can meet) joined to a derived
-    per-type dim (built distributed and deliberately NOT broadcast:
-    at web scale the build side is a domain/url dim that fits no
-    heap).  Each hot key is salted across 8 buckets, so no single
-    bucket owns 20% of the table.  Output per type: how many events
-    exceed the type mean — the comparison is integer-exact
-    (v_u * n > sum_u with v_u = round(value*1e6) as int64) so no
-    float-mean boundary can drift between engines.  The join result
-    is salt-invariant; the oracle is the plain join."""
-    from bb_ocr_ray.stages.joins import skew_join
-
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "value"])
-
-    def units(b: pd.DataFrame) -> pd.DataFrame:
-        # v_u stays float64 carrying NaN for NULL values: SQL keeps the
-        # row in count(*) but drops it from SUM(v_u) and evaluates the
-        # above-mean predicate to NULL (-> not counted) — pandas skipna
-        # sum + a NaN comparison (False) mirror all three exactly.  The
-        # non-NaN values are integral floats; exact to 2^53 (~sf1e4).
-        return pd.DataFrame({
-            "event_type": b["event_type"].astype(object),
-            "v_u": _round_sql(b["value"] * 1e6, 0).astype("float64")})
-
-    evu = ev.map_batches(units, batch_format="pandas")
-    dim = coarse_agg(evu, ["event_type"],
-                     {"n_events": ("v_u", "size"), "sum_u": ("v_u", "sum")})
-    j = skew_join(evu, dim, on="event_type", salt=8, hot_threshold=100)
-
-    def above(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(above=(b["v_u"] * b["n_events"]
-                            > b["sum_u"]).astype("int64"))
-        return b.groupby("event_type", as_index=False).agg(
-            n_events=("above", "size"), n_above=("above", "sum"))
-
-    out = coarse_agg(
-        j.map_batches(above, batch_format="pandas"),
-        ["event_type"],
-        {"n_events": ("n_events", "sum"), "n_above": ("n_above", "sum")},
-    ).to_pandas()
-    out["n_events"] = out["n_events"].astype("int64")
-    out["n_above"] = out["n_above"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-QUERIES.update({"q_skew_join": q_skew_join})
 
 
 # ---------------------------------------------------------------------------
@@ -4918,64 +3871,6 @@ def q_triangle_count(sf_dir: str):
 
 
 QUERIES.update({"q_triangle_count": q_triangle_count})
-
-
-# ---------------------------------------------------------------------------
-# Variable-length interval overlap join (SURVEY §2.4 custom-operator slot)
-# ---------------------------------------------------------------------------
-def q_interval_join(sf_dir: str):
-    """Interval OVERLAP join with per-row lengths — click sessions
-    ([ts, ts + value hours-as-seconds]) x error windows ([ts, ts+30 m])
-    per user, via :func:`stages.joins.interval_join` (day buckets,
-    variable replication, emit-at-overlap-start dedup).  Generalizes
-    q_band_join's constant band to variable lengths.  Rows with NULL
-    ts/value drop on both engines (SQL NULL predicate).  Output is the
-    pair list plus the exact integer overlap length in microseconds."""
-    from bb_ocr_ray.stages.joins import interval_join
-
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "user_id", "event_type",
-                                "ts", "value"])
-
-    def prep(kind: str, fixed_us: int | None):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == kind]
-            # NULL user_id never matches an equality join; NULL ts
-            # makes the whole predicate NULL — both drop, as in SQL
-            b = b[b["ts"].notna() & b["user_id"].notna()]
-            s = b["ts"].astype("datetime64[us]").astype("int64")
-            if fixed_us is None:
-                b = b[b["value"].notna()]
-                s = b["ts"].astype("datetime64[us]").astype("int64")
-                dur = (_round_sql(b["value"] * 3600.0, 0)
-                       .astype("int64") * 1_000_000)
-            else:
-                dur = fixed_us
-            return pd.DataFrame(
-                {"event_id": b["event_id"].astype("int64"),
-                 "user_id": b["user_id"].astype("int64"),
-                 "s": s.to_numpy(),
-                 "e": (s + dur).to_numpy()})
-
-        return fn
-
-    clicks = ev.map_batches(prep("click", None), batch_format="pandas")
-    errors = ev.map_batches(prep("error", 1_800_000_000),
-                            batch_format="pandas")
-    pairs = interval_join(clicks, errors, key="user_id",
-                          bucket_us=86_400_000_000)
-    out = pairs.map_batches(
-        lambda b: pd.DataFrame(
-            {"click_id": b["event_id"].astype("int64"),
-             "error_id": b["event_id_r"].astype("int64"),
-             "overlap_us": (np.minimum(b["e"], b["e_r"])
-                            - np.maximum(b["s"], b["s_r"])).astype("int64")}),
-        batch_format="pandas").to_pandas()
-    return (out.sort_values(["click_id", "error_id"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_interval_join": q_interval_join})
 
 
 # ---------------------------------------------------------------------------
@@ -5606,7 +4501,7 @@ def q_crawl_schedule(sf_dir: str):
     polite fetcher).
 
     Scale shape: within-domain ranks come from ONE coarse shuffle on
-    domain with an in-task sort (the q_transitions bucket pattern);
+    domain with an in-task sort;
     the global slot needs NO data sort — r is bounded by the largest
     domain's doc count, so a per-r histogram prefix-sums on the
     driver (the q_zip_index trick with r as the bucket) and a second
@@ -5685,128 +4580,6 @@ def q_crawl_schedule(sf_dir: str):
 
 
 QUERIES.update({"q_crawl_schedule": q_crawl_schedule})
-
-
-# ---------------------------------------------------------------------------
-# HLL set intersection (inclusion-exclusion over mergeable sketches)
-# ---------------------------------------------------------------------------
-def q_hll_intersect(sf_dir: str):
-    """Approximate audience overlap — |click-users AND view-users| —
-    via HLL inclusion-exclusion: the register states of sketch A
-    (click users), sketch B (view users) and their UNION (elementwise
-    register max — THE property that makes HLL mergeable) are all
-    integer-exact and oracle-checked; the float estimates
-    |A|+|B|-|A∪B| are asserted against truth in pytest (the
-    q_hll_registers split).  An exact intersection row computed
-    independently on both engines (distributed semi-join here, SQL
-    join in DuckDB) rides along as part='x'.
-
-    Scale shape: one streaming partial-fold pass builds both sketch
-    states (<= 64 rows each regardless of corpus size); the union
-    derives from those 128 aggregate rows on the driver; the exact
-    row is one distinct-fold + size-gated semi-join + count."""
-    from bb_ocr_ray.functions.hashing import hll_bucket_rho
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import auto_semi
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "user_id"])
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.dropna(subset=["user_id"])
-        b = b[b["event_type"].isin(["click", "view"])]
-        if not len(b):
-            return pd.DataFrame({"part": pd.Series([], dtype="object"),
-                                 "bucket": pd.Series([], dtype="int64"),
-                                 "rho": pd.Series([], dtype="int64")})
-        pairs = [hll_bucket_rho(str(int(x))) for x in b["user_id"]]
-        df = pd.DataFrame(pairs, columns=["bucket", "rho"])
-        df["part"] = np.where(b["event_type"].to_numpy() == "click",
-                              "a", "b")
-        return df.groupby(["part", "bucket"], as_index=False).max()
-
-    regs = (ds.map_batches(partial, batch_format="pandas")
-            .groupby(["part", "bucket"])
-            .aggregate(Max("rho", alias_name="val"))
-            .to_pandas())
-    regs["bucket"] = regs["bucket"].astype("int64")
-    regs["val"] = regs["val"].astype("int64")
-
-    # union registers: elementwise max over the two aggregate-sized
-    # states — 128 rows, driver arithmetic by construction
-    u = (regs.groupby("bucket", as_index=False)["val"].max()
-         .assign(part="u"))
-
-    def users_of(kind: str):
-        return coarse_agg(
-            ds.map_batches(
-                lambda b, k=kind: pd.DataFrame(
-                    {"user_id": b.dropna(subset=["user_id"])
-                     .loc[lambda d: d["event_type"] == k, "user_id"]
-                     .astype("int64")}),
-                batch_format="pandas"),
-            ["user_id"], {"n": ("user_id", "size")}
-        ).select_columns(["user_id"]).materialize()
-
-    exact = auto_semi(users_of("click"), users_of("view"),
-                      on="user_id").count()
-
-    out = pd.concat([
-        regs[["part", "bucket", "val"]], u[["part", "bucket", "val"]],
-        pd.DataFrame({"part": ["x"], "bucket": [np.int64(-1)],
-                      "val": [np.int64(exact)]})], ignore_index=True)
-    out["bucket"] = out["bucket"].astype("int64")
-    out["val"] = out["val"].astype("int64")
-    return (out.sort_values(["part", "bucket"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_hll_intersect": q_hll_intersect})
-
-
-# ---------------------------------------------------------------------------
-# Exact distributed heavy hitters (two-pass candidate superset)
-# ---------------------------------------------------------------------------
-def q_heavy_hitters(sf_dir: str, k: int = 50):
-    """Exact keys with count*k > N via :func:`stages.heavy.heavy_hitters`
-    — the two-pass frequent-items pattern (Misra-Gries guarantee with
-    vectorized batch-local counts): candidates from per-batch exact
-    counts (a guaranteed superset by the averaging argument), then an
-    exact recount of candidates only, so the full ~N-cardinality key
-    column never folds through a shuffle.
-
-    The key column is DERIVED deterministically from events so heavy
-    hitters exist by construction: users % 3 == 0 map to 13 hot keys
-    (~1/39 of rows each — above the N/50 bar), % 3 == 1 to 97 warm
-    keys (~1/291 each — candidates in small batches but CUT by the
-    exact global filter, proving the superset is filtered exactly),
-    the rest to singletons; NULL users drop (the repo's NULL-user
-    convention)."""
-    from bb_ocr_ray.stages.heavy import heavy_hitters
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "user_id"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        m = b["user_id"].notna().to_numpy()
-        u = pd.to_numeric(b["user_id"], errors="coerce").fillna(0)\
-            .to_numpy(np.int64)
-        e = b["event_id"].to_numpy(np.int64)
-        key = np.where(
-            u % 3 == 0, (u % 13).astype(str),
-            np.where(u % 3 == 1, (100 + u % 97).astype(str),
-                     (e + 1_000_000_000).astype(str)))
-        out = pd.DataFrame({"key": key})
-        out.loc[~m, "key"] = None
-        return out
-
-    out = heavy_hitters(ds.map_batches(keyed, batch_format="pandas"),
-                        "key", k=k).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("key").reset_index(drop=True)
-
-
-QUERIES.update({"q_heavy_hitters": q_heavy_hitters})
 
 
 # ---------------------------------------------------------------------------
@@ -5913,195 +4686,6 @@ def q_posting_lists(sf_dir: str, min_df: int = 5):
 
 
 QUERIES.update({"q_posting_lists": q_posting_lists})
-
-
-# ---------------------------------------------------------------------------
-# Co-visitation pair counts (item-item collaborative counts)
-# ---------------------------------------------------------------------------
-def q_covisit(sf_dir: str, cap: int = 12, min_count: int = 2):
-    """Item-item co-visitation counts — the collaborative-filtering /
-    related-content primitive: for every pair of items interacted
-    with by the same user, how many users share them.  Items derive
-    deterministically as ``event_id % 251``; NULL users drop (the
-    repo convention).
-
-    Hot-user guard: a user's pair contribution is quadratic in their
-    item count, so each user is CAPPED to their ``cap`` smallest
-    distinct items before pairing (deterministic truncation —
-    ``row_number() OVER (PARTITION BY u ORDER BY item) <= cap`` in
-    the oracle — the degree-capping standard for co-visitation at
-    scale; the triangle-count celebrity argument).  A power user with
-    10^6 events contributes at most C(cap,2) pairs.
-
-    Scale shape: TWO coarse shuffles total — one on user (in-bucket
-    global distinct + cap + vectorized self-merge wedge join; all of
-    a user's rows land in one bucket), one count fold on the pair."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids, coarse_agg
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "user_id"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        out = pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "item": (b["event_id"].to_numpy(np.int64) % 251)})
-        # batch-local pre-dedup shrinks the shuffle (exactness comes
-        # from the in-bucket global dedup)
-        out = out.drop_duplicates()
-        out["__coarse"] = _bucket_ids(out, ["u"], n_buckets)
-        return out
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop_duplicates(["u", "item"])
-             .sort_values(["u", "item"], kind="mergesort"))
-        rn = g.groupby("u", sort=False).cumcount().to_numpy() + 1
-        g = g[rn <= cap]
-        m = g.merge(g, on="u")
-        m = m[m["item_x"] < m["item_y"]]
-        return pd.DataFrame({"i1": m["item_x"].to_numpy(np.int64),
-                             "i2": m["item_y"].to_numpy(np.int64),
-                             "one": np.int64(1)})
-
-    counted = coarse_agg(
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("__coarse").map_groups(
-            lambda g: pairs(g.drop(columns=["__coarse"])),
-            batch_format="pandas"),
-        ["i1", "i2"], {"n": ("one", "sum")})
-
-    out = counted.map_batches(
-        lambda b: b[b["n"].to_numpy(np.int64) >= min_count],
-        batch_format="pandas").to_pandas()
-    if not len(out):        # all-empty loses schema through to_pandas
-        out = pd.DataFrame({"i1": pd.array([], dtype="int64"),
-                            "i2": pd.array([], dtype="int64"),
-                            "n": pd.array([], dtype="int64")})
-    out = out.astype({"i1": "int64", "i2": "int64", "n": "int64"})
-    return out.sort_values(["i1", "i2"]).reset_index(drop=True)
-
-
-QUERIES.update({"q_covisit": q_covisit})
-
-
-# ---------------------------------------------------------------------------
-# Funnel analysis (ordered view -> click -> purchase progression)
-# ---------------------------------------------------------------------------
-def q_funnel_windowed(sf_dir: str, window_hours: int = 24):
-    """Per-user WINDOWED funnel progression — the furthest stage of
-    the ordered sequence view -> click -> purchase each user reaches,
-    where each later stage must occur strictly AFTER the chosen
-    earlier event in (ts, event_id) order AND within
-    ``window_hours`` of it (greedy earliest-event semantics with a
-    conversion window — the standard product-funnel definition; the
-    window is what makes stages discriminating: unwindowed, every
-    long-lived user trivially completes).  NULL users drop.
-    Output: (stage, n_users), stages named none/view/click/purchase.
-
-    Scale shape: one coarse shuffle on user (every user's events land
-    in one bucket; in-bucket sort + per-user boundary scan — the
-    q_transitions bucket pattern), then a 4-row count fold."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids, coarse_agg
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "ts", "user_id", "event_type"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        out = pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "ts": b["ts"].to_numpy(),
-            "event_id": b["event_id"].to_numpy(np.int64),
-            "event_type": b["event_type"].to_numpy()})
-        out["__coarse"] = _bucket_ids(out, ["u"], n_buckets)
-        return out
-
-    STAGES = np.array(["none", "view", "click", "purchase"])
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "ts", "event_id"], kind="mergesort")
-        u = g["u"].to_numpy(np.int64)
-        et = g["event_type"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        ends = np.r_[starts[1:], len(u)]
-        tsv = g["ts"].to_numpy()
-        W = np.timedelta64(window_hours * 3600 * 1_000_000, "us")
-        counts = np.zeros(4, dtype=np.int64)
-        for s, e in zip(starts, ends):
-            t = et[s:e]
-            ut = tsv[s:e]
-            stage = 0
-            vi = np.flatnonzero(t == "view")
-            if len(vi):
-                stage = 1
-                v0 = vi[0]
-                ci = np.flatnonzero((t[v0 + 1:] == "click")
-                                    & (ut[v0 + 1:] <= ut[v0] + W))
-                if len(ci):
-                    stage = 2
-                    c0 = v0 + 1 + ci[0]
-                    if ((t[c0 + 1:] == "purchase")
-                            & (ut[c0 + 1:] <= ut[c0] + W)).any():
-                        stage = 3
-            counts[stage] += 1
-        m = counts > 0
-        return pd.DataFrame({"stage": STAGES[m],
-                             "n_users": counts[m]})
-
-    out = coarse_agg(
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("__coarse").map_groups(
-            lambda g: fold(g.drop(columns=["__coarse"])),
-            batch_format="pandas"),
-        ["stage"], {"n_users": ("n_users", "sum")}).to_pandas()
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values("stage").reset_index(drop=True)
-
-
-QUERIES.update({"q_funnel_windowed": q_funnel_windowed})
-
-
-# ---------------------------------------------------------------------------
-# Exact distributed selection (k-th smallest without a global sort)
-# ---------------------------------------------------------------------------
-def q_exact_kth(sf_dir: str):
-    """Exact global median and p90 of events.value via
-    :func:`stages.selection.kth_smallest` — iterative histogram
-    narrowing (log_B(range) streaming passes, driver folds of
-    block-count×(B+2) partial rows, one bounded candidate collect),
-    never a global sort.  Selection returns an EXACT element, so the
-    values are bit-identical to ``ORDER BY value LIMIT 1 OFFSET k-1``
-    and no rounding grain is involved.  k conventions: median =
-    ceil(n/2)-th smallest, p90 = ceil(0.9*n)-th (quantile_disc's
-    element choice).  NULL values excluded on both engines."""
-    from bb_ocr_ray.stages.selection import kth_smallest
-
-    # materialize the ONE pruned column once: selection makes
-    # log_B(range) passes per k (x2 ks + the count), and each pass
-    # over a lazy read re-executes the parquet scan (the
-    # heavy_hitters triple-rescan finding; measured 3.8 -> 2.6 s at
-    # sf0.1).  Footprint: a single float column in the object store.
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["value"]).materialize()
-
-    n = int(ds.map_batches(
-        lambda b: pd.DataFrame(
-            {"n": [np.int64(pd.to_numeric(b["value"], errors="coerce")
-                            .notna().sum())]}),
-        batch_format="pandas").to_pandas()["n"].sum())
-    k_med = (n + 1) // 2
-    k_p90 = -(-9 * n // 10)
-    med = kth_smallest(ds, "value", k_med)
-    p90 = kth_smallest(ds, "value", k_p90)
-    return pd.DataFrame({"n": pd.array([n], dtype="int64"),
-                         "median": [med], "p90": [p90]})
-
-
-QUERIES.update({"q_exact_kth": q_exact_kth})
 
 
 # ---------------------------------------------------------------------------
@@ -6263,73 +4847,6 @@ def q_upsert(sf_dir: str):
 
 
 QUERIES.update({"q_upsert": q_upsert})
-
-
-# ---------------------------------------------------------------------------
-# SCD2 intervalization (dimension history from an event stream)
-# ---------------------------------------------------------------------------
-def q_scd2(sf_dir: str):
-    """Slowly-changing-dimension type-2 build: collapse each user's
-    event stream (ordered by ts, event_id) into validity intervals —
-    one row per RUN of consecutive equal event_type, with
-    valid_from_us = the run's first event time, valid_to_us = the next
-    run's start (NaN/NULL for the open current interval) and the run's
-    event count.  The warehouse-side history table a CDC feed
-    (q_upsert's sibling) is normally loaded into.
-
-    Scale shape: ONE user-bucket coarse shuffle; the fold is
-    vectorized across ALL users in the bucket (shift-based run
-    detection + one grouped agg — no per-user Python).  NULL user_id
-    drops (repo convention); this corpus has no NULL ts/event_type
-    (a corpus with them would need IS-DISTINCT-FROM run semantics
-    aligned on both engines).  Times compare as integer microseconds
-    (datetime64 vs DuckDB timestamp hash differently); valid_to_us is
-    float64 because the open interval is NaN/NULL."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id", "event_type"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"]).copy()
-        b["user_id"] = b["user_id"].astype("int64")
-        b["t_us"] = b["ts"].astype("datetime64[us]").astype("int64")
-        b = b.drop(columns=["ts"])
-        b["__coarse"] = _bucket_ids(b, ["user_id"], nb)
-        return b
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "t_us", "event_id"],
-                          kind="mergesort")
-        chg = (g["user_id"].ne(g["user_id"].shift())
-               | g["event_type"].ne(g["event_type"].shift()))
-        runs = (g.assign(__rid=chg.cumsum())
-                .groupby("__rid", sort=True)
-                .agg(user_id=("user_id", "first"),
-                     event_type=("event_type", "first"),
-                     valid_from_us=("t_us", "first"),
-                     n_events=("t_us", "size"))
-                .reset_index(drop=True))
-        same_user = runs["user_id"].eq(runs["user_id"].shift(-1))
-        runs["valid_to_us"] = np.where(
-            same_user, runs["valid_from_us"].shift(-1), np.nan)
-        runs["n_events"] = runs["n_events"].astype("int64")
-        return runs[["user_id", "event_type", "valid_from_us",
-                     "valid_to_us", "n_events"]]
-
-    out = (ds.map_batches(stamp, batch_format="pandas")
-           .groupby("__coarse")
-           .map_groups(fold, batch_format="pandas")
-           .to_pandas())
-    out["valid_from_us"] = out["valid_from_us"].astype("int64")
-    out["valid_to_us"] = out["valid_to_us"].astype("float64")
-    return (out.sort_values(["user_id", "valid_from_us"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_scd2": q_scd2})
 
 
 # ---------------------------------------------------------------------------
@@ -6587,209 +5104,6 @@ def q_url_canonical(sf_dir: str):
 
 
 QUERIES.update({"q_url_canonical": q_url_canonical})
-
-
-# ---------------------------------------------------------------------------
-# Link prediction (resource-allocation index over co-visitation)
-# ---------------------------------------------------------------------------
-def q_link_predict(sf_dir: str, cap: int = 12, min_users: int = 2):
-    """Resource-Allocation link prediction (Zhou, Lu & Zhang, EPJ B
-    2009): score(i1,i2) = sum over shared users u of 1/deg(u) — the
-    co-visitation count of q_covisit, degree-discounted so hub users
-    stop dominating the candidate ranking.  Same deterministic item
-    derivation (event_id % 251) and hot-user cap (12 smallest distinct
-    items) as q_covisit, so deg(u) in [2, cap] for every contributing
-    user and the score is EXACT in integers: emitted scaled by
-    lcm(1..12) = 27720 (27720/deg is integral for every reachable
-    degree), hash-stable at any scale with zero float folds.
-
-    Scale shape: identical to q_covisit — one coarse shuffle on user
-    (in-bucket global distinct + cap + wedge self-merge, weight column
-    attached from the capped group size), one count/score fold on the
-    pair."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids, coarse_agg
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "user_id"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        out = pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "item": (b["event_id"].to_numpy(np.int64) % 251)})
-        out = out.drop_duplicates()
-        out["__coarse"] = _bucket_ids(out, ["u"], n_buckets)
-        return out
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop_duplicates(["u", "item"])
-             .sort_values(["u", "item"], kind="mergesort"))
-        rn = g.groupby("u", sort=False).cumcount().to_numpy() + 1
-        g = g[rn <= cap]
-        # capped degree per user -> exact integer RA weight
-        deg = g.groupby("u", sort=False)["item"].transform("size")
-        g = g.assign(w=(27720 // deg.to_numpy(np.int64)))
-        m = g.merge(g[["u", "item"]], on="u")
-        m = m[m["item_x"] < m["item_y"]]
-        return pd.DataFrame({"i1": m["item_x"].to_numpy(np.int64),
-                             "i2": m["item_y"].to_numpy(np.int64),
-                             "one": np.int64(1),
-                             "w": m["w"].to_numpy(np.int64)})
-
-    scored = coarse_agg(
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("__coarse").map_groups(
-            lambda g: pairs(g.drop(columns=["__coarse"])),
-            batch_format="pandas"),
-        ["i1", "i2"], {"n_users": ("one", "sum"), "ra_scaled": ("w", "sum")})
-
-    out = scored.map_batches(
-        lambda b: b[b["n_users"].to_numpy(np.int64) >= min_users],
-        batch_format="pandas").to_pandas()
-    if not len(out):
-        out = pd.DataFrame({c: pd.array([], dtype="int64")
-                            for c in ("i1", "i2", "n_users", "ra_scaled")})
-    out = out.astype({c: "int64" for c in ("i1", "i2", "n_users",
-                                           "ra_scaled")})
-    return out.sort_values(["i1", "i2"]).reset_index(drop=True)
-
-
-QUERIES.update({"q_link_predict": q_link_predict})
-
-
-# ---------------------------------------------------------------------------
-# Grouped Pearson correlation (exact sufficient-statistics partials)
-# ---------------------------------------------------------------------------
-def q_corr_grouped(sf_dir: str):
-    """Per-returnflag Pearson correlation of (quantity, extendedprice)
-    through EXACT integer sufficient statistics: each batch folds to
-    <= |flags| partial rows of (n, Sx, Sy, Sxy, Sxx, Syy) with x =
-    quantity (integral) and y = price in CENTS, carried as DECIMAL
-    STRINGS so the driver fold is Python-int exact at any magnitude
-    (Syy alone is ~1e14 per row — an int64 partial column would
-    overflow near 10^5-row batches; the string/py-int posture is the
-    q_assortativity driver-fold precedent with unbounded headroom).
-    Engine and oracle both evaluate the same closed form from the same
-    exact integers, so the 6 dp rounding sees identical doubles.
-    Driver traffic: 6 short strings per (flag, block)."""
-    import math
-
-    ds = _read_parquet(
-        _t(sf_dir, "lineitem"),
-        columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = np.rint(b["l_quantity"].to_numpy("float64")).astype("int64")
-        y = np.rint(b["l_extendedprice"].to_numpy("float64") * 100
-                    ).astype("int64")
-        rows = []
-        flags = b["l_returnflag"].to_numpy()
-        for f in np.unique(flags):
-            m = flags == f
-            xv, yv = x[m], y[m]
-            # per-batch python-int sums: object arrays avoid the int64
-            # ceiling on sum(y*y) for large batches
-            rows.append({
-                "flag": f, "n": str(int(m.sum())),
-                "sx": str(int(xv.sum())), "sy": str(int(yv.sum())),
-                "sxy": str(int(np.dot(xv.astype("object"),
-                                      yv.astype("object")))),
-                "sxx": str(int(np.dot(xv, xv))),
-                "syy": str(int(np.dot(yv.astype("object"),
-                                      yv.astype("object"))))})
-        return pd.DataFrame(rows)
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    recs = []
-    for f, g in parts.groupby("flag", sort=True):
-        n = sum(int(v) for v in g["n"])
-        sx = sum(int(v) for v in g["sx"])
-        sy = sum(int(v) for v in g["sy"])
-        sxy = sum(int(v) for v in g["sxy"])
-        sxx = sum(int(v) for v in g["sxx"])
-        syy = sum(int(v) for v in g["syy"])
-        num = n * sxy - sx * sy
-        vx = n * sxx - sx * sx
-        vy = n * syy - sy * sy
-        corr = float(num) / (math.sqrt(float(vx)) * math.sqrt(float(vy)))
-        recs.append({"l_returnflag": f, "n": n,
-                     "corr_qty_price": float(_round_sql(corr, 6))})
-    out = pd.DataFrame(recs)
-    out["n"] = out["n"].astype("int64")
-    return out.reset_index(drop=True)
-
-
-QUERIES.update({"q_corr_grouped": q_corr_grouped})
-
-
-# ---------------------------------------------------------------------------
-# Per-entity exponential smoothing (recency-weighted engagement score)
-# ---------------------------------------------------------------------------
-def q_ewma(sf_dir: str, window: int = 8):
-    """Per-user EWMA of event value over the LAST ``window`` events in
-    (ts, event_id) order — the recency-weighted engagement score that
-    feeds crawl scheduling / ranking freshness.  alpha = 1/4, seeded at
-    the window's oldest value: E_1 = x_1, E_i = (x_i + 3 E_{i-1}) / 4.
-    Emitted EXACTLY as an integer (numerator, denominator) pair per the
-    repo's ratio convention: S_n = 4^(n-1) E_n = sum c_i x_i with
-    integer coefficients c_1 = 3^(n-1), c_i = 3^(n-i) 4^(i-2), x in
-    cents — no float fold anywhere, so hash-stable at any scale (the
-    bounded window also bounds the coefficients: max 3^7*4^6 ~ 9e6,
-    int64-safe against any cent value).  One coarse shuffle on user;
-    in-bucket work is one vectorized mergesort + coefficient lookup,
-    no per-user Python."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "user_id", "ts", "value"])
-
-    pow3 = np.power(3, np.arange(window), dtype="int64")
-    pow4 = np.power(4, np.arange(window), dtype="int64")
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["user_id"].notna() & b["value"].notna()]
-        out = pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "t": b["ts"].astype("datetime64[us]").astype("int64").to_numpy(),
-            "eid": b["event_id"].to_numpy(np.int64),
-            "x": np.rint(b["value"].to_numpy("float64") * 100
-                         ).astype("int64")})
-        out["__coarse"] = _bucket_ids(out, ["u"], n_buckets)
-        return out
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "t", "eid"], kind="mergesort")
-        # keep each user's last `window` rows, oldest-first
-        rn_from_end = (g.iloc[::-1].groupby("u", sort=False).cumcount()
-                       .to_numpy()[::-1])
-        g = g[rn_from_end < window]
-        i = g.groupby("u", sort=False).cumcount().to_numpy()        # 0-based
-        n = g.groupby("u", sort=False)["x"].transform("size").to_numpy(
-            np.int64)
-        c = np.where(i == 0, pow3[n - 1], pow3[n - 1 - i] * pow4[
-            np.maximum(i - 1, 0)])
-        s = g.assign(term=c * g["x"].to_numpy(np.int64),
-                     den=pow4[n - 1])
-        agg = (s.groupby("u", sort=False)
-               .agg(ewma_num=("term", "sum"), ewma_den=("den", "first"))
-               .reset_index())
-        return agg.rename(columns={"u": "user_id"})
-
-    out = (ds.map_batches(keyed, batch_format="pandas")
-           .groupby("__coarse").map_groups(
-               lambda g: fold(g.drop(columns=["__coarse"])),
-               batch_format="pandas")
-           .to_pandas())
-    out = out.astype({"user_id": "int64", "ewma_num": "int64",
-                      "ewma_den": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-QUERIES.update({"q_ewma": q_ewma})
 
 
 # ---------------------------------------------------------------------------
@@ -7131,77 +5445,6 @@ QUERIES.update({"q_ks_test": q_ks_test})
 
 
 # ---------------------------------------------------------------------------
-# A/B experiment readout: Welch's t per event type from exact moments
-# ---------------------------------------------------------------------------
-def q_ab_test(sf_dir: str):
-    """Welch's t-test per event_type between two deterministic
-    experiment arms (arm = user_id % 2) over event value — the A/B
-    readout every event pipeline ships.  Sufficient statistics
-    (n, Σx, Σx²) fold per batch into ≤ |types|×2 partial rows carried
-    as DECIMAL STRINGS (the q_corr_grouped posture: the driver fold is
-    python-int exact at any magnitude — Σx² in cents² overflows int64
-    near 10^7 rows).  Engine and oracle evaluate the identical closed
-    form from the identical exact integers, so the 6 dp rounding sees
-    the same doubles.  Value is fixed to cents (rint(value·100)) before
-    any summation; driver traffic is 3 short strings per
-    (type, arm, block)."""
-    import math
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "user_id", "value"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["user_id"].notna() & b["value"].notna()]
-        arm = (b["user_id"].to_numpy("int64") % 2).astype("int64")
-        x = np.rint(b["value"].to_numpy("float64") * 100).astype("int64")
-        types = b["event_type"].to_numpy()
-        rows = []
-        for t in np.unique(types):
-            for a in (0, 1):
-                m = (types == t) & (arm == a)
-                if not m.any():
-                    continue
-                xv = x[m]
-                rows.append({
-                    "event_type": t, "arm": str(a),
-                    "n": str(int(m.sum())),
-                    "sx": str(int(xv.sum())),
-                    "sxx": str(int(np.dot(xv.astype("object"),
-                                          xv.astype("object"))))})
-        return pd.DataFrame(rows)
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    stats: dict = {}
-    for (t, a), g in parts.groupby(["event_type", "arm"], sort=True):
-        stats[(t, int(a))] = (sum(int(v) for v in g["n"]),
-                              sum(int(v) for v in g["sx"]),
-                              sum(int(v) for v in g["sxx"]))
-    recs = []
-    for t in sorted({k[0] for k in stats}):
-        na, sa, ssa = stats.get((t, 0), (0, 0, 0))
-        nb, sb, ssb = stats.get((t, 1), (0, 0, 0))
-        ma = float(sa) / na
-        mb = float(sb) / nb
-        # sample variance via the same expression shape as the oracle:
-        # (Σx² − (Σx)²/n) / (n−1), everything double before dividing
-        va = (float(ssa) - float(sa) * float(sa) / na) / (na - 1)
-        vb = (float(ssb) - float(sb) * float(sb) / nb) / (nb - 1)
-        tt = (ma - mb) / math.sqrt(va / na + vb / nb)
-        recs.append({"event_type": t,
-                     "n_a": na, "n_b": nb,
-                     "mean_a_cents": float(_round_sql(ma, 6)),
-                     "mean_b_cents": float(_round_sql(mb, 6)),
-                     "t_welch": float(_round_sql(tt, 6))})
-    out = pd.DataFrame(recs)
-    out["n_a"] = out["n_a"].astype("int64")
-    out["n_b"] = out["n_b"].astype("int64")
-    return out.reset_index(drop=True)
-
-
-QUERIES.update({"q_ab_test": q_ab_test})
-
-
-# ---------------------------------------------------------------------------
 # Hashing-trick vectorizer (fixed-width sparse features, doc-local)
 # ---------------------------------------------------------------------------
 def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
@@ -7421,124 +5664,6 @@ QUERIES.update({"q_chi2_cells": q_chi2_cells})
 
 
 # ---------------------------------------------------------------------------
-# Grouped median absolute deviation (robust scale, no global sort)
-# ---------------------------------------------------------------------------
-def q_mad(sf_dir: str):
-    """Grouped median-absolute-deviation of line-item price — the
-    outlier-robust scale statistic (Hampel 1974, public method) for
-    price-feed QA, computed EXACTLY with no global sort: prices live on
-    a fixed cents grid, so one coarse fold builds the (flag, cents)
-    value histogram (VALUE-bounded — the price grid, not row
-    cardinality) and the driver extracts both nested medians by
-    cumulative-count arithmetic, the q_trimmed_mean posture.  All
-    order statistics stay in integer domain: the median is carried
-    DOUBLED (med2 = lo+hi cents, exact even when interpolated), each
-    deviation |2c - med2| is an exact integer, and the deviation
-    median doubles again (mad4), so mad = mad4/4 is exact to the
-    quarter-cent — bit-identical to DuckDB's interpolating
-    median()/mad() at any corpus size."""
-    li = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_returnflag", "l_extendedprice"])
-
-    def to_cents(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "flag": b["l_returnflag"],
-            "cents": np.rint(b["l_extendedprice"].to_numpy("float64")
-                             * 100).astype("int64")})
-
-    hist = coarse_agg(li.map_batches(to_cents, batch_format="pandas"),
-                      ["flag", "cents"],
-                      {"c": ("cents", "size")}).to_pandas()
-    hist["c"] = hist["c"].astype("int64")
-
-    def med2_of(vals: np.ndarray, cnts: np.ndarray) -> int:
-        # doubled interpolated median from a sorted value histogram
-        n = int(cnts.sum())
-        cum = np.cumsum(cnts)
-        k1, k2 = (n + 1) // 2, (n + 2) // 2      # 1-indexed ranks
-        lo = int(vals[np.searchsorted(cum, k1)])
-        hi = int(vals[np.searchsorted(cum, k2)])
-        return lo + hi
-
-    recs = []
-    for f, g in hist.groupby("flag", sort=True):
-        g = g.sort_values("cents")
-        vals = g["cents"].to_numpy("int64")
-        cnts = g["c"].to_numpy("int64")
-        med2 = med2_of(vals, cnts)
-        dev = pd.DataFrame({"d2": np.abs(2 * vals - med2), "c": cnts})
-        dev = dev.groupby("d2", as_index=False)["c"].sum().sort_values("d2")
-        mad4 = med2_of(dev["d2"].to_numpy("int64"),
-                       dev["c"].to_numpy("int64"))
-        recs.append({
-            "l_returnflag": f,
-            "n_rows": int(cnts.sum()),
-            "median_price": float(_round_sql(med2 / 200.0, 6)),
-            "mad_price": float(_round_sql(mad4 / 400.0, 6))})
-    out = pd.DataFrame(recs)
-    out["n_rows"] = out["n_rows"].astype("int64")
-    return out.sort_values("l_returnflag").reset_index(drop=True)
-
-
-QUERIES.update({"q_mad": q_mad})
-
-
-# ---------------------------------------------------------------------------
-# Mann-Whitney U / rank-biserial AUC per event type (nonparametric A/B)
-# ---------------------------------------------------------------------------
-def q_mannwhitney(sf_dir: str):
-    """Mann-Whitney U between the two deterministic experiment arms
-    (user_id % 2) per event type — the nonparametric sibling of
-    q_ab_test's Welch t, and its U/(na*nb) normalization is exactly
-    the ROC-AUC of "does arm A stochastically dominate arm B".
-    Values quantize to cents; ONE coarse fold builds the
-    (type, cents, arm) histogram (VALUE-bounded like q_ks_test) and
-    the driver computes 2U as an exact python integer via cumulative
-    counts with midrank tie handling: 2U_a = sum_v ca(v) *
-    (2*cb_below(v) + cb_eq(v)).  The oracle evaluates the identical
-    integer through one window cumsum (linear, no pair join).  U and
-    AUC are then single divisions of exact integers on both sides."""
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "user_id", "value"])
-
-    def cents(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["user_id"].notna() & b["value"].notna()]
-        return pd.DataFrame({
-            "event_type": b["event_type"],
-            "x": np.rint(b["value"].to_numpy("float64") * 100)
-                   .astype("int64"),
-            "arm": (b["user_id"].to_numpy("int64") % 2).astype("int64")})
-
-    hist = coarse_agg(ev.map_batches(cents, batch_format="pandas"),
-                      ["event_type", "x", "arm"],
-                      {"c": ("x", "size")}).to_pandas()
-    hist["c"] = hist["c"].astype("int64")
-    recs = []
-    for t, g in hist.groupby("event_type", sort=True):
-        pv = (g.pivot_table(index="x", columns="arm", values="c",
-                            aggfunc="sum", fill_value=0)
-              .reindex(columns=[0, 1], fill_value=0).sort_index())
-        ca = pv[0].to_numpy("int64")
-        cb = pv[1].to_numpy("int64")
-        na, nb = int(ca.sum()), int(cb.sum())
-        cb_below = np.concatenate([[0], np.cumsum(cb)[:-1]])
-        u2 = sum(int(a) * (2 * int(bl) + int(be))
-                 for a, bl, be in zip(ca, cb_below, cb))
-        recs.append({
-            "event_type": t,
-            "n_a": na, "n_b": nb,
-            "u_a": u2 / 2.0,
-            "auc": float(_round_sql(float(u2) / (2.0 * na * nb), 6))})
-    out = pd.DataFrame(recs)
-    out["n_a"] = out["n_a"].astype("int64")
-    out["n_b"] = out["n_b"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-QUERIES.update({"q_mannwhitney": q_mannwhitney})
-
-
-# ---------------------------------------------------------------------------
 # Robots-style disallow-prefix filter (crawl-policy gate)
 # ---------------------------------------------------------------------------
 def q_robots_filter(sf_dir: str):
@@ -7587,89 +5712,6 @@ def q_robots_filter(sf_dir: str):
 
 
 QUERIES.update({"q_robots_filter": q_robots_filter})
-
-
-# ---------------------------------------------------------------------------
-# Market-basket association rules (support / confidence / lift)
-# ---------------------------------------------------------------------------
-def q_market_basket(sf_dir: str, item_mod: int = 97, min_support: int = 25):
-    """Association rules over order baskets (Agrawal & Srikant's
-    classic support/confidence/lift frame, VLDB'94 — public method):
-    items derive as l_partkey % 97, baskets are orders.  Scale shape:
-    ONE coarse shuffle on the order key lands each basket in one
-    bucket, where a vectorized self-merge emits its distinct item
-    pairs PLUS tagged singleton/basket marker rows ((i,-1) per
-    basket-item, (-2,-2) per basket), so a single count fold then
-    yields pair supports, item supports, and the basket total in one
-    aggregate-sized table (<= C(97,2)+97+1 rows) — no second corpus
-    pass, nothing row-sized on the driver.  Basket size is
-    schema-bounded (TPC-H caps lineitems per order), so no hot-key cap
-    is needed — the q_covisit celebrity argument does not arise.
-    Rules emit BOTH directions; confidence and lift are single
-    divisions of exact integers, identical on both engines."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    li = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_orderkey", "l_partkey"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            "o": b["l_orderkey"].to_numpy("int64"),
-            "i": (b["l_partkey"].to_numpy("int64") % item_mod)})
-        out = out.drop_duplicates()
-        out["__coarse"] = _bucket_ids(out, ["o"], n_buckets)
-        return out
-
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["o", "i"])
-        m = g.merge(g, on="o")
-        m = m[m["i_x"] < m["i_y"]]
-        n_baskets = g["o"].nunique()
-        return pd.DataFrame({
-            "i1": np.concatenate([m["i_x"].to_numpy("int64"),
-                                  g["i"].to_numpy("int64"),
-                                  np.full(n_baskets, -2, dtype="int64")]),
-            "i2": np.concatenate([m["i_y"].to_numpy("int64"),
-                                  np.full(len(g), -1, dtype="int64"),
-                                  np.full(n_baskets, -2, dtype="int64")])})
-
-    counted = coarse_agg(
-        li.map_batches(keyed, batch_format="pandas")
-        .groupby("__coarse").map_groups(
-            lambda g: emit(g.drop(columns=["__coarse"])),
-            batch_format="pandas"),
-        ["i1", "i2"], {"n": ("i1", "size")}).to_pandas()
-    counted["n"] = counted["n"].astype("int64")
-
-    n_orders = int(counted.loc[(counted["i1"] == -2)
-                               & (counted["i2"] == -2), "n"].iloc[0])
-    item_cnt = {int(r.i1): int(r.n) for r in
-                counted[(counted["i2"] == -1)].itertuples()}
-    pairs = counted[(counted["i1"] >= 0) & (counted["i2"] >= 0)
-                    & (counted["n"] >= min_support)]
-    recs = []
-    for r in pairs.itertuples():
-        sup = int(r.n)
-        for a, c in ((int(r.i1), int(r.i2)), (int(r.i2), int(r.i1))):
-            recs.append({
-                "ante": a, "cons": c, "support": sup,
-                "confidence": float(_round_sql(sup / item_cnt[a], 6)),
-                "lift": float(_round_sql(
-                    float(sup * n_orders)
-                    / float(item_cnt[a] * item_cnt[c]), 6))})
-    out = pd.DataFrame(recs)
-    if not len(out):
-        out = pd.DataFrame({c: pd.array([], dtype="int64")
-                            for c in ("ante", "cons", "support")}
-                           ).assign(confidence=pd.array([], dtype="float64"),
-                                    lift=pd.array([], dtype="float64"))
-    out = out.astype({"ante": "int64", "cons": "int64", "support": "int64"})
-    return out.sort_values(["ante", "cons"]).reset_index(drop=True)
-
-
-QUERIES.update({"q_market_basket": q_market_basket})
 
 
 # ---------------------------------------------------------------------------
@@ -7835,81 +5877,6 @@ def q_new_users(sf_dir: str):
 
 
 QUERIES.update({"q_new_users": q_new_users})
-
-
-# ---------------------------------------------------------------------------
-# Last-touch click attribution for purchases (72 h lookback)
-# ---------------------------------------------------------------------------
-def q_attribution(sf_dir: str):
-    """Last-touch attribution: each purchase is attributed to the SAME
-    user's most recent click strictly before it in (ts, event_id)
-    order, provided that click is within the 72 h lookback — the
-    standard marketing-attribution rule (last non-direct touch).  The
-    most-recent-click candidate is chosen FIRST, then the window test
-    applies (an over-window click shadows older in-window ones — the
-    textbook definition, and what the oracle's frame-excluded window
-    cummax computes).  Unattributed purchases emit the -1 sentinel in
-    click_id/lag_us so the output stays pure int64.
-
-    Scale shape: filter to click/purchase rows at the read, ONE coarse
-    shuffle on user, in-bucket (u, ts, event_id) sort, then a
-    vectorized groupwise carry: cummax of click positions (pandas
-    C-level cummax) shifted by one row so a purchase never attributes
-    to itself-position; output is row-per-purchase."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    _W_US = 72 * 3600 * 1_000_000
-    n_buckets = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "ts", "user_id", "event_type"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        b = b[b["event_type"].isin(("click", "purchase"))]
-        out = pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "t": b["ts"].astype("datetime64[us]").astype("int64").to_numpy(),
-            "event_id": b["event_id"].to_numpy(np.int64),
-            "is_click": (b["event_type"] == "click").to_numpy()})
-        out["__coarse"] = _bucket_ids(out, ["u"], n_buckets)
-        return out
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "t", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        pos = np.arange(len(g), dtype="int64")
-        g["cp"] = np.where(g["is_click"].to_numpy(), pos, -1)
-        last = g.groupby("u", sort=False)["cp"].cummax()
-        prev = last.groupby(g["u"], sort=False).shift(1, fill_value=-1)
-        prev = prev.to_numpy("int64")
-        is_p = ~g["is_click"].to_numpy()
-        pt = g["t"].to_numpy()[is_p]
-        pid = g["event_id"].to_numpy()[is_p]
-        pu = g["u"].to_numpy()[is_p]
-        cand = prev[is_p]
-        has = cand >= 0
-        ct = np.where(has, g["t"].to_numpy()[np.maximum(cand, 0)], 0)
-        cid = np.where(has, g["event_id"].to_numpy()[np.maximum(cand, 0)], -1)
-        lag = pt - ct
-        ok = has & (lag <= _W_US)
-        return pd.DataFrame({
-            "purchase_id": pid,
-            "user_id": pu,
-            "click_id": np.where(ok, cid, -1).astype("int64"),
-            "lag_us": np.where(ok, lag, -1).astype("int64")})
-
-    out = (ev.map_batches(keyed, batch_format="pandas")
-           .groupby("__coarse").map_groups(
-               lambda g: fold(g.drop(columns=["__coarse"])),
-               batch_format="pandas")
-           .to_pandas())
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("purchase_id").reset_index(drop=True)
-
-
-QUERIES.update({"q_attribution": q_attribution})
 
 
 # ---------------------------------------------------------------------------
@@ -8082,70 +6049,6 @@ def q_rolling_actives(sf_dir: str):
 
 
 QUERIES.update({"q_rolling_actives": q_rolling_actives})
-
-
-# ---------------------------------------------------------------------------
-# Cohort lifetime value (signup-week cohorts x purchase-week offsets)
-# ---------------------------------------------------------------------------
-def q_cohort_ltv(sf_dir: str):
-    """Cohort LTV: purchase revenue folded into (signup-week cohort,
-    week offset) cells — q_retention's matrix with money instead of
-    presence.  Week is integer epoch-day // 7 on both engines.  Plan:
-    per-user min signup week folds through one coarse shuffle
-    (user-cardinality, stays distributed), purchases key by user and
-    attach their cohort through the bucketed hash_join (users without
-    a signup drop — inner), then one aggregate-sized fold sums exact
-    integer cents per cell.  Offsets can be negative (purchases before
-    the first recorded signup) and are reported as such."""
-    from bb_ocr_ray.stages.joins import hash_join
-
-    _US_PER_WEEK = 7 * 86_400_000_000
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_type", "value"])
-
-    def keyed(kind):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.dropna(subset=["user_id", "ts"])
-            b = b[b["event_type"] == kind]
-            if kind == "purchase":
-                b = b.dropna(subset=["value"])
-            us = b["ts"].astype("datetime64[us]").astype("int64")
-            out = pd.DataFrame({
-                "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-                "week": (us.to_numpy() // _US_PER_WEEK).astype("int64")})
-            if kind == "purchase":
-                out["cents"] = np.rint(
-                    b["value"].to_numpy("float64") * 100).astype("int64")
-            return out
-        return fn
-
-    cohorts = coarse_agg(
-        ev.map_batches(keyed("signup"), batch_format="pandas"),
-        ["u"], {"cohort_week": ("week", "min")})
-    buys = ev.map_batches(keyed("purchase"), batch_format="pandas")
-    joined = hash_join(buys, cohorts, on="u")
-
-    def cells(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({
-            "cohort_week": b["cohort_week"].astype("int64"),
-            "week_offset": (b["week"].astype("int64")
-                            - b["cohort_week"].astype("int64")),
-            "n_purchases": np.ones(len(b), dtype="int64"),
-            "revenue_cents": b["cents"].astype("int64")})
-        return g.groupby(["cohort_week", "week_offset"],
-                         as_index=False).sum()
-
-    out = coarse_agg(joined.map_batches(cells, batch_format="pandas"),
-                     ["cohort_week", "week_offset"],
-                     {"n_purchases": ("n_purchases", "sum"),
-                      "revenue_cents": ("revenue_cents", "sum")}).to_pandas()
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return (out.sort_values(["cohort_week", "week_offset"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_cohort_ltv": q_cohort_ltv})
 
 
 # ---------------------------------------------------------------------------
@@ -8371,197 +6274,6 @@ QUERIES.update({"q_dup_cluster_sizes": q_dup_cluster_sizes})
 
 
 # ---------------------------------------------------------------------------
-# RFM segmentation (recency / frequency / monetary cells)
-# ---------------------------------------------------------------------------
-def q_rfm(sf_dir: str):
-    """RFM segmentation of purchasers — users bucketed by Recency
-    (weeks since last purchase, relative to the corpus' last purchase
-    day), Frequency (bit_length of purchase count) and Monetary
-    (bit_length of whole-dollar total), with user counts per cell —
-    the classic direct-marketing segmentation (Hughes 1994; public
-    method) on FIXED integer bands so both engines bucket exactly.
-    Plan: purchases key once and materialize (three consumers — the
-    global-max scalar, the per-user fold, the cells — must not re-read
-    parquet); per-user (last_day, n, cents) folds through one coarse
-    shuffle (user-cardinality, stays distributed); banding is a map;
-    the cell fold is aggregate-sized."""
-    _US_PER_DAY = 86_400_000_000
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_type", "value"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts", "value"])
-        b = b[b["event_type"] == "purchase"]
-        us = b["ts"].astype("datetime64[us]").astype("int64")
-        return pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "day": (us.to_numpy() // _US_PER_DAY).astype("int64"),
-            "cents": np.rint(b["value"].to_numpy("float64")
-                             * 100).astype("int64"),
-            "one": np.ones(len(b), dtype="int64")})
-
-    buys = ev.map_batches(keyed, batch_format="pandas").materialize()
-    max_day = int(buys.max("day"))
-    per_user = coarse_agg(buys, ["u"], {"last_day": ("day", "max"),
-                                        "f": ("one", "sum"),
-                                        "cents": ("cents", "sum")})
-
-    def cells(b: pd.DataFrame) -> pd.DataFrame:
-        r = ((max_day - b["last_day"].astype("int64")) // 7).astype("int64")
-        f = np.array([int(x).bit_length() for x in b["f"]], dtype="int64")
-        m = np.array([(int(x) // 100).bit_length() for x in b["cents"]],
-                     dtype="int64")
-        g = pd.DataFrame({"r_band": r, "f_band": f, "m_band": m,
-                          "n_users": np.ones(len(b), dtype="int64")})
-        return g.groupby(["r_band", "f_band", "m_band"],
-                         as_index=False).sum()
-
-    out = coarse_agg(per_user.map_batches(cells, batch_format="pandas"),
-                     ["r_band", "f_band", "m_band"],
-                     {"n_users": ("n_users", "sum")}).to_pandas()
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return (out.sort_values(["r_band", "f_band", "m_band"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_rfm": q_rfm})
-
-
-# ---------------------------------------------------------------------------
-# Longest consecutive-day streak histogram (gaps-and-islands engagement QA)
-# ---------------------------------------------------------------------------
-def q_streak(sf_dir: str):
-    """Longest consecutive-day activity streak per user, reported as a
-    bounded histogram (streak length -> user count) — the classic
-    gaps-and-islands engagement statistic.  Plan: per-batch distinct
-    (user, day) partial -> ONE coarse shuffle on user (every user's
-    full day set lands in one bucket) -> vectorized island detection
-    across ALL users in the bucket at once (run ids from a
-    consecutive-day mask, run lengths via bincount, per-user max) ->
-    a streak-length-bounded histogram fold.  Nothing user-cardinality
-    ever sits on the driver; the only all-to-all moves distinct
-    (user, day) int64 pairs."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def pairs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "day": (b["ts"].astype("datetime64[us]").astype("int64")
-                    // 86_400_000_000)}).drop_duplicates()
-        g["__coarse"] = _bucket_ids(g, ["u"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop_duplicates(["u", "day"])
-             .sort_values(["u", "day"], kind="mergesort"))
-        u = g["u"].to_numpy("int64")
-        d = g["day"].to_numpy("int64")
-        if len(u) == 0:
-            return pd.DataFrame({"streak": pd.Series([], dtype="int64"),
-                                 "n_users": pd.Series([], dtype="int64")})
-        # a new run starts at any row that is not exactly +1 day of the
-        # SAME user's previous row
-        consec = np.concatenate(
-            [[False], (u[1:] == u[:-1]) & (d[1:] == d[:-1] + 1)])
-        run_id = np.cumsum(~consec) - 1
-        run_len = np.bincount(run_id)
-        run_user = u[np.concatenate([[True], run_id[1:] != run_id[:-1]])]
-        per_user = (pd.DataFrame({"u": run_user, "len": run_len})
-                    .groupby("u")["len"].max())
-        hist = per_user.value_counts().sort_index()
-        return pd.DataFrame({"streak": hist.index.to_numpy("int64"),
-                             "n_users": hist.to_numpy("int64")})
-
-    folded = (ev.map_batches(pairs, batch_format="pandas")
-              .groupby("__coarse").map_groups(bucket, batch_format="pandas"))
-    out = coarse_agg(folded, ["streak"],
-                     {"n_users": ("n_users", "sum")}).to_pandas()
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("streak").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Peak 1h sliding-window event rate per type (burst detection)
-# ---------------------------------------------------------------------------
-def q_burst_peak(sf_dir: str):
-    """Per event_type: the PEAK number of events inside any backward
-    1-hour window anchored at an event ([ts-1h, ts] inclusive), plus
-    the earliest day that peak occurs — the traffic-burst /
-    rate-limit QA statistic.  Scale shape: windows never cross more
-    than one day boundary, so each event lands in its own
-    (type, day) bucket as an anchor AND events in a day's final hour
-    are replicated into the NEXT day's bucket as context-only rows
-    (anchor=0).  One coarse shuffle on (type, day); in-bucket counts
-    are two vectorized searchsorted calls over the bucket's sorted
-    microsecond stamps; the per-(type, day) maxima then fold into a
-    type-bounded table.  No self-join, no per-row loops, exact
-    integer microsecond arithmetic throughout."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    _H = 3_600_000_000            # 1h in us
-    _D = 86_400_000_000           # 1 day in us
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "ts"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        day = us // _D
-        et = b["event_type"].to_numpy()
-        own = pd.DataFrame({"et": et, "day": day, "us": us,
-                            "anchor": np.ones(len(us), dtype="int64")})
-        tail = us - day * _D >= _D - _H      # final hour of the day
-        rep = pd.DataFrame({"et": et[tail], "day": day[tail] + 1,
-                            "us": us[tail],
-                            "anchor": np.zeros(int(tail.sum()),
-                                               dtype="int64")})
-        g = pd.concat([own, rep], ignore_index=True)
-        g["__coarse"] = _bucket_ids(g, ["et", "day"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for (et, day), sub in g.groupby(["et", "day"], sort=False):
-            hay = np.sort(sub["us"].to_numpy("int64"))
-            anch = sub.loc[sub["anchor"] == 1, "us"].to_numpy("int64")
-            if len(anch) == 0:
-                continue
-            c = (np.searchsorted(hay, anch, side="right")
-                 - np.searchsorted(hay, anch - _H, side="left"))
-            outs.append((et, int(day), int(c.max())))
-        if not outs:
-            return pd.DataFrame({"event_type": pd.Series([], dtype="object"),
-                                 "day": pd.Series([], dtype="int64"),
-                                 "c": pd.Series([], dtype="int64")})
-        return pd.DataFrame(outs, columns=["event_type", "day", "c"])
-
-    per_day = (ev.map_batches(stamp, batch_format="pandas")
-               .groupby("__coarse").map_groups(bucket,
-                                               batch_format="pandas"))
-    # type-bounded: max peak, then earliest day achieving it
-    days = per_day.to_pandas()
-    days["c"] = days["c"].astype("int64")
-    days["day"] = days["day"].astype("int64")
-    peak = days.groupby("event_type")["c"].max().rename("peak")
-    m = days.merge(peak, on="event_type")
-    m = m[m["c"] == m["peak"]]
-    out = (m.groupby("event_type", as_index=False)
-           .agg(peak=("peak", "max"), peak_day=("day", "min")))
-    out["peak"] = out["peak"].astype("int64")
-    out["peak_day"] = out["peak_day"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
 # Anomalous-day detection (z-score on the daily count series)
 # ---------------------------------------------------------------------------
 def q_anomaly_days(sf_dir: str):
@@ -8636,12 +6348,7 @@ def q_autocorr(sf_dir: str):
         "autocorr": [float(_round_sql(ac, 6))]})
 
 
-QUERIES.update({
-    "q_streak": q_streak,
-    "q_burst_peak": q_burst_peak,
-    "q_anomaly_days": q_anomaly_days,
-    "q_autocorr": q_autocorr,
-})
+QUERIES.update({"q_anomaly_days": q_anomaly_days, "q_autocorr": q_autocorr})
 
 
 # ---------------------------------------------------------------------------
@@ -8982,69 +6689,6 @@ def q_two_hop(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Weekly churn rate (active week w, silent week w+1)
-# ---------------------------------------------------------------------------
-def q_churn(sf_dir: str):
-    """Per-week churn: of the users active in week w, the share with NO
-    activity in week w+1 — the classic product-analytics companion to
-    q_retention's cohort matrix (this one is calendar-anchored, not
-    cohort-anchored).  The final observed week is excluded (its future
-    is unknown).  Plan: per-batch distinct (user, week) pairs -> ONE
-    coarse shuffle on user (per-user week sets co-locate; w+1
-    membership is a vectorized next-element check on the sorted unique
-    weeks) -> a week-bounded (active, churned) fold.  Nothing
-    user-cardinality touches the driver."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    _US_PER_WEEK = 7 * 86_400_000_000
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def pairs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "week": (b["ts"].astype("datetime64[us]").astype("int64")
-                     // _US_PER_WEEK)}).drop_duplicates()
-        g["__coarse"] = _bucket_ids(g, ["u"], nb)
-        return g
-
-    p = ev.map_batches(pairs, batch_format="pandas").materialize()
-    max_week = int(p.max("week"))
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop_duplicates(["u", "week"])
-             .sort_values(["u", "week"], kind="mergesort"))
-        u = g["u"].to_numpy("int64")
-        w = g["week"].to_numpy("int64")
-        nxt_same = np.concatenate([(u[1:] == u[:-1]) & (w[1:] == w[:-1] + 1),
-                                   [False]])
-        keep = w < max_week
-        w, nxt_same = w[keep], nxt_same[keep]
-        if len(w) == 0:
-            return pd.DataFrame({"week": pd.Series([], dtype="int64"),
-                                 "n_active": pd.Series([], dtype="int64"),
-                                 "n_churned": pd.Series([], dtype="int64")})
-        t = pd.DataFrame({"week": w,
-                          "n_active": np.ones(len(w), dtype="int64"),
-                          "n_churned": (~nxt_same).astype("int64")})
-        return t.groupby("week", as_index=False).sum()
-
-    folded = (p.groupby("__coarse").map_groups(bucket,
-                                               batch_format="pandas"))
-    out = coarse_agg(folded, ["week"],
-                     {"n_active": ("n_active", "sum"),
-                      "n_churned": ("n_churned", "sum")}).to_pandas()
-    for c in ("week", "n_active", "n_churned"):
-        out[c] = out[c].astype("int64")
-    out["churn_rate"] = [
-        float(_round_sql(c / a, 6))
-        for c, a in zip(out["n_churned"], out["n_active"])]
-    return out.sort_values("week").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
 # Grouped winsorized mean (clamp at exact p10/p90 order statistics)
 # ---------------------------------------------------------------------------
 def q_winsorize(sf_dir: str):
@@ -9091,11 +6735,7 @@ def q_winsorize(sf_dir: str):
     return out.sort_values("l_returnflag").reset_index(drop=True)
 
 
-QUERIES.update({
-    "q_two_hop": q_two_hop,
-    "q_churn": q_churn,
-    "q_winsorize": q_winsorize,
-})
+QUERIES.update({"q_two_hop": q_two_hop, "q_winsorize": q_winsorize})
 
 
 # ---------------------------------------------------------------------------
@@ -9381,68 +7021,9 @@ def q_ngram_entropy(sf_dir: str):
         "h_cond": [float(_round_sql(h_joint - h_prev, 6))]})
 
 
-# ---------------------------------------------------------------------------
-# Session path mining (top event-type trigram sequences)
-# ---------------------------------------------------------------------------
-def q_event_paths(sf_dir: str):
-    """Top-10 3-step event-type paths across per-user ordered event
-    streams — the sequence-mining view of q_transitions' pair matrix
-    (Agrawal & Srikant's sequential patterns, ICDE'95; public
-    method).  Per-user order is the strict (ts, event_id) total
-    order; trigrams never cross users.  One coarse shuffle on user
-    (ordered streams co-locate), per-bucket vectorized trigram
-    extraction, then a path-vocabulary-bounded count fold with the
-    (n desc, path asc) tiebreak."""
-    from collections import Counter
-
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id",
-                                "event_type"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "ts": b["ts"].astype("datetime64[us]").astype("int64")
-            .to_numpy(),
-            "event_id": b["event_id"].astype("int64").to_numpy(),
-            "et": b["event_type"].to_numpy()})
-        g["__coarse"] = _bucket_ids(g, ["u"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "ts", "event_id"], kind="mergesort")
-        u = g["u"].to_numpy("int64")
-        et = g["et"].to_numpy()
-        cnt: Counter = Counter()
-        same3 = (u[2:] == u[1:-1]) & (u[1:-1] == u[:-2])
-        for i in np.nonzero(same3)[0]:
-            cnt[f"{et[i]}>{et[i + 1]}>{et[i + 2]}"] += 1
-        if not cnt:
-            return pd.DataFrame({"path": pd.Series([], dtype="object"),
-                                 "n": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"path": list(cnt.keys()),
-                             "n": np.fromiter(cnt.values(),
-                                              dtype="int64")})
-
-    folded = (ev.map_batches(stamp, batch_format="pandas")
-              .groupby("__coarse").map_groups(bucket,
-                                              batch_format="pandas"))
-    agg = coarse_agg(folded, ["path"], {"n": ("n", "sum")})
-    out = (agg.sort(["n", "path"], descending=[True, False])
-           .limit(10).to_pandas())
-    out["n"] = out["n"].astype("int64")
-    return out.reset_index(drop=True)
-
-
 QUERIES.update({
     "q_tok_len_dist": q_tok_len_dist,
     "q_ngram_entropy": q_ngram_entropy,
-    "q_event_paths": q_event_paths,
 })
 
 
@@ -9486,45 +7067,6 @@ def q_zone_map(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Hill tail-index estimator on the user-activity distribution
-# ---------------------------------------------------------------------------
-def q_tail_index(sf_dir: str):
-    """Hill estimator of the activity distribution's tail exponent
-    over the top-k=100 most active users (Hill, Ann. Stat. 1975;
-    public method) — the heavy-tail QA twin of q_zipf_slope in the
-    user domain: alpha near 1-2 means a few users dominate the
-    stream (partition-skew early warning).  Per-user counts fold
-    through one coarse shuffle; the top-(k+1) cut is a Dataset
-    sort+limit on the aggregated table (value ties cannot change the
-    chosen VALUE multiset, so no id tiebreak is needed); the log-sum
-    runs on k+1 bounded values.  k shrinks to n_users-1 on tiny
-    inputs, matching the oracle's least()."""
-    import math
-
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        vc = b["user_id"].astype("int64").value_counts()
-        return pd.DataFrame({"u": vc.index.to_numpy("int64"),
-                             "c": vc.to_numpy("int64")})
-
-    cnt = coarse_agg(ev.map_batches(partial, batch_format="pandas"),
-                     ["u"], {"c": ("c", "sum")}).materialize()
-    n_users = cnt.count()
-    k = min(100, n_users - 1)
-    top = (cnt.sort("c", descending=True).limit(k + 1).to_pandas())
-    x = np.sort(top["c"].to_numpy("int64"))[::-1].astype("float64")
-    xk1 = float(x[k])
-    hill = float(np.log(x[:k] / xk1).sum() / k)
-    return pd.DataFrame({
-        "k": pd.array([k], dtype="int64"),
-        "x_kplus1": pd.array([int(xk1)], dtype="int64"),
-        "hill": [float(_round_sql(hill, 6))],
-        "alpha": [float(_round_sql(1.0 / hill, 6))]})
-
-
-# ---------------------------------------------------------------------------
 # Second frequency moment F2 (self-join size) of the user stream
 # ---------------------------------------------------------------------------
 def q_f2(sf_dir: str):
@@ -9562,11 +7104,7 @@ def q_f2(sf_dir: str):
         "f2": [str(f2)]})
 
 
-QUERIES.update({
-    "q_zone_map": q_zone_map,
-    "q_tail_index": q_tail_index,
-    "q_f2": q_f2,
-})
+QUERIES.update({"q_zone_map": q_zone_map, "q_f2": q_f2})
 
 
 # ---------------------------------------------------------------------------
@@ -9676,61 +7214,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# Session bounce rate (1-event sessions under the 1800s gap rule)
-# ---------------------------------------------------------------------------
-def q_bounce_rate(sf_dir: str):
-    """Share of sessions containing exactly one event — the bounce
-    rate, under the same gap->1800s sessionization rule as
-    q_sessionize (strict (ts, event_id) order so equal timestamps
-    cannot flip session boundaries between engines).  One coarse
-    shuffle on user; session islands and their sizes are vectorized
-    run-length arithmetic over the bucket; only (n_sessions,
-    n_bounce) scalars fold to the driver."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    _GAP_US = 1_800_000_000
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "us": b["ts"].astype("datetime64[us]").astype("int64")
-            .to_numpy(),
-            "event_id": b["event_id"].astype("int64").to_numpy()})
-        g["__coarse"] = _bucket_ids(g, ["u"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "us", "event_id"], kind="mergesort")
-        u = g["u"].to_numpy("int64")
-        us = g["us"].to_numpy("int64")
-        if len(u) == 0:
-            return pd.DataFrame({"n_sessions": pd.Series([], dtype="int64"),
-                                 "n_bounce": pd.Series([], dtype="int64")})
-        same = np.concatenate(
-            [[False], (u[1:] == u[:-1]) & (us[1:] - us[:-1] <= _GAP_US)])
-        run_id = np.cumsum(~same) - 1
-        sizes = np.bincount(run_id)
-        return pd.DataFrame({"n_sessions": [len(sizes)],
-                             "n_bounce": [int((sizes == 1).sum())]})
-
-    p = (ev.map_batches(stamp, batch_format="pandas")
-         .groupby("__coarse").map_groups(bucket, batch_format="pandas")
-         .to_pandas())
-    n_sessions = int(p["n_sessions"].sum())
-    n_bounce = int(p["n_bounce"].sum())
-    return pd.DataFrame({
-        "n_sessions": pd.array([n_sessions], dtype="int64"),
-        "n_bounce": pd.array([n_bounce], dtype="int64"),
-        "bounce_rate": [float(_round_sql(n_bounce / n_sessions, 6))
-                        if n_sessions else 0.0]})
-
-
-# ---------------------------------------------------------------------------
 # Lorenz curve deciles of user-activity concentration
 # ---------------------------------------------------------------------------
 def q_lorenz(sf_dir: str):
@@ -9833,11 +7316,7 @@ def q_ship_delay(sf_dir: str):
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
-QUERIES.update({
-    "q_bounce_rate": q_bounce_rate,
-    "q_lorenz": q_lorenz,
-    "q_ship_delay": q_ship_delay,
-})
+QUERIES.update({"q_lorenz": q_lorenz, "q_ship_delay": q_ship_delay})
 
 
 # ---------------------------------------------------------------------------
@@ -10127,65 +7606,9 @@ def q_vocab_coverage(sf_dir: str):
     return out
 
 
-# ---------------------------------------------------------------------------
-# View-to-purchase conversion lag histogram
-# ---------------------------------------------------------------------------
-def q_conversion_lag(sf_dir: str):
-    """Histogram of days from a user's FIRST view to their first
-    purchase at-or-after it — the conversion-latency distribution
-    behind q_funnel_windowed's fixed-window counts.  One coarse
-    shuffle on user; first-view / first-qualifying-purchase are
-    vectorized groupby mins inside the bucket; a day-bounded
-    histogram folds out.  Users who never convert simply don't
-    appear (INNER-join semantics, mirrored by the oracle)."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    _D = 86_400_000_000
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_type"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        b = b[b["event_type"].isin(["view", "purchase"])]
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "us": b["ts"].astype("datetime64[us]").astype("int64")
-            .to_numpy(),
-            "et": b["event_type"].to_numpy()})
-        g["__coarse"] = _bucket_ids(g, ["u"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        v = (g[g["et"] == "view"].groupby("u")["us"].min()
-             .rename("vts").reset_index())
-        p = g[g["et"] == "purchase"][["u", "us"]].merge(v, on="u")
-        p = p[p["us"] >= p["vts"]]
-        if p.empty:
-            return pd.DataFrame({"lag_days": pd.Series([], dtype="int64"),
-                                 "n_users": pd.Series([], dtype="int64")})
-        first = p.groupby("u", as_index=False).agg(
-            pts=("us", "min"), vts=("vts", "min"))
-        lag = ((first["pts"] - first["vts"]) // _D).astype("int64")
-        vc = lag.value_counts()
-        return pd.DataFrame({"lag_days": vc.index.to_numpy("int64"),
-                             "n_users": vc.to_numpy("int64")})
-
-    folded = (ev.map_batches(stamp, batch_format="pandas")
-              .groupby("__coarse").map_groups(bucket,
-                                              batch_format="pandas"))
-    out = coarse_agg(folded, ["lag_days"],
-                     {"n_users": ("n_users", "sum")}).to_pandas()
-    out["lag_days"] = out["lag_days"].astype("int64")
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values("lag_days").reset_index(drop=True)
-
-
 QUERIES.update({
     "q_lang_confusion": q_lang_confusion,
     "q_vocab_coverage": q_vocab_coverage,
-    "q_conversion_lag": q_conversion_lag,
 })
 
 
@@ -10550,119 +7973,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# Revenue by supplier nation x part brand (TPC-H Q9-style join chain)
-# ---------------------------------------------------------------------------
-def q_profit_by_brand(sf_dir: str):
-    """Revenue grouped by (supplier nation, part brand) — the Q9-style
-    star chain lineitem⋈part⋈supplier⋈nation that exercises TWO
-    size-gated dimension attaches on the same fact stream.  Revenue
-    is exact integer cents with the q1/q5 rounding ladder
-    (price·100 and disc·100 rounded to ints per row); partial
-    aggregation runs before the one bounded (nation, brand) fold."""
-    from bb_ocr_ray.stages.joins import auto_join
-
-    li = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_partkey", "l_suppkey",
-                                "l_extendedprice", "l_discount"])
-    part = _read_parquet(_t(sf_dir, "part"),
-                         columns=["p_partkey", "p_brand"])
-    supp = _read_parquet(_t(sf_dir, "supplier"),
-                         columns=["s_suppkey", "s_nationkey"])
-    nation = _read_parquet(_t(sf_dir, "nation"),
-                           columns=["n_nationkey", "n_name"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        ext_c = _round_sql(b["l_extendedprice"] * 100.0, 0)
-        disc_pct = _round_sql(b["l_discount"] * 100.0, 0)
-        return pd.DataFrame({
-            "p_partkey": b["l_partkey"].astype("int64"),
-            "s_suppkey": b["l_suppkey"].astype("int64"),
-            "rev_c": (ext_c * (100 - disc_pct)).astype("int64")})
-
-    j = auto_join(li.map_batches(keyed, batch_format="pandas"),
-                  part, on="p_partkey")
-    j = auto_join(j, supp, on="s_suppkey")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby(["s_nationkey", "p_brand"], as_index=False)
-                .agg(rev_c=("rev_c", "sum"),
-                     n_items=("rev_c", "size")))
-
-    agg = coarse_agg(j.map_batches(partial, batch_format="pandas"),
-                     ["s_nationkey", "p_brand"],
-                     {"rev_c": ("rev_c", "sum"),
-                      "n_items": ("n_items", "sum")})
-    nat = nation.to_pandas()
-    out = agg.to_pandas().merge(
-        nat.rename(columns={"n_nationkey": "s_nationkey"}),
-        on="s_nationkey")
-    out["revenue"] = _round_sql(
-        out["rev_c"].astype("int64") / 10_000.0, 2)
-    out["n_items"] = out["n_items"].astype("int64")
-    out = out[["n_name", "p_brand", "n_items", "revenue"]]
-    return (out.sort_values(["n_name", "p_brand"])
-            .reset_index(drop=True))
-
-
-# ---------------------------------------------------------------------------
-# Day-of-week x hour-of-day seasonality profile
-# ---------------------------------------------------------------------------
-def q_dow_profile(sf_dir: str):
-    """Average events per (day-of-week, hour-of-day) cell — the
-    seasonality fingerprint dashboards draw as a heatmap.  Both
-    engines derive dow with pure integer arithmetic on epoch days
-    ((day + 4) % 7, Monday=0 — never a calendar function, whose
-    week-start conventions differ across engines).  One 168-cell
-    fold; the per-cell denominator is how many distinct dates of
-    that weekday the stream spans (exact ints, ratio at 6 dp)."""
-    _D = 86_400_000_000
-    _H = 3_600_000_000
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["ts"])
-
-    def cells(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        day = us // _D
-        g = pd.DataFrame({"dow": (day + 4) % 7,
-                          "hod": (us % _D) // _H,
-                          "day": day})
-        cnt = (g.groupby(["dow", "hod"], as_index=False)
-               .agg(n=("day", "size")))
-        return cnt
-
-    cnt = coarse_agg(ev.map_batches(cells, batch_format="pandas"),
-                     ["dow", "hod"], {"n": ("n", "sum")}).to_pandas()
-
-    def days_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        day = np.unique(us // _D)
-        return pd.DataFrame({"day": day})
-
-    ev2 = _read_parquet(_t(sf_dir, "events"), columns=["ts"])
-    days = coarse_agg(ev2.map_batches(days_partial,
-                                      batch_format="pandas"),
-                      ["day"], {"n": ("day", "size")}).to_pandas()
-    dow_days = ((days["day"].astype("int64") + 4) % 7).value_counts()
-
-    cnt["dow"] = cnt["dow"].astype("int64")
-    cnt["hod"] = cnt["hod"].astype("int64")
-    cnt["n"] = cnt["n"].astype("int64")
-    cnt["n_days"] = [int(dow_days.get(d, 0)) for d in cnt["dow"]]
-    cnt["avg_events"] = [
-        float(_round_sql(n / d, 6))
-        for n, d in zip(cnt["n"], cnt["n_days"])]
-    return (cnt[["dow", "hod", "n", "n_days", "avg_events"]]
-            .sort_values(["dow", "hod"]).reset_index(drop=True))
-
-
-QUERIES.update({
-    "q_profit_by_brand": q_profit_by_brand,
-    "q_dow_profile": q_dow_profile,
-})
-
-
-# ---------------------------------------------------------------------------
 # Rolling 7-day p95 of the daily count series (robust volume monitor)
 # ---------------------------------------------------------------------------
 def q_rolling_median(sf_dir: str):
@@ -10992,74 +8302,9 @@ def q_active_days(sf_dir: str):
 # ---------------------------------------------------------------------------
 # Revenue concentration per nation (Herfindahl-Hirschman index)
 # ---------------------------------------------------------------------------
-def q_hhi(sf_dir: str):
-    """Herfindahl-Hirschman concentration of lineitem revenue across
-    suppliers, per supplier nation — HHI = Σ share² (procurement-risk
-    QA; public method).  Exact at any magnitude: per-(nation,
-    supplier) revenue folds once in integer cents; the Σr² and (Σr)²
-    terms fold per nation as DECIMAL STRINGS (a big supplier's cents²
-    overflows int64), Python-int driver fold, one float division at
-    the end (6 dp)."""
-    from bb_ocr_ray.stages.joins import auto_join
-
-    li = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_suppkey", "l_extendedprice"])
-    supp = _read_parquet(_t(sf_dir, "supplier"),
-                         columns=["s_suppkey", "s_nationkey"])
-    nation = _read_parquet(_t(sf_dir, "nation"),
-                           columns=["n_nationkey", "n_name"])
-
-    keyed = li.map_batches(
-        lambda b: pd.DataFrame({
-            "s_suppkey": b["l_suppkey"].astype("int64"),
-            "cents": _round_sql(b["l_extendedprice"] * 100.0, 0)
-            .astype("int64")}),
-        batch_format="pandas")
-    j = auto_join(keyed, supp, on="s_suppkey")
-    per_supp = coarse_agg(j.map_batches(
-        lambda b: pd.DataFrame({
-            "s_nationkey": b["s_nationkey"].astype("int64"),
-            "s_suppkey": b["s_suppkey"].astype("int64"),
-            "cents": b["cents"].astype("int64")}),
-        batch_format="pandas"),
-        ["s_nationkey", "s_suppkey"], {"cents": ("cents", "sum")})
-
-    def parts(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for nk, sub in b.groupby("s_nationkey"):
-            sq = sum(int(c) * int(c) for c in sub["cents"])
-            tot = int(sub["cents"].astype("int64").sum())
-            rows.append((int(nk), len(sub), str(sq), str(tot)))
-        return pd.DataFrame(rows, columns=["s_nationkey", "n_suppliers",
-                                           "sq", "tot"])
-
-    p = per_supp.map_batches(parts, batch_format="pandas").to_pandas()
-    agg: dict = {}
-    for nk, ns, sq, tot in zip(p["s_nationkey"], p["n_suppliers"],
-                               p["sq"], p["tot"]):
-        a = agg.setdefault(int(nk), [0, 0, 0])
-        a[0] += int(ns)
-        a[1] += int(sq)
-        a[2] += int(tot)
-    nat = nation.to_pandas()
-    names = dict(zip(nat["n_nationkey"].astype("int64"),
-                     nat["n_name"]))
-    # mirror the oracle's float-op order (int->double each term, THEN
-    # square and divide) so the rounding path is identical even past
-    # 2^53 where big-int exactness ends
-    rows = [(names[nk], a[0],
-             float(_round_sql(float(a[1])
-                              / (float(a[2]) * float(a[2])), 6)))
-            for nk, a in agg.items() if a[2] > 0]
-    out = pd.DataFrame(rows, columns=["n_name", "n_suppliers", "hhi"])
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
-    return out.sort_values("n_name").reset_index(drop=True)
 
 
-QUERIES.update({
-    "q_active_days": q_active_days,
-    "q_hhi": q_hhi,
-})
+QUERIES.update({"q_active_days": q_active_days})
 
 
 # ---------------------------------------------------------------------------

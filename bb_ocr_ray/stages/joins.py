@@ -1018,216 +1018,3 @@ def band_join(left_ds, right_ds, time_col: str, band_us: int,
         return j.drop(columns=["__win"])
 
     return both.groupby("__coarse").map_groups(merge, batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
-# Skew-salted join (hot-key mitigation for hash-partitioned joins)
-# ---------------------------------------------------------------------------
-def skew_join(left_ds, right_ds, on, how: str = "inner", salt: int = 16,
-              hot_threshold: int = 100_000, num_buckets: int | None = None,
-              _on_hot=None):
-    """Equality join that survives hot keys on the (large) probe side.
-
-    A plain hash-partitioned join routes EVERY row of a key to one
-    bucket — at web scale one 'twitter.com'-sized key can be a double-
-    digit percentage of the corpus, and that single bucket's task
-    becomes the job's wall clock while every other core idles.  The
-    classic fix (e.g. Beame et al., "Skew in Parallel Query
-    Processing", PODS 2014 — public method) splits hot keys across
-    ``salt`` buckets:
-
-      1. Hot keys are detected with a distributed count (one
-         ``coarse_agg`` over the probe side's key) filtered to
-         ``count >= hot_threshold``.  The FILTERED set is bounded by
-         ``n_rows / hot_threshold`` keys, so collecting and
-         broadcasting it is driver-safe by construction — the
-         unfiltered per-key counts never leave the tasks.
-      2. Hot probe rows get ``_salt`` in [0, salt) (round-robin per
-         batch; the join RESULT is salt-invariant, so the assignment
-         needs no cross-run determinism).  Cold rows ride salt 0.
-      3. Build rows whose key is hot are REPLICATED once per salt;
-         cold build rows ride salt 0.  Replication cost is
-         |hot build rows| * salt — hot keys are few by construction.
-      4. One ordinary :func:`hash_join` on ``keys + [_salt]``; the
-         salt column is dropped on the way out.
-
-    ``how``: inner and left are exact (every PROBE row carries exactly
-    one salt, so it is emitted or null-extended exactly once).  A full
-    outer join would emit an unmatched hot BUILD row once per replica
-    and is refused.
-
-    The detection pass re-executes the probe side's lineage once (it
-    is lazy); feed a source-backed or cheap-to-recompute Dataset, or
-    materialize first if the upstream is expensive.
-
-    Build-side-only hot keys are NOT salted: they concentrate build
-    rows, not probe rows, and the in-bucket merge already chunks the
-    probe side so a large build bucket bounds memory, not wall clock.
-
-    Measured crossover (SCALE.md §3b): on one 32-cpu box the salted
-    path loses below ~10-20 M hot rows (the hot bucket is one cheap
-    vectorized merge; detection + salting cost more than they save)
-    and wins 2.2x at 27 M hot rows.  On a multi-node cluster the
-    crossover moves sharply left — the hot bucket pins a NODE.
-    """
-    import ray
-
-    if how not in ("inner", "left"):
-        raise ValueError(f"skew_join supports inner/left, not {how!r}")
-    if salt < 2:
-        raise ValueError("salt must be >= 2 (1 would be a plain hash_join)")
-    keys = [on] if isinstance(on, str) else list(on)
-
-    from bb_ocr_ray.stages.coarse import coarse_agg
-
-    cnts = coarse_agg(left_ds, keys, {"_cnt": (keys[0], "size")})
-    hot_pd = cnts.map_batches(
-        lambda b: b[b["_cnt"] >= hot_threshold][keys],
-        batch_format="pandas").to_pandas()
-    if _on_hot is not None:
-        _on_hot(len(hot_pd))
-    if hot_pd.empty:
-        return hash_join(left_ds, right_ds, on=keys, how=how,
-                         num_buckets=num_buckets)
-
-    if len(keys) == 1:
-        hot_set = frozenset(hot_pd[keys[0]].tolist())
-
-        def _is_hot(b: pd.DataFrame, hs) -> "np.ndarray":
-            return b[keys[0]].isin(hs).to_numpy()
-    else:
-        hot_set = frozenset(map(tuple, hot_pd[keys].itertuples(index=False)))
-
-        def _is_hot(b: pd.DataFrame, hs) -> "np.ndarray":
-            return pd.Series(list(zip(*[b[k] for k in keys])),
-                             index=b.index).isin(hs).to_numpy()
-
-    import numpy as np
-
-    hot_ref = ray.put(hot_set)
-
-    def salt_probe(b: pd.DataFrame) -> pd.DataFrame:
-        hs = ray.get(hot_ref)
-        b = b.copy()
-        ishot = _is_hot(b, hs)
-        s = np.zeros(len(b), dtype="int64")
-        s[ishot] = np.arange(int(ishot.sum()), dtype="int64") % salt
-        b["_salt"] = s
-        return b
-
-    def explode_build(b: pd.DataFrame) -> pd.DataFrame:
-        hs = ray.get(hot_ref)
-        ishot = _is_hot(b, hs)
-        cold = b[~ishot].copy()
-        cold["_salt"] = np.zeros(len(cold), dtype="int64")
-        hot = b[ishot]
-        if hot.empty:
-            return cold
-        rep = hot.loc[hot.index.repeat(salt)].copy()
-        rep["_salt"] = np.tile(np.arange(salt, dtype="int64"), len(hot))
-        return pd.concat([cold, rep], ignore_index=True)
-
-    joined = hash_join(
-        left_ds.map_batches(salt_probe, batch_format="pandas"),
-        right_ds.map_batches(explode_build, batch_format="pandas"),
-        on=keys + ["_salt"], how=how, num_buckets=num_buckets)
-
-    # native-block drop, NOT Dataset.drop_columns: Project ops assume
-    # Arrow blocks and crash on the pandas blocks the bucketed join
-    # emits for object/nested payloads (see rename_columns note above)
-    def _strip(b):
-        import pyarrow as _pa
-
-        if isinstance(b, _pa.Table):
-            return b.drop_columns(["_salt"])
-        return b.drop(columns=["_salt"])
-
-    return joined.map_batches(_strip, batch_format=None)
-
-
-def interval_join(left_ds, right_ds, key, bucket_us: int,
-                  start: str = "s", end: str = "e", suffix: str = "_r",
-                  coarse_buckets: int = 64):
-    """Variable-length interval OVERLAP join: all pairs (l, r) with
-    l.key == r.key and [l.start, l.end] ∩ [r.start, r.end] ≠ ∅,
-    endpoints as integer microseconds (closed intervals, SQL's
-    ``l.s <= r.e AND r.s <= l.e``).
-
-    Generalizes :func:`band_join` (constant ±band = constant-length
-    intervals) to per-row lengths.  Time is chunked into ``bucket_us``
-    buckets; each interval replicates to EVERY bucket it touches
-    (variable fan-out — that is the price of variable lengths), one
-    coarse shuffle co-locates bucket contents, and the exact overlap
-    predicate runs vectorized per task.  A qualifying pair meets in
-    every shared bucket, so each pair is EMITTED exactly once: only in
-    the bucket containing max(l.start, r.start) — the overlap's first
-    microsecond, which both intervals span by definition.
-
-    Partitioning assumptions (documented per the operator brief):
-    ``bucket_us`` should be of the order of a typical interval length —
-    replication factor is mean_length/bucket_us + 1, so tiny buckets
-    explode long intervals (a year-long interval over 1 s buckets is
-    3x10^7 copies; split pathological intervals upstream or raise
-    ``bucket_us``).  Rows with NULL endpoints or end < start cannot
-    satisfy the SQL predicate meaningfully and are dropped.
-    """
-    import numpy as np
-
-    keys = [key] if isinstance(key, str) else list(key)
-    left_cols = list(left_ds.schema().names)
-    right_cols = list(right_ds.schema().names)
-    all_cols = left_cols + [c for c in right_cols if c not in left_cols]
-
-    def tag(side: int):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.dropna(subset=keys + [start, end]).copy()
-            s = batch[start].to_numpy(np.int64)
-            e = batch[end].to_numpy(np.int64)
-            ok = s <= e
-            batch, s, e = batch[ok], s[ok], e[ok]
-            for c in all_cols:
-                if c not in batch.columns:
-                    batch[c] = None
-            batch = batch[all_cols]
-            w0 = s // bucket_us
-            cnt = (e // bucket_us - w0 + 1)
-            idx = np.repeat(np.arange(len(batch)), cnt)
-            off = (np.arange(int(cnt.sum()))
-                   - np.repeat(np.cumsum(cnt) - cnt, cnt))
-            out = batch.iloc[idx].copy()
-            out["__win"] = w0[idx] + off
-            out["__side"] = np.int8(side)
-            out["__coarse"] = ((out["__win"].to_numpy(np.uint64)
-                                * np.uint64(_KNUTH)) % np.uint64(1 << 32)
-                               % coarse_buckets).astype(np.int64)
-            return out
-
-        return fn
-
-    both = left_ds.map_batches(tag(0), batch_format="pandas",
-                               batch_size=_TAG_BATCH).union(
-        right_ds.map_batches(tag(1), batch_format="pandas",
-                             batch_size=_TAG_BATCH))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        left = g[g["__side"] == 0][left_cols + ["__win"]]
-        right = g[g["__side"] == 1][right_cols + ["__win"]]
-        right = right.rename(columns={c: (c if (c in keys or c == "__win"
-                                               or c not in left_cols)
-                                          else c + suffix)
-                                      for c in right.columns})
-        j = left.merge(right, on=keys + ["__win"])
-        if j.empty:
-            return j.drop(columns=["__win"])
-        ls = j[start].to_numpy(np.int64)
-        le = j[end].to_numpy(np.int64)
-        rs = j[start + suffix].to_numpy(np.int64)
-        re_ = j[end + suffix].to_numpy(np.int64)
-        ov0 = np.maximum(ls, rs)
-        keep = ((ls <= re_) & (rs <= le)
-                & (ov0 // bucket_us == j["__win"].to_numpy(np.int64)))
-        return j[keep].drop(columns=["__win"])
-
-    return both.groupby("__coarse").map_groups(merge, batch_format="pandas")

@@ -28,7 +28,7 @@ De-funneled design (round 3): the driver never iterates the stream.
   stays O(open keys + lateness buffer).
 
 NULL user_id rows are dropped at routing (repo convention for user
-aggregates, same as q_sessionize / q_pivot_events).
+aggregates, same as q_sessionize).
 """
 
 from __future__ import annotations

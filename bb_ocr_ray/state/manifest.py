@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -61,11 +62,15 @@ def plan_partitions(fragments: list, n_partitions: int) -> list:
     ]
 
 
-def output_digest(urls: list, text_lens: list) -> str:
-    """sha256 over sorted (url, len(text)) pairs — the lineage digest."""
+def output_digest(urls: list, texts: list) -> str:
+    """sha256 over sorted (url, text) pairs — the lineage digest.
+
+    Each field is length-prefixed, so no url or text content can be
+    confused with a field or pair boundary."""
     h = hashlib.sha256()
-    for u, n in sorted(zip(urls, text_lens)):
-        h.update(f"{u}\x1f{n}\x1e".encode("utf-8"))
+    for u, t in sorted(zip(urls, texts)):
+        u, t = str(u), str(t)
+        h.update(f"{len(u)}:{u}{len(t)}:{t}".encode("utf-8"))
     return h.hexdigest()
 
 
@@ -201,25 +206,12 @@ def run_resumable_extract(sf_dir: str, out_root: str, n_partitions: int = 8,
     completed partitions are skipped via the manifest anti-join.
     """
     from bb_ocr_ray.config import DEFAULT_PIPELINE
+    from bb_ocr_ray.pipelines.extract_pipeline import extract_pages
 
     cfg = pipeline_cfg or DEFAULT_PIPELINE
-    # honor the payload budget for the whole per-partition pipeline (the
-    # DataContext is snapshotted at Dataset creation — see sizing.py)
-    import contextlib
-
-    from bb_ocr_ray.stages.sizing import block_budget
-
-    budget_ctx = (
-        block_budget(cfg.payload_block_budget_mb << 20)
-        if cfg.payload_block_budget_mb else contextlib.nullcontext()
-    )
-    fragments = [os.path.join(sf_dir, "documents.parquet")]
-    plans = plan_partitions(fragments, n_partitions)
-    manifest = RunManifest(out_root)
-    done = manifest.completed()
-
-    with budget_ctx:
-        return _run_partitions(plans, manifest, done, sf_dir, cfg)
+    return _run_partitions(
+        sf_dir, out_root, n_partitions, cfg,
+        stage=lambda pages: extract_pages(pages, cfg))
 
 
 def _skip_completed(plan, prior, part_dir) -> bool:
@@ -289,40 +281,67 @@ def _read_back(part_tmp_dir: str, columns: list):
     return pq.read_table(part_tmp_dir, columns=columns)
 
 
-def _run_partitions(plans, manifest, done, sf_dir, cfg):
-    from bb_ocr_ray.pipelines.extract_pipeline import extract_pages
+def _run_partitions(sf_dir, out_root, n_partitions, cfg, stage,
+                    partition_cols=None, extra_metrics=None):
+    """The resumable partition loop shared by both runners.
 
-    out_root = manifest.root
+    For each planned partition not already complete: ``stage`` maps
+    the partition's page stream to the Dataset to publish, which is
+    written (hive-split by ``partition_cols``) to a temp dir, read
+    back for the lineage digest, atomically renamed to
+    ``part-{pid:05d}`` and recorded in the manifest.  The digest key
+    is the url joined by ``\\x1f`` with the row's partition values, so
+    a row moved between sinks changes it.  ``extra_metrics(table)``
+    adds runner-specific counters to the record's metrics.  Returns
+    (n_run, n_skipped)."""
+    import contextlib
+
+    from bb_ocr_ray.stages.sizing import block_budget
+
+    # honor the payload budget for the whole per-partition pipeline (the
+    # DataContext is snapshotted at Dataset creation — see sizing.py)
+    budget_ctx = (
+        block_budget(cfg.payload_block_budget_mb << 20)
+        if cfg.payload_block_budget_mb else contextlib.nullcontext()
+    )
+    fragments = [os.path.join(sf_dir, "documents.parquet")]
+    plans = plan_partitions(fragments, n_partitions)
+    manifest = RunManifest(out_root)
+    done = manifest.completed()
+
+    key_cols = ["url", *(partition_cols or [])]
     n_run = n_skipped = 0
-    for plan in plans:
-        part_dir = os.path.join(out_root, f"part-{plan.partition_id:05d}")
-        if _skip_completed(plan, done.get(plan.partition_id), part_dir):
-            n_skipped += 1
-            continue
-        extracted = extract_pages(_pages_for_plan(plan, cfg), cfg)
+    with budget_ctx:
+        for plan in plans:
+            part_dir = os.path.join(out_root,
+                                    f"part-{plan.partition_id:05d}")
+            if _skip_completed(plan, done.get(plan.partition_id), part_dir):
+                n_skipped += 1
+                continue
+            out_ds = stage(_pages_for_plan(plan, cfg))
 
-        import time as _time
-
-        t0 = _time.time()
-        tmp_dir = f"{part_dir}.tmp.{os.getpid()}"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        extracted.write_parquet(tmp_dir)
-        os.makedirs(tmp_dir, exist_ok=True)  # empty partition: 0 files
-        out_tbl = _read_back(tmp_dir, ["url", "text"])
-        digest = output_digest(
-            out_tbl.column("url").to_pylist(),
-            [len(t) for t in out_tbl.column("text").to_pylist()],
-        )
-        shutil.rmtree(part_dir, ignore_errors=True)
-        os.replace(tmp_dir, part_dir)                    # atomic publish
-        wall = _time.time() - t0
-        manifest.record(plan, out_tbl.num_rows, digest, metrics={
-            "wall_s": round(wall, 3),
-            "docs_per_sec": round(out_tbl.num_rows / wall, 1) if wall else 0,
-            "extracted_chars": int(sum(len(t) for t in
-                                       out_tbl.column("text").to_pylist())),
-        })
-        n_run += 1
+            t0 = time.time()
+            tmp_dir = f"{part_dir}.tmp.{os.getpid()}"
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            out_ds.write_parquet(tmp_dir, partition_cols=partition_cols)
+            os.makedirs(tmp_dir, exist_ok=True)  # empty partition: 0 files
+            out_tbl = _read_back(tmp_dir, [*key_cols, "text"])
+            keys = ["\x1f".join(map(str, k)) for k in
+                    zip(*(out_tbl.column(c).to_pylist() for c in key_cols))]
+            texts = out_tbl.column("text").to_pylist()
+            digest = output_digest(keys, texts)
+            shutil.rmtree(part_dir, ignore_errors=True)
+            os.replace(tmp_dir, part_dir)                # atomic publish
+            wall = time.time() - t0
+            metrics = {
+                "wall_s": round(wall, 3),
+                "docs_per_sec": round(out_tbl.num_rows / wall, 1) if wall else 0,
+                "extracted_chars": sum(map(len, texts)),
+            }
+            if extra_metrics is not None:
+                metrics.update(extra_metrics(out_tbl))
+            manifest.record(plan, out_tbl.num_rows, digest, metrics=metrics)
+            n_run += 1
     return n_run, n_skipped
 
 
@@ -340,59 +359,22 @@ def run_resumable_lifecycle(sf_dir: str, out_root: str,
     atomically-published partition dir, so a kill can never leave an
     accepted row without its sibling reject set: either the whole
     partition (both sinks) published, or neither did.  The lineage
-    digest covers (url, decision, len(text)) so a divergent rerun of
+    digest covers (url, decision, text) so a divergent rerun of
     either sink is refused.
 
     Returns (n_run, n_skipped)."""
-    import contextlib
-
-
     from bb_ocr_ray.config import DEFAULT_PIPELINE
     from bb_ocr_ray.pipelines.lifecycle import lifecycle_decided
-    from bb_ocr_ray.stages.sizing import block_budget
 
     cfg = pipeline_cfg or DEFAULT_PIPELINE
-    budget_ctx = (
-        block_budget(cfg.payload_block_budget_mb << 20)
-        if cfg.payload_block_budget_mb else contextlib.nullcontext()
-    )
-    fragments = [os.path.join(sf_dir, "documents.parquet")]
-    plans = plan_partitions(fragments, n_partitions)
-    manifest = RunManifest(out_root)
-    done = manifest.completed()
 
-    n_run = n_skipped = 0
-    with budget_ctx:
-        for plan in plans:
-            part_dir = os.path.join(out_root,
-                                    f"part-{plan.partition_id:05d}")
-            if _skip_completed(plan, done.get(plan.partition_id), part_dir):
-                n_skipped += 1
-                continue
-            decided = lifecycle_decided(_pages_for_plan(plan, cfg),
-                                        llm_backend, llm_model, cfg=cfg)
-            import time as _time
+    def decision_counts(tbl) -> dict:
+        decisions = [str(d) for d in tbl.column("decision").to_pylist()]
+        return {"n_accepted": decisions.count("accepted"),
+                "n_rejected": decisions.count("rejected")}
 
-            t0 = _time.time()
-            tmp_dir = f"{part_dir}.tmp.{os.getpid()}"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            decided.write_parquet(tmp_dir, partition_cols=["decision"])
-            os.makedirs(tmp_dir, exist_ok=True)  # empty partition
-            out_tbl = _read_back(tmp_dir, ["url", "text", "decision"])
-            decisions = [str(d) for d in
-                         out_tbl.column("decision").to_pylist()]
-            digest = output_digest(
-                [f"{u}\x1f{d}" for u, d in
-                 zip(out_tbl.column("url").to_pylist(), decisions)],
-                [len(t) for t in out_tbl.column("text").to_pylist()],
-            )
-            shutil.rmtree(part_dir, ignore_errors=True)
-            os.replace(tmp_dir, part_dir)                # atomic publish
-            wall = _time.time() - t0
-            manifest.record(plan, out_tbl.num_rows, digest, metrics={
-                "wall_s": round(wall, 3),
-                "n_accepted": decisions.count("accepted"),
-                "n_rejected": decisions.count("rejected"),
-            })
-            n_run += 1
-    return n_run, n_skipped
+    return _run_partitions(
+        sf_dir, out_root, n_partitions, cfg,
+        stage=lambda pages: lifecycle_decided(pages, llm_backend,
+                                              llm_model, cfg=cfg),
+        partition_cols=["decision"], extra_metrics=decision_counts)

@@ -213,26 +213,17 @@ def run_plain() -> dict:
         "q_link_graph": bench_query(Q.q_link_graph, SF_DIR),
         "q_pagerank": bench_query(Q.q_pagerank, SF_DIR),
         # round-4 showcase ops: coarse-bucketed simhash banding, the
-        # 2-pass bigram-LM quality scorer, bucket-vectorized Markov
-        # transitions, per-domain boilerplate removal
+        # 2-pass bigram-LM quality scorer, per-domain boilerplate removal
         "q_simhash_near_dups": bench_query(Q.q_simhash_near_dups, SF_DIR),
         "q_lm_quality": bench_query(Q.q_lm_quality, SF_DIR),
-        "q_transitions": bench_query(Q.q_transitions, SF_DIR),
         "q_boilerplate": bench_query(Q.q_boilerplate, SF_DIR),
-        # round-5 showcase ops: two-pass exact heavy hitters, HITS
-        # link analysis, sort-free exact selection
-        "q_heavy_hitters": bench_query(Q.q_heavy_hitters, SF_DIR),
+        # round-5 showcase ops: HITS link analysis, corpus-wide
+        # distinct-(source, token) vocabulary overlap, URL
+        # canonicalization fold, pairwise source JS divergence
+        # (token-bucket pair fold)
         "q_hits": bench_query(Q.q_hits, SF_DIR),
-        "q_exact_kth": bench_query(Q.q_exact_kth, SF_DIR),
-        # fourth-session showcase ops: corpus-wide distinct-(source,
-        # token) vocabulary overlap, URL canonicalization fold
         "q_source_overlap": bench_query(Q.q_source_overlap, SF_DIR),
         "q_url_canonical": bench_query(Q.q_url_canonical, SF_DIR),
-        # seventh-session showcase ops: gaps-and-islands streaks (one
-        # user shuffle), day-bucketed 1h sliding-window burst peaks,
-        # and pairwise source JS divergence (token-bucket pair fold)
-        "q_streak": bench_query(Q.q_streak, SF_DIR),
-        "q_burst_peak": bench_query(Q.q_burst_peak, SF_DIR),
         "q_js_divergence": bench_query(Q.q_js_divergence, SF_DIR),
     }
     out = {

@@ -129,13 +129,6 @@ def test_hll_bucket_rho_golden():
         assert hll_bucket_rho(k) == v, k
 
 
-def test_bloom_positions_golden():
-    from bb_ocr_ray.functions.hashing import bloom_positions_u64
-
-    for k, v in BLOOM.items():
-        assert bloom_positions_u64(k) == v, k
-
-
 def test_cms_buckets_golden():
     from bb_ocr_ray.functions.hashing import cms_buckets
 

@@ -43,3 +43,19 @@ def test_registry_and_oracles_align():
 
     assert set(QUERIES) == set(ORACLES), (
         sorted(set(QUERIES) ^ set(ORACLES)))
+
+
+def test_correctness_artifact_queries_are_registered():
+    # the correctness gate runs every query named in the committed
+    # CORRECTNESS artifact; deleting one from either dict would turn a
+    # checked query into a missing one
+    import json
+
+    from bb_ocr_ray.pipelines.oracles import ORACLES
+    from bb_ocr_ray.pipelines.queries import QUERIES
+
+    checked = json.loads(
+        (SRC.parent.parent / "CORRECTNESS_r05.json").read_text())
+    assert len(checked) == 50
+    assert not set(checked) - set(QUERIES), sorted(set(checked) - set(QUERIES))
+    assert not set(checked) - set(ORACLES), sorted(set(checked) - set(ORACLES))

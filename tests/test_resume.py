@@ -106,6 +106,39 @@ def test_kill_restart_no_dupes_no_missing(ray_session, sf_tiny, tmp_path):
     assert man2[0]["digest"] == man[0]["digest"]
 
 
+def test_manifest_digest_covers_published_content(ray_session, sf_tiny,
+                                                  tmp_path):
+    """Each partition's manifest digest is output_digest over the
+    (url, text) rows it published — a same-length content change must
+    change the digest, so lengths alone do not count."""
+    out_root = str(tmp_path / "content")
+    run_resumable_extract(sf_tiny, out_root, 3)
+    man = RunManifest(out_root).completed()
+    assert len(man) == 3
+    for pid, rec in man.items():
+        t = pq.read_table(os.path.join(out_root, f"part-{pid:05d}"),
+                          columns=["url", "text"])
+        urls = t.column("url").to_pylist()
+        texts = t.column("text").to_pylist()
+        assert rec["digest"] == output_digest(urls, texts), pid
+        assert rec["row_count"] == len(urls)
+    assert output_digest(["a"], ["xy"]) != output_digest(["a"], ["yx"])
+
+    # the lifecycle runner keys its digest by url and decision sink
+    from bb_ocr_ray.state.manifest import run_resumable_lifecycle
+
+    lc_root = str(tmp_path / "lc")
+    run_resumable_lifecycle(sf_tiny, lc_root, 2)
+    for pid, rec in RunManifest(lc_root).completed().items():
+        t = pq.read_table(os.path.join(lc_root, f"part-{pid:05d}"),
+                          columns=["url", "text", "decision"])
+        keys = [f"{u}\x1f{d}" for u, d in
+                zip(t.column("url").to_pylist(),
+                    t.column("decision").to_pylist())]
+        assert rec["digest"] == output_digest(
+            keys, t.column("text").to_pylist()), pid
+
+
 def test_lifecycle_kill_restart_both_sinks(ray_session, sf_tiny, tmp_path):
     """Kill mid-lifecycle, restart: 0 duplicates / 0 missing across
     BOTH the accepted and rejected sinks, and both sinks publish

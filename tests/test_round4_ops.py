@@ -272,36 +272,3 @@ def test_crawl_schedule_null_domain_partition(ray_session, tmp_path):
     assert got["doc_id"].tolist() == [1, 2, 3, 4, 6, 5]
     assert got["r"].tolist() == [1, 1, 1, 2, 2, 2]
     assert got["slot"].tolist() == [1, 2, 3, 4, 5, 6]
-
-
-def test_hll_intersect_estimate_and_exact(ray_session, sf_small):
-    """The part='x' row equals the true intersection, and the
-    inclusion-exclusion estimate from the a/b/u register states lands
-    within the compounded HLL error band (m=64 -> ~13% per sketch)."""
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.functions.hashing import hll_estimate
-    from bb_ocr_ray.pipelines.queries import q_hll_intersect
-
-    out = q_hll_intersect(sf_small)
-    ev = pq.read_table(f"{sf_small}/events.parquet",
-                       columns=["event_type", "user_id"]).to_pandas()
-    ev = ev.dropna(subset=["user_id"])
-    cu = set(ev[ev["event_type"] == "click"]["user_id"].astype(int))
-    vu = set(ev[ev["event_type"] == "view"]["user_id"].astype(int))
-    true_x = len(cu & vu)
-    x = int(out[out["part"] == "x"]["val"].iloc[0])
-    assert x == true_x
-
-    def est(part):
-        sub = out[out["part"] == part]
-        return hll_estimate(dict(zip(sub["bucket"], sub["val"])))
-
-    approx = est("a") + est("b") - est("u")
-    assert abs(approx - true_x) <= max(0.5 * true_x, 10)
-    # union registers really are the elementwise max
-    a = out[out["part"] == "a"].set_index("bucket")["val"]
-    b = out[out["part"] == "b"].set_index("bucket")["val"]
-    u = out[out["part"] == "u"].set_index("bucket")["val"]
-    for k in u.index:
-        assert u[k] == max(a.get(k, 0), b.get(k, 0))

@@ -1,6 +1,6 @@
 """Round-5 second-session operator differentials: CDC changelog merge
-(latest-wins + tombstones vs a pandas reference), SCD2
-intervalization, and the fixed-round k-core peel."""
+(latest-wins + tombstones vs a pandas reference), interval coverage
+vs a brute-force island merge, and the fixed-round k-core peel."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -66,47 +66,6 @@ def test_merge_changelog_tombstone_edge_cases(ray_session):
     assert list(got["k"]) == ["b", "c"]
     assert list(got["payload"]) == ["b0", "c2"]
     assert list(got["n_versions"]) == [1, 3]
-
-
-def test_scd2_hand_case(ray_session, tmp_path):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_scd2
-
-    # user 1: view,view,click,view -> 3 runs; user 2: one open run;
-    # NULL user drops
-    ts = pd.to_datetime([
-        "2026-01-01 00:00:00", "2026-01-01 00:10:00",
-        "2026-01-01 00:20:00", "2026-01-01 00:30:00",
-        "2026-01-01 01:00:00", "2026-01-01 01:30:00",
-        "2026-01-01 02:00:00",
-    ])
-    events = pd.DataFrame({
-        "event_id": np.arange(7, dtype="int64"),
-        "ts": ts.astype("datetime64[us]"),
-        "user_id": pd.array([1, 1, 1, 1, 2, 2, None], dtype="Int64"),
-        "event_type": ["view", "view", "click", "view",
-                       "buy", "buy", "view"],
-        "value": np.ones(7), "props": ["{}"] * 7,
-    })
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    pq.write_table(pa.Table.from_pandas(events, preserve_index=False),
-                   sf / "events.parquet")
-
-    out = q_scd2(str(sf))
-    u1 = out[out["user_id"] == 1]
-    assert list(u1["event_type"]) == ["view", "click", "view"]
-    assert list(u1["n_events"]) == [2, 1, 1]
-    # runs chain: each valid_to equals the next valid_from; last open
-    assert list(u1["valid_to_us"].iloc[:2]) == list(
-        u1["valid_from_us"].iloc[1:])
-    assert np.isnan(u1["valid_to_us"].iloc[-1])
-    u2 = out[out["user_id"] == 2]
-    assert len(u2) == 1 and u2["n_events"].iloc[0] == 2
-    assert np.isnan(u2["valid_to_us"].iloc[0])
-    assert set(out["user_id"]) == {1, 2}
 
 
 def _kcore_reference(edges: pd.DataFrame, k: int) -> pd.DataFrame:

@@ -1,6 +1,5 @@
 """Round-5 sixth-session batch-B differentials: rolling 7-day
-distinct actives vs a per-day brute-force set count, cohort LTV vs a
-pandas merge, norm bands vs per-vector numpy norms, and the term scan
+distinct actives vs a per-day brute-force set count, norm bands vs per-vector numpy norms, and the term scan
 vs Python str.count."""
 import numpy as np
 import pandas as pd
@@ -60,42 +59,6 @@ def test_rolling_actives_single_user_runs(ray_session, tmp_path):
     assert list(got.index) == [0, 3, 20]
     assert got["mau7"].tolist() == [1, 1, 1]   # never double-counted
     assert got["dau"].tolist() == [1, 1, 1]
-
-
-# ----------------------------------------------------------- cohort LTV
-def test_cohort_ltv_matches_pandas_merge(ray_session, tmp_path):
-    rng = np.random.RandomState(14)
-    n = 5000
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype="int64"),
-        "user_id": rng.randint(0, 200, n).astype("int64"),
-        "event_type": rng.choice(["signup", "purchase", "view"], n,
-                                 p=[0.1, 0.3, 0.6]),
-        "value": np.round(rng.gamma(2.0, 30.0, n), 2),
-        "ts": pd.Timestamp("2024-01-01")
-        + pd.to_timedelta(rng.randint(0, 70 * 86400, n), unit="s")})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_cohort_ltv
-    got = q_cohort_ltv(sf)
-
-    d = ev.copy()
-    d["week"] = (d["ts"].astype("datetime64[us]").astype("int64")
-                 // (7 * 86_400_000_000))
-    s = (d[d["event_type"] == "signup"].groupby("user_id")["week"]
-         .min().rename("cohort_week"))
-    p = d[d["event_type"] == "purchase"].copy()
-    p["cents"] = np.rint(p["value"].to_numpy() * 100).astype("int64")
-    m = p.merge(s, left_on="user_id", right_index=True)   # inner
-    m["week_offset"] = m["week"] - m["cohort_week"]
-    want = (m.groupby(["cohort_week", "week_offset"])
-            .agg(n_purchases=("cents", "size"),
-                 revenue_cents=("cents", "sum")).reset_index()
-            .sort_values(["cohort_week", "week_offset"])
-            .reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want.astype("int64"))
-    # purchases before the user's first signup appear as negative offsets
-    assert (got["week_offset"] < 0).any()
 
 
 # ----------------------------------------------------------- norm bands

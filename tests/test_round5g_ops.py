@@ -1,7 +1,6 @@
 """Round-5 sixth-session batch-C differentials: Heaps vocab growth vs
-set-prefix counting, shard balance vs per-domain hashing, prefix
-cluster sizes vs Counter arithmetic, and RFM cells vs a pandas
-groupby."""
+set-prefix counting, shard balance vs per-domain hashing, and prefix
+cluster sizes vs Counter arithmetic."""
 import numpy as np
 import pandas as pd
 
@@ -95,39 +94,3 @@ def test_dup_cluster_sizes_matches_counter(ray_session, tmp_path):
         assert got.loc[sz, "n_clusters"] == n_cl
         assert got.loc[sz, "n_docs"] == sz * n_cl
     assert int(got["n_docs"].sum()) == len(texts)
-
-
-# ------------------------------------------------------------------ RFM
-def test_rfm_matches_pandas_reference(ray_session, tmp_path):
-    rng = np.random.RandomState(18)
-    n = 4000
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype="int64"),
-        "user_id": rng.randint(0, 250, n).astype("int64"),
-        "event_type": rng.choice(["purchase", "view"], n, p=[0.4, 0.6]),
-        "value": np.round(rng.gamma(2.0, 25.0, n) + 0.01, 2),
-        "ts": pd.Timestamp("2024-01-01")
-        + pd.to_timedelta(rng.randint(0, 90 * 86400, n), unit="s")})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_rfm
-    got = q_rfm(sf)
-
-    p = ev[ev["event_type"] == "purchase"].copy()
-    p["day"] = (p["ts"].astype("datetime64[us]").astype("int64")
-                // 86_400_000_000)
-    p["cents"] = np.rint(p["value"].to_numpy() * 100).astype("int64")
-    md = int(p["day"].max())
-    pu = p.groupby("user_id").agg(last_day=("day", "max"),
-                                  f=("cents", "size"),
-                                  cents=("cents", "sum"))
-    cells = pd.DataFrame({
-        "r_band": (md - pu["last_day"]) // 7,
-        "f_band": [int(x).bit_length() for x in pu["f"]],
-        "m_band": [(int(x) // 100).bit_length() for x in pu["cents"]]})
-    want = (cells.groupby(["r_band", "f_band", "m_band"])
-            .size().rename("n_users").reset_index()
-            .sort_values(["r_band", "f_band", "m_band"])
-            .reset_index(drop=True).astype("int64"))
-    pd.testing.assert_frame_equal(got, want)
-    assert int(got["n_users"].sum()) == p["user_id"].nunique()

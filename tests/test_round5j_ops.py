@@ -1,6 +1,6 @@
 """Round-5 seventh-session batch-C differentials: 2-hop reach vs a
-networkx-free BFS, weekly churn vs per-user set logic, and winsorized
-mean vs a direct clamp on a skewed planted distribution."""
+networkx-free BFS, and winsorized mean vs a direct clamp on a skewed
+planted distribution."""
 import math
 
 import numpy as np
@@ -52,37 +52,6 @@ def test_two_hop_matches_bfs(ray_session, tmp_path):
         reach.discard(s)
         assert int(r["n_within_2"]) == len(reach), s
         assert int(r["degree"]) == deg[s]
-
-
-# ------------------------------------------------------------------- churn
-def test_churn_matches_set_logic(ray_session, tmp_path):
-    # user 0 active weeks 0,1,2 (never churns until last-week cut);
-    # user 1 active weeks 0,2 (churns at 0); user 2 active week 1 only
-    active = {0: [0, 1, 2], 1: [0, 2], 2: [1]}
-    rows = []
-    for u, wks in active.items():
-        for w in wks:
-            rows.append((u, w * _WEEK + u * 1000))
-            rows.append((u, w * _WEEK + u * 1000 + 1))   # dup events
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.to_datetime([r[1] for r in rows], unit="us"),
-        "user_id": np.array([r[0] for r in rows], dtype="int64"),
-        "event_type": "click", "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_churn
-    got = q_churn(sf).set_index("week")
-
-    # max week = 2 is excluded
-    assert list(got.index) == [0, 1]
-    # week 0: users {0,1} active; 1 lacks week 1 -> churned
-    assert int(got.loc[0, "n_active"]) == 2
-    assert int(got.loc[0, "n_churned"]) == 1
-    assert abs(got.loc[0, "churn_rate"] - 0.5) < 1e-9
-    # week 1: users {0,2}; 0 has week 2, 2 does not
-    assert int(got.loc[1, "n_active"]) == 2
-    assert int(got.loc[1, "n_churned"]) == 1
 
 
 # --------------------------------------------------------------- winsorize

@@ -1,7 +1,6 @@
 """Round-5 seventh-session batch-E differentials: token length
-histogram vs a Counter walk, bigram entropies vs closed forms on a
-planted deterministic/uniform corpus, and event-path trigrams vs a
-per-user sequence walk."""
+histogram vs a Counter walk, and bigram entropies vs closed forms on a
+planted deterministic/uniform corpus."""
 import math
 
 import numpy as np
@@ -67,38 +66,3 @@ def test_ngram_entropy_closed_forms(ray_session, tmp_path):
                - round(h_joint / math.log(2), 6)) < 1e-9
     assert abs(got2["h_cond"].iloc[0]
                - round((h_joint - h_prev) / math.log(2), 6)) < 1e-9
-
-
-# -------------------------------------------------------------- event paths
-def test_event_paths_matches_sequence_walk(ray_session, tmp_path):
-    rng = np.random.RandomState(13)
-    types = np.array(["view", "click", "purchase"])
-    rows = []
-    for u in range(30):
-        k = rng.randint(1, 15)
-        for i in range(k):
-            rows.append((u, u * 10_000_000 + i * 1000,
-                         types[rng.randint(3)]))
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.to_datetime([r[1] for r in rows], unit="us"),
-        "user_id": np.array([r[0] for r in rows], dtype="int64"),
-        "event_type": [r[2] for r in rows],
-        "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_event_paths
-    got = q_event_paths(sf)
-
-    from collections import Counter
-    want: Counter = Counter()
-    df = ev.sort_values(["user_id", "ts", "event_id"])
-    for _, g in df.groupby("user_id"):
-        et = list(g["event_type"])
-        for i in range(len(et) - 2):
-            want[f"{et[i]}>{et[i + 1]}>{et[i + 2]}"] += 1
-    top = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    assert list(zip(got["path"], got["n"])) == top
-    # trigrams never cross users: total trigram mass matches the walk
-    assert sum(want.values()) == sum(
-        max(0, len(g) - 2) for _, g in df.groupby("user_id"))

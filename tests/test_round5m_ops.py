@@ -1,7 +1,6 @@
 """Round-5 seventh-session batch-F differentials: zone-map pruning on
-clustered vs anti-clustered layouts, the Hill tail index on a planted
-Pareto sample, and exact F2 vs big-int arithmetic (incl. an
-int64-overflowing planted heavy user)."""
+clustered vs anti-clustered layouts, and exact F2 vs big-int arithmetic
+(incl. an int64-overflowing planted heavy user)."""
 import numpy as np
 import pandas as pd
 
@@ -42,52 +41,6 @@ def test_zone_map_clustered_vs_shuffled(ray_session, tmp_path):
     got2 = q_zone_map(sf2)
     assert int(got2["n_prunable"].iloc[0]) <= 1   # overwhelmingly unprunable
     assert got2["prune_ratio"].iloc[0] < 0.2
-
-
-# -------------------------------------------------------------- tail index
-def test_tail_index_recovers_pareto_alpha(ray_session, tmp_path):
-    rng = np.random.RandomState(21)
-    n_users = 800
-    alpha_true = 1.5
-    # Pareto counts: c_u = ceil(x) with x ~ Pareto(alpha)
-    c = np.ceil((1.0 / rng.uniform(size=n_users)) ** (1 / alpha_true)
-                * 5).astype("int64")
-    rows = np.repeat(np.arange(n_users, dtype="int64"), c)
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.Timestamp("2024-01-01"),
-        "user_id": rows, "event_type": "click",
-        "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_tail_index
-    got = q_tail_index(sf)
-
-    # independent Hill computation
-    x = np.sort(c)[::-1].astype("float64")
-    k = 100
-    hill = float(np.log(x[:k] / x[k]).sum() / k)
-    assert int(got["k"].iloc[0]) == k
-    assert int(got["x_kplus1"].iloc[0]) == int(x[k])
-    assert abs(got["hill"].iloc[0] - round(hill, 6)) < 1e-9
-    # estimator lands near the planted exponent
-    assert 1.0 < got["alpha"].iloc[0] < 2.3
-
-
-def test_tail_index_small_input_shrinks_k(ray_session, tmp_path):
-    c = np.array([10, 5, 3, 2, 1], dtype="int64")
-    rows = np.repeat(np.arange(5, dtype="int64"), c)
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.Timestamp("2024-01-01"),
-        "user_id": rows, "event_type": "click",
-        "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_tail_index
-    got = q_tail_index(sf)
-    assert int(got["k"].iloc[0]) == 4          # n_users - 1
-    assert int(got["x_kplus1"].iloc[0]) == 1
 
 
 # --------------------------------------------------------------------- f2

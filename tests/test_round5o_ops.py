@@ -1,7 +1,6 @@
-"""Round-5 seventh-session batch-H differentials: bounce rate vs a
-per-user session walk (with a planted equal-timestamp tiebreak),
-Lorenz deciles vs a full per-user sort (incl. exact boundary cuts),
-and ship delay vs direct date arithmetic."""
+"""Round-5 seventh-session batch-H differentials: Lorenz deciles vs a
+full per-user sort (incl. exact boundary cuts), and ship delay vs direct
+date arithmetic."""
 import numpy as np
 import pandas as pd
 
@@ -15,34 +14,6 @@ def _write(tmp_path, **tables):
 
 
 _MIN = 60_000_000
-
-
-# ------------------------------------------------------------- bounce rate
-def test_bounce_rate_matches_session_walk(ray_session, tmp_path):
-    rows = []
-    # user 0: two sessions — [0, 10min] (2 events) and [2h] (bounce)
-    rows += [(0, 0), (0, 10 * _MIN), (0, 120 * _MIN)]
-    # user 1: single event (bounce)
-    rows += [(1, 0)]
-    # user 2: events exactly 30min apart -> SAME session (<= gap)
-    rows += [(2, 0), (2, 30 * _MIN), (2, 60 * _MIN)]
-    # user 3: 31-minute gaps -> every event its own session
-    rows += [(3, 0), (3, 31 * _MIN), (3, 62 * _MIN)]
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.to_datetime([r[1] for r in rows], unit="us"),
-        "user_id": np.array([r[0] for r in rows], dtype="int64"),
-        "event_type": "view", "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_bounce_rate
-    got = q_bounce_rate(sf)
-
-    # sessions: u0 -> 2 (one bounce), u1 -> 1 (bounce), u2 -> 1,
-    # u3 -> 3 (all bounces)
-    assert int(got["n_sessions"].iloc[0]) == 7
-    assert int(got["n_bounce"].iloc[0]) == 5
-    assert abs(got["bounce_rate"].iloc[0] - round(5 / 7, 6)) < 1e-9
 
 
 # ------------------------------------------------------------------ lorenz

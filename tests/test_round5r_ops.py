@@ -1,7 +1,6 @@
 """Round-5 seventh-session batch-K differentials: the langid confusion
-matrix vs per-doc detect_lang calls, vocabulary coverage vs a sorted
-cumulative walk, and conversion lag vs explicit per-user first-event
-logic (incl. purchase-before-view exclusion)."""
+matrix vs per-doc detect_lang calls, and vocabulary coverage vs a
+sorted cumulative walk."""
 import numpy as np
 import pandas as pd
 
@@ -12,9 +11,6 @@ def _write(tmp_path, **tables):
     for name, df in tables.items():
         df.to_parquet(sf / f"{name}.parquet", index=False)
     return str(sf)
-
-
-_DAY = 86_400_000_000
 
 
 # ------------------------------------------------------------ lang confusion
@@ -77,35 +73,3 @@ def test_vocab_coverage_matches_cumulative_walk(ray_session, tmp_path):
     assert list(got["k"]) == [k for k in (1, 2, 4, 8, 16, 32, 64, 128)
                               if k <= len(cnt)]
     assert got["coverage"].is_monotonic_increasing
-
-
-# ------------------------------------------------------------ conversion lag
-def test_conversion_lag_first_event_logic(ray_session, tmp_path):
-    rows = []
-    # user 0: view day 0, purchase day 3 -> lag 3
-    rows += [(0, 0, "view"), (0, 3 * _DAY, "purchase")]
-    # user 1: purchase BEFORE any view, then view day 2, purchase day 2
-    # (same day, later us) -> lag 0; the early purchase must not count
-    rows += [(1, 1 * _DAY, "purchase"), (1, 2 * _DAY, "view"),
-             (1, 2 * _DAY + 5, "purchase")]
-    # user 2: view only -> never converts, absent
-    rows += [(2, 0, "view")]
-    # user 3: purchase only -> no view anchor, absent
-    rows += [(3, 0, "purchase")]
-    # user 4: two views; lag anchors at the FIRST view (day 0), first
-    # qualifying purchase day 5 -> lag 5
-    rows += [(4, 0, "view"), (4, 4 * _DAY, "view"),
-             (4, 5 * _DAY, "purchase")]
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.to_datetime([r[1] for r in rows], unit="us"),
-        "user_id": np.array([r[0] for r in rows], dtype="int64"),
-        "event_type": [r[2] for r in rows],
-        "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_conversion_lag
-    got = q_conversion_lag(sf)
-
-    assert dict(zip(got["lag_days"], got["n_users"])) == \
-        {0: 1, 3: 1, 5: 1}

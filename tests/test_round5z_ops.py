@@ -1,6 +1,5 @@
 """Round-5 seventh-session batch-R differentials: active-days
-histogram vs a per-user set walk, and HHI vs closed forms (monopoly=1,
-uniform=1/n) plus a direct share-squared sum."""
+histogram vs a per-user set walk."""
 import numpy as np
 import pandas as pd
 
@@ -43,42 +42,3 @@ def test_active_days_matches_set_walk(ray_session, tmp_path):
     assert list(got["days"]) == list(want.index)
     assert list(got["n_users"]) == list(want.values)
     assert int(got["n_users"].sum()) == 60
-
-
-# ---------------------------------------------------------------------- hhi
-def test_hhi_closed_forms(ray_session, tmp_path):
-    supp = pd.DataFrame({
-        "s_suppkey": np.arange(6, dtype="int64"),
-        "s_name": "s",
-        "s_nationkey": np.array([0, 0, 0, 0, 1, 2], dtype="int32"),
-        "s_acctbal": 0.0})
-    nation = pd.DataFrame({
-        "n_nationkey": np.array([0, 1, 2], dtype="int32"),
-        "n_name": ["EVEN", "MONO", "DUO"],
-        "n_regionkey": np.int32(0)})
-    # EVEN: 4 suppliers, 100.00 each -> HHI = 1/4
-    # MONO: 1 supplier -> HHI = 1
-    # DUO: supplier 5 gets 300.00 + 100.00 split? keep one supplier
-    #      with two rows (30000 + 10000 cents) -> still monopoly = 1
-    li_rows = [(0, 100.0), (1, 100.0), (2, 100.0), (3, 100.0),
-               (4, 250.0),
-               (5, 300.0), (5, 100.0)]
-    li = pd.DataFrame({
-        "l_orderkey": np.arange(len(li_rows), dtype="int64"),
-        "l_partkey": np.int64(1),
-        "l_suppkey": np.array([r[0] for r in li_rows], dtype="int64"),
-        "l_linenumber": np.int32(1), "l_quantity": 1.0,
-        "l_extendedprice": np.array([r[1] for r in li_rows]),
-        "l_discount": 0.0, "l_tax": 0.0,
-        "l_returnflag": "A", "l_linestatus": "O",
-        "l_shipdate": pd.Timestamp("2024-01-01")})
-    sf = _write(tmp_path, supplier=supp, nation=nation, lineitem=li)
-
-    from bb_ocr_ray.pipelines.queries import q_hhi
-    got = q_hhi(sf).set_index("n_name")
-
-    assert abs(got.loc["EVEN", "hhi"] - 0.25) < 1e-9
-    assert int(got.loc["EVEN", "n_suppliers"]) == 4
-    assert got.loc["MONO", "hhi"] == 1.0
-    assert got.loc["DUO", "hhi"] == 1.0          # one supplier, two rows
-    assert int(got.loc["DUO", "n_suppliers"]) == 1

@@ -644,116 +644,6 @@ def test_grouped_per_key_matches_map_groups_semantics(ray_session):
         exp.astype({"v": "int64", "n": "int64"}))
 
 
-def test_skew_join_matches_plain_join(ray_session):
-    """Planted hot key: skew_join's salted result equals a plain pandas
-    merge row-for-row (inner and left), and the hot key really is
-    detected (otherwise this test exercises nothing)."""
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.joins import skew_join
-
-    rng = np.random.RandomState(7)
-    # 20k probe rows, 90% on ONE hot key, the rest across 50 cold keys
-    k = np.where(rng.rand(20_000) < 0.9, 777,
-                 rng.randint(0, 50, 20_000)).astype("int64")
-    left = pd.DataFrame({"k": k, "v": np.arange(20_000, dtype="int64")})
-    # build side: every key incl. some unmatched; one row per key
-    right = pd.DataFrame({"k": np.arange(-5, 800, dtype="int64")})
-    right["w"] = right["k"] * 10
-
-    hot_seen = []
-    for how in ("inner", "left"):
-        got = (skew_join(rd.from_pandas(left), rd.from_pandas(right),
-                         on="k", how=how, salt=8, hot_threshold=1000,
-                         _on_hot=hot_seen.append)
-               .to_pandas()
-               .sort_values(["k", "v"]).reset_index(drop=True))
-        want = (left.merge(right, on="k", how=how)
-                .sort_values(["k", "v"]).reset_index(drop=True))
-        assert "_salt" not in got.columns
-        pd.testing.assert_frame_equal(
-            got[sorted(got.columns)], want[sorted(want.columns)],
-            check_dtype=False)
-    assert hot_seen == [1, 1]          # exactly the planted hot key
-
-
-def test_skew_join_no_hot_keys_falls_back(ray_session):
-    """Below the hot threshold the operator is a plain hash_join
-    (detected hot set empty, no salting stages added)."""
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.joins import skew_join
-
-    left = pd.DataFrame({"k": np.arange(100, dtype="int64") % 10,
-                         "v": np.arange(100, dtype="int64")})
-    right = pd.DataFrame({"k": np.arange(10, dtype="int64"),
-                          "w": np.arange(10, dtype="int64") * 2})
-    hot_seen = []
-    got = (skew_join(rd.from_pandas(left), rd.from_pandas(right),
-                     on="k", hot_threshold=1000, _on_hot=hot_seen.append)
-           .to_pandas().sort_values(["k", "v"]).reset_index(drop=True))
-    want = (left.merge(right, on="k")
-            .sort_values(["k", "v"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], want[sorted(want.columns)],
-        check_dtype=False)
-    assert hot_seen == [0]
-
-
-def test_skew_join_refuses_full_outer(ray_session):
-    import pytest
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.joins import skew_join
-
-    df = pd.DataFrame({"k": [1], "v": [1]})
-    with pytest.raises(ValueError):
-        skew_join(rd.from_pandas(df), rd.from_pandas(df), on="k",
-                  how="full")
-
-
-def test_interval_join_matches_bruteforce(ray_session):
-    """interval_join == a brute-force pandas overlap join on random
-    variable-length intervals: pairs sharing MANY buckets must emit
-    exactly once (overlap-start rule), NULL keys/endpoints and
-    end < start rows must drop."""
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.joins import interval_join
-
-    rng = np.random.RandomState(3)
-    W = 100          # bucket width
-    n = 400
-
-    def mk(side):
-        s = rng.randint(0, 3000, n).astype("float64")
-        ln = rng.choice([1, 5, 50, 500, 1500], n).astype("float64")
-        df = pd.DataFrame({
-            "k": rng.randint(0, 5, n).astype("float64"),
-            "s": s, "e": s + ln,
-            "id": np.arange(n, dtype="int64") + (0 if side == 0 else 10_000)})
-        # plant NULLs and ill-formed intervals
-        df.loc[::37, "k"] = np.nan
-        df.loc[1::53, "s"] = np.nan
-        df.loc[2::41, ["s", "e"]] = df.loc[2::41, ["e", "s"]].to_numpy()
-        return df
-
-    L, R = mk(0), mk(1)
-    got = (interval_join(rd.from_pandas(L), rd.from_pandas(R),
-                         key="k", bucket_us=W)
-           .to_pandas())
-    got_pairs = sorted(zip(got["id"], got["id_r"]))
-
-    lv = L.dropna(subset=["k", "s", "e"]); lv = lv[lv["s"] <= lv["e"]]
-    rv = R.dropna(subset=["k", "s", "e"]); rv = rv[rv["s"] <= rv["e"]]
-    m = lv.merge(rv, on="k", suffixes=("", "_r"))
-    m = m[(m["s"] <= m["e_r"]) & (m["s_r"] <= m["e"])]
-    want_pairs = sorted(zip(m["id"], m["id_r"]))
-    assert got_pairs == want_pairs
-    assert len(got_pairs) == len(set(got_pairs))      # exactly-once
-    assert len(got_pairs) > 100                       # non-degenerate
-
-
 def test_triangle_count_operator_matches_bruteforce(ray_session):
     """Degree-oriented triangle_count == brute-force enumeration on a
     random graph with parallel/reversed/self-loop noise, and on a star
@@ -942,56 +832,6 @@ def test_pagerank_rank_broadcast_gate_paths_agree(ray_session):
                                rtol=0, atol=1e-12)
 
 
-def test_heavy_hitters_exact_vs_pandas(ray_session):
-    """Two-pass heavy hitters == the exact pandas answer, on a skewed
-    corpus with warm keys that clear per-batch bars in SOME batches
-    but must be cut by the exact global filter; both membership paths
-    (broadcast / forced hash) agree; NULLs drop."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.heavy import heavy_hitters
-
-    rng = np.random.RandomState(11)
-    n = 30_000
-    r = rng.rand(n)
-    keys = np.where(
-        r < 0.5, rng.choice([f"hot{i}" for i in range(7)], n),
-        np.where(r < 0.75, rng.choice([f"warm{i}" for i in range(80)], n),
-                 np.char.add("cold", np.arange(n).astype(str))))
-    df = pd.DataFrame({"key": keys.astype(object)})
-    df.loc[::997, "key"] = None                      # NULLs drop
-
-    k = 40
-    s = df["key"].dropna()
-    vc = s.value_counts()
-    want = vc[vc.to_numpy() * k > len(s)].sort_index()
-
-    choices = []
-    got = (heavy_hitters(rd.from_pandas(df).repartition(16), "key", k=k,
-                         _on_choice=choices.append)
-           .to_pandas().sort_values("key").reset_index(drop=True))
-    assert got["key"].tolist() == want.index.tolist()
-    assert got["n"].tolist() == want.to_numpy().tolist()
-    # hot keys found, warm/cold keys cut
-    assert all(key.startswith("hot") for key in got["key"])
-
-    got2 = (heavy_hitters(rd.from_pandas(df).repartition(16), "key", k=k,
-                          broadcast_limit=1, _on_choice=choices.append)
-            .to_pandas().sort_values("key").reset_index(drop=True))
-    assert choices == ["broadcast", "hash"]
-    assert got2["key"].tolist() == got["key"].tolist()
-    assert got2["n"].tolist() == got["n"].tolist()
-
-    # empty / all-null inputs yield zero rows, no crash
-    empty = heavy_hitters(
-        rd.from_pandas(pd.DataFrame({"key": pd.Series([None, None],
-                                                      dtype="object")})),
-        "key", k=5).to_pandas()
-    assert len(empty) == 0
-
-
 def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
     """HITS == dense numpy reference (same sweep order: a from old h,
     normalize, h from NEW a, normalize); forced-hash path equals the
@@ -1044,146 +884,6 @@ def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(forced["hub"].to_numpy(),
                                got["hub"].to_numpy(), rtol=0, atol=1e-12)
-
-
-def test_covisit_hot_user_capped(ray_session, tmp_path):
-    """The degree cap: a power user touching 100 items contributes
-    pairs only among their 12 smallest; normal users' pairs count
-    exactly.  Differential vs pandas on a synthetic events table."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_covisit
-
-    rows = []
-    eid = 0
-    # hot user 1: events mapping to 100 distinct items (item=eid%251)
-    for i in range(100):
-        rows.append((eid + i, 1))
-    eid += 100
-    # 30 normal users each hitting items {3, 7} (eid%251 == 3 or 7)
-    for u in range(2, 32):
-        rows.append((251 * u + 3, u))
-        rows.append((251 * u + 7, u))
-    # a NULL user with events: must not contribute
-    rows.append((3, None))
-    rows.append((7, None))
-    df = pd.DataFrame(rows, columns=["event_id", "user_id"])
-    pq.write_table(pa.table({
-        "event_id": pa.array(df["event_id"], "int64"),
-        "user_id": pa.array(df["user_id"], "int64")}),
-        f"{tmp_path}/events.parquet")
-
-    got = q_covisit(str(tmp_path), cap=12, min_count=1)
-
-    # pandas reference with the same cap rule
-    e = df.dropna(subset=["user_id"]).copy()
-    e["u"] = e["user_id"].astype("int64")
-    e["item"] = e["event_id"].astype("int64") % 251
-    e = e[["u", "item"]].drop_duplicates().sort_values(["u", "item"])
-    e["rn"] = e.groupby("u").cumcount() + 1
-    k = e[e["rn"] <= 12]
-    m = k.merge(k, on="u")
-    m = m[m["item_x"] < m["item_y"]]
-    want = (m.groupby(["item_x", "item_y"], as_index=False).size()
-            .rename(columns={"item_x": "i1", "item_y": "i2", "size": "n"})
-            .sort_values(["i1", "i2"]).reset_index(drop=True))
-    assert got[["i1", "i2"]].values.tolist() == want[["i1", "i2"]].values.tolist()
-    assert got["n"].tolist() == want["n"].tolist()
-    # the hot user contributed exactly C(12,2) = 66 pairs (items
-    # 0..11), not C(100,2); one of them — (3, 7) — merges with the 30
-    # normal users, so 65 pairs sit at count 1 and (3, 7) at 31
-    assert len(got) == 66
-    assert len(got[got["n"] == 1]) == 65
-    assert int(got.loc[(got["i1"] == 3) & (got["i2"] == 7), "n"]) == 31
-    assert got["i1"].max() <= 11 and got["i2"].max() <= 11  # cap bound
-
-
-def test_funnel_window_and_tie_semantics(ray_session, tmp_path):
-    """Hand-computed funnel outcomes: window expiry demotes, ties on
-    ts resolve by event_id, NULL users drop, greedy earliest-view
-    anchoring (a later view cannot re-arm the window)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_funnel_windowed
-
-    T0 = np.datetime64("2024-01-01T00:00:00", "us")
-    H = np.timedelta64(3600 * 1_000_000, "us")
-    rows = [
-        # u1: view, click +1h, purchase +2h  -> purchase
-        (1, T0, 1, "view"), (2, T0 + H, 1, "click"),
-        (3, T0 + 2 * H, 1, "purchase"),
-        # u2: view, click +30h (window expired) -> view
-        (4, T0, 2, "view"), (5, T0 + 30 * H, 2, "click"),
-        # u3: click before view, none after -> view
-        (6, T0, 3, "click"), (7, T0 + H, 3, "view"),
-        # u4: no view at all -> none
-        (8, T0, 4, "click"), (9, T0 + H, 4, "purchase"),
-        # u5: tie ts: view(eid=10), click(eid=11) same ts -> click
-        # counts (event_id orders it after), purchase 30h later: expired
-        (10, T0, 5, "view"), (11, T0, 5, "click"),
-        (12, T0 + 30 * H, 5, "purchase"),
-        # u6: GREEDY anchor — first view's 24h window misses the
-        # click, a second view 20h later would catch it, but the
-        # anchor never re-arms -> view
-        (13, T0, 6, "view"), (14, T0 + 20 * H, 6, "view"),
-        (15, T0 + 25 * H, 6, "click"),
-        # null user: dropped entirely
-        (16, T0, None, "view"),
-    ]
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    pq.write_table(pa.table({
-        "event_id": pa.array(df["event_id"], "int64"),
-        "ts": pa.array(df["ts"]),
-        "user_id": pa.array(df["user_id"], "int64"),
-        "event_type": pa.array(df["event_type"], "string")}),
-        f"{tmp_path}/events.parquet")
-
-    got = q_funnel_windowed(str(tmp_path))
-    want = {"purchase": 1, "click": 1, "view": 3, "none": 1}
-    assert dict(zip(got["stage"], got["n_users"])) == want
-
-
-def test_kth_smallest_matches_numpy(ray_session):
-    """Histogram-narrowing selection == numpy partition across k
-    sweep, duplicates, negatives, constant columns, NaNs, a
-    collapsed-width interval (collect_cap=1 forces deep narrowing),
-    and out-of-range k."""
-    import numpy as np
-    import pandas as pd
-    import pytest
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.selection import kth_smallest
-
-    rng = np.random.RandomState(3)
-    v = np.concatenate([rng.randn(4000) * 100,
-                        np.repeat(-7.25, 500),          # heavy duplicate
-                        rng.randint(-5, 5, 500).astype(float)])
-    df = pd.DataFrame({"value": v})
-    df.loc[::97, "value"] = np.nan                      # NaNs excluded
-    ds = rd.from_pandas(df).repartition(8)
-    clean = np.sort(df["value"].dropna().to_numpy())
-    for k in (1, 2, 17, len(clean) // 2, len(clean) - 1, len(clean)):
-        got = kth_smallest(ds, "value", k, n_buckets=16)
-        assert got == clean[k - 1], k
-    # tiny collect cap: forces narrowing to float-resolution intervals
-    got = kth_smallest(ds, "value", len(clean) // 3, n_buckets=8,
-                       collect_cap=1)
-    assert got == clean[len(clean) // 3 - 1]
-    # constant column
-    const = rd.from_pandas(pd.DataFrame({"value": np.full(100, 3.5)}))
-    assert kth_smallest(const, "value", 50) == 3.5
-    with pytest.raises(ValueError):
-        kth_smallest(ds, "value", len(clean) + 1)
-    with pytest.raises(ValueError):
-        kth_smallest(ds, "value", 0)
 
 
 def test_zorder_locality_property():

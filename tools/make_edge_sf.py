@@ -82,8 +82,8 @@ def main():
     extra_ev["ts"] = extra_ev["ts"].astype("datetime64[us]")
     ev = pd.concat([ev, extra_ev], ignore_index=True)
     # three NULL-user rows: pin the repo-wide "user aggregates drop
-    # NULL user_id" convention (pivot/unpivot/funnel/cms oracles all
-    # filter WHERE user_id IS NOT NULL; pd.crosstab drops NaN keys).
+    # NULL user_id" convention (the cms and other user oracles filter
+    # WHERE user_id IS NOT NULL; pandas groupby drops NaN keys).
     null_users = pd.DataFrame(
         {"event_id": [99101, 99102, 99103],
          "ts": pd.to_datetime(
