@@ -18,7 +18,6 @@ class ExtractConfig:
 
     # --- normalize (M1 analog: deterministic preprocess chain) ---
     charset_sniff_bytes: int = 4096      # bytes scanned for <meta charset>/xml decl
-    default_encoding: str = "utf-8"
 
     # --- segment / classify (M3 analog: auto text-region crop) ---
     max_tag_depth: int = 64              # tag_path depth cap (deep-nesting guard)
@@ -50,9 +49,6 @@ class PipelineConfig:
     # reserves every CPU starves the read and the pipeline stalls).
     extract_concurrency: int | tuple | None = None
     extract_num_cpus: float = 1.0
-    target_block_mb: int = 64            # target block size before the parse stage
-    domain_salt_buckets: int = 16        # salt fan-out for hot-domain aggregation
-    output_partitions: int = 16          # resumable-output partition count
     # Megadoc skew handling in production runs: when set, the resumable
     # runner re-cuts pages into blocks whose summed html bytes stay
     # under this budget (stages/sizing.split_by_bytes + block_budget).

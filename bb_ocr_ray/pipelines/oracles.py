@@ -1256,18 +1256,6 @@ ORACLES["q_pseudo_shuffle"] = """
 """
 
 
-ORACLES["q_mode"] = """
-    WITH c AS (SELECT event_type, CAST(floor(value) AS BIGINT) AS v,
-                      count(*) AS n
-               FROM events WHERE value IS NOT NULL GROUP BY 1, 2)
-    SELECT event_type, v AS mode_value, n AS n_mode
-    FROM c
-    QUALIFY row_number() OVER (PARTITION BY event_type
-                               ORDER BY n DESC, v) = 1
-    ORDER BY event_type
-"""
-
-
 ORACLES["q_zip_index"] = """
     SELECT doc_id,
            CAST(row_number() OVER (ORDER BY doc_id) AS BIGINT) AS row_id
@@ -1284,21 +1272,6 @@ ORACLES["q_weighted_sample"] = """
       AND CAST(md5_number_upper('ws|' || CAST(doc_id AS VARCHAR))
                % 10000 AS BIGINT)
           < least(coalesce(n_chars, 0), 9999)
-"""
-
-
-ORACLES["q_ntile"] = """
-    WITH t AS (SELECT event_type, value,
-                      ntile(4) OVER (PARTITION BY event_type
-                                     ORDER BY value, event_id)
-                          AS quartile
-               FROM events WHERE value IS NOT NULL)
-    SELECT event_type, CAST(quartile AS BIGINT) AS quartile,
-           count(*) AS n,
-           round(min(value), 4) AS min_value,
-           round(max(value), 4) AS max_value
-    FROM t GROUP BY 1, 2
-    ORDER BY 1, 2
 """
 
 
@@ -2097,34 +2070,6 @@ ORACLES["q_skyline"] = """
 """
 
 
-ORACLES["q_interval_coverage"] = """
-    WITH iv AS (
-        SELECT user_id, epoch_us(ts) AS s,
-               epoch_us(ts) + ((event_id * 7919) % 3600 + 60) * 1000000 AS e
-        FROM events WHERE user_id IS NOT NULL),
-    m AS (
-        SELECT user_id, s, e,
-               max(e) OVER (PARTITION BY user_id ORDER BY s, e
-                            ROWS BETWEEN UNBOUNDED PRECEDING
-                            AND 1 PRECEDING) AS pm
-        FROM iv),
-    g AS (
-        SELECT *, CASE WHEN pm IS NULL OR s > pm THEN 1 ELSE 0 END AS ni
-        FROM m),
-    gi AS (
-        SELECT *, sum(ni) OVER (PARTITION BY user_id ORDER BY s, e
-                                ROWS UNBOUNDED PRECEDING) AS isl
-        FROM g),
-    isl AS (
-        SELECT user_id, isl, min(s) AS s0, max(e) AS e1
-        FROM gi GROUP BY 1, 2)
-    SELECT CAST(user_id AS BIGINT) AS user_id,
-           CAST(sum(e1 - s0) AS BIGINT) AS covered_us,
-           count(*) AS n_islands
-    FROM isl GROUP BY user_id ORDER BY user_id
-"""
-
-
 ORACLES["q_assortativity"] = """
     WITH mx AS (SELECT max(doc_id) + 1 AS m FROM documents),
     e AS (
@@ -2184,22 +2129,6 @@ ORACLES["q_url_canonical"] = """
                AS canonical,
            CAST(count(*) AS BIGINT) AS n_docs
     FROM documents GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_trimmed_mean"] = """
-    WITH r AS (SELECT l_returnflag AS f,
-                      CAST(round(l_quantity) AS BIGINT) AS q,
-                      row_number() OVER (PARTITION BY l_returnflag
-                                         ORDER BY l_quantity) AS rn,
-                      count(*) OVER (PARTITION BY l_returnflag) AS n
-               FROM lineitem)
-    SELECT f AS l_returnflag,
-           CAST(count(*) AS BIGINT) AS n_kept,
-           CAST(sum(q) AS BIGINT) AS trimmed_sum,
-           round(CAST(sum(q) AS DOUBLE) / count(*), 6) AS trimmed_mean
-    FROM r WHERE rn > n // 10 AND rn <= n - n // 10
-    GROUP BY f ORDER BY f
 """
 
 
@@ -2324,21 +2253,6 @@ ORACLES["q_feature_hash"] = f"""
 """
 
 
-ORACLES["q_benford"] = """
-    WITH d AS (SELECT CAST(substr(CAST(CAST(round(o_totalprice * 100)
-                                        AS BIGINT) AS VARCHAR), 1, 1)
-                      AS BIGINT) AS digit
-               FROM orders
-               WHERE round(o_totalprice * 100) > 0),
-    c AS (SELECT digit, count(*) AS n FROM d GROUP BY 1),
-    t AS (SELECT sum(n) AS tot FROM c)
-    SELECT c.digit, CAST(c.n AS BIGINT) AS n,
-           round(CAST(c.n AS DOUBLE) / t.tot, 6) AS pct,
-           round(log10(1.0 + 1.0 / c.digit), 6) AS benford_pct
-    FROM c CROSS JOIN t ORDER BY 1
-"""
-
-
 ORACLES["q_lang_entropy"] = """
     WITH c AS (SELECT source, lang, count(*) AS c
                FROM documents GROUP BY 1, 2),
@@ -2351,23 +2265,6 @@ ORACLES["q_lang_entropy"] = """
                      * ln(CAST(c.c AS DOUBLE) / n.n)), 6) AS entropy_nats
     FROM c JOIN n USING (source)
     GROUP BY 1, 2, 3 ORDER BY 1
-"""
-
-
-ORACLES["q_user_concentration"] = """
-    WITH c AS (SELECT user_id, count(*) AS c FROM events
-               WHERE user_id IS NOT NULL GROUP BY 1),
-    s AS (SELECT count(*) AS n_users,
-                 CAST(sum(c) AS HUGEINT) AS n,
-                 CAST(sum(c * c) AS HUGEINT) AS s2
-          FROM c)
-    SELECT CAST(n AS BIGINT) AS n_events,
-           CAST(n_users AS BIGINT) AS n_users,
-           round(CAST(s2 AS DOUBLE)
-                 / (CAST(n AS DOUBLE) * CAST(n AS DOUBLE)), 6) AS simpson,
-           round(CAST(n AS DOUBLE) * CAST(n AS DOUBLE)
-                 / CAST(s2 AS DOUBLE), 6) AS eff_users
-    FROM s
 """
 
 
@@ -2430,35 +2327,6 @@ ORACLES["q_clustering_coeff"] = """
 """
 
 
-ORACLES["q_gini"] = """
-    WITH c AS (SELECT user_id, count(*) AS c FROM events
-               WHERE user_id IS NOT NULL GROUP BY 1),
-    r AS (SELECT c, row_number() OVER (ORDER BY c) AS i FROM c),
-    s AS (SELECT count(*) AS n, CAST(sum(c) AS HUGEINT) AS tot,
-                 CAST(sum(CAST(i AS HUGEINT) * c) AS HUGEINT) AS sic
-          FROM r)
-    SELECT CAST(n AS BIGINT) AS n_users, CAST(tot AS BIGINT) AS n_events,
-           round((2.0 * sic - (n + 1.0) * tot) / (1.0 * n * tot), 6) AS gini
-    FROM s
-"""
-
-
-ORACLES["q_new_users"] = """
-    WITH p AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u,
-                      epoch_us(ts) // 86400000000 AS day
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    f AS (SELECT u, min(day) AS first_day FROM p GROUP BY 1),
-    nn AS (SELECT first_day AS day, count(*) AS n_new FROM f GROUP BY 1),
-    a AS (SELECT day, count(*) AS n_active FROM p GROUP BY 1)
-    SELECT a.day, CAST(a.n_active AS BIGINT) AS n_active,
-           CAST(coalesce(nn.n_new, 0) AS BIGINT) AS n_new,
-           CAST(a.n_active - coalesce(nn.n_new, 0) AS BIGINT)
-               AS n_returning
-    FROM a LEFT JOIN nn USING (day) ORDER BY 1
-"""
-
-
 ORACLES["q_zipf_slope"] = f"""
     WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
     pc AS (SELECT unnest(tk) AS tok FROM toks),
@@ -2487,20 +2355,6 @@ ORACLES["q_dup_ratio"] = """
     SELECT source, n_docs, n_distinct, n_dup_docs,
            round(CAST(n_dup_docs AS DOUBLE) / n_docs, 6) AS dup_ratio
     FROM s ORDER BY 1
-"""
-
-
-ORACLES["q_rolling_actives"] = """
-    WITH p AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u,
-                      epoch_us(ts) // 86400000000 AS day
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    d AS (SELECT day, count(*) AS dau FROM p GROUP BY 1)
-    SELECT d.day, CAST(d.dau AS BIGINT) AS dau,
-           CAST((SELECT count(DISTINCT p.u) FROM p
-                 WHERE p.day BETWEEN d.day - 6 AND d.day) AS BIGINT)
-               AS mau7
-    FROM d ORDER BY 1
 """
 
 
@@ -2563,33 +2417,6 @@ ORACLES["q_dup_cluster_sizes"] = """
            CAST(count(*) AS BIGINT) AS n_clusters,
            CAST(c * count(*) AS BIGINT) AS n_docs
     FROM h GROUP BY c ORDER BY 1
-"""
-
-
-ORACLES["q_anomaly_days"] = """
-    WITH d AS (SELECT epoch_us(ts) // 86400000000 AS day,
-                      count(*) AS n
-               FROM events WHERE ts IS NOT NULL GROUP BY 1),
-    s AS (SELECT avg(CAST(n AS DOUBLE)) AS m,
-                 stddev_pop(CAST(n AS DOUBLE)) AS sd
-          FROM d)
-    SELECT CAST(day AS BIGINT) AS day, CAST(n AS BIGINT) AS n_events,
-           round((n - m) / sd, 6) AS z
-    FROM d, s
-    WHERE sd > 0 AND abs(round((n - m) / sd, 6)) >= 2
-    ORDER BY day
-"""
-
-
-ORACLES["q_autocorr"] = """
-    WITH d AS (SELECT epoch_us(ts) // 86400000000 AS day,
-                      count(*) AS n
-               FROM events WHERE ts IS NOT NULL GROUP BY 1),
-    l AS (SELECT n, lead(n) OVER (ORDER BY day) AS n1 FROM d)
-    SELECT CAST(count(*) AS BIGINT) AS n_pairs,
-           round(corr(CAST(n AS DOUBLE), CAST(n1 AS DOUBLE)), 6)
-               AS autocorr
-    FROM l WHERE n1 IS NOT NULL
 """
 
 
@@ -2689,40 +2516,6 @@ ORACLES["q_two_hop"] = """
 """
 
 
-ORACLES["q_winsorize"] = """
-    WITH q AS (SELECT l_returnflag AS f,
-                      quantile_disc(l_quantity, 0.1) AS lo,
-                      quantile_disc(l_quantity, 0.9) AS hi
-               FROM lineitem GROUP BY 1)
-    SELECT l.l_returnflag, CAST(count(*) AS BIGINT) AS n,
-           q.lo AS lo, q.hi AS hi,
-           round(avg(CASE WHEN l.l_quantity < q.lo THEN q.lo
-                          WHEN l.l_quantity > q.hi THEN q.hi
-                          ELSE l.l_quantity END), 6) AS wmean
-    FROM lineitem l JOIN q ON l.l_returnflag = q.f
-    GROUP BY 1, q.lo, q.hi ORDER BY 1
-"""
-
-
-ORACLES["q_target_encode"] = """
-    WITH j AS (SELECT c.c_mktsegment,
-                      CAST(round(o.o_totalprice * 100) AS HUGEINT)
-                          AS cents
-               FROM orders o JOIN customer c
-                 ON c.c_custkey = o.o_custkey),
-    seg AS (SELECT c_mktsegment, count(*) AS n,
-                   CAST(sum(cents) AS HUGEINT) AS cents
-            FROM j GROUP BY 1),
-    g AS (SELECT CAST(sum(cents) AS DOUBLE) / sum(n) / 100.0 AS mu
-          FROM seg)
-    SELECT c_mktsegment, CAST(n AS BIGINT) AS n,
-           round(CAST(cents AS DOUBLE) / n / 100.0, 6) AS mean_price,
-           round((CAST(cents AS DOUBLE) / 100.0 + 10.0 * g.mu)
-                 / (n + 10.0), 6) AS encoded
-    FROM seg, g ORDER BY 1
-"""
-
-
 ORACLES["q_class_weights"] = """
     WITH c AS (SELECT CAST(label AS BIGINT) AS label, count(*) AS n
                FROM embeddings GROUP BY 1),
@@ -2745,23 +2538,6 @@ ORACLES["q_oov_rate"] = f"""
                                THEN 0 ELSE 1 END) AS DOUBLE)
                  / count(*), 6) AS oov_rate
     FROM pc GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_cusum"] = """
-    WITH d AS (SELECT epoch_us(ts) // 86400000000 AS day,
-                      count(*) AS n
-               FROM events WHERE ts IS NOT NULL GROUP BY 1),
-    m AS (SELECT avg(CAST(n AS DOUBLE)) AS mu,
-                 count(*) AS nd FROM d),
-    c AS (SELECT day,
-                 round(abs(sum(CAST(n AS DOUBLE)) OVER (ORDER BY day)
-                           - row_number() OVER (ORDER BY day)
-                             * (SELECT mu FROM m)), 6) AS a
-          FROM d)
-    SELECT (SELECT CAST(nd AS BIGINT) FROM m) AS n_days,
-           CAST(day AS BIGINT) AS cp_day, a AS max_abs_cusum
-    FROM c ORDER BY a DESC, day LIMIT 1
 """
 
 
@@ -2815,30 +2591,6 @@ ORACLES["q_zone_map"] = """
 """
 
 
-ORACLES["q_f2"] = """
-    WITH c AS (SELECT user_id, CAST(count(*) AS HUGEINT) AS c
-               FROM events WHERE user_id IS NOT NULL GROUP BY 1)
-    SELECT CAST(count(*) AS BIGINT) AS n_users,
-           CAST(sum(c) AS BIGINT) AS n_rows,
-           CAST(CAST(sum(c * c) AS HUGEINT) AS VARCHAR) AS f2
-    FROM c
-"""
-
-
-ORACLES["q_integrity"] = """
-    SELECT (SELECT CAST(count(*) AS BIGINT) FROM lineitem)
-               AS n_lineitem,
-           (SELECT CAST(count(*) AS BIGINT) FROM lineitem l
-            LEFT JOIN orders o ON o.o_orderkey = l.l_orderkey
-            WHERE o.o_orderkey IS NULL) AS orphan_lineitem,
-           (SELECT CAST(count(*) AS BIGINT) FROM orders)
-               AS n_orders,
-           (SELECT CAST(count(*) AS BIGINT) FROM orders o
-            LEFT JOIN customer c ON c.c_custkey = o.o_custkey
-            WHERE c.c_custkey IS NULL) AS orphan_orders
-"""
-
-
 ORACLES["q_emb_quantize"] = """
     WITH x AS (SELECT CAST(embedding[CAST(i AS INT)] AS DOUBLE) AS v,
                       CAST(i AS BIGINT) AS d
@@ -2860,87 +2612,12 @@ ORACLES["q_emb_quantize"] = """
 """
 
 
-ORACLES["q_lorenz"] = """
-    WITH c AS (SELECT user_id, count(*) AS c FROM events
-               WHERE user_id IS NOT NULL GROUP BY 1),
-    r AS (SELECT c, row_number() OVER (ORDER BY c, user_id) AS i
-          FROM c),
-    cum AS (SELECT i, sum(c) OVER (ORDER BY i
-                                   ROWS UNBOUNDED PRECEDING) AS cs
-            FROM r),
-    s AS (SELECT count(*) AS n, CAST(sum(c) AS HUGEINT) AS tot FROM c)
-    SELECT CAST(g.k AS BIGINT) AS decile,
-           CAST((g.k * s.n) // 10 AS BIGINT) AS n_users_cum,
-           CAST(coalesce((SELECT cs FROM cum
-                          WHERE i = (g.k * s.n) // 10), 0) AS BIGINT)
-               AS n_events_cum,
-           round(CAST(coalesce((SELECT cs FROM cum
-                                WHERE i = (g.k * s.n) // 10), 0)
-                      AS DOUBLE) / s.tot, 6) AS share
-    FROM generate_series(1, 10) AS g(k), s
-    ORDER BY 1
-"""
-
-
-ORACLES["q_ship_delay"] = """
-    SELECT o.o_orderpriority, CAST(count(*) AS BIGINT) AS n,
-           CAST(min((epoch_us(l.l_shipdate) - epoch_us(o.o_orderdate))
-                    // 86400000000) AS BIGINT) AS min_days,
-           CAST(max((epoch_us(l.l_shipdate) - epoch_us(o.o_orderdate))
-                    // 86400000000) AS BIGINT) AS max_days,
-           round(CAST(sum((epoch_us(l.l_shipdate)
-                           - epoch_us(o.o_orderdate)) // 86400000000)
-                      AS DOUBLE) / count(*), 6) AS avg_days
-    FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
-    GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_key_discovery"] = """
-    WITH s AS (SELECT count(*) AS n FROM events)
-    SELECT * FROM (
-      SELECT 'event_id' AS candidate,
-             (SELECT CAST(n AS BIGINT) FROM s) AS n_rows,
-             CAST(count(DISTINCT event_id) AS BIGINT) AS n_distinct,
-             count(DISTINCT event_id) = (SELECT n FROM s) AS is_key
-      FROM events
-      UNION ALL
-      SELECT 'user_id',
-             (SELECT CAST(n AS BIGINT) FROM s),
-             CAST(count(DISTINCT {'u': user_id}) AS BIGINT),
-             count(DISTINCT {'u': user_id}) = (SELECT n FROM s)
-      FROM events
-      UNION ALL
-      SELECT 'user_id,ts',
-             (SELECT CAST(n AS BIGINT) FROM s),
-             CAST(count(DISTINCT {'u': user_id, 't': ts}) AS BIGINT),
-             count(DISTINCT {'u': user_id, 't': ts}) = (SELECT n FROM s)
-      FROM events)
-    ORDER BY candidate
-"""
-
-
-ORACLES["q_ooo_rate"] = """
-    WITH e AS (SELECT CAST(user_id AS BIGINT) AS u, event_id, ts
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    l AS (SELECT u, ts,
-                 lag(ts) OVER (PARTITION BY u ORDER BY event_id)
-                     AS prev
-          FROM e),
-    p AS (SELECT count(*) AS n_pairs,
-                 sum(CASE WHEN ts < prev THEN 1 ELSE 0 END) AS n_ooo
-          FROM l WHERE prev IS NOT NULL)
-    SELECT CAST(n_pairs AS BIGINT) AS n_pairs,
-           CAST(n_ooo AS BIGINT) AS n_ooo,
-           round(CAST(n_ooo AS DOUBLE) / n_pairs, 6) AS ooo_rate
-    FROM p
-"""
-
-
+# array_to_string of an empty list is NULL, so the parts join with the
+# NULL-skipping concat: an empty part hashes as ''; only NULL text
+# gives a NULL fim_md5
 ORACLES["q_fim_split"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    s AS (SELECT doc_id, tk, len(tk) AS n,
+    WITH toks AS (SELECT doc_id, text, {_TOKS} AS tk FROM documents),
+    s AS (SELECT doc_id, text, tk, len(tk) AS n,
                  len(tk) // 3 AS a, (2 * len(tk)) // 3 AS c
           FROM toks)
     SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -2948,9 +2625,10 @@ ORACLES["q_fim_split"] = f"""
            CAST(a AS BIGINT) AS n_prefix,
            CAST(c - a AS BIGINT) AS n_middle,
            CAST(n - c AS BIGINT) AS n_suffix,
-           md5(array_to_string(tk[1:a], ' ') || chr(1)
-               || array_to_string(tk[c+1:n], ' ') || chr(1)
-               || array_to_string(tk[a+1:c], ' ')) AS fim_md5
+           md5(CASE WHEN text IS NOT NULL THEN
+               concat(array_to_string(tk[1:a], ' '), chr(1),
+                      array_to_string(tk[c+1:n], ' '), chr(1),
+                      array_to_string(tk[a+1:c], ' ')) END) AS fim_md5
     FROM s ORDER BY doc_id
 """
 
@@ -3139,33 +2817,6 @@ ORACLES["q_case_stats"] = f"""
 """
 
 
-ORACLES["q_rolling_median"] = """
-    WITH d AS (SELECT epoch_us(ts) // 86400000000 AS day,
-                      count(*) AS n
-               FROM events WHERE ts IS NOT NULL GROUP BY 1)
-    SELECT CAST(day AS BIGINT) AS day, CAST(n AS BIGINT) AS n,
-           CAST(quantile_disc(n, 0.5) OVER (
-               ORDER BY day ROWS BETWEEN 6 PRECEDING AND CURRENT ROW)
-               AS BIGINT) AS med_7d
-    FROM d ORDER BY day
-"""
-
-
-ORACLES["q_arrival_rate"] = """
-    WITH t AS (SELECT event_type, count(*) AS n,
-                      epoch_us(max(ts)) - epoch_us(min(ts)) AS span_us
-               FROM events WHERE ts IS NOT NULL GROUP BY 1)
-    SELECT event_type, CAST(n AS BIGINT) AS n,
-           CAST(span_us AS BIGINT) AS span_us,
-           CAST(span_us // greatest(n - 1, 1) AS BIGINT)
-               AS mean_gap_us,
-           CASE WHEN span_us > 0
-                THEN round(3600000000.0 * (n - 1) / span_us, 6)
-                ELSE 0.0 END AS per_hour
-    FROM t ORDER BY 1
-"""
-
-
 ORACLES["q_ab_srm"] = """
     WITH u AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u
                FROM events WHERE user_id IS NOT NULL),
@@ -3230,18 +2881,6 @@ ORACLES["q_dataset_card"] = f"""
            round(CAST(s.n_chars AS DOUBLE) / s.n_docs, 6)
                AS mean_doc_chars
     FROM s, v
-"""
-
-
-ORACLES["q_active_days"] = """
-    WITH p AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u,
-                      epoch_us(ts) // 86400000000 AS day
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL),
-    c AS (SELECT u, count(*) AS days FROM p GROUP BY 1)
-    SELECT CAST(days AS BIGINT) AS days,
-           CAST(count(*) AS BIGINT) AS n_users
-    FROM c GROUP BY 1 ORDER BY 1
 """
 
 

@@ -1066,9 +1066,8 @@ def q_ivf_topk(sf_dir: str):
     rescan only the lists that could still hold a top-k member.  The
     result provably equals brute force, so the oracle is the exact
     cross-join SQL — this closes the last no_oracle row in the driver
-    CORRECTNESS file (VERDICT r2 item 5); the plain approximate
-    ivf_topk's recall contract stays covered by unit tests.  Query
-    vectors are vec_id 10..19 (q_ann_topk owns 0..9)."""
+    CORRECTNESS file (VERDICT r2 item 5).  Query vectors are vec_id
+    10..19 (q_ann_topk owns 0..9)."""
     from bb_ocr_ray.stages.ann import ivf_topk_exact
 
     vecs = _read_parquet(_t(sf_dir, "embeddings"),
@@ -2892,50 +2891,6 @@ QUERIES.update({"q_pseudo_shuffle": q_pseudo_shuffle})
 
 
 # ---------------------------------------------------------------------------
-# Grouped mode (most frequent value, deterministic tie-break)
-# ---------------------------------------------------------------------------
-def q_mode(sf_dir: str):
-    """Most frequent floor(value) per event_type — the mode aggregate
-    as a two-level count: per-batch (group, value) counts bound the
-    shuffle by value cardinality x groups, then one groupby-sum and a
-    deterministic argmax (highest count, smallest value on ties —
-    QUALIFY row_number() mirror)."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "value"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["value"].notna()]
-        if not len(b):
-            return pd.DataFrame({
-                "event_type": pd.array([], dtype="object"),
-                "v": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64")})
-        g = pd.DataFrame({
-            "event_type": b["event_type"],
-            "v": np.floor(b["value"].to_numpy()).astype(np.int64),
-            "n": 1})
-        return g.groupby(["event_type", "v"], as_index=False).sum()
-
-    def final(b: pd.DataFrame) -> pd.DataFrame:
-        m = b.groupby(["event_type", "v"], as_index=False)["n"].sum()
-        m = m.sort_values(["event_type", "n", "v"],
-                          ascending=[True, False, True])
-        top = m.groupby("event_type", as_index=False).first()
-        return pd.DataFrame({
-            "event_type": top["event_type"],
-            "mode_value": top["v"].astype("int64"),
-            "n_mode": top["n"].astype("int64")})
-
-    return (ds.map_batches(partial, batch_format="pandas")
-            .repartition(1)
-            .map_batches(final, batch_format="pandas", batch_size=None)
-            .sort("event_type"))
-
-
-QUERIES.update({"q_mode": q_mode})
-
-
-# ---------------------------------------------------------------------------
 # Global consecutive row numbering (distributed zipWithIndex)
 # ---------------------------------------------------------------------------
 def q_zip_index(sf_dir: str):
@@ -3067,54 +3022,6 @@ def q_weighted_sample(sf_dir: str):
 
 
 QUERIES.update({"q_weighted_sample": q_weighted_sample})
-
-
-# ---------------------------------------------------------------------------
-# ntile window: per-partition quantile bucket assignment
-# ---------------------------------------------------------------------------
-def q_ntile(sf_dir: str):
-    """Quartile assignment per event_type (ntile(4) OVER (PARTITION BY
-    event_type ORDER BY value, event_id)) summarized per bucket — the
-    remaining window-family member after rank/row_number/lag/first:
-    SQL ntile splits each n-row partition into k runs where the first
-    n mod k runs get the extra row; the engine reproduces that exact
-    split group-locally after the partition shuffle.  Output is the
-    per-bucket count and value range (round-4), not the 10k raw
-    assignments."""
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "event_type", "value"])
-
-    def tiles(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["value"].notna()].sort_values(["value", "event_id"])
-        n = len(g)
-        if not n:
-            return pd.DataFrame({
-                "event_type": pd.array([], dtype="object"),
-                "quartile": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-                "min_value": pd.array([], dtype="float64"),
-                "max_value": pd.array([], dtype="float64")})
-        k = 4
-        base, extra = divmod(n, k)
-        sizes = [base + 1] * extra + [base] * (k - extra)
-        q = np.repeat(np.arange(1, k + 1, dtype=np.int64), sizes)[:n]
-        g = g.assign(quartile=q)
-        out = g.groupby("quartile", as_index=False).agg(
-            n=("value", "size"), min_value=("value", "min"),
-            max_value=("value", "max"))
-        out["event_type"] = g["event_type"].iloc[0]
-        out["min_value"] = _round_sql(out["min_value"], 4)
-        out["max_value"] = _round_sql(out["max_value"], 4)
-        out["n"] = out["n"].astype("int64")
-        return out[["event_type", "quartile", "n",
-                    "min_value", "max_value"]]
-
-    return (ds.groupby("event_type")
-            .map_groups(tiles, batch_format="pandas")
-            .sort(["event_type", "quartile"]))
-
-
-QUERIES.update({"q_ntile": q_ntile})
 
 
 # ---------------------------------------------------------------------------
@@ -4932,43 +4839,6 @@ QUERIES.update({"q_skyline": q_skyline})
 
 
 # ---------------------------------------------------------------------------
-# Interval coverage: per-user union of overlapping spans
-# ---------------------------------------------------------------------------
-def q_interval_coverage(sf_dir: str):
-    """Total covered time + merged-island count per user over
-    overlapping event intervals [ts, ts + dur): dur is a deterministic
-    function of event_id (((event_id*7919)%3600 + 60) seconds — 1 min
-    to 1 h, pseudo-random across the stream), so overlaps and genuine
-    gaps both occur at every corpus.  ONE coarse shuffle then a
-    vectorized gaps-and-islands merge (:func:`stages.streaming
-    .interval_coverage`); NULL users dropped (repo convention).
-    Integer-µs arithmetic end to end — exact, hash-stable."""
-    from bb_ocr_ray.stages.streaming import interval_coverage
-
-    ds = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "ts", "event_id"])
-
-    def iv(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        s = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        eid = b["event_id"].to_numpy("int64")
-        dur = ((eid * 7919) % 3600 + 60) * 1_000_000
-        return pd.DataFrame({"user_id": b["user_id"].astype("int64")
-                             .to_numpy(),
-                             "s": s, "e": s + dur})
-
-    out = interval_coverage(ds.map_batches(iv, batch_format="pandas"),
-                            key="user_id", start="s", end="e").to_pandas()
-    out = out.rename(columns={"covered": "covered_us"})
-    return (out.astype({"user_id": "int64", "covered_us": "int64",
-                        "n_islands": "int64"})
-            .sort_values("user_id").reset_index(drop=True))
-
-
-QUERIES.update({"q_interval_coverage": q_interval_coverage})
-
-
-# ---------------------------------------------------------------------------
 # Degree assortativity: global web-graph structure statistic
 # ---------------------------------------------------------------------------
 def q_assortativity(sf_dir: str):
@@ -5104,57 +4974,6 @@ def q_url_canonical(sf_dir: str):
 
 
 QUERIES.update({"q_url_canonical": q_url_canonical})
-
-
-# ---------------------------------------------------------------------------
-# Robust grouped stats: exact trimmed mean from a value histogram
-# ---------------------------------------------------------------------------
-def q_trimmed_mean(sf_dir: str):
-    """Per-returnflag 10%-trimmed mean of quantity, EXACT without any
-    global sort: quantity is declared low-cardinality (integral 1..50),
-    so each group's full order statistics are recoverable from a
-    (flag, qty) -> count histogram — one coarse fold over <= 150 cells,
-    then the driver trims floor(n/10) ranks off each end by cumulative
-    count arithmetic (pure ints).  The same histogram trick backs exact
-    grouped medians/percentiles at any corpus size; contrast
-    q_exact_kth, which handles UNBOUNDED value domains with
-    multi-pass selection.  Output keeps the (sum, count) integer pair
-    next to the rounded mean per the repo convention."""
-    ds = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_returnflag", "l_quantity"])
-
-    def cells(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "flag": b["l_returnflag"].to_numpy(),
-            "q": np.rint(b["l_quantity"].to_numpy("float64")
-                         ).astype("int64")})
-
-    hist = coarse_agg(
-        ds.map_batches(cells, batch_format="pandas"),
-        ["flag", "q"], {"cnt": ("q", "size")},
-    ).to_pandas()
-
-    recs = []
-    for f, g in hist.groupby("flag", sort=True):
-        g = g.sort_values("q")
-        q = g["q"].to_numpy("int64")
-        c = g["cnt"].to_numpy("int64")
-        n = int(c.sum())
-        lo, hi = n // 10, n - n // 10          # keep ranks (lo, hi]
-        cum = np.concatenate([[0], np.cumsum(c)])
-        kept = np.minimum(cum[1:], hi) - np.maximum(cum[:-1], lo)
-        kept = np.maximum(kept, 0)
-        s = int(np.dot(q, kept))
-        k = int(kept.sum())
-        recs.append({"l_returnflag": f, "n_kept": k, "trimmed_sum": s,
-                     "trimmed_mean": float(_round_sql(
-                         float(s) / float(k), 6))})
-    out = pd.DataFrame(recs)
-    out = out.astype({"n_kept": "int64", "trimmed_sum": "int64"})
-    return out.reset_index(drop=True)
-
-
-QUERIES.update({"q_trimmed_mean": q_trimmed_mean})
 
 
 # ---------------------------------------------------------------------------
@@ -5408,11 +5227,10 @@ def q_ks_test(sf_dir: str):
     (source, n_chars) histogram through coarse_agg; the histogram is
     VALUE-bounded (≤ |sources| × max_doc_len rows — aggregate-sized at
     any corpus scale, never row-cardinality), so the cumulative fold
-    runs on the driver like q_trimmed_mean's order-statistic
-    arithmetic.  D is EXACT: with per-source totals (n_s, n_r) constant,
-    max_x |F_s − F_r| = max_x |cs·n_r − cr·n_s| / (n_s·n_r), so the max
-    is taken over INTEGER cross-products (python ints — no overflow at
-    any corpus size) and divided once, rounded 6 dp."""
+    runs on the driver.  D is EXACT: with per-source totals (n_s, n_r)
+    constant, max_x |F_s − F_r| = max_x |cs·n_r − cr·n_s| / (n_s·n_r),
+    so the max is taken over INTEGER cross-products (python ints — no
+    overflow at any corpus size) and divided once, rounded 6 dp."""
     docs = _read_parquet(_t(sf_dir, "documents"),
                          columns=["source", "n_chars"])
     hist = coarse_agg(docs, ["source", "n_chars"],
@@ -5494,53 +5312,6 @@ QUERIES.update({"q_feature_hash": q_feature_hash})
 
 
 # ---------------------------------------------------------------------------
-# Benford first-digit distribution (ingest QA / anomaly screen)
-# ---------------------------------------------------------------------------
-def q_benford(sf_dir: str):
-    """Benford's-law first-significant-digit distribution of order
-    totals — the classic ingest-QA screen for fabricated or truncated
-    numeric feeds (Benford 1938; Nigrini's audit use is public
-    method).  Prices quantize to integer cents first (rint(x*100)),
-    and the leading digit of the cents integer IS the leading
-    significant digit of the dollar amount (scaling by a power of ten
-    never changes it), so both engines read digit 1-9 off exact
-    integers — no float log in the digit path.  Per-batch bincount
-    partials (≤9 rows each) fold on the driver: traffic is 9 ints per
-    block regardless of corpus size.  Output: observed count + share
-    vs the Benford expectation log10(1+1/d), both 6 dp."""
-    import math
-
-    ds = _read_parquet(_t(sf_dir, "orders"), columns=["o_totalprice"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.rint(b["o_totalprice"].to_numpy("float64") * 100)
-        cents = cents[np.isfinite(cents)].astype("int64")
-        cents = cents[cents > 0]
-        # leading digit: integer divide by 10 until < 10 (vectorized
-        # loop over at most ~12 decades; no float log edge cases)
-        while (cents >= 10).any():
-            big = cents >= 10
-            cents[big] //= 10
-        cnt = np.bincount(cents, minlength=10)[1:10]
-        return pd.DataFrame({"digit": np.arange(1, 10, dtype="int64"),
-                             "n": cnt.astype("int64")})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    agg = parts.groupby("digit", as_index=False)["n"].sum()
-    total = int(agg["n"].sum())
-    agg = agg[agg["n"] > 0].copy()
-    agg["pct"] = [float(_round_sql(int(n) / total, 6)) for n in agg["n"]]
-    agg["benford_pct"] = [float(_round_sql(math.log10(1.0 + 1.0 / int(d)), 6))
-                          for d in agg["digit"]]
-    agg["digit"] = agg["digit"].astype("int64")
-    agg["n"] = agg["n"].astype("int64")
-    return agg.sort_values("digit").reset_index(drop=True)
-
-
-QUERIES.update({"q_benford": q_benford})
-
-
-# ---------------------------------------------------------------------------
 # Per-source language-mix entropy (corpus composition QA)
 # ---------------------------------------------------------------------------
 def q_lang_entropy(sf_dir: str):
@@ -5576,50 +5347,6 @@ def q_lang_entropy(sf_dir: str):
 
 
 QUERIES.update({"q_lang_entropy": q_lang_entropy})
-
-
-# ---------------------------------------------------------------------------
-# Traffic concentration (Simpson index / effective-user count)
-# ---------------------------------------------------------------------------
-def q_user_concentration(sf_dir: str):
-    """Simpson concentration of event traffic across users — the
-    "is one bot eating the crawl budget?" QA scalar: sum p_u^2 (the
-    collision probability of the user distribution) and its inverse,
-    the effective user count.  Per-user totals need exactness, so ONE
-    coarse fold produces the (user, count) table (row-bounded by
-    |users|, never on the driver); a second map folds each batch to
-    sufficient statistics (n_users, sum c, sum c^2) carried as DECIMAL
-    STRINGS (the q_corr_grouped posture — sum c^2 outgrows int64 near
-    10^9 events from one hot key), and the driver folds python ints.
-    Both engines evaluate the identical closed forms from identical
-    exact integers."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-    per_user = coarse_agg(
-        ev.map_batches(
-            lambda b: b[b["user_id"].notna()].astype({"user_id": "int64"}),
-            batch_format="pandas"),
-        ["user_id"], {"c": ("user_id", "size")})
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = b["c"].to_numpy("int64").astype(object)
-        return pd.DataFrame({"n_users": [str(len(c))],
-                             "sc": [str(int((c).sum()))],
-                             "sc2": [str(int((c * c).sum()))]})
-
-    parts = per_user.map_batches(partial, batch_format="pandas").to_pandas()
-    n_users = sum(int(v) for v in parts["n_users"])
-    n = sum(int(v) for v in parts["sc"])
-    s2 = sum(int(v) for v in parts["sc2"])
-    simpson = float(s2) / (float(n) * float(n))
-    eff = float(n) * float(n) / float(s2)
-    return pd.DataFrame({
-        "n_events": pd.array([n], dtype="int64"),
-        "n_users": pd.array([n_users], dtype="int64"),
-        "simpson": [float(_round_sql(simpson, 6))],
-        "eff_users": [float(_round_sql(eff, 6))]})
-
-
-QUERIES.update({"q_user_concentration": q_user_concentration})
 
 
 # ---------------------------------------------------------------------------
@@ -5724,11 +5451,10 @@ def q_clustering_coeff(sf_dir: str):
     degree-oriented ``stages.graph.triangle_count`` (celebrity-safe);
     wedges W = sum_v deg(v)(deg(v)-1)/2 come from the SAME normalized
     undirected edge set via one coarse degree fold, with per-batch
-    sum-of-d(d-1) partials carried as decimal strings (the
-    q_user_concentration posture — a 10^6-degree hub's term alone
-    nears int64).  The edge generator mirrors q_triangle_count
-    verbatim so both operators audit one graph.  T and W are exact
-    python ints; the coefficient is one division, 6 dp."""
+    sum-of-d(d-1) partials carried as decimal strings (a 10^6-degree
+    hub's term alone nears int64).  The edge generator mirrors
+    q_triangle_count verbatim so both operators audit one graph.  T and
+    W are exact python ints; the coefficient is one division, 6 dp."""
     from bb_ocr_ray.stages.dedup import dedup_pairs
     from bb_ocr_ray.stages.graph import triangle_count
     from bb_ocr_ray.stages.joins import auto_semi
@@ -5789,94 +5515,6 @@ def q_clustering_coeff(sf_dir: str):
 
 
 QUERIES.update({"q_clustering_coeff": q_clustering_coeff})
-
-
-# ---------------------------------------------------------------------------
-# Gini coefficient of per-user traffic (inequality QA next to Simpson)
-# ---------------------------------------------------------------------------
-def q_gini(sf_dir: str):
-    """Gini coefficient of event traffic across users — the Lorenz
-    inequality scalar next to q_user_concentration's Simpson index
-    (both are public textbook statistics).  The rank formula
-    G = (2*sum_i i*c_i - (n+1)*sum c) / (n*sum c) needs counts in
-    sorted order, but NEVER a global row sort: per-user counts fold
-    through one coarse shuffle (user-cardinality table, never on the
-    driver), then a second fold collapses them to a COUNT-VALUE
-    histogram (value-bounded — distinct traffic levels, not users; the
-    q_trimmed_mean posture), from which the driver reconstructs
-    sum_i i*c_i exactly: a run of m users at value v occupying ranks
-    S+1..S+m contributes v*(S*m + m*(m+1)/2).  All integer arithmetic
-    is python-int (sum i*c_i nears int64 at ~10^9 events); the final
-    division is the only float, 6 dp on both engines."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-    per_user = coarse_agg(
-        ev.map_batches(
-            lambda b: b[b["user_id"].notna()].astype({"user_id": "int64"}),
-            batch_format="pandas"),
-        ["user_id"], {"c": ("user_id", "size")})
-    hist = coarse_agg(per_user, ["c"], {"m": ("c", "size")}).to_pandas()
-    hist = hist.astype({"c": "int64", "m": "int64"}).sort_values("c")
-
-    S = 0          # users ranked so far
-    sic = 0        # sum_i i*c_i, exact
-    tot = 0
-    for v, m in zip(hist["c"], hist["m"]):
-        v, m = int(v), int(m)
-        sic += v * (S * m + m * (m + 1) // 2)
-        tot += v * m
-        S += m
-    gini = (2.0 * sic - (S + 1.0) * tot) / (1.0 * S * tot)
-    return pd.DataFrame({
-        "n_users": pd.array([S], dtype="int64"),
-        "n_events": pd.array([tot], dtype="int64"),
-        "gini": [float(_round_sql(gini, 6))]})
-
-
-QUERIES.update({"q_gini": q_gini})
-
-
-# ---------------------------------------------------------------------------
-# Daily new-vs-returning user decomposition (growth accounting)
-# ---------------------------------------------------------------------------
-def q_new_users(sf_dir: str):
-    """Daily active users split into NEW (first-ever activity that
-    day) and returning — the growth-accounting readout next to
-    q_retention's cohort matrix.  Day is integer epoch_us // 86400e6
-    (never date_trunc: timezone/week conventions differ across
-    engines).  Plan: one coarse fold computes each user's first-day
-    (min — user-cardinality, stays distributed), a second folds it to
-    (day, n_new); in parallel the deduped (user, day) activity pairs
-    fold to (day, n_active).  Both result tables are |days|-bounded,
-    so the final left-merge runs on the driver over aggregate-sized
-    frames.  NULL user/ts rows drop on both engines."""
-    _US_PER_DAY = 86_400_000_000
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        us = b["ts"].astype("datetime64[us]").astype("int64")
-        return pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "day": (us.to_numpy() // _US_PER_DAY).astype("int64")})
-
-    pairs = ev.map_batches(keyed, batch_format="pandas")
-    first = coarse_agg(pairs, ["u"], {"first_day": ("day", "min")})
-    new_by_day = coarse_agg(first, ["first_day"],
-                            {"n_new": ("first_day", "size")}).to_pandas()
-    active = coarse_agg(
-        coarse_agg(pairs, ["u", "day"], {"k": ("day", "size")}),
-        ["day"], {"n_active": ("day", "size")}).to_pandas()
-
-    out = active.merge(new_by_day.rename(columns={"first_day": "day"}),
-                       on="day", how="left")
-    out["n_new"] = out["n_new"].fillna(0).astype("int64")
-    out["n_active"] = out["n_active"].astype("int64")
-    out["day"] = out["day"].astype("int64")
-    out["n_returning"] = (out["n_active"] - out["n_new"]).astype("int64")
-    return out.sort_values("day").reset_index(drop=True)
-
-
-QUERIES.update({"q_new_users": q_new_users})
 
 
 # ---------------------------------------------------------------------------
@@ -5972,83 +5610,6 @@ def q_dup_ratio(sf_dir: str):
 
 
 QUERIES.update({"q_dup_ratio": q_dup_ratio})
-
-
-# ---------------------------------------------------------------------------
-# Rolling 7-day distinct actives (windowed COUNT DISTINCT without a window)
-# ---------------------------------------------------------------------------
-def q_rolling_actives(sf_dir: str):
-    """Rolling 7-day distinct active users per day (the WAU curve) —
-    windowed COUNT(DISTINCT) computed WITHOUT re-counting each user in
-    every window: a user active on day a covers days [a, a+6], so each
-    user's active-day set becomes a union of intervals (runs split
-    where consecutive active days gap by more than 7), each run emits
-    a +1/-1 boundary delta, and the per-day delta fold + driver cumsum
-    reconstructs the exact windowed distinct count — the classic
-    sweep-line / gaps-and-islands reduction (q_interval_coverage's
-    posture applied to a sliding window).  Traffic after the (u, day)
-    dedup is two delta rows per user-run; the delta and day tables are
-    |days|-bounded on the driver.  Output per ACTIVE day: that day's
-    DAU and the trailing-7-day distinct count."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    _US_PER_DAY = 86_400_000_000
-    n_buckets = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        us = b["ts"].astype("datetime64[us]").astype("int64")
-        return pd.DataFrame({
-            "u": pd.to_numeric(b["user_id"]).astype("int64").to_numpy(),
-            "day": (us.to_numpy() // _US_PER_DAY).astype("int64")})
-
-    # materialize the deduped pairs ONCE: both the DAU fold and the
-    # run extraction consume them, and a lazy chain would re-execute
-    # the read+dedup per consumer (the heavy_hitters rescan finding)
-    pairs = coarse_agg(ev.map_batches(keyed, batch_format="pandas"),
-                       ["u", "day"], {"k": ("day", "size")}).materialize()
-    dau = coarse_agg(pairs, ["day"], {"dau": ("day", "size")}).to_pandas()
-
-    def runs(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.sort_values(["u", "day"], kind="mergesort")
-        u = g["u"].to_numpy("int64")
-        d = g["day"].to_numpy("int64")
-        new = np.r_[True, (u[1:] != u[:-1]) | (d[1:] - d[:-1] > 7)]
-        starts = d[new]
-        last = np.r_[new[1:], True]          # last element of each run
-        ends = d[last] + 7                   # -1 lands at last_day + 7
-        return pd.DataFrame({
-            "day": np.concatenate([starts, ends]),
-            "delta": np.concatenate([np.ones(len(starts), dtype="int64"),
-                                     -np.ones(len(ends), dtype="int64")])})
-
-    # per-user runs need each user whole in one task: bucket on u
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__coarse"] = _bucket_ids(b, ["u"], n_buckets)
-        return b
-
-    deltas = coarse_agg(
-        pairs.map_batches(stamp, batch_format="pandas")
-        .groupby("__coarse").map_groups(
-            lambda g: runs(g.drop(columns=["__coarse"])),
-            batch_format="pandas"),
-        ["day"], {"delta": ("delta", "sum")}).to_pandas()
-    deltas = deltas.astype({"day": "int64", "delta": "int64"}
-                           ).sort_values("day")
-    dd = deltas["day"].to_numpy("int64")
-    cum = deltas["delta"].to_numpy("int64").cumsum()
-
-    out = dau.astype({"day": "int64", "dau": "int64"}
-                     ).sort_values("day").reset_index(drop=True)
-    idx = np.searchsorted(dd, out["day"].to_numpy("int64"), side="right")
-    out["mau7"] = cum[idx - 1].astype("int64")   # idx >= 1: day has its +1
-    return out
-
-
-QUERIES.update({"q_rolling_actives": q_rolling_actives})
 
 
 # ---------------------------------------------------------------------------
@@ -6271,84 +5832,6 @@ def q_dup_cluster_sizes(sf_dir: str):
 
 
 QUERIES.update({"q_dup_cluster_sizes": q_dup_cluster_sizes})
-
-
-# ---------------------------------------------------------------------------
-# Anomalous-day detection (z-score on the daily count series)
-# ---------------------------------------------------------------------------
-def q_anomaly_days(sf_dir: str):
-    """Days whose total event count sits >= 2 population-z from the
-    mean of the daily series — the ingest-volume anomaly monitor.
-    The corpus folds to a day-bounded count table (per-batch day
-    partials -> one coarse shuffle); mean/std and the z-scores are
-    computed on that bounded series.  Membership is decided on the
-    ROUNDED z (6 dp) on both engines so a float near-tie at the
-    threshold cannot flip set membership (the q_hybrid_rrf
-    convention)."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["ts"])
-
-    def days(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        d = (b["ts"].astype("datetime64[us]").astype("int64")
-             // 86_400_000_000)
-        vc = pd.Series(d).value_counts()
-        return pd.DataFrame({"day": vc.index.to_numpy("int64"),
-                             "n_events": vc.to_numpy("int64")})
-
-    t = coarse_agg(ev.map_batches(days, batch_format="pandas"),
-                   ["day"], {"n_events": ("n_events", "sum")}).to_pandas()
-    t["day"] = t["day"].astype("int64")
-    t["n_events"] = t["n_events"].astype("int64")
-    n = t["n_events"].to_numpy("float64")
-    mean = float(n.mean())
-    sd = float(n.std(ddof=0))
-    if sd == 0.0:
-        return pd.DataFrame({"day": pd.Series([], dtype="int64"),
-                             "n_events": pd.Series([], dtype="int64"),
-                             "z": pd.Series([], dtype="float64")})
-    t["z"] = [float(_round_sql((x - mean) / sd, 6)) for x in n]
-    out = t[t["z"].abs() >= 2.0][["day", "n_events", "z"]]
-    return out.sort_values("day").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Lag-1 autocorrelation of the daily count series (drift/seasonality QA)
-# ---------------------------------------------------------------------------
-def q_autocorr(sf_dir: str):
-    """Lag-1 Pearson autocorrelation of the daily event-count series
-    (observed days in day order) — near-zero for a homogeneous
-    synthetic stream, strongly positive under weekly seasonality or
-    ramp-up, the one-scalar drift companion to q_ks_test.  The corpus
-    folds to the day-bounded count table through one coarse shuffle;
-    the correlation itself is a bounded-series computation
-    (correlation is scale-invariant, so the sample/population ddof
-    choice cancels; 6 dp absorbs summation-order ulps)."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["ts"])
-
-    def days(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        d = (b["ts"].astype("datetime64[us]").astype("int64")
-             // 86_400_000_000)
-        vc = pd.Series(d).value_counts()
-        return pd.DataFrame({"day": vc.index.to_numpy("int64"),
-                             "n": vc.to_numpy("int64")})
-
-    t = coarse_agg(ev.map_batches(days, batch_format="pandas"),
-                   ["day"], {"n": ("n", "sum")}).to_pandas()
-    t = t.sort_values("day").reset_index(drop=True)
-    n = t["n"].to_numpy("float64")
-    x, y = n[:-1], n[1:]
-    n_pairs = len(x)
-    if n_pairs < 2 or x.std() == 0.0 or y.std() == 0.0:
-        ac = float("nan")
-    else:
-        ac = float(np.corrcoef(x, y)[0, 1])
-    return pd.DataFrame({
-        "n_pairs": pd.array([n_pairs], dtype="int64"),
-        "autocorr": [float(_round_sql(ac, 6))]})
-
-
-QUERIES.update({"q_anomaly_days": q_anomaly_days, "q_autocorr": q_autocorr})
 
 
 # ---------------------------------------------------------------------------
@@ -6688,102 +6171,7 @@ def q_two_hop(sf_dir: str):
     return out.sort_values("seed").reset_index(drop=True)
 
 
-# ---------------------------------------------------------------------------
-# Grouped winsorized mean (clamp at exact p10/p90 order statistics)
-# ---------------------------------------------------------------------------
-def q_winsorize(sf_dir: str):
-    """Grouped 10% WINSORIZED mean of l_quantity by return flag —
-    values below the exact p10 order statistic clamp UP to it, above
-    p90 clamp DOWN (Tukey's robust-mean family; q_trimmed_mean's
-    sibling that keeps n constant instead of dropping rows).  Exact at
-    any scale via the value-histogram posture: quantity's bounded
-    integer-ish domain folds to a (flag, value, count) table through
-    one coarse shuffle; the clamp bounds are cumulative-count order
-    statistics (ceil(q*n)-1 of the sorted multiset — DuckDB
-    quantile_disc semantics) and the clamped mean is a weighted sum
-    over the histogram.  NO global sort, nothing row-sized on the
-    driver."""
-    li = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_returnflag", "l_quantity"])
-
-    def hist(b: pd.DataFrame) -> pd.DataFrame:
-        g = (b.groupby(["l_returnflag", "l_quantity"], as_index=False)
-             .size().rename(columns={"size": "c"}))
-        return g
-
-    h = coarse_agg(li.map_batches(hist, batch_format="pandas"),
-                   ["l_returnflag", "l_quantity"],
-                   {"c": ("c", "sum")}).to_pandas()
-    h["c"] = h["c"].astype("int64")
-
-    import math
-    rows = []
-    for f, sub in h.groupby("l_returnflag"):
-        sub = sub.sort_values("l_quantity")
-        v = sub["l_quantity"].to_numpy("float64")
-        c = sub["c"].to_numpy("int64")
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        lo = float(v[np.searchsorted(cum, math.ceil(0.1 * n))])
-        hi = float(v[np.searchsorted(cum, math.ceil(0.9 * n))])
-        clamped = np.clip(v, lo, hi)
-        wmean = float((clamped * c).sum() / n)
-        rows.append((f, n, lo, hi, float(_round_sql(wmean, 6))))
-    out = pd.DataFrame(rows, columns=["l_returnflag", "n", "lo", "hi",
-                                      "wmean"])
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("l_returnflag").reset_index(drop=True)
-
-
-QUERIES.update({"q_two_hop": q_two_hop, "q_winsorize": q_winsorize})
-
-
-# ---------------------------------------------------------------------------
-# Smoothed target encoding (the classic categorical featurizer)
-# ---------------------------------------------------------------------------
-def q_target_encode(sf_dir: str):
-    """Smoothed target-mean encoding of customer market segment against
-    order value — encoded = (sum_y + m * global_mean) / (n + m) with
-    m=10 (Micci-Barreca, SIGKDD Expl. 2001; public method).  All sums
-    are exact integer cents; the join ships the customer dim through
-    the size-gated auto_join (broadcast at test scale, bucketed hash
-    join at warehouse scale) and the sums fold per segment through one
-    coarse shuffle.  The global mean derives from the segment-bounded
-    table — no second corpus pass."""
-    from bb_ocr_ray.stages.joins import auto_join
-
-    orders = _read_parquet(_t(sf_dir, "orders"),
-                           columns=["o_custkey", "o_totalprice"])
-    cust = _read_parquet(_t(sf_dir, "customer"),
-                         columns=["c_custkey", "c_mktsegment"])
-
-    keyed = orders.map_batches(
-        lambda b: pd.DataFrame({
-            "c_custkey": b["o_custkey"].astype("int64"),
-            "cents": _round_sql(b["o_totalprice"] * 100.0, 0)
-            .astype("int64")}),
-        batch_format="pandas")
-    j = auto_join(keyed, cust, on="c_custkey")
-    seg = coarse_agg(j.map_batches(
-        lambda b: pd.DataFrame({
-            "c_mktsegment": b["c_mktsegment"],
-            "n": np.ones(len(b), dtype="int64"),
-            "cents": b["cents"].astype("int64")}),
-        batch_format="pandas"),
-        ["c_mktsegment"], {"n": ("n", "sum"),
-                           "cents": ("cents", "sum")}).to_pandas()
-    seg["n"] = seg["n"].astype("int64")
-    seg["cents"] = seg["cents"].astype("int64")
-    m = 10.0
-    g_mean = float(seg["cents"].sum()) / float(seg["n"].sum()) / 100.0
-    seg["mean_price"] = [
-        float(_round_sql(c / n / 100.0, 6))
-        for c, n in zip(seg["cents"], seg["n"])]
-    seg["encoded"] = [
-        float(_round_sql((c / 100.0 + m * g_mean) / (n + m), 6))
-        for c, n in zip(seg["cents"], seg["n"])]
-    out = seg[["c_mktsegment", "n", "mean_price", "encoded"]]
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+QUERIES.update({"q_two_hop": q_two_hop})
 
 
 # ---------------------------------------------------------------------------
@@ -6875,47 +6263,9 @@ def q_oov_rate(sf_dir: str):
     return out.sort_values("lang").reset_index(drop=True)
 
 
-# ---------------------------------------------------------------------------
-# CUSUM changepoint on the daily count series (level-shift detection)
-# ---------------------------------------------------------------------------
-def q_cusum(sf_dir: str):
-    """CUSUM changepoint of the daily event-count series: the day k
-    maximizing |sum_{i<=k}(x_i - mean)| — the standard level-shift
-    locator (Page, Biometrika 1954; public method), the companion to
-    q_anomaly_days' point anomalies.  The corpus folds to the
-    day-bounded series through one coarse shuffle; the cumulative
-    scan runs on that bounded series.  The argmax ranks on the
-    ROUNDED |cusum| (6 dp, earliest-day tiebreak) so float ulps
-    cannot flip the winner between engines."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["ts"])
-
-    def days(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        d = (b["ts"].astype("datetime64[us]").astype("int64")
-             // 86_400_000_000)
-        vc = pd.Series(d).value_counts()
-        return pd.DataFrame({"day": vc.index.to_numpy("int64"),
-                             "n": vc.to_numpy("int64")})
-
-    t = coarse_agg(ev.map_batches(days, batch_format="pandas"),
-                   ["day"], {"n": ("n", "sum")}).to_pandas()
-    t = t.sort_values("day").reset_index(drop=True)
-    n = t["n"].to_numpy("float64")
-    mu = float(n.mean())
-    cus = np.cumsum(n) - (np.arange(len(n)) + 1) * mu
-    a = np.array([float(_round_sql(abs(x), 6)) for x in cus])
-    i = int(np.lexsort((t["day"].to_numpy("int64"), -a))[0])
-    return pd.DataFrame({
-        "n_days": pd.array([len(t)], dtype="int64"),
-        "cp_day": pd.array([int(t["day"].iloc[i])], dtype="int64"),
-        "max_abs_cusum": [float(a[i])]})
-
-
 QUERIES.update({
-    "q_target_encode": q_target_encode,
     "q_class_weights": q_class_weights,
     "q_oov_rate": q_oov_rate,
-    "q_cusum": q_cusum,
 })
 
 
@@ -7037,25 +6387,25 @@ def q_zone_map(sf_dir: str):
     a shuffled one prunes none (Moerkotte's small materialized
     aggregates, VLDB'98; public method).  Shards are LOGICAL
     (doc_id // 64), so the statistic is layout-deterministic, not an
-    artifact of runtime block boundaries.  One shard-bounded min/max/
-    count fold; the pruning scan is arithmetic on that bounded
-    table."""
+    artifact of runtime block boundaries.  One shard-bounded max/count
+    fold; the pruning scan is arithmetic on that bounded table.  NULL
+    n_chars follows SQL: max skips it, the row still counts, and a
+    shard whose max is NULL (every n_chars NULL) is not prunable."""
     docs = _read_parquet(_t(sf_dir, "documents"),
                          columns=["doc_id", "n_chars"])
 
     def stamp(b: pd.DataFrame) -> pd.DataFrame:
+        # float64 carries NULL as NaN with one block schema; lengths
+        # stay exact far below 2**53
         return pd.DataFrame({
             "shard": b["doc_id"].astype("int64") // 64,
-            "n_chars": b["n_chars"].astype("int64"),
+            "n_chars": b["n_chars"].astype("float64"),
             "one": np.ones(len(b), dtype="int64")})
 
     t = coarse_agg(docs.map_batches(stamp, batch_format="pandas"),
-                   ["shard"], {"mn": ("n_chars", "min"),
-                               "mx": ("n_chars", "max"),
+                   ["shard"], {"mx": ("n_chars", "max"),
                                "rows": ("one", "sum")}).to_pandas()
-    for c in t.columns:
-        t[c] = t[c].astype("int64")
-    prunable = t["mx"] < 400
+    prunable = (t["mx"] < 400).to_numpy()  # NaN < 400 is False
     n_shards = len(t)
     n_prun = int(prunable.sum())
     return pd.DataFrame({
@@ -7066,86 +6416,7 @@ def q_zone_map(sf_dir: str):
         "prune_ratio": [float(_round_sql(n_prun / n_shards, 6))]})
 
 
-# ---------------------------------------------------------------------------
-# Second frequency moment F2 (self-join size) of the user stream
-# ---------------------------------------------------------------------------
-def q_f2(sf_dir: str):
-    """Exact second frequency moment F2 = sum_u c_u^2 of the user-id
-    stream — the self-join size that drives every join-cardinality
-    estimate (Alon, Matias & Szegedy, STOC'96 frame; computed exactly
-    here).  Per-user counts fold through one coarse shuffle; each
-    output batch contributes one Python-int partial (c^2 sums near a
-    heavy user's square overflow int64 at web scale — the
-    q_corr_grouped decimal-string posture), and the driver folds
-    bucket partials with arbitrary-precision ints.  F2 is emitted as
-    a decimal STRING on both engines."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        vc = b["user_id"].astype("int64").value_counts()
-        return pd.DataFrame({"u": vc.index.to_numpy("int64"),
-                             "c": vc.to_numpy("int64")})
-
-    cnt = coarse_agg(ev.map_batches(partial, batch_format="pandas"),
-                     ["u"], {"c": ("c", "sum")})
-
-    def sq(b: pd.DataFrame) -> pd.DataFrame:
-        tot = sum(int(x) * int(x) for x in b["c"])
-        return pd.DataFrame({"f2_part": [str(tot)],
-                             "n_users": [len(b)],
-                             "n_rows": [int(b["c"].astype("int64").sum())]})
-
-    parts = cnt.map_batches(sq, batch_format="pandas").to_pandas()
-    f2 = sum(int(s) for s in parts["f2_part"])
-    return pd.DataFrame({
-        "n_users": pd.array([int(parts["n_users"].sum())], dtype="int64"),
-        "n_rows": pd.array([int(parts["n_rows"].sum())], dtype="int64"),
-        "f2": [str(f2)]})
-
-
-QUERIES.update({"q_zone_map": q_zone_map, "q_f2": q_f2})
-
-
-# ---------------------------------------------------------------------------
-# Referential-integrity validation (FK orphan counts)
-# ---------------------------------------------------------------------------
-def q_integrity(sf_dir: str):
-    """Referential-integrity audit over the star schema's two long FK
-    edges: lineitems whose order is missing and orders whose customer
-    is missing — the load-validation gate every warehouse ingest runs
-    before publishing a snapshot.  Each orphan count is a size-gated
-    anti-join (auto_anti: key-set broadcast when driver-sized, exact
-    hash-partitioned anti-join at warehouse scale) followed by a
-    distributed count; only four scalars reach the driver."""
-    from bb_ocr_ray.stages.joins import auto_anti
-
-    li = _read_parquet(_t(sf_dir, "lineitem"), columns=["l_orderkey"])
-    orders = _read_parquet(_t(sf_dir, "orders"),
-                           columns=["o_orderkey", "o_custkey"])
-    cust = _read_parquet(_t(sf_dir, "customer"), columns=["c_custkey"])
-
-    li_keyed = li.map_batches(
-        lambda b: pd.DataFrame({"k": b["l_orderkey"].astype("int64")}),
-        batch_format="pandas")
-    ord_keys = orders.map_batches(
-        lambda b: pd.DataFrame({"k": b["o_orderkey"].astype("int64")}),
-        batch_format="pandas")
-    orphan_li = auto_anti(li_keyed, ord_keys, on="k").count()
-
-    ord_keyed = orders.map_batches(
-        lambda b: pd.DataFrame({"k": b["o_custkey"].astype("int64")}),
-        batch_format="pandas")
-    cust_keys = cust.map_batches(
-        lambda b: pd.DataFrame({"k": b["c_custkey"].astype("int64")}),
-        batch_format="pandas")
-    orphan_ord = auto_anti(ord_keyed, cust_keys, on="k").count()
-
-    return pd.DataFrame({
-        "n_lineitem": pd.array([li.count()], dtype="int64"),
-        "orphan_lineitem": pd.array([orphan_li], dtype="int64"),
-        "n_orders": pd.array([orders.count()], dtype="int64"),
-        "orphan_orders": pd.array([orphan_ord], dtype="int64")})
+QUERIES.update({"q_zone_map": q_zone_map})
 
 
 # ---------------------------------------------------------------------------
@@ -7207,210 +6478,7 @@ def q_emb_quantize(sf_dir: str):
             float(p["sse"].sum()) / n_vals * 1e6, 6))]})
 
 
-QUERIES.update({
-    "q_integrity": q_integrity,
-    "q_emb_quantize": q_emb_quantize,
-})
-
-
-# ---------------------------------------------------------------------------
-# Lorenz curve deciles of user-activity concentration
-# ---------------------------------------------------------------------------
-def q_lorenz(sf_dir: str):
-    """Lorenz curve at user deciles: the cumulative share of all
-    events held by the least-active k*10% of users, k=1..10 — the
-    curve behind q_gini's scalar (Lorenz 1905; public method).
-    Exact at any scale via the activity-value histogram: per-user
-    counts fold once, then a (count-value, n_users) histogram fold —
-    users sharing an activity count are interchangeable, so the
-    decile cut inside a value group is exact integer arithmetic
-    (partial_users * value), never a per-user sort."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        vc = b["user_id"].astype("int64").value_counts()
-        return pd.DataFrame({"u": vc.index.to_numpy("int64"),
-                             "c": vc.to_numpy("int64")})
-
-    cnt = coarse_agg(ev.map_batches(partial, batch_format="pandas"),
-                     ["u"], {"c": ("c", "sum")})
-
-    def hist(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["c"].astype("int64").value_counts()
-        return pd.DataFrame({"v": vc.index.to_numpy("int64"),
-                             "m": vc.to_numpy("int64")})
-
-    h = coarse_agg(cnt.map_batches(hist, batch_format="pandas"),
-                   ["v"], {"m": ("m", "sum")}).to_pandas()
-    h = h.sort_values("v").reset_index(drop=True)
-    v = h["v"].to_numpy("int64")
-    m = h["m"].to_numpy("int64")
-    n = int(m.sum())
-    tot = int((v * m).sum())
-    cum_u = np.concatenate([[0], np.cumsum(m)])
-    cum_e = np.concatenate([[0], np.cumsum(v * m)])
-    rows = []
-    for k in range(1, 11):
-        p = (k * n) // 10
-        # side="left" so a cut landing EXACTLY on a group boundary
-        # resolves inside the finished group (partial term = full group)
-        i = int(np.searchsorted(cum_u, p, side="left")) - 1
-        ce = int(cum_e[i] + (p - cum_u[i]) * v[i]) if p > 0 else 0
-        rows.append((k, p, ce, float(_round_sql(ce / tot, 6))))
-    return pd.DataFrame(rows, columns=["decile", "n_users_cum",
-                                       "n_events_cum", "share"]).astype(
-        {"decile": "int64", "n_users_cum": "int64",
-         "n_events_cum": "int64"})
-
-
-# ---------------------------------------------------------------------------
-# Order-to-ship delay stats per priority (fulfilment QA)
-# ---------------------------------------------------------------------------
-def q_ship_delay(sf_dir: str):
-    """Per order priority: lineitem count and min/max/mean days from
-    order date to ship date — the fulfilment-latency QA join.  The
-    orders side ships through the size-gated auto_join (broadcast at
-    test scale, bucketed hash join at warehouse scale); day deltas
-    are exact integer microsecond floors and the mean folds from
-    exact integer day sums."""
-    from bb_ocr_ray.stages.joins import auto_join
-
-    _D = 86_400_000_000
-    li = _read_parquet(_t(sf_dir, "lineitem"),
-                       columns=["l_orderkey", "l_shipdate"])
-    orders = _read_parquet(_t(sf_dir, "orders"),
-                           columns=["o_orderkey", "o_orderdate",
-                                    "o_orderpriority"])
-
-    li_k = li.map_batches(
-        lambda b: pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].astype("int64"),
-            "ship_us": b["l_shipdate"].astype("datetime64[us]")
-            .astype("int64")}),
-        batch_format="pandas")
-    j = auto_join(li_k, orders, on="o_orderkey")
-
-    def delays(b: pd.DataFrame) -> pd.DataFrame:
-        d = ((b["ship_us"].astype("int64")
-              - b["o_orderdate"].astype("datetime64[us]").astype("int64"))
-             // _D)
-        return pd.DataFrame({
-            "o_orderpriority": b["o_orderpriority"],
-            "n": np.ones(len(b), dtype="int64"),
-            "sum_days": d.astype("int64"),
-            "min_days": d.astype("int64"),
-            "max_days": d.astype("int64")})
-
-    out = coarse_agg(j.map_batches(delays, batch_format="pandas"),
-                     ["o_orderpriority"],
-                     {"n": ("n", "sum"), "sum_days": ("sum_days", "sum"),
-                      "min_days": ("min_days", "min"),
-                      "max_days": ("max_days", "max")}).to_pandas()
-    for c in ("n", "sum_days", "min_days", "max_days"):
-        out[c] = out[c].astype("int64")
-    out["avg_days"] = [float(_round_sql(s / n, 6))
-                       for s, n in zip(out["sum_days"], out["n"])]
-    out = out[["o_orderpriority", "n", "min_days", "max_days",
-               "avg_days"]]
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
-
-
-QUERIES.update({"q_lorenz": q_lorenz, "q_ship_delay": q_ship_delay})
-
-
-# ---------------------------------------------------------------------------
-# Candidate-key discovery (uniqueness audit over key combinations)
-# ---------------------------------------------------------------------------
-def q_key_discovery(sf_dir: str):
-    """Uniqueness audit of three candidate keys over the event stream
-    — the schema-discovery step every ingest contract starts from:
-    n_distinct vs n_rows per candidate, and whether it is a key.
-    Each candidate folds through ONE coarse count shuffle (per-batch
-    local dedup partials first, so the all-to-all moves distinct
-    candidate values, not rows); only three scalar pairs reach the
-    driver.  NULLs count as values (the pragmatic dedup convention,
-    mirrored by the oracle's count(DISTINCT (..)) on a struct)."""
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_id", "user_id", "ts"])
-    n_rows = ev.count()
-
-    def distinct_count(cols) -> int:
-        def local(b: pd.DataFrame) -> pd.DataFrame:
-            return b[cols].drop_duplicates()
-
-        d = coarse_agg(ev.map_batches(local, batch_format="pandas"),
-                       cols, {"c": (cols[0], "size")})
-        return d.count()
-
-    cands = [("event_id", ["event_id"]),
-             ("user_id", ["user_id"]),
-             ("user_id,ts", ["user_id", "ts"])]
-    rows = []
-    for name, cols in cands:
-        nd = distinct_count(cols)
-        rows.append((name, n_rows, nd, nd == n_rows))
-    out = pd.DataFrame(rows, columns=["candidate", "n_rows",
-                                      "n_distinct", "is_key"])
-    out["n_rows"] = out["n_rows"].astype("int64")
-    out["n_distinct"] = out["n_distinct"].astype("int64")
-    return out.sort_values("candidate").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Out-of-order event rate (ingest-sequence vs event-time QA)
-# ---------------------------------------------------------------------------
-def q_ooo_rate(sf_dir: str):
-    """Per-user out-of-order rate: among consecutive events in INGEST
-    order (event_id), how often event time goes backwards — the
-    watermark-lateness QA a streaming consumer sizes its buffers
-    from.  One coarse shuffle on user; adjacent-pair comparison is
-    vectorized over each bucket's (user, event_id)-sorted rows; a
-    single (pairs, inversions) scalar pair folds out.  The
-    documented partitioning assumption: adjacency is PER USER
-    (global adjacency would need a total event_id sort)."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["user_id", "event_id", "ts"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "eid": b["event_id"].astype("int64").to_numpy(),
-            "us": b["ts"].astype("datetime64[us]").astype("int64")
-            .to_numpy()})
-        g["__coarse"] = _bucket_ids(g, ["u"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "eid"], kind="mergesort")
-        u = g["u"].to_numpy("int64")
-        us = g["us"].to_numpy("int64")
-        same = u[1:] == u[:-1]
-        pairs = int(same.sum())
-        ooo = int(((us[1:] < us[:-1]) & same).sum())
-        return pd.DataFrame({"n_pairs": [pairs], "n_ooo": [ooo]})
-
-    p = (ev.map_batches(stamp, batch_format="pandas")
-         .groupby("__coarse").map_groups(bucket, batch_format="pandas")
-         .to_pandas())
-    n_pairs = int(p["n_pairs"].sum())
-    n_ooo = int(p["n_ooo"].sum())
-    return pd.DataFrame({
-        "n_pairs": pd.array([n_pairs], dtype="int64"),
-        "n_ooo": pd.array([n_ooo], dtype="int64"),
-        "ooo_rate": [float(_round_sql(n_ooo / n_pairs, 6))
-                     if n_pairs else 0.0]})
-
-
-QUERIES.update({
-    "q_key_discovery": q_key_discovery,
-    "q_ooo_rate": q_ooo_rate,
-})
+QUERIES.update({"q_emb_quantize": q_emb_quantize})
 
 
 # ---------------------------------------------------------------------------
@@ -7422,8 +6490,9 @@ def q_fim_split(sf_dir: str):
     (prefix, suffix, middle) — the FIM transformation of Bavarian et
     al. (2022; public method), emitted as per-doc split sizes plus an
     md5 of the reordered text so the full transform is value-checked
-    without shipping doc-sized strings through the compare.  Pure
-    doc-local map work: no shuffle at any scale."""
+    without shipping doc-sized strings through the compare.  NULL text
+    splits as zero tokens and has a NULL fim_md5.  Pure doc-local map
+    work: no shuffle at any scale."""
     from bb_ocr_ray.functions.hashing import md5_hex, ws_tokens
 
     docs = _read_parquet(_t(sf_dir, "documents"),
@@ -7444,7 +6513,7 @@ def q_fim_split(sf_dir: str):
             out["n_prefix"].append(len(pre))
             out["n_middle"].append(len(mid))
             out["n_suffix"].append(len(suf))
-            out["fim_md5"].append(md5_hex(psm))
+            out["fim_md5"].append(None if t is None else md5_hex(psm))
         return pd.DataFrame({
             "doc_id": pd.Series(out["doc_id"], dtype="int64"),
             "n_tokens": pd.Series(out["n_tokens"], dtype="int64"),
@@ -7973,91 +7042,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# Rolling 7-day p95 of the daily count series (robust volume monitor)
-# ---------------------------------------------------------------------------
-def q_rolling_median(sf_dir: str):
-    """Rolling 7-row MEDIAN (quantile_disc semantics) of the daily
-    event count in day order — the robust alerting baseline that,
-    unlike q_rolling_actives' mean-style windows, ignores single
-    spike days (a 7-row p95 would just be the max, which is why the
-    median is the grain here).  The corpus folds to the day-bounded
-    series through one coarse shuffle; the rolling order statistics
-    run on that bounded series with the exact ceil(q*n)-1 element
-    pick, so the output is an exact element, bit-identical on both
-    engines."""
-    import math
-
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["ts"])
-
-    def days(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        d = (b["ts"].astype("datetime64[us]").astype("int64")
-             // 86_400_000_000)
-        vc = pd.Series(d).value_counts()
-        return pd.DataFrame({"day": vc.index.to_numpy("int64"),
-                             "n": vc.to_numpy("int64")})
-
-    t = coarse_agg(ev.map_batches(days, batch_format="pandas"),
-                   ["day"], {"n": ("n", "sum")}).to_pandas()
-    t = t.sort_values("day").reset_index(drop=True)
-    n = t["n"].to_numpy("int64")
-    out = []
-    for i in range(len(n)):
-        w = np.sort(n[max(0, i - 6):i + 1])
-        out.append(int(w[math.ceil(0.5 * len(w)) - 1]))
-    t["med_7d"] = pd.array(out, dtype="int64")
-    t["day"] = t["day"].astype("int64")
-    t["n"] = t["n"].astype("int64")
-    return t[["day", "n", "med_7d"]]
-
-
-# ---------------------------------------------------------------------------
-# Per-type arrival rate (shuffle-free exact mean inter-arrival)
-# ---------------------------------------------------------------------------
-def q_arrival_rate(sf_dir: str):
-    """Per event type: event count, stream span, exact mean
-    inter-arrival gap and hourly rate.  The mean of consecutive gaps
-    telescopes to (max-min)/(n-1), so the WHOLE statistic is a
-    min/max/count fold — no ordering, no shuffle of raw events, exact
-    integer division on both engines.  (The telescoping identity is
-    why no sort is needed at any scale — the max gap, which doesn't
-    telescope, lives in q_event_gaps instead.)"""
-    ev = _read_parquet(_t(sf_dir, "events"),
-                       columns=["event_type", "ts"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["ts"])
-        us = b["ts"].astype("datetime64[us]").astype("int64")
-        g = pd.DataFrame({"event_type": b["event_type"],
-                          "mn": us, "mx": us,
-                          "one": np.ones(len(b), dtype="int64")})
-        return g.groupby("event_type", as_index=False).agg(
-            mn=("mn", "min"), mx=("mx", "max"), one=("one", "sum"))
-
-    t = coarse_agg(ev.map_batches(partial, batch_format="pandas"),
-                   ["event_type"], {"mn": ("mn", "min"),
-                                    "mx": ("mx", "max"),
-                                    "one": ("one", "sum")}).to_pandas()
-    t["n"] = t["one"].astype("int64")
-    t["span_us"] = (t["mx"].astype("int64")
-                    - t["mn"].astype("int64")).astype("int64")
-    t["mean_gap_us"] = (t["span_us"]
-                        // (t["n"] - 1).clip(lower=1)).astype("int64")
-    t["per_hour"] = [
-        float(_round_sql(3_600_000_000.0 * (n - 1) / s, 6))
-        if s > 0 else 0.0
-        for n, s in zip(t["n"], t["span_us"])]
-    out = t[["event_type", "n", "span_us", "mean_gap_us", "per_hour"]]
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-QUERIES.update({
-    "q_rolling_median": q_rolling_median,
-    "q_arrival_rate": q_arrival_rate,
-})
-
-
-# ---------------------------------------------------------------------------
 # Sample-ratio mismatch guardrail (chi-square on arm assignment)
 # ---------------------------------------------------------------------------
 def q_ab_srm(sf_dir: str):
@@ -8263,58 +7247,13 @@ QUERIES.update({"q_dataset_card": q_dataset_card})
 
 
 # ---------------------------------------------------------------------------
-# Active-days distribution (L28-style engagement histogram)
-# ---------------------------------------------------------------------------
-def q_active_days(sf_dir: str):
-    """Histogram of per-user distinct active days — the L28-style
-    engagement distribution (how many days of the window each user
-    showed up), the non-consecutive companion to q_streak.  Per-batch
-    distinct (user, day) partials -> ONE coarse count fold on user ->
-    a day-count-bounded histogram fold; users never reach the
-    driver."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def pairs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        g = pd.DataFrame({
-            "u": b["user_id"].astype("int64").to_numpy(),
-            "day": (b["ts"].astype("datetime64[us]").astype("int64")
-                    // 86_400_000_000)}).drop_duplicates()
-        return g
-
-    per_user = coarse_agg(ev.map_batches(pairs, batch_format="pandas"),
-                          ["u", "day"], {"c": ("day", "size")})
-    cnt = coarse_agg(per_user.map_batches(
-        lambda b: pd.DataFrame({"u": b["u"].astype("int64"),
-                                "one": np.ones(len(b), dtype="int64")}),
-        batch_format="pandas"), ["u"], {"days": ("one", "sum")})
-    hist = coarse_agg(cnt.map_batches(
-        lambda b: pd.DataFrame({"days": b["days"].astype("int64"),
-                                "n_users": np.ones(len(b),
-                                                   dtype="int64")}),
-        batch_format="pandas"), ["days"],
-        {"n_users": ("n_users", "sum")}).to_pandas()
-    hist["days"] = hist["days"].astype("int64")
-    hist["n_users"] = hist["n_users"].astype("int64")
-    return hist.sort_values("days").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Revenue concentration per nation (Herfindahl-Hirschman index)
-# ---------------------------------------------------------------------------
-
-
-QUERIES.update({"q_active_days": q_active_days})
-
-
-# ---------------------------------------------------------------------------
 # Basket-size distribution (lineitems per order)
 # ---------------------------------------------------------------------------
 def q_order_sizes(sf_dir: str):
     """Histogram of lineitems per order — the basket-size distribution
-    feeding q_market_basket's support denominators and any batch-size
-    planning.  One order-keyed count fold (per-batch partials), then a
-    size-bounded histogram fold; order keys never reach the driver."""
+    for batch-size planning.  One order-keyed count fold (per-batch
+    partials), then a size-bounded histogram fold; order keys never
+    reach the driver."""
     li = _read_parquet(_t(sf_dir, "lineitem"), columns=["l_orderkey"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -8340,9 +7279,9 @@ def q_order_sizes(sf_dir: str):
 # ---------------------------------------------------------------------------
 def q_user_lifespan(sf_dir: str):
     """Histogram of per-user tenure in days (last activity day minus
-    first activity day) — the retention-horizon distribution next to
-    q_active_days' intensity histogram.  One (min, max) fold per user
-    (exact integer epoch days), then a span-bounded histogram fold."""
+    first activity day) — the retention-horizon distribution.  One
+    (min, max) fold per user (exact integer epoch days), then a
+    span-bounded histogram fold."""
     ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:

@@ -301,74 +301,6 @@ def kmeans_fit(vectors_ds, k: int = 16, iters: int = 5,
     return centroids
 
 
-def ivf_topk(vectors_ds, query_ids, k: int = 5, n_lists: int = 16,
-             n_probe: int = 4, id_col: str = "vec_id",
-             vec_col: str = "embedding"):
-    """IVF approximate top-k: assign vectors to their nearest centroid
-    (inverted lists), probe only the ``n_probe`` closest lists per
-    query.  Recall < 1 by construction; the exact baseline is ann_topk.
-    Returns (query_id, rank, neighbor_id)."""
-    import ray
-
-    centroids = kmeans_fit(vectors_ds, k=n_lists)
-    cref = ray.put(centroids)
-
-    qset = set(int(q) for q in query_ids)
-    qrows = vectors_ds.map_batches(
-        lambda b: b[b[id_col].isin(qset)], batch_format="pandas"
-    ).to_pandas().sort_values(id_col)
-    qmat = _normalize(_to_matrix(qrows[vec_col]))
-    # lists to probe per query
-    probe = np.argsort(-(qmat @ centroids.T), axis=1)[:, :n_probe]
-    probe_sets = {int(qid): frozenset(int(x) for x in probe[i])
-                  for i, qid in enumerate(qrows[id_col])}
-    qref = ray.put((qrows[id_col].tolist(), qmat, probe_sets))
-
-    def partial_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty:
-            return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                                 "neighbor_id": pd.Series([], dtype="int64"),
-                                 "score": pd.Series([], dtype="float64")})
-        c = ray.get(cref)
-        qids, qm, probes = ray.get(qref)
-        mat = _normalize(_to_matrix(batch[vec_col]))
-        ids = batch[id_col].to_numpy()
-        assign = np.argmax(mat @ c.T, axis=1)
-        sims = qm @ mat.T                      # (Q, B)
-        out = {"query_id": [], "neighbor_id": [], "score": []}
-        for qi, qid in enumerate(qids):
-            mask = np.isin(assign, list(probes[qid])) & (ids != qid)
-            if not mask.any():
-                continue
-            cand = np.where(mask)[0]
-            # tie-deterministic cut: (-score, id), matching BruteForceTopK
-            order = np.lexsort((ids[cand], -sims[qi, cand]))[: k]
-            take = cand[order]
-            for j in take:
-                out["query_id"].append(qid)
-                out["neighbor_id"].append(int(ids[j]))
-                out["score"].append(float(sims[qi, j]))
-        return pd.DataFrame(
-            {"query_id": pd.Series(out["query_id"], dtype="int64"),
-             "neighbor_id": pd.Series(out["neighbor_id"], dtype="int64"),
-             "score": pd.Series(out["score"], dtype="float64")}
-        )
-
-    partials = vectors_ds.map_batches(partial_topk, batch_format="pandas")
-
-    def reduce_topk(group: pd.DataFrame) -> pd.DataFrame:
-        top = heapq.nsmallest(k, group.itertuples(index=False),
-                              key=lambda r: (-r.score, r.neighbor_id))
-        return pd.DataFrame(
-            {"query_id": pd.Series([t.query_id for t in top], dtype="int64"),
-             "rank": pd.Series(range(1, len(top) + 1), dtype="int64"),
-             "neighbor_id": pd.Series([t.neighbor_id for t in top], dtype="int64")}
-        )
-
-    return partials.groupby("query_id").map_groups(reduce_topk,
-                                                   batch_format="pandas")
-
-
 def ivf_topk_exact(vectors_ds, query_ids, k: int = 5, n_lists: int = 16,
                    n_probe: int = 4, id_col: str = "vec_id",
                    vec_col: str = "embedding", eps: float = 1e-9):

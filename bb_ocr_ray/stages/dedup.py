@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from bb_ocr_ray.functions.hashing import md5_hex, simhash
+from bb_ocr_ray.functions.hashing import md5_hex
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +418,6 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
 # ---------------------------------------------------------------------------
 # SimHash
 # ---------------------------------------------------------------------------
-def add_simhash(batch: pd.DataFrame, text_col: str = "text",
-                out_col: str = "simhash") -> pd.DataFrame:
-    from bb_ocr_ray.functions.hashing import simhash_batch
-
-    batch[out_col] = simhash_batch(list(batch[text_col]))
-    return batch
-
-
 def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                       max_hamming: int = 3, n_tables: int = 4):
     """SimHash near-dup candidates: block on 16-bit bands of the 64-bit

@@ -272,141 +272,6 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     return ranks.map_batches(finish, batch_format="pandas")
 
 
-def pagerank_static(edges_ds, iters: int = 10, damping: float = 0.85,
-                    n_shards: int | None = None):
-    """PageRank with ACTOR-RESIDENT edge partitions — the iteration
-    optimization :func:`pagerank` documents: the edge list is static
-    across rounds, so re-shuffling it every iteration (what any
-    pure-Dataset join must do) wastes the dominant byte volume.  Here
-    the edges hash-partition ONCE into ``n_shards`` bucket actors
-    (src-keyed, with out-degree attached), and each round only the
-    RANK VECTOR moves: rank rows shuffle to their bucket, the in-task
-    UDF calls its shard actor, the actor joins locally and returns
-    per-dst partial contributions.  This is the documented
-    raw-actor exception (a shared static index the Dataset API would
-    otherwise re-ship per round).
-
-    Differentially tested equal to :func:`pagerank`; same leaky
-    formulation.  Partitioning assumption: one bucket's edges fit one
-    actor's heap.
-
-    MEASURED VERDICT (2 M edges / 200k nodes / 5 iters, 32 cpus): the
-    pure-Dataset :func:`pagerank` wins on one box — 14.0 s vs 58.5 s
-    (16 shards; MORE shards are worse: 89 s at 64, 147 s at 128, as
-    every blocked in-task ``ray.get`` parks a worker process and the
-    actor round-trips pay object-store serialization both ways).  On
-    shared memory the per-round edge "re-ship" is a memcpy, so the
-    join path's extra bytes are cheap and its task parallelism wins.
-    The resident-edge design only pays off where re-shipping crosses a
-    NIC (real multi-node) AND edges >> rank vector; keep it as the
-    documented alternative, default to :func:`pagerank`.
-    """
-    import ray
-
-    from bb_ocr_ray.stages.coarse import _bucket_ids, coarse_agg
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    if n_shards is None:
-        # one resident shard per reducer slot (edges ~ heap-bound)
-        n_shards = max(8, _auto_num_buckets() // 4)
-
-    @ray.remote
-    class EdgeShard:
-        def __init__(self):
-            self.edges = None  # (src, dst, outdeg) for this bucket
-
-        def ingest(self, edges_pd: pd.DataFrame) -> int:
-            self.edges = edges_pd
-            return len(edges_pd)
-
-        def contribute(self, ranks_pd: pd.DataFrame,
-                       damp: float) -> pd.DataFrame:
-            if self.edges is None:
-                # a bucket can hold rank rows (dst-only nodes hash
-                # here) yet no edges — nothing to contribute
-                return pd.DataFrame({"dst": pd.array([], dtype="int64"),
-                                     "m": pd.array([], dtype="float64")})
-            m = self.edges.merge(ranks_pd, on="src", how="inner")
-            out = pd.DataFrame({
-                "dst": m["dst"].to_numpy(),
-                "m": damp * m["rank"].to_numpy() / m["outdeg"].to_numpy()})
-            # per-dst partial sum before leaving the actor (combiner)
-            return out.groupby("dst", as_index=False)["m"].sum()
-
-    nodes = _distinct_nodes(edges_ds, _auto_num_buckets()).materialize()
-    n_nodes = nodes.count()
-    if n_nodes == 0:
-        import ray.data as rd
-
-        return rd.from_pandas(pd.DataFrame({
-            "node": pd.array([], dtype="int64"),
-            "rank": pd.array([], dtype="float64")}))
-
-    deg = coarse_agg(edges_ds, ["src"], {"outdeg": ("dst", "size")})
-
-    def stamp_edges(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_sb"] = _bucket_ids(b, ["src"], n_shards)
-        return b
-
-    from bb_ocr_ray.stages.joins import hash_join
-
-    edges2 = hash_join(edges_ds, deg, on="src")
-    shards = [EdgeShard.remote() for _ in range(n_shards)]
-
-    def load_shard(g: pd.DataFrame) -> pd.DataFrame:
-        sid = int(g["_sb"].iloc[0])
-        n = ray.get(shards[sid].ingest.remote(
-            g.drop(columns=["_sb"]).reset_index(drop=True)))
-        return pd.DataFrame({"shard": [sid], "n_edges": [n]})
-
-    # .to_pandas() forces the load; the returned ledger is shard
-    # row counts (differential test pins that nothing is lost —
-    # an inline count() here would re-execute a lazy edge pipeline)
-    (edges2.map_batches(stamp_edges, batch_format="pandas")
-     .groupby("_sb").map_groups(load_shard, batch_format="pandas")
-     .to_pandas())
-
-    teleport = (1.0 - damping) / n_nodes
-
-    ranks = nodes.map_batches(
-        lambda b: pd.DataFrame({"src": b["node"].astype("int64"),
-                                "rank": 1.0 / n_nodes}),
-        batch_format="pandas").materialize()
-
-    zeros = nodes.map_batches(
-        lambda b: pd.DataFrame({"dst": b["node"].astype("int64"),
-                                "m": 0.0}),
-        batch_format="pandas").materialize()
-
-    def stamp_ranks(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_sb"] = _bucket_ids(b, ["src"], n_shards)
-        return b
-
-    def probe(g: pd.DataFrame) -> pd.DataFrame:
-        sid = int(g["_sb"].iloc[0])
-        return ray.get(shards[sid].contribute.remote(
-            g.drop(columns=["_sb"]).reset_index(drop=True), damping))
-
-    for _ in range(iters):
-        received = (ranks.map_batches(stamp_ranks, batch_format="pandas")
-                    .groupby("_sb")
-                    .map_groups(probe, batch_format="pandas"))
-        summed = coarse_agg(received.union(zeros), ["dst"],
-                            {"m": ("m", "sum")})
-        ranks = summed.map_batches(
-            lambda b: pd.DataFrame({
-                "src": b["dst"].astype("int64"),
-                "rank": teleport + b["m"].to_numpy()}),
-            batch_format="pandas").materialize()
-
-    return ranks.map_batches(
-        lambda b: pd.DataFrame({"node": b["src"].astype("int64"),
-                                "rank": b["rank"].astype("float64")}),
-        batch_format="pandas")
-
-
 def triangle_count(edges_ds, coarse_buckets: int | None = None,
                    degree_broadcast_limit: int | None = None):
     """Distributed triangle enumeration with DEGREE orientation — the

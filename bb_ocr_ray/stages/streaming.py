@@ -8,32 +8,21 @@ Dataset genuinely can't express: folding an event stream incrementally,
 emitting results as windows close, without holding the stream in memory.
 
 De-funneled design (round 3): the driver never iterates the stream.
-
-* ``sessionize_streaming`` routes events to the state actors from
-  INSIDE ``map_batches`` tasks (actor handles travel in the closure;
-  the bucket hash is one vectorized numpy multiply).  Because gap
-  sessionization is connected components on the time axis, the actor
-  folds events as DISJOINT SESSION INTERVALS per user — an
-  order-independent mergeable state — so parallel tasks may deliver
-  chunks in any order and the result is still exact.  State per actor
-  is O(open sessions), never O(events).
-* ``sessionize_watermark`` keeps arrival-order semantics (watermark +
-  allowed lateness: order genuinely matters), so each key-hash bucket
-  replays through ONE ``map_groups`` task that feeds its bucket actor
-  sequentially — per-actor FIFO per bucket, n_actors tasks in
-  parallel, no driver funnel (out-of-order simulations carry an
-  explicit ``arrival_col`` sequence stamp through the same path).
-  The replay task holds one bucket's (user_id, ts) pairs; bound that
-  by growing ``n_actors`` with the cluster, while the ACTOR state
-  stays O(open keys + lateness buffer).
+``sessionize_watermark`` keeps arrival-order semantics (watermark +
+allowed lateness: order genuinely matters), so each key-hash bucket
+replays through ONE ``map_groups`` task that feeds its bucket actor
+sequentially — per-actor FIFO per bucket, n_actors tasks in parallel,
+no driver funnel (out-of-order simulations carry an explicit
+``arrival_col`` sequence stamp through the same path).  The replay
+task holds one bucket's (user_id, ts) pairs; bound that by growing
+``n_actors`` with the cluster, while the ACTOR state stays O(open keys
++ lateness buffer).
 
 NULL user_id rows are dropped at routing (repo convention for user
 aggregates, same as q_sessionize).
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 import pandas as pd
@@ -58,95 +47,6 @@ def _clean(batch: pd.DataFrame):
 def _buckets_of(users: np.ndarray, n_actors: int) -> np.ndarray:
     return ((users.astype(np.uint64) * _KNUTH) % np.uint64(n_actors)).astype(
         np.int64)
-
-
-@ray.remote
-class SessionActor:
-    """Order-independent incremental gap-sessionizer for one bucket.
-
-    State: per-user sorted list of disjoint session intervals
-    ``(start_us, end_us, n_events)`` where an event belongs to an
-    interval iff it lies within ``gap`` of it; an event bridging two
-    intervals merges them (connected components on the time axis).
-    Exact under ANY chunk arrival order — what makes fully parallel
-    map_batches ingestion safe."""
-
-    def __init__(self, gap_seconds: float):
-        self.gap = int(gap_seconds * 1_000_000)  # integer µs: exact
-        self.starts: dict = {}  # user -> list[start_us] (bisect key)
-        self.ivals: dict = {}   # user -> list[[start, end, n]]
-
-    def ingest(self, users: np.ndarray, ts_us: np.ndarray) -> int:
-        gap = self.gap
-        for u, t in zip(users.tolist(), ts_us.tolist()):
-            starts = self.starts.get(u)
-            if starts is None:
-                self.starts[u] = [t]
-                self.ivals[u] = [[t, t, 1]]
-                continue
-            iv = self.ivals[u]
-            j = bisect.bisect_right(starts, t)
-            left = iv[j - 1] if j > 0 and t <= iv[j - 1][1] + gap else None
-            right = iv[j] if j < len(iv) and iv[j][0] - t <= gap else None
-            if left is not None and right is not None:
-                # bridge: merge right into left
-                left[1] = right[1]
-                left[2] += right[2] + 1
-                del iv[j]
-                del starts[j]
-            elif left is not None:
-                if t > left[1]:
-                    left[1] = t
-                left[2] += 1
-            elif right is not None:
-                right[0] = t
-                right[2] += 1
-                starts[j] = t
-            else:
-                iv.insert(j, [t, t, 1])
-                starts.insert(j, t)
-        return len(self.ivals)
-
-    def finalize(self) -> pd.DataFrame:
-        users = sorted(self.ivals)
-        return pd.DataFrame(
-            {"user_id": pd.Series(users, dtype="int64"),
-             "n_sessions": pd.Series(
-                 [len(self.ivals[u]) for u in users], dtype="int64"),
-             "n_events": pd.Series(
-                 [sum(v[2] for v in self.ivals[u]) for u in users],
-                 dtype="int64")})
-
-
-def sessionize_streaming(events_ds, gap_seconds: float = 1800.0,
-                         n_actors: int = 4) -> pd.DataFrame:
-    """Stream events through a bank of stateful actors; return per-user
-    (n_sessions, n_events).  Batch-equivalent of q_sessionize — the
-    equality is asserted in tests.
-
-    Routing runs inside map_batches tasks: each task hashes its batch
-    to buckets (vectorized), ships per-bucket numpy slices to the
-    owning actor, and blocks on the acks (backpressure).  The driver
-    only triggers execution and collects the per-actor summaries."""
-    actors = [SessionActor.remote(gap_seconds) for _ in range(n_actors)]
-
-    def route(batch: pd.DataFrame) -> pd.DataFrame:
-        users, ts = _clean(batch)
-        if not len(users):
-            return pd.DataFrame({"n": pd.Series([0], dtype="int64")})
-        buckets = _buckets_of(users, n_actors)
-        refs = [actors[int(a)].ingest.remote(users[buckets == a],
-                                             ts[buckets == a])
-                for a in np.unique(buckets)]
-        ray.get(refs)  # chunk fully owned by actors before task returns
-        return pd.DataFrame({"n": pd.Series([len(users)], dtype="int64")})
-
-    # consuming the tiny ack stream drives the whole ingestion
-    events_ds.map_batches(route, batch_size=4096,
-                          batch_format="pandas").sum("n")
-    parts = ray.get([a.finalize.remote() for a in actors])
-    out = pd.concat(parts, ignore_index=True)
-    return out.sort_values("user_id").reset_index(drop=True)
 
 
 @ray.remote
@@ -284,50 +184,3 @@ def sessionize_watermark(events_ds, gap_seconds: float = 1800.0,
     out = pd.concat([p[["user_id", "n_sessions", "n_events"]] for p in parts],
                     ignore_index=True)
     return out.sort_values("user_id").reset_index(drop=True), n_late
-
-
-def interval_coverage(ds, key: str = "user_id", start: str = "s",
-                      end: str = "e", coarse_buckets: int | None = None):
-    """Per-key union of possibly-overlapping half-open intervals
-    [start, end): total covered time and merged-island count — the
-    crawl-window / session-coverage analog of the reference's per-book
-    timing rollups (pipeline_demo aggregate family), generalized to
-    overlapping spans.
-
-    ONE coarse shuffle on hash(key), then a fully VECTORIZED in-task
-    island merge across every key of the bucket (no per-key Python):
-    sort by (key, start, end); an interval starts a new island iff its
-    start exceeds the running per-key max of end seen so far (island
-    detection a la the SQL gaps-and-islands idiom); per-island span =
-    max(end) - min(start); per-key output folds islands.  Keys are
-    row-cardinality so the shuffle key is the coarse bucket, never the
-    raw key (the per-group-overhead finding).  Output: (key,
-    covered, n_islands), one row per key.
-    """
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__coarse"] = _bucket_ids(b, [key], coarse_buckets)
-        return b
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, start, end], kind="mergesort")
-        cm = g.groupby(key, sort=False)[end].cummax()
-        prev = cm.groupby(g[key], sort=False).shift(1)
-        new_island = prev.isna() | (g[start] > prev)
-        isl = new_island.cumsum()  # keys are contiguous after the sort
-        islands = (g.assign(__isl=isl)
-                   .groupby([key, "__isl"], as_index=False, sort=False)
-                   .agg(s0=(start, "min"), e1=(end, "max")))
-        out = (islands.assign(span=islands["e1"] - islands["s0"])
-               .groupby(key, as_index=False, sort=False)
-               .agg(covered=("span", "sum"), n_islands=("span", "size")))
-        return out
-
-    return (ds.map_batches(stamp, batch_format="pandas")
-            .groupby("__coarse").map_groups(fold, batch_format="pandas"))

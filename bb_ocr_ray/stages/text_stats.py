@@ -1,6 +1,6 @@
-"""Text-analysis stages over a documents-shaped table: token counts,
-quality features, language ID, fingerprints — vectorized map_batches
-wrappers around bb_ocr_ray.functions.textstats.
+"""Text-analysis stages over a documents-shaped table: language ID and
+fingerprints — vectorized map_batches wrappers around
+bb_ocr_ray.functions.textstats and bb_ocr_ray.functions.hashing.
 """
 
 from __future__ import annotations
@@ -8,27 +8,11 @@ from __future__ import annotations
 import pandas as pd
 
 from bb_ocr_ray.functions.hashing import md5_hex, rolling_fingerprint
-from bb_ocr_ray.functions.textstats import (
-    bpe_ish_token_count,
-    detect_lang_series,
-    quality_features,
-)
-
-
-def add_text_features(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
-    feats = quality_features(batch[text_col])
-    for c in feats.columns:
-        batch[c] = feats[c]
-    return batch
+from bb_ocr_ray.functions.textstats import detect_lang_series
 
 
 def add_lang_pred(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     batch["lang_pred"] = detect_lang_series(batch[text_col])
-    return batch
-
-
-def add_bpe_count(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
-    batch["n_bpe_tokens"] = bpe_ish_token_count(batch[text_col]).astype("int64")
     return batch
 
 

@@ -122,27 +122,6 @@ def test_multimodal_stub_raises_without_fake(ray_session):
         stub(pa.table({"payload": pa.array([b"x"], pa.binary())}))
 
 
-def test_streaming_sessionizer_matches_batch(ray_session, sf_small):
-    """The incremental actor-state sessionizer must agree exactly with
-    the batch groupby/map_groups re-expression."""
-    import ray.data as rd
-
-    from bb_ocr_ray.pipelines.queries import q_sessionize
-    from bb_ocr_ray.stages.streaming import sessionize_streaming
-
-    events = rd.read_parquet(f"{sf_small}/events.parquet",
-                             columns=["user_id", "ts"])
-    streaming = sessionize_streaming(events, n_actors=4)
-    batch = (
-        q_sessionize(sf_small).to_pandas()
-        .sort_values("user_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        streaming[["user_id", "n_sessions", "n_events"]],
-        batch[["user_id", "n_sessions", "n_events"]],
-    )
-
-
 def test_random_sample_seed_deterministic(ray_session, sf_tiny):
     """ds.random_sample with a fixed seed is reproducible within a
     fixed block layout (the O-gap sampling op, SURVEY.md §2.6)."""
@@ -691,40 +670,3 @@ def test_real_decode_when_codec_present(ray_session):
     assert out.column("width").to_pylist() == [40, -1]
     assert out.column("height").to_pylist() == [30, -1]
     assert abs(out.column("mean_px").to_pylist()[0] - 128.0) < 1e-9
-
-
-def test_streaming_sessionizer_order_independent(ray_session):
-    """The interval-merge SessionActor's core claim: ANY chunk arrival
-    order gives the exact batch result (what makes fully parallel
-    map_batches routing safe).  Feed the same events in three shuffled
-    orders through one actor and compare."""
-    import numpy as np
-    import ray
-
-    from bb_ocr_ray.stages.streaming import SessionActor
-
-    rng = np.random.RandomState(42)
-    users = rng.randint(0, 7, size=400)
-    ts = rng.randint(0, 3_000_000, size=400) * np.int64(1_000_000)
-
-    def run(order):
-        actor = SessionActor.remote(1800.0)
-        for lo in range(0, len(order), 64):
-            idx = order[lo:lo + 64]
-            ray.get(actor.ingest.remote(users[idx].astype(np.int64),
-                                        ts[idx].astype(np.int64)))
-        return ray.get(actor.finalize.remote())
-
-    base = run(np.arange(len(users)))
-    for seed in (1, 2, 3):
-        shuf = np.random.RandomState(seed).permutation(len(users))
-        pd.testing.assert_frame_equal(run(shuf), base)
-
-    # and against the batch definition: per-user sorted gap count
-    df = pd.DataFrame({"u": users, "t": ts})
-    for u, g in df.groupby("u"):
-        s = np.sort(g["t"].to_numpy())
-        n_sessions = 1 + int((np.diff(s) > 1800 * 1_000_000).sum())
-        row = base[base["user_id"] == u]
-        assert int(row["n_sessions"].iloc[0]) == n_sessions
-        assert int(row["n_events"].iloc[0]) == len(g)

@@ -1,6 +1,6 @@
 """Round-5 second-session operator differentials: CDC changelog merge
-(latest-wins + tombstones vs a pandas reference), interval coverage
-vs a brute-force island merge, and the fixed-round k-core peel."""
+(latest-wins + tombstones vs a pandas reference) and the fixed-round
+k-core peel."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -187,58 +187,6 @@ def test_skyline_all_duplicates(ray_session):
                        "x": np.int64(3), "y": np.int64(7)})
     got = skyline(rd.from_pandas(df).repartition(3), x="x", y="y").to_pandas()
     assert len(got) == 6  # no strict dominance among equals
-
-
-# ---------------------------------------------------------------------------
-# interval coverage
-# ---------------------------------------------------------------------------
-def _coverage_bruteforce(df: pd.DataFrame) -> pd.DataFrame:
-    rows = []
-    for u, g in df.groupby("user_id"):
-        ivs = sorted(zip(g["s"], g["e"]))
-        islands = []
-        for s, e in ivs:
-            if islands and s <= islands[-1][1]:
-                islands[-1][1] = max(islands[-1][1], e)
-            else:
-                islands.append([s, e])
-        rows.append({"user_id": u,
-                     "covered": sum(e - s for s, e in islands),
-                     "n_islands": len(islands)})
-    return pd.DataFrame(rows).astype("int64")
-
-
-def test_interval_coverage_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.streaming import interval_coverage
-
-    rng = np.random.RandomState(3)
-    n = 4000
-    s = rng.randint(0, 100_000, n).astype("int64")
-    df = pd.DataFrame({"user_id": rng.randint(0, 37, n).astype("int64"),
-                       "s": s,
-                       "e": s + rng.randint(1, 5000, n)})
-    got = (interval_coverage(rd.from_pandas(df).repartition(8))
-           .to_pandas().sort_values("user_id").reset_index(drop=True)
-           .astype("int64"))
-    want = (_coverage_bruteforce(df)
-            .sort_values("user_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got[["user_id", "covered", "n_islands"]],
-                                  want)
-
-
-def test_interval_coverage_touching_intervals(ray_session):
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.streaming import interval_coverage
-
-    # [0,10) and [10,20) touch: merged (closed-boundary convention
-    # s <= prev_max), one island of span 20
-    df = pd.DataFrame({"user_id": [1, 1], "s": [0, 10], "e": [10, 20]})
-    got = interval_coverage(rd.from_pandas(df.astype("int64"))).to_pandas()
-    assert int(got["covered"].iloc[0]) == 20
-    assert int(got["n_islands"].iloc[0]) == 1
 
 
 # ---------------------------------------------------------------------------

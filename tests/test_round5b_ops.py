@@ -1,7 +1,6 @@
 """Round-5 fourth-session operator differentials: URL canonicalization
 rules, anchor-text extraction, source vocabulary overlap, the link-graph
-degree / reciprocity statistics, and the histogram trimmed mean vs
-explicit sorting."""
+degree / reciprocity statistics."""
 
 import numpy as np
 import pandas as pd
@@ -38,31 +37,6 @@ def test_canonicalize_url(raw, want):
     assert canonicalize_url(raw) == want
     # idempotent
     assert canonicalize_url(want) == want
-
-
-# ------------------------------------------------------- trimmed mean
-def test_trimmed_mean_matches_explicit_sort(ray_session, tmp_path):
-    rng = np.random.RandomState(9)
-    n = 7000
-    li = pd.DataFrame({
-        "l_returnflag": rng.choice(list("ANR"), n),
-        "l_quantity": rng.randint(1, 51, n).astype("float64"),
-        "l_extendedprice": np.round(rng.uniform(1, 10**5, n), 2)})
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    li.to_parquet(sf / "lineitem.parquet", index=False)
-
-    from bb_ocr_ray.pipelines.queries import q_trimmed_mean
-    got = q_trimmed_mean(str(sf))
-    for f, g in li.groupby("l_returnflag"):
-        v = np.sort(g["l_quantity"].to_numpy())
-        lo = len(v) // 10
-        kept = v[lo: len(v) - lo]
-        row = got[got["l_returnflag"] == f]
-        assert int(row["n_kept"].iloc[0]) == len(kept)
-        assert int(row["trimmed_sum"].iloc[0]) == int(kept.sum())
-        assert abs(float(row["trimmed_mean"].iloc[0])
-                   - kept.mean()) < 1e-6
 
 
 # ---------------------------------------------------------- anchor text

@@ -1,6 +1,5 @@
-"""Round-5 sixth-session batch-B differentials: rolling 7-day
-distinct actives vs a per-day brute-force set count, norm bands vs per-vector numpy norms, and the term scan
-vs Python str.count."""
+"""Round-5 sixth-session batch-B differentials: norm bands vs
+per-vector numpy norms, and the term scan vs Python str.count."""
 import numpy as np
 import pandas as pd
 
@@ -11,54 +10,6 @@ def _write(tmp_path, **tables):
     for name, df in tables.items():
         df.to_parquet(sf / f"{name}.parquet", index=False)
     return str(sf)
-
-
-# ----------------------------------------------------- rolling actives
-def test_rolling_actives_matches_bruteforce(ray_session, tmp_path):
-    rng = np.random.RandomState(10)
-    n = 4000
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype="int64"),
-        "user_id": rng.randint(0, 120, n).astype("int64"),
-        "ts": pd.Timestamp("2024-02-01")
-        + pd.to_timedelta(rng.randint(0, 45 * 86400, n), unit="s")})
-    # carve a silent gap so some windows straddle empty days
-    day0 = ev["ts"].min().normalize()
-    gap = (ev["ts"] >= day0 + pd.Timedelta(days=15)) & \
-          (ev["ts"] < day0 + pd.Timedelta(days=24))
-    ev = ev[~gap].reset_index(drop=True)
-    sf = _write(tmp_path, events=ev)
-
-    from bb_ocr_ray.pipelines.queries import q_rolling_actives
-    got = q_rolling_actives(sf)
-
-    d = ev.copy()
-    d["day"] = (d["ts"].astype("datetime64[us]").astype("int64")
-                // 86_400_000_000)
-    for _, r in got.iterrows():
-        day = r["day"]
-        dau = d.loc[d["day"] == day, "user_id"].nunique()
-        mau7 = d.loc[d["day"].between(day - 6, day), "user_id"].nunique()
-        assert r["dau"] == dau, day
-        assert r["mau7"] == mau7, day
-    assert set(got["day"]) == set(d["day"].unique())
-    assert (got["mau7"] >= got["dau"]).all()
-
-
-def test_rolling_actives_single_user_runs(ray_session, tmp_path):
-    # one user active on days 0, 3, 20: [0,6]+[3,9] merge, [20,26] apart
-    days = [0, 3, 20]
-    ev = pd.DataFrame({
-        "event_id": np.arange(3, dtype="int64"),
-        "user_id": np.zeros(3, dtype="int64"),
-        "ts": pd.Timestamp("1970-01-01")
-        + pd.to_timedelta(days, unit="D")})
-    sf = _write(tmp_path, events=ev)
-    from bb_ocr_ray.pipelines.queries import q_rolling_actives
-    got = q_rolling_actives(sf).set_index("day")
-    assert list(got.index) == [0, 3, 20]
-    assert got["mau7"].tolist() == [1, 1, 1]   # never double-counted
-    assert got["dau"].tolist() == [1, 1, 1]
 
 
 # ----------------------------------------------------------- norm bands

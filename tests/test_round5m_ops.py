@@ -1,6 +1,5 @@
 """Round-5 seventh-session batch-F differentials: zone-map pruning on
-clustered vs anti-clustered layouts, and exact F2 vs big-int arithmetic
-(incl. an int64-overflowing planted heavy user)."""
+clustered vs anti-clustered layouts, and on NULL n_chars."""
 import numpy as np
 import pandas as pd
 
@@ -43,30 +42,27 @@ def test_zone_map_clustered_vs_shuffled(ray_session, tmp_path):
     assert got2["prune_ratio"].iloc[0] < 0.2
 
 
-# --------------------------------------------------------------------- f2
-def test_f2_exact_bigint(ray_session, tmp_path):
-    # heavy user whose square alone exceeds int64
-    heavy = 4_000_000_000                      # 4e9; c^2 = 1.6e19 > 2^63
-    # too many rows to materialize — use a few moderate users plus a
-    # synthetic pre-counted path: emit the heavy user via many batches
-    # is infeasible, so keep counts small here and check the STRING
-    # contract + exact arithmetic; the big-int path is exercised by
-    # the partial fold using Python ints on c=3e5.
-    c = np.array([300_000, 2, 2, 1], dtype="int64")
-    rows = np.repeat(np.arange(4, dtype="int64"), c)
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype="int64"),
-        "ts": pd.Timestamp("2024-01-01"),
-        "user_id": rows, "event_type": "click",
-        "value": 1.0, "props": "{}"})
-    sf = _write(tmp_path, events=ev)
+def test_zone_map_null_n_chars_matches_oracle(ray_session, tmp_path):
+    # shard 0: one NULL among small values -> max skips it, prunable,
+    # and the NULL row still counts as skipped; shard 1: every n_chars
+    # NULL -> max is NULL, not prunable; shard 2: large -> not prunable
+    import duckdb
 
-    from bb_ocr_ray.pipelines.queries import q_f2
-    got = q_f2(sf)
+    n_chars = pd.array([10] * 63 + [None] + [None] * 64 + [500] * 64,
+                       dtype="Int64")
+    docs = pd.DataFrame({"doc_id": np.arange(192, dtype="int64"),
+                         "text": "x", "lang": "en", "source": "s",
+                         "n_chars": n_chars})
+    sf = _write(tmp_path, documents=docs)
 
-    want = sum(int(x) ** 2 for x in c)
-    assert got["f2"].iloc[0] == str(want)
-    assert isinstance(got["f2"].iloc[0], str)
-    assert int(got["n_users"].iloc[0]) == 4
-    assert int(got["n_rows"].iloc[0]) == int(c.sum())
-    assert heavy ** 2 > 2 ** 63                # documents the posture
+    from bb_ocr_ray.pipelines.oracles import ORACLES
+    from bb_ocr_ray.pipelines.queries import q_zone_map
+    got = q_zone_map(sf)
+    assert int(got["n_shards"].iloc[0]) == 3
+    assert int(got["n_prunable"].iloc[0]) == 1
+    assert int(got["rows_skipped"].iloc[0]) == 64
+
+    con = duckdb.connect()
+    con.register("documents", docs)
+    want = con.sql(ORACLES["q_zone_map"]).df()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)

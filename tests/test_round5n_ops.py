@@ -1,6 +1,6 @@
-"""Round-5 seventh-session batch-G differentials: FK orphan counts on
-planted broken references, and int8 quantization error vs a direct
-numpy reconstruction (incl. a constant dimension with zero range)."""
+"""Round-5 seventh-session batch-G differentials: int8 quantization
+error vs a direct numpy reconstruction (incl. a constant dimension with
+zero range)."""
 import numpy as np
 import pandas as pd
 
@@ -11,40 +11,6 @@ def _write(tmp_path, **tables):
     for name, df in tables.items():
         df.to_parquet(sf / f"{name}.parquet", index=False)
     return str(sf)
-
-
-# ----------------------------------------------------------------- integrity
-def test_integrity_counts_planted_orphans(ray_session, tmp_path):
-    cust = pd.DataFrame({
-        "c_custkey": np.arange(5, dtype="int64"),
-        "c_name": "c", "c_nationkey": np.int32(0),
-        "c_acctbal": 0.0, "c_mktsegment": "AUTO"})
-    orders = pd.DataFrame({
-        "o_orderkey": np.arange(10, dtype="int64"),
-        # custkeys 0..4 valid; 7,8,9 reference missing customers
-        "o_custkey": np.array([0, 1, 2, 3, 4, 0, 1, 99, 98, 97],
-                              dtype="int64"),
-        "o_orderstatus": "F", "o_totalprice": 1.0,
-        "o_orderdate": pd.Timestamp("2024-01-01"),
-        "o_orderpriority": "1-URGENT"})
-    li = pd.DataFrame({
-        # orderkeys 0..9 valid; 100, 101 orphaned (2 rows each)
-        "l_orderkey": np.array(list(range(10)) + [100, 100, 101, 101],
-                               dtype="int64"),
-        "l_partkey": np.int64(1), "l_suppkey": np.int64(1),
-        "l_linenumber": np.int32(1), "l_quantity": 1.0,
-        "l_extendedprice": 1.0, "l_discount": 0.0, "l_tax": 0.0,
-        "l_returnflag": "A", "l_linestatus": "O",
-        "l_shipdate": pd.Timestamp("2024-01-01")})
-    sf = _write(tmp_path, customer=cust, orders=orders, lineitem=li)
-
-    from bb_ocr_ray.pipelines.queries import q_integrity
-    got = q_integrity(sf)
-
-    assert int(got["n_lineitem"].iloc[0]) == 14
-    assert int(got["orphan_lineitem"].iloc[0]) == 4
-    assert int(got["n_orders"].iloc[0]) == 10
-    assert int(got["orphan_orders"].iloc[0]) == 3
 
 
 # -------------------------------------------------------------- emb quantize

@@ -45,6 +45,32 @@ def test_fim_split_matches_string_arith(ray_session, tmp_path):
         == (0, 0, 1)
 
 
+def test_fim_split_null_text_matches_oracle(ray_session, tmp_path):
+    # NULL text splits as zero tokens with a NULL fim_md5; empty and
+    # short texts still hash their (partly empty) PSM string
+    import duckdb
+
+    texts = ["one two three four", None, "", "a b"]
+    docs = pd.DataFrame({"doc_id": np.arange(len(texts), dtype="int64"),
+                         "text": texts, "lang": "en", "source": "s",
+                         "n_chars": [len(t or "") for t in texts]})
+    sf = _write(tmp_path, documents=docs)
+
+    from bb_ocr_ray.pipelines.oracles import ORACLES
+    from bb_ocr_ray.pipelines.queries import q_fim_split
+    got = q_fim_split(sf).set_index("doc_id")
+
+    assert got.loc[1, "fim_md5"] is None
+    assert tuple(got.loc[1, ["n_tokens", "n_prefix", "n_middle",
+                             "n_suffix"]]) == (0, 0, 0, 0)
+    assert got.loc[2, "fim_md5"] == hashlib.md5(b"\x01\x01").hexdigest()
+
+    con = duckdb.connect()
+    con.register("documents", docs)
+    want = con.sql(ORACLES["q_fim_split"]).df().set_index("doc_id")
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 # ------------------------------------------------------------ hard negatives
 def test_hard_negatives_ignores_same_label_decoys(ray_session, tmp_path):
     rng = np.random.RandomState(31)
