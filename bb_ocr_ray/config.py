@@ -37,18 +37,6 @@ class ExtractConfig:
 class PipelineConfig:
     """Physical-execution knobs for the Ray Data pipeline (SURVEY.md §4)."""
 
-    # Rows per __call__ batch for the extract actor.  None = one batch
-    # per block (best parallelism: Ray bundles input blocks into tasks
-    # of >= batch_size rows, so a small positive value here SERIALIZES
-    # small-block inputs into few tasks).  Set a positive cap only when
-    # individual html payloads are so large that a whole block per
-    # actor call would blow the worker heap.
-    extract_batch_size: int | None = None
-    # Actor-pool size: None -> autoscaling (1, cpus-2) resolved at build
-    # time, leaving headroom for the read/write stages (a pool that
-    # reserves every CPU starves the read and the pipeline stalls).
-    extract_concurrency: int | tuple | None = None
-    extract_num_cpus: float = 1.0
     # Megadoc skew handling in production runs: when set, the resumable
     # runner re-cuts pages into blocks whose summed html bytes stay
     # under this budget (stages/sizing.split_by_bytes + block_budget).

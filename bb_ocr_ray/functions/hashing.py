@@ -280,22 +280,3 @@ def hll_estimate(registers: dict) -> float:
         return m * math.log(m / zeros)
     return est
 
-
-# ---------------------------------------------------------------------------
-# Count-Min sketch buckets (mergeable frequency sketch, integer-exact)
-# ---------------------------------------------------------------------------
-_CMS_DEPTH = 4
-_CMS_WIDTH = 1024
-
-
-def cms_buckets(key: str, depth: int = _CMS_DEPTH,
-                width: int = _CMS_WIDTH) -> list:
-    """Bucket of ``key`` in each of the sketch's ``depth`` rows.
-
-    Row i hashes the salted key ``"cms{i}|{key}"`` through the stable
-    md5-derived 64-bit hash and takes it mod ``width`` — the salt
-    string (not a seeded permutation) keeps the DuckDB mirror a plain
-    ``md5_number_upper('cms0|' || k) % width`` so the register STATE
-    and the per-key min-over-rows estimate are both integer-exact and
-    oracle-checkable (same pattern as the HLL registers above)."""
-    return [stable_u64(f"cms{i}|{key}") % width for i in range(depth)]

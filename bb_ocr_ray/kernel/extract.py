@@ -44,7 +44,6 @@ def _record(url: str, html_len: int, *, text: str = "", spans=(), blocks=(),
                 "block_id": b.block_id,
                 "tag_path": b.tag_path,
                 "depth": b.depth,
-                "text": b.text,
                 "text_density": b.text_density,
                 "link_density": b.link_density,
                 "is_content": b.is_content,

@@ -6,7 +6,7 @@ pool -> per-book extract -> validate -> write), re-expressed as one
 lazy streaming Dataset:
 
     read_parquet/synthesize -> (size-aware repartition) ->
-    map_batches(ExtractorActor, concurrency=N) -> write/aggregate
+    map_batches(extract_batch) -> write/aggregate
 
 No driver-side loops, no materialization of the main input; the
 streaming executor pipelines read, parse and write with backpressure.
@@ -15,58 +15,22 @@ streaming executor pipelines read, parse and write with backpressure.
 from __future__ import annotations
 
 from bb_ocr_ray.config import DEFAULT_PIPELINE, PipelineConfig
-from bb_ocr_ray.stages.extract_stage import ExtractorActor
+from bb_ocr_ray.stages.extract_stage import extract_batch
 
 
-def extract_pages(pages_ds, cfg: PipelineConfig = DEFAULT_PIPELINE, *,
-                  use_actors: bool = False):
+def extract_pages(pages_ds, cfg: PipelineConfig = DEFAULT_PIPELINE):
     """pages Dataset -> extracted Dataset (EXTRACTED_SCHEMA).
 
-    ``use_actors`` picks the physical form of the stage:
-
-    - False (default): stateless tasks.  The extraction kernel's
-      per-worker state is cheap (compiled regexes cached at module
-      import, which Ray's prestarted workers share), and Ray Data
-      creates a NEW actor pool per dataset execution — so for this
-      stage tasks are strictly faster (measured 1.9 s vs 8.6 s for
-      40k docs at 32 cpus: the pool pays ~30 process spawns + imports
-      per run).
-    - True: actor pool (ExtractorActor).  The right form when per-
-      worker init is genuinely expensive (model weights, large
-      gazetteers) or the stream is long enough to amortize the pool —
-      the T1 "EasyOCR reader cache" analog (SURVEY.md §2.3).  Pool
-      autoscales to (1, cpus-2), leaving read/write headroom.
+    Stateless tasks, one batch per input block: Ray bundles input
+    blocks into tasks of >= batch_size rows, so a positive batch size
+    would serialize small-block inputs into few tasks.
     """
-    if use_actors:
-        concurrency = cfg.extract_concurrency
-        if concurrency is None:
-            # Leave ≥2 CPUs of headroom for the read/write stages; an
-            # autoscaling (1, N) pool can make progress even on tiny
-            # clusters instead of waiting for the full pool.
-            import ray
-
-            avail = int(ray.cluster_resources().get("CPU", 4))
-            concurrency = (1, max(2, avail - 2))
-        return pages_ds.map_batches(
-            ExtractorActor,
-            fn_constructor_kwargs={"cfg": cfg.extract},
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-            concurrency=concurrency,
-            num_cpus=cfg.extract_num_cpus,
-        )
-    from bb_ocr_ray.stages.extract_stage import extract_batch
-
-    return pages_ds.map_batches(
-        lambda b: extract_batch(b, cfg.extract),
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
+    return pages_ds.map_batches(extract_batch, fn_kwargs={"cfg": cfg.extract},
+                                batch_format="pyarrow", batch_size=None)
 
 
-def extract_from_sf_dir(sf_dir: str, cfg: PipelineConfig = DEFAULT_PIPELINE,
-                        *, use_actors: bool = False):
+def extract_from_sf_dir(sf_dir: str, cfg: PipelineConfig = DEFAULT_PIPELINE):
     """Synthesize pages from {sf_dir}/documents.parquet and extract."""
     from bb_ocr_ray.sources.pages import read_pages
 
-    return extract_pages(read_pages(sf_dir), cfg, use_actors=use_actors)
+    return extract_pages(read_pages(sf_dir), cfg)

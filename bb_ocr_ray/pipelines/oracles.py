@@ -1203,49 +1203,6 @@ ORACLES["q_char_entropy"] = """
 """
 
 
-# Count-Min sketch: register state and per-key estimate mirrored in
-# integer SQL (md5_number_upper == hashing.stable_u64, verified
-# bit-identical; salt 'cms{i}|' and width 1024 from hashing._CMS_*).
-# Heavy hitter := TRUE count * 125 >= n (the engine's est-based
-# prefilter is recall-1 because est >= true by construction, and its
-# local-candidate pass is recall-1 by pigeonhole, so both sides name
-# the same keys); est_count is reported alongside and must match the
-# register math exactly.
-ORACLES["q_cms_heavy_hitters"] = """
-    WITH ev AS (SELECT user_id, CAST(user_id AS VARCHAR) AS k
-                FROM events WHERE user_id IS NOT NULL),
-    tot AS (SELECT count(*) AS n FROM ev),
-    rowh AS (SELECT user_id,
-                    CAST(md5_number_upper('cms0|' || k) % 1024 AS BIGINT) AS h0,
-                    CAST(md5_number_upper('cms1|' || k) % 1024 AS BIGINT) AS h1,
-                    CAST(md5_number_upper('cms2|' || k) % 1024 AS BIGINT) AS h2,
-                    CAST(md5_number_upper('cms3|' || k) % 1024 AS BIGINT) AS h3
-             FROM ev),
-    reg AS (SELECT i, b, count(*) AS c FROM (
-                SELECT 0 AS i, h0 AS b FROM rowh
-                UNION ALL SELECT 1, h1 FROM rowh
-                UNION ALL SELECT 2, h2 FROM rowh
-                UNION ALL SELECT 3, h3 FROM rowh)
-            GROUP BY 1, 2),
-    keyh AS (SELECT user_id, any_value(h0) AS h0, any_value(h1) AS h1,
-                    any_value(h2) AS h2, any_value(h3) AS h3
-             FROM rowh GROUP BY user_id),
-    est AS (SELECT kh.user_id,
-                   least(r0.c, r1.c, r2.c, r3.c) AS est_count
-            FROM keyh kh
-            JOIN reg r0 ON r0.i = 0 AND r0.b = kh.h0
-            JOIN reg r1 ON r1.i = 1 AND r1.b = kh.h1
-            JOIN reg r2 ON r2.i = 2 AND r2.b = kh.h2
-            JOIN reg r3 ON r3.i = 3 AND r3.b = kh.h3),
-    truec AS (SELECT user_id, count(*) AS true_count FROM ev GROUP BY 1)
-    SELECT e.user_id, CAST(e.est_count AS BIGINT) AS est_count,
-           CAST(t.true_count AS BIGINT) AS true_count
-    FROM est e JOIN truec t USING (user_id), tot
-    WHERE t.true_count * 125 >= tot.n
-    ORDER BY e.user_id
-"""
-
-
 ORACLES["q_pseudo_shuffle"] = """
     SELECT doc_id, md5('shuf1|' || CAST(doc_id AS VARCHAR)) AS h,
            CAST(row_number() OVER (ORDER BY
@@ -2215,11 +2172,14 @@ ORACLES["q_reciprocity"] = """
 
 
 ORACLES["q_ks_test"] = """
-    WITH h AS (SELECT source, n_chars AS x, count(*) AS c
-               FROM documents GROUP BY 1, 2),
-    xs AS (SELECT DISTINCT n_chars AS x FROM documents),
-    srcs AS (SELECT source, count(*) AS n FROM documents GROUP BY 1),
-    tot AS (SELECT count(*) AS gn FROM documents),
+    -- a NULL length is not an observation: it joins no CDF
+    WITH docs AS (SELECT source, n_chars FROM documents
+                  WHERE n_chars IS NOT NULL),
+    h AS (SELECT source, n_chars AS x, count(*) AS c
+          FROM docs GROUP BY 1, 2),
+    xs AS (SELECT DISTINCT n_chars AS x FROM docs),
+    srcs AS (SELECT source, count(*) AS n FROM docs GROUP BY 1),
+    tot AS (SELECT count(*) AS gn FROM docs),
     grid AS (SELECT s.source, xs.x FROM srcs s CROSS JOIN xs),
     cum AS (SELECT g.source, g.x,
                    CAST(sum(coalesce(h.c, 0)) OVER
@@ -2817,23 +2777,6 @@ ORACLES["q_case_stats"] = f"""
 """
 
 
-ORACLES["q_ab_srm"] = """
-    WITH u AS (SELECT DISTINCT CAST(user_id AS BIGINT) AS u
-               FROM events WHERE user_id IS NOT NULL),
-    c AS (SELECT sum(CASE WHEN u % 2 = 0 THEN 1 ELSE 0 END) AS n_a,
-                 sum(CASE WHEN u % 2 = 1 THEN 1 ELSE 0 END) AS n_b
-          FROM u)
-    SELECT CAST(n_a AS BIGINT) AS n_a, CAST(n_b AS BIGINT) AS n_b,
-           round(pow(n_a - (n_a + n_b) / 2.0, 2) / ((n_a + n_b) / 2.0)
-                 + pow(n_b - (n_a + n_b) / 2.0, 2)
-                   / ((n_a + n_b) / 2.0), 6) AS chi2,
-           round(pow(n_a - (n_a + n_b) / 2.0, 2) / ((n_a + n_b) / 2.0)
-                 + pow(n_b - (n_a + n_b) / 2.0, 2)
-                   / ((n_a + n_b) / 2.0), 6) > 3.841 AS srm
-    FROM c
-"""
-
-
 ORACLES["q_emb_outliers"] = """
     WITH x AS (SELECT vec_id, CAST(label AS BIGINT) AS label,
                       CAST(embedding[CAST(i AS INT)] AS DOUBLE) AS v,
@@ -2881,26 +2824,4 @@ ORACLES["q_dataset_card"] = f"""
            round(CAST(s.n_chars AS DOUBLE) / s.n_docs, 6)
                AS mean_doc_chars
     FROM s, v
-"""
-
-
-ORACLES["q_order_sizes"] = """
-    WITH c AS (SELECT l_orderkey, count(*) AS c
-               FROM lineitem GROUP BY 1)
-    SELECT CAST(c AS BIGINT) AS basket_size,
-           CAST(count(*) AS BIGINT) AS n_orders
-    FROM c GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_user_lifespan"] = """
-    WITH p AS (SELECT CAST(user_id AS BIGINT) AS u,
-                      min(epoch_us(ts) // 86400000000) AS mn,
-                      max(epoch_us(ts) // 86400000000) AS mx
-               FROM events
-               WHERE user_id IS NOT NULL AND ts IS NOT NULL
-               GROUP BY 1)
-    SELECT CAST(mx - mn AS BIGINT) AS lifespan_days,
-           CAST(count(*) AS BIGINT) AS n_users
-    FROM p GROUP BY 1 ORDER BY 1
 """

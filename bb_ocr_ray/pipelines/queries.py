@@ -2713,155 +2713,6 @@ QUERIES.update({"q_char_entropy": q_char_entropy})
 
 
 # ---------------------------------------------------------------------------
-# Count-Min-sketch heavy hitters (frequency sketch + exact verify)
-# ---------------------------------------------------------------------------
-def q_cms_heavy_hitters(sf_dir: str):
-    """Heavy hitters over events.user_id via a Count-Min sketch
-    (Cormode & Muthukrishnan 2005) with an exact verify pass — the
-    missing member of the repo's mergeable-sketch family (MinHash /
-    SimHash / HLL / Bloom).
-
-    Pass A (ONE scan): each batch emits (a) its local DEPTH x WIDTH
-    register partial — np.add.at over the batch's UNIQUE keys
-    weighted by their local counts, so hashing cost is per unique
-    key, not per row — and (b) its local heavy-hitter candidates
-    (local_count * 125 >= local_n).  Pigeonhole: a key with global
-    count >= n/125 must clear that bar in at least one batch, so
-    candidate recall is exactly 1 without ever shuffling the key
-    space.  Registers (4096 ints) and candidates (<= key
-    cardinality) are bounded, so they finish in one repartition(1)
-    task (the repo's bounded-aggregate pattern).
-
-    Pass B: exact counts for the est-surviving candidates only —
-    the sketch prunes the verify shuffle to heavy rows; the final
-    filter is on the TRUE count, so the answer is exact while
-    est_count (min over rows of the merged registers, >= true by
-    construction) is reported alongside and oracle-checked
-    integer-exactly.
-
-    Distribution note: phi = 1/125 names 13 of 150 users at sf0.01;
-    the synthetic corpus is UNIFORM with key cardinality growing with
-    sf, so at sf0.1 (1500 users, mean count n/1500) no key reaches
-    n/125 and the correct answer is empty — verified empty AGAINST
-    THE ORACLE, not silently.  The planted-flood unit test covers the
-    skewed case the sketch exists for."""
-    from bb_ocr_ray.functions.hashing import (_CMS_DEPTH, _CMS_WIDTH,
-                                              cms_buckets)
-
-    PHI_DEN = 125  # heavy hitter := count * PHI_DEN >= n_total
-
-    ds = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["user_id"].dropna().astype("int64")
-        empty = pd.DataFrame({
-            "kind": pd.array([], dtype="object"),
-            "i": pd.array([], dtype="int64"),
-            "b": pd.array([], dtype="int64"),
-            "c": pd.array([], dtype="int64"),
-            "key": pd.array([], dtype="int64")})
-        if not len(u):
-            return empty
-        keys, counts = np.unique(u.to_numpy(), return_counts=True)
-        reg = np.zeros((_CMS_DEPTH, _CMS_WIDTH), dtype=np.int64)
-        for k, c in zip(keys, counts):
-            bks = cms_buckets(str(int(k)))
-            for i in range(_CMS_DEPTH):
-                reg[i, bks[i]] += int(c)
-        nz_i, nz_b = np.nonzero(reg)
-        local_n = int(counts.sum())
-        cand = keys[counts * PHI_DEN >= local_n]
-        out = pd.DataFrame({
-            "kind": np.concatenate([np.repeat("reg", len(nz_i)),
-                                    np.repeat("cand", len(cand))]),
-            "i": np.concatenate([nz_i.astype(np.int64),
-                                 np.zeros(len(cand), dtype=np.int64)]),
-            "b": np.concatenate([nz_b.astype(np.int64),
-                                 np.zeros(len(cand), dtype=np.int64)]),
-            "c": np.concatenate([reg[nz_i, nz_b],
-                                 np.zeros(len(cand), dtype=np.int64)]),
-            "key": np.concatenate([np.zeros(len(nz_i), dtype=np.int64),
-                                   cand.astype(np.int64)])})
-        return out
-
-    def merge(b: pd.DataFrame) -> pd.DataFrame:
-        # Register rows sum across batches; candidate rows (i = -1,
-        # key in "key") dedup to the union of local heavy hitters.
-        r = b[b["kind"] == "reg"]
-        g = r.groupby(["i", "b"], as_index=False)["c"].sum()
-        cand = np.unique(b.loc[b["kind"] == "cand", "key"].to_numpy())
-        return pd.DataFrame({
-            "i": np.concatenate([g["i"].to_numpy(dtype=np.int64),
-                                 np.full(len(cand), -1, dtype=np.int64)]),
-            "b": np.concatenate([g["b"].to_numpy(dtype=np.int64),
-                                 np.zeros(len(cand), dtype=np.int64)]),
-            "c": np.concatenate([g["c"].to_numpy(dtype=np.int64),
-                                 np.zeros(len(cand), dtype=np.int64)]),
-            "key": np.concatenate([np.zeros(len(g), dtype=np.int64),
-                                   cand.astype(np.int64)])})
-
-    state = (ds.map_batches(partial, batch_format="pandas")
-             .repartition(1)
-             .map_batches(merge, batch_format="pandas", batch_size=None)
-             .to_pandas())
-    if not len(state):
-        return pd.DataFrame({
-            "user_id": pd.array([], dtype="int64"),
-            "est_count": pd.array([], dtype="int64"),
-            "true_count": pd.array([], dtype="int64")})
-
-    reg = np.zeros((_CMS_DEPTH, _CMS_WIDTH), dtype=np.int64)
-    rr = state[state["i"] >= 0]
-    reg[rr["i"].to_numpy(), rr["b"].to_numpy()] = rr["c"].to_numpy()
-    n_total = int(reg[0].sum())
-    cands = sorted(int(x) for x in state.loc[state["i"] < 0, "key"])
-
-    def est(k: int) -> int:
-        bks = cms_buckets(str(k))
-        return int(min(reg[i, bks[i]] for i in range(_CMS_DEPTH)))
-
-    survivors = [k for k in cands if est(k) * PHI_DEN >= n_total]
-    if not survivors:
-        return pd.DataFrame({
-            "user_id": pd.array([], dtype="int64"),
-            "est_count": pd.array([], dtype="int64"),
-            "true_count": pd.array([], dtype="int64")})
-
-    # Pass B: exact counts for survivors only (bounded by |survivors|).
-    keep = set(survivors)
-
-    def exact_partial(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["user_id"].dropna().astype("int64")
-        u = u[u.isin(keep)]
-        if not len(u):
-            return pd.DataFrame({"user_id": pd.array([], dtype="int64"),
-                                 "n": pd.array([], dtype="int64")})
-        k, c = np.unique(u.to_numpy(), return_counts=True)
-        return pd.DataFrame({"user_id": k.astype(np.int64),
-                             "n": c.astype(np.int64)})
-
-    def exact_merge(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("user_id", as_index=False)["n"].sum()
-        g["user_id"] = g["user_id"].astype("int64")
-        g["n"] = g["n"].astype("int64")
-        return g
-
-    truec = (ds.map_batches(exact_partial, batch_format="pandas")
-             .repartition(1)
-             .map_batches(exact_merge, batch_format="pandas",
-                          batch_size=None)
-             .to_pandas())
-    tmap = dict(zip(truec["user_id"], truec["n"]))
-    rows = [(k, est(k), int(tmap.get(k, 0))) for k in survivors
-            if int(tmap.get(k, 0)) * PHI_DEN >= n_total]
-    return pd.DataFrame(rows, columns=["user_id", "est_count",
-                                       "true_count"]).astype("int64")
-
-
-QUERIES.update({"q_cms_heavy_hitters": q_cms_heavy_hitters})
-
-
-# ---------------------------------------------------------------------------
 # Deterministic global shuffle (hash-order training-data reordering)
 # ---------------------------------------------------------------------------
 def q_pseudo_shuffle(sf_dir: str):
@@ -5230,7 +5081,8 @@ def q_ks_test(sf_dir: str):
     runs on the driver.  D is EXACT: with per-source totals (n_s, n_r)
     constant, max_x |F_s − F_r| = max_x |cs·n_r − cr·n_s| / (n_s·n_r),
     so the max is taken over INTEGER cross-products (python ints — no
-    overflow at any corpus size) and divided once, rounded 6 dp."""
+    overflow at any corpus size) and divided once, rounded 6 dp.  A
+    NULL n_chars is not an observation: the fold drops it."""
     docs = _read_parquet(_t(sf_dir, "documents"),
                          columns=["source", "n_chars"])
     hist = coarse_agg(docs, ["source", "n_chars"],
@@ -7042,48 +6894,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# Sample-ratio mismatch guardrail (chi-square on arm assignment)
-# ---------------------------------------------------------------------------
-def q_ab_srm(sf_dir: str):
-    """Sample-ratio-mismatch check for the q_ab_test arms (user_id % 2,
-    expected 50/50): chi-square goodness-of-fit on DISTINCT users per
-    arm and the p<.05 flag (chi2 > 3.841) — the guardrail every
-    experimentation platform runs before believing any A/B readout
-    (Fabijan et al., KDD'19 frame; public method).  Distinct users
-    fold through one coarse shuffle (per-batch dedup partials); the
-    chi-square is two-scalar arithmetic, flagged on the ROUNDED
-    statistic so a float near-tie at the threshold cannot flip the
-    boolean between engines."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-
-    def pairs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id"])
-        u = b["user_id"].astype("int64").drop_duplicates()
-        return pd.DataFrame({"u": u.to_numpy()})
-
-    users = coarse_agg(ev.map_batches(pairs, batch_format="pandas"),
-                       ["u"], {"c": ("u", "size")})
-
-    def arms(b: pd.DataFrame) -> pd.DataFrame:
-        arm = (b["u"].astype("int64") % 2).to_numpy()
-        return pd.DataFrame({
-            "n_a": [int((arm == 0).sum())],
-            "n_b": [int((arm == 1).sum())]})
-
-    p = users.map_batches(arms, batch_format="pandas").to_pandas()
-    n_a, n_b = int(p["n_a"].sum()), int(p["n_b"].sum())
-    n = n_a + n_b
-    exp = n / 2.0
-    chi2 = float(_round_sql(
-        (n_a - exp) ** 2 / exp + (n_b - exp) ** 2 / exp, 6)) if n else 0.0
-    return pd.DataFrame({
-        "n_a": pd.array([n_a], dtype="int64"),
-        "n_b": pd.array([n_b], dtype="int64"),
-        "chi2": [chi2],
-        "srm": [bool(chi2 > 3.841)]})
-
-
-# ---------------------------------------------------------------------------
 # Embedding outliers vs own-label centroid (mislabel QA)
 # ---------------------------------------------------------------------------
 def q_emb_outliers(sf_dir: str):
@@ -7161,10 +6971,7 @@ def q_emb_outliers(sf_dir: str):
             .sort_values("label").reset_index(drop=True))
 
 
-QUERIES.update({
-    "q_ab_srm": q_ab_srm,
-    "q_emb_outliers": q_emb_outliers,
-})
+QUERIES.update({"q_emb_outliers": q_emb_outliers})
 
 
 # ---------------------------------------------------------------------------
@@ -7244,71 +7051,3 @@ def q_dataset_card(sf_dir: str):
 
 
 QUERIES.update({"q_dataset_card": q_dataset_card})
-
-
-# ---------------------------------------------------------------------------
-# Basket-size distribution (lineitems per order)
-# ---------------------------------------------------------------------------
-def q_order_sizes(sf_dir: str):
-    """Histogram of lineitems per order — the basket-size distribution
-    for batch-size planning.  One order-keyed count fold (per-batch
-    partials), then a size-bounded histogram fold; order keys never
-    reach the driver."""
-    li = _read_parquet(_t(sf_dir, "lineitem"), columns=["l_orderkey"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["l_orderkey"].astype("int64").value_counts()
-        return pd.DataFrame({"o": vc.index.to_numpy("int64"),
-                             "c": vc.to_numpy("int64")})
-
-    per_order = coarse_agg(li.map_batches(partial, batch_format="pandas"),
-                           ["o"], {"c": ("c", "sum")})
-    hist = coarse_agg(per_order.map_batches(
-        lambda b: pd.DataFrame({"basket_size": b["c"].astype("int64"),
-                                "n_orders": np.ones(len(b),
-                                                    dtype="int64")}),
-        batch_format="pandas"), ["basket_size"],
-        {"n_orders": ("n_orders", "sum")}).to_pandas()
-    hist["basket_size"] = hist["basket_size"].astype("int64")
-    hist["n_orders"] = hist["n_orders"].astype("int64")
-    return hist.sort_values("basket_size").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# User lifespan (tenure) histogram
-# ---------------------------------------------------------------------------
-def q_user_lifespan(sf_dir: str):
-    """Histogram of per-user tenure in days (last activity day minus
-    first activity day) — the retention-horizon distribution.  One
-    (min, max) fold per user (exact integer epoch days), then a
-    span-bounded histogram fold."""
-    ev = _read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["user_id", "ts"])
-        d = (b["ts"].astype("datetime64[us]").astype("int64")
-             // 86_400_000_000)
-        g = pd.DataFrame({"u": b["user_id"].astype("int64").to_numpy(),
-                          "mn": d, "mx": d})
-        return g.groupby("u", as_index=False).agg(mn=("mn", "min"),
-                                                  mx=("mx", "max"))
-
-    per_user = coarse_agg(ev.map_batches(partial, batch_format="pandas"),
-                          ["u"], {"mn": ("mn", "min"),
-                                  "mx": ("mx", "max")})
-    hist = coarse_agg(per_user.map_batches(
-        lambda b: pd.DataFrame({
-            "lifespan_days": (b["mx"].astype("int64")
-                              - b["mn"].astype("int64")),
-            "n_users": np.ones(len(b), dtype="int64")}),
-        batch_format="pandas"), ["lifespan_days"],
-        {"n_users": ("n_users", "sum")}).to_pandas()
-    hist["lifespan_days"] = hist["lifespan_days"].astype("int64")
-    hist["n_users"] = hist["n_users"].astype("int64")
-    return hist.sort_values("lifespan_days").reset_index(drop=True)
-
-
-QUERIES.update({
-    "q_order_sizes": q_order_sizes,
-    "q_user_lifespan": q_user_lifespan,
-})

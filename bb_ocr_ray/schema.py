@@ -34,7 +34,6 @@ BLOCK_STRUCT = pa.struct(
         ("block_id", pa.int32()),
         ("tag_path", pa.string()),
         ("depth", pa.int32()),
-        ("text", pa.string()),
         ("text_density", pa.float64()),
         ("link_density", pa.float64()),
         ("is_content", pa.bool_()),
@@ -65,19 +64,6 @@ EXTRACTED_SCHEMA = pa.schema(
 )
 
 # ---------------------------------------------------------------------------
-# Lineage manifest (checkpoint/resume) — FIXTURES.md §3.
-# ---------------------------------------------------------------------------
-MANIFEST_SCHEMA = pa.schema(
-    [
-        ("partition_id", pa.int64()),
-        ("fragment_ids", pa.list_(pa.string())),
-        ("row_count", pa.int64()),
-        ("digest", pa.string()),
-        ("completed_ts", pa.timestamp("us")),
-    ]
-)
-
-# ---------------------------------------------------------------------------
 # Per-domain aggregate (salted groupby output) — FIXTURES.md §4.
 # ---------------------------------------------------------------------------
 DOMAIN_STATS_SCHEMA = pa.schema(
@@ -87,33 +73,5 @@ DOMAIN_STATS_SCHEMA = pa.schema(
         ("html_bytes", pa.int64()),
         ("extracted_chars", pa.int64()),
         ("n_errors", pa.int64()),
-    ]
-)
-
-# ---------------------------------------------------------------------------
-# Reference-shape metadata record (operator-parity fixtures) — mirrors the
-# schema of ``pipeline_demo/extractor/process_book_enhanced.py:13-33``
-# (the ``publication_date`` variant; SURVEY.md §1.3 "pick ONE").
-# ---------------------------------------------------------------------------
-METADATA_SCHEMA = pa.schema(
-    [
-        ("title", pa.string()),
-        ("subtitle", pa.string()),
-        ("authors", pa.list_(pa.string())),
-        ("publisher", pa.string()),
-        ("publication_date", pa.string()),
-        ("isbn_10", pa.string()),
-        ("isbn_13", pa.string()),
-        ("asin", pa.string()),
-        ("edition", pa.string()),
-        ("binding_type", pa.string()),
-        ("language", pa.string()),
-        ("page_count", pa.int32()),
-        ("categories", pa.list_(pa.string())),
-        ("description", pa.string()),
-        ("condition_keywords", pa.list_(pa.string())),
-        ("price", pa.struct([("currency", pa.string()), ("amount", pa.float64())])),
-        ("valid", pa.bool_()),
-        ("validation_error", pa.string()),
     ]
 )

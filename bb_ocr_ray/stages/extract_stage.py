@@ -1,17 +1,14 @@
-"""The extraction stage: an actor-pool map_batches over Arrow batches.
+"""The extraction stage: a stateless map_batches over Arrow batches.
 
-Maps the reference's per-worker model cache (T1,
-``enhanced_extractor.py:97-98, 143-154`` — EasyOCR weights loaded once
-per process and reused across documents) onto the canonical Ray Data
-pattern: a callable CLASS whose ``__init__`` builds all per-worker
-state once (config, compiled regexes via module import) and whose
-``__call__`` processes one Arrow batch.
+The reference loads its OCR model once per worker (T1,
+``enhanced_extractor.py:97-98, 143-154``).  The HTML kernel has no such
+state: everything it needs (compiled regexes in normalize/segment) is
+built at module import, which Ray's prestarted workers share, so plain
+tasks carry it for free and no actor pool is needed.
 
 The per-row Python loop inside the batch is inherent — HTML parsing is
 a per-document operation, not a columnar kernel — so the
-vectorization axis here is *rows across actors*: ``concurrency`` ×
-``batch_size`` sized so the pool saturates the node while blocks stay
-bounded (SURVEY.md §4).
+vectorization axis here is *rows across tasks* (SURVEY.md §4).
 """
 
 from __future__ import annotations
@@ -23,22 +20,9 @@ from bb_ocr_ray.kernel.extract import extract_page
 from bb_ocr_ray.schema import EXTRACTED_SCHEMA
 
 
-class ExtractorActor:
-    """Stateful extraction worker (one per actor-pool slot)."""
-
-    def __init__(self, cfg: ExtractConfig = DEFAULT_EXTRACT):
-        # Runs ONCE per actor: everything the kernel needs is compiled at
-        # module import (regexes in normalize/segment); keep a config ref.
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        cfg = self.cfg
-        records = [extract_page(u, h, cfg) for u, h in zip(urls, htmls)]
-        return pa.Table.from_pylist(records, schema=EXTRACTED_SCHEMA)
-
-
 def extract_batch(batch: pa.Table, cfg: ExtractConfig = DEFAULT_EXTRACT) -> pa.Table:
-    """Stateless-task variant of the same transform (tests / tiny inputs)."""
-    return ExtractorActor(cfg)(batch)
+    """pages batch -> extracted batch: one output row per input row."""
+    urls = batch.column("url").to_pylist()
+    htmls = batch.column("html").to_pylist()
+    records = [extract_page(u, h, cfg) for u, h in zip(urls, htmls)]
+    return pa.Table.from_pylist(records, schema=EXTRACTED_SCHEMA)

@@ -86,9 +86,9 @@ def table_checksum(ds, cols: list[str], sep: str = "|"):
         if not len(b):
             return pd.DataFrame({"n": pd.Series([0], dtype="int64"),
                                  "s": pd.Series([0], dtype="int64")})
-        joined = b[cols[0]].astype(str)
-        for c in cols[1:]:
-            joined = joined + sep + b[c].astype(str)
+        # NULL hashes as '' (SQL concat), never as the string "None"
+        parts = [b[c].astype(str).mask(b[c].isna(), "") for c in cols]
+        joined = parts[0].str.cat(parts[1:], sep=sep)
         hs = batch_md5_hex(joined.to_numpy())
         # exact Python-int sum, one mod at the end (2^60 x batch rows
         # never overflows an arbitrary-precision int)

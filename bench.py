@@ -16,9 +16,9 @@ Scaling mode (the sandbox stand-in for N- vs 4N-node clusters):
 
 The headline pipeline is the flagship extraction: synthesize
 Common-Crawl-style pages from the documents table (replicated
-BENCH_REPLICATION× with distinct urls so actor-pool startup doesn't
+BENCH_REPLICATION× with distinct urls so task startup doesn't
 dominate), run DOM segmentation + boilerplate classification +
-reading-order emission in an actor pool, and consume with an
+reading-order emission as stateless map_batches tasks, and consume with an
 aggregate (no driver materialization).
 """
 

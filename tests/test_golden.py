@@ -39,9 +39,20 @@ def test_golden_edge_cases_byte_identical():
 @pytest.mark.usefixtures("ray_session")
 def test_distributed_pipeline_byte_identity(sf_tiny):
     """Full Ray pipeline output == independently derived expectation."""
+    import pyarrow as pa
+
     from bb_ocr_ray.pipelines.extract_pipeline import extract_from_sf_dir
 
-    out = extract_from_sf_dir(sf_tiny).to_pandas().set_index("url")
+    ds = extract_from_sf_dir(sf_tiny).materialize()
+    out = ds.to_pandas().set_index("url")
+    # ``blocks`` holds exactly the six FIXTURES.md §2 fields: a kept
+    # block's text is already ``text[start:stop]``, so no block carries
+    # its text again.
+    assert ds.schema().base_schema.field("blocks").type == pa.list_(
+        pa.struct([("block_id", pa.int32()), ("tag_path", pa.string()),
+                   ("depth", pa.int32()), ("text_density", pa.float64()),
+                   ("link_density", pa.float64()),
+                   ("is_content", pa.bool_())]))
     docs = duckdb.sql(
         f"SELECT doc_id, text FROM '{sf_tiny}/documents.parquet'"
     ).df()

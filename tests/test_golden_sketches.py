@@ -70,13 +70,6 @@ BLOOM = {
     "cms": [343, 288, 233],
 }
 
-CMS = {
-    "alpha": [247, 151, 372, 222],
-    "beta": [490, 857, 911, 999],
-    "https://site3.example.com/doc-42": [22, 748, 417, 1],
-    "cms": [555, 840, 768, 475],
-}
-
 BANDS_FOX_FIRST3 = [(0, "05e122eec02e2251"), (1, "c593b6167f05aae1"),
                     (2, "5156bf75f80de7d3")]
 
@@ -127,10 +120,3 @@ def test_hll_bucket_rho_golden():
 
     for k, v in HLL.items():
         assert hll_bucket_rho(k) == v, k
-
-
-def test_cms_buckets_golden():
-    from bb_ocr_ray.functions.hashing import cms_buckets
-
-    for k, v in CMS.items():
-        assert cms_buckets(k) == v, k

@@ -42,14 +42,20 @@ def test_full_page_extraction():
 
 
 def test_span_invariants():
+    from bb_ocr_ray.kernel.classify import classify
+    from bb_ocr_ray.kernel.segment import segment
+
     r = extract_page("https://a.example.com/x", FULL_PAGE)
     text, spans = r["text"], r["spans"]
-    kept = [b for b in r["blocks"] if b["is_content"]]
+    # reference block texts: the kernel's own classify output
+    blocks = classify(segment(decode_html(FULL_PAGE)[0]))
+    assert [b.is_content for b in blocks] == [b["is_content"] for b in r["blocks"]]
+    kept = [b for b in blocks if b.is_content]
     assert len(spans) == len(kept) == r["n_blocks_kept"]
     prev_stop = -1
     for span, blk in zip(spans, kept):
         assert span["start"] > prev_stop           # sorted, non-overlapping
-        assert text[span["start"]:span["stop"]] == blk["text"]  # round-trip
+        assert text[span["start"]:span["stop"]] == blk.text  # round-trip
         prev_stop = span["stop"]
 
 

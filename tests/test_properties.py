@@ -128,111 +128,3 @@ def test_ws_tokens_sql_parity_fuzz(text):
         "'[ \t\n\r\f\v]+'), x -> x <> '') AS tk", params=[text]
     ).fetchone()[0]
     assert list(got) == ws_tokens(text)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=-10**9, max_value=10**9),
-                min_size=1, max_size=60))
-def test_cms_oracle_parity_fuzz(user_ids):
-    """The q_cms_heavy_hitters register CTE (md5_number_upper % width
-    per salted row) must agree with the engine's cms_buckets / min-
-    over-rows estimate on arbitrary int64 keys — the identity the
-    whole sketch oracle rests on."""
-    from bb_ocr_ray.functions.hashing import _CMS_DEPTH, cms_buckets
-
-    con = duckdb.connect()
-    df = pd.DataFrame({"user_id": pd.array(user_ids, dtype="int64")})
-    con.register("events", df)
-    got = con.sql("""
-        WITH ev AS (SELECT user_id, CAST(user_id AS VARCHAR) AS k
-                    FROM events WHERE user_id IS NOT NULL),
-        rowh AS (SELECT user_id,
-                    CAST(md5_number_upper('cms0|' || k) % 1024 AS BIGINT) AS h0,
-                    CAST(md5_number_upper('cms1|' || k) % 1024 AS BIGINT) AS h1,
-                    CAST(md5_number_upper('cms2|' || k) % 1024 AS BIGINT) AS h2,
-                    CAST(md5_number_upper('cms3|' || k) % 1024 AS BIGINT) AS h3
-                 FROM ev)
-        SELECT DISTINCT user_id, h0, h1, h2, h3 FROM rowh
-    """).df()
-    for _, row in got.iterrows():
-        assert [int(row[f"h{i}"]) for i in range(_CMS_DEPTH)] == \
-            cms_buckets(str(int(row["user_id"])))
-    # and the min-over-rows estimate upper-bounds the true count
-    import numpy as np
-
-    from bb_ocr_ray.functions.hashing import _CMS_WIDTH
-
-    reg = np.zeros((_CMS_DEPTH, _CMS_WIDTH), dtype=np.int64)
-    keys, counts = np.unique(np.array(user_ids), return_counts=True)
-    for k, c in zip(keys, counts):
-        for i, b in enumerate(cms_buckets(str(int(k)))):
-            reg[i, b] += int(c)
-    for k, c in zip(keys, counts):
-        est = min(reg[i, b] for i, b in
-                  enumerate(cms_buckets(str(int(k)))))
-        assert est >= c
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3),
-                          st.floats(0, 100, allow_nan=False)),
-                min_size=1, max_size=40))
-def test_ntile_split_oracle_parity_fuzz(rows):
-    """The engine's ntile split (first n mod k runs get the extra row,
-    over (value, event_id) order) must agree with DuckDB's ntile on
-    arbitrary groups, including heavy value ties."""
-    import numpy as np
-
-    con = duckdb.connect()
-    df = pd.DataFrame({
-        "event_id": range(len(rows)),
-        "event_type": [f"t{g}" for g, _ in rows],
-        # quantize to provoke ties across rows
-        "value": [round(v, 1) for _, v in rows]})
-    con.register("events", df)
-    got = con.sql("""
-        SELECT event_id, ntile(4) OVER (PARTITION BY event_type
-                                        ORDER BY value, event_id) AS q
-        FROM events
-    """).df().set_index("event_id")["q"]
-    for et, g in df.groupby("event_type"):
-        g = g.sort_values(["value", "event_id"])
-        n = len(g)
-        base, extra = divmod(n, 4)
-        sizes = [base + 1] * extra + [base] * (4 - extra)
-        mine = np.repeat(np.arange(1, 5), sizes)[:n]
-        theirs = got.loc[g["event_id"]].to_numpy()
-        assert (mine == theirs).all(), (et, mine, theirs)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2),
-                          st.floats(-5, 5, allow_nan=False)),
-                min_size=1, max_size=40))
-def test_mode_tiebreak_oracle_parity_fuzz(rows):
-    """The engine's mode argmax (count desc, value asc) must agree
-    with the QUALIFY row_number oracle under arbitrary tie patterns
-    (including negative floors)."""
-    import math
-
-    con = duckdb.connect()
-    df = pd.DataFrame({
-        "event_type": [f"t{g}" for g, _ in rows],
-        "value": [v for _, v in rows]})
-    con.register("events", df)
-    got = con.sql("""
-        WITH c AS (SELECT event_type, CAST(floor(value) AS BIGINT) AS v,
-                          count(*) AS n
-                   FROM events WHERE value IS NOT NULL GROUP BY 1, 2)
-        SELECT event_type, v AS mode_value, n AS n_mode FROM c
-        QUALIFY row_number() OVER (PARTITION BY event_type
-                                   ORDER BY n DESC, v) = 1
-    """).df().set_index("event_type")
-    for et, g in df.groupby("event_type"):
-        counts = {}
-        for v in g["value"]:
-            fv = math.floor(v)
-            counts[fv] = counts.get(fv, 0) + 1
-        best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        assert int(got.loc[et, "mode_value"]) == best[0]
-        assert int(got.loc[et, "n_mode"]) == best[1]

@@ -264,3 +264,33 @@ def test_table_checksum_order_invariant(ray_session):
     c = table_checksum(rd.from_pandas(edited).repartition(3),
                        cols=["k", "t"])
     assert c["checksum"] != a["checksum"]
+
+
+def test_table_checksum_null_text_matches_oracle(ray_session, tmp_path):
+    # NULL text hashes as '' like SQL concat, so it cannot collide with
+    # a real text "None"
+    import hashlib
+
+    import duckdb
+
+    from bb_ocr_ray.pipelines.oracles import ORACLES
+    from bb_ocr_ray.pipelines.queries import q_table_checksum
+
+    texts = ["alpha", None, "None", ""]
+    docs = pd.DataFrame({"doc_id": np.arange(4, dtype="int64"),
+                         "text": texts, "lang": "en", "source": "s",
+                         "n_chars": np.arange(4, dtype="int64")})
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    docs.to_parquet(sf / "documents.parquet", index=False)
+
+    want = sum(int(hashlib.md5(f"{i}|{t or ''}".encode()).hexdigest()[:15], 16)
+               for i, t in enumerate(texts)) % (2**63 - 1)
+    got = q_table_checksum(str(sf))
+    assert int(got["n_rows"].iloc[0]) == 4
+    assert int(got["checksum"].iloc[0]) == want
+
+    con = duckdb.connect()
+    con.register("documents", docs)
+    oracle = con.sql(ORACLES["q_table_checksum"]).df()
+    pd.testing.assert_frame_equal(got, oracle, check_dtype=False)

@@ -188,71 +188,6 @@ def test_hll_registers_mergeable():
     assert merged == regs(str(i) for i in range(900))
 
 
-def test_cms_registers_mergeable():
-    """Summed register matrices of two halves == registers of the
-    union — the property that makes the sketch a distributed
-    aggregate (additive, unlike HLL's max-merge)."""
-    import numpy as np
-
-    from bb_ocr_ray.functions.hashing import (_CMS_DEPTH, _CMS_WIDTH,
-                                              cms_buckets)
-
-    def regs(keys):
-        r = np.zeros((_CMS_DEPTH, _CMS_WIDTH), dtype=np.int64)
-        for k in keys:
-            for i, b in enumerate(cms_buckets(k)):
-                r[i, b] += 1
-        return r
-
-    a = [str(i % 37) for i in range(400)]
-    b = [str(i % 61) for i in range(300)]
-    assert (regs(a) + regs(b) == regs(a + b)).all()
-
-
-def test_cms_estimate_upper_bounds_truth(ray_session):
-    """est_count >= true_count for every reported key (the Count-Min
-    one-sided error guarantee), and every key with true count >= n/125
-    is reported (candidate recall 1 by pigeonhole)."""
-    import duckdb
-
-    from bb_ocr_ray.pipelines.queries import q_cms_heavy_hitters
-
-    sf = "/root/testdata/sf0.01"
-    out = q_cms_heavy_hitters(sf)
-    assert len(out) > 0
-    assert (out["est_count"] >= out["true_count"]).all()
-    truth = duckdb.sql(
-        f"WITH ev AS (SELECT user_id FROM '{sf}/events.parquet' "
-        f"            WHERE user_id IS NOT NULL) "
-        f"SELECT user_id, count(*) c FROM ev GROUP BY 1 "
-        f"HAVING count(*) * 125 >= (SELECT count(*) FROM ev)"
-    ).df()
-    assert sorted(out["user_id"]) == sorted(truth["user_id"].astype(int))
-
-
-def test_cms_planted_heavy_key(ray_session, tmp_path):
-    """A planted flood key dominates the corpus and must surface with
-    an exact true_count even when spread across many blocks."""
-    import pandas as pd
-    import ray.data as rd
-
-    from bb_ocr_ray.pipelines import queries as Q
-
-    ev = pd.DataFrame({
-        "user_id": [999_999] * 400 + list(range(600)),
-        "ts": pd.Timestamp("2024-01-01"),
-        "event_id": range(1000),
-        "event_type": "click", "value": 1.0, "props": "{}"})
-    d = tmp_path / "sf_cms"
-    d.mkdir()
-    rd.from_pandas(ev).repartition(8).write_parquet(str(d / "events.parquet"))
-    out = Q.q_cms_heavy_hitters(str(d))
-    row = out[out["user_id"] == 999_999]
-    assert len(row) == 1 and int(row["true_count"].iloc[0]) == 400
-    # uniform singletons (1/1000 < 1/125) must NOT appear
-    assert len(out) == 1
-
-
 def test_auto_join_size_gate(ray_session, sf_tiny):
     """auto_join routes by the small side's metadata size estimate:
     a parquet-backed dim under the limit broadcasts; forcing the limit

@@ -1,16 +1,20 @@
-"""Build an adversarial sf dir at /tmp/sf_edge for oracle-gate hardening.
+"""Build an adversarial sf dir (default /tmp/sf_edge) for oracle-gate hardening.
 
 Injects the edge conditions the clean driver testdata cannot exercise:
 NULL / empty / sub-10-char / unicode-punct / whitespace-only document
 texts (incl. a short megadoc at doc_id 9090 = 101*90), int64-overflow
 and malformed JSON props, NULL event values, sub-second timestamps.
 Usage:
-    python tools/make_edge_sf.py
+    python tools/make_edge_sf.py [dst]
     python tools/check_oracles.py /tmp/sf_edge <queries...>
+
+``tests/test_edge_gate.py`` builds it under a temp dir and runs every
+oracle against it.
 """
 
 import os
 import shutil
+import sys
 
 import numpy as np
 import pandas as pd
@@ -21,12 +25,12 @@ SRC = "/root/testdata/sf0.001"
 DST = "/tmp/sf_edge"
 
 
-def main():
-    shutil.rmtree(DST, ignore_errors=True)
-    os.makedirs(DST)
+def main(dst: str = DST):
+    shutil.rmtree(dst, ignore_errors=True)
+    os.makedirs(dst)
     for t in ("region", "nation", "customer", "supplier", "part", "orders",
               "lineitem", "embeddings"):
-        shutil.copy(f"{SRC}/{t}.parquet", f"{DST}/{t}.parquet")
+        shutil.copy(f"{SRC}/{t}.parquet", f"{dst}/{t}.parquet")
 
     docs = pd.read_parquet(f"{SRC}/documents.parquet").head(50)
     # 9101-9103: multi-paragraph docs sharing paragraphs (intra- and
@@ -62,7 +66,7 @@ def main():
          "source": ["edge"], "n_chars": pd.array([None], dtype="Int64")})],
         ignore_index=True)
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
-                   f"{DST}/documents.parquet")
+                   f"{dst}/documents.parquet")
 
     ev = pd.read_parquet(f"{SRC}/events.parquet").head(200)
     extra_ev = pd.DataFrame(
@@ -82,8 +86,8 @@ def main():
     extra_ev["ts"] = extra_ev["ts"].astype("datetime64[us]")
     ev = pd.concat([ev, extra_ev], ignore_index=True)
     # three NULL-user rows: pin the repo-wide "user aggregates drop
-    # NULL user_id" convention (the cms and other user oracles filter
-    # WHERE user_id IS NOT NULL; pandas groupby drops NaN keys).
+    # NULL user_id" convention (user oracles filter WHERE user_id IS
+    # NOT NULL; pandas groupby drops NaN keys).
     null_users = pd.DataFrame(
         {"event_id": [99101, 99102, 99103],
          "ts": pd.to_datetime(
@@ -95,12 +99,10 @@ def main():
          "props": ["{}", "{}", "{}"]})
     null_users["ts"] = null_users["ts"].astype("datetime64[us]")
     ev = pd.concat([ev, null_users], ignore_index=True)
-    # CMS ceil-threshold boundary: pad the non-null-user row count to
+    # frequency-threshold boundary: pad the non-null-user row count to
     # exactly 375 (a multiple of 125) with DISTINCT filler users
-    # (count 1 each — never heavy), plus one user with EXACTLY
-    # 375/125 = 3 events, so true_count * 125 == n holds with
-    # equality and any >= / > divergence between engine and oracle
-    # flips the q_cms_heavy_hitters membership.
+    # (count 1 each), plus one user with EXACTLY 375/125 = 3 events,
+    # so a user's count * 125 == n holds with equality.
     n0 = int(ev["user_id"].notna().sum())
     target = 375
     while target < n0 + 3:
@@ -117,9 +119,9 @@ def main():
     pad["ts"] = pad["ts"].astype("datetime64[us]")
     ev = pd.concat([ev, pad], ignore_index=True)
     pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   f"{DST}/events.parquet")
-    print(f"wrote {DST}: {len(docs)} docs, {len(ev)} events")
+                   f"{dst}/events.parquet")
+    print(f"wrote {dst}: {len(docs)} docs, {len(ev)} events")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])
