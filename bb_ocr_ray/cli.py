@@ -34,22 +34,31 @@ def _init_ray(num_cpus: int | None):
     DataContext.get_current().enable_progress_bars = False
 
 
-def cmd_extract(args) -> int:
-    from bb_ocr_ray.state.manifest import run_resumable_extract
+def _run_resumable(name: str, runner, args, **kwargs) -> int:
+    """Shared body of the two resumable commands: an out-of-range
+    partition count or payload budget is reported and exits 2."""
+    from bb_ocr_ray.config import PipelineConfig
+    from bb_ocr_ray.state.manifest import check_run_args
 
-    cfg = None
-    if args.payload_budget_mb:
-        from bb_ocr_ray.config import PipelineConfig
-
-        cfg = PipelineConfig(payload_block_budget_mb=args.payload_budget_mb)
-    n_run, n_skipped = run_resumable_extract(
-        args.sf_dir, args.out, n_partitions=args.partitions,
-        pipeline_cfg=cfg,
-    )
-    print(json.dumps({"cmd": "extract", "out": args.out,
+    cfg = PipelineConfig(payload_block_budget_mb=args.payload_budget_mb)
+    try:
+        check_run_args(args.partitions, cfg)
+    except ValueError as e:
+        print(f"{name}: {e}", file=sys.stderr)
+        return 2
+    n_run, n_skipped = runner(args.sf_dir, args.out,
+                              n_partitions=args.partitions,
+                              pipeline_cfg=cfg, **kwargs)
+    print(json.dumps({"cmd": name, "out": args.out,
                       "partitions_run": n_run,
                       "partitions_skipped": n_skipped}))
     return 0
+
+
+def cmd_extract(args) -> int:
+    from bb_ocr_ray.state.manifest import run_resumable_extract
+
+    return _run_resumable("extract", run_resumable_extract, args)
 
 
 def cmd_domain_stats(args) -> int:
@@ -102,19 +111,8 @@ def cmd_lifecycle(args) -> int:
     """Resumable multi-sink lifecycle (accept/reject chain)."""
     from bb_ocr_ray.state.manifest import run_resumable_lifecycle
 
-    cfg = None
-    if args.payload_budget_mb:
-        from bb_ocr_ray.config import PipelineConfig
-
-        cfg = PipelineConfig(payload_block_budget_mb=args.payload_budget_mb)
-    n_run, n_skipped = run_resumable_lifecycle(
-        args.sf_dir, args.out, n_partitions=args.partitions,
-        llm_backend=args.llm_backend, pipeline_cfg=cfg,
-    )
-    print(json.dumps({"cmd": "lifecycle", "out": args.out,
-                      "partitions_run": n_run,
-                      "partitions_skipped": n_skipped}))
-    return 0
+    return _run_resumable("lifecycle", run_resumable_lifecycle, args,
+                          llm_backend=args.llm_backend)
 
 
 def cmd_dedup_index(args) -> int:

@@ -110,7 +110,7 @@ def read_pages(sf_dir: str, num_blocks: int | None = None):
 
     ``num_blocks``: fan-out for the downstream parse stage.  A small
     single-file input arrives as ONE block and would serialize the whole
-    extract pipeline (the actor pool gets one giant task); an explicit
+    extract pipeline (the extract stage gets one giant task); an explicit
     repartition before the parse stage restores parallelism.  At real
     scale the input is thousands of fragments and this is a no-op
     (pass num_blocks=None to skip).  Defaults to 2× available CPUs.

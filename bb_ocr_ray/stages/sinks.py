@@ -1,11 +1,12 @@
-"""Sinks: partitioned writes + the audit-row flattener.
+"""Sinks: the audit-row flattener.
 
-Re-expressions of the reference's sink layer:
-  - Accept/Reject sinks (``pipeline_demo/i2j_ui/app/main.py:1107-1153``:
-    accepted JSON to data/accepted/, rejects to data/rejected/) ->
-    ONE dataset with a ``decision`` column written via
-    ``write_parquet(partition_cols=...)`` — the decision IS the
-    directory layout, no per-record file dance;
+The reference's Accept/Reject sinks
+(``pipeline_demo/i2j_ui/app/main.py:1107-1153``: accepted JSON to
+data/accepted/, rejects to data/rejected/) are ONE dataset with a
+``decision`` column written via ``write_parquet(partition_cols=...)``
+(``pipelines/lifecycle.run_lifecycle``) — the decision IS the directory
+layout, no per-record file dance.  This module re-expresses the rest
+of the reference's sink layer:
   - Google Sheets audit appender (``google_sheets.py:111-203``:
     struct -> 16-col flat row, authors list -> CSV string, year regex
     from date) -> a vectorized flattening map + any tabular sink.
@@ -16,22 +17,6 @@ from __future__ import annotations
 import pandas as pd
 
 from bb_ocr_ray.functions.scalars import extract_year
-
-
-def write_partitioned(ds, out_dir: str, partition_cols: list):
-    """Partitioned parquet write: one directory per partition value
-    (resumable layout; a rerun can skip finished partition dirs)."""
-    ds.write_parquet(out_dir, partition_cols=partition_cols)
-    return out_dir
-
-
-def add_decision(batch: pd.DataFrame, *, min_chars: int = 20) -> pd.DataFrame:
-    """Accept/reject policy as data: accept rows whose extracted text is
-    non-trivial and error-free (the web analog of human accept/reject)."""
-    ok = (batch["status"] == "ok") & (batch["text"].str.len() >= min_chars)
-    batch = batch.copy()
-    batch["decision"] = ok.map({True: "accepted", False: "rejected"})
-    return batch
 
 
 # 16-column audit header, mirroring the reference's sheet row shape

@@ -3,119 +3,113 @@
 The reference has NO resume — re-running re-processes everything; the
 only prior-art is the output-file existence check
 (``pipeline_demo/i2j_ui/app/main.py:851-857``) and the design doc's
-local-cache-before-API decision (SURVEY.md J6).  This module supplies
-the real thing for a batch engine:
+local-cache-before-API decision (SURVEY.md J6).  Here:
 
-  - output is written in named partitions, each to a temp dir that is
-    atomically renamed to ``part-{pid:05d}`` on success;
-  - each completed partition writes ``manifest/part-{pid:05d}.json``
-    (atomic write-temp-rename) holding FIXTURES.md §3 lineage fields:
-    partition_id, fragment_ids, row_count, digest, completed_ts;
-  - on restart, completed partitions are skipped (the anti-join of
-    planned work against the manifest), so a killed run resumes with
-    no duplicate and no missing rows;
-  - manifest writes are idempotent per pid, so Ray task retries that
-    re-run a partition converge to the same state (digest equality is
-    asserted on rewrite).
+  - partition ``pid`` holds the rows with ``crc32(url) % n == pid``;
+  - a run is ONE pass: the input is read once, the rows of pending
+    partitions flow through the stage, and one :class:`LineageDatasink`
+    stages each partition under ``_staging/`` and returns its lineage;
+  - then each pending partition is atomically renamed to
+    ``part-{pid:05d}`` and recorded in ``manifest/part-{pid:05d}.json``
+    (write-temp-rename) with the FIXTURES.md §3 lineage fields;
+  - a restart skips completed partitions (the anti-join of planned
+    work against the manifest): no duplicate and no missing rows;
+  - a partition's digest may never change on rewrite.
 
-Partition planning: with many input fragments (the real 10^12-doc
-layout), partitions are contiguous chunks of the sorted fragment list —
-each partition reads ONLY its own files.  With fewer fragments than
-partitions (single-file test tables), planning falls back to url-hash
-buckets: every partition scans the input but filters to its bucket —
-correct, resumable, and documented as the small-input degenerate case.
+The recovery unit is the pass and the lineage unit is the partition: a
+driver killed mid-pass publishes nothing of that pass, and the restart
+redoes every pending partition in one pass (SCALE.md §5).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+from ray.data import Datasink
+from ray.data.block import BlockAccessor
+
+from bb_ocr_ray.functions.hashing import crc32
+
+# the row field hashed into partitions; recorded so a manifest written
+# under another bucket key is refused instead of silently mixed
+BUCKET_KEY = "url"
+_DIGEST_MOD = 1 << 256
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
     partition_id: int
-    fragment_ids: tuple     # input files this partition covers
-    hash_bucket: int | None  # set in hash-bucket fallback mode
+    fragment_ids: tuple     # input files the partition's rows come from
+    hash_bucket: int | None  # crc32(url) % n_buckets of its rows
     n_buckets: int | None
 
 
 def plan_partitions(fragments: list, n_partitions: int) -> list:
-    """Deterministic partition plan from the sorted input fragment list."""
-    frags = sorted(fragments)
-    if len(frags) >= n_partitions:
-        chunks = [[] for _ in range(n_partitions)]
-        for i, f in enumerate(frags):   # round-robin keeps sizes balanced
-            chunks[i % n_partitions].append(f)
-        return [
-            PartitionPlan(pid, tuple(c), None, None)
-            for pid, c in enumerate(chunks)
-        ]
-    return [
-        PartitionPlan(pid, tuple(frags), pid, n_partitions)
-        for pid in range(n_partitions)
-    ]
+    """Deterministic plan: partition ``pid`` holds the rows of every
+    fragment whose ``crc32(url) % n_partitions == pid``."""
+    frags = tuple(sorted(fragments))
+    return [PartitionPlan(pid, frags, pid, n_partitions)
+            for pid in range(n_partitions)]
 
 
-def output_digest(urls: list, texts: list) -> str:
-    """sha256 over sorted (url, text) pairs — the lineage digest.
+def output_digest(keys: list, texts: list) -> str:
+    """The lineage digest: sum mod 2**256 of each row's sha256 over its
+    length-prefixed (key, text).  A sum is order-insensitive, folds
+    across write tasks (:func:`fold_digests`) and, unlike a set hash,
+    still counts a duplicated row."""
+    total = 0
+    for k, t in zip(keys, texts):
+        k, t = str(k), str(t)
+        row = f"{len(k)}:{k}{len(t)}:{t}".encode("utf-8")
+        total += int.from_bytes(hashlib.sha256(row).digest(), "big")
+    return f"{total % _DIGEST_MOD:064x}"
 
-    Each field is length-prefixed, so no url or text content can be
-    confused with a field or pair boundary."""
-    h = hashlib.sha256()
-    for u, t in sorted(zip(urls, texts)):
-        u, t = str(u), str(t)
-        h.update(f"{len(u)}:{u}{len(t)}:{t}".encode("utf-8"))
-    return h.hexdigest()
+
+def fold_digests(digests) -> str:
+    """output_digest of a concatenation, from the parts' digests."""
+    return f"{sum(int(d, 16) for d in digests) % _DIGEST_MOD:064x}"
 
 
 class RunManifest:
     """Filesystem-backed manifest: one JSON file per completed partition,
     periodically COMPACTED into a snapshot (VERDICT r4 item 8).
 
-    A 10^5-partition run would otherwise pay 10^5 file opens + JSON
-    parses on every resume.  ``completed()`` loads ``_snapshot.json``
-    (one read holding every folded record) plus only the TAIL of
-    per-partition files written since the last compaction — resume
-    cost is O(new work), not O(total partitions).  When the tail
-    exceeds ``compact_threshold``, ``completed()`` folds it into a
-    fresh snapshot (atomic write-temp-rename, then tail deletion; a
-    crash between the two leaves both, and the merge prefers the tail
-    file, which compaction proved digest-identical).  Per-partition
-    RECORDING is unchanged — still one atomic idempotent file per
-    partition, so concurrent task retries never contend on the
-    snapshot."""
-
-    _SNAPSHOT = "_snapshot.json"
+    ``completed()`` reads ``_snapshot.json`` plus only the TAIL of
+    per-partition files written since the last compaction, so resume
+    costs O(new work), not O(total partitions); past
+    ``compact_threshold`` tail files it folds them into a fresh snapshot
+    (write-temp-rename, then tail deletion; a crash between the two
+    leaves both, and the merge prefers the identical tail file).
+    Recording stays one atomic idempotent file per partition."""
 
     def __init__(self, root: str, compact_threshold: int = 512):
-        self.root = root
         self.manifest_dir = os.path.join(root, "manifest")
         self.compact_threshold = compact_threshold
+        self.snapshot_path = os.path.join(self.manifest_dir, "_snapshot.json")
         os.makedirs(self.manifest_dir, exist_ok=True)
         self._snapshot_cache: dict | None = None
 
     def _path(self, pid: int) -> str:
         return os.path.join(self.manifest_dir, f"part-{pid:05d}.json")
 
-    def _snapshot_path(self) -> str:
-        return os.path.join(self.manifest_dir, self._SNAPSHOT)
-
     def _load_snapshot(self) -> dict:
         if self._snapshot_cache is None:
-            p = self._snapshot_path()
-            if os.path.exists(p):
-                with open(p) as f:
-                    data = json.load(f)
-                self._snapshot_cache = {
-                    int(k): v for k, v in data["records"].items()}
-            else:
-                self._snapshot_cache = {}
+            self._snapshot_cache = {}
+            if os.path.exists(self.snapshot_path):
+                with open(self.snapshot_path) as f:
+                    self._snapshot_cache = {
+                        int(k): v for k, v in json.load(f)["records"].items()}
         return self._snapshot_cache
 
     def _tail_names(self) -> list:
@@ -142,13 +136,8 @@ class RunManifest:
         return len(tail)
 
     def _write_snapshot(self, records: dict, tail_names: list) -> None:
-        tmp = f"{self._snapshot_path()}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump({"records": {str(k): v for k, v in records.items()}},
-                      f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self._snapshot_path())       # atomic
+        _write_json_atomic(self.snapshot_path, {
+            "records": {str(k): v for k, v in records.items()}})
         self._snapshot_cache = dict(records)
         # delete the folded tail AFTER the snapshot is durable; a
         # crash mid-delete leaves extra files whose content the
@@ -166,6 +155,7 @@ class RunManifest:
             "fragment_ids": list(plan.fragment_ids),
             "hash_bucket": plan.hash_bucket,
             "n_buckets": plan.n_buckets,
+            "bucket_key": BUCKET_KEY,
             "row_count": row_count,
             "digest": digest,
             "completed_ts": datetime.now(timezone.utc).isoformat(),
@@ -173,29 +163,29 @@ class RunManifest:
             "metrics": metrics or {},
         }
         prior_path = self._path(plan.partition_id)
-        prior = None
         if os.path.exists(prior_path):          # O(1), not a full manifest scan
             with open(prior_path) as f:
                 prior = json.load(f)
-        if prior is None:
-            # the partition's file may have been folded into the
-            # snapshot (and deleted) by a compaction — the
-            # non-idempotent-rerun guard must survive that
+        else:   # possibly folded into the snapshot by a compaction
             prior = self._load_snapshot().get(plan.partition_id)
         if prior is not None and prior["digest"] != digest:
             raise RuntimeError(
                 f"partition {plan.partition_id}: non-idempotent rerun, digest "
                 f"{prior['digest'][:12]} != {digest[:12]}"
             )
-        # unique tmp name: a concurrent/stale second writer must never
-        # truncate the file another process is about to os.replace
-        tmp = f"{self._path(plan.partition_id)}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(rec, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self._path(plan.partition_id))   # atomic
+        _write_json_atomic(self._path(plan.partition_id), rec)
         return rec
+
+
+def _write_json_atomic(path: str, obj) -> None:
+    # unique tmp name: a concurrent/stale second writer must never
+    # truncate the file another process is about to os.replace
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump(obj, f)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)                         # atomic
 
 
 def run_resumable_extract(sf_dir: str, out_root: str, n_partitions: int = 8,
@@ -205,144 +195,165 @@ def run_resumable_extract(sf_dir: str, out_root: str, n_partitions: int = 8,
     Returns (n_run, n_skipped).  Kill it at any point and call again:
     completed partitions are skipped via the manifest anti-join.
     """
-    from bb_ocr_ray.config import DEFAULT_PIPELINE
     from bb_ocr_ray.pipelines.extract_pipeline import extract_pages
 
-    cfg = pipeline_cfg or DEFAULT_PIPELINE
-    return _run_partitions(
-        sf_dir, out_root, n_partitions, cfg,
-        stage=lambda pages: extract_pages(pages, cfg))
+    return _run_pass(sf_dir, out_root, n_partitions, pipeline_cfg,
+                     stage=extract_pages)
 
 
 def _skip_completed(plan, prior, part_dir) -> bool:
     """True if ``plan`` is already durably complete; raises on a plan
-    mismatch (restarting with a different n_partitions or fragment
-    layout would silently duplicate/drop rows)."""
+    mismatch (restarting with a different n_partitions, fragment layout
+    or bucket key would silently duplicate/drop rows)."""
     if prior is None or not os.path.isdir(part_dir):
         return False
-    same_plan = (
-        prior.get("fragment_ids") == list(plan.fragment_ids)
-        and prior.get("hash_bucket", plan.hash_bucket) == plan.hash_bucket
-        and prior.get("n_buckets", plan.n_buckets) == plan.n_buckets
-    )
-    if not same_plan:
+    was = [prior.get(k) for k in
+           ("fragment_ids", "hash_bucket", "n_buckets", "bucket_key")]
+    now = [list(plan.fragment_ids), plan.hash_bucket, plan.n_buckets,
+           BUCKET_KEY]
+    if was != now:
         raise RuntimeError(
-            f"partition {plan.partition_id}: manifest plan mismatch "
-            f"(was fragments={prior.get('fragment_ids')} bucket="
-            f"{prior.get('hash_bucket')}/{prior.get('n_buckets')}, "
-            f"now {list(plan.fragment_ids)} bucket="
-            f"{plan.hash_bucket}/{plan.n_buckets}) — rerun with the "
-            "original n_partitions or a fresh out_root"
-        )
+            f"partition {plan.partition_id}: manifest plan mismatch (was "
+            f"{was}, now {now}) — rerun with the original n_partitions "
+            "or a fresh out_root")
     return True
 
 
-def _pages_for_plan(plan, cfg):
-    """The partition's page stream: read ONLY the plan's fragments,
-    hash-bucket filter in fallback mode, synthesize pages, and honor
-    the payload block budget."""
-    from bb_ocr_ray.functions.hashing import crc32
-    from bb_ocr_ray.sources.pages import pages_batch
-    from bb_ocr_ray.sources.tables import read_parquet_clean
-
-    docs = read_parquet_clean(list(plan.fragment_ids),
-                              columns=["doc_id", "text", "lang"])
-    if plan.hash_bucket is not None:
-        bucket, nb = plan.hash_bucket, plan.n_buckets
-        docs = docs.map_batches(
-            lambda b, bucket=bucket, nb=nb: b[
-                [crc32(str(d)) % nb == bucket for d in b["doc_id"]]
-            ],
-            batch_format="pandas",
-        )
-    pages = docs.map_batches(pages_batch, batch_format="pyarrow")
-    if cfg.payload_block_budget_mb:
-        from bb_ocr_ray.stages.sizing import split_by_bytes
-
-        pages = split_by_bytes(
-            pages, "html", max_bytes=cfg.payload_block_budget_mb << 20
-        )
-    return pages
+def _buckets(urls: list, n_buckets: int) -> list:
+    return [crc32(u) % n_buckets for u in urls]
 
 
-def _read_back(part_tmp_dir: str, columns: list):
-    """Read a just-written partition for the lineage digest; an EMPTY
-    partition (hash-bucket fallback with more buckets than rows) has
-    zero parquet files, which pq.read_table rejects — return a typed
-    empty table instead so the manifest records 0 rows."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    files = [os.path.join(root, n)
-             for root, _d, names in os.walk(part_tmp_dir)
-             for n in names if n.endswith(".parquet")]
-    if not files:
-        return pa.table({c: pa.array([], pa.string()) for c in columns})
-    return pq.read_table(part_tmp_dir, columns=columns)
+def _keep_buckets(batch, n_buckets: int, keep: frozenset):
+    """Pages of the pending partitions only."""
+    mask = [b in keep for b in
+            _buckets(batch.column("url").to_pylist(), n_buckets)]
+    return batch.filter(pa.array(mask, pa.bool_()))
 
 
-def _run_partitions(sf_dir, out_root, n_partitions, cfg, stage,
-                    partition_cols=None, extra_metrics=None):
-    """The resumable partition loop shared by both runners.
+class LineageDatasink(Datasink):
+    """Parquet sink that splits rows by partition and returns lineage.
 
-    For each planned partition not already complete: ``stage`` maps
-    the partition's page stream to the Dataset to publish, which is
-    written (hive-split by ``partition_cols``) to a temp dir, read
-    back for the lineage digest, atomically renamed to
-    ``part-{pid:05d}`` and recorded in the manifest.  The digest key
-    is the url joined by ``\\x1f`` with the row's partition values, so
-    a row moved between sinks changes it.  ``extra_metrics(table)``
-    adds runner-specific counters to the record's metrics.  Returns
-    (n_run, n_skipped)."""
-    import contextlib
+    Each write task stages bucket ``b``'s rows, hive-split by ``split``
+    when set, under ``staging/part-{b:05d}/`` in files named by the
+    task index, so a retried task overwrites its own files.  Per bucket
+    it returns rows, text chars, row counts per ``split`` value and the
+    content digest keyed by url (joined by ``\\x1f`` with the ``split``
+    value, so a row moved between sinks changes it)."""
 
-    from bb_ocr_ray.stages.sizing import block_budget
+    def __init__(self, staging: str, n_buckets: int, split: str | None):
+        self.staging, self.n_buckets, self.split = staging, n_buckets, split
+        self.returns: list = []
 
-    # honor the payload budget for the whole per-partition pipeline (the
-    # DataContext is snapshotted at Dataset creation — see sizing.py)
-    budget_ctx = (
-        block_budget(cfg.payload_block_budget_mb << 20)
-        if cfg.payload_block_budget_mb else contextlib.nullcontext()
-    )
-    fragments = [os.path.join(sf_dir, "documents.parquet")]
-    plans = plan_partitions(fragments, n_partitions)
+    def write(self, blocks, ctx) -> dict:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return {}
+        tbl = pa.concat_tables(tables, promote_options="default")
+        buckets = pa.array(_buckets(tbl.column("url").to_pylist(),
+                                    self.n_buckets))
+        out = {}
+        for b in sorted(set(buckets.to_pylist())):
+            part = tbl.filter(pc.equal(buckets, b))
+            pads.write_dataset(
+                part, os.path.join(self.staging, f"part-{b:05d}"),
+                format="parquet",
+                partitioning=[self.split] if self.split else None,
+                partitioning_flavor="hive",
+                basename_template=f"{ctx.task_idx:05d}-{{i}}.parquet",
+                existing_data_behavior="overwrite_or_ignore")
+            keys = part.column("url").to_pylist()
+            values = []
+            if self.split:
+                values = [str(v) for v in part.column(self.split).to_pylist()]
+                keys = [f"{k}\x1f{v}" for k, v in zip(keys, values)]
+            texts = part.column("text").to_pylist()
+            out[b] = {"rows": part.num_rows, "chars": sum(map(len, texts)),
+                      "counts": Counter(values),
+                      "digest": output_digest(keys, texts)}
+        return out
+
+    def on_write_complete(self, write_result) -> None:
+        self.returns = write_result.write_returns
+
+
+def check_run_args(n_partitions: int, cfg) -> None:
+    """Raise ValueError for a partition count or payload budget below 1."""
+    if n_partitions < 1:
+        raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
+    budget_mb = cfg.payload_block_budget_mb
+    if budget_mb is not None and budget_mb < 1:
+        raise ValueError(
+            f"payload block budget must be >= 1 MB, got {budget_mb}")
+
+
+def _run_pass(sf_dir, out_root, n_partitions, cfg, stage, split=None):
+    """The resumable pass shared by both runners.
+
+    Reads the pages once, keeps the rows of partitions not already
+    complete, maps them through ``stage(pages, cfg)`` and writes them with
+    one :class:`LineageDatasink`.  Then each pending partition is
+    atomically renamed from the staging dir to ``part-{pid:05d}`` and
+    recorded in the manifest.  ``split`` is ``(column, values)``: each
+    partition is hive-split by ``column`` and its metrics count the
+    rows of each value as ``n_{value}``.  Returns (n_run, n_skipped)."""
+    from bb_ocr_ray.config import DEFAULT_PIPELINE
+    from bb_ocr_ray.sources.pages import read_pages
+    from bb_ocr_ray.stages.sizing import block_budget, split_by_bytes
+
+    cfg = cfg or DEFAULT_PIPELINE
+    check_run_args(n_partitions, cfg)
+    budget_mb = cfg.payload_block_budget_mb
+    split_col, split_values = split or (None, ())
+
+    plans = plan_partitions([os.path.join(sf_dir, "documents.parquet")],
+                            n_partitions)
     manifest = RunManifest(out_root)
     done = manifest.completed()
+    staging = os.path.join(out_root, "_staging")
+    shutil.rmtree(staging, ignore_errors=True)    # a killed pass's files
 
-    key_cols = ["url", *(partition_cols or [])]
-    n_run = n_skipped = 0
-    with budget_ctx:
-        for plan in plans:
-            part_dir = os.path.join(out_root,
-                                    f"part-{plan.partition_id:05d}")
-            if _skip_completed(plan, done.get(plan.partition_id), part_dir):
-                n_skipped += 1
-                continue
-            out_ds = stage(_pages_for_plan(plan, cfg))
+    def part_dir(pid):
+        return os.path.join(out_root, f"part-{pid:05d}")
 
-            t0 = time.time()
-            tmp_dir = f"{part_dir}.tmp.{os.getpid()}"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            out_ds.write_parquet(tmp_dir, partition_cols=partition_cols)
-            os.makedirs(tmp_dir, exist_ok=True)  # empty partition: 0 files
-            out_tbl = _read_back(tmp_dir, [*key_cols, "text"])
-            keys = ["\x1f".join(map(str, k)) for k in
-                    zip(*(out_tbl.column(c).to_pylist() for c in key_cols))]
-            texts = out_tbl.column("text").to_pylist()
-            digest = output_digest(keys, texts)
-            shutil.rmtree(part_dir, ignore_errors=True)
-            os.replace(tmp_dir, part_dir)                # atomic publish
-            wall = time.time() - t0
-            metrics = {
-                "wall_s": round(wall, 3),
-                "docs_per_sec": round(out_tbl.num_rows / wall, 1) if wall else 0,
-                "extracted_chars": sum(map(len, texts)),
-            }
-            if extra_metrics is not None:
-                metrics.update(extra_metrics(out_tbl))
-            manifest.record(plan, out_tbl.num_rows, digest, metrics=metrics)
-            n_run += 1
-    return n_run, n_skipped
+    pending = [p for p in plans if not _skip_completed(
+        p, done.get(p.partition_id), part_dir(p.partition_id))]
+    if not pending:
+        return 0, len(plans)
+
+    # honor the payload budget for the whole pass (the DataContext is
+    # snapshotted at Dataset creation — see sizing.py)
+    sink = LineageDatasink(staging, n_partitions, split_col)
+    t0 = time.time()
+    with (block_budget(budget_mb << 20) if budget_mb
+          else contextlib.nullcontext()):
+        pages = read_pages(sf_dir).map_batches(
+            _keep_buckets, batch_format="pyarrow", batch_size=None,
+            fn_kwargs={"n_buckets": n_partitions,
+                       "keep": frozenset(p.partition_id for p in pending)})
+        if budget_mb:
+            pages = split_by_bytes(pages, "html", max_bytes=budget_mb << 20)
+        stage(pages, cfg).write_datasink(sink)
+    wall = time.time() - t0
+    n_rows = sum(r["rows"] for ret in sink.returns for r in ret.values())
+
+    for plan in pending:
+        pid = plan.partition_id
+        recs = [ret[pid] for ret in sink.returns if pid in ret]
+        counts = sum((r["counts"] for r in recs), Counter())
+        staged = os.path.join(staging, f"part-{pid:05d}")
+        os.makedirs(staged, exist_ok=True)    # a bucket no row hashed to
+        shutil.rmtree(part_dir(pid), ignore_errors=True)
+        os.replace(staged, part_dir(pid))                 # atomic publish
+        metrics = {"wall_s": round(wall, 3),     # of the pass that wrote it
+                   "docs_per_sec": round(n_rows / wall, 1) if wall else 0,
+                   "extracted_chars": sum(r["chars"] for r in recs),
+                   **{f"n_{v}": counts[v] for v in split_values}}
+        manifest.record(plan, sum(r["rows"] for r in recs),
+                        fold_digests(r["digest"] for r in recs),
+                        metrics=metrics)
+    shutil.rmtree(staging, ignore_errors=True)
+    return len(pending), len(plans) - len(pending)
 
 
 def run_resumable_lifecycle(sf_dir: str, out_root: str,
@@ -351,30 +362,17 @@ def run_resumable_lifecycle(sf_dir: str, out_root: str,
                             llm_model: str = "fake-model",
                             pipeline_cfg=None):
     """Resumable MULTI-SINK lifecycle (VERDICT r3 item 7): pages ->
-    extract (-> enrich) -> metadata -> validation -> accept/reject
-    partitioned sinks, checkpointed per resume partition.
+    extract (-> enrich) -> metadata -> validation -> accept/reject.
 
-    Layout: ``part-{pid:05d}/decision=accepted/`` and
-    ``.../decision=rejected/`` — BOTH lifecycle sinks live inside one
-    atomically-published partition dir, so a kill can never leave an
-    accepted row without its sibling reject set: either the whole
-    partition (both sinks) published, or neither did.  The lineage
-    digest covers (url, decision, text) so a divergent rerun of
-    either sink is refused.
-
-    Returns (n_run, n_skipped)."""
-    from bb_ocr_ray.config import DEFAULT_PIPELINE
+    Both sinks, ``decision=accepted/`` and ``decision=rejected/``, live
+    inside one atomically-published ``part-{pid:05d}`` dir, so a kill
+    never leaves accepted rows without their sibling rejects.  The
+    digest covers (url, decision, text), so a divergent rerun of either
+    sink is refused.  Returns (n_run, n_skipped)."""
     from bb_ocr_ray.pipelines.lifecycle import lifecycle_decided
 
-    cfg = pipeline_cfg or DEFAULT_PIPELINE
-
-    def decision_counts(tbl) -> dict:
-        decisions = [str(d) for d in tbl.column("decision").to_pylist()]
-        return {"n_accepted": decisions.count("accepted"),
-                "n_rejected": decisions.count("rejected")}
-
-    return _run_partitions(
-        sf_dir, out_root, n_partitions, cfg,
-        stage=lambda pages: lifecycle_decided(pages, llm_backend,
-                                              llm_model, cfg=cfg),
-        partition_cols=["decision"], extra_metrics=decision_counts)
+    return _run_pass(
+        sf_dir, out_root, n_partitions, pipeline_cfg,
+        stage=lambda pages, cfg: lifecycle_decided(pages, llm_backend,
+                                                   llm_model, cfg=cfg),
+        split=("decision", ("accepted", "rejected")))

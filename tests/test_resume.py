@@ -4,25 +4,19 @@ import json
 import os
 
 import duckdb
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from bb_ocr_ray.state.manifest import (
     PartitionPlan,
     RunManifest,
+    fold_digests,
     output_digest,
     plan_partitions,
     run_resumable_extract,
+    run_resumable_lifecycle,
 )
-
-
-def test_plan_partitions_file_mode():
-    frags = [f"/in/part-{i}.parquet" for i in range(10)]
-    plans = plan_partitions(frags, 4)
-    assert len(plans) == 4
-    covered = [f for p in plans for f in p.fragment_ids]
-    assert sorted(covered) == sorted(frags)
-    assert all(p.hash_bucket is None for p in plans)
 
 
 def test_plan_partitions_hash_fallback():
@@ -90,7 +84,7 @@ def test_kill_restart_no_dupes_no_missing(ray_session, sf_tiny, tmp_path):
     assert len(man) == n_parts
     first = man[0]
     assert set(first) == {"partition_id", "fragment_ids", "hash_bucket",
-                          "n_buckets", "row_count", "digest",
+                          "n_buckets", "bucket_key", "row_count", "digest",
                           "completed_ts", "metrics"}
     assert first["metrics"]["docs_per_sec"] > 0
 
@@ -287,3 +281,107 @@ def test_manifest_auto_compacts_past_threshold(tmp_path):
                                        "_snapshot.json"))
     # post-compaction reads see the same world
     assert RunManifest(str(tmp_path)).completed() == done
+
+
+def test_digest_folds_over_any_split_and_counts_duplicates():
+    """A write task's digest covers only its rows: folding the parts'
+    digests must give the digest of the whole, wherever it is cut, and
+    a duplicated row must change it."""
+    keys = [f"https://x/{i}" for i in range(6)]
+    texts = [f"text {i}" for i in range(6)]
+    whole = output_digest(keys, texts)
+    for cut in range(len(keys) + 1):
+        assert fold_digests([output_digest(keys[:cut], texts[:cut]),
+                             output_digest(keys[cut:], texts[cut:])]) == whole
+    assert fold_digests([output_digest(keys[i::3], texts[i::3])
+                         for i in range(3)]) == whole
+    assert output_digest(["a", "a"], ["t", "t"]) != output_digest(["a"], ["t"])
+
+
+def test_resume_refuses_doc_id_bucket_manifest(ray_session, sf_tiny,
+                                               tmp_path):
+    """Partitions used to be crc32(doc_id) buckets; a run root
+    completed that way must be refused, not topped up with url
+    buckets (which would duplicate and drop rows)."""
+    out = str(tmp_path / "old")
+    frag = os.path.join(sf_tiny, "documents.parquet")
+    os.makedirs(os.path.join(out, "manifest"))
+    for pid in range(2):
+        os.makedirs(os.path.join(out, f"part-{pid:05d}"))
+        with open(os.path.join(out, "manifest",
+                               f"part-{pid:05d}.json"), "w") as f:
+            json.dump({"partition_id": pid, "fragment_ids": [frag],
+                       "hash_bucket": pid, "n_buckets": 2,
+                       "row_count": 250, "digest": "0" * 64,
+                       "completed_ts": "2026-01-01T00:00:00+00:00",
+                       "metrics": {}}, f)
+    with pytest.raises(RuntimeError, match="plan mismatch"):
+        run_resumable_extract(sf_tiny, out, 2)
+
+
+def test_stale_staging_files_are_not_published(ray_session, sf_tiny,
+                                               tmp_path):
+    """Files a killed pass left under _staging/ never reach the output."""
+    out = str(tmp_path / "stale")
+    stale = os.path.join(out, "_staging", "part-00000")
+    os.makedirs(stale)
+    pq.write_table(pa.table({"url": ["https://stale.example.com/x"] * 3,
+                             "text": ["stale"] * 3}),
+                   os.path.join(stale, "x.parquet"))
+    assert run_resumable_extract(sf_tiny, out, 2) == (2, 0)
+    assert not os.path.exists(os.path.join(out, "_staging"))
+    urls = []
+    for pid in range(2):
+        urls += pq.read_table(os.path.join(out, f"part-{pid:05d}"),
+                              columns=["url"]).column("url").to_pylist()
+    n_docs = pq.read_metadata(
+        os.path.join(sf_tiny, "documents.parquet")).num_rows
+    assert len(urls) == len(set(urls)) == n_docs
+    assert "https://stale.example.com/x" not in urls
+
+
+def test_one_runner_call_is_one_dataset_write(ray_session, sf_tiny,
+                                              tmp_path, monkeypatch):
+    """Four pending partitions are written by ONE Dataset write, not
+    one write (and one input scan) per partition.  write_parquet goes
+    through write_datasink, so counting the latter counts every write."""
+    import ray.data as rd
+
+    calls = []
+    orig = rd.Dataset.write_datasink
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "write_datasink", counting)
+    assert run_resumable_extract(sf_tiny, str(tmp_path / "one"), 4) == (4, 0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cmd", ["extract", "lifecycle"])
+@pytest.mark.parametrize("partitions,budget_mb",
+                         [(0, None), (-2, None), (4, 0), (4, -1)])
+def test_runner_rejects_out_of_range_input(ray_session, sf_tiny, tmp_path,
+                                           capsys, cmd, partitions,
+                                           budget_mb):
+    """A partition count or payload budget below 1 is a ValueError from
+    both runners, and exit status 2 with the message from the CLI."""
+    import argparse
+
+    from bb_ocr_ray import cli
+    from bb_ocr_ray.config import PipelineConfig
+
+    runner = {"extract": run_resumable_extract,
+              "lifecycle": run_resumable_lifecycle}[cmd]
+    cfg = (None if budget_mb is None
+           else PipelineConfig(payload_block_budget_mb=budget_mb))
+    out = str(tmp_path / "run")
+    with pytest.raises(ValueError, match="must be >= 1"):
+        runner(sf_tiny, out, partitions, pipeline_cfg=cfg)
+    args = argparse.Namespace(sf_dir=sf_tiny, out=out,
+                              partitions=partitions,
+                              payload_budget_mb=budget_mb, llm_backend=None)
+    assert getattr(cli, f"cmd_{cmd}")(args) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -1,24 +1,6 @@
-"""Sink-layer tests: partitioned writes + audit flattening."""
-
-import os
+"""Sink-layer tests: audit flattening and file-format sinks."""
 
 import pandas as pd
-import pyarrow.parquet as pq
-
-
-def test_partitioned_write_by_decision(ray_session, sf_tiny, tmp_path):
-    from bb_ocr_ray.pipelines.extract_pipeline import extract_from_sf_dir
-    from bb_ocr_ray.stages.sinks import add_decision, write_partitioned
-
-    ds = extract_from_sf_dir(sf_tiny).map_batches(
-        add_decision, batch_format="pandas"
-    ).select_columns(["url", "text", "status", "decision"])
-    out = str(tmp_path / "decided")
-    write_partitioned(ds, out, ["decision"])
-    subdirs = sorted(os.listdir(out))
-    assert any(d.startswith("decision=accepted") for d in subdirs)
-    back = pq.read_table(out)
-    assert back.num_rows == 500
 
 
 def test_flatten_metadata_audit_row():
