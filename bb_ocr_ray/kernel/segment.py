@@ -8,27 +8,28 @@ blocks in READING ORDER, each with position features (tag_path, depth)
 and content features (raw/linked char counts, tag count) that feed the
 boilerplate classifier.
 
-Built on stdlib ``html.parser.HTMLParser`` (no external parser is
+One regex tokenizer drives one event loop (no external parser is
 available in this environment), which is a plus for the byte-identity
 invariant: traversal order is the token stream order, there is no
 parser-version drift, and malformed markup degrades deterministically
 (unmatched end tags are ignored; unclosed tags stay open until an
 enclosing close or EOF).
 
-The FAST regex front-end (the production default) is the canonical
-engine.  It intentionally diverges from html.parser on two sloppy-
-markup shapes where the stdlib behavior is worse: ``</script foo>``
-closes the script (html.parser stays in CDATA mode and swallows the
-rest of the document), and unterminated trailing constructs at EOF
-(``<!-- ...``, ``<tag ...``) are swallowed instead of being emitted as
-junk text.  Everything else is held identical by differential tests.
+The differential references live in ``tests/segment_oracle.py``: plain
+event handlers driven by stdlib ``html.parser`` and by a token-at-a-time
+``_TOKEN_RE`` loop.  The tokenizer intentionally diverges from
+html.parser on one sloppy-markup shape where the stdlib behavior is
+worse: ``</script foo>`` closes the script (html.parser stays in CDATA
+mode and swallows the rest of the document).  Everything else is held
+identical by differential tests.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from html.parser import HTMLParser
+import string
+from bisect import bisect_left
+from html import unescape
 
 from bb_ocr_ray.config import DEFAULT_EXTRACT, ExtractConfig
 from bb_ocr_ray.kernel.normalize import collapse_ws
@@ -83,165 +84,26 @@ def _mask_for(drop_ancestors) -> dict:
     return m
 
 
-@dataclass
 class RawBlock:
     """A candidate text block — the web analog of one contour bbox."""
 
-    block_id: int
-    tag_path: str          # "/"-joined open-tag stack at block start
-    depth: int             # stack depth at block start
-    ancestor_dropped: bool  # True if inside nav/header/footer/aside
-    runs: list = field(default_factory=list)   # ordered text runs
-    raw_chars: int = 0      # non-whitespace chars across runs
-    link_chars: int = 0     # of those, chars inside <a>
-    n_tags: int = 1         # tags seen while the block was open
+    __slots__ = ("block_id", "tag_path", "depth", "ancestor_dropped", "runs",
+                 "raw_chars", "link_chars", "n_tags")
+
+    def __init__(self, block_id: int, tag_path: str, depth: int,
+                 ancestor_dropped: bool):
+        self.block_id = block_id
+        self.tag_path = tag_path                  # "/"-joined open-tag stack at block start
+        self.depth = depth                        # stack depth at block start
+        self.ancestor_dropped = ancestor_dropped  # True if inside nav/header/footer/aside
+        self.runs: list = []   # ordered text runs
+        self.raw_chars = 0     # collapsed chars across runs
+        self.link_chars = 0    # of those, chars inside <a>
+        self.n_tags = 1        # tags seen while the block was open
 
     def finalize(self) -> str:
         return collapse_ws("".join(self.runs))
 
-
-class _SegmenterCore:
-    """Event-handling state machine shared by both tokenizer front-ends.
-
-    The SAME handlers process events from the stdlib HTMLParser (the
-    reference front-end) and from the fast regex tokenizer below, so
-    the two engines can only differ in tokenization, never in
-    segmentation semantics — asserted by differential tests."""
-
-    def _init_core(self, cfg: ExtractConfig):
-        self.cfg = cfg
-        self.stack: list = []
-        self._open_counts: dict = {}   # tag -> open count (O(1) membership)
-        self._mask = _mask_for(cfg.drop_ancestors)  # memoized per drop set
-        self.skip_depth = 0
-        self.link_depth = 0
-        self.drop_depth = 0    # nesting inside drop_ancestors subtrees
-        self.blocks: list = []
-        self.current: RawBlock | None = None
-        self._next_id = 0
-
-    # -- block lifecycle ---------------------------------------------------
-    def _flush(self) -> None:
-        blk = self.current
-        self.current = None
-        if blk is not None and blk.raw_chars > 0:
-            self.blocks.append(blk)
-
-    def _open_block(self) -> None:
-        cfg = self.cfg
-        path = "/".join(self.stack[: cfg.max_tag_depth])
-        self.current = RawBlock(
-            block_id=self._next_id,
-            tag_path=path,
-            depth=len(self.stack),
-            ancestor_dropped=self.drop_depth > 0,
-        )
-        self._next_id += 1
-
-    # -- parser events -----------------------------------------------------
-    def handle_starttag(self, tag, attrs):
-        m = self._mask.get(tag, 0)
-        if m & _VOID:
-            if self.current is not None and (tag == "br" or tag == "hr"):
-                self.current.runs.append("\n")
-            if tag == "hr":
-                self._flush()
-            return
-        if m:
-            if m & _SKIP:
-                self.skip_depth += 1
-            if m & _LINK:
-                self.link_depth += 1
-            if m & _DROP:
-                self.drop_depth += 1
-            if m & _BLOCK:
-                self._flush()
-        self.stack.append(tag)
-        self._open_counts[tag] = self._open_counts.get(tag, 0) + 1
-        if self.current is not None:
-            self.current.n_tags += 1
-
-    def handle_startendtag(self, tag, attrs):
-        # <tag/> — treat like a void element; block tags still flush.
-        if tag in BLOCK_TAGS:
-            self._flush()
-        elif tag in ("br", "hr") and self.current is not None:
-            self.current.runs.append("\n")
-
-    def handle_endtag(self, tag):
-        mask = self._mask
-        if mask.get(tag, 0) & _VOID:
-            return
-        # Pop up to and including the matching open tag; ignore strays.
-        # Membership via the open-count dict, not an O(depth) list scan
-        # (end tags are ~1/3 of all events on real pages).
-        if self._open_counts.get(tag, 0) > 0:
-            counts = self._open_counts
-            while self.stack:
-                popped = self.stack.pop()
-                counts[popped] -= 1
-                pm = mask.get(popped, 0)
-                if pm:
-                    if pm & _SKIP and self.skip_depth > 0:
-                        self.skip_depth -= 1
-                    if pm & _LINK and self.link_depth > 0:
-                        self.link_depth -= 1
-                    if pm & _DROP and self.drop_depth > 0:
-                        self.drop_depth -= 1
-                    if pm & _BLOCK:
-                        self._flush()
-                if popped == tag:
-                    break
-
-    def handle_data(self, data):
-        if self.skip_depth > 0:
-            return
-        # whitespace-only fast path: data.isspace() <=> collapse_ws
-        # yields "" (ASCII runs -> one space, then unicode strip — the
-        # same character set str.isspace covers), so skip the regex
-        # entirely for inter-tag whitespace, the most common data event
-        if not data or data.isspace():
-            if self.current is not None:
-                self.current.runs.append(data)   # zero stripped chars
-            return
-        stripped_len = len(collapse_ws(data))
-        if stripped_len == 0 and self.current is None:
-            return   # inter-tag whitespace outside any block
-        if self.current is None:
-            self._open_block()
-        self.current.runs.append(data)
-        self.current.raw_chars += stripped_len
-        if self.link_depth > 0:
-            self.current.link_chars += stripped_len
-
-
-
-class _Segmenter(_SegmenterCore, HTMLParser):
-    """stdlib front-end: html.parser drives the shared handlers."""
-
-    def __init__(self, cfg: ExtractConfig):
-        HTMLParser.__init__(self, convert_charrefs=True)  # entity decode (M1)
-        self._init_core(cfg)
-
-    def close(self):
-        # HTML5 tokenizer: an unterminated comment / CDATA /
-        # declaration / processing instruction runs to EOF and never
-        # becomes character data; html.parser instead flushes the
-        # incomplete construct as raw data on close.  Drop such a tail
-        # for parity with the spec (and the fast engine, whose token
-        # regex swallows all four to \Z).
-        if self.rawdata.startswith(("<!", "<?")):
-            self.rawdata = ""
-        HTMLParser.close(self)
-        self._flush()
-
-
-# ---------------------------------------------------------------------------
-# Fast regex tokenizer front-end (~2.5x the stdlib parser, which spends
-# most of its time in per-character position tracking).  Emits the same
-# event stream into the same _SegmenterCore handlers.
-# ---------------------------------------------------------------------------
-import html as _htmlmod
 
 _TOKEN_RE = re.compile(
     r"<!--.*?(?:-->|\Z)"                 # comment (unterminated: to EOF)
@@ -255,9 +117,48 @@ _TOKEN_RE = re.compile(
     r"|<",                                 # stray '<'
     re.S,
 )
+# A start tag that cannot close fails only after scanning to EOF, and the
+# next '<' retries (quadratic on "<a<a<a...").  After the first such
+# failure the rest of the page is tokenized without the start-tag
+# alternative; its groups stay as never-matching placeholders so group
+# numbers (and lastindex dispatch) are unchanged.  Start tags that do
+# close are found in the table below and matched one at a time.
+_TAIL_RE = re.compile(
+    _TOKEN_RE.pattern.replace(
+        r"<([a-zA-Z][a-zA-Z0-9:._-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>",
+        r"(?!)()()"),
+    re.S,
+)
+_TAG_SCAN_RE = re.compile(r"[>\"']")
+_NAME_START = frozenset(string.ascii_letters)
 
-# Raw-text elements: content is not markup.  script/style/title are
-# SKIP_TAGS (content discarded); textarea content is data.
+
+def _tag_closers(text: str, start: int) -> tuple:
+    """Where a start tag whose attributes begin at x >= start closes.
+
+    The start-tag alternative scans attributes deterministically: a quote
+    jumps past its partner, the first '>' outside quotes closes the tag,
+    and EOF or an unpartnered quote fails it.  So the answer depends only
+    on the next '>', '"' or "'" at or after x: for i = bisect_left(stops, x)
+    the tag closes at gts[i], or never when gts[i] is -1.  One pass from
+    the right, linear in the number of stops."""
+    stops = [m.start() for m in _TAG_SCAN_RE.finditer(text, start)]
+    n = len(stops)
+    gts = [-1] * (n + 1)
+    partner = {'"': n, "'": n}   # index of the next stop holding that quote
+    for i in range(n - 1, -1, -1):
+        c = text[stops[i]]
+        if c == ">":
+            gts[i] = stops[i]
+        else:
+            j = partner[c]
+            gts[i] = gts[j + 1] if j < n else -1
+            partner[c] = i
+    return stops, gts
+
+
+# Raw-text elements: content is not markup.  All four are SKIP_TAGS
+# (script/style/title content and form-control text are not page content).
 _RAWTEXT_CLOSE = {
     # name boundary required: </styled> must NOT close <style>
     t: re.compile(rf"</\s*{t}(?=[\s/>])[^>]*>", re.I | re.S)
@@ -265,75 +166,151 @@ _RAWTEXT_CLOSE = {
 }
 
 
-class _FastSegmenter(_SegmenterCore):
-    def __init__(self, cfg: ExtractConfig):
-        self._init_core(cfg)
-
-    def feed(self, text: str) -> None:
-        unescape = _htmlmod.unescape
-        pos = 0
-        n = len(text)
-        while pos < n:
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:            # defensive; should be unreachable
-                pos += 1
-                continue
-            pos = m.end()
-            # dispatch on lastindex (highest participating group) —
-            # one attribute read instead of a 4-group fetch per token:
-            # 4 = text run, 3 = start tag (groups 2+3 both participate,
-            # attrs may be empty but still matches), 1 = end tag,
-            # None = comment/doctype/CDATA/PI/bogus-end/stray '<'
-            li = m.lastindex
-            if li == 4:
-                data = m.group(4)
-                if "&" in data:
-                    data = unescape(data)
-                self.handle_data(data)
-            elif li == 3:
-                start_tag, attrs = m.group(2, 3)
-                tag = start_tag.lower()
-                a = attrs.rstrip()
-                # self-closing only when the '/' is its own token: bare
-                # "/", or preceded by whitespace/quote.  A '/' ending an
-                # unquoted attr value (href=http://x.com/) is VALUE text
-                # (mirrors html.parser, which parses the value first).
-                self_closing = a.endswith("/") and (
-                    len(a) == 1 or a[-2] in " \t\n\r\"'"
-                )
-                if self_closing:
-                    self.handle_startendtag(tag, ())
-                else:
-                    self.handle_starttag(tag, ())
-                    closer = _RAWTEXT_CLOSE.get(tag)
-                    if closer is not None:
-                        # raw-text content: no markup until the close tag;
-                        # all four rawtext elements (script/style/title/
-                        # textarea) are SKIP_TAGS — form-control text is
-                        # not page content
-                        mc = closer.search(text, pos)
-                        pos = n if mc is None else mc.end()
-                        self.handle_endtag(tag)
-            elif li == 1:
-                self.handle_endtag(m.group(1).lower())
-            elif m.group(0) == "<":
-                # stray '<' in prose ("1 < 2") is data, like html.parser
-                self.handle_data("<")
-            # comments / doctype / CDATA / PI: no event
-
-    def close(self) -> None:
-        self._flush()
-
-
-def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT,
-            engine: str = "fast") -> list:
+def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
     """Parse HTML text into an ordered list of RawBlock candidates.
 
-    ``engine="fast"`` (default): regex tokenizer; ``engine="stdlib"``:
-    html.parser front-end — same handlers, kept as the differential
-    reference (tests assert identical output on the fixture corpus).
+    One ``finditer`` loop over ``_TOKEN_RE`` with the handler state in
+    locals.  The loop restarts only after a raw-text element jumps to its
+    close tag, or around start tags once a start tag failed to close (see
+    ``_TAIL_RE``), so the work stays linear in the page size.
     """
-    seg = _FastSegmenter(cfg) if engine == "fast" else _Segmenter(cfg)
-    seg.feed(html_text)
-    seg.close()
-    return seg.blocks
+    text = html_text
+    n = len(text)
+    stops = gts = None   # _tag_closers table, built at the first failed start tag
+    mask = _mask_for(cfg.drop_ancestors)
+    max_depth = cfg.max_tag_depth
+    stack: list = []
+    open_counts: dict = {}   # tag -> open count (O(1) membership)
+    blocks: list = []
+    cur = None
+    next_id = skip_depth = link_depth = drop_depth = 0
+    token_re = _TOKEN_RE
+    pos = 0
+    end = n
+    while True:
+        for m in token_re.finditer(text, pos, end):
+            # dispatch on lastindex (highest participating group): 4 = text
+            # run, 3 = start tag (attrs may be empty but participate), 1 =
+            # end tag, None = comment/doctype/CDATA/PI/bogus-end/stray '<'
+            li = m.lastindex
+            if li == 3:
+                tag = m.group(2).lower()
+                tm = mask.get(tag, 0)
+                a = m.group(3).rstrip()
+                # self-closing only when the '/' is its own token: bare "/",
+                # or preceded by whitespace/quote.  A '/' ending an unquoted
+                # attr value (href=http://x.com/) is VALUE text (mirrors
+                # html.parser, which parses the value first).
+                if a.endswith("/") and (len(a) == 1 or a[-2] in " \t\n\r\"'"):
+                    # <tag/>: like a void element; block tags still flush
+                    if tm & _BLOCK:
+                        if cur is not None:
+                            blocks.append(cur)
+                            cur = None
+                    elif tag == "br" and cur is not None:
+                        cur.runs.append("\n")
+                    continue
+                if tm & _VOID:
+                    if cur is not None and (tag == "br" or tag == "hr"):
+                        cur.runs.append("\n")
+                        if tag == "hr":
+                            blocks.append(cur)
+                            cur = None
+                    continue
+                if tm:
+                    if tm & _SKIP:
+                        skip_depth += 1
+                    if tm & _LINK:
+                        link_depth += 1
+                    if tm & _DROP:
+                        drop_depth += 1
+                    if tm & _BLOCK and cur is not None:
+                        blocks.append(cur)
+                        cur = None
+                stack.append(tag)
+                open_counts[tag] = open_counts.get(tag, 0) + 1
+                if cur is not None:
+                    cur.n_tags += 1
+                closer = _RAWTEXT_CLOSE.get(tag)
+                if closer is None:
+                    continue
+                # raw-text content: no markup until the close tag, which is
+                # handled as this tag's end tag below
+                mc = closer.search(text, m.end())
+                pos = n if mc is None else mc.end()
+            elif li == 1:
+                tag = m.group(1).lower()
+            else:
+                if li == 4:
+                    data = m.group(4)
+                    if "&" in data:
+                        data = unescape(data)
+                elif m.group(0) == "<":
+                    q = m.start()
+                    if text[q + 1:q + 2] in _NAME_START:
+                        # a start tag that does not close here
+                        if stops is None:
+                            stops, gts = _tag_closers(text, q)
+                            pos = q
+                            token_re = _TAIL_RE
+                            break
+                        gt = gts[bisect_left(stops, q + 1)]
+                        if gt >= 0:   # ... but does: match just this tag
+                            pos = q
+                            end = gt + 1
+                            token_re = _TOKEN_RE
+                            break
+                    data = "<"   # stray '<' in prose ("1 < 2") is data
+                else:
+                    continue     # comment / doctype / CDATA / PI: no event
+                if skip_depth:
+                    continue
+                # whitespace-only runs (inter-tag newlines, the most common
+                # data event) collapse to "": zero chars, never open a block
+                # (an invalid charref such as "&#1;" unescapes to "")
+                if not data or data.isspace():
+                    if cur is not None:
+                        cur.runs.append(data)
+                    continue
+                k = len(collapse_ws(data))   # >= 1: data has a non-space char
+                if cur is None:
+                    cur = RawBlock(next_id, "/".join(stack[:max_depth]),
+                                   len(stack), drop_depth > 0)
+                    next_id += 1
+                cur.runs.append(data)
+                cur.raw_chars += k
+                if link_depth:
+                    cur.link_chars += k
+                continue
+            # end tag: pop up to and including the matching open tag;
+            # ignore strays and void tags (never pushed)
+            if open_counts.get(tag, 0) > 0:
+                while stack:
+                    popped = stack.pop()
+                    open_counts[popped] -= 1
+                    pm = mask.get(popped, 0)
+                    if pm:
+                        if pm & _SKIP:
+                            skip_depth -= 1
+                        if pm & _LINK:
+                            link_depth -= 1
+                        if pm & _DROP:
+                            drop_depth -= 1
+                        if pm & _BLOCK and cur is not None:
+                            blocks.append(cur)
+                            cur = None
+                    if popped == tag:
+                        break
+            if li == 3:
+                end = n   # resume after the raw-text close tag
+                token_re = _TOKEN_RE if stops is None else _TAIL_RE
+                break
+        else:
+            if end == n:
+                break
+            pos = end   # the one start tag that closes is done
+            end = n
+            token_re = _TAIL_RE
+    if cur is not None:
+        blocks.append(cur)
+    return blocks

@@ -6,12 +6,21 @@ applied to the extraction kernel: hand-built HTML fixtures + span
 invariants (SURVEY.md §5).
 """
 
+import json
+import os
+import subprocess
+import sys
+import unicodedata
+
 import pyarrow as pa
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from segment_oracle import oracle_segment, regex_loop_segment
 
 from bb_ocr_ray.kernel.extract import domain_of, extract_page
-from bb_ocr_ray.kernel.normalize import collapse_ws, decode_html, sniff_charset
+from bb_ocr_ray.kernel.normalize import (_NON_ASCII_WS_RE, _WS_RE, collapse_ws,
+                                         decode_html, sniff_charset)
 
 FULL_PAGE = b"""<!doctype html><html><head><meta charset="utf-8"><title>T</title>
 <style>body{color:red}</style><script>var x="<p>fake</p>";</script></head>
@@ -165,12 +174,16 @@ def test_arrow_schema_roundtrip():
 
 
 def test_fast_and_stdlib_segmenters_agree():
-    """Differential: the regex tokenizer and html.parser front-ends drive
-    the same handlers — outputs must be identical on the whole fixture
-    corpus (template pages + edge cases)."""
+    """Differential: the production tokenizer loop and the html.parser
+    reference (tests/segment_oracle.py) must give identical blocks on the
+    whole fixture corpus (template pages + edge cases), also with every
+    space turned into "\\n  ", or into "&nbsp;" between tags (html.parser
+    reads "<a&nbsp;href=...>" as another tag name), so the whitespace
+    collapse leaves its clean-text fast path."""
+    import re
+
     import duckdb
 
-    from bb_ocr_ray.kernel.normalize import decode_html
     from bb_ocr_ray.kernel.segment import segment
     from bb_ocr_ray.sources.pages import edge_case_pages, html_for
 
@@ -181,13 +194,13 @@ def test_fast_and_stdlib_segmenters_agree():
     docs = duckdb.sql(
         "SELECT doc_id, text FROM '/root/testdata/sf0.001/documents.parquet'"
     ).df()
-    for d, t in zip(docs.doc_id, docs.text):
-        pg = html_for(int(d), t).decode()
-        assert rep(segment(pg, engine="fast")) == rep(segment(pg, engine="stdlib"))
-    ep = edge_case_pages()
-    for h in ep.column("html").to_pylist():
-        t, _ = decode_html(h)
-        assert rep(segment(t, engine="fast")) == rep(segment(t, engine="stdlib"))
+    pages = [html_for(int(d), t) for d, t in zip(docs.doc_id, docs.text)]
+    pages += edge_case_pages().column("html").to_pylist()
+    for h in pages:
+        nbsp = re.sub(rb">[^<]+", lambda m: m.group(0).replace(b" ", b"&nbsp;"), h)
+        for variant in (h, h.replace(b" ", b"\n  "), nbsp):
+            t, _ = decode_html(variant)
+            assert rep(segment(t)) == rep(oracle_segment(t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,8 +208,8 @@ def test_fast_and_stdlib_segmenters_agree():
 def test_property_segmenters_never_crash_on_tag_soup(s):
     from bb_ocr_ray.kernel.segment import segment
 
-    fast = segment(s, engine="fast")
-    std = segment(s, engine="stdlib")
+    fast = segment(s)
+    std = oracle_segment(s)
     # both engines are total; on pathological soup they may tokenize
     # differently, but emitted text is always a string and flags sane
     for b in fast + std:
@@ -204,16 +217,101 @@ def test_property_segmenters_never_crash_on_tag_soup(s):
         assert b.raw_chars >= b.link_chars >= 0
 
 
-def test_fast_tokenizer_no_redos():
-    """Review regression: pathological quote runs in an unterminated tag
-    must tokenize in linear time (was exponential backtracking)."""
-    import time
+_SOUP = st.lists(st.sampled_from(
+    ["<a", "<b>", "<p>", "</p>", "</a>", "<div x=", '"', "'", ">", " x ", "y\n",
+     "<script>", "</script>", "<!--", "-->", "<br/>", "&amp;", "&#1;", "<", "<nav>"]),
+    max_size=60).map("".join)
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "<z'", '<z"']), _SOUP)
+@example("<z'", '<a "x" >text</a><b \'y\'>more</b>')
+def test_property_tokenizer_matches_token_at_a_time_loop(prefix, soup):
+    """The production loop (tail mode after a start tag that cannot close,
+    one start tag at a time where the closers table says it closes) gives
+    exactly the blocks of a plain one-token-per-match loop.  A prefix with
+    an unpartnered quote fails the first start tag, so the rest of the
+    soup runs in tail mode."""
     from bb_ocr_ray.kernel.segment import segment
 
-    t0 = time.time()
-    segment('<p>hello</p><a ' + '"' * 2000)
-    assert time.time() - t0 < 1.0
+    s = prefix + soup
+
+    def rep(bs):
+        return [(b.tag_path, b.depth, b.ancestor_dropped, b.finalize(),
+                 b.raw_chars, b.link_chars, b.n_tags) for b in bs]
+
+    assert rep(segment(s)) == rep(regex_loop_segment(s))
+
+
+def test_collapse_ws_non_ascii_class_is_exact():
+    """collapse_ws's split/join branch is exact only if _NON_ASCII_WS_RE
+    holds every str.isspace code point outside _WS_RE's six; pin it
+    against this Python's Unicode database."""
+    all_ws = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    ascii_ws = set(" \t\n\r\f\v")
+    assert ascii_ws <= all_ws
+    matched = {c for c in all_ws if _NON_ASCII_WS_RE.fullmatch(c)}
+    assert matched == all_ws - ascii_ws, unicodedata.unidata_version
+    assert not any(_NON_ASCII_WS_RE.fullmatch(chr(c)) for c in range(0x10000)
+                   if not chr(c).isspace())
+
+
+_WS_ALPHABET = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + "ab\x00中文"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=_WS_ALPHABET, max_size=40),
+                 st.text(alphabet=" \tab\x00中", max_size=40)))
+@example("  a  b  ")
+def test_property_collapse_ws_matches_regex(s):
+    assert collapse_ws(s) == _WS_RE.sub(" ", s).strip()
+
+
+# Adversarial 1 MB pages (a Python expression over N = 2**20 bytes each).
+# Each must tokenize in linear time: within 40x the CPU of a benign page
+# of the same size (worst measured: ~8x, unclosed_tags_then_quoted_gt).
+_REDOS_SHAPES = {
+    "unclosed_start_tags": 'b"<p>" + b"<a" * (N // 2)',
+    "unclosed_quoted_tags": """b'<a "' * (N // 4)""",
+    "unclosed_tags_then_quoted_gt": """b"<p>" + b"<a" * (N // 2) + b'">'""",
+    "failing_and_closing_tags": """b'<a"<b>"' * (N // 7) + b'"'""",
+    "stray_lt": 'b"<p>" + b"< " * (N // 2)',
+    "deep_nesting": 'b"<div>" * (N // 5) + b"deep text here"',
+    "unterminated_comment": 'b"<p>before the comment</p><!--" + b"x " * (N // 2)',
+    "unterminated_script": 'b"<p>before the script</p><script>" + b"x<p>" * (N // 4)',
+    "unterminated_textarea": 'b"<p>before the area</p><textarea>" + b"x<p>" * (N // 4)',
+    "giant_attribute": """b'<p>a paragraph</p><div title="' + b"x" * N + b'">after</div>'""",
+}
+
+_REDOS_CHILD = """
+import json, sys, time
+from bb_ocr_ray.kernel.extract import extract_page
+N = 1 << 20
+benign = (b"<div><p>Some ordinary paragraph text, long enough to be kept as content "
+          b"by the classifier, with a <a href='/x'>link</a> and <b>bold</b> words.</p>\\n"
+          ) * (N // 150)
+def run(html):
+    t0 = time.process_time()
+    status = extract_page("https://x.example.com/p", html)["status"]
+    return time.process_time() - t0, status
+benign_cpu = sorted(run(benign)[0] for _ in range(3))[1]
+cpu, status = run(eval(sys.argv[1]))
+print(json.dumps({"cpu": cpu, "benign_cpu": benign_cpu, "status": status}))
+"""
+
+
+@pytest.mark.parametrize("shape", sorted(_REDOS_SHAPES))
+def test_fast_tokenizer_no_redos(shape):
+    """Adversarial markup must tokenize in linear time and return a typed
+    status (unclosed start tags were quadratic: each failed attempt
+    scanned to EOF).  Runs in a subprocess with a hard timeout so a
+    regression fails instead of hanging the suite."""
+    out = subprocess.run([sys.executable, "-c", _REDOS_CHILD, _REDOS_SHAPES[shape]],
+                         capture_output=True, text=True, timeout=120, check=True,
+                         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    r = json.loads(out.stdout.strip().splitlines()[-1])
+    assert r["status"] in ("ok", "empty", "truncated", "parse_error")
+    assert r["cpu"] <= 40 * r["benign_cpu"], r
 
 
 def test_unquoted_attr_trailing_slash_not_selfclosing():
@@ -224,8 +322,8 @@ def test_unquoted_attr_trailing_slash_not_selfclosing():
     s = '<p><a href=http://x.com/>some link text here</a> rest of text</p>'
     def rep(bs):
         return [(b.finalize(), b.raw_chars, b.link_chars) for b in bs]
-    assert rep(segment(s, engine="fast")) == rep(segment(s, engine="stdlib"))
-    assert segment(s, engine="fast")[0].link_chars > 0
+    assert rep(segment(s)) == rep(oracle_segment(s))
+    assert segment(s)[0].link_chars > 0
 
 
 def test_truncation_never_mojibakes_utf8():
@@ -253,16 +351,16 @@ def test_kernel_review_regressions():
 
     # stray '<' in prose is data, engines agree
     s = "<p>1 < 2 is definitely true here</p>"
-    assert rep(segment(s, engine="fast")) == rep(segment(s, engine="stdlib"))
-    assert "1 < 2" in segment(s, engine="fast")[0].finalize()
+    assert rep(segment(s)) == rep(oracle_segment(s))
+    assert "1 < 2" in segment(s)[0].finalize()
     # </styled> must not close <style>
     s = "<body><style>.x{color:red}</styled><p>real paragraph</p></body>"
-    assert rep(segment(s, engine="fast")) == rep(segment(s, engine="stdlib")) == []
+    assert rep(segment(s)) == rep(oracle_segment(s)) == []
     # textarea content never leaks into page text
     s = ("<body><textarea><p>hello world example</p></textarea>"
          "<p>after text is here</p></body>")
-    assert rep(segment(s, engine="fast")) == rep(segment(s, engine="stdlib"))
-    assert all("hello" not in t for _, t in rep(segment(s, engine="fast")))
+    assert rep(segment(s)) == rep(oracle_segment(s))
+    assert all("hello" not in t for _, t in rep(segment(s)))
     # charset in a comment or a description attr must not hijack decoding
     r = extract_page("u", ('<!-- <meta charset="koi8-r"> -->'
                            '<meta charset="utf-8">'
