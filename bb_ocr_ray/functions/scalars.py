@@ -252,40 +252,3 @@ def registrable_domain(host: str) -> str:
     if ".".join(parts[-2:]) in _PSL_SET:
         return ".".join(parts[-3:])
     return ".".join(parts[-2:])
-
-
-# ---------------------------------------------------------------------------
-# URL canonicalization (web-crawl dedup prerequisite)
-# ---------------------------------------------------------------------------
-_SCHEME_HOST_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.\-]*)://([^/?#]*)(.*)$",
-                              re.S)
-# tracking params stripped by every crawl pipeline: utm_*, click ids,
-# bare ref.  Name-anchored — a param VALUE containing "utm_" survives.
-_TRACKING_PARAM_RE = re.compile(r"^(utm_[a-z0-9_]*|fbclid|gclid|ref)=")
-
-
-def canonical_url(url: str) -> str:
-    """Deterministic URL canonicalization: drop the fragment, lowercase
-    scheme+host, drop the scheme's default port (http:80 / https:443),
-    strip tracking query params (order of survivors preserved), empty
-    path becomes '/'.  Non-URL strings pass through fragment-stripped
-    (error-as-data: never raises)."""
-    url = url.split("#", 1)[0]
-    m = _SCHEME_HOST_RE.match(url)
-    if m is None:
-        return url
-    scheme = m.group(1).lower()
-    host = m.group(2).lower()
-    rest = m.group(3)
-    if scheme == "http" and host.endswith(":80"):
-        host = host[:-3]
-    elif scheme == "https" and host.endswith(":443"):
-        host = host[:-4]
-    if "?" in rest:
-        path, q = rest.split("?", 1)
-        kept = [p for p in q.split("&")
-                if p and not _TRACKING_PARAM_RE.match(p)]
-        rest = path + ("?" + "&".join(kept) if kept else "")
-    if not rest:
-        rest = "/"
-    return f"{scheme}://{host}{rest}"

@@ -1213,13 +1213,6 @@ ORACLES["q_pseudo_shuffle"] = """
 """
 
 
-ORACLES["q_zip_index"] = """
-    SELECT doc_id,
-           CAST(row_number() OVER (ORDER BY doc_id) AS BIGINT) AS row_id
-    FROM documents WHERE doc_id IS NOT NULL
-"""
-
-
 ORACLES["q_weighted_sample"] = """
     SELECT doc_id, n_chars,
            CAST(md5_number_upper('ws|' || CAST(doc_id AS VARCHAR))
@@ -1263,24 +1256,6 @@ ORACLES["q_bm25"] = f"""
         GROUP BY l.doc_id)
     SELECT doc_id, score FROM scored
     ORDER BY score DESC, doc_id LIMIT 20
-"""
-
-
-# Independent derivation: the engine PARSES the noisy url; the oracle
-# rebuilds the canonical string from the same doc_id arithmetic the
-# synthesis uses.  A canonicalizer bug (port kept, tracking param
-# kept, fragment leaking, case not folded) breaks string equality.
-ORACLES["q_url_dedup"] = """
-    WITH u AS (
-        SELECT doc_id,
-               'http://site' || (doc_id % 7) || '.example.com/path'
-               || (doc_id % 5)
-               || CASE WHEN doc_id % 4 IN (0, 1)
-                       THEN '?id=' || (doc_id % 10) ELSE '' END
-               AS canonical_url
-        FROM documents)
-    SELECT canonical_url, count(*) AS n_docs, min(doc_id) AS keep_doc_id
-    FROM u GROUP BY 1
 """
 
 
@@ -1541,22 +1516,6 @@ ORACLES["q_nb_classify"] = """
 """
 
 
-ORACLES["q_triangle_count"] = """
-    WITH n AS (SELECT doc_id AS d FROM documents),
-    e1 AS (SELECT a.d AS u, b.d AS v FROM n a JOIN n b ON b.d = a.d + 1
-           WHERE ((a.d * a.d + 3 * a.d) % 11) >= 3),
-    e2 AS (SELECT a.d AS u, b.d AS v FROM n a JOIN n b ON b.d = a.d + 2
-           WHERE ((7 * a.d + 5) % 13) >= 4),
-    e AS (SELECT * FROM e1 UNION ALL SELECT * FROM e2),
-    w AS (SELECT x.u AS a, x.v AS b, y.v AS c
-          FROM e x JOIN e y ON y.u = x.v),
-    t AS (SELECT a, b, c FROM w
-          WHERE EXISTS (SELECT 1 FROM e z WHERE z.u = w.a AND z.v = w.c))
-    SELECT a % 10 AS bucket, CAST(count(*) AS BIGINT) AS n_triangles
-    FROM t GROUP BY 1 ORDER BY 1
-"""
-
-
 ORACLES["q_boilerplate"] = """
     WITH dirty AS (
       SELECT doc_id, source,
@@ -1625,30 +1584,6 @@ ORACLES["q_pmi_pairs"] = f"""
     CROSS JOIN nt CROSS JOIN npr
     WHERE cnt.c12 >= 5
     ORDER BY pmi DESC, cnt.w1, cnt.w2 LIMIT 20
-"""
-
-
-ORACLES["q_seed_distance"] = """
-    WITH RECURSIVE e AS (
-      SELECT d.doc_id AS src, d.doc_id + 1 AS dst FROM documents d
-      WHERE (d.doc_id * d.doc_id + 3 * d.doc_id) % 11 >= 3
-        AND EXISTS (SELECT 1 FROM documents x
-                    WHERE x.doc_id = d.doc_id + 1)
-      UNION ALL
-      SELECT d.doc_id, d.doc_id + 2 FROM documents d
-      WHERE (7 * d.doc_id + 5) % 13 >= 4
-        AND EXISTS (SELECT 1 FROM documents x
-                    WHERE x.doc_id = d.doc_id + 2)),
-    bfs AS (
-      SELECT doc_id AS node, 0 AS dist FROM documents
-      WHERE doc_id % 97 = 0
-      UNION ALL
-      -- the edge rule only points to HIGHER doc_ids, so the graph is
-      -- a DAG and path count is bounded (out-degree <= 2, depth <= 8)
-      SELECT e.dst, b.dist + 1 FROM bfs b
-      JOIN e ON e.src = b.node WHERE b.dist < 8)
-    SELECT node, CAST(min(dist) AS BIGINT) AS dist
-    FROM bfs GROUP BY 1 ORDER BY 1
 """
 
 
@@ -1780,18 +1715,6 @@ ORACLES["q_typo_pairs"] = f"""
 """
 
 
-ORACLES["q_crawl_schedule"] = """
-    WITH r AS (SELECT doc_id, source,
-                      row_number() OVER (PARTITION BY source
-                                         ORDER BY doc_id) AS r
-               FROM documents)
-    SELECT doc_id, source, CAST(r AS BIGINT) AS r,
-           CAST(row_number() OVER (ORDER BY r, source, doc_id)
-                AS BIGINT) AS slot
-    FROM r ORDER BY slot
-"""
-
-
 def _hits_sql(iters: int = 5) -> str:
     """Unrolled HITS sweep — same graph generator as _pagerank_sql,
     L2 normalization after each half-step, hub update reading the
@@ -1859,198 +1782,6 @@ ORACLES["q_posting_lists"] = f"""
     FROM g CROSS JOIN nd
     WHERE df >= 5 AND df * 5 <= nd.n * 3
     ORDER BY term
-"""
-
-
-ORACLES["q_cube_docs"] = """
-    SELECT coalesce(CAST(lang AS VARCHAR), 'ALL') AS lang,
-           coalesce(CAST(source AS VARCHAR), 'ALL') AS source,
-           CAST(count(*) AS BIGINT) AS n_docs,
-           CAST(sum(n_chars) AS BIGINT) AS chars
-    FROM documents
-    GROUP BY CUBE (lang, source)
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_zorder"] = """
-    SELECT doc_id,
-           CAST((((doc_id % 65536) >> 0) & 1) * 1
-             + (((n_chars % 65536) >> 0) & 1) * 2
-             + (((doc_id % 65536) >> 1) & 1) * 4
-             + (((n_chars % 65536) >> 1) & 1) * 8
-             + (((doc_id % 65536) >> 2) & 1) * 16
-             + (((n_chars % 65536) >> 2) & 1) * 32
-             + (((doc_id % 65536) >> 3) & 1) * 64
-             + (((n_chars % 65536) >> 3) & 1) * 128
-             + (((doc_id % 65536) >> 4) & 1) * 256
-             + (((n_chars % 65536) >> 4) & 1) * 512
-             + (((doc_id % 65536) >> 5) & 1) * 1024
-             + (((n_chars % 65536) >> 5) & 1) * 2048
-             + (((doc_id % 65536) >> 6) & 1) * 4096
-             + (((n_chars % 65536) >> 6) & 1) * 8192
-             + (((doc_id % 65536) >> 7) & 1) * 16384
-             + (((n_chars % 65536) >> 7) & 1) * 32768
-             + (((doc_id % 65536) >> 8) & 1) * 65536
-             + (((n_chars % 65536) >> 8) & 1) * 131072
-             + (((doc_id % 65536) >> 9) & 1) * 262144
-             + (((n_chars % 65536) >> 9) & 1) * 524288
-             + (((doc_id % 65536) >> 10) & 1) * 1048576
-             + (((n_chars % 65536) >> 10) & 1) * 2097152
-             + (((doc_id % 65536) >> 11) & 1) * 4194304
-             + (((n_chars % 65536) >> 11) & 1) * 8388608
-             + (((doc_id % 65536) >> 12) & 1) * 16777216
-             + (((n_chars % 65536) >> 12) & 1) * 33554432
-             + (((doc_id % 65536) >> 13) & 1) * 67108864
-             + (((n_chars % 65536) >> 13) & 1) * 134217728
-             + (((doc_id % 65536) >> 14) & 1) * 268435456
-             + (((n_chars % 65536) >> 14) & 1) * 536870912
-             + (((doc_id % 65536) >> 15) & 1) * 1073741824
-             + (((n_chars % 65536) >> 15) & 1) * 2147483648 AS BIGINT) AS zkey,
-           CAST(((((doc_id % 65536) >> 0) & 1) * 1
-             + (((n_chars % 65536) >> 0) & 1) * 2
-             + (((doc_id % 65536) >> 1) & 1) * 4
-             + (((n_chars % 65536) >> 1) & 1) * 8
-             + (((doc_id % 65536) >> 2) & 1) * 16
-             + (((n_chars % 65536) >> 2) & 1) * 32
-             + (((doc_id % 65536) >> 3) & 1) * 64
-             + (((n_chars % 65536) >> 3) & 1) * 128
-             + (((doc_id % 65536) >> 4) & 1) * 256
-             + (((n_chars % 65536) >> 4) & 1) * 512
-             + (((doc_id % 65536) >> 5) & 1) * 1024
-             + (((n_chars % 65536) >> 5) & 1) * 2048
-             + (((doc_id % 65536) >> 6) & 1) * 4096
-             + (((n_chars % 65536) >> 6) & 1) * 8192
-             + (((doc_id % 65536) >> 7) & 1) * 16384
-             + (((n_chars % 65536) >> 7) & 1) * 32768
-             + (((doc_id % 65536) >> 8) & 1) * 65536
-             + (((n_chars % 65536) >> 8) & 1) * 131072
-             + (((doc_id % 65536) >> 9) & 1) * 262144
-             + (((n_chars % 65536) >> 9) & 1) * 524288
-             + (((doc_id % 65536) >> 10) & 1) * 1048576
-             + (((n_chars % 65536) >> 10) & 1) * 2097152
-             + (((doc_id % 65536) >> 11) & 1) * 4194304
-             + (((n_chars % 65536) >> 11) & 1) * 8388608
-             + (((doc_id % 65536) >> 12) & 1) * 16777216
-             + (((n_chars % 65536) >> 12) & 1) * 33554432
-             + (((doc_id % 65536) >> 13) & 1) * 67108864
-             + (((n_chars % 65536) >> 13) & 1) * 134217728
-             + (((doc_id % 65536) >> 14) & 1) * 268435456
-             + (((n_chars % 65536) >> 14) & 1) * 536870912
-             + (((doc_id % 65536) >> 15) & 1) * 1073741824
-             + (((n_chars % 65536) >> 15) & 1) * 2147483648) // 67108864 AS BIGINT) AS zbucket
-    FROM documents WHERE n_chars IS NOT NULL
-    ORDER BY doc_id
-"""
-
-
-ORACLES["q_upsert"] = """
-    WITH base AS (
-        SELECT 'u' || CAST(doc_id AS VARCHAR) AS url,
-               0 AS rev, 'I' AS op, md5(coalesce(text, '')) AS content_hash
-        FROM documents),
-    chg AS (
-        SELECT 'u' || CAST(doc_id AS VARCHAR) AS url,
-               1 AS rev, 'U' AS op,
-               md5(coalesce(text, '') || '@1') AS content_hash
-        FROM documents WHERE doc_id % 3 = 0
-        UNION ALL
-        SELECT 'u' || CAST(doc_id AS VARCHAR), 2, 'U',
-               md5(coalesce(text, '') || '@2')
-        FROM documents WHERE doc_id % 9 = 0
-        UNION ALL
-        SELECT 'u' || CAST(doc_id AS VARCHAR), 3, 'D', NULL
-        FROM documents WHERE doc_id % 7 = 0),
-    log AS (SELECT * FROM base UNION ALL SELECT * FROM chg),
-    ranked AS (
-        SELECT url, rev, op, content_hash,
-               CAST(count(*) OVER (PARTITION BY url) AS BIGINT) AS n_versions,
-               row_number() OVER (PARTITION BY url ORDER BY rev DESC) AS rn
-        FROM log)
-    SELECT url, CAST(rev AS BIGINT) AS last_rev, content_hash, n_versions
-    FROM ranked WHERE rn = 1 AND op <> 'D'
-    ORDER BY url
-"""
-
-
-def _kcore_sql(k: int = 3, rounds: int = 10) -> str:
-    """Unrolled synchronous k-core peel — same edge generator as
-    q_kcore (three offset conditions + existence join).  MATERIALIZED
-    CTEs for the _hits_sql reason (plain CTEs re-evaluate the whole
-    peel prefix exponentially)."""
-    ctes = ["""
-    e0 AS MATERIALIZED (
-        SELECT d.doc_id AS src, d.doc_id + o.off AS dst
-        FROM documents d
-        JOIN (VALUES (1), (2), (5)) o(off) ON TRUE
-        JOIN documents t ON t.doc_id = d.doc_id + o.off
-        WHERE (o.off = 1 AND (d.doc_id * d.doc_id + 3 * d.doc_id) % 11 >= 3)
-           OR (o.off = 2 AND (d.doc_id * 7 + 1) % 5 >= 2)
-           OR (o.off = 5 AND (d.doc_id * 3 + 2) % 7 >= 3))"""]
-    for i in range(1, rounds + 1):
-        ctes.append(f"""
-    d{i} AS MATERIALIZED (
-        SELECT node, count(*) AS deg FROM (
-            SELECT src AS node FROM e{i-1}
-            UNION ALL SELECT dst FROM e{i-1}) GROUP BY node),
-    s{i} AS MATERIALIZED (SELECT node FROM d{i} WHERE deg >= {k}),
-    e{i} AS MATERIALIZED (
-        SELECT e.src, e.dst FROM e{i-1} e
-        JOIN s{i} a ON e.src = a.node
-        JOIN s{i} b ON e.dst = b.node)""")
-    return ("WITH" + ",".join(ctes) + f"""
-    SELECT node, CAST(deg AS BIGINT) AS deg FROM (
-        SELECT node, count(*) AS deg FROM (
-            SELECT src AS node FROM e{rounds}
-            UNION ALL SELECT dst FROM e{rounds}) GROUP BY node)
-    WHERE deg >= {k} ORDER BY node
-""")
-
-
-ORACLES["q_kcore"] = _kcore_sql()
-
-
-ORACLES["q_skyline"] = """
-    WITH pts AS (
-        SELECT doc_id, n_chars AS x, (doc_id * 37 + 11) % 1000 AS y
-        FROM documents WHERE n_chars IS NOT NULL),
-    w AS (
-        SELECT doc_id, x, y,
-               max(y) OVER (ORDER BY x DESC
-                            RANGE BETWEEN UNBOUNDED PRECEDING
-                            AND 1 PRECEDING) AS mgt,
-               max(y) OVER (PARTITION BY x) AS meq
-        FROM pts)
-    SELECT doc_id, x, y FROM w
-    WHERE (mgt IS NULL OR y > mgt) AND y = meq
-    ORDER BY doc_id
-"""
-
-
-ORACLES["q_assortativity"] = """
-    WITH mx AS (SELECT max(doc_id) + 1 AS m FROM documents),
-    e AS (
-        SELECT doc_id AS src, (doc_id * doc_id + 1) % m AS dst
-        FROM documents, mx
-        UNION ALL SELECT doc_id, (doc_id * 3 + 7) % m FROM documents, mx
-        UNION ALL SELECT doc_id, (doc_id // 2 + 13) % m FROM documents, mx),
-    ends AS (SELECT src AS node FROM e UNION ALL SELECT dst AS node FROM e),
-    deg AS (SELECT node, count(*) AS d FROM ends GROUP BY node),
-    pairs AS (
-        SELECT ds.d AS x, dd.d AS y
-        FROM e JOIN deg ds ON e.src = ds.node JOIN deg dd ON e.dst = dd.node
-        UNION ALL
-        SELECT dd.d, ds.d
-        FROM e JOIN deg ds ON e.src = ds.node JOIN deg dd ON e.dst = dd.node),
-    s AS (SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-                 sum(x * y) AS sxy, sum(x * x) AS sxx, sum(y * y) AS syy
-          FROM pairs)
-    SELECT CAST(n AS BIGINT) AS n_ends,
-           round(CAST(n * sxy - sx * sy AS DOUBLE)
-                 / (sqrt(CAST(n * sxx - sx * sx AS DOUBLE))
-                    * sqrt(CAST(n * syy - sy * sy AS DOUBLE))), 6)
-               AS assortativity
-    FROM s
 """
 
 
@@ -2128,46 +1859,6 @@ ORACLES["q_source_overlap"] = """
     JOIN vocab va ON va.source = p.sa
     JOIN vocab vb ON vb.source = p.sb
     ORDER BY 1, 2
-"""
-
-
-ORACLES["q_degree_dist"] = """
-    WITH mm AS (SELECT max(doc_id) + 1 AS m FROM documents),
-    gen AS (SELECT doc_id AS src, (doc_id * doc_id + 5) % m AS dst
-            FROM documents, mm
-            UNION ALL
-            SELECT doc_id, (doc_id * 7 + 3) % m FROM documents, mm
-            UNION ALL
-            SELECT doc_id, (doc_id // 3 + 11) % m FROM documents, mm),
-    ends AS (SELECT 'out' AS direction, src AS node FROM gen
-             UNION ALL
-             SELECT 'in', dst FROM gen),
-    deg AS (SELECT direction, node, count(*) AS d
-            FROM ends GROUP BY 1, 2)
-    SELECT direction, CAST(floor(log2(CAST(d AS DOUBLE))) AS BIGINT)
-               AS bucket,
-           CAST(count(*) AS BIGINT) AS n_nodes
-    FROM deg GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-ORACLES["q_reciprocity"] = """
-    WITH mm AS (SELECT max(doc_id) + 1 AS m FROM documents),
-    gen AS (SELECT doc_id AS src, (doc_id * doc_id + 5) % m AS dst
-            FROM documents, mm
-            UNION ALL
-            SELECT doc_id, (doc_id * 7 + 3) % m FROM documents, mm
-            UNION ALL
-            SELECT doc_id, (doc_id // 3 + 11) % m FROM documents, mm),
-    e AS (SELECT DISTINCT src, dst FROM gen),
-    mu AS (SELECT count(*) AS n_mutual
-           FROM e a JOIN e b ON a.src = b.dst AND a.dst = b.src),
-    tot AS (SELECT count(*) AS n_edges FROM e)
-    SELECT CAST(mu.n_mutual AS BIGINT) AS n_mutual,
-           CAST(tot.n_edges AS BIGINT) AS n_edges,
-           round(CAST(mu.n_mutual AS DOUBLE) / tot.n_edges, 6)
-               AS reciprocity
-    FROM mu, tot
 """
 
 
@@ -2263,30 +1954,6 @@ ORACLES["q_robots_filter"] = """
 """
 
 
-ORACLES["q_clustering_coeff"] = """
-    WITH nd AS (SELECT doc_id AS d FROM documents),
-    e1 AS (SELECT a.d AS u, b.d AS v FROM nd a JOIN nd b ON b.d = a.d + 1
-           WHERE ((a.d * a.d + 3 * a.d) % 11) >= 3),
-    e2 AS (SELECT a.d AS u, b.d AS v FROM nd a JOIN nd b ON b.d = a.d + 2
-           WHERE ((7 * a.d + 5) % 13) >= 4),
-    e AS (SELECT DISTINCT least(u, v) AS u, greatest(u, v) AS v
-          FROM (SELECT * FROM e1 UNION ALL SELECT * FROM e2)
-          WHERE u <> v),
-    sym AS (SELECT u AS node FROM e UNION ALL SELECT v FROM e),
-    deg AS (SELECT node, CAST(count(*) AS HUGEINT) AS dg
-            FROM sym GROUP BY 1),
-    w AS (SELECT CAST(sum(dg * (dg - 1)) AS HUGEINT) // 2 AS wedges
-          FROM deg),
-    tri AS (SELECT count(*) AS t
-            FROM e x JOIN e y ON y.u = x.v
-                     JOIN e z ON z.u = x.u AND z.v = y.v)
-    SELECT CAST(tri.t AS BIGINT) AS n_triangles,
-           CAST(w.wedges AS BIGINT) AS n_wedges,
-           round(3.0 * tri.t / w.wedges, 6) AS global_cc
-    FROM tri CROSS JOIN w
-"""
-
-
 ORACLES["q_zipf_slope"] = f"""
     WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
     pc AS (SELECT unnest(tk) AS tok FROM toks),
@@ -2356,16 +2023,6 @@ ORACLES["q_vocab_growth"] = f"""
            CAST(sum(coalesce(b.n, 0)) OVER (ORDER BY grid.k) AS BIGINT)
                AS vocab
     FROM grid LEFT JOIN b USING (k) ORDER BY 1
-"""
-
-
-ORACLES["q_shard_balance"] = f"""
-    WITH d AS (SELECT {_DOMAIN} AS domain FROM documents),
-    pd AS (SELECT domain, count(*) AS n_docs FROM d GROUP BY 1)
-    SELECT CAST(md5_number_upper(domain) % 8 AS BIGINT) AS shard,
-           CAST(count(*) AS BIGINT) AS n_domains,
-           CAST(sum(n_docs) AS BIGINT) AS n_docs
-    FROM pd GROUP BY 1 ORDER BY 1
 """
 
 
@@ -2452,30 +2109,6 @@ ORACLES["q_char_trigrams"] = """
 """
 
 
-ORACLES["q_two_hop"] = """
-    WITH nd AS (SELECT doc_id AS d FROM documents),
-    e1 AS (SELECT a.d AS u, b.d AS v FROM nd a JOIN nd b ON b.d = a.d + 1
-           WHERE ((a.d * a.d + 3 * a.d) % 11) >= 3),
-    e2 AS (SELECT a.d AS u, b.d AS v FROM nd a JOIN nd b ON b.d = a.d + 2
-           WHERE ((7 * a.d + 5) % 13) >= 4),
-    e AS (SELECT DISTINCT least(u, v) AS u, greatest(u, v) AS v
-          FROM (SELECT * FROM e1 UNION ALL SELECT * FROM e2)
-          WHERE u <> v),
-    sym AS (SELECT u AS a, v AS b FROM e UNION ALL SELECT v, u FROM e),
-    deg AS (SELECT a AS node, count(*) AS dg FROM sym GROUP BY 1),
-    seeds AS (SELECT node, dg FROM deg ORDER BY dg DESC, node LIMIT 5),
-    h1 AS (SELECT s.node AS seed, sym.b AS w
-           FROM seeds s JOIN sym ON sym.a = s.node),
-    h2 AS (SELECT h1.seed, sym.b AS w FROM h1 JOIN sym ON sym.a = h1.w),
-    allw AS (SELECT seed, w FROM h1 UNION SELECT seed, w FROM h2),
-    cnt AS (SELECT seed, count(*) AS n2 FROM allw WHERE w <> seed
-            GROUP BY 1)
-    SELECT s.node AS seed, CAST(s.dg AS BIGINT) AS degree,
-           CAST(coalesce(cnt.n2, 0) AS BIGINT) AS n_within_2
-    FROM seeds s LEFT JOIN cnt ON cnt.seed = s.node ORDER BY 1
-"""
-
-
 ORACLES["q_class_weights"] = """
     WITH c AS (SELECT CAST(label AS BIGINT) AS label, count(*) AS n
                FROM embeddings GROUP BY 1),
@@ -2533,21 +2166,6 @@ ORACLES["q_ngram_entropy"] = f"""
            round(hj.h / ln(2), 6) AS h_joint,
            round((hj.h - hp.h) / ln(2), 6) AS h_cond
     FROM hj, hp
-"""
-
-
-ORACLES["q_zone_map"] = """
-    WITH s AS (SELECT doc_id // 64 AS shard, min(n_chars) AS mn,
-                      max(n_chars) AS mx, count(*) AS rows_
-               FROM documents GROUP BY 1)
-    SELECT CAST(count(*) AS BIGINT) AS n_shards,
-           CAST(sum(CASE WHEN mx < 400 THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_prunable,
-           CAST(sum(CASE WHEN mx < 400 THEN rows_ ELSE 0 END) AS BIGINT)
-               AS rows_skipped,
-           round(CAST(sum(CASE WHEN mx < 400 THEN 1 ELSE 0 END)
-                      AS DOUBLE) / count(*), 6) AS prune_ratio
-    FROM s
 """
 
 
@@ -2667,27 +2285,6 @@ ORACLES["q_gopher_rules"] = f"""
            CAST(sum(CASE WHEN r1 AND r2 AND r3 AND r4 THEN 1 ELSE 0 END)
                 AS BIGINT) AS n_keep
     FROM r
-"""
-
-
-ORACLES["q_budget_alloc"] = f"""
-    WITH d AS (SELECT {_DOMAIN} AS domain FROM documents),
-    c AS (SELECT domain, count(*) AS c FROM d GROUP BY 1),
-    s AS (SELECT CAST(sum(c) AS HUGEINT) AS n FROM c),
-    b AS (SELECT domain, c,
-                 CAST((10000 * CAST(c AS HUGEINT)) // s.n AS BIGINT)
-                     AS base,
-                 CAST((10000 * CAST(c AS HUGEINT)) % s.n AS BIGINT)
-                     AS rem
-          FROM c, s),
-    e AS (SELECT CAST(10000 - sum(base) AS BIGINT) AS extra FROM b),
-    r AS (SELECT domain, c, base, rem,
-                 row_number() OVER (ORDER BY rem DESC, domain) AS rk
-          FROM b)
-    SELECT domain, CAST(c AS BIGINT) AS n_docs,
-           CAST(base + CASE WHEN rk <= (SELECT extra FROM e)
-                            THEN 1 ELSE 0 END AS BIGINT) AS budget
-    FROM r ORDER BY domain
 """
 
 

@@ -2742,86 +2742,6 @@ QUERIES.update({"q_pseudo_shuffle": q_pseudo_shuffle})
 
 
 # ---------------------------------------------------------------------------
-# Global consecutive row numbering (distributed zipWithIndex)
-# ---------------------------------------------------------------------------
-def q_zip_index(sf_dir: str):
-    """Assign globally consecutive row numbers in doc_id order — the
-    zipWithIndex primitive Ray Data lacks, built scalably: a min/max
-    pre-pass sizes the bucket width so the bucket COUNT is bounded at
-    ~2^16 regardless of key range (a fixed width would put
-    key_range/width offsets on the driver — 2e9 entries at 10^12
-    docs); pass 2 collapses each batch to a per-bucket count
-    histogram, the driver prefix-sums the ≤65k bucket offsets, and
-    pass 3 shuffles once by bucket so each group sorts locally and
-    emits offset[bucket] + local rank.  No global sort of the data
-    itself and nothing row-sized ever on the driver.  Requires unique
-    keys (doc_id is); ties would need a declared total order."""
-    import ray
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def mm(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].dropna()
-        if not len(d):
-            return pd.DataFrame({"lo": pd.array([], dtype="int64"),
-                                 "hi": pd.array([], dtype="int64")})
-        return pd.DataFrame({"lo": [int(d.min())], "hi": [int(d.max())]})
-
-    bounds = (ds.map_batches(mm, batch_format="pandas")
-              .repartition(1)
-              .map_batches(lambda b: b if not len(b) else pd.DataFrame(
-                  {"lo": [int(b["lo"].min())], "hi": [int(b["hi"].max())]}),
-                  batch_format="pandas", batch_size=None)
-              .to_pandas())
-    if not len(bounds):
-        return pd.DataFrame({"doc_id": pd.array([], dtype="int64"),
-                             "row_id": pd.array([], dtype="int64")})
-    BUCKET = max(512, (int(bounds["hi"][0]) - int(bounds["lo"][0])) // 65536)
-
-    def hist(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].dropna().astype("int64")
-        if not len(d):
-            return pd.DataFrame({"bucket": pd.array([], dtype="int64"),
-                                 "n": pd.array([], dtype="int64")})
-        k, c = np.unique(d.to_numpy() // BUCKET, return_counts=True)
-        return pd.DataFrame({"bucket": k.astype(np.int64),
-                             "n": c.astype(np.int64)})
-
-    h = (ds.map_batches(hist, batch_format="pandas")
-         .repartition(1)
-         .map_batches(lambda b: b.groupby("bucket", as_index=False).sum(),
-                      batch_format="pandas", batch_size=None)
-         .to_pandas())
-    if not len(h):
-        return pd.DataFrame({"doc_id": pd.array([], dtype="int64"),
-                             "row_id": pd.array([], dtype="int64")})
-    h = h.sort_values("bucket")
-    offsets = dict(zip(h["bucket"].astype(int),
-                       np.concatenate([[0], h["n"].cumsum().to_numpy()[:-1]])))
-    off_ref = ray.put(offsets)
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].dropna().astype("int64")
-        return pd.DataFrame({"doc_id": d,
-                             "bucket": (d // BUCKET).astype("int64")})
-
-    def number(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)[int(g["bucket"].iloc[0])]
-        g = g.sort_values("doc_id").reset_index(drop=True)
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].astype("int64"),
-            "row_id": np.arange(off + 1, off + len(g) + 1,
-                                dtype=np.int64)})
-
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(number, batch_format="pandas"))
-
-
-QUERIES.update({"q_zip_index": q_zip_index})
-
-
-# ---------------------------------------------------------------------------
 # Deterministic weighted sampling (importance sampling for data mixing)
 # ---------------------------------------------------------------------------
 def q_weighted_sample(sf_dir: str):
@@ -2957,55 +2877,6 @@ def q_bm25(sf_dir: str):
 
 
 QUERIES.update({"q_bm25": q_bm25})
-
-
-# ---------------------------------------------------------------------------
-# URL canonicalization dedup (crawl-frontier hygiene)
-# ---------------------------------------------------------------------------
-def q_url_dedup(sf_dir: str):
-    """Canonical-URL dedup over deterministically synthesized noisy
-    URLs: each doc_id yields one raw URL with crawl noise (uppercase
-    scheme/host, default :80 port on every third, and one of four
-    suffix shapes — utm_source tracking param, fbclid click id, a
-    fragment, or clean), the engine canonicalizes
-    (functions.scalars.canonical_url) and groups.  The oracle derives
-    the EXPECTED canonical string independently from the same doc_id
-    arithmetic — a genuine differential on the parser: any
-    canonicalization bug breaks the string equality or the group
-    counts.  One streaming map + one small groupby (canonical-url
-    cardinality), the per-url dedup shape every crawl pipeline runs."""
-    from bb_ocr_ray.functions.scalars import canonical_url
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def noisy_and_canonical(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].astype("int64")
-        raw = []
-        for x in d:
-            x = int(x)
-            base = (f"HTTP://Site{x % 7}.Example.COM"
-                    + (":80" if x % 3 == 0 else "") + f"/path{x % 5}")
-            suffix = (f"?utm_source=x&id={x % 10}",
-                      f"?id={x % 10}&fbclid=abc",
-                      f"#frag{x}", "")[x % 4]
-            raw.append(base + suffix)
-        return pd.DataFrame(
-            {"canonical_url": [canonical_url(u) for u in raw],
-             "doc_id": d})
-
-    # canonical urls are row-cardinality: coarse_agg (per-group tax)
-    out = coarse_agg(
-        ds.map_batches(noisy_and_canonical, batch_format="pandas"),
-        ["canonical_url"],
-        {"n_docs": ("doc_id", "size"),
-         "keep_doc_id": ("doc_id", "min")},
-    ).to_pandas()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["keep_doc_id"] = out["keep_doc_id"].astype("int64")
-    return out
-
-
-QUERIES.update({"q_url_dedup": q_url_dedup})
 
 
 # ---------------------------------------------------------------------------
@@ -3580,58 +3451,6 @@ QUERIES.update({"q_nb_classify": q_nb_classify})
 
 
 # ---------------------------------------------------------------------------
-# Distributed triangle counting (web-graph analytics, SURVEY §2.7 family)
-# ---------------------------------------------------------------------------
-def q_triangle_count(sf_dir: str):
-    """Triangle counting through the generic DEGREE-oriented
-    wedge-closure operator (``stages.graph.triangle_count`` — Suri &
-    Vassilvitskii WWW'11): degrees by a coarse fold, edges directed
-    low->high (degree, id) so a celebrity node's neighbor square is
-    never enumerated, wedges by a self hash-join on the source, closure
-    by a packed-key semi-join.  No driver-side edge set anywhere.
-
-    Graph: doc d links to d+1 iff (d²+3d) mod 11 ≥ 3 and to d+2 iff
-    (7d+5) mod 13 ≥ 4, targets existence-checked (distributed
-    semi-join).  ~37% of consecutive triples close into triangles.
-    Output: triangle count per (min-vertex mod 10) bucket — multi-row,
-    so the hash gate sees the distribution, not one scalar."""
-    from bb_ocr_ray.stages.graph import triangle_count
-    from bb_ocr_ray.stages.joins import auto_semi
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def gen(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        d1 = d[((d * d + 3 * d) % 11) >= 3]
-        d2 = d[((7 * d + 5) % 13) >= 4]
-        return pd.DataFrame({
-            "src": np.concatenate([d1, d2]),
-            "dst": np.concatenate([d1 + 1, d2 + 2])})
-
-    cand = docs.map_batches(gen, batch_format="pandas")
-    edges = auto_semi(
-        cand.map_batches(lambda b: b.rename(columns={"dst": "doc_id"}),
-                         batch_format="pandas"),
-        docs, on="doc_id",
-    ).map_batches(lambda b: b.rename(columns={"doc_id": "dst"}),
-                  batch_format="pandas")
-
-    tri = triangle_count(edges)
-
-    out = coarse_agg(
-        tri.map_batches(
-            lambda b: pd.DataFrame({"bucket": b["a"].astype("int64") % 10}),
-            batch_format="pandas"),
-        ["bucket"], {"n_triangles": ("bucket", "size")},
-    ).to_pandas()
-    out["n_triangles"] = out["n_triangles"].astype("int64")
-    return out.sort_values("bucket").reset_index(drop=True)
-
-
-QUERIES.update({"q_triangle_count": q_triangle_count})
-
-
-# ---------------------------------------------------------------------------
 # Per-domain boilerplate line removal (CCNet/C4 corpus cleaning)
 # ---------------------------------------------------------------------------
 def _plant_boiler(doc_id: int, source: str, text: str) -> str:
@@ -3789,168 +3608,6 @@ def q_pmi_pairs(sf_dir: str, window: int = 2, min_count: int = 5,
 
 
 QUERIES.update({"q_pmi_pairs": q_pmi_pairs})
-
-
-# ---------------------------------------------------------------------------
-# BFS seed distance over the link DAG (crawl-frontier depth metric)
-# ---------------------------------------------------------------------------
-def q_seed_distance(sf_dir: str, max_hops: int = 8,
-                    visited_broadcast_limit: int | None = None,
-                    _on_choice=None):
-    """Minimum hop distance from a seed set over a directed link graph
-    — the crawl-frontier depth / influence-radius metric (BFS from
-    seeds, the seed-distance feature of crawl schedulers and
-    link-spam analyses).  Frontier-based distributed BFS: each round
-    expands the frontier through ONE bucketed hash join on the edge
-    list, dedups the neighbor set with a coarse fold, and anti-joins
-    the visited table so every node is labeled exactly once at its
-    FIRST (= minimal) discovery round.  The edge list materializes
-    once (data-bounded, the triangle_count precedent); the visited
-    table grows to |reachable| rows, never on the driver.
-
-    Graph: doc d -> d+1 iff (d²+3d) mod 11 >= 3 and d -> d+2 iff
-    (7d+5) mod 13 >= 4 (the q_triangle_count rule), targets
-    existence-checked; edges strictly increase doc_id, so the graph is
-    a DAG and the oracle's recursive CTE is path-bounded.  Seeds:
-    doc_id % 97 == 0.  Output: (node, dist) for every node within
-    ``max_hops``; unreached nodes are absent on both engines."""
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import auto_anti, auto_semi, hash_join
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def gen(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        d1 = d[((d * d + 3 * d) % 11) >= 3]
-        d2 = d[((7 * d + 5) % 13) >= 4]
-        return pd.DataFrame({
-            "src": np.concatenate([d1, d2]),
-            "dst": np.concatenate([d1 + 1, d2 + 2])})
-
-    cand = docs.map_batches(gen, batch_format="pandas")
-    edges = auto_semi(
-        cand.map_batches(lambda b: b.rename(columns={"dst": "doc_id"}),
-                         batch_format="pandas"),
-        docs, on="doc_id",
-    ).map_batches(
-        lambda b: pd.DataFrame({"node": b["src"].astype("int64"),
-                                "dst": b["doc_id"].astype("int64")}),
-        batch_format="pandas").materialize()
-
-    def pick_seeds(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        d = d[d % 97 == 0]
-        return pd.DataFrame({"node": d,
-                             "dist": np.zeros(len(d), dtype="int64")})
-
-    seeds = docs.map_batches(pick_seeds,
-                             batch_format="pandas").materialize()
-
-    # Loop shape is SIZE-GATED on the visited table (the pagerank /
-    # HITS driver-fold posture): while visited fits the broadcast
-    # limit, a hop is ONE shuffle-free map over the static edge list
-    # (frontier set via ray.put, per-batch distinct dst partials,
-    # driver setdiff) — no all-to-all at all.  If visited outgrows
-    # the gate MID-RUN, the state spills into Datasets and the
-    # distributed loop below finishes the remaining hops: per round
-    # one bucketed join, one coarse neighbor-dedup fold (which also
-    # re-compacts frontier blocks — the fold-free variant measured
-    # SLOWER), one size-gated anti-join against the re-materialized
-    # visited table (a LAZY visited union defeats auto_anti's gate
-    # and forced a full visited shuffle per round: 26 s vs 11 s at
-    # sf0.1/32 cpus before the driver path existed).
-    import ray as _ray
-
-    from bb_ocr_ray.stages.joins import _BROADCAST_LIMIT_BYTES
-    limit = (_BROADCAST_LIMIT_BYTES if visited_broadcast_limit is None
-             else visited_broadcast_limit)
-
-    dist = None          # Dataset state (distributed path)
-    frontier = None
-    start_hop = 1
-    # both gate checks use the same LOGICAL measure (16 B per
-    # (node, dist) row) so entry and spill thresholds are consistent
-    seeds_pd = (seeds.to_pandas()
-                if seeds.count() * 16 <= limit else None)
-    if seeds_pd is not None:
-        if _on_choice is not None:
-            _on_choice("driver")
-        visited = np.unique(seeds_pd["node"].to_numpy(np.int64))
-        frames = [pd.DataFrame({"node": visited,
-                                "dist": np.int64(0)})]
-        frontier_arr = visited
-        for hop in range(1, max_hops + 1):
-            if len(frontier_arr) == 0:
-                break
-            ref = _ray.put(frontier_arr)
-
-            def expand(b: pd.DataFrame, ref=ref) -> pd.DataFrame:
-                f = _ray.get(ref)
-                m = np.isin(b["node"].to_numpy(np.int64), f)
-                return pd.DataFrame({"node": np.unique(
-                    b["dst"].to_numpy(np.int64)[m])})
-
-            nbrs = np.unique(edges.map_batches(
-                expand, batch_format="pandas")
-                .to_pandas()["node"].to_numpy(np.int64))
-            new_arr = np.setdiff1d(nbrs, visited, assume_unique=True)
-            if len(new_arr) == 0:
-                frontier_arr = new_arr
-                break
-            visited = np.union1d(visited, new_arr)
-            frames.append(pd.DataFrame({"node": new_arr,
-                                        "dist": np.int64(hop)}))
-            frontier_arr = new_arr
-            if len(visited) * 16 > limit and hop < max_hops:
-                # visited outgrew the gate: spill state to Datasets
-                # and let the distributed loop finish
-                import ray.data as _rd
-                dist = _rd.from_pandas(
-                    pd.concat(frames, ignore_index=True)).materialize()
-                frontier = _rd.from_pandas(
-                    pd.DataFrame({"node": new_arr,
-                                  "dist": np.int64(hop)})).materialize()
-                start_hop = hop + 1
-                break
-        if dist is None:
-            out = pd.concat(frames, ignore_index=True)
-            out["node"] = out["node"].astype("int64")
-            out["dist"] = out["dist"].astype("int64")
-            return out.sort_values("node").reset_index(drop=True)
-    else:
-        dist = seeds
-        frontier = seeds
-    if _on_choice is not None:
-        _on_choice("distributed")
-
-    for hop in range(start_hop, max_hops + 1):
-        nbrs = coarse_agg(
-            hash_join(frontier.select_columns(["node"]), edges,
-                      on="node").map_batches(
-                lambda b: pd.DataFrame(
-                    {"node": b["dst"].astype("int64")}),
-                batch_format="pandas"),
-            ["node"], {"n": ("node", "size")}).select_columns(["node"])
-        new = auto_anti(nbrs, dist.select_columns(["node"]),
-                        on="node").map_batches(
-            lambda b, h=hop: pd.DataFrame(
-                {"node": b["node"].astype("int64"),
-                 "dist": np.full(len(b), h, dtype="int64")}),
-            batch_format="pandas").materialize()
-        if new.count() == 0:
-            break
-        dist = dist.union(new).materialize()
-        frontier = new
-
-    out = dist.to_pandas()
-    out["node"] = out["node"].astype("int64")
-    out["dist"] = out["dist"].astype("int64")
-    return out.sort_values("node").reset_index(drop=True)
-
-
-QUERIES.update({"q_seed_distance": q_seed_distance})
 
 
 # ---------------------------------------------------------------------------
@@ -4248,99 +3905,6 @@ QUERIES.update({"q_typo_pairs": q_typo_pairs})
 
 
 # ---------------------------------------------------------------------------
-# Crawl-frontier politeness interleave (round-robin by domain)
-# ---------------------------------------------------------------------------
-def q_crawl_schedule(sf_dir: str):
-    """Politeness-aware fetch ordering: round-robin by domain — every
-    document gets its within-domain rank r, and the global schedule
-    orders by (r, domain, doc_id), so two fetches of the same domain
-    are always separated by one full pass over every other domain
-    with that many pending docs (the crawl-frontier interleave of a
-    polite fetcher).
-
-    Scale shape: within-domain ranks come from ONE coarse shuffle on
-    domain with an in-task sort;
-    the global slot needs NO data sort — r is bounded by the largest
-    domain's doc count, so a per-r histogram prefix-sums on the
-    driver (the q_zip_index trick with r as the bucket) and a second
-    coarse shuffle on r assigns slot = offset[r] + local rank by
-    (domain, doc_id)."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["doc_id", "source"])
-
-    def stamp_dom(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__coarse"] = _bucket_ids(b, ["source"], n_buckets)
-        return b
-
-    def rank_in_domain(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["source", "doc_id"], kind="mergesort")
-        # dropna=False: a NULL domain is its own partition (SQL
-        # PARTITION BY semantics); pandas would otherwise DROP the
-        # NaN group and cumcount would emit garbage for those rows
-        r = (g.groupby("source", sort=False, dropna=False).cumcount()
-             .to_numpy() + 1)
-        return pd.DataFrame({"doc_id": g["doc_id"].astype("int64")
-                             .to_numpy(),
-                             "source": g["source"].to_numpy(),
-                             "r": r.astype("int64")})
-
-    ranked = (docs.map_batches(stamp_dom, batch_format="pandas")
-              .groupby("__coarse").map_groups(rank_in_domain,
-                                              batch_format="pandas")
-              .materialize())
-
-    hist = ranked.map_batches(
-        lambda b: b.groupby("r", as_index=False)
-        .size().rename(columns={"size": "n"}),
-        batch_format="pandas").to_pandas()
-    hist = (hist.groupby("r", as_index=False)["n"].sum()
-            .sort_values("r", kind="mergesort"))
-    # the offsets table has one row per RANK, and max rank == the
-    # LARGEST domain's doc count — for a skew-dominated crawl corpus
-    # that can approach corpus size, so it ships through the object
-    # store ONCE (ray.put) and each slot task reads it zero-copyish,
-    # never as a per-task closure copy (ADVICE r4)
-    import ray as _ray
-
-    offsets_ref = _ray.put(dict(zip(
-        hist["r"], np.cumsum(np.r_[0, hist["n"].to_numpy()[:-1]]))))
-
-    def stamp_r(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__coarse"] = b["r"].astype("int64") % n_buckets
-        return b
-
-    def slot_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        offsets = _ray.get(offsets_ref)
-        parts = []
-        for r, sub in g.groupby("r", sort=True):
-            sub = sub.sort_values(["source", "doc_id"],
-                                  kind="mergesort")
-            parts.append(pd.DataFrame({
-                "doc_id": sub["doc_id"].astype("int64").to_numpy(),
-                "source": sub["source"].to_numpy(),
-                "r": sub["r"].astype("int64").to_numpy(),
-                "slot": int(offsets[r])
-                + np.arange(len(sub), dtype="int64") + 1}))
-        return pd.concat(parts, ignore_index=True)
-
-    out = (ranked.map_batches(stamp_r, batch_format="pandas")
-           .groupby("__coarse").map_groups(slot_bucket,
-                                           batch_format="pandas")
-           .to_pandas())
-    return (out[["doc_id", "source", "r", "slot"]]
-            .sort_values("slot").reset_index(drop=True))
-
-
-QUERIES.update({"q_crawl_schedule": q_crawl_schedule})
-
-
-# ---------------------------------------------------------------------------
 # HITS hubs & authorities (Kleinberg link analysis)
 # ---------------------------------------------------------------------------
 def q_hits(sf_dir: str, iters: int = 5):
@@ -4444,285 +4008,6 @@ def q_posting_lists(sf_dir: str, min_df: int = 5):
 
 
 QUERIES.update({"q_posting_lists": q_posting_lists})
-
-
-# ---------------------------------------------------------------------------
-# CUBE aggregation (all grouping sets of two dimensions)
-# ---------------------------------------------------------------------------
-def q_cube_docs(sf_dir: str):
-    """GROUP BY CUBE(lang, source) over documents — n_docs and total
-    n_chars for every grouping set: (lang, source), (lang), (source)
-    and the grand total, with 'ALL' marking the rolled-up dimension
-    (q_rollup's lattice completed to the full cube).  All-integer
-    aggregates, so no rounding grain anywhere.  Contract: the dim
-    columns are non-null in this corpus (asserted by the oracle's
-    coalesce semantics); a corpus with NULL dims would need a
-    sentinel distinct from the 'ALL' rollup marker on BOTH engines.
-
-    Scale shape: ONE corpus pass emits per-batch partials for the
-    finest set only; the three coarser sets derive from the
-    materialized (lang, source) table (aggregate-sized folds — never
-    a second corpus pass; the q_lm_quality derive-from-the-table
-    trick applied to grouping sets)."""
-    from bb_ocr_ray.stages.coarse import coarse_agg
-
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["lang", "source", "n_chars"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = (b.assign(n_docs=np.int64(1))
-             .groupby(["lang", "source"], as_index=False, dropna=False)
-             .agg(n_docs=("n_docs", "sum"), chars=("n_chars", "sum")))
-        g["chars"] = g["chars"].astype("int64")
-        return g
-
-    fine = coarse_agg(
-        docs.map_batches(partial, batch_format="pandas"),
-        ["lang", "source"],
-        {"n_docs": ("n_docs", "sum"), "chars": ("chars", "sum")}
-    ).materialize()
-
-    fine_pd = fine.to_pandas()      # aggregate-sized by construction
-    fine_pd["lang"] = fine_pd["lang"].astype(str)
-    fine_pd["source"] = fine_pd["source"].astype(str)
-
-    by_lang = (fine_pd.groupby("lang", as_index=False)
-               [["n_docs", "chars"]].sum().assign(source="ALL"))
-    by_src = (fine_pd.groupby("source", as_index=False)
-              [["n_docs", "chars"]].sum().assign(lang="ALL"))
-    grand = pd.DataFrame({"lang": ["ALL"], "source": ["ALL"],
-                          "n_docs": [fine_pd["n_docs"].sum()],
-                          "chars": [fine_pd["chars"].sum()]})
-    out = pd.concat([fine_pd, by_lang, by_src, grand], ignore_index=True)
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["chars"] = out["chars"].astype("int64")
-    return (out[["lang", "source", "n_docs", "chars"]]
-            .sort_values(["lang", "source"]).reset_index(drop=True))
-
-
-QUERIES.update({"q_cube_docs": q_cube_docs})
-
-
-# ---------------------------------------------------------------------------
-# Z-order (Morton) clustering keys — multi-column locality layout
-# ---------------------------------------------------------------------------
-def _part1by1_u16(x: np.ndarray) -> np.ndarray:
-    """Spread each of 16 bits to the even positions of a 32-bit word
-    (classic Morton magic-number twiddling, fully vectorized)."""
-    x = x.astype(np.uint32) & np.uint32(0xFFFF)
-    x = (x | (x << np.uint32(8))) & np.uint32(0x00FF00FF)
-    x = (x | (x << np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    x = (x | (x << np.uint32(2))) & np.uint32(0x33333333)
-    x = (x | (x << np.uint32(1))) & np.uint32(0x55555555)
-    return x
-
-
-def q_zorder(sf_dir: str, bucket_bits: int = 6):
-    """Z-order (Morton) clustering key per document over the two
-    dimensions (doc_id % 2^16, n_chars % 2^16) — the lakehouse
-    data-layout primitive: rows whose keys share a zkey prefix are
-    close in BOTH dimensions, so range predicates on either column
-    prune contiguous key ranges.  Emits (doc_id, zkey, zbucket) with
-    zbucket = the top ``bucket_bits`` bits — the partition a
-    z-ordered writer would send the row to.  Pure per-row integer
-    arithmetic (magic-number bit spreading, vectorized); the oracle
-    re-derives the interleave as an explicit 32-term bit sum, a
-    genuinely independent implementation.  NULL n_chars rows drop
-    (no meaningful position on the axis)."""
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["doc_id", "n_chars"])
-
-    def zmap(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["n_chars"])
-        a = b["doc_id"].to_numpy(np.int64).astype(np.uint64)
-        c = pd.to_numeric(b["n_chars"]).to_numpy(np.int64).astype(np.uint64)
-        z = (_part1by1_u16(a & np.uint64(0xFFFF)).astype(np.uint64)
-             | (_part1by1_u16(c & np.uint64(0xFFFF)).astype(np.uint64)
-                << np.uint64(1)))
-        return pd.DataFrame({
-            "doc_id": b["doc_id"].astype("int64").to_numpy(),
-            "zkey": z.astype("int64"),
-            "zbucket": (z >> np.uint64(32 - bucket_bits)).astype("int64")})
-
-    out = docs.map_batches(zmap, batch_format="pandas").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-QUERIES.update({"q_zorder": q_zorder})
-
-
-# ---------------------------------------------------------------------------
-# CDC changelog merge (MERGE INTO / latest-crawl-wins upsert)
-# ---------------------------------------------------------------------------
-def q_upsert(sf_dir: str):
-    """Apply an insert/update/delete changelog to a base snapshot,
-    latest revision wins — the recrawl-bookkeeping MERGE that turns a
-    WARC change stream back into a current-state table
-    (:func:`stages.cdc.merge_changelog`).  Log derivation is
-    deterministic from documents: every doc is a rev-0 insert; docs
-    with ``doc_id % 3 == 0`` get a rev-1 update (content re-hashed
-    with '@1'), ``% 9 == 0`` additionally a rev-2 update ('@2'), and
-    ``% 7 == 0`` a rev-3 delete tombstone — so some keys carry 1–4
-    log rows, deletes sometimes shadow updates, and the winner is
-    never order-of-arrival dependent.  Output: surviving urls with
-    the winning revision, its content hash, and how many log rows
-    folded (tombstones included).
-
-    Scale shape: the changelog never groups per-url in Ray — a
-    per-block combiner keeps one candidate per key, ONE coarse
-    shuffle folds candidates (stages/cdc.py)."""
-    from bb_ocr_ray.stages.cdc import merge_changelog
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-
-    def _rows(sub: pd.DataFrame, rev: int, op: str, salt: str | None):
-        return pd.DataFrame({
-            "url": [f"u{int(d)}" for d in sub["doc_id"]],
-            "rev": np.full(len(sub), rev, dtype=np.int64),
-            "op": np.full(len(sub), op, dtype=object),
-            "content_hash": [None] * len(sub) if salt is None else
-            [md5_hex((t or "") + salt) for t in sub["text"]]})
-
-    def base(b: pd.DataFrame) -> pd.DataFrame:
-        return _rows(b, 0, "I", "")
-
-    def delta(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat([
-            _rows(b[b["doc_id"] % 3 == 0], 1, "U", "@1"),
-            _rows(b[b["doc_id"] % 9 == 0], 2, "U", "@2"),
-            _rows(b[b["doc_id"] % 7 == 0], 3, "D", None),
-        ], ignore_index=True)
-
-    log = (docs.map_batches(base, batch_format="pandas")
-           .union(docs.map_batches(delta, batch_format="pandas")))
-    merged = merge_changelog(log, key="url", order_col="rev")
-
-    out = merged.to_pandas()
-    out = out.rename(columns={"rev": "last_rev"})
-    out["last_rev"] = out["last_rev"].astype("int64")
-    return (out[["url", "last_rev", "content_hash", "n_versions"]]
-            .sort_values("url").reset_index(drop=True))
-
-
-QUERIES.update({"q_upsert": q_upsert})
-
-
-# ---------------------------------------------------------------------------
-# k-core decomposition (fixed-round synchronous peel)
-# ---------------------------------------------------------------------------
-def q_kcore(sf_dir: str):
-    """3-core of a deterministic doc graph via 10 synchronous peel
-    rounds (:func:`stages.graph.kcore`) — the link-farm/spam density
-    filter of web-graph cleaning.  Graph: doc d links to d+o for
-    offsets o in {1, 2, 5} under three independent mod conditions,
-    targets existence-checked by a distributed semi-join (id gaps
-    prune edges on both engines).  10 rounds IS the fixpoint at every
-    test corpus (measured: 6/6/10 rounds to convergence at
-    sf0.001/0.01/0.1) and the fixed count is what makes the oracle
-    SQL-unrollable (the q_hits MATERIALIZED-CTE precedent); production
-    callers pass rounds=None to peel to the fixpoint directly.
-    Output: surviving nodes with their degree in the final subgraph."""
-    from bb_ocr_ray.stages.graph import kcore
-    from bb_ocr_ray.stages.joins import auto_semi
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def cand(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        parts = [
-            pd.DataFrame({"src": s, "dst": s + o}) for o, s in (
-                (1, d[(d * d + 3 * d) % 11 >= 3]),
-                (2, d[(d * 7 + 1) % 5 >= 2]),
-                (5, d[(d * 3 + 2) % 7 >= 3]),
-            )]
-        return pd.concat(parts, ignore_index=True)
-
-    edges = auto_semi(
-        docs.map_batches(cand, batch_format="pandas")
-        .map_batches(lambda b: b.rename(columns={"dst": "doc_id"}),
-                     batch_format="pandas"),
-        docs, on="doc_id",
-    ).map_batches(lambda b: b.rename(columns={"doc_id": "dst"}),
-                  batch_format="pandas")
-
-    out = kcore(edges, k=3, rounds=10).to_pandas()
-    out["node"] = out["node"].astype("int64")
-    out["deg"] = out["deg"].astype("int64")
-    return out.sort_values("node").reset_index(drop=True)
-
-
-QUERIES.update({"q_kcore": q_kcore})
-
-
-# ---------------------------------------------------------------------------
-# Skyline: 2-D Pareto frontier (local-prune + merge)
-# ---------------------------------------------------------------------------
-def q_skyline(sf_dir: str):
-    """2-D Pareto skyline over documents — maximize length (n_chars)
-    and an independent hash-derived quality axis ((doc_id*37+11)%1000,
-    deterministic stand-in for a model score; independence keeps the
-    frontier non-trivial where two correlated axes would collapse it
-    to one point).  Local-prune + merge (:mod:`stages.skyline`):
-    dominance is transitive so per-batch pruning is exact, and only
-    local-skyline survivors reach the single merge task.  The oracle
-    is the O(n log n) gaps-free window form (strictly-greater-x max
-    via a RANGE frame), not NOT EXISTS — quadratic SQL would not
-    finish at sf0.1."""
-    from bb_ocr_ray.stages.skyline import skyline
-
-    ds = _read_parquet(_t(sf_dir, "documents"),
-                       columns=["doc_id", "n_chars"])
-
-    def pts(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=["n_chars"])
-        d = b["doc_id"].to_numpy("int64")
-        return pd.DataFrame({"doc_id": d,
-                             "x": b["n_chars"].to_numpy("int64"),
-                             "y": (d * 37 + 11) % 1000})
-
-    out = skyline(ds.map_batches(pts, batch_format="pandas"),
-                  x="x", y="y").to_pandas()
-    return (out.astype({"doc_id": "int64", "x": "int64", "y": "int64"})
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-QUERIES.update({"q_skyline": q_skyline})
-
-
-# ---------------------------------------------------------------------------
-# Degree assortativity: global web-graph structure statistic
-# ---------------------------------------------------------------------------
-def q_assortativity(sf_dir: str):
-    """Newman degree assortativity of a deterministic synthetic link
-    graph (3 arithmetic link rules per doc, mod max_id+1 — quadratic +
-    affine + halving so degrees are skewed, same generator family as
-    q_pagerank with different constants).  The operator
-    (:func:`stages.graph.assortativity`) folds each edge batch to ONE
-    exact-integer moment row; the correlation is computed from
-    Python-int sums so engine and oracle agree bit-for-bit before the
-    6 dp rounding."""
-    from bb_ocr_ray.stages.graph import assortativity
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    m = int(docs.max("doc_id")) + 1
-
-    def edges(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        return pd.DataFrame({"src": np.repeat(d, 3),
-                             "dst": np.stack([(d * d + 1) % m,
-                                              (d * 3 + 7) % m,
-                                              (d // 2 + 13) % m],
-                                             axis=1).reshape(-1)})
-
-    res = assortativity(docs.map_batches(edges, batch_format="pandas"))
-    return pd.DataFrame(
-        {"n_ends": pd.Series([res["n_ends"]], dtype="int64"),
-         "assortativity": pd.Series(
-             [float(_round_sql(res["assortativity"], 6))],
-             dtype="float64")})
-
-
-QUERIES.update({"q_assortativity": q_assortativity})
 
 
 # ---------------------------------------------------------------------------
@@ -4957,117 +4242,6 @@ QUERIES.update({"q_source_overlap": q_source_overlap})
 
 
 # ---------------------------------------------------------------------------
-# Web-graph QA statistics: degree distribution + reciprocity
-# ---------------------------------------------------------------------------
-def q_degree_dist(sf_dir: str):
-    """Log2-bucketed in/out-degree distribution of a deterministic
-    synthetic link graph (the q_assortativity generator family with
-    fresh constants) — THE first-look sanity statistic of any crawl
-    graph (is it power-law-ish, did the frontier collapse onto a hub?).
-    Two bounded folds: degrees by ONE coarse endpoint fold (|V|-row),
-    then the log2 histogram (≤64 cells per direction) via a second
-    tiny fold — per-node degrees never reach the driver.  Bucket =
-    floor(log2(deg)): log2 of an exact power of two is exact in IEEE,
-    and every other integer's log2 is irrational (margin ≫ 1 ulp), so
-    engine and oracle floor identically."""
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    m = int(docs.max("doc_id")) + 1
-
-    def edges(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        return pd.DataFrame({"src": np.repeat(d, 3),
-                             "dst": np.stack([(d * d + 5) % m,
-                                              (d * 7 + 3) % m,
-                                              (d // 3 + 11) % m],
-                                             axis=1).reshape(-1)})
-
-    def endpoints(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "direction": np.repeat(np.array(["out", "in"], dtype=object),
-                                   len(b)),
-            "node": np.concatenate([b["src"].to_numpy("int64"),
-                                    b["dst"].to_numpy("int64")])})
-
-    deg = coarse_agg(
-        docs.map_batches(edges, batch_format="pandas")
-        .map_batches(endpoints, batch_format="pandas"),
-        ["direction", "node"], {"deg": ("node", "size")})
-
-    def bucketed(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "direction": b["direction"].to_numpy(dtype=object),
-            "bucket": np.floor(np.log2(
-                b["deg"].to_numpy("float64"))).astype("int64")})
-
-    out = coarse_agg(
-        deg.map_batches(bucketed, batch_format="pandas"),
-        ["direction", "bucket"], {"n_nodes": ("bucket", "size")},
-    ).to_pandas()
-    out["n_nodes"] = out["n_nodes"].astype("int64")
-    return (out.sort_values(["direction", "bucket"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_degree_dist": q_degree_dist})
-
-
-def q_reciprocity(sf_dir: str):
-    """Edge reciprocity of the directed synthetic graph — the share of
-    DISTINCT edges whose reverse edge also exists (mutual-link rate, a
-    core web-graph statistic: high reciprocity = social/nav structure,
-    low = hierarchy).  The whole check is ONE coarse shuffle on the
-    UNORDERED pair key {u,v} (min,max) — both directions of a pair and
-    all duplicates land in the same bucket, so in-bucket logic is a
-    vectorized distinct + pair-size fold; no self-join, no edge table
-    on the driver.  Self-loops are their own reverse.  Exact integer
-    (n_mutual, n_edges) + the 6 dp ratio."""
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    m = int(docs.max("doc_id")) + 1
-
-    def edges(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        src = np.repeat(d, 3)
-        dst = np.stack([(d * d + 5) % m, (d * 7 + 3) % m,
-                        (d // 3 + 11) % m], axis=1).reshape(-1)
-        out = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
-        out["lo"] = np.minimum(out["src"], out["dst"])
-        out["hi"] = np.maximum(out["src"], out["dst"])
-        out["__coarse"] = _bucket_ids(out, ["lo", "hi"], n_buckets)
-        return out
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["src", "dst"])
-        sizes = g.groupby(["lo", "hi"], sort=False)["src"].transform("size")
-        self_loop = (g["src"] == g["dst"]).to_numpy()
-        # a 2-edge unordered group is a mutual pair (directions are
-        # distinct rows); a self-loop is its own reverse
-        mutual = int((sizes.to_numpy() == 2).sum()) + int(self_loop.sum())
-        return pd.DataFrame({"n_mutual": pd.Series([mutual], dtype="int64"),
-                             "n_edges": pd.Series([len(g)], dtype="int64")})
-
-    parts = (docs.map_batches(edges, batch_format="pandas")
-             .groupby("__coarse").map_groups(
-                 lambda g: fold(g.drop(columns=["__coarse"])),
-                 batch_format="pandas")
-             .to_pandas())
-    n_mutual = int(parts["n_mutual"].sum())
-    n_edges = int(parts["n_edges"].sum())
-    return pd.DataFrame(
-        {"n_mutual": pd.Series([n_mutual], dtype="int64"),
-         "n_edges": pd.Series([n_edges], dtype="int64"),
-         "reciprocity": pd.Series(
-             [float(_round_sql(float(n_mutual) / float(n_edges), 6))],
-             dtype="float64")})
-
-
-QUERIES.update({"q_reciprocity": q_reciprocity})
-
-
-# ---------------------------------------------------------------------------
 # Distribution-drift QA: Kolmogorov–Smirnov per source vs the rest
 # ---------------------------------------------------------------------------
 def q_ks_test(sf_dir: str):
@@ -5291,82 +4465,6 @@ def q_robots_filter(sf_dir: str):
 
 
 QUERIES.update({"q_robots_filter": q_robots_filter})
-
-
-# ---------------------------------------------------------------------------
-# Global clustering coefficient (triangles / wedges)
-# ---------------------------------------------------------------------------
-def q_clustering_coeff(sf_dir: str):
-    """Global clustering coefficient 3T/W of the synthetic link graph
-    — the one-scalar cohesion QA next to q_triangle_count's bucketed
-    counts and q_degree_dist's histogram.  Triangles reuse the
-    degree-oriented ``stages.graph.triangle_count`` (celebrity-safe);
-    wedges W = sum_v deg(v)(deg(v)-1)/2 come from the SAME normalized
-    undirected edge set via one coarse degree fold, with per-batch
-    sum-of-d(d-1) partials carried as decimal strings (a 10^6-degree
-    hub's term alone nears int64).  The edge generator mirrors
-    q_triangle_count verbatim so both operators audit one graph.  T and
-    W are exact python ints; the coefficient is one division, 6 dp."""
-    from bb_ocr_ray.stages.dedup import dedup_pairs
-    from bb_ocr_ray.stages.graph import triangle_count
-    from bb_ocr_ray.stages.joins import auto_semi
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def gen(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        d1 = d[((d * d + 3 * d) % 11) >= 3]
-        d2 = d[((7 * d + 5) % 13) >= 4]
-        return pd.DataFrame({
-            "src": np.concatenate([d1, d2]),
-            "dst": np.concatenate([d1 + 1, d2 + 2])})
-
-    cand = docs.map_batches(gen, batch_format="pandas")
-    edges = auto_semi(
-        cand.map_batches(lambda b: b.rename(columns={"dst": "doc_id"}),
-                         batch_format="pandas"),
-        docs, on="doc_id",
-    ).map_batches(lambda b: b.rename(columns={"doc_id": "dst"}),
-                  batch_format="pandas")
-
-    def norm(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["src"].to_numpy(np.int64)
-        v = b["dst"].to_numpy(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pd.DataFrame({"id_a": np.minimum(u, v),
-                             "id_b": np.maximum(u, v)})
-
-    und = dedup_pairs(
-        edges.map_batches(norm, batch_format="pandas")).materialize()
-
-    def both_ends(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": np.concatenate(
-            [b["id_a"].to_numpy("int64"), b["id_b"].to_numpy("int64")])})
-
-    deg = coarse_agg(und.map_batches(both_ends, batch_format="pandas"),
-                     ["node"], {"d": ("node", "size")})
-
-    def wedge_partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["d"].to_numpy("int64").astype(object)
-        return pd.DataFrame({"w2": [str(int((d * (d - 1)).sum()))]})
-
-    parts = deg.map_batches(wedge_partial, batch_format="pandas").to_pandas()
-    wedges = sum(int(v) for v in parts["w2"]) // 2
-
-    tri = triangle_count(und.map_batches(
-        lambda b: b.rename(columns={"id_a": "src", "id_b": "dst"}),
-        batch_format="pandas"))
-    n_tri = int(tri.count())
-
-    cc = 3.0 * n_tri / wedges if wedges else 0.0
-    return pd.DataFrame({
-        "n_triangles": pd.array([n_tri], dtype="int64"),
-        "n_wedges": pd.array([wedges], dtype="int64"),
-        "global_cc": [float(_round_sql(cc, 6))]})
-
-
-QUERIES.update({"q_clustering_coeff": q_clustering_coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -5602,55 +4700,6 @@ def q_vocab_growth(sf_dir: str):
 
 
 QUERIES.update({"q_vocab_growth": q_vocab_growth})
-
-
-# ---------------------------------------------------------------------------
-# Consistent-hash crawler shard balance (hot-domain skew QA)
-# ---------------------------------------------------------------------------
-def q_shard_balance(sf_dir: str, n_shards: int = 8):
-    """Crawler shard assignment audit: domains consistent-hash to
-    ``n_shards`` fetcher shards (stable md5 so a shard roster change
-    never remaps everything — the public Karger consistent-hashing
-    motivation), and the report shows per-shard domain and DOC counts.
-    Domains derive from the corpus URL template (hot.example.com takes
-    30% of docs), so one shard inherits the hot domain and the doc
-    imbalance is visible even though DOMAIN counts are balanced —
-    exactly the skew a per-domain-sharded fetcher must see before it
-    ships.  Zero shuffles on rows: per-batch (shard, domain) count
-    partials fold through one aggregate-sized coarse_agg."""
-    from bb_ocr_ray.functions.hashing import stable_u64
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        m = d % 10
-        doms = np.where(m < 3, "hot.example.com",
-                        np.char.add(np.char.add(
-                            "site", m.astype("U2")), ".example.com"))
-        g = (pd.DataFrame({"domain": doms, "n_docs": 1})
-             .groupby("domain", as_index=False).sum())
-        g["shard"] = [stable_u64(x) % n_shards for x in g["domain"]]
-        return g[["shard", "domain", "n_docs"]]
-
-    per_dom = coarse_agg(docs.map_batches(assign, batch_format="pandas"),
-                         ["shard", "domain"], {"n_docs": ("n_docs", "sum")})
-
-    def fold(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"shard": b["shard"].astype("int64"),
-                          "n_domains": np.ones(len(b), dtype="int64"),
-                          "n_docs": b["n_docs"].astype("int64")})
-        return g.groupby("shard", as_index=False).sum()
-
-    out = coarse_agg(per_dom.map_batches(fold, batch_format="pandas"),
-                     ["shard"], {"n_domains": ("n_domains", "sum"),
-                                 "n_docs": ("n_docs", "sum")}).to_pandas()
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("shard").reset_index(drop=True)
-
-
-QUERIES.update({"q_shard_balance": q_shard_balance})
 
 
 # ---------------------------------------------------------------------------
@@ -5922,111 +4971,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# 2-hop neighborhood size for the top-degree seeds (influence-reach QA)
-# ---------------------------------------------------------------------------
-def q_two_hop(sf_dir: str):
-    """Size of the <=2-hop neighborhood (friends-of-friends reach) for
-    the 5 highest-degree nodes of the synthetic link graph — the
-    influence/blast-radius statistic next to q_degree_dist and
-    q_clustering_coeff, over the SAME edge generator so the graph QA
-    family audits one graph.  Scale shape: degrees fold through one
-    coarse shuffle; the 5 seeds are an aggregate-sized sort+limit; the
-    1-hop table is one map over the static edge list; the 2-hop
-    expansion is a size-gated join of the edge list against the 1-hop
-    table on each endpoint (auto_join: a celebrity seed's
-    neighborhood routes to the bucketed hash join, never a blind
-    broadcast), and the distinct fold is (seed, node)-keyed.  The
-    driver only ever holds seed-bounded tables."""
-    from bb_ocr_ray.stages.dedup import dedup_pairs
-    from bb_ocr_ray.stages.joins import auto_join, auto_semi
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def gen(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        d1 = d[((d * d + 3 * d) % 11) >= 3]
-        d2 = d[((7 * d + 5) % 13) >= 4]
-        return pd.DataFrame({
-            "src": np.concatenate([d1, d2]),
-            "dst": np.concatenate([d1 + 1, d2 + 2])})
-
-    cand = docs.map_batches(gen, batch_format="pandas")
-    edges = auto_semi(
-        cand.map_batches(lambda b: b.rename(columns={"dst": "doc_id"}),
-                         batch_format="pandas"),
-        docs, on="doc_id",
-    ).map_batches(lambda b: b.rename(columns={"doc_id": "dst"}),
-                  batch_format="pandas")
-
-    def norm(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["src"].to_numpy(np.int64)
-        v = b["dst"].to_numpy(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pd.DataFrame({"id_a": np.minimum(u, v),
-                             "id_b": np.maximum(u, v)})
-
-    und = dedup_pairs(
-        edges.map_batches(norm, batch_format="pandas")).materialize()
-
-    def both_ends(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": np.concatenate(
-            [b["id_a"].to_numpy("int64"), b["id_b"].to_numpy("int64")]),
-            "one": np.ones(2 * len(b), dtype="int64")})
-
-    deg = coarse_agg(und.map_batches(both_ends, batch_format="pandas"),
-                     ["node"], {"dg": ("one", "sum")})
-    seeds = (deg.sort(["dg", "node"], descending=[True, False])
-             .limit(5).to_pandas())
-    seeds["node"] = seeds["node"].astype("int64")
-    seeds["dg"] = seeds["dg"].astype("int64")
-    seed_set = set(int(x) for x in seeds["node"])
-
-    def hop1(b: pd.DataFrame) -> pd.DataFrame:
-        a = b["id_a"].to_numpy("int64")
-        c = b["id_b"].to_numpy("int64")
-        ia = np.isin(a, list(seed_set))
-        ib = np.isin(c, list(seed_set))
-        return pd.DataFrame({
-            "seed": np.concatenate([a[ia], c[ib]]),
-            "w": np.concatenate([c[ia], a[ib]])})
-
-    n1 = und.map_batches(hop1, batch_format="pandas").materialize()
-
-    j1 = auto_join(und, n1.map_batches(
-        lambda b: b.rename(columns={"w": "id_a"}),
-        batch_format="pandas"), on="id_a").map_batches(
-        lambda b: pd.DataFrame({"seed": b["seed"].astype("int64"),
-                                "w": b["id_b"].astype("int64")}),
-        batch_format="pandas")
-    j2 = auto_join(und, n1.map_batches(
-        lambda b: b.rename(columns={"w": "id_b"}),
-        batch_format="pandas"), on="id_b").map_batches(
-        lambda b: pd.DataFrame({"seed": b["seed"].astype("int64"),
-                                "w": b["id_a"].astype("int64")}),
-        batch_format="pandas")
-    reach = n1.union(j1).union(j2).filter(
-        lambda r: r["w"] != r["seed"])
-
-    distinct = coarse_agg(reach, ["seed", "w"], {"c": ("w", "size")})
-    cnt = coarse_agg(
-        distinct.map_batches(
-            lambda b: pd.DataFrame({
-                "seed": b["seed"].astype("int64"),
-                "one": np.ones(len(b), dtype="int64")}),
-            batch_format="pandas"),
-        ["seed"], {"n_within_2": ("one", "sum")}).to_pandas()
-
-    out = seeds.rename(columns={"node": "seed", "dg": "degree"}).merge(
-        cnt, on="seed", how="left")
-    out["n_within_2"] = out["n_within_2"].fillna(0).astype("int64")
-    return out.sort_values("seed").reset_index(drop=True)
-
-
-QUERIES.update({"q_two_hop": q_two_hop})
-
-
-# ---------------------------------------------------------------------------
 # Inverse-frequency class weights (imbalanced-label training prep)
 # ---------------------------------------------------------------------------
 def q_class_weights(sf_dir: str):
@@ -6227,48 +5171,6 @@ QUERIES.update({
     "q_tok_len_dist": q_tok_len_dist,
     "q_ngram_entropy": q_ngram_entropy,
 })
-
-
-# ---------------------------------------------------------------------------
-# Zone-map pruning effectiveness (storage-layout QA)
-# ---------------------------------------------------------------------------
-def q_zone_map(sf_dir: str):
-    """Zone-map (block min/max) pruning effectiveness for the predicate
-    n_chars >= 400 over fixed 64-doc shards — the storage-layout QA
-    companion to q_zorder: a well-clustered layout prunes most shards,
-    a shuffled one prunes none (Moerkotte's small materialized
-    aggregates, VLDB'98; public method).  Shards are LOGICAL
-    (doc_id // 64), so the statistic is layout-deterministic, not an
-    artifact of runtime block boundaries.  One shard-bounded max/count
-    fold; the pruning scan is arithmetic on that bounded table.  NULL
-    n_chars follows SQL: max skips it, the row still counts, and a
-    shard whose max is NULL (every n_chars NULL) is not prunable."""
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["doc_id", "n_chars"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        # float64 carries NULL as NaN with one block schema; lengths
-        # stay exact far below 2**53
-        return pd.DataFrame({
-            "shard": b["doc_id"].astype("int64") // 64,
-            "n_chars": b["n_chars"].astype("float64"),
-            "one": np.ones(len(b), dtype="int64")})
-
-    t = coarse_agg(docs.map_batches(stamp, batch_format="pandas"),
-                   ["shard"], {"mx": ("n_chars", "max"),
-                               "rows": ("one", "sum")}).to_pandas()
-    prunable = (t["mx"] < 400).to_numpy()  # NaN < 400 is False
-    n_shards = len(t)
-    n_prun = int(prunable.sum())
-    return pd.DataFrame({
-        "n_shards": pd.array([n_shards], dtype="int64"),
-        "n_prunable": pd.array([n_prun], dtype="int64"),
-        "rows_skipped": pd.array([int(t.loc[prunable, "rows"].sum())],
-                                 dtype="int64"),
-        "prune_ratio": [float(_round_sql(n_prun / n_shards, 6))]})
-
-
-QUERIES.update({"q_zone_map": q_zone_map})
 
 
 # ---------------------------------------------------------------------------
@@ -6583,48 +5485,7 @@ def q_gopher_rules(sf_dir: str):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Crawl budget allocation (largest-remainder apportionment)
-# ---------------------------------------------------------------------------
-def q_budget_alloc(sf_dir: str):
-    """Apportion a fixed crawl budget of 10,000 fetches across domains
-    proportionally to their doc counts with largest-remainder
-    (Hamilton) rounding — exact integer arithmetic: base = B*c // N,
-    then the B - sum(base) largest remainders (B*c % N, domain-asc
-    tiebreak) get +1.  The domain-count fold is the only shuffle; the
-    apportionment runs on the domain-bounded table (the same bounded
-    posture as q_domain_stats' output side)."""
-    _B = 10_000
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-
-    def dom(b: pd.DataFrame) -> pd.DataFrame:
-        m = b["doc_id"].astype("int64") % 10
-        d = np.where(m < 3, "hot.example.com",
-                     "site" + m.astype(str) + ".example.com")
-        vc = pd.Series(d).value_counts()
-        return pd.DataFrame({"domain": vc.index.to_numpy(),
-                             "c": vc.to_numpy("int64")})
-
-    t = coarse_agg(docs.map_batches(dom, batch_format="pandas"),
-                   ["domain"], {"c": ("c", "sum")}).to_pandas()
-    t["c"] = t["c"].astype("int64")
-    n = int(t["c"].sum())
-    t["base"] = (_B * t["c"]) // n
-    t["rem"] = (_B * t["c"]) % n
-    t = t.sort_values(["rem", "domain"],
-                      ascending=[False, True], kind="mergesort")
-    extra = _B - int(t["base"].sum())
-    t["budget"] = t["base"] + (np.arange(len(t)) < extra).astype("int64")
-    out = t[["domain", "c", "budget"]].rename(columns={"c": "n_docs"})
-    for c in ("n_docs", "budget"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("domain").reset_index(drop=True)
-
-
-QUERIES.update({
-    "q_gopher_rules": q_gopher_rules,
-    "q_budget_alloc": q_budget_alloc,
-})
+QUERIES.update({"q_gopher_rules": q_gopher_rules})
 
 
 # ---------------------------------------------------------------------------

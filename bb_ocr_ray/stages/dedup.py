@@ -1105,8 +1105,9 @@ def sorted_neighborhood_pairs(docs_ds, key_fn=None, window: int = 3,
     Scale shape (no global sort of the data): records bucket by the
     first ``bucket_chars`` characters of the key — a prefix partition
     of the sort order, so ranks are bucket offset + local rank; a
-    per-bucket count histogram prefix-sums on the driver
-    (bucket-vocabulary-sized, the q_zip_index pattern); ONE shuffle
+    per-bucket count histogram (one count per prefix bucket, so the
+    driver holds only the bucket vocabulary) is prefix-summed on the
+    driver into each bucket's global rank offset; ONE shuffle
     co-locates each bucket, which sorts locally by (key, id).
     Neighbor pairs come from a ``window``-way offset replication +
     one integer hash join on the global rank, so bucket-boundary

@@ -16,8 +16,6 @@ ranking, simpler to mirror exactly in SQL.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pandas as pd
 
@@ -272,185 +270,6 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     return ranks.map_batches(finish, batch_format="pandas")
 
 
-def triangle_count(edges_ds, coarse_buckets: int | None = None,
-                   degree_broadcast_limit: int | None = None):
-    """Distributed triangle enumeration with DEGREE orientation — the
-    celebrity-node-safe variant of the wedge-closure method (Suri &
-    Vassilvitskii, "Counting Triangles and the Curse of the Last
-    Reducer", WWW 2011; public algorithm).
-
-    Input: (src, dst) int64 edge Dataset, read as UNDIRECTED; parallel
-    edges, reversed duplicates, and self-loops are normalized away by
-    a distributed first-per-pair fold.  Output: one row per triangle
-    (a, b, c), a < b < c by plain id — each triangle exactly once.
-
-    Why degree orientation: a plain id orientation enumerates, for
-    every node, all pairs of its HIGHER-ID neighbors — a hub with 10^6
-    neighbors contributes ~5·10^11 wedges to one task (the "last
-    reducer").  Directing every edge from lower to higher (degree, id)
-    caps each node's OUT-degree at O(sqrt(|E|)), so wedge volume is
-    O(|E|^1.5) worst case and no single task owns a hub's neighbor
-    square.  The hub's wedges simply do not exist: its edges all point
-    INTO it.
-
-    Plan (all existing primitives, nothing on the driver):
-      degrees = coarse fold over both endpoints (materialized once —
-                it feeds BOTH endpoint attachments);
-      orient  = size-gated like ``auto_join``: the degree table is
-                |V|-bounded, so when its (materialized, hence real)
-                byte size fits ``degree_broadcast_limit`` it ships as
-                one sorted-array ``ray.put`` and both endpoint degrees
-                attach in a single searchsorted map — no shuffle; a
-                web-scale |V| routes to the two hash joins instead;
-      wedges  = self hash-join of oriented edges on their source;
-      close   = hash semi-join of packed (lo<<32 | hi) wedge ends
-                against packed oriented edges.
-    """
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.dedup import dedup_pairs
-    from bb_ocr_ray.stages.joins import (_auto_num_buckets, hash_join,
-                                         semi_join_hash)
-
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
-
-    def norm(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["src"].to_numpy(np.int64)
-        v = b["dst"].to_numpy(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pd.DataFrame({"id_a": np.minimum(u, v),
-                             "id_b": np.maximum(u, v)})
-
-    # und feeds BOTH the degree fold and the orientation; without a
-    # materialize each consumer re-runs the dedup_pairs shuffle.  It is
-    # the algorithm's own normalized edge set — data-bounded, the
-    # connected_components_ds precedent.
-    und = dedup_pairs(
-        edges_ds.map_batches(norm, batch_format="pandas")).materialize()
-
-    def both_ends(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": np.concatenate(
-            [b["id_a"].to_numpy(np.int64), b["id_b"].to_numpy(np.int64)]),
-            "one": np.int64(1)})
-
-    # The degree table is consumed by BOTH endpoint attachments, so
-    # materialize it once; it is |V|-row — the algorithm's own working
-    # set, never the corpus.  Materialized metadata is real, so the
-    # broadcast gate below reads actual bytes, not a lazy estimate
-    # (estimate_size_bytes returns 0 for computed datasets).
-    deg = coarse_agg(und.map_batches(both_ends, batch_format="pandas"),
-                     ["node"], {"deg": ("one", "sum")},
-                     coarse_buckets=coarse_buckets).materialize()
-
-    from bb_ocr_ray.stages.joins import _BROADCAST_LIMIT_BYTES
-    limit = (_BROADCAST_LIMIT_BYTES if degree_broadcast_limit is None
-             else degree_broadcast_limit)
-
-    if deg.size_bytes() <= limit:
-        # Driver-sized |V|: ship the degree table once as two sorted
-        # arrays and orient every edge in ONE map — saves two all-to-all
-        # joins.  Every endpoint is in the table by construction (deg
-        # was folded from these very edges), so searchsorted is total.
-        import ray
-
-        deg_pdf = deg.to_pandas()
-        order = np.argsort(deg_pdf["node"].to_numpy(np.int64))
-        nodes_sorted = deg_pdf["node"].to_numpy(np.int64)[order]
-        degs_sorted = deg_pdf["deg"].to_numpy(np.int64)[order]
-        ref = ray.put((nodes_sorted, degs_sorted))
-
-        def orient_bcast(b: pd.DataFrame) -> pd.DataFrame:
-            nodes, degs = ray.get(ref)
-            na = b["id_a"].to_numpy(np.int64)
-            nb = b["id_b"].to_numpy(np.int64)
-            da = degs[np.searchsorted(nodes, na)]
-            db = degs[np.searchsorted(nodes, nb)]
-            a_first = (da < db) | ((da == db) & (na < nb))
-            return pd.DataFrame({
-                "s": np.where(a_first, na, nb),
-                "t": np.where(a_first, nb, na),
-                "dt": np.where(a_first, db, da)})
-
-        # No materialize here: orientation from materialized `und` is
-        # one shuffle-free searchsorted map, cheap for each of the
-        # three downstream consumers to re-run.
-        oe = und.map_batches(orient_bcast, batch_format="pandas")
-    else:
-        e1 = hash_join(
-            und.map_batches(lambda b: b.rename(columns={"id_a": "node"}),
-                            batch_format="pandas"), deg, on="node")
-        e2 = hash_join(
-            e1.map_batches(
-                lambda b: pd.DataFrame({"na": b["node"].astype("int64"),
-                                        "da": b["deg"].astype("int64"),
-                                        "node": b["id_b"].astype("int64")}),
-                batch_format="pandas"), deg, on="node")
-
-        def orient(b: pd.DataFrame) -> pd.DataFrame:
-            na = b["na"].to_numpy(np.int64)
-            nb = b["node"].to_numpy(np.int64)
-            da = b["da"].to_numpy(np.int64)
-            db = b["deg"].to_numpy(np.int64)
-            a_first = (da < db) | ((da == db) & (na < nb))
-            return pd.DataFrame({
-                "s": np.where(a_first, na, nb),
-                "t": np.where(a_first, nb, na),
-                "dt": np.where(a_first, db, da)})
-
-        # Here oe's lineage holds two hash joins, too expensive for the
-        # three consumers (both wedge sides + closure edge set) to
-        # re-run — materialize the oriented edge list (data-bounded).
-        oe = e2.map_batches(orient, batch_format="pandas").materialize()
-
-    w1 = oe.map_batches(
-        lambda b: pd.DataFrame({"s": b["s"].astype("int64"),
-                                "p": b["t"].astype("int64"),
-                                "dp": b["dt"].astype("int64")}),
-        batch_format="pandas")
-    w2 = oe.map_batches(
-        lambda b: pd.DataFrame({"s": b["s"].astype("int64"),
-                                "q": b["t"].astype("int64"),
-                                "dq": b["dt"].astype("int64")}),
-        batch_format="pandas")
-    wedges = hash_join(w1, w2, on="s")
-
-    def half(b: pd.DataFrame) -> pd.DataFrame:
-        # keep one ordered copy per wedge, ordered by the SAME total
-        # order the edges are oriented in, so the closing edge is
-        # guaranteed to run lo -> hi under that order
-        dp = b["dp"].to_numpy(np.int64)
-        dq = b["dq"].to_numpy(np.int64)
-        p = b["p"].to_numpy(np.int64)
-        q = b["q"].to_numpy(np.int64)
-        keep = (dp < dq) | ((dp == dq) & (p < q))
-        b = b[keep]
-        return pd.DataFrame({
-            "src_node": b["s"].astype("int64"),
-            "k": (b["p"].astype("int64") * (1 << 32)
-                  + b["q"].astype("int64"))})
-
-    packed_edges = oe.map_batches(
-        lambda b: pd.DataFrame({"k": (b["s"].astype("int64") * (1 << 32)
-                                      + b["t"].astype("int64"))}),
-        batch_format="pandas")
-    tri = semi_join_hash(wedges.map_batches(half, batch_format="pandas"),
-                         packed_edges, on="k")
-
-    def unpack(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["k"].to_numpy(np.int64)
-        x = b["src_node"].to_numpy(np.int64)
-        y = k >> 32
-        z = k & ((1 << 32) - 1)
-        arr = np.sort(np.stack([x, y, z], axis=1), axis=1)
-        return pd.DataFrame({"a": arr[:, 0], "b": arr[:, 1],
-                             "c": arr[:, 2]})
-
-    return tri.map_batches(unpack, batch_format="pandas")
-
-
 def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None,
          vec_broadcast_limit: int | None = None, _on_choice=None):
     """HITS hubs & authorities (Kleinberg 1999, public algorithm) over
@@ -604,273 +423,3 @@ def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None,
     return rd.from_pandas(
         out[["node", "authority", "hub"]]
         .sort_values("node").reset_index(drop=True))
-
-
-def kcore(edges_ds, k: int = 3, rounds: int | None = None,
-          coarse_buckets: int | None = None,
-          broadcast_limit: int | None = None, _on_choice=None):
-    """k-core peel over an undirected edge Dataset (src, dst) — the
-    spam/link-farm density filter of web-graph cleaning (Seidman 1983;
-    synchronous peeling a la Montresor et al.).  Each round computes
-    every node's degree in the surviving subgraph and deletes nodes
-    with degree < k together with their edges.  ``rounds=None``
-    iterates to the fixpoint (detected by the surviving edge count —
-    a metadata read on the materialized round result, never a
-    collect); a fixed ``rounds`` runs exactly that many synchronous
-    peels, which is the SQL-unrollable contract q_kcore couples to.
-    (Peeling is monotone — once no node falls below the bar the
-    subgraph is a fixpoint — so early-exit under a fixed ``rounds``
-    returns the identical answer.)
-
-    Returns (node, deg): nodes still meeting the bar after the final
-    round, with their degree in the final surviving subgraph.
-
-    Size gate (the pagerank/HITS round posture): round 1's degree
-    table is |V|-bounded and materialized anyway, so its REAL byte
-    size gates the loop shape.  Below ``broadcast_limit`` every later
-    round is ONE map over the STATIC edge list — the survivor set
-    ships via ray.put, each batch emits a partial (node, deg) count
-    of edges whose endpoints both survive, and the driver folds the
-    gate-bounded partials (traffic ≤ blocks × |surviving V|, and the
-    vector was driver-sized by the gate anyway).  No per-round
-    shuffle, no per-round edge materialization.  Above the gate the
-    distributed shape survives: per round ONE coarse degree fold plus
-    two size-gated semi-joins (auto_semi), edges re-materialized each
-    round so round N+1 never re-executes 1..N through lazy lineage
-    (the connected-components argument).  Edges must be canonical
-    single-direction rows; parallel edges would double-count degree
-    (callers dedup first).  ``_on_choice`` (tests) receives
-    "broadcast" or "hash" at gate time.
-    """
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import (_BROADCAST_LIMIT_BYTES,
-                                         _auto_num_buckets, auto_semi)
-
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
-
-    def endpoints(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": pd.concat(
-            [b["src"], b["dst"]], ignore_index=True).astype("int64")})
-
-    def degrees(e):
-        return coarse_agg(
-            e.map_batches(endpoints, batch_format="pandas"),
-            ["node"], {"deg": ("node", "size")},
-            coarse_buckets=coarse_buckets)
-
-    def meets_bar(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["deg"] >= k]
-
-    def _empty():
-        import ray.data as rd
-        return rd.from_pandas(pd.DataFrame(
-            {"node": pd.Series(dtype="int64"),
-             "deg": pd.Series(dtype="int64")}))
-
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
-        return _empty()
-
-    # peel 1's degree fold runs distributed either way; its |V|-row
-    # output gates the loop shape on real bytes
-    deg1 = degrees(edges).materialize()
-    limit = (_BROADCAST_LIMIT_BYTES if broadcast_limit is None
-             else broadcast_limit)
-    use_bcast = deg1.size_bytes() <= limit
-    if _on_choice is not None:
-        _on_choice("broadcast" if use_bcast else "hash")
-
-    if use_bcast:
-        import ray
-
-        def fold(surv_sorted: np.ndarray) -> pd.DataFrame:
-            """Degree table of the subgraph induced by surv_sorted:
-            one map over the static edges, partials driver-folded."""
-            ref = ray.put(surv_sorted)
-
-            def part(b: pd.DataFrame) -> pd.DataFrame:
-                s = ray.get(ref)
-                src = b["src"].to_numpy(np.int64)
-                dst = b["dst"].to_numpy(np.int64)
-                m = np.isin(src, s) & np.isin(dst, s)
-                ends = np.concatenate([src[m], dst[m]])
-                u, c = np.unique(ends, return_counts=True)
-                return pd.DataFrame({"node": u, "deg": c})
-
-            parts = edges.map_batches(
-                part, batch_format="pandas").to_pandas()
-            return parts.groupby("node", as_index=False)["deg"].sum()
-
-        cur = deg1.to_pandas()          # deg over induced(S_{r-1})
-        cur["node"] = cur["node"].astype("int64")
-        r = 1
-        while True:
-            surv = cur[cur["deg"] >= k]
-            if len(surv) == 0:
-                return _empty()
-            if len(surv) == len(cur):
-                # every node in the current subgraph meets the bar:
-                # fixpoint — cur IS the final degree table
-                import ray.data as rd
-                return rd.from_pandas(
-                    surv.reset_index(drop=True).astype(
-                        {"node": "int64", "deg": "int64"}))
-            surv_nodes = np.sort(surv["node"].to_numpy(np.int64))
-            if rounds is not None and r >= rounds:
-                # rounds exhausted: one output fold over induced(S_R)
-                final = fold(surv_nodes)
-                final = final[final["deg"] >= k]
-                import ray.data as rd
-                return rd.from_pandas(
-                    final.reset_index(drop=True).astype(
-                        {"node": "int64", "deg": "int64"}))
-            cur = fold(surv_nodes)      # peel r+1's degree table
-            if len(cur) == 0:
-                return _empty()
-            r += 1
-
-    r = 0
-    while n_edges and (rounds is None or r < rounds):
-        surv = degrees(edges).map_batches(
-            meets_bar, batch_format="pandas").materialize()
-        if surv.count() == 0:
-            # the whole graph peeled away: an empty Dataset carries no
-            # schema, which the joins below can't consume
-            return _empty()
-        e = auto_semi(
-            edges.map_batches(lambda b: b.rename(columns={"src": "node"}),
-                              batch_format="pandas"),
-            surv, on="node", broadcast_limit=broadcast_limit,
-        ).map_batches(lambda b: b.rename(columns={"node": "src"}),
-                      batch_format="pandas")
-        e = auto_semi(
-            e.map_batches(lambda b: b.rename(columns={"dst": "node"}),
-                          batch_format="pandas"),
-            surv, on="node", broadcast_limit=broadcast_limit,
-        ).map_batches(lambda b: b.rename(columns={"node": "dst"}),
-                      batch_format="pandas")
-        edges = e.materialize()
-        n_now = edges.count()
-        r += 1
-        if rounds is None and n_now == n_edges:
-            break
-        n_edges = n_now
-
-    if edges.count() == 0:
-        return _empty()
-    return degrees(edges).map_batches(meets_bar, batch_format="pandas")
-
-
-def assortativity(edges_ds, coarse_buckets: int | None = None,
-                  deg_broadcast_limit: int | None = None,
-                  _on_choice=None):
-    """Newman degree assortativity of an edge Dataset (src, dst):
-    Pearson correlation of endpoint degrees over the symmetrized edge
-    ends — the celebrity-vs-mesh structure probe of web-graph QA
-    (Newman 2002, "Assortative mixing in networks").  Parallel edges
-    and self-loops count with multiplicity, matching plain degree
-    counting on the raw edge rows.
-
-    Shape: one coarse degree fold (|V|-bounded), then the |V|-row
-    degree table gates on REAL bytes — below the limit it broadcasts
-    via ray.put and each edge batch attaches both endpoint degrees by
-    searchsorted lookup; above, two bucketed hash joins attach them.
-    Either way every batch collapses to ONE partial-moment row
-    (n, Sx, Sy, Sxy, Sxx, Syy — int64-exact within a batch, Python-int
-    exact in the driver fold, so the correlation is bit-stable against
-    an exact-integer SQL oracle at any sum magnitude).  Driver traffic
-    = 6 integers per block.  Returns (n_ends, assortativity) —
-    UNROUNDED; callers round to their grain.
-    """
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import (_BROADCAST_LIMIT_BYTES,
-                                         _auto_num_buckets, hash_join)
-
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
-
-    def endpoints(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": pd.concat(
-            [b["src"], b["dst"]], ignore_index=True).astype("int64")})
-
-    edges = edges_ds.materialize()
-    deg = coarse_agg(
-        edges.map_batches(endpoints, batch_format="pandas"),
-        ["node"], {"d": ("node", "size")},
-        coarse_buckets=coarse_buckets).materialize()
-
-    limit = (_BROADCAST_LIMIT_BYTES if deg_broadcast_limit is None
-             else deg_broadcast_limit)
-    use_bcast = deg.size_bytes() <= limit
-    if _on_choice is not None:
-        _on_choice("broadcast" if use_bcast else "hash")
-
-    def moments(x: np.ndarray, y: np.ndarray) -> pd.DataFrame:
-        # symmetrize: every edge contributes (x,y) AND (y,x).  In-batch
-        # sums stay int64-exact while deg^2 x batch_rows < 2^63 (deg up
-        # to ~1e6 at 64k-row batches) — beyond that, shrink batches.
-        sall = int(x.sum()) + int(y.sum())
-        sq = int((x * x).sum()) + int((y * y).sum())
-        return pd.DataFrame({
-            "n": pd.Series([2 * len(x)], dtype="int64"),
-            "sx": pd.Series([sall], dtype="int64"),
-            "sy": pd.Series([sall], dtype="int64"),
-            "sxy": pd.Series([2 * int((x * y).sum())], dtype="int64"),
-            "sxx": pd.Series([sq], dtype="int64"),
-            "syy": pd.Series([sq], dtype="int64")})
-
-    if use_bcast:
-        import ray
-        dpd = deg.to_pandas()
-        order = np.argsort(dpd["node"].to_numpy(np.int64), kind="stable")
-        ref = ray.put((dpd["node"].to_numpy(np.int64)[order],
-                       dpd["d"].to_numpy(np.int64)[order]))
-
-        def partial(b: pd.DataFrame) -> pd.DataFrame:
-            import ray as _ray
-            nodes, dvals = _ray.get(ref)
-            src = b["src"].to_numpy(np.int64)
-            dst = b["dst"].to_numpy(np.int64)
-            x = dvals[np.searchsorted(nodes, src)]
-            y = dvals[np.searchsorted(nodes, dst)]
-            return moments(x, y)
-
-        parts = edges.map_batches(
-            partial, batch_format="pandas").to_pandas()
-    else:
-        j = hash_join(
-            edges.map_batches(lambda b: b.rename(columns={"src": "node"}),
-                              batch_format="pandas"),
-            deg.map_batches(lambda b: b.rename(columns={"d": "dx"}),
-                            batch_format="pandas"),
-            on="node", num_buckets=coarse_buckets,
-        ).map_batches(lambda b: b.rename(columns={"node": "src",
-                                                  "dst": "node"}),
-                      batch_format="pandas")
-        j = hash_join(
-            j, deg.map_batches(lambda b: b.rename(columns={"d": "dy"}),
-                               batch_format="pandas"),
-            on="node", num_buckets=coarse_buckets)
-
-        def partial2(b: pd.DataFrame) -> pd.DataFrame:
-            return moments(b["dx"].to_numpy(np.int64),
-                           b["dy"].to_numpy(np.int64))
-
-        parts = j.map_batches(partial2, batch_format="pandas").to_pandas()
-
-    # exact integer fold (Python ints: no overflow at any scale)
-    n = int(parts["n"].sum())
-    if n == 0:
-        return {"n_ends": 0, "assortativity": float("nan")}
-    sx = sum(int(v) for v in parts["sx"])
-    sy = sum(int(v) for v in parts["sy"])
-    sxy = sum(int(v) for v in parts["sxy"])
-    sxx = sum(int(v) for v in parts["sxx"])
-    syy = sum(int(v) for v in parts["syy"])
-    num = n * sxy - sx * sy
-    den = math.sqrt(float(n * sxx - sx * sx)) * math.sqrt(
-        float(n * syy - sy * sy))
-    return {"n_ends": n,
-            "assortativity": float(num) / den if den else float("nan")}

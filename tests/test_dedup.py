@@ -505,36 +505,6 @@ def test_connected_components_query_matches_islands(ray_session, sf_tiny):
     assert 1 < n_islands < len(d)
 
 
-def test_triangle_count_matches_numpy(ray_session, sf_tiny):
-    """q_triangle_count equals a direct numpy closure check
-    (independent of both the wedge-join engine path and the SQL)."""
-    from bb_ocr_ray.pipelines.queries import q_triangle_count
-
-    got = q_triangle_count(sf_tiny)
-    d = (pd.read_parquet(f"{sf_tiny}/documents.parquet",
-                         columns=["doc_id"])["doc_id"]
-         .to_numpy("int64"))
-    present = set(d.tolist())
-    e = set()
-    for x in d.tolist():
-        if ((x * x + 3 * x) % 11) >= 3 and x + 1 in present:
-            e.add((x, x + 1))
-        if ((7 * x + 5) % 13) >= 4 and x + 2 in present:
-            e.add((x, x + 2))
-    from collections import Counter
-    tri = Counter()
-    for (a, b) in e:
-        if (b, b + 1) in e and (a, b + 1) in e:
-            tri[a % 10] += 1
-        if (b, b + 2) in e and (a, b + 2) in e:
-            tri[a % 10] += 1
-    want = pd.DataFrame(sorted(tri.items()),
-                        columns=["bucket", "n_triangles"])
-    assert got["bucket"].tolist() == want["bucket"].tolist()
-    assert got["n_triangles"].tolist() == want["n_triangles"].tolist()
-    assert got["n_triangles"].sum() > 50      # graph is not degenerate
-
-
 def test_connected_components_ds_gate_paths_agree(ray_session):
     """The edge-list size gate: driver min-label loop and distributed
     star rounds label identically (long chain + cliques + isolated

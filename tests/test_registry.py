@@ -59,3 +59,17 @@ def test_correctness_artifact_queries_are_registered():
     assert len(checked) == 50
     assert not set(checked) - set(QUERIES), sorted(set(checked) - set(QUERIES))
     assert not set(checked) - set(ORACLES), sorted(set(checked) - set(ORACLES))
+
+
+def test_docs_name_only_registered_operators():
+    # the docs describe operators by registry name; a deleted operator
+    # left in a doc row reads as a live feature
+    from bb_ocr_ray.pipelines.queries import QUERIES
+
+    stale = {}
+    for doc in ("COVERAGE.md", "SCALE.md", "README.md"):
+        text = (SRC.parent.parent / doc).read_text()
+        names = set(re.findall(r"\bq\d?_[a-z0-9_]*[a-z0-9]\b", text))
+        if names - set(QUERIES):
+            stale[doc] = sorted(names - set(QUERIES))
+    assert not stale, f"docs name unregistered operators: {stale}"

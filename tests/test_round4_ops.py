@@ -252,23 +252,3 @@ def test_typo_variant_pairs_matches_bruteforce(ray_session):
     assert ("cafe", "café") not in pairs
 
 
-def test_crawl_schedule_null_domain_partition(ray_session, tmp_path):
-    """A NULL domain is its own partition (SQL PARTITION BY
-    semantics) and sorts last within each round — pandas groupby
-    would silently DROP the NaN group without dropna=False."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_crawl_schedule
-
-    tbl = pa.table({"doc_id": pa.array([1, 2, 3, 4, 5, 6], "int64"),
-                    "text": pa.array(["a"] * 6, "string"),
-                    "lang": pa.array(["en"] * 6, "string"),
-                    "source": pa.array(["s1", "s2", None, "s1",
-                                        None, "s2"], "string"),
-                    "n_chars": pa.array([1] * 6, "int64")})
-    pq.write_table(tbl, tmp_path / "documents.parquet")
-    got = q_crawl_schedule(str(tmp_path))
-    assert got["doc_id"].tolist() == [1, 2, 3, 4, 6, 5]
-    assert got["r"].tolist() == [1, 1, 1, 2, 2, 2]
-    assert got["slot"].tolist() == [1, 2, 3, 4, 5, 6]

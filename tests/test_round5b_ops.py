@@ -1,6 +1,5 @@
 """Round-5 fourth-session operator differentials: URL canonicalization
-rules, anchor-text extraction, source vocabulary overlap, the link-graph
-degree / reciprocity statistics."""
+rules, anchor-text extraction and source vocabulary overlap."""
 
 import numpy as np
 import pandas as pd
@@ -85,54 +84,3 @@ def test_source_overlap_matches_pandas(ray_session, tmp_path):
         assert int(r["n_common"]) == len(a & b)
         assert int(r["n_union"]) == len(a | b)
         assert abs(float(r["jaccard"]) - len(a & b) / len(a | b)) < 1e-6
-
-
-# ------------------------------------------------------- graph QA stats
-def _edges_ref(doc_ids: np.ndarray) -> pd.DataFrame:
-    m = int(doc_ids.max()) + 1
-    d = doc_ids
-    return pd.DataFrame({
-        "src": np.repeat(d, 3),
-        "dst": np.stack([(d * d + 5) % m, (d * 7 + 3) % m,
-                         (d // 3 + 11) % m], axis=1).reshape(-1)})
-
-
-def test_degree_dist_matches_pandas(ray_session, tmp_path):
-    docs = pd.DataFrame({"doc_id": np.arange(700, dtype="int64"),
-                         "text": "t", "lang": "en", "source": "s",
-                         "n_chars": 1})
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    docs.to_parquet(sf / "documents.parquet", index=False)
-
-    from bb_ocr_ray.pipelines.queries import q_degree_dist
-    got = q_degree_dist(str(sf))
-
-    e = _edges_ref(docs["doc_id"].to_numpy())
-    for direction, col in (("out", "src"), ("in", "dst")):
-        deg = e.groupby(col).size()
-        want = (np.floor(np.log2(deg.to_numpy("float64")))
-                .astype("int64"))
-        wh = pd.Series(want).value_counts().sort_index()
-        sub = got[got["direction"] == direction]
-        assert sub["bucket"].tolist() == wh.index.tolist()
-        assert sub["n_nodes"].tolist() == wh.tolist()
-
-
-def test_reciprocity_matches_brute_force(ray_session, tmp_path):
-    docs = pd.DataFrame({"doc_id": np.arange(500, dtype="int64"),
-                         "text": "t", "lang": "en", "source": "s",
-                         "n_chars": 1})
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    docs.to_parquet(sf / "documents.parquet", index=False)
-
-    from bb_ocr_ray.pipelines.queries import q_reciprocity
-    got = q_reciprocity(str(sf))
-
-    e = _edges_ref(docs["doc_id"].to_numpy()).drop_duplicates()
-    es = set(map(tuple, e.to_numpy()))
-    mutual = sum(1 for (s, d) in es if (d, s) in es)  # self-loop = own rev
-    assert int(got["n_edges"].iloc[0]) == len(es)
-    assert int(got["n_mutual"].iloc[0]) == mutual
-    assert abs(float(got["reciprocity"].iloc[0]) - mutual / len(es)) < 1e-6

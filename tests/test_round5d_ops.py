@@ -1,8 +1,7 @@
 """Round-5 sixth-session operator differentials: each new registry
 entry vs an independently-coded (usually brute-force) reference on
-hand-built inputs — entropy / chi-squared vs closed forms, the robots
-gate vs a per-row loop, and the clustering coefficient vs adjacency-set
-counting."""
+hand-built inputs — entropy / chi-squared vs closed forms and the
+robots gate vs a per-row loop."""
 import math
 
 import numpy as np
@@ -94,30 +93,3 @@ def test_robots_filter_matches_per_row_loop(ray_session, tmp_path):
     assert (got["n_blocked"] > 0).all()       # every host's rule fires
 
 
-# ------------------------------------------------ clustering coefficient
-def test_clustering_coeff_matches_adjacency_reference(ray_session,
-                                                      tmp_path):
-    n = 2500
-    sf = _write(tmp_path, documents=_docs(n))
-
-    from bb_ocr_ray.pipelines.queries import q_clustering_coeff
-    got = q_clustering_coeff(sf)
-
-    edges = set()
-    ids = set(range(n))
-    for d in range(n):
-        if ((d * d + 3 * d) % 11) >= 3 and d + 1 in ids:
-            edges.add((d, d + 1))
-        if ((7 * d + 5) % 13) >= 4 and d + 2 in ids:
-            edges.add((d, d + 2))
-    adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    wedges = sum(len(s) * (len(s) - 1) // 2 for s in adj.values())
-    tri = sum(1 for (u, v) in edges
-              for w in adj[u] & adj[v] if w > v)   # u < v < w once each
-    # (u,v) ordered u<v already; require w>v so each triangle counts once
-    assert int(got["n_triangles"].iloc[0]) == tri
-    assert int(got["n_wedges"].iloc[0]) == wedges
-    assert abs(got["global_cc"].iloc[0] - 3 * tri / wedges) < 1e-6

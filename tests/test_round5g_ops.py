@@ -1,10 +1,9 @@
 """Round-5 sixth-session batch-C differentials: Heaps vocab growth vs
-set-prefix counting, shard balance vs per-domain hashing, and prefix
-cluster sizes vs Counter arithmetic."""
+set-prefix counting, and prefix cluster sizes vs Counter arithmetic."""
 import numpy as np
 import pandas as pd
 
-from bb_ocr_ray.functions.hashing import stable_u64, ws_tokens
+from bb_ocr_ray.functions.hashing import ws_tokens
 
 
 def _write(tmp_path, **tables):
@@ -40,37 +39,6 @@ def test_vocab_growth_matches_prefix_sets(ray_session, tmp_path):
     assert int(got["new_tokens"].sum()) == int(got["vocab"].iloc[-1])
     assert got["vocab"].is_monotonic_increasing
     assert got["vocab"].iloc[-1] > got["vocab"].iloc[0]   # real growth
-
-
-# ---------------------------------------------------------- shard balance
-def test_shard_balance_matches_per_domain_hash(ray_session, tmp_path):
-    n = 3000
-    df = pd.DataFrame({"doc_id": np.arange(n, dtype="int64"),
-                       "text": "x", "lang": "en", "source": "s",
-                       "n_chars": np.int64(1)})
-    sf = _write(tmp_path, documents=df)
-
-    from bb_ocr_ray.pipelines.queries import q_shard_balance
-    got = q_shard_balance(sf)
-
-    from collections import Counter
-    dom_docs: Counter = Counter()
-    for d in range(n):
-        m = d % 10
-        dom = "hot.example.com" if m < 3 else f"site{m}.example.com"
-        dom_docs[dom] += 1
-    shards: dict = {}
-    for dom, c in dom_docs.items():
-        s = stable_u64(dom) % 8
-        nd, nc = shards.get(s, (0, 0))
-        shards[s] = (nd + 1, nc + c)
-    assert list(got["shard"]) == sorted(shards)
-    for _, r in got.iterrows():
-        assert (r["n_domains"], r["n_docs"]) == shards[r["shard"]]
-    assert int(got["n_docs"].sum()) == n
-    assert int(got["n_domains"].sum()) == 8     # hot + site3..site9
-    # the hot domain's shard is visibly heavier than a balanced split
-    assert got["n_docs"].max() >= 0.3 * n
 
 
 # ----------------------------------------------------- prefix clusters

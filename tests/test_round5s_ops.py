@@ -1,6 +1,5 @@
 """Round-5 seventh-session batch-L differentials: Gopher rule flags on
-planted pass/fail docs, and largest-remainder budget apportionment vs
-a direct Hamilton computation (sums exactly to the budget)."""
+planted pass/fail docs."""
 import numpy as np
 import pandas as pd
 
@@ -44,37 +43,3 @@ def test_gopher_rules_planted_docs(ray_session, tmp_path):
     assert int(got["n_keep"]) == 1
 
 
-# -------------------------------------------------------------- budget alloc
-def test_budget_alloc_hamilton_exact(ray_session, tmp_path):
-    # doc_id % 10 < 3 -> hot domain (30%); others 10% each
-    n = 997                                # prime: remainders all live
-    docs = pd.DataFrame({"doc_id": np.arange(n, dtype="int64"),
-                         "text": "x", "lang": "en", "source": "s",
-                         "n_chars": np.int64(1)})
-    sf = _write(tmp_path, documents=docs)
-
-    from bb_ocr_ray.pipelines.queries import q_budget_alloc
-    got = q_budget_alloc(sf)
-
-    # budgets sum EXACTLY to 10000 (the whole point of Hamilton)
-    assert int(got["budget"].sum()) == 10_000
-    assert int(got["n_docs"].sum()) == n
-
-    # independent largest-remainder computation
-    from collections import Counter
-    cnt: Counter = Counter()
-    for d in range(n):
-        m = d % 10
-        cnt["hot.example.com" if m < 3
-            else f"site{m}.example.com"] += 1
-    base = {k: (10_000 * c) // n for k, c in cnt.items()}
-    rem = {k: (10_000 * c) % n for k, c in cnt.items()}
-    extra = 10_000 - sum(base.values())
-    order = sorted(cnt, key=lambda k: (-rem[k], k))
-    want = {k: base[k] + (1 if order.index(k) < extra else 0)
-            for k in cnt}
-    assert {r["domain"]: r["budget"] for _, r in got.iterrows()} == want
-    # proportionality: the hot domain gets ~3x a cold one
-    hot = int(got.set_index("domain").loc["hot.example.com", "budget"])
-    cold = int(got.set_index("domain").loc["site5.example.com", "budget"])
-    assert 2.5 < hot / cold < 3.5

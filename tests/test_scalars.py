@@ -230,44 +230,3 @@ def test_pii_unicode_digit_not_matched():
     assert redact_text(text)[0] == text
 
 
-def test_canonical_url_contract():
-    """URL canonicalization: fragment dropped, scheme+host lowercased,
-    default port stripped (scheme-aware), tracking params removed
-    name-anchored (a VALUE containing utm_ survives), empty path -> /,
-    junk passes through fragment-stripped."""
-    from bb_ocr_ray.functions.scalars import canonical_url as c
-
-    assert (c("HTTP://Site1.Example.COM:80/path2?utm_source=x&id=5#f")
-            == "http://site1.example.com/path2?id=5")
-    assert c("https://A.B:443") == "https://a.b/"
-    assert c("https://a.b:443/p?utm_a=1&utm_b=2") == "https://a.b/p"
-    assert c("http://a.b:8080/p") == "http://a.b:8080/p"   # non-default port
-    assert c("https://a.b:80/p") == "https://a.b:80/p"     # wrong scheme:port
-    assert c("http://a.b/p?x=utm_foo&ref=1") == "http://a.b/p?x=utm_foo"
-    assert c("http://a.b/p?fbclid=1&gclid=2") == "http://a.b/p"
-    assert c("not a url#frag") == "not a url"
-    assert c("http://a.b/p?id=1&id=2") == "http://a.b/p?id=1&id=2"  # order kept
-
-
-def test_canonical_url_idempotent():
-    """canonical(canonical(u)) == canonical(u) over a seeded battery of
-    noisy URL shapes (a canonicalizer that isn't idempotent corrupts
-    re-crawled frontiers)."""
-    import numpy as np
-
-    from bb_ocr_ray.functions.scalars import canonical_url as c
-
-    rng = np.random.RandomState(7)
-    schemes = ["http", "HTTP", "https", "HTTPS", "ftp"]
-    hosts = ["A.Example.COM", "x.y", "site1.example.com:80",
-             "s.e.com:443", "h:8080", "user@pw.example.com:80"]
-    paths = ["", "/", "/p", "/p/q.html"]
-    queries = ["", "?utm_source=a", "?id=1&utm_b=2", "?ref=1&x=2&fbclid=3",
-               "?a=1&a=2"]
-    frags = ["", "#f", "#frag with space"]
-    for _ in range(300):
-        u = (rng.choice(schemes) + "://" + rng.choice(hosts)
-             + rng.choice(paths) + rng.choice(queries) + rng.choice(frags))
-        once = c(u)
-        assert c(once) == once, u
-        assert "#" not in once

@@ -526,113 +526,6 @@ def test_grouped_per_key_matches_map_groups_semantics(ray_session):
         exp.astype({"v": "int64", "n": "int64"}))
 
 
-def test_triangle_count_operator_matches_bruteforce(ray_session):
-    """Degree-oriented triangle_count == brute-force enumeration on a
-    random graph with parallel/reversed/self-loop noise, and on a star
-    graph (hub of 60) where the hub's out-degree must be 0 under the
-    orientation, so correctness there proves celebrity safety."""
-    from itertools import combinations
-
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.graph import triangle_count
-
-    rng = np.random.RandomState(5)
-    u = rng.randint(0, 60, 500)
-    v = rng.randint(0, 60, 500)
-    noisy = pd.DataFrame({
-        "src": np.concatenate([u, v, u[:50], np.arange(10)]),
-        "dst": np.concatenate([v, u, v[:50], np.arange(10)]),
-    }).astype("int64")
-
-    def brute(df):
-        es = {(min(a, b), max(a, b))
-              for a, b in zip(df["src"], df["dst"]) if a != b}
-        adj = {}
-        for a, b in es:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        tri = set()
-        for x in adj:
-            for y, z in combinations(sorted(adj[x]), 2):
-                if (min(y, z), max(y, z)) in es:
-                    tri.add(tuple(sorted((x, y, z))))
-        return sorted(tri)
-
-    got = triangle_count(rd.from_pandas(noisy)).to_pandas()
-    got_t = sorted(zip(got["a"], got["b"], got["c"]))
-    want = brute(noisy)
-    assert got_t == want
-    assert len(got_t) == len(set(got_t))
-    assert len(want) > 20          # non-degenerate
-
-    # star: hub 0 -- leaves 1..60, plus 8 leaf-leaf chords
-    leaves = np.arange(1, 61, dtype="int64")
-    star = pd.DataFrame({
-        "src": np.concatenate([np.zeros(60, dtype="int64"),
-                               leaves[:8]]),
-        "dst": np.concatenate([leaves, leaves[1:9]])})
-    got2 = triangle_count(rd.from_pandas(star)).to_pandas()
-    got2_t = sorted(zip(got2["a"], got2["b"], got2["c"]))
-    assert got2_t == brute(star)
-    assert len(got2_t) == 8        # one triangle per chord
-
-
-def test_triangle_count_degree_paths_agree(ray_session):
-    """The size-gated degree attachment (broadcast searchsorted vs two
-    hash joins) is a pure plan choice: forcing the hash path with a
-    0-byte gate must yield the identical triangle set."""
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.graph import triangle_count
-
-    rng = np.random.RandomState(11)
-    df = pd.DataFrame({
-        "src": rng.randint(0, 80, 700),
-        "dst": rng.randint(0, 80, 700)}).astype("int64")
-
-    bcast = triangle_count(rd.from_pandas(df)).to_pandas()
-    joined = triangle_count(rd.from_pandas(df),
-                            degree_broadcast_limit=0).to_pandas()
-    key = lambda t: sorted(zip(t["a"], t["b"], t["c"]))  # noqa: E731
-    assert key(bcast) == key(joined)
-    assert len(bcast) > 20          # non-degenerate
-
-
-def test_seed_distance_matches_numpy_bfs(ray_session, sf_tiny):
-    """q_seed_distance == a direct numpy/dict BFS over the same
-    existence-checked DAG (min hop from any seed, capped)."""
-    from collections import deque
-
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_seed_distance
-
-    got = q_seed_distance(sf_tiny)
-
-    ids = set(pq.read_table(f"{sf_tiny}/documents.parquet",
-                            columns=["doc_id"])["doc_id"].to_pylist())
-    adj = {}
-    for d in ids:
-        if (d * d + 3 * d) % 11 >= 3 and d + 1 in ids:
-            adj.setdefault(d, []).append(d + 1)
-        if (7 * d + 5) % 13 >= 4 and d + 2 in ids:
-            adj.setdefault(d, []).append(d + 2)
-    dist = {d: 0 for d in ids if d % 97 == 0}
-    q = deque(dist)
-    while q:
-        u = q.popleft()
-        if dist[u] >= 8:
-            continue
-        for v in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    want = sorted(dist.items())
-    assert list(zip(got["node"], got["dist"])) == want
-    assert got["dist"].max() >= 2          # real multi-hop propagation
-
-
 def test_bucketed_join_pins_dtypes(ray_session):
     """VERDICT r4 item 3: int64 keys/payloads survive the bucketed
     join's emit boundary on BOTH block paths.  Ray's sort shuffle
@@ -768,61 +661,3 @@ def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
                                got["hub"].to_numpy(), rtol=0, atol=1e-12)
 
 
-def test_zorder_locality_property():
-    """Morton keys interleave correctly (hand-checked values) and
-    deliver the locality they promise: points in a small 2-D box span
-    a far smaller zkey range than the same count of random points."""
-    import numpy as np
-
-    from bb_ocr_ray.pipelines.queries import _part1by1_u16
-
-    # hand-checked spreads
-    assert _part1by1_u16(np.array([0b1011]))[0] == 0b1000101
-    assert _part1by1_u16(np.array([0xFFFF]))[0] == 0x55555555
-
-    def zkey(a, c):
-        return (_part1by1_u16(a).astype(np.uint64)
-                | (_part1by1_u16(c).astype(np.uint64) << np.uint64(1)))
-
-    # interleave identity: zkey(a, c) bits alternate a/c
-    z = int(zkey(np.array([0b101]), np.array([0b011]))[0])
-    # a=101, c=011 -> bits (lsb first) a0=1 c0=1 a1=0 c1=1 a2=1 c2=0
-    assert z == 0b011011
-
-    rng = np.random.RandomState(0)
-    box_a = rng.randint(1000, 1032, 200).astype(np.uint32)
-    box_c = rng.randint(2000, 2032, 200).astype(np.uint32)
-    rand_a = rng.randint(0, 65536, 200).astype(np.uint32)
-    rand_c = rng.randint(0, 65536, 200).astype(np.uint32)
-    zbox = zkey(box_a, box_c)
-    zrand = zkey(rand_a, rand_c)
-    spread_box = int(zbox.max() - zbox.min())
-    spread_rand = int(zrand.max() - zrand.min())
-    assert spread_box * 100 < spread_rand    # locality: >100x tighter
-
-
-def test_seed_distance_gate_paths_agree(ray_session, sf_tiny):
-    """q_seed_distance's three loop shapes — pure driver-resident,
-    mid-run spill to the distributed loop, and pure distributed —
-    produce identical (node, dist) labelings, and the gate reports
-    each path taken."""
-    from bb_ocr_ray.pipelines.queries import q_seed_distance
-
-    choices = []
-    driver = q_seed_distance(sf_tiny, _on_choice=choices.append)
-    assert choices == ["driver"]
-
-    choices.clear()
-    spill = q_seed_distance(sf_tiny, visited_broadcast_limit=500,
-                            _on_choice=choices.append)
-    assert choices == ["driver", "distributed"]
-
-    choices.clear()
-    dist = q_seed_distance(sf_tiny, visited_broadcast_limit=0,
-                           _on_choice=choices.append)
-    assert choices == ["distributed"]
-
-    for other in (spill, dist):
-        assert driver["node"].tolist() == other["node"].tolist()
-        assert driver["dist"].tolist() == other["dist"].tolist()
-    assert len(driver) > 10 and driver["dist"].max() >= 2
