@@ -139,56 +139,113 @@ def dedup_pairs(pairs_ds, cols=("id_a", "id_b"),
     return pre.groupby("_coarse").map_groups(dd, batch_format="pandas")
 
 
+_BUCKET_CAP = 64
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array: a bijection, so folding
+    one slot at a time never merges two different slot values."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """SWAR popcount of a uint64 array (numpy 1.26 has no bitwise_count)."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = ((x & np.uint64(0x3333333333333333))
+         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def cap_chain_pairs(frame: pd.DataFrame, keys: list, id_col: str,
+                    what: str):
+    """The LSH bucket pair rule, vectorized: ``(rows, pos_a, pos_b)``.
+
+    ``rows`` is ``frame`` without repeated (bucket, id) rows, restricted
+    to colliding buckets and sorted by (bucket, id); ``pos_a``/``pos_b``
+    are row positions into it.  With ``rn`` the 1-based rank of a row
+    in its bucket, a pair is emitted iff
+    ``rn_a < rn_b AND (rn_b <= cap OR rn_b = rn_a + 1)`` — full pairwise
+    on the first ``cap`` members, the over-cap tail CHAINED (consecutive
+    pairs), so a duplicate flood stays connected at O(B) cost instead of
+    B^2/2 pairs.  Exactly the SQL oracles' rule; over-cap buckets log
+    one warning with the largest bucket's size."""
+    import logging
+
+    cap = _BUCKET_CAP
+    rows = (frame.drop_duplicates(keys + [id_col])
+            .loc[lambda f: f.duplicated(keys, keep=False)]
+            .sort_values(keys + [id_col], kind="mergesort", ignore_index=True))
+    n = len(rows)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for c in keys:
+        v = rows[c].to_numpy()
+        new[1:] |= v[1:] != v[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, n))
+    rn = np.arange(n) - np.repeat(starts, sizes)          # 0-based rank
+    over = sizes[sizes > cap]
+    if len(over):
+        logging.getLogger(__name__).warning(
+            "%s: %d bucket(s) exceed cap %d (largest %d docs); chaining "
+            "the tail", what, len(over), cap, over.max())
+    # head: row r pairs with the (head - r - 1) head rows after it
+    partners = np.maximum(np.repeat(np.minimum(sizes, cap), sizes) - rn - 1, 0)
+    pos_a = np.repeat(np.arange(n), partners)
+    step = np.arange(len(pos_a)) - np.repeat(np.cumsum(partners) - partners,
+                                             partners) + 1
+    tail = np.flatnonzero(rn >= cap)
+    return (rows, np.concatenate([pos_a, tail - 1]),
+            np.concatenate([pos_a + step, tail]))
+
+
 def minhash_explode(batch: pd.DataFrame, id_col: str, text_col: str,
                     n_bands: int = 32) -> pd.DataFrame:
-    """doc batch -> (band_id, band_hash, doc_id) rows for the LSH groupby.
+    """doc batch -> (band_id, band_key, doc_id) rows for the LSH shuffle.
 
     Signatures come from the batched kernel (one numpy expression per
-    batch instead of per doc — VERDICT r3 item 3); the band digests are
-    zero-copy slices of each signature row's buffer (md5 of the same
-    bytes ``minhash_bands`` hashes)."""
-    import hashlib
-
+    batch instead of per doc — VERDICT r3 item 3).  Each band's slots
+    fold into one deterministic uint64 ``band_key`` (a splitmix64 chain
+    over the band's slot values, all numpy): two docs share a bucket
+    iff they agree on every slot of the band, up to a 2^-64 key
+    collision — the collision class of a 16-hex-digit digest, with
+    fixed-width columns and no per-band Python string."""
     from bb_ocr_ray.functions.hashing import minhash_signatures_batch
 
     sigs = minhash_signatures_batch(list(batch[text_col]))
     n_docs, n_perm = sigs.shape
-    rows_per_band = n_perm // n_bands
-    band_bytes = rows_per_band * 8
-    md5 = hashlib.md5
-    hashes = []
-    for r in range(n_docs):
-        buf = sigs[r].tobytes()
-        for b in range(n_bands):
-            hashes.append(
-                md5(buf[b * band_bytes:(b + 1) * band_bytes])
-                .hexdigest()[:16])
+    slots = sigs.reshape(n_docs, n_bands, n_perm // n_bands)
+    key = np.zeros((n_docs, n_bands), dtype=np.uint64)
+    for j in range(slots.shape[2]):
+        key = _mix64(key ^ slots[:, :, j])
     return pd.DataFrame(
         {"band_id": np.tile(np.arange(n_bands, dtype=np.int64), n_docs),
-         "band_hash": pd.Series(hashes, dtype="object"),
-         id_col: np.repeat(batch[id_col].to_numpy(), n_bands)})
+         "band_key": key.ravel(),
+         id_col: np.repeat(batch[id_col].to_numpy(np.int64), n_bands)})
 
 
 def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                        n_bands: int = 32):
-    """LSH candidate pairs: shingle -> minhash -> band -> bucket groupby.
+    """LSH candidate pairs: shingle -> minhash -> band -> bucket shuffle.
 
     Returns a Dataset of (id_a, id_b) candidate pairs (id_a < id_b),
-    deduplicated.  Scale notes: the shuffle key is (band_id, band_hash);
-    a bucket with B docs yields B*(B-1)/2 pairs — degenerate buckets
-    (duplicate floods) do full pairwise on the first 64 members and
-    CHAIN the rest (consecutive pairs), so connectivity survives at
-    O(B) cost instead of pairs silently vanishing; a warning with the
-    bucket size is logged.
+    deduplicated.  Scale notes: a bucket is (band_id, band_key) and
+    every shuffled row is four fixed-width ints (band_id, band_key,
+    coarse, doc_id — 32 B); a bucket with B docs yields B*(B-1)/2
+    pairs — degenerate buckets (duplicate floods) do full pairwise on
+    the first 64 members and CHAIN the rest (:func:`cap_chain_pairs`),
+    so connectivity survives at O(B) cost instead of pairs silently
+    vanishing; a warning with the bucket size is logged.
     """
-    import logging
-
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    # Shuffle-cardinality design: grouping directly on (band, hash)
+    # Shuffle-cardinality design: grouping directly on (band, key)
     # means ~n_docs×n_bands mostly-singleton groups, and Ray's grouped
     # ops pay per-GROUP overhead (measured 25 s for 153k groups).
-    # Instead shuffle ONCE on a coarse integer key (hash(bucket) %
+    # Instead shuffle ONCE on a coarse integer key (band_key %
     # coarse_buckets, one group per reducer slot) and find colliding
     # buckets INSIDE each task with vectorized pandas — per-row cost,
     # not per-group.  Identical output, ~10× faster here, and at scale
@@ -197,41 +254,20 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
     def to_rows(b: pd.DataFrame) -> pd.DataFrame:
         out = minhash_explode(b, id_col, text_col, n_bands)
-        bucket = out["band_id"].astype(str) + ":" + out["band_hash"]
-        coarse = (pd.util.hash_array(bucket.to_numpy(), categorize=False)
-                  % coarse_buckets).astype("int64")
-        return pd.DataFrame(
-            {"bucket": bucket, "coarse": coarse, id_col: out[id_col]}
-        )
+        # band_key is already mixed: its residue spreads buckets evenly
+        out["coarse"] = (out["band_key"].to_numpy()
+                         % np.uint64(coarse_buckets)).astype(np.int64)
+        return out
 
     exploded = docs_ds.map_batches(to_rows, batch_format="pandas")
 
-    bucket_cap = 64
-
     def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # colliding buckets only (vectorized duplicate mask)
-        dup = group[group.duplicated("bucket", keep=False)]
-        out_a, out_b = [], []
-        for _, g in dup.groupby("bucket", sort=True):
-            ids = sorted(set(g[id_col]))
-            head_n = min(len(ids), bucket_cap)
-            if len(ids) > bucket_cap:
-                logging.getLogger(__name__).warning(
-                    "minhash_candidates: bucket of %d docs exceeds cap "
-                    "%d; chaining the tail", len(ids), bucket_cap)
-            for i in range(head_n):
-                for j in range(i + 1, head_n):
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-            # chain the over-cap tail: keeps the bucket connected for
-            # downstream verify + clustering at O(B) cost
-            for i in range(head_n, len(ids)):
-                out_a.append(ids[i - 1])
-                out_b.append(ids[i])
-        return pd.DataFrame(
-            {"id_a": pd.Series(out_a, dtype="int64"),
-             "id_b": pd.Series(out_b, dtype="int64")}
-        )
+        rows, ia, ib = cap_chain_pairs(group, ["band_id", "band_key"],
+                                       id_col, "minhash_candidates")
+        ids = rows[id_col].to_numpy(np.int64)
+        # a pair colliding in several bands of this group emits once
+        return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]}
+                            ).drop_duplicates()
 
     pairs = exploded.groupby("coarse").map_groups(coarse_pairs,
                                                   batch_format="pandas")
@@ -429,10 +465,8 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     pay per-GROUP overhead — the same trap minhash_candidates measured
     (25 s for 153k groups).  Instead the packed bucket key shuffles
     ONCE on a coarse integer (one group per reducer slot) and colliding
-    buckets are found INSIDE each task with a vectorized duplicate
-    mask.  Identical pair set."""
-    import logging
-
+    buckets are found INSIDE each task by :func:`cap_chain_pairs` and
+    hamming-filtered with a SWAR popcount.  Identical pair set."""
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     coarse_buckets = _auto_num_buckets()
@@ -456,37 +490,18 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
              "sh": np.repeat(sh, n_tables)})
 
     exploded = docs_ds.map_batches(explode, batch_format="pandas")
-    cap = 64
 
     def coarse_verify(group: pd.DataFrame) -> pd.DataFrame:
-        # colliding buckets only (vectorized duplicate mask); per-row
-        # cost, not per-group — singleton buckets never reach Python
-        dup = group[group.duplicated("tb", keep=False)]
-        out = {"id_a": [], "id_b": [], "hamming": []}
-        for _, g in dup.groupby("tb", sort=True):
-            recs = sorted(zip(g[id_col], g["sh"]))
-            head_n = min(len(recs), cap)
-            if len(recs) > cap:
-                logging.getLogger(__name__).warning(
-                    "simhash_near_dups: band bucket of %d docs exceeds "
-                    "cap %d; chaining the tail", len(recs), cap)
-
-            def emit(i, j):
-                d = bin(int(recs[i][1]) ^ int(recs[j][1])).count("1")
-                if d <= max_hamming:
-                    out["id_a"].append(recs[i][0])
-                    out["id_b"].append(recs[j][0])
-                    out["hamming"].append(d)
-
-            for i in range(head_n):
-                for j in range(i + 1, head_n):
-                    emit(i, j)
-            # chain the over-cap tail (still hamming-verified):
-            # preserves duplicate-flood connectivity at O(B) cost
-            for i in range(head_n, len(recs)):
-                emit(i - 1, i)
-        return pd.DataFrame({k: pd.Series(v, dtype="int64")
-                             for k, v in out.items()})
+        # colliding buckets only, cap+chain rule (chain pairs included)
+        # then the hamming filter — vectorized, per-row cost
+        rows, ia, ib = cap_chain_pairs(group, ["tb"], id_col,
+                                       "simhash_near_dups")
+        ids = rows[id_col].to_numpy(np.int64)
+        sh = rows["sh"].to_numpy(np.uint64)
+        d = _popcount64(sh[ia] ^ sh[ib])
+        ok = d <= max_hamming
+        return pd.DataFrame({"id_a": ids[ia][ok], "id_b": ids[ib][ok],
+                             "hamming": d[ok]})
 
     pairs = exploded.groupby("coarse").map_groups(coarse_verify,
                                                   batch_format="pandas")
@@ -504,62 +519,49 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
                       text_col: str = "text", min_jaccard: float = 0.5):
     """Verify LSH candidate pairs against true token-set Jaccard.
 
-    The candidate pair set is sparse (that is LSH's job), so the token
-    sets of ONLY the mentioned docs are broadcast — never the corpus.
-    The threshold test is exact integer arithmetic (the decimal
-    min_jaccard becomes a Fraction), so boundary pairs like 11/20 at
-    j=0.55 are kept on every engine.
+    The candidate pair set is sparse (that is LSH's job — the caller
+    gates it at ``driver_max_pairs``), so it is collected once, ONE
+    corpus pass keeps the (id, text) rows of only the mentioned docs
+    (an Arrow ``is_in`` filter — never the corpus), and the token sets
+    and the test run on the driver.  The threshold test is exact
+    integer arithmetic (the decimal min_jaccard becomes a Fraction), so
+    boundary pairs like 11/20 at j=0.55 are kept on every engine.
+    Returns a Dataset of (id_a, id_b, inter, uni) for the kept pairs.
     """
     from fractions import Fraction
-    import ray
+
+    import pyarrow.compute as pc
     import ray.data as rd
 
     pairs = pairs_ds.to_pandas()
-    if pairs.empty:
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "inter": pd.Series([], dtype="int64"),
-                              "uni": pd.Series([], dtype="int64")})
-        return rd.from_pandas(empty)   # same type as the non-empty branch
-    mentioned = set(pairs["id_a"]) | set(pairs["id_b"])
+    kept = []
+    if len(pairs):
+        id_a = pairs["id_a"].to_numpy(np.int64)
+        id_b = pairs["id_b"].to_numpy(np.int64)
+        mentioned = pa.array(np.unique(np.concatenate([id_a, id_b])))
 
-    def token_sets(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch[batch[id_col].isin(mentioned)]
-        return pd.DataFrame(
-            {id_col: b[id_col],
-             "toks": [sorted(set((t or "").split(" "))) for t in b[text_col]]}
-        )
+        def mentioned_rows(b: pa.Table) -> pa.Table:
+            ids = b.column(id_col)
+            return b.select([id_col, text_col]).filter(
+                pc.is_in(ids, value_set=mentioned.cast(ids.type)))
 
-    tok = docs_ds.map_batches(token_sets, batch_format="pandas").to_pandas()
-    lut = {int(i): frozenset(t) for i, t in zip(tok[id_col], tok["toks"])}
-    lut_ref = ray.put(lut)
-
-    import ray.data as rd
-
-    jfrac = Fraction(str(min_jaccard))
-
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        table = ray.get(lut_ref)
-        inter, uni, keep = [], [], []
-        for a, b in zip(batch["id_a"], batch["id_b"]):
-            sa, sb = table.get(int(a)), table.get(int(b))
+        docs = docs_ds.map_batches(mentioned_rows,
+                                   batch_format="pyarrow").to_pandas()
+        lut = {int(i): frozenset((t or "").split(" "))
+               for i, t in zip(docs[id_col], docs[text_col])}
+        j = Fraction(str(min_jaccard))
+        for a, b in zip(id_a.tolist(), id_b.tolist()):
+            sa, sb = lut.get(a), lut.get(b)
             if sa is None or sb is None:
-                keep.append(False)
-                inter.append(0)
-                uni.append(0)
                 continue
             i = len(sa & sb)
             u = len(sa) + len(sb) - i
-            # exact: i/u >= jfrac  <=>  i*den >= num*u (integers only)
-            keep.append(u > 0
-                        and i * jfrac.denominator >= jfrac.numerator * u)
-            inter.append(i)
-            uni.append(u)
-        out = batch.assign(inter=pd.Series(inter, dtype="int64").values,
-                           uni=pd.Series(uni, dtype="int64").values)
-        return out[pd.Series(keep).values]
-
-    return rd.from_pandas(pairs).map_batches(verify, batch_format="pandas")
+            # exact: i/u >= j  <=>  i*den >= num*u (Python ints only)
+            if u > 0 and i * j.denominator >= j.numerator * u:
+                kept.append((a, b, i, u))
+    out = np.array(kept, dtype=np.int64).reshape(-1, 4)
+    return rd.from_pandas(pd.DataFrame(out, columns=["id_a", "id_b",
+                                                     "inter", "uni"]))
 
 
 def connected_components(pairs_df: pd.DataFrame, max_rounds: int = 20) -> pd.DataFrame:

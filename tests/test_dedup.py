@@ -152,6 +152,96 @@ def test_simhash_flood_connectivity(ray_session):
     assert (pairs["hamming"] == 0).all()
 
 
+def _sql_cap_chain_pairs(frame, keys, id_col, cap=64):
+    """Brute-force transcription of the LSH oracles' pair rule:
+    ``row_number() OVER (PARTITION BY bucket ORDER BY id)`` over the
+    distinct (bucket, id) rows, then every pair with
+    ``rn_a < rn_b AND (rn_b <= cap OR rn_b = rn_a + 1)``."""
+    members = {}
+    for row in frame[keys + [id_col]].itertuples(index=False):
+        members.setdefault(tuple(row[:-1]), set()).add(row[-1])
+    out = set()
+    for ids in members.values():
+        ids = sorted(ids)
+        for a in range(1, len(ids) + 1):
+            for b in range(a + 1, len(ids) + 1):
+                if b <= cap or b == a + 1:
+                    out.add((ids[a - 1], ids[b - 1]))
+    return out
+
+
+def test_cap_chain_pairs_matches_sql_rule():
+    """The vectorized emitter equals the SQL rule on unsorted input with
+    bucket sizes at and around the cap, repeated (bucket, id) rows and
+    buckets that differ in one key column only; it emits each pair once
+    and keeps only colliding buckets."""
+    import numpy as np
+
+    from bb_ocr_ray.stages.dedup import cap_chain_pairs
+
+    rng = np.random.default_rng(7)
+    band_id, band_key, ids = [], [], []
+    for n, size in enumerate((1, 2, 63, 64, 65, 130)):
+        for band in (0, 1):   # same band_key, different band_id
+            members = rng.choice(10_000, size, replace=False)
+            band_id += [band] * size
+            band_key += [np.uint64(2**63 + n)] * size
+            ids += members.tolist()
+    frame = pd.DataFrame({"band_id": np.array(band_id, dtype=np.int64),
+                          "band_key": np.array(band_key, dtype=np.uint64),
+                          "doc_id": np.array(ids, dtype=np.int64)})
+    frame = pd.concat([frame, frame.sample(200, random_state=1)])   # repeats
+    frame = frame.sample(frac=1.0, random_state=2).reset_index(drop=True)
+
+    keys = ["band_id", "band_key"]
+    rows, pos_a, pos_b = cap_chain_pairs(frame, keys, "doc_id", "test")
+    got = list(zip(rows["doc_id"].to_numpy()[pos_a],
+                   rows["doc_id"].to_numpy()[pos_b]))
+    want = _sql_cap_chain_pairs(frame, keys, "doc_id")
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert not rows.duplicated(keys + ["doc_id"]).any()
+    assert rows.groupby(keys).size().min() >= 2   # singletons dropped
+
+    empty = frame.iloc[:0]
+    rows, pos_a, pos_b = cap_chain_pairs(empty, keys, "doc_id", "test")
+    assert len(rows) == len(pos_a) == len(pos_b) == 0
+
+
+def test_popcount64_matches_bin_count():
+    import numpy as np
+
+    from bb_ocr_ray.stages.dedup import _popcount64
+
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.integers(0, 2**63, 500, dtype=np.uint64) * 2 + 1,
+                        np.array([0, 2**64 - 1, 2**63], dtype=np.uint64)])
+    assert _popcount64(x).tolist() == [bin(int(v)).count("1") for v in x]
+
+
+def test_verify_exact_jaccard_boundary(ray_session):
+    """min_jaccard=0.55 keeps a pair at exactly 11/20 and drops 11/21,
+    on both the driver verify and the distributed hash-join verify."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.dedup import (verify_candidates,
+                                         verify_candidates_hash)
+
+    shared = [f"s{i}" for i in range(11)]
+    docs = rd.from_items([
+        {"doc_id": 1, "text": " ".join(shared + [f"a{i}" for i in range(5)])},
+        {"doc_id": 2, "text": " ".join(shared + [f"b{i}" for i in range(4)])},
+        {"doc_id": 3, "text": " ".join(shared + [f"c{i}" for i in range(5)])},
+        {"doc_id": 4, "text": " ".join(shared + [f"d{i}" for i in range(5)])},
+    ])
+    pairs = pd.DataFrame({"id_a": [1, 3], "id_b": [2, 4]})
+    for verify in (verify_candidates, verify_candidates_hash):
+        out = verify(rd.from_pandas(pairs), docs, min_jaccard=0.55).to_pandas()
+        got = sorted(map(tuple, out[["id_a", "id_b", "inter", "uni"]]
+                         .itertuples(index=False)))
+        assert got == [(1, 2, 11, 20)], (verify.__name__, got)
+
+
 def test_connected_components_ds_matches_driver(ray_session):
     """Distributed alternating-star CC must agree with the driver-side
     min-label implementation on chains, islands, and random graphs."""
