@@ -18,43 +18,37 @@ A block passing all three is content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from bb_ocr_ray.config import DEFAULT_EXTRACT, ExtractConfig
-from bb_ocr_ray.kernel.segment import RawBlock
+from bb_ocr_ray.kernel.normalize import collapse_ws
 
 
-@dataclass
-class ClassifiedBlock:
+class ClassifiedBlock(NamedTuple):
+    """One classified block.  The first six fields are
+    ``schema.BLOCK_STRUCT``'s, in its order; ``text`` (the collapsed
+    block text that ``emit`` joins) is not an output column."""
+
     block_id: int
     tag_path: str
     depth: int
-    text: str
     text_density: float
     link_density: float
     is_content: bool
-
-
-def classify_block(blk: RawBlock, cfg: ExtractConfig = DEFAULT_EXTRACT) -> ClassifiedBlock:
-    text = blk.finalize()
-    n = len(text)
-    link_density = blk.link_chars / blk.raw_chars if blk.raw_chars else 0.0
-    text_density = n / max(1, blk.n_tags)
-    is_content = (
-        not blk.ancestor_dropped
-        and link_density <= cfg.max_link_density
-        and n >= cfg.min_block_chars
-    )
-    return ClassifiedBlock(
-        block_id=blk.block_id,
-        tag_path=blk.tag_path,
-        depth=blk.depth,
-        text=text,
-        text_density=text_density,
-        link_density=link_density,
-        is_content=is_content,
-    )
+    text: str
 
 
 def classify(blocks: list, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
-    return [classify_block(b, cfg) for b in blocks]
+    """RawBlocks -> ClassifiedBlocks, same order."""
+    max_link_density = cfg.max_link_density
+    min_block_chars = cfg.min_block_chars
+    out = []
+    for block_id, tag_path, depth, dropped, raw, raw_chars, link_chars, n_tags in blocks:
+        text = collapse_ws(raw)
+        n = len(text)
+        link_density = link_chars / raw_chars if raw_chars else 0.0
+        out.append(ClassifiedBlock(
+            block_id, tag_path, depth, n / max(1, n_tags), link_density,
+            not dropped and link_density <= max_link_density and n >= min_block_chars,
+            text))
+    return out

@@ -1,5 +1,9 @@
 """Kernel facade: extract_page(html_bytes) -> one output record (dict).
 
+The record's ``spans`` are ``(start, stop)`` tuples and its ``blocks``
+are ``classify.ClassifiedBlock`` tuples; ``stages.extract_stage``
+folds them straight into Arrow columns.
+
 Error-as-data everywhere: the reference never lets a document kill a
 run — parse failures yield a full-shape fallback record with an error
 string (``enhanced_extractor.py:953-1002``; SURVEY.md M11).  Same here:
@@ -38,19 +42,9 @@ def _record(url: str, html_len: int, *, text: str = "", spans=(), blocks=(),
         "url": url,
         "domain": domain_of(url),
         "text": text,
-        "spans": [{"start": s, "stop": e} for s, e in spans],
-        "blocks": [
-            {
-                "block_id": b.block_id,
-                "tag_path": b.tag_path,
-                "depth": b.depth,
-                "text_density": b.text_density,
-                "link_density": b.link_density,
-                "is_content": b.is_content,
-            }
-            for b in blocks
-        ],
-        "n_blocks_kept": sum(1 for b in blocks if b.is_content),
+        "spans": list(spans),
+        "blocks": list(blocks),
+        "n_blocks_kept": len(spans),   # one span per kept block
         "html_bytes": html_len,
         "status": status,
         "error": error,

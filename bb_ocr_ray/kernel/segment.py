@@ -30,6 +30,7 @@ import re
 import string
 from bisect import bisect_left
 from html import unescape
+from typing import NamedTuple
 
 from bb_ocr_ray.config import DEFAULT_EXTRACT, ExtractConfig
 from bb_ocr_ray.kernel.normalize import collapse_ws
@@ -84,34 +85,30 @@ def _mask_for(drop_ancestors) -> dict:
     return m
 
 
-class RawBlock:
+class RawBlock(NamedTuple):
     """A candidate text block — the web analog of one contour bbox."""
 
-    __slots__ = ("block_id", "tag_path", "depth", "ancestor_dropped", "runs",
-                 "raw_chars", "link_chars", "n_tags")
-
-    def __init__(self, block_id: int, tag_path: str, depth: int,
-                 ancestor_dropped: bool):
-        self.block_id = block_id
-        self.tag_path = tag_path                  # "/"-joined open-tag stack at block start
-        self.depth = depth                        # stack depth at block start
-        self.ancestor_dropped = ancestor_dropped  # True if inside nav/header/footer/aside
-        self.runs: list = []   # ordered text runs
-        self.raw_chars = 0     # collapsed chars across runs
-        self.link_chars = 0    # of those, chars inside <a>
-        self.n_tags = 1        # tags seen while the block was open
-
-    def finalize(self) -> str:
-        return collapse_ws("".join(self.runs))
+    block_id: int
+    tag_path: str           # "/"-joined open-tag stack at block start
+    depth: int              # stack depth at block start
+    ancestor_dropped: bool  # True if inside nav/header/footer/aside
+    raw: str                # the block's text runs, joined, not yet collapsed
+    raw_chars: int          # collapsed chars across runs
+    link_chars: int         # of those, chars inside <a>
+    n_tags: int             # tags seen while the block was open
 
 
+# The start-tag alternative.  Possessive attribute scan: a quote can only
+# be consumed by its own quoted branch, so there is nothing to backtrack
+# into, and a tag that cannot close fails without retrying shorter scans.
+_START_TAG = r"<([a-zA-Z][a-zA-Z0-9:._-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"']++)*+)>"
 _TOKEN_RE = re.compile(
     r"<!--.*?(?:-->|\Z)"                 # comment (unterminated: to EOF)
     r"|<!\[CDATA\[.*?(?:\]\]>|\Z)"   # CDATA
     r"|<![^>]*>?"                          # doctype / declaration
     r"|<\?[^>]*>?"                        # processing instruction
     r"|</\s*([a-zA-Z][a-zA-Z0-9:._-]*)[^>]*>"                    # end tag
-    r"|<([a-zA-Z][a-zA-Z0-9:._-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>"  # start tag (disjoint alts: linear-time, no ReDoS)
+    r"|" + _START_TAG +                 # start tag (disjoint alts: linear-time, no ReDoS)
     r"|</[^>]*>?"                          # bogus end tag (<//p> etc.): swallowed
     r"|([^<]+)"                            # text run
     r"|<",                                 # stray '<'
@@ -124,9 +121,7 @@ _TOKEN_RE = re.compile(
 # numbers (and lastindex dispatch) are unchanged.  Start tags that do
 # close are found in the table below and matched one at a time.
 _TAIL_RE = re.compile(
-    _TOKEN_RE.pattern.replace(
-        r"<([a-zA-Z][a-zA-Z0-9:._-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>",
-        r"(?!)()()"),
+    _TOKEN_RE.pattern.replace(_START_TAG, r"(?!)()()"),
     re.S,
 )
 _TAG_SCAN_RE = re.compile(r"[>\"']")
@@ -169,10 +164,11 @@ _RAWTEXT_CLOSE = {
 def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
     """Parse HTML text into an ordered list of RawBlock candidates.
 
-    One ``finditer`` loop over ``_TOKEN_RE`` with the handler state in
-    locals.  The loop restarts only after a raw-text element jumps to its
-    close tag, or around start tags once a start tag failed to close (see
-    ``_TAIL_RE``), so the work stays linear in the page size.
+    One ``finditer`` loop over ``_TOKEN_RE`` with the handler state, the
+    open block's included, in locals.  The loop restarts only after a
+    raw-text element jumps to its close tag, or around start tags once a
+    start tag failed to close (see ``_TAIL_RE``), so the work stays
+    linear in the page size.
     """
     text = html_text
     n = len(text)
@@ -182,8 +178,13 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
     stack: list = []
     open_counts: dict = {}   # tag -> open count (O(1) membership)
     blocks: list = []
-    cur = None
-    next_id = skip_depth = link_depth = drop_depth = 0
+    # the open block: its text runs (None = no block open) and features;
+    # a flush appends RawBlock(len(blocks), ...) and sets runs = None
+    runs = None
+    path = ""
+    depth = raw_chars = link_chars = n_tags = 0
+    dropped = False
+    skip_depth = link_depth = drop_depth = 0
     token_re = _TOKEN_RE
     pos = 0
     end = n
@@ -204,18 +205,20 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                 if a.endswith("/") and (len(a) == 1 or a[-2] in " \t\n\r\"'"):
                     # <tag/>: like a void element; block tags still flush
                     if tm & _BLOCK:
-                        if cur is not None:
-                            blocks.append(cur)
-                            cur = None
-                    elif tag == "br" and cur is not None:
-                        cur.runs.append("\n")
+                        if runs is not None:
+                            blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
+                                                   raw_chars, link_chars, n_tags))
+                            runs = None
+                    elif tag == "br" and runs is not None:
+                        runs.append("\n")
                     continue
                 if tm & _VOID:
-                    if cur is not None and (tag == "br" or tag == "hr"):
-                        cur.runs.append("\n")
+                    if runs is not None and (tag == "br" or tag == "hr"):
+                        runs.append("\n")
                         if tag == "hr":
-                            blocks.append(cur)
-                            cur = None
+                            blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
+                                                   raw_chars, link_chars, n_tags))
+                            runs = None
                     continue
                 if tm:
                     if tm & _SKIP:
@@ -224,13 +227,13 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                         link_depth += 1
                     if tm & _DROP:
                         drop_depth += 1
-                    if tm & _BLOCK and cur is not None:
-                        blocks.append(cur)
-                        cur = None
+                    if tm & _BLOCK and runs is not None:
+                        blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
+                                               raw_chars, link_chars, n_tags))
+                        runs = None
                 stack.append(tag)
                 open_counts[tag] = open_counts.get(tag, 0) + 1
-                if cur is not None:
-                    cur.n_tags += 1
+                n_tags += 1   # reset to 1 when a block opens
                 closer = _RAWTEXT_CLOSE.get(tag)
                 if closer is None:
                     continue
@@ -269,18 +272,22 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                 # data event) collapse to "": zero chars, never open a block
                 # (an invalid charref such as "&#1;" unescapes to "")
                 if not data or data.isspace():
-                    if cur is not None:
-                        cur.runs.append(data)
+                    if runs is not None:
+                        runs.append(data)
                     continue
                 k = len(collapse_ws(data))   # >= 1: data has a non-space char
-                if cur is None:
-                    cur = RawBlock(next_id, "/".join(stack[:max_depth]),
-                                   len(stack), drop_depth > 0)
-                    next_id += 1
-                cur.runs.append(data)
-                cur.raw_chars += k
+                if runs is None:
+                    runs = [data]
+                    path = "/".join(stack[:max_depth])
+                    depth = len(stack)
+                    dropped = drop_depth > 0
+                    raw_chars = link_chars = 0
+                    n_tags = 1
+                else:
+                    runs.append(data)
+                raw_chars += k
                 if link_depth:
-                    cur.link_chars += k
+                    link_chars += k
                 continue
             # end tag: pop up to and including the matching open tag;
             # ignore strays and void tags (never pushed)
@@ -296,9 +303,10 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                             link_depth -= 1
                         if pm & _DROP:
                             drop_depth -= 1
-                        if pm & _BLOCK and cur is not None:
-                            blocks.append(cur)
-                            cur = None
+                        if pm & _BLOCK and runs is not None:
+                            blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
+                                                   raw_chars, link_chars, n_tags))
+                            runs = None
                     if popped == tag:
                         break
             if li == 3:
@@ -311,6 +319,7 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
             pos = end   # the one start tag that closes is done
             end = n
             token_re = _TAIL_RE
-    if cur is not None:
-        blocks.append(cur)
+    if runs is not None:
+        blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
+                               raw_chars, link_chars, n_tags))
     return blocks

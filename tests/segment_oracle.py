@@ -7,36 +7,55 @@ function.  Two front-ends drive them:
 * ``oracle_segment``: stdlib ``html.parser.HTMLParser``.  Known
   divergence: ``</script foo>`` closes the script in production;
   html.parser stays in CDATA mode and swallows the rest of the document.
-* ``regex_loop_segment``: ``_TOKEN_RE.match`` one token at a time, with
-  no tail-mode switching (quadratic on start tags that cannot close), so
-  it checks the production loop's linear-time tokenization exactly.
+* ``regex_loop_segment``: ``REF_TOKEN_RE.match`` one token at a time,
+  with no tail-mode switching (quadratic on start tags that cannot
+  close), so it checks the production loop's linear-time tokenization
+  exactly.  ``REF_TOKEN_RE`` is the tokenizer with its original
+  backtracking start-tag attribute scan; production's is possessive.
 
-Whitespace is counted and collapsed with the defining regex
-(``_WS_RE.sub(" ", s).strip()``), not ``collapse_ws``'s fast paths, so
-the references check both.
+Both build the same ``RawBlock`` tuples as production.  Whitespace is
+counted with the defining regex (``_WS_RE.sub(" ", s).strip()``, here
+``ref_collapse_ws``), not ``collapse_ws``'s fast paths, so the
+references check both.
 """
 
 from __future__ import annotations
 
+import re
 from html import unescape
 from html.parser import HTMLParser
 
 from bb_ocr_ray.config import DEFAULT_EXTRACT, ExtractConfig
 from bb_ocr_ray.kernel.normalize import _WS_RE
 from bb_ocr_ray.kernel.segment import (_BLOCK, _DROP, _LINK, _RAWTEXT_CLOSE,
-                                       _SKIP, _TOKEN_RE, _VOID, BLOCK_TAGS,
-                                       RawBlock, _mask_for)
+                                       _SKIP, _START_TAG, _TOKEN_RE, _VOID,
+                                       BLOCK_TAGS, RawBlock, _mask_for)
+
+# The start-tag alternative before its attribute scan became possessive.
+REF_START_TAG = r"<([a-zA-Z][a-zA-Z0-9:._-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>"
+REF_TOKEN_RE = re.compile(_TOKEN_RE.pattern.replace(_START_TAG, REF_START_TAG), re.S)
+assert REF_TOKEN_RE.pattern != _TOKEN_RE.pattern
 
 
 def ref_collapse_ws(s: str) -> str:
     return _WS_RE.sub(" ", s).strip()
 
 
-class OracleBlock(RawBlock):
-    __slots__ = ()
+class _OpenBlock:
+    def __init__(self, block_id, tag_path, depth, ancestor_dropped):
+        self.block_id = block_id
+        self.tag_path = tag_path
+        self.depth = depth
+        self.ancestor_dropped = ancestor_dropped
+        self.runs: list = []
+        self.raw_chars = 0
+        self.link_chars = 0
+        self.n_tags = 1
 
-    def finalize(self) -> str:
-        return ref_collapse_ws("".join(self.runs))
+    def freeze(self) -> RawBlock:
+        return RawBlock(self.block_id, self.tag_path, self.depth,
+                        self.ancestor_dropped, "".join(self.runs),
+                        self.raw_chars, self.link_chars, self.n_tags)
 
 
 class _Handlers:
@@ -48,7 +67,7 @@ class _Handlers:
         self.link_depth = 0
         self.drop_depth = 0    # nesting inside drop_ancestors subtrees
         self.blocks: list = []
-        self.current: OracleBlock | None = None
+        self.current: _OpenBlock | None = None
         self._next_id = 0
 
     # -- block lifecycle ---------------------------------------------------
@@ -56,10 +75,10 @@ class _Handlers:
         blk = self.current
         self.current = None
         if blk is not None and blk.raw_chars > 0:
-            self.blocks.append(blk)
+            self.blocks.append(blk.freeze())
 
     def _open_block(self) -> None:
-        self.current = OracleBlock(
+        self.current = _OpenBlock(
             block_id=self._next_id,
             tag_path="/".join(self.stack[: self.cfg.max_tag_depth]),
             depth=len(self.stack),
@@ -160,7 +179,7 @@ class _RegexLoopSegmenter(_Handlers):
     def feed(self, text: str) -> None:
         pos = 0
         while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
+            m = REF_TOKEN_RE.match(text, pos)
             pos = m.end()
             if m.group(4) is not None:
                 self.handle_data(unescape(m.group(4)))
@@ -185,7 +204,7 @@ class _RegexLoopSegmenter(_Handlers):
 
 
 def regex_loop_segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
-    """Reference ``segment``: same blocks, one ``_TOKEN_RE.match`` per token."""
+    """Reference ``segment``: same blocks, one ``REF_TOKEN_RE.match`` per token."""
     seg = _RegexLoopSegmenter(cfg)
     seg.feed(html_text)
     seg.close()

@@ -31,9 +31,7 @@ def test_golden_edge_cases_byte_identical():
         got = extract_page(u, h)
         assert got["text"] == exp["text"], f"text drift for {u}"
         assert got["status"] == exp["status"]
-        assert [(s["start"], s["stop"]) for s in got["spans"]] == [
-            (s["start"], s["stop"]) for s in exp["spans"]
-        ]
+        assert got["spans"] == [(s["start"], s["stop"]) for s in exp["spans"]]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -16,7 +16,8 @@ import pyarrow as pa
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from segment_oracle import oracle_segment, regex_loop_segment
+from segment_oracle import (REF_TOKEN_RE, oracle_segment, ref_collapse_ws,
+                            regex_loop_segment)
 
 from bb_ocr_ray.kernel.extract import domain_of, extract_page
 from bb_ocr_ray.kernel.normalize import (_NON_ASCII_WS_RE, _WS_RE, collapse_ws,
@@ -32,6 +33,12 @@ FULL_PAGE = b"""<!doctype html><html><head><meta charset="utf-8"><title>T</title
 <div class="share"><a href="c">Share</a> <a href="d">Tweet</a></div>
 <footer><a href="/p">Privacy</a> | <a href="/t">Terms</a></footer>
 </body></html>"""
+
+
+def rep(blocks, collapse=collapse_ws):
+    """Differential view of RawBlocks: every field, plus the collapsed
+    text (production's ``collapse_ws``, or the oracle's regex)."""
+    return [(*b, collapse(b.raw)) for b in blocks]
 
 
 def test_full_page_extraction():
@@ -58,14 +65,14 @@ def test_span_invariants():
     text, spans = r["text"], r["spans"]
     # reference block texts: the kernel's own classify output
     blocks = classify(segment(decode_html(FULL_PAGE)[0]))
-    assert [b.is_content for b in blocks] == [b["is_content"] for b in r["blocks"]]
+    assert [b.is_content for b in blocks] == [b.is_content for b in r["blocks"]]
     kept = [b for b in blocks if b.is_content]
     assert len(spans) == len(kept) == r["n_blocks_kept"]
     prev_stop = -1
-    for span, blk in zip(spans, kept):
-        assert span["start"] > prev_stop           # sorted, non-overlapping
-        assert text[span["start"]:span["stop"]] == blk.text  # round-trip
-        prev_stop = span["stop"]
+    for (start, stop), blk in zip(spans, kept):
+        assert start > prev_stop           # sorted, non-overlapping
+        assert text[start:stop] == blk.text  # round-trip
+        prev_stop = stop
 
 
 def test_deterministic_and_idempotent():
@@ -147,8 +154,8 @@ def test_property_arbitrary_text_roundtrip(s):
     r = extract_page("u", ("<p>" + h.escape(s) + "</p>").encode("utf-8"))
     assert r["status"] in ("ok", "empty")
     if r["text"]:
-        for span in r["spans"]:
-            assert r["text"][span["start"]:span["stop"]]
+        for start, stop in r["spans"]:
+            assert r["text"][start:stop]
     expected = collapse_ws(s)
     if len(expected) >= 10:
         assert r["text"] == expected
@@ -164,32 +171,26 @@ def test_property_arbitrary_bytes_total(data):
 
 def test_arrow_schema_roundtrip():
     from bb_ocr_ray.schema import EXTRACTED_SCHEMA
+    from bb_ocr_ray.stages.extract_stage import extract_batch
 
     recs = [extract_page("https://a.com/1", FULL_PAGE),
             extract_page("https://a.com/2", b"")]
-    tbl = pa.Table.from_pylist(recs, schema=EXTRACTED_SCHEMA)
+    tbl = extract_batch(pa.table({"url": ["https://a.com/1", "https://a.com/2"],
+                                  "html": pa.array([FULL_PAGE, b""], pa.binary())}))
+    assert tbl.schema == EXTRACTED_SCHEMA
     assert tbl.num_rows == 2
     back = tbl.to_pylist()
     assert back[0]["text"] == recs[0]["text"]
 
 
-def test_fast_and_stdlib_segmenters_agree():
-    """Differential: the production tokenizer loop and the html.parser
-    reference (tests/segment_oracle.py) must give identical blocks on the
-    whole fixture corpus (template pages + edge cases), also with every
-    space turned into "\\n  ", or into "&nbsp;" between tags (html.parser
-    reads "<a&nbsp;href=...>" as another tag name), so the whitespace
-    collapse leaves its clean-text fast path."""
+def _fixture_corpus():
+    """Decoded fixture pages (template pages + edge cases), each also with
+    every space turned into "\\n  ", or into "&nbsp;" between tags."""
     import re
 
     import duckdb
 
-    from bb_ocr_ray.kernel.segment import segment
     from bb_ocr_ray.sources.pages import edge_case_pages, html_for
-
-    def rep(bs):
-        return [(b.tag_path, b.depth, b.ancestor_dropped, b.finalize(),
-                 b.raw_chars, b.link_chars, b.n_tags) for b in bs]
 
     docs = duckdb.sql(
         "SELECT doc_id, text FROM '/root/testdata/sf0.001/documents.parquet'"
@@ -199,8 +200,32 @@ def test_fast_and_stdlib_segmenters_agree():
     for h in pages:
         nbsp = re.sub(rb">[^<]+", lambda m: m.group(0).replace(b" ", b"&nbsp;"), h)
         for variant in (h, h.replace(b" ", b"\n  "), nbsp):
-            t, _ = decode_html(variant)
-            assert rep(segment(t)) == rep(oracle_segment(t))
+            yield decode_html(variant)[0]
+
+
+def _tokens(token_re, s):
+    return [(m.span(), m.lastindex, m.groups()) for m in token_re.finditer(s)]
+
+
+def test_fast_and_stdlib_segmenters_agree():
+    """Differential: the production tokenizer loop and the html.parser
+    reference (tests/segment_oracle.py) must give identical blocks on the
+    whole fixture corpus, also with its whitespace variants (html.parser
+    reads "<a&nbsp;href=...>" as another tag name), so the whitespace
+    collapse leaves its clean-text fast path."""
+    from bb_ocr_ray.kernel.segment import segment
+
+    for t in _fixture_corpus():
+        assert rep(segment(t)) == rep(oracle_segment(t), ref_collapse_ws)
+
+
+def test_possessive_start_tag_same_tokens_on_corpus():
+    """The possessive start-tag attribute scan tokenizes the fixture
+    corpus exactly like the original backtracking one."""
+    from bb_ocr_ray.kernel.segment import _TOKEN_RE
+
+    for t in _fixture_corpus():
+        assert _tokens(_TOKEN_RE, t) == _tokens(REF_TOKEN_RE, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,7 +238,7 @@ def test_property_segmenters_never_crash_on_tag_soup(s):
     # both engines are total; on pathological soup they may tokenize
     # differently, but emitted text is always a string and flags sane
     for b in fast + std:
-        assert isinstance(b.finalize(), str)
+        assert isinstance(collapse_ws(b.raw), str)
         assert b.raw_chars >= b.link_chars >= 0
 
 
@@ -235,12 +260,21 @@ def test_property_tokenizer_matches_token_at_a_time_loop(prefix, soup):
     from bb_ocr_ray.kernel.segment import segment
 
     s = prefix + soup
+    assert rep(segment(s)) == rep(regex_loop_segment(s), ref_collapse_ws)
 
-    def rep(bs):
-        return [(b.tag_path, b.depth, b.ancestor_dropped, b.finalize(),
-                 b.raw_chars, b.link_chars, b.n_tags) for b in bs]
 
-    assert rep(segment(s)) == rep(regex_loop_segment(s))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from(["", "<z'", '<z"']), _SOUP).map("".join),
+                 st.text(alphabet="<>/ab c&;!-=\"'p", max_size=300)))
+@example("<a \"x\" y='>' z>t")
+def test_property_possessive_start_tag_same_tokens(s):
+    """On tag soups the possessive start-tag attribute scan gives the same
+    token spans, dispatch groups and captures as the backtracking one: a
+    quote can only be consumed by its own quoted branch, so there is
+    nothing to backtrack into."""
+    from bb_ocr_ray.kernel.segment import _TOKEN_RE
+
+    assert _tokens(_TOKEN_RE, s) == _tokens(REF_TOKEN_RE, s)
 
 
 def test_collapse_ws_non_ascii_class_is_exact():
@@ -320,9 +354,7 @@ def test_unquoted_attr_trailing_slash_not_selfclosing():
     from bb_ocr_ray.kernel.segment import segment
 
     s = '<p><a href=http://x.com/>some link text here</a> rest of text</p>'
-    def rep(bs):
-        return [(b.finalize(), b.raw_chars, b.link_chars) for b in bs]
-    assert rep(segment(s)) == rep(oracle_segment(s))
+    assert rep(segment(s)) == rep(oracle_segment(s), ref_collapse_ws)
     assert segment(s)[0].link_chars > 0
 
 
@@ -346,21 +378,18 @@ def test_kernel_review_regressions():
     from bb_ocr_ray.config import ExtractConfig
     from bb_ocr_ray.kernel.segment import segment
 
-    def rep(bs):
-        return [(b.tag_path, b.finalize()) for b in bs]
-
     # stray '<' in prose is data, engines agree
     s = "<p>1 < 2 is definitely true here</p>"
-    assert rep(segment(s)) == rep(oracle_segment(s))
-    assert "1 < 2" in segment(s)[0].finalize()
+    assert rep(segment(s)) == rep(oracle_segment(s), ref_collapse_ws)
+    assert "1 < 2" in collapse_ws(segment(s)[0].raw)
     # </styled> must not close <style>
     s = "<body><style>.x{color:red}</styled><p>real paragraph</p></body>"
-    assert rep(segment(s)) == rep(oracle_segment(s)) == []
+    assert rep(segment(s)) == rep(oracle_segment(s), ref_collapse_ws) == []
     # textarea content never leaks into page text
     s = ("<body><textarea><p>hello world example</p></textarea>"
          "<p>after text is here</p></body>")
-    assert rep(segment(s)) == rep(oracle_segment(s))
-    assert all("hello" not in t for _, t in rep(segment(s)))
+    assert rep(segment(s)) == rep(oracle_segment(s), ref_collapse_ws)
+    assert all("hello" not in r[-1] for r in rep(segment(s)))
     # charset in a comment or a description attr must not hijack decoding
     r = extract_page("u", ('<!-- <meta charset="koi8-r"> -->'
                            '<meta charset="utf-8">'
