@@ -202,8 +202,8 @@ def q_count_distinct(sf_dir: str):
 # Joins
 # ---------------------------------------------------------------------------
 def q_hash_join(sf_dir: str):
-    """Large-large hash join (Dataset.join): lineitem ⋈ orders on orderkey,
-    revenue per orderstatus."""
+    """Large-large bucketed hash join (stages/joins.hash_join): lineitem
+    ⋈ orders on orderkey, revenue per orderstatus."""
     from bb_ocr_ray.stages.joins import hash_join
 
     li = _read_parquet(
@@ -1413,8 +1413,8 @@ QUERIES.update({"q_frame_sample": q_frame_sample})
 def q_band_join(sf_dir: str):
     """Time-band range join: (view, purchase) event pairs within 30 s
     of each other — the interval/proximity join Ray Data lacks,
-    composed as window-bucketed replication + one coarse shuffle +
-    exact in-task band filter (stages/joins.band_join).  Integer-
+    composed as window replication + a hash_join on the window + an
+    exact band filter (stages/joins.band_join).  Integer-
     microsecond epochs on both sides so the band boundary is exact."""
     from bb_ocr_ray.stages.joins import band_join
 

@@ -857,7 +857,7 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         drop = set(comps.loc[comps["doc_id"] != comps["component"], "doc_id"])
         return anti_join_broadcast(docs_ds, drop, id_col)
 
-    from bb_ocr_ray.stages.joins import anti_join_hash
+    from bb_ocr_ray.stages.joins import hash_join
 
     verified = verify_candidates_hash(cands, docs_ds, id_col=id_col,
                                       text_col=text_col,
@@ -869,7 +869,7 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                            "doc_id"].to_numpy(np.int64)}),
         batch_format="pandas",
     )
-    return anti_join_hash(docs_ds, drops, on=id_col)
+    return hash_join(docs_ds, drops, on=id_col, how="anti")
 
 
 # ---------------------------------------------------------------------------

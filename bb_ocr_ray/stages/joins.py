@@ -8,11 +8,15 @@ and a key-equality lookup against Google Books
   - broadcast_join: small side ``ray.put`` ONCE on the driver, looked
     up per batch with a pandas merge inside map_batches — the big side
     never shuffles.  This is the default for dimension tables.
-  - hash_join: both sides large -> ``Dataset.join`` (hash-partitioned)
-    when available, else an explicit bucketed join.
-  - semi_join_broadcast / anti_join_broadcast: key set (future: Bloom
-    filter) broadcast + vectorized isin filter.  The anti-join is also
-    the resume primitive (manifest anti-join, SURVEY.md J6).
+  - hash_join: both sides large -> a bucketed join (tag both sides,
+    union, ONE sort shuffle, one operator per bucket).  It is the only
+    two-sided shuffle here: inner/outer joins, the exact semi/anti
+    join (``how="semi"/"anti"``) and band_join's window equi-join all
+    run through it.
+  - anti_join_broadcast: key set broadcast + vectorized isin filter.
+    The anti-join is also the resume primitive (manifest anti-join,
+    SURVEY.md J6); auto_semi / auto_anti pick broadcast or hash_join
+    by a metadata size gate.
 """
 
 from __future__ import annotations
@@ -114,17 +118,24 @@ def _membership_filter(big_ds, keys, col: str, keep_members: bool):
     return big_ds.map_batches(fn, batch_format="pyarrow")
 
 
-def semi_join_broadcast(big_ds, keys, col: str):
-    """Keep rows whose ``col`` is in ``keys`` (broadcast key set)."""
-    return _membership_filter(big_ds, keys, col, keep_members=True)
-
-
 def anti_join_broadcast(big_ds, keys, col: str):
     """Keep rows whose ``col`` is NOT in ``keys``."""
     return _membership_filter(big_ds, keys, col, keep_members=False)
 
 
 _KNUTH = 2654435761  # Fibonacci-hashing multiplier (deterministic bucketing)
+
+
+def _cluster_cores() -> int:
+    """Total CPUs in the Ray cluster; 8 when there is no cluster yet
+    (conservative).  Every cluster-sized default (bucket counts, tag
+    batch, domain_agg's salt spread) starts from this one lookup."""
+    import ray
+
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:  # noqa: BLE001 — no cluster yet: conservative
+        return 8
 
 
 def _auto_num_buckets() -> int:
@@ -134,19 +145,8 @@ def _auto_num_buckets() -> int:
     is ~1/16k of the join, which keeps the per-bucket pandas merge
     inside a worker heap at 100-TB inputs (VERDICT r1 flaw: a fixed
     B=16 put 1/16 of the join in one task)."""
-    import ray
+    return max(16, 2 * _cluster_cores())
 
-    try:
-        cores = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — no cluster yet: conservative
-        cores = 8
-    return max(16, 2 * cores)
-
-
-# above this estimated total size, per-bucket pandas merges give way
-# to Ray's native hash-shuffle join (aggregator actors amortize at
-# scale; pandas copies do not)
-_NATIVE_FALLBACK_BYTES = 32 << 30
 
 # probe-side rows per chunked merge inside a hot-key bucket (module
 # level so tests can shrink it to exercise the chunked path)
@@ -173,14 +173,8 @@ def _auto_tag_batch(*dss) -> int:
     datasets keep the _TAG_BATCH floor, which is right for anything
     locally small; callers that KNOW their row count pass tag_batch
     explicitly)."""
-    import ray
-
-    try:
-        cores = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        cores = 8
     rows_est = sum(estimate_size_bytes(d) for d in dss) // _EST_ROW_BYTES
-    target_blocks = max(4 * cores, 32)
+    target_blocks = max(4 * _cluster_cores(), 32)
     return max(_TAG_BATCH, min(_TAG_BATCH_CAP, rows_est // target_blocks))
 
 
@@ -216,66 +210,59 @@ def _arrow_schema(ds):
 
 
 def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
-              impl: str = "auto", how: str = "inner",
-              tag_batch: int | None = None):
+              how: str = "inner", tag_batch: int | None = None):
     """Large-large equality join on one or more integer/string key
     columns (``on`` is a column name or a list — composite keys hash
     as an ordered tuple, so (a, b) joins never collide with (b, a)).
 
-    ``how`` is ``"inner"`` (default), ``"left"`` (left outer) or
-    ``"full"`` (full outer).  The bucketed outer joins are exact
-    because every row hashes to exactly ONE bucket — each side's
-    unmatched null-extended copy is emitted once, independent of block
-    boundaries (unlike a per-batch broadcast right/outer merge, see
-    broadcast_join).  NULL keys: the
-    Arrow in-bucket path follows SQL semantics (null never matches
-    null); the pandas fallback for object/nested payloads keeps
-    pandas semantics (NaN matches NaN) — filter null keys first where
-    the distinction matters.
+    ``how`` is ``"inner"`` (default), ``"left"`` (left outer),
+    ``"full"`` (full outer), ``"semi"`` or ``"anti"``.  The bucketed
+    outer joins are exact because every row hashes to exactly ONE
+    bucket — each side's unmatched null-extended copy is emitted once,
+    independent of block boundaries (unlike a per-batch broadcast
+    right/outer merge, see broadcast_join).  NULL keys: the Arrow
+    in-bucket path follows SQL semantics (null never matches null);
+    the pandas fallback for object/nested payloads keeps pandas
+    semantics (NaN matches NaN) — filter null keys first where the
+    distinction matters.
 
-    Two implementations, both hash-partitioned on the key:
+    ``semi`` / ``anti`` keep the left rows whose single key ``on`` does
+    / does not appear in ``right_ds`` — the exact membership join for a
+    key set too big to broadcast (e.g. the drop set of a 30-50%
+    duplicate web corpus).  Only the key column of ``right_ds`` is
+    read; the output has the left side's columns.  The in-bucket test
+    is ``pc.is_in`` on the Arrow path (a null left key matches no
+    non-null key, so anti keeps it and semi drops it — but it does
+    match a null IN the key set) and ``isin`` on the pandas path.
 
-    - ``bucketed``: tag each side, add ``bucket = h(key) % B``
-      in a vectorized map, union the sides, ``groupby(bucket)`` (ONE
-      sort shuffle), then a pandas merge per bucket.  Lower fixed cost
-      than the native path at small/medium scale (measured 5.4 s vs
-      8.4-37 s at sf0.01).  ``num_buckets`` defaults to
-      ``_auto_num_buckets()`` (2x cluster cores) so per-bucket memory
-      shrinks as the cluster grows instead of being a constant.
-
-    - ``native``: ``Dataset.join`` (Ray's hash-shuffle aggregator
-      actors).  Higher fixed cost (actor pool startup per partition)
-      but the scale path for joins too big for per-bucket pandas
-      merges.
-
-    ``impl="auto"`` picks: native when both sides' metadata size
-    estimates are available and sum past ``_NATIVE_FALLBACK_BYTES``,
-    else bucketed.  A single hot key still lands in one bucket —
-    merge_bucket chunks the probe side so peak memory stays bounded
-    even then (the output of a true hot-key join is inherently its
-    cross product; chunking bounds the working set, not the output).
+    Mechanism: tag each side, add ``bucket = h(key) % B`` in a
+    vectorized map, union the sides, ``groupby(bucket)`` (ONE sort
+    shuffle), then one operator per bucket (acero or pandas join, or
+    the membership test).  ``num_buckets`` defaults to
+    ``_auto_num_buckets()`` (2x cluster cores) so per-bucket memory
+    shrinks as the cluster grows instead of being a constant.  A
+    single hot key still lands in one bucket — merge_bucket chunks
+    the probe side so peak memory stays bounded even then (the output
+    of a true hot-key join is inherently its cross product; chunking
+    bounds the working set, not the output).
 
     Column-name overlap between the sides is the caller's problem
     (project first) — deliberate, to keep the hot path copy-free.
     """
-    if how not in ("inner", "left", "full"):
-        raise ValueError(f"hash_join supports inner/left/full, not {how!r}")
+    if how not in ("inner", "left", "full", "semi", "anti"):
+        raise ValueError(
+            f"hash_join supports inner/left/full/semi/anti, not {how!r}")
     keys = [on] if isinstance(on, str) else list(on)
+    membership = how in ("semi", "anti")
+    if membership:
+        if len(keys) != 1:
+            raise ValueError(f"{how} join takes one key column, not {keys}")
+        right_ds = right_ds.select_columns(keys)
     if num_buckets is None:
         num_buckets = _auto_num_buckets()
-    if impl == "auto":
-        # metadata-only size estimate — Dataset.size_bytes() EXECUTES
-        # lazy plans, which would run the whole upstream pipeline twice
-        sz = estimate_size_bytes(left_ds) + estimate_size_bytes(right_ds)
-        impl = "native" if sz > _NATIVE_FALLBACK_BYTES else "bucketed"
-    if impl == "native":
-        join_type = {"inner": "inner", "left": "left_outer",
-                     "full": "full_outer"}[how]
-        return left_ds.join(right_ds, join_type, num_buckets,
-                            on=tuple(keys))
 
-    import numpy as np
     import pyarrow as pa
+    import pyarrow.types as pat
 
     left_schema, left_clean = _arrow_schema(left_ds)
     right_schema, right_clean = _arrow_schema(right_ds)
@@ -295,14 +282,12 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
                                    promote_options="permissive")
         types = {f.name: f.type for f in unified}
     except Exception:  # noqa: BLE001 — ArrowTypeError etc.: un-unifiable
-        types, left_clean = {}, False   # force the pandas path
+        types = None
 
-    # Pick ONE hash path for BOTH sides up front: dispatching on each
-    # side's dtype independently would route equal logical keys (int 1
-    # vs float 1.0 after a null upcast) to different buckets and
-    # silently drop matches.
-    import pyarrow.types as pat
-
+    # Pick ONE hash path for BOTH sides up front, from the SCHEMAS:
+    # dispatching on each side's (or each batch's) dtype independently
+    # would route equal logical keys (int 1 vs float 1.0 after a null
+    # upcast) to different buckets and silently drop matches.
     both_int = all(pat.is_integer(left_schema.field(k).type)
                    and pat.is_integer(right_schema.field(k).type)
                    for k in keys)
@@ -328,20 +313,35 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
     # pandas merge path: acero cannot carry nested non-key fields, and
     # an object column's true Arrow type is unknowable from a
     # PandasBlockSchema.
+    arrow = left_clean and right_clean
+    if membership and not arrow:
+        # membership only ever computes on the KEY column: nested /
+        # null-typed PAYLOAD columns ride the Arrow path untouched
+        # (pa.nulls pads, is_in never sees them) — and they MUST take
+        # it, because Ray's pandas block rebuild rejects list columns
+        # outright (tensor-extension TypeError in the shuffle reduce).
+        # Require true Arrow blocks (a synthetic schema from pandas
+        # dtypes says nothing about object columns).
+        arrow = all(
+            isinstance(ds.schema().base_schema, pa.Schema)
+            and not (pat.is_nested(sch.field(keys[0]).type)
+                     or pat.is_null(sch.field(keys[0]).type))
+            for ds, sch in ((left_ds, left_schema),
+                            (right_ds, right_schema)))
     if tag_batch is None:
         tag_batch = _auto_tag_batch(left_ds, right_ds)
-    if left_clean and right_clean:
+    if arrow and types is not None:
         return _bucketed_arrow(
             left_ds, right_ds, keys, num_buckets, how, left_cols,
             right_cols, all_cols, types, both_int, _canon, tag_batch)
     return _bucketed_pandas(
         left_ds, right_ds, keys, num_buckets, how, left_cols, right_cols,
-        all_cols, both_int, _canon, tag_batch, types)
+        all_cols, both_int, _canon, tag_batch, types or {})
 
 
 def _bucketed_arrow(left_ds, right_ds, keys, num_buckets, how, left_cols,
                     right_cols, all_cols, types, both_int, _canon,
-                    tag_batch=_TAG_BATCH):
+                    tag_batch):
     import numpy as np
     import pyarrow as pa
 
@@ -392,7 +392,7 @@ def _bucketed_arrow(left_ds, right_ds, keys, num_buckets, how, left_cols,
                              batch_size=tag_batch)
     )
     join_type = {"inner": "inner", "left": "left outer",
-                 "full": "full outer"}[how]
+                 "full": "full outer"}.get(how)
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -433,6 +433,12 @@ def _bucketed_arrow(left_ds, right_ds, keys, num_buckets, how, left_cols,
         left = _recast(left, left_cols)
         right = _recast(right, keys + right_cols)
 
+        if join_type is None:                  # semi / anti
+            m = pc.is_in(left.column(keys[0]),
+                         value_set=right.column(keys[0]).combine_chunks())
+            m = (pc.fill_null(m, False) if how == "semi"
+                 else pc.fill_null(pc.invert(m), True))
+            return left.filter(m)
         out_cols = left_cols + right_cols
         if len(right) == 0:
             lt = left if how in ("left", "full") else left.slice(0, 0)
@@ -471,34 +477,36 @@ def _bucketed_arrow(left_ds, right_ds, keys, num_buckets, how, left_cols,
 
 
 def _bucketed_pandas(left_ds, right_ds, keys, num_buckets, how, left_cols,
-                     right_cols, all_cols, both_int, _canon,
-                     tag_batch=_TAG_BATCH, types=None):
+                     right_cols, all_cols, both_int, _canon, tag_batch,
+                     types):
     import numpy as np
 
-    # numeric target dtype per column from the unified Arrow schema
-    # (VERDICT r4 item 3: pin dtypes at the emit boundary instead of
-    # each consumer defensively re-casting).  Only int/float columns
-    # are pinned — the degradation modes are None-padding (-> object)
-    # and null upcast (-> object/float64); strings/datetimes survive.
-    num_targets = {}
-    for c, t in (types or {}).items():
+    # numeric/bool target dtype per column from the unified Arrow
+    # schema (VERDICT r4 item 3: pin dtypes at the emit boundary
+    # instead of each consumer defensively re-casting).  Only
+    # int/float/bool columns are pinned — the degradation modes are
+    # padding (-> object) and null upcast (-> object/float64);
+    # strings/datetimes survive.
+    pin_targets = {}
+    for c, t in types.items():
         try:
             import pyarrow.types as pat
 
-            if pat.is_integer(t) or pat.is_floating(t):
-                num_targets[c] = np.dtype(t.to_pandas_dtype())
+            if pat.is_integer(t) or pat.is_floating(t) or pat.is_boolean(t):
+                pin_targets[c] = np.dtype(t.to_pandas_dtype())
         except Exception:  # noqa: BLE001 — exotic type: don't pin
             pass
 
     def _pin(df: pd.DataFrame) -> pd.DataFrame:
-        for c, tgt in num_targets.items():
+        for c, tgt in pin_targets.items():
             if c not in df.columns or df[c].dtype == tgt:
                 continue
             col = df[c]
             try:
-                if tgt.kind in "iu" and col.isna().any():
-                    # pandas convention: nullable int emits float64
-                    if col.dtype != np.float64:
+                if tgt.kind in "iub" and col.isna().any():
+                    # pandas convention: nullable int emits float64,
+                    # nullable bool stays object
+                    if tgt.kind != "b" and col.dtype != np.float64:
                         df[c] = col.astype(np.float64)
                 else:
                     df[c] = col.astype(tgt)
@@ -534,27 +542,19 @@ def _bucketed_pandas(left_ds, right_ds, keys, num_buckets, how, left_cols,
              % num_buckets for row in zip(*arrs)),
             dtype=np.int64, count=len(df))
 
-    # numeric columns present on only ONE side are float64-NaN-padded
-    # on the other; pre-cast them to float64 on the side that HAS them
-    # too, so the union's blocks carry one uniform dtype (no
-    # int64-vs-float64 mixed-schema warnings, no per-block surprises
-    # through the sort shuffle) — the emit _pin restores int64 when
-    # the merged output has no nulls
-    right_all = set(keys) | set(right_cols)
-    one_sided = {c for c in num_targets
-                 if (c not in left_cols) != (c not in right_all)}
-
     def tag(side: int):
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.copy()
             for c in all_cols:
                 if c not in batch.columns:
-                    # pad numeric columns with float64 NaN, not object
-                    # None — mixed union blocks then stay numeric
-                    # through the sort shuffle's pandas rebuild
-                    batch[c] = (np.nan if c in num_targets else None)
-                elif c in one_sided and num_targets[c].kind in "iu":
-                    batch[c] = batch[c].astype(np.float64)
+                    # pad float columns with NaN (mixed union blocks
+                    # stay float64 through the sort shuffle's pandas
+                    # rebuild) and everything else with None: an
+                    # int64 column padded or pre-cast to float64 loses
+                    # values above 2**53, while object keeps them exact
+                    # for _pin to restore
+                    float_col = c in pin_targets and pin_targets[c].kind == "f"
+                    batch[c] = np.nan if float_col else None
             batch = batch[all_cols]
             batch["__side"] = np.int8(side)
             batch["__bucket"] = _bucket_of(batch)
@@ -568,12 +568,19 @@ def _bucketed_pandas(left_ds, right_ds, keys, num_buckets, how, left_cols,
                              batch_size=tag_batch)
     )
 
-    pd_how = {"inner": "inner", "left": "left", "full": "outer"}[how]
+    pd_how = {"inner": "inner", "left": "left", "full": "outer"}.get(how)
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         chunk = _MERGE_CHUNK
         left = g[g["__side"] == 0][left_cols]
         right = g[g["__side"] == 1][keys + right_cols]
+        if pd_how is None:                     # semi / anti
+            isin = left[keys[0]].isin(right[keys[0]]).to_numpy()
+            # take(), not a boolean __getitem__: the result is a fresh
+            # frame, so _pin's column assignments raise no
+            # SettingWithCopyWarning
+            return _pin(left.take(np.flatnonzero(
+                isin if how == "semi" else ~isin)))
         if len(left) <= chunk:
             return _pin(left.merge(right, on=keys, how=pd_how))
         # hot-key/skewed bucket: probe in chunks (see _bucketed_arrow).
@@ -595,208 +602,6 @@ def _bucketed_pandas(left_ds, right_ds, keys, num_buckets, how, left_cols,
 
     return both.groupby("__bucket").map_groups(merge_bucket,
                                                batch_format="pandas")
-
-
-def _membership_hash(big_ds, keys_ds, on: str, num_buckets: int | None,
-                     keep_members: bool):
-    """Shared distributed semi/anti core: both sides hash-partition on
-    the key (ONE shuffle); membership is tested per bucket with a
-    vectorized isin.  The scale path when the key set is too big to
-    broadcast — e.g. the drop set of a 30-50%-duplicate web corpus.
-
-    Clean Arrow schemas take the zero-copy path: map-side __side/__bucket
-    stamps are pyarrow appends and the in-bucket membership test is
-    ``pc.is_in`` (VERDICT r2 item 9 — the pandas map-side tagging was
-    the last per-block copy on this hot path).  Null keys there follow
-    the broadcast variants' SQL-flavored contract (null never matches:
-    anti keeps, semi drops); the pandas fallback for object/nested
-    payloads keeps pandas isin semantics."""
-    import numpy as np
-    import pyarrow as pa
-
-    if num_buckets is None:
-        num_buckets = _auto_num_buckets()
-
-    tag_batch = _auto_tag_batch(big_ds, keys_ds)
-    big_schema, big_clean = _arrow_schema(big_ds)
-    keys_schema, keys_clean = _arrow_schema(keys_ds)
-
-    def _key_joinable(ds, schema) -> bool:
-        # membership only ever computes on the KEY column: nested /
-        # null-typed PAYLOAD columns ride the arrow path untouched
-        # (pa.nulls pads, concat_tables merges, is_in never sees them)
-        # — and they MUST take it, because Ray's pandas block rebuild
-        # rejects list columns outright (tensor-extension TypeError in
-        # the shuffle reduce).  Require true arrow blocks (a synthetic
-        # schema from pandas dtypes says nothing about object columns).
-        try:
-            if not isinstance(ds.schema().base_schema, pa.Schema):
-                return False
-        except Exception:  # noqa: BLE001 — unknown schema provenance
-            return False
-        if on not in schema.names:
-            return False
-        f = schema.field(on)
-        return not (pa.types.is_nested(f.type) or pa.types.is_null(f.type))
-
-    arrow_ok = on in keys_schema.names and (
-        (big_clean and keys_clean)
-        or (_key_joinable(big_ds, big_schema)
-            and _key_joinable(keys_ds, keys_schema)))
-    if arrow_ok:
-        try:
-            return _membership_hash_arrow(
-                big_ds, keys_ds, on, num_buckets, keep_members,
-                big_schema, keys_schema, tag_batch)
-        except (pa.ArrowInvalid, pa.ArrowTypeError):
-            pass   # un-unifiable key types: value-equality pandas path
-    big_cols = list(big_ds.schema().names)
-    # capture the big side's pandas dtypes up front: the union pads the
-    # keys side with None across big columns, which degrades int/float
-    # columns to object in mixed blocks — keep() casts them back so
-    # downstream Arrow/numeric consumers see the original schema
-    try:
-        base = big_ds.schema().base_schema
-        try:                                   # Arrow schema
-            big_dtypes = dict(base.empty_table().to_pandas().dtypes)
-        except AttributeError:                 # PandasBlockSchema
-            big_dtypes = dict(zip(base.names, base.types))
-    except Exception:  # noqa: BLE001 — unknown schema: skip restoring
-        big_dtypes = {}
-
-    def tag(side: int):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            for c in big_cols:
-                if c not in batch.columns:
-                    batch[c] = None
-            batch = batch[big_cols]
-            batch["__side"] = np.int8(side)
-            k = batch[on].to_numpy()
-            if k.dtype.kind in "iu":
-                batch["__bucket"] = ((k.astype(np.uint64) * _KNUTH
-                                      % (1 << 32)) % num_buckets
-                                     ).astype(np.int64)
-            else:
-                import zlib
-
-                batch["__bucket"] = np.fromiter(
-                    (zlib.crc32(str(x).encode()) % num_buckets for x in k),
-                    dtype=np.int64, count=len(k))
-            return batch
-
-        return fn
-
-    both = big_ds.map_batches(tag(0), batch_format="pandas",
-                              batch_size=tag_batch).union(
-        keys_ds.map_batches(tag(1), batch_format="pandas",
-                            batch_size=tag_batch)
-    )
-
-    def keep(g: pd.DataFrame) -> pd.DataFrame:
-        members = set(g.loc[g["__side"] == 1, on])
-        isin = g[on].isin(members)
-        mask = (g["__side"] == 0) & (isin if keep_members else ~isin)
-        keepers = g[mask][big_cols]
-        for c, dt in big_dtypes.items():
-            if c in keepers.columns and keepers[c].dtype != dt:
-                try:
-                    keepers[c] = keepers[c].astype(dt)
-                except (TypeError, ValueError):
-                    pass   # exotic type: leave as-is
-        return keepers
-
-    return both.groupby("__bucket").map_groups(keep, batch_format="pandas")
-
-
-def _membership_hash_arrow(big_ds, keys_ds, on: str, num_buckets: int,
-                           keep_members: bool, big_schema, keys_schema,
-                           tag_batch=_TAG_BATCH):
-    """Zero-copy semi/anti: Arrow tag stamps, one sort shuffle,
-    per-bucket ``pc.is_in``.  Output casts back to the big side's
-    (promoted-key) schema — the sort shuffle rebuilds group blocks
-    through pandas and degrades one-sided int columns, same finding as
-    _bucketed_arrow."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.types as pat
-
-    key_type = pa.unify_schemas(
-        [pa.schema([big_schema.field(on)]),
-         pa.schema([pa.field(on, keys_schema.field(on).type)])],
-        promote_options="permissive").field(on).type
-    both_int = (pat.is_integer(big_schema.field(on).type)
-                and pat.is_integer(keys_schema.field(on).type))
-    all_cols = list(big_schema.names)
-    types = {f.name: f.type for f in big_schema}
-    types[on] = key_type
-    union_schema = pa.schema([pa.field(c, types[c]) for c in all_cols])
-
-    def _bucket_of(t: pa.Table) -> np.ndarray:
-        if both_int:
-            import pyarrow.compute as pc
-
-            arr = pc.fill_null(t.column(on), 0).to_numpy()
-            if arr.dtype.kind not in "iu":
-                arr = arr.astype(np.int64)
-            return ((arr.astype(np.uint64) * _KNUTH % (1 << 32))
-                    % num_buckets).astype(np.int64)
-        import zlib
-
-        return np.fromiter(
-            (zlib.crc32(str(x).encode()) % num_buckets
-             for x in t.column(on).to_pylist()),
-            dtype=np.int64, count=len(t))
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            for c in all_cols:
-                if c not in t.column_names:
-                    t = t.append_column(c, pa.nulls(len(t), types[c]))
-            t = t.select(all_cols).cast(union_schema)
-            t = t.append_column(
-                "__side", pa.array(np.full(len(t), side, dtype=np.int8)))
-            t = t.append_column("__bucket", pa.array(_bucket_of(t)))
-            return t
-
-        return fn
-
-    both = big_ds.map_batches(tag(0), batch_format="pyarrow",
-                              batch_size=tag_batch).union(
-        keys_ds.select_columns([on]).map_batches(tag(1),
-                                                 batch_format="pyarrow",
-                                                 batch_size=tag_batch))
-
-    def keep(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask0 = pc.equal(g.column("__side"), pa.scalar(0, pa.int8()))
-        bigpart = g.filter(mask0)
-        members = g.filter(pc.invert(mask0)).column(on).combine_chunks()
-        m = pc.is_in(bigpart.column(on), value_set=members)
-        m = (pc.fill_null(m, False) if keep_members
-             else pc.fill_null(pc.invert(m), True))
-        return bigpart.filter(m).select(all_cols).cast(union_schema)
-
-    return both.groupby("__bucket").map_groups(keep, batch_format="pyarrow")
-
-
-def anti_join_hash(big_ds, keys_ds, on: str, num_buckets: int | None = None):
-    """Distributed anti-join: keep big-side rows whose ``on`` value has
-    no match in ``keys_ds`` (a Dataset with an ``on`` column).
-    ``num_buckets`` defaults to ``_auto_num_buckets()`` (cluster-sized,
-    not a constant)."""
-    return _membership_hash(big_ds, keys_ds, on, num_buckets,
-                            keep_members=False)
-
-
-def semi_join_hash(big_ds, keys_ds, on: str, num_buckets: int | None = None):
-    """Distributed EXACT semi-join (anti_join_hash's complement): keep
-    big-side rows whose ``on`` value appears in ``keys_ds``.  Unlike
-    semi_join_bloom there are no false positives — use this when the
-    key side is too big to broadcast but exactness matters."""
-    return _membership_hash(big_ds, keys_ds, on, num_buckets,
-                            keep_members=True)
 
 
 # above this estimated small-side size a driver collect + per-worker
@@ -833,8 +638,8 @@ def estimate_size_bytes(ds) -> int:
 def auto_join(big_ds, small_ds, on, how: str = "inner",
               broadcast_limit: int | None = None, _on_choice=None):
     """Size-gated join selection: broadcast when the small side's
-    metadata estimate fits ``broadcast_limit``, else the bucketed /
-    native ``hash_join``.  ``small_ds`` is a Dataset either way — the
+    metadata estimate fits ``broadcast_limit``, else the bucketed
+    ``hash_join``.  ``small_ds`` is a Dataset either way — the
     driver only collects it AFTER the gate proves it driver-sized.
     An unknown estimate (0: computed dataset, no parquet metadata)
     routes to the shuffle join: at 100 TB "don't know" must mean
@@ -863,15 +668,15 @@ def _auto_membership(big_ds, keys_ds, on: str, keep_members: bool,
                                   keep_members=keep_members)
     if _on_choice is not None:
         _on_choice("hash")
-    return _membership_hash(big_ds, keys_ds, on, None,
-                            keep_members=keep_members)
+    return hash_join(big_ds, keys_ds, on=on,
+                     how="semi" if keep_members else "anti")
 
 
 def auto_semi(big_ds, keys_ds, on: str, broadcast_limit: int | None = None,
               _on_choice=None):
     """Size-gated semi-join: key set broadcast (unique + Arrow is_in)
     when the keys side's metadata estimate is driver-sized, else the
-    exact hash-partitioned ``semi_join_hash``.  Unknown estimate →
+    exact ``hash_join(how="semi")``.  Unknown estimate →
     hash (same rationale as auto_join)."""
     return _auto_membership(big_ds, keys_ds, on, True, broadcast_limit,
                             _on_choice)
@@ -953,68 +758,52 @@ def semi_join_bloom(big_ds, bloom: BloomFilter, col: str):
 
 
 def band_join(left_ds, right_ds, time_col: str, band_us: int,
-              suffix: str = "_r", coarse_buckets: int = 64):
+              suffix: str = "_r"):
     """Time-band (range) join: all pairs (l, r) with
     |l.time - r.time| <= band_us, time as integer microseconds.
 
     The composition pattern for an operator Ray Data lacks: bucket
     time by floor(t / band) — a qualifying pair differs by at most one
     window — replicate the LEFT side to its window and both neighbors
-    (3x the smaller side only), co-locate with ONE coarse shuffle, and
-    apply the exact band predicate vectorized inside each task.  The
+    (3x one side only), equi-join on the window through ``hash_join``
+    (one bucketed shuffle; a hot window takes its chunked probe), and
+    apply the exact band predicate vectorized per output batch.  The
     window key never becomes a Ray groupby key directly (a month of
-    30 s windows is ~10^5 groups; at web scale 10^9+): tasks group on
-    a coarse hash of the window and merge on the exact window inside.
+    30 s windows is ~10^5 groups; at web scale 10^9+): hash_join
+    groups on a hash bucket of the window.  Right-side columns that
+    share a left name get ``suffix``; a NULL time matches nothing.
 
     Partitioning assumption (documented per the brief): band_us is a
     constant; output size is the true join cardinality — a band wide
     enough to match everything is the caller's cross product."""
     import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    left_cols = list(left_ds.schema().names)
-    right_cols = list(right_ds.schema().names)
-    all_cols = left_cols + [c for c in right_cols if c not in left_cols]
+    left_cols = set(left_ds.schema().names)
+    time_r = time_col + suffix
 
-    def tag(side: int, replicate: bool):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            for c in all_cols:
-                if c not in batch.columns:
-                    batch[c] = None
-            batch = batch[all_cols]
-            batch["__side"] = np.int8(side)
-            win = batch[time_col].to_numpy(np.int64) // band_us
-            if replicate:
-                parts = []
-                for d in (-1, 0, 1):
-                    p = batch.copy()
-                    p["__win"] = win + d
-                    parts.append(p)
-                batch = pd.concat(parts, ignore_index=True)
-            else:
-                batch["__win"] = win
-            batch["__coarse"] = ((batch["__win"].to_numpy(np.uint64)
-                                  * np.uint64(_KNUTH)) % np.uint64(1 << 32)
-                                 % coarse_buckets).astype(np.int64)
-            return batch
+    def windowed(t: pa.Table, col: str, deltas) -> pa.Table:
+        tc = t.column(col)
+        win = pc.fill_null(tc, 0).to_numpy().astype(np.int64) // band_us
+        null = pc.is_null(tc).to_numpy(zero_copy_only=False)
+        return pa.concat_tables(
+            [t.append_column("__win", pa.array(win + d, mask=null))
+             for d in deltas])
 
-        return fn
+    def right_fn(t: pa.Table) -> pa.Table:
+        t = t.rename_columns([c + suffix if c in left_cols else c
+                              for c in t.column_names])
+        return windowed(t, time_r, (0,))
 
-    both = left_ds.map_batches(tag(0, True), batch_format="pandas",
-                               batch_size=_TAG_BATCH).union(
-        right_ds.map_batches(tag(1, False), batch_format="pandas",
-                             batch_size=_TAG_BATCH))
+    left = left_ds.map_batches(lambda t: windowed(t, time_col, (-1, 0, 1)),
+                               batch_format="pyarrow", batch_size=None)
+    right = right_ds.map_batches(right_fn, batch_format="pyarrow",
+                                 batch_size=None)
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["__side"] == 0][left_cols + ["__win"]]
-        right = g[g["__side"] == 1][right_cols + ["__win"]]
-        right = right.rename(columns={c: (c if c not in left_cols
-                                          else c + suffix)
-                                      for c in right_cols})
-        j = left.merge(right, on="__win")
-        tl = j[time_col].to_numpy(np.int64)
-        tr = j[time_col + suffix].to_numpy(np.int64)
-        j = j[np.abs(tl - tr) <= band_us]
-        return j.drop(columns=["__win"])
+    def band(t: pa.Table) -> pa.Table:
+        gap = pc.abs(pc.subtract(t.column(time_col), t.column(time_r)))
+        return t.filter(pc.less_equal(gap, band_us)).drop_columns(["__win"])
 
-    return both.groupby("__coarse").map_groups(merge, batch_format="pandas")
+    return hash_join(left, right, on="__win").map_batches(
+        band, batch_format="pyarrow")

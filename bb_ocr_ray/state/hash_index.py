@@ -22,10 +22,10 @@ prior run.  This module is that artifact for the Ray engine:
   (anti-join semantics are idempotent in the key);
 * ``incremental_dedup`` = global first-per-key within the new batch
   (dedup_exact: one coarse shuffle) then a distributed anti-join
-  against the index (anti_join_hash: one bucketed shuffle).  Only the
-  key column is ever read from the index (column pruning); when the
-  new batch is known to touch few shards, pass ``shards=`` to prune
-  the index read to those partitions.
+  against the index (``hash_join(how="anti")``: one bucketed
+  shuffle).  Only the key column is ever read from the index (column
+  pruning); when the new batch is known to touch few shards, pass
+  ``shards=`` to prune the index read to those partitions.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def incremental_dedup(ds, index_dir: str, key: str = "content_hash",
     within the batch (deterministic min-``order_col`` winner), minus
     every key present in the persisted index."""
     from bb_ocr_ray.stages.dedup import dedup_exact
-    from bb_ocr_ray.stages.joins import anti_join_hash
+    from bb_ocr_ray.stages.joins import hash_join
 
     firsts = dedup_exact(ds, key=key, order_col=order_col)
-    return anti_join_hash(firsts, read_hash_index(index_dir, key, shards),
-                          on=key)
+    return hash_join(firsts, read_hash_index(index_dir, key, shards),
+                     on=key, how="anti")

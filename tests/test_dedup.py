@@ -305,14 +305,14 @@ def test_near_dup_dedup_distributed_flood(ray_session):
 def test_anti_join_hash_matches_broadcast(ray_session):
     import ray.data as rd
 
-    from bb_ocr_ray.stages.joins import anti_join_broadcast, anti_join_hash
+    from bb_ocr_ray.stages.joins import anti_join_broadcast, hash_join
 
     big = rd.from_items(
         [{"k": i, "val": f"v{i}"} for i in range(500)]).repartition(4)
     drop = [i for i in range(500) if i % 3 == 0]
     keys = rd.from_items([{"k": i} for i in drop]).repartition(2)
     a = anti_join_broadcast(big, set(drop), "k").to_pandas()
-    b = anti_join_hash(big, keys, on="k").to_pandas()
+    b = hash_join(big, keys, on="k", how="anti").to_pandas()
     assert sorted(a["k"]) == sorted(b["k"])
     assert set(b.columns) == {"k", "val"}
     # review regression: the keys-side None padding must not degrade

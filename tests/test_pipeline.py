@@ -1,5 +1,7 @@
 """Pipeline-level tests: stages composed on real Ray Datasets."""
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -137,7 +139,15 @@ def test_random_sample_seed_deterministic(ray_session, sf_tiny):
     assert 20 <= len(a) <= 180   # ~100 expected of 500
 
 
+def _rows(df: pd.DataFrame, cols) -> Counter:
+    """Row multiset of ``df[cols]``; NaN/None compare equal as -1."""
+    return Counter(map(tuple, df[cols].astype(object)
+                       .where(df[cols].notna(), -1).to_numpy().tolist()))
+
+
 def test_hash_join_impls_agree(ray_session, sf_tiny):
+    """The bucketed join (default and a fixed bucket count) returns
+    exactly the row multiset of a pandas merge of the same rows."""
     import ray.data as rd
 
     from bb_ocr_ray.stages.joins import hash_join
@@ -148,10 +158,12 @@ def test_hash_join_impls_agree(ray_session, sf_tiny):
         batch_format="pandas")
     orders = rd.read_parquet(f"{sf_tiny}/orders.parquet",
                              columns=["o_orderkey", "o_orderstatus"])
-    nb = hash_join(li, orders, on="o_orderkey").count()
-    nn = hash_join(li, orders, on="o_orderkey", impl="native",
-                   num_buckets=4).count()
-    assert nb == nn == 6000
+    want = li.to_pandas().merge(orders.to_pandas(), on="o_orderkey")
+    nb = hash_join(li, orders, on="o_orderkey").to_pandas()
+    n4 = hash_join(li, orders, on="o_orderkey", num_buckets=4).to_pandas()
+    assert len(nb) == len(n4) == len(want) == 6000
+    cols = ["o_orderkey", "l_quantity", "o_orderstatus"]
+    assert _rows(nb, cols) == _rows(n4, cols) == _rows(want, cols)
 
 
 def test_hash_join_skewed_key(ray_session):
@@ -169,11 +181,11 @@ def test_hash_join_skewed_key(ray_session):
         + [{"k": i % 50, "l": 10_000 + i} for i in range(1000)])
     right = rd.from_items([{"k": i, "r": i * 11} for i in range(50)])
     b = hash_join(left, right, on="k").to_pandas()
-    n = hash_join(left, right, on="k", impl="native",
-                  num_buckets=4).to_pandas()
+    n = left.to_pandas().merge(right.to_pandas(), on="k")
     want = 4000 + 1000  # every left row matches exactly one right row
     assert len(b) == len(n) == want
     assert sorted(b["l"]) == sorted(n["l"])
+    assert _rows(b, ["k", "l", "r"]) == _rows(n, ["k", "l", "r"])
     assert (b.loc[b["k"] == 7, "r"] == 77).all()
 
 
@@ -200,15 +212,22 @@ def test_hash_join_left_outer(ray_session, monkeypatch):
         matched = df[df["r"].notna()]
         assert (matched["r"] == matched["k"] * 11).all()
 
-    check(J.hash_join(left, right, on="k", num_buckets=4,
-                      how="left").to_pandas())
+    # a pandas left merge of the same rows agrees on the row multiset
+    # and on the null-extension count
+    ref = left.to_pandas().merge(right.to_pandas(), on="k", how="left")
+    assert len(ref) == 400 and ref["r"].isna().sum() == 350
+    check(ref)
+
+    def check_ref(df):
+        check(df)
+        assert df["r"].isna().sum() == ref["r"].isna().sum()
+        assert _rows(df, ["k", "l", "r"]) == _rows(ref, ["k", "l", "r"])
+
+    check_ref(J.hash_join(left, right, on="k", num_buckets=4,
+                          how="left").to_pandas())
     monkeypatch.setattr(J, "_MERGE_CHUNK", 64)     # chunked probe path
-    check(J.hash_join(left, right, on="k", num_buckets=4,
-                      how="left").to_pandas())
-    # native impl agrees on the row multiset
-    nat = J.hash_join(left, right, on="k", impl="native", num_buckets=4,
-                      how="left").to_pandas()
-    assert len(nat) == 400 and nat["r"].isna().sum() == 350
+    check_ref(J.hash_join(left, right, on="k", num_buckets=4,
+                          how="left").to_pandas())
 
 
 def test_hash_join_full_outer(ray_session, monkeypatch):
@@ -298,17 +317,21 @@ def test_hash_join_pandas_path_mixed_dtype_blocks(ray_session):
     column arrives as float64 (a null upcast): the bucket hash must
     stay on the schema-level int path for every block, or that block's
     matches silently land in the wrong buckets (review-confirmed: 44
-    of 99 matches dropped before the fix)."""
+    of 99 matches dropped before the fix).  A left-only int64 column
+    above 2**53 comes back exact (a float64 pad or pre-cast would
+    round it)."""
     import numpy as np
     import ray.data as rd
 
     from bb_ocr_ray.stages.joins import hash_join
 
     df1 = pd.DataFrame({"k": np.arange(1, 51, dtype=np.int64),
-                        "payload": [[1]] * 50})
+                        "payload": [[1]] * 50,
+                        "h": (1 << 60) + np.arange(1, 51, dtype=np.int64)})
     df2 = pd.DataFrame({"k": np.append(
         np.arange(51, 100).astype(np.float64), np.nan),
-        "payload": [[2]] * 50})
+        "payload": [[2]] * 50,
+        "h": (1 << 60) + np.arange(51, 101, dtype=np.int64)})
     left = rd.from_pandas([df1, df2])
     right = rd.from_pandas(pd.DataFrame(
         {"k": np.arange(1, 101, dtype=np.int64),
@@ -316,6 +339,53 @@ def test_hash_join_pandas_path_mixed_dtype_blocks(ray_session):
     out = hash_join(left, right, on="k", num_buckets=8).to_pandas()
     assert len(out) == 99                      # NaN key matches nothing
     assert sorted(out["r"]) == [i * 3 for i in range(1, 100)]
+    assert out["h"].dtype == np.int64
+    assert (out["h"] - (1 << 60) == out["k"]).all()
+
+
+def test_hash_semi_anti_mixed_dtype_blocks(ray_session):
+    """hash_join(how="semi"/"anti") on the same two-block pandas input
+    (one block's int key upcast to float64 by a NaN, list payload):
+    membership must bucket from the schema-level int decision too,
+    or the float block's keys land in the wrong buckets (the former
+    per-batch-dtype membership shuffle kept 92 rows on anti and
+    returned 8 on semi at 8 buckets).  Left-side dtypes survive the
+    key-only right side's padding: bool stays bool, and an int64
+    above 2**53 stays exact."""
+    import numpy as np
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.joins import hash_join
+
+    df1 = pd.DataFrame({"k": np.arange(1, 51, dtype=np.int64),
+                        "payload": [[1]] * 50, "flag": True,
+                        "h": (1 << 60) + np.arange(1, 51, dtype=np.int64)})
+    df2 = pd.DataFrame({"k": np.append(
+        np.arange(51, 100).astype(np.float64), np.nan),
+        "payload": [[2]] * 50, "flag": False,
+        "h": (1 << 60) + np.arange(51, 101, dtype=np.int64)})
+
+    def run(how):
+        big = rd.from_pandas([df1, df2])
+        keys = rd.from_pandas(pd.DataFrame(
+            {"k": np.arange(1, 101, dtype=np.int64)}))
+        return hash_join(big, keys, on="k", num_buckets=8,
+                         how=how).to_pandas()
+
+    anti = run("anti")
+    assert len(anti) == 1 and anti["k"].isna().all()   # only the NaN row
+    assert anti["k"].dtype.kind in "if"
+    semi = run("semi")
+    assert sorted(semi["k"]) == list(range(1, 100))
+    assert semi["k"].dtype.kind in "if"
+    assert list(semi.columns) == list(anti.columns) == [
+        "k", "payload", "flag", "h"]
+    assert semi["flag"].dtype == anti["flag"].dtype == bool
+    semi = semi.sort_values("k")
+    assert semi["flag"].tolist() == [True] * 50 + [False] * 49
+    assert semi["h"].dtype == anti["h"].dtype == np.int64
+    assert (semi["h"] - (1 << 60) == semi["k"]).all()
+    assert anti["h"].tolist() == [(1 << 60) + 100]
 
 
 def test_decontaminate_planted_overlap(ray_session, tmp_path):

@@ -73,3 +73,68 @@ def test_docs_name_only_registered_operators():
         if names - set(QUERIES):
             stale[doc] = sorted(names - set(QUERIES))
     assert not stale, f"docs name unregistered operators: {stale}"
+
+
+# Top-level names in bb_ocr_ray/ that nothing else in the package
+# references: public entry points and test-only helpers, each one kept
+# on purpose.  A helper orphaned by a deletion fails the test below,
+# and so does an entry here that has gained a reference or gone.
+_ORPHAN_ALLOW = {
+    "__init__.py:__version__",
+    "functions/hashing.py:minhash_bands",
+    "functions/hashing.py:hamming64",
+    "functions/hashing.py:jaccard_tokens",
+    "functions/http_replay.py:RecordedHTTPProvider",
+    "functions/scalars.py:extract_dates",
+    "functions/scalars.py:extract_emails",
+    "functions/scalars.py:extract_phones",
+    "functions/scalars.py:slugify",
+    "functions/scalars.py:extract_series",
+    "functions/scalars.py:fuzzy_match",
+    "functions/textstats.py:quality_features",
+    "functions/textstats.py:bpe_ish_token_count",
+    "kernel/layout.py:union_bbox",
+    "kernel/layout.py:area_filter",
+    "sources/files.py:read_html_dir",
+    "sources/pages.py:edge_case_pages",
+    "stages/multimodal.py:pil_available",
+}
+
+
+def _orphaned_names(root: Path) -> set:
+    """Top-level def/class/assign names under ``root`` with no
+    word-boundary reference anywhere in the package outside their own
+    definition's lines."""
+    import ast
+
+    files = {p: p.read_text() for p in sorted(root.rglob("*.py"))}
+    lines = {p: src.split("\n") for p, src in files.items()}
+    orphans = set()
+    for p, src in files.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                pat = re.compile(rf"\b{re.escape(name)}\b")
+                if not any(pat.search(line)
+                           for q, ls in lines.items()
+                           for i, line in enumerate(ls, 1)
+                           if not (q == p and node.lineno <= i
+                                   <= node.end_lineno)):
+                    orphans.add(f"{p.relative_to(root).as_posix()}:{name}")
+    return orphans
+
+
+def test_no_orphaned_helpers():
+    orphans = _orphaned_names(SRC.parent)
+    assert not orphans - _ORPHAN_ALLOW, (
+        f"newly orphaned: {sorted(orphans - _ORPHAN_ALLOW)}")
+    assert not _ORPHAN_ALLOW - orphans, (
+        f"stale allow-list entries: {sorted(_ORPHAN_ALLOW - orphans)}")

@@ -227,7 +227,7 @@ def test_auto_semi_anti_size_gate(ray_session, sf_tiny):
     and the 1-byte limit provably exercises the hash path."""
     import ray.data as rd
 
-    from bb_ocr_ray.stages.joins import auto_anti, auto_semi
+    from bb_ocr_ray.stages.joins import auto_anti, auto_semi, hash_join
 
     def supp():
         return rd.read_parquet(f"{sf_tiny}/supplier.parquet",
@@ -256,6 +256,9 @@ def test_auto_semi_anti_size_gate(ray_session, sf_tiny):
     assert choices == ["broadcast", "hash", "broadcast", "hash"]
     assert semi_b == semi_h
     assert anti_b == anti_h
+    # the hash path IS hash_join(how="semi"/"anti"): called directly
+    for how, want in (("semi", semi_b), ("anti", anti_b)):
+        assert vals(hash_join(supp(), keys(), on="s_suppkey", how=how)) == want
     all_supp = set(supp().to_pandas()["s_suppkey"])
     assert semi_b | anti_b == all_supp and not (semi_b & anti_b)
 
