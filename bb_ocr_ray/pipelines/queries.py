@@ -285,9 +285,10 @@ def q5_revenue_by_nation(sf_dir: str):
     nation(bcast), local-supplier condition (c_nationkey ==
     s_nationkey), revenue per nation name.  The scale-proportional
     sides (supplier, customer) go through the size-gated auto_join —
-    broadcast while their parquet metadata says driver-sized, bucketed
-    hash join beyond that (VERDICT r2 item 3: a driver pd.read_parquet
-    broadcast of a side that grows with sf blows the driver at 100x).
+    broadcast while their projected columns fit the driver
+    (``sizing.collect_if_fits``), bucketed hash join beyond that
+    (VERDICT r2 item 3: a driver pd.read_parquet broadcast of a side
+    that grows with sf blows the driver at 100x).
     nation is constant-size and stays a driver broadcast."""
     from bb_ocr_ray.stages.joins import auto_join, broadcast_join, hash_join
 
@@ -352,9 +353,9 @@ def q5_revenue_by_nation(sf_dir: str):
 def q_anti_join(sf_dir: str):
     """Customers with no high-value (>300k) order — the resume
     primitive (SURVEY.md J6), through the size-gated auto_anti: the
-    orders key side grows with sf, so it is never .unique()'d to the
-    driver unless its metadata estimate proves it driver-sized
-    (VERDICT r2 item 3); beyond the gate it hash-partitions."""
+    filtered orders key side grows with sf, so it is broadcast only
+    while its key column's real bytes fit the driver (VERDICT r2 item
+    3); beyond the gate it hash-partitions."""
     import pyarrow.compute as pc
 
     from bb_ocr_ray.stages.joins import auto_anti
@@ -376,8 +377,8 @@ def q_anti_join(sf_dir: str):
 
 def q_semi_join(sf_dir: str):
     """Suppliers that appear in lineitem — size-gated auto_semi (the
-    lineitem key side is scale-proportional: broadcast only while the
-    metadata estimate allows, else exact hash-partitioned semi)."""
+    lineitem key side is scale-proportional: broadcast only while its
+    key column fits the driver, else exact hash-partitioned semi)."""
     from bb_ocr_ray.stages.joins import auto_semi
 
     supp_keys = (
@@ -3093,10 +3094,12 @@ def q_lm_quality(sf_dir: str):
     into the count table (vocabulary-sized join on w1) so the probe
     stream attaches (c, cc) in a single hash join on bg.  Previously:
     three corpus explodes + four corpus-wide shuffles.  The model
-    ASSEMBLY is size-gated: a heap-sized vocabulary builds (bg, c, cc)
-    on the driver (two shuffles on a 10^3-row table are pure fixed
-    overhead), a web-scale vocabulary routes to the distributed fold +
-    join; the corpus-wide probe join is distributed on BOTH paths.  At 100 TB
+    ASSEMBLY is size-gated on the materialized (bg, c) table's Arrow
+    bytes (``sizing.collect_if_fits``): a heap-sized vocabulary builds
+    (bg, c, cc) on the driver (two shuffles on a 10^3-row table are
+    pure fixed overhead), a web-scale vocabulary routes to the
+    distributed fold + join; the corpus-wide probe join is distributed
+    on BOTH paths.  At 100 TB
     prune to top-V bigrams by document frequency first (the
     q_inverted_index pattern); the per-doc fold is one more
     coarse_agg.  Nothing row-unbounded on the driver.  avg_logp
@@ -3128,21 +3131,24 @@ def q_lm_quality(sf_dir: str):
 
     import ray.data as rd
 
-    from bb_ocr_ray.stages.joins import _BROADCAST_LIMIT_BYTES
+    from bb_ocr_ray.stages import sizing
 
     rows = ds.map_batches(bigram_partials, batch_format="pandas")
-    # materialized so the assembly gate below reads real bytes; it is
-    # bigram-vocabulary-sized — the LM model itself, not the corpus
+    # materialized so an over-limit gate below does not re-run the
+    # corpus fold; it is bigram-vocabulary-sized — the LM model
+    # itself, not the corpus
     cnt = coarse_agg(rows, ["bg"], {"c": ("k", "sum")}).materialize()
 
-    if cnt.size_bytes() <= _BROADCAST_LIMIT_BYTES:
+    # the gate measures the (bg, c) table's Arrow bytes
+    cnt_tbl = sizing.collect_if_fits(cnt)
+    if cnt_tbl is not None:
         # vocabulary fits a heap: assemble (bg, c, cc) on the driver —
         # two shuffles on a 10^3-row table cost whole seconds of fixed
         # overhead (measured 3 s at 32 cpus).  The CORPUS-wide probe
         # join below stays distributed either way; the join-attached
         # posture this query demonstrates is the probe side, which
         # never fits a heap.
-        mp = cnt.to_pandas()
+        mp = cnt_tbl.to_pandas()
         # ws_tokens splits on ASCII whitespace, so w1 never contains
         # a plain space — the first space in bg is exactly the seam
         mp["w1"] = mp["bg"].str.split(" ", n=1).str[0]

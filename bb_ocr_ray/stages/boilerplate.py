@@ -103,31 +103,29 @@ def _explode(batch: pd.DataFrame, id_col: str, domain_col: str,
 def remove_boilerplate(docs_ds, id_col: str = "doc_id",
                        domain_col: str = "source", text_col: str = "text",
                        max_ratio_pct: int = 60, min_docs: int = 2,
-                       coarse_buckets: int | None = None,
-                       broadcast_limit: int | None = None,
-                       _on_choice=None):
+                       coarse_buckets: int | None = None):
     """Drop every line that appears in more than ``max_ratio_pct`` %
     of a domain's documents (and in at least ``min_docs`` of them);
     rebuild each document from its kept lines in original order.
 
-    Size-gated on the materialized frequent-line table: when it fits
-    ``broadcast_limit`` the flag + rebuild run INSIDE one map task per
-    batch (frequent set shipped once via ``ray.put``) — zero shuffles
-    after the df fold; above the gate the positional explode +
-    distributed join + doc_id-bucket rebuild path runs.  ``_on_choice``
-    (tests) receives "broadcast" or "hash".
+    Size-gated on the materialized frequent-line table's Arrow bytes
+    (``k`` key and ``_bp`` flag columns) by ``sizing.collect_if_fits``:
+    when it fits the driver the flag + rebuild run INSIDE one map task
+    per batch (frequent set shipped once via ``ray.put``) — zero
+    shuffles after the df fold; above the gate the positional explode
+    + bucketed ``hash_join`` + doc_id-bucket rebuild path runs.  The
+    domain-count join in front goes through ``auto_join``, the same
+    gate.
 
     Returns a Dataset of (id_col, n_lines, n_kept, clean_text).
     """
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.coarse import _bucket_ids, coarse_agg
-    from bb_ocr_ray.stages.joins import (_BROADCAST_LIMIT_BYTES,
-                                         _auto_num_buckets, auto_join,
-                                         estimate_size_bytes)
+    from bb_ocr_ray.stages.joins import (_auto_num_buckets, auto_join,
+                                         hash_join)
 
     if coarse_buckets is None:
         coarse_buckets = _auto_num_buckets()
-    limit = (_BROADCAST_LIMIT_BYTES if broadcast_limit is None
-             else broadcast_limit)
 
     # -- line document frequency AND docs-per-domain from ONE pass
     #    (doc-locally distinct inside the explode task: a doc's lines
@@ -157,8 +155,11 @@ def remove_boilerplate(docs_ds, id_col: str = "doc_id",
         ndv = b["n_docs"].to_numpy(np.int64)
         m = (dfv >= min_docs) & (dfv * 100 > max_ratio_pct * ndv)
         b = b[m]
+        # _bp is the shuffle path's match flag, set here: a map over an
+        # all-empty materialized table loses its schema in Ray
         return pd.DataFrame(
-            {"k": b[domain_col].astype(str) + _SEP + b["lh"].astype(str)})
+            {"k": b[domain_col].astype(str) + _SEP + b["lh"].astype(str),
+             "_bp": np.int64(1)})
 
     # heavy-hitter-sized by construction: each surviving line covers
     # > ratio of its domain's docs, so a domain holds < 100/ratio of
@@ -168,19 +169,14 @@ def remove_boilerplate(docs_ds, id_col: str = "doc_id",
 
     # -- broadcast fast path: frequent set fits a worker heap, so the
     #    flag + rebuild fuse into the same task that splits the doc —
-    #    zero shuffles after the df fold (materialized metadata is
-    #    real bytes, so the gate reads truth; unknown can't happen)
-    est = estimate_size_bytes(freq)
-    if 0 < est <= limit or est == 0:
-        # a materialized all-empty freq reports 0 bytes; that is the
-        # ultimate broadcast-sized set, not an unknown lazy estimate
-        if _on_choice is not None:
-            _on_choice("broadcast")
+    #    zero shuffles after the df fold
+    freq_tbl = sizing.collect_if_fits(freq)
+    if freq_tbl is not None:
         import hashlib
 
         import ray
 
-        ref = ray.put(frozenset(freq.to_pandas()["k"]))
+        ref = ray.put(frozenset(freq_tbl.column("k").to_pylist()))
 
         def fused(b: pd.DataFrame) -> pd.DataFrame:
             fs = ray.get(ref)
@@ -210,23 +206,18 @@ def remove_boilerplate(docs_ds, id_col: str = "doc_id",
 
         return docs_ds.map_batches(fused, batch_format="pandas")
 
-    if _on_choice is not None:
-        _on_choice("hash")
-
     # -- distributed path: flag every positional line via the bucketed
     #    join, then rebuild per doc through one coarse doc_id shuffle
     lines = docs_ds.map_batches(
         lambda b: _explode(b, id_col, domain_col, text_col, False),
         batch_format="pandas")
 
-    flagged = auto_join(
+    flagged = hash_join(
         lines.map_batches(
             lambda b: b.assign(
                 k=b[domain_col].astype(str) + _SEP + b["lh"].astype(str)),
             batch_format="pandas"),
-        freq.map_batches(lambda b: b.assign(_bp=np.int64(1)),
-                         batch_format="pandas"),
-        on="k", how="left")
+        freq, on="k", how="left")
 
     def stamp(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()

@@ -278,8 +278,7 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
 def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
                         id_col: str = "doc_id", text_col: str = "text",
-                        coarse_buckets: int | None = None,
-                        vocab_broadcast_limit: int = 2_000_000):
+                        coarse_buckets: int | None = None):
     """EXACT all-pairs token-set Jaccard join at threshold t — the
     sub-quadratic rescue of the brute-force baseline (VERDICT r2 item
     6), via prefix filtering (PPJoin family: Xiao et al., WWW'08 —
@@ -300,9 +299,10 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
 
     Scale posture: two corpus passes (df, prefix emission) + one
     coarse shuffle of prefix rows + the verify joins.  The df table is
-    size-gated (VERDICT r3 item 2): below ``vocab_broadcast_limit``
-    distinct tokens it is broadcast once via ``ray.put``; above it —
-    a web-scale vocabulary is 1e9+ tokens — the df ranks are attached
+    size-gated (VERDICT r3 item 2) on its (token, df) Arrow bytes by
+    ``sizing.collect_if_fits``: when it fits the driver it is broadcast
+    once via ``ray.put``; above it — a web-scale vocabulary is 1e9+
+    tokens — the df ranks are attached
     with the distributed bucketed hash join on token and the per-doc
     (df, token) prefix sort happens in a vectorized coarse fold keyed
     on doc, so no stage ever materializes the vocabulary on the
@@ -317,6 +317,7 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
     import ray
     import ray.data as rd
 
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     if coarse_buckets is None:
@@ -334,18 +335,19 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
     from bb_ocr_ray.stages.coarse import _bucket_ids, coarse_agg
 
     # the token vocabulary is unbounded: coarse_agg (per-group tax).
-    # Materialized (object-store blocks, spillable — never the driver)
-    # so the size gate's count() does not re-run the corpus pass.
+    # Materialized (object-store blocks, spillable) so an over-limit
+    # size gate does not re-run the corpus pass for the join path.
     df_ds = coarse_agg(
         docs_ds.map_batches(tok_rows, batch_format="pandas"),
         ["token"], {"df": ("token", "size")},
     ).materialize()
 
-    if df_ds.count() <= vocab_broadcast_limit:
-        # small vocabulary: one-shot broadcast dict (aggregate-sized
-        # by the gate), ray.put once and read per task
-        df_tbl = df_ds.to_pandas()
-        df_ref = ray.put(dict(zip(df_tbl["token"], df_tbl["df"].astype(int))))
+    df_tbl = sizing.collect_if_fits(df_ds)
+    if df_tbl is not None:
+        # small vocabulary: one-shot broadcast dict (driver-sized by
+        # the gate), ray.put once and read per task
+        df_ref = ray.put(dict(zip(df_tbl.column("token").to_pylist(),
+                                  df_tbl.column("df").to_pylist())))
 
         def prefix_rows(b: pd.DataFrame) -> pd.DataFrame:
             dfm = ray.get(df_ref)
@@ -519,11 +521,14 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
                       text_col: str = "text", min_jaccard: float = 0.5):
     """Verify LSH candidate pairs against true token-set Jaccard.
 
-    The candidate pair set is sparse (that is LSH's job — the caller
-    gates it at ``driver_max_pairs``), so it is collected once, ONE
-    corpus pass keeps the (id, text) rows of only the mentioned docs
-    (an Arrow ``is_in`` filter — never the corpus), and the token sets
-    and the test run on the driver.  The threshold test is exact
+    Size-gated on the bytes that really reach the driver: the
+    candidate pairs, then the (id, text) rows of the docs they mention
+    (ONE corpus pass with an Arrow ``is_in`` filter — never the
+    corpus), each collected through ``sizing.collect_if_fits``.  When
+    both fit, the token sets and the test run on the driver; when
+    either does not (web corpora run 30-50% near-dup, so "mentioned"
+    is not sparse at scale), this returns
+    :func:`verify_candidates_hash`.  The threshold test is exact
     integer arithmetic (the decimal min_jaccard becomes a Fraction), so
     boundary pairs like 11/20 at j=0.55 are kept on every engine.
     Returns a Dataset of (id_a, id_b, inter, uni) for the kept pairs.
@@ -533,11 +538,20 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
     import pyarrow.compute as pc
     import ray.data as rd
 
-    pairs = pairs_ds.to_pandas()
+    from bb_ocr_ray.stages import sizing
+
+    def distributed():
+        return verify_candidates_hash(pairs_ds, docs_ds, id_col=id_col,
+                                      text_col=text_col,
+                                      min_jaccard=min_jaccard)
+
+    pairs = sizing.collect_if_fits(pairs_ds)
+    if pairs is None:
+        return distributed()
     kept = []
     if len(pairs):
-        id_a = pairs["id_a"].to_numpy(np.int64)
-        id_b = pairs["id_b"].to_numpy(np.int64)
+        id_a = pairs.column("id_a").to_numpy().astype(np.int64)
+        id_b = pairs.column("id_b").to_numpy().astype(np.int64)
         mentioned = pa.array(np.unique(np.concatenate([id_a, id_b])))
 
         def mentioned_rows(b: pa.Table) -> pa.Table:
@@ -545,10 +559,13 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
             return b.select([id_col, text_col]).filter(
                 pc.is_in(ids, value_set=mentioned.cast(ids.type)))
 
-        docs = docs_ds.map_batches(mentioned_rows,
-                                   batch_format="pyarrow").to_pandas()
+        docs = sizing.collect_if_fits(
+            docs_ds.map_batches(mentioned_rows, batch_format="pyarrow"))
+        if docs is None:
+            return distributed()
         lut = {int(i): frozenset((t or "").split(" "))
-               for i, t in zip(docs[id_col], docs[text_col])}
+               for i, t in zip(docs.column(id_col).to_pylist(),
+                               docs.column(text_col).to_pylist())}
         j = Fraction(str(min_jaccard))
         for a, b in zip(id_a.tolist(), id_b.tolist()):
             sa, sb = lut.get(a), lut.get(b)
@@ -680,9 +697,7 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
 
 
 def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
-                            max_rounds: int = 30,
-                            edge_broadcast_limit: int | None = None,
-                            _on_choice=None):
+                            max_rounds: int = 30):
     """Distributed connected components: alternating large-star /
     small-star rounds (Kiveris et al., "Connected Components in
     MapReduce and Beyond", SoCC 2014) run as Ray coarse-bucket groupby
@@ -690,15 +705,14 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
     shrinking) edge list, and converges in O(log^2 n) rounds even on
     long chains.
 
-    SIZE-GATED on the materialized edge list (the pagerank/HITS
-    driver-fold posture): a verified near-dup pair graph is tiny
-    relative to the corpus, so when its real bytes fit
-    ``edge_broadcast_limit`` the whole computation runs as the
-    driver-side min-label loop (:func:`connected_components`) —
-    zero shuffles instead of O(log² n) star rounds.  Above the gate
+    SIZE-GATED on the materialized (id_a, id_b) edge list's Arrow
+    bytes (the pagerank/HITS driver-fold posture): a verified near-dup
+    pair graph is tiny relative to the corpus, so when
+    ``sizing.collect_if_fits`` collects it the whole computation runs
+    as the driver-side min-label loop (:func:`connected_components`)
+    — zero shuffles instead of O(log² n) star rounds.  Above the gate
     the star rounds run unchanged; the edge set never lands on the
-    driver there.  ``_on_choice`` (tests) receives "driver" or
-    "distributed".
+    driver there.
 
     Returns a Dataset of (doc_id, component) with component = the
     minimum doc_id of the node's component, identical to the
@@ -711,6 +725,7 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
     """
     import ray.data as rd
 
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     if coarse_buckets is None:
@@ -775,21 +790,12 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
                                 b["id_b"].to_numpy(np.int64))}),
         batch_format="pandas",
     ).materialize()
+    small = sizing.collect_if_fits(edges)
+    if small is not None:
+        return rd.from_pandas(connected_components(small.to_pandas()))
     n_edges = edges.count()
-    if n_edges == 0:
-        return rd.from_pandas(pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "component": pd.Series([], dtype="int64")}))
-
-    from bb_ocr_ray.stages.joins import _BROADCAST_LIMIT_BYTES
-    limit = (_BROADCAST_LIMIT_BYTES if edge_broadcast_limit is None
-             else edge_broadcast_limit)
-    if edges.size_bytes() <= limit:      # materialized: real bytes
-        if _on_choice is not None:
-            _on_choice("driver")
-        return rd.from_pandas(connected_components(edges.to_pandas()))
-    if _on_choice is not None:
-        _on_choice("distributed")
+    if n_edges == 0:              # reachable only under a negative limit
+        return rd.from_pandas(connected_components(pd.DataFrame()))
     # block count proportional to DATA, not to upstream lineage: the
     # candidate pipeline can hand over hundreds of near-empty blocks,
     # and every round's sort+map_groups pays per-block task overhead
@@ -829,39 +835,23 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
 
 
 def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                   min_jaccard: float = 0.5, distributed: bool | None = None,
-                   driver_max_pairs: int = 100_000):
+                   min_jaccard: float = 0.5):
     """End-to-end near-dup deduplication: MinHash+LSH candidates ->
     Jaccard verification -> connected components -> keep the minimum
     id per component.  Returns the Dataset of KEPT doc rows.
 
-    Path selection: the candidate pair set is materialized (bounded:
-    it is LSH output, not the corpus) and counted; at or below
-    ``driver_max_pairs`` the driver-side verify+cluster fast path
-    runs, above it (or with ``distributed=True``) everything stays as
-    Ray passes — Bloom-pruned hash-join verification, alternating-star
-    clustering, and a bucketed hash anti-join instead of a broadcast
-    drop set.  Both paths are differentially tested equal."""
+    One straight line; each stage picks its own driver or shuffle path
+    through ``sizing.collect_if_fits``: :func:`verify_candidates` on the
+    candidate pairs plus the mentioned texts, :func:`connected_components_ds`
+    on the verified edges, and ``auto_anti`` on the drop set.  The
+    candidate pairs are materialized (bounded: LSH output, not the
+    corpus) so an over-limit gate never re-runs the MinHash pass."""
+    from bb_ocr_ray.stages.joins import auto_anti
+
     cands = minhash_candidates(
         docs_ds, id_col=id_col, text_col=text_col).materialize()
-    if distributed is None:
-        distributed = cands.count() > driver_max_pairs
-
-    if not distributed:
-        from bb_ocr_ray.stages.joins import anti_join_broadcast
-
-        verified = verify_candidates(cands, docs_ds, id_col=id_col,
-                                     text_col=text_col,
-                                     min_jaccard=min_jaccard)
-        comps = connected_components(verified.to_pandas())
-        drop = set(comps.loc[comps["doc_id"] != comps["component"], "doc_id"])
-        return anti_join_broadcast(docs_ds, drop, id_col)
-
-    from bb_ocr_ray.stages.joins import hash_join
-
-    verified = verify_candidates_hash(cands, docs_ds, id_col=id_col,
-                                      text_col=text_col,
-                                      min_jaccard=min_jaccard)
+    verified = verify_candidates(cands, docs_ds, id_col=id_col,
+                                 text_col=text_col, min_jaccard=min_jaccard)
     comps = connected_components_ds(verified)
     drops = comps.map_batches(
         lambda b: pd.DataFrame(
@@ -869,7 +859,7 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                            "doc_id"].to_numpy(np.int64)}),
         batch_format="pandas",
     )
-    return hash_join(docs_ds, drops, on=id_col, how="anti")
+    return auto_anti(docs_ds, drops, id_col)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,7 @@ def _distinct_nodes(edges_ds, coarse_buckets: int):
 def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
              coarse_buckets: int | None = None,
              tol: float | None = None, stats: dict | None = None,
-             check_every: int | None = None,
-             rank_broadcast_limit: int | None = None,
-             _on_choice=None):
+             check_every: int | None = None):
     """Power-iteration PageRank over an edge Dataset (src, dst) —
     int64 node ids, parallel edges allowed (they carry multiplicity).
 
@@ -75,8 +73,9 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     breaking there saves nothing.
 
     Per-iteration join shape is SIZE-GATED on the rank vector
-    (VERDICT r4 item 6): the |V|-row rank vector's real byte size is
-    known after init, so when it fits ``rank_broadcast_limit`` a
+    (VERDICT r4 item 6): the |V|-row (src, rank) vector is
+    materialized after init and its Arrow bytes are measured once by
+    ``sizing.collect_if_fits``, so when it fits the driver a
     round is ONE shuffle-free map over the static, materialized edge
     list — fresh ranks broadcast via ``ray.put``, each task emits
     per-batch PARTIAL (dst, m) sums, and the driver folds the
@@ -86,12 +85,11 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     applied to the rank vector.  The convergence probe is one aligned
     numpy subtract.  A web-scale |V| (10^10 nodes ≈ 160 GB of rank
     vector) fails the gate and takes the original hash-join +
-    coarse-fold path, where both sides shuffle.  ``_on_choice``
-    (tests) receives "broadcast" or "hash" once.
+    coarse-fold path, where both sides shuffle.
     """
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import (_BROADCAST_LIMIT_BYTES,
-                                         _auto_num_buckets,
+    from bb_ocr_ray.stages.joins import (_auto_num_buckets,
                                          broadcast_join, hash_join)
 
     if coarse_buckets is None:
@@ -161,12 +159,9 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
 
     # the rank vector's size is FIXED across iterations (one row per
     # node), and `ranks` is materialized — gate once on real bytes
-    limit = (_BROADCAST_LIMIT_BYTES if rank_broadcast_limit is None
-             else rank_broadcast_limit)
-    use_bcast = ranks.size_bytes() <= limit
-    if _on_choice is not None:
-        _on_choice("broadcast" if use_bcast else "hash")
-    ranks_pd = ranks.to_pandas() if use_bcast else None
+    ranks_tbl = sizing.collect_if_fits(ranks)
+    use_bcast = ranks_tbl is not None
+    ranks_pd = ranks_tbl.to_pandas() if use_bcast else None
 
     # broadcast path: the per-round all-to-all is pure fixed overhead
     # for a gate-bounded vector (the vocabulary-shuffle finding), so
@@ -270,8 +265,7 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     return ranks.map_batches(finish, batch_format="pandas")
 
 
-def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None,
-         vec_broadcast_limit: int | None = None, _on_choice=None):
+def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None):
     """HITS hubs & authorities (Kleinberg 1999, public algorithm) over
     an edge Dataset (src, dst) — int64 node ids, parallel edges carry
     multiplicity.  Returns a Dataset of (node, authority, hub).
@@ -283,26 +277,23 @@ def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None,
     hold authority (hub) 0 through every round.
 
     Scale shape (the pagerank posture): the |V|-row score vectors are
-    re-materialized every half-round, so their REAL byte size gates
-    the join shape once — below ``vec_broadcast_limit`` the static
-    edge list never shuffles (fresh vector via ``ray.put``, zero-copy
-    map attach, one coarse fold per half-round; the L2 norm is driver
-    arithmetic on the gate-bounded vector).  Above the gate both
-    sides hash-join and the norm folds from per-block partial sums of
-    squares (block-count rows to the driver).  ``_on_choice`` (tests)
-    receives "broadcast" or "hash" once.
+    re-materialized every half-round, so the initial (node, v) hub
+    vector's Arrow bytes, measured once by ``sizing.collect_if_fits``,
+    gate the join shape — when it fits the driver the static edge
+    list never shuffles (fresh vector via ``ray.put``, zero-copy map
+    attach, one coarse fold per half-round; the L2 norm is driver
+    arithmetic on the gate-bounded vector; the driver then holds the
+    hub and authority vectors, twice the measured bytes).  Above the
+    gate both sides hash-join and the norm folds from per-block
+    partial sums of squares (block-count rows to the driver).
     """
-    import ray
-
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import (_BROADCAST_LIMIT_BYTES,
-                                         _auto_num_buckets,
+    from bb_ocr_ray.stages.joins import (_auto_num_buckets,
                                          broadcast_join, hash_join)
 
     if coarse_buckets is None:
         coarse_buckets = _auto_num_buckets()
-    limit = (_BROADCAST_LIMIT_BYTES if vec_broadcast_limit is None
-             else vec_broadcast_limit)
 
     nodes = _distinct_nodes(edges_ds, coarse_buckets).materialize()
     n_nodes = nodes.count()
@@ -336,17 +327,16 @@ def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None,
         lambda b: pd.DataFrame({"node": b["node"].astype("int64"),
                                 "v": 1.0}),
         batch_format="pandas").materialize()
-    use_bcast = hvec.size_bytes() * 2 <= limit
-    if _on_choice is not None:
-        _on_choice("broadcast" if use_bcast else "hash")
-
-    zeros = nodes.map_batches(
-        lambda b: pd.DataFrame({"node": b["node"].astype("int64"),
-                                "v": 0.0}),
-        batch_format="pandas").materialize()
-
-    nodes_idx = (np.sort(zeros.to_pandas()["node"].to_numpy(np.int64))
-                 if use_bcast else None)
+    h_tbl = sizing.collect_if_fits(hvec)
+    use_bcast = h_tbl is not None
+    if use_bcast:
+        hvec = h_tbl.to_pandas()
+        nodes_idx = np.sort(hvec["node"].to_numpy(np.int64))
+    else:
+        zeros = nodes.map_batches(
+            lambda b: pd.DataFrame({"node": b["node"].astype("int64"),
+                                    "v": 0.0}),
+            batch_format="pandas").materialize()
 
     def _neighbor_sum(vec, key_from: str, key_to: str):
         """Σ over edges (key_from → key_to) of vec(key_from), as a
@@ -359,9 +349,8 @@ def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None,
         Hash path: distributed join + coarse fold + per-block partial
         sums of squares for the norm."""
         if use_bcast:
-            vpd = vec if isinstance(vec, pd.DataFrame) else vec.to_pandas()
             joined = broadcast_join(
-                edges2, vpd.rename(columns={"node": key_from}),
+                edges2, vec.rename(columns={"node": key_from}),
                 on=key_from)
 
             def partial(b: pd.DataFrame) -> pd.DataFrame:

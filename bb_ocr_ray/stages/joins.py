@@ -13,15 +13,25 @@ and a key-equality lookup against Google Books
     two-sided shuffle here: inner/outer joins, the exact semi/anti
     join (``how="semi"/"anti"``) and band_join's window equi-join all
     run through it.
-  - anti_join_broadcast: key set broadcast + vectorized isin filter.
-    The anti-join is also the resume primitive (manifest anti-join,
-    SURVEY.md J6); auto_semi / auto_anti pick broadcast or hash_join
-    by a metadata size gate.
+  - auto_join / auto_semi / auto_anti: broadcast when the small side
+    fits the driver, else hash_join.  The anti-join is also the resume
+    primitive (manifest anti-join, SURVEY.md J6).  The one gate is
+    ``sizing.collect_if_fits``: it rejects a side whose metadata
+    estimate is over ``sizing._BROADCAST_LIMIT_BYTES`` (256 MiB), else
+    streams the side's real Arrow bytes to the driver and gives up as
+    soon as they pass the limit — the collected table IS the broadcast
+    payload, and an over-limit side costs at most the limit in work
+    before hash_join runs it again.
+
+Every path follows SQL's NULL rule: a NULL key equals nothing, so an
+inner/semi join never keeps it and an anti join always does.
 """
 
 from __future__ import annotations
 
 import pandas as pd
+
+from bb_ocr_ray.stages import sizing
 
 
 def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
@@ -39,14 +49,15 @@ def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
     preserved deterministically (VERDICT r1: the pandas batch format
     across the join layer was the standing efficiency tax).  Falls
     back to the pandas merge when the small side has duplicate keys
-    (cross-product semantics) or a composite key."""
+    (cross-product semantics) or a composite key.  Small-side rows with
+    a NULL key are dropped first: a NULL key matches nothing."""
     if how not in ("inner", "left"):
         raise ValueError(f"broadcast_join supports inner/left, not {how!r}")
     import ray
 
+    small_df = small_df.dropna(subset=[on] if isinstance(on, str) else on)
     key = on if isinstance(on, str) else (on[0] if len(on) == 1 else None)
-    arrow_path = (key is not None and small_df[key].is_unique
-                  and not small_df[key].isna().any())
+    arrow_path = key is not None and small_df[key].is_unique
 
     if not arrow_path:
         ref = ray.put(small_df)
@@ -88,39 +99,29 @@ def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
 
 
 def _membership_filter(big_ds, keys, col: str, keep_members: bool):
-    """Shared semi/anti: broadcast key array once, zero-copy Arrow
-    ``is_in`` filter per batch (no pandas conversion of the big side)."""
-    import pyarrow as pa
+    """Shared semi/anti: broadcast the distinct non-null ``keys`` (an
+    Arrow array) once, zero-copy Arrow ``is_in`` filter per batch (no
+    pandas conversion of the big side)."""
+    import pyarrow.compute as pc
     import ray
 
-    keys = sorted(keys)
-    if not keys:                      # empty set: semi -> nothing,
+    keys = pc.unique(keys).drop_null()    # a NULL key matches nothing
+    if not len(keys):                 # empty set: semi -> nothing,
         if keep_members:              # anti -> everything
             return big_ds.map_batches(lambda b: b.slice(0, 0),
                                       batch_format="pyarrow")
         return big_ds
 
-    ref = ray.put(pa.array(keys))
+    ref = ray.put(keys)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        value_set = ray.get(ref)
-        mask = pc.is_in(batch.column(col), value_set=value_set)
-        if not keep_members:
-            # nulls never match a key set: is_in(null) is null -> anti
-            # keeps them, same as the pandas ~isin behavior
-            mask = pc.fill_null(pc.invert(mask), True)
-        else:
-            mask = pc.fill_null(mask, False)
-        return batch.filter(mask)
+    def fn(batch):
+        # skip_nulls: a NULL big-side key is never a member, so semi
+        # drops it and anti keeps it
+        mask = pc.is_in(batch.column(col), value_set=ray.get(ref),
+                        skip_nulls=True)
+        return batch.filter(mask if keep_members else pc.invert(mask))
 
     return big_ds.map_batches(fn, batch_format="pyarrow")
-
-
-def anti_join_broadcast(big_ds, keys, col: str):
-    """Keep rows whose ``col`` is NOT in ``keys``."""
-    return _membership_filter(big_ds, keys, col, keep_members=False)
 
 
 _KNUTH = 2654435761  # Fibonacci-hashing multiplier (deterministic bucketing)
@@ -173,7 +174,8 @@ def _auto_tag_batch(*dss) -> int:
     datasets keep the _TAG_BATCH floor, which is right for anything
     locally small; callers that KNOW their row count pass tag_batch
     explicitly)."""
-    rows_est = sum(estimate_size_bytes(d) for d in dss) // _EST_ROW_BYTES
+    rows_est = (sum(sizing.estimate_size_bytes(d) for d in dss)
+                // _EST_ROW_BYTES)
     target_blocks = max(4 * _cluster_cores(), 32)
     return max(_TAG_BATCH, min(_TAG_BATCH_CAP, rows_est // target_blocks))
 
@@ -220,20 +222,18 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
     outer joins are exact because every row hashes to exactly ONE
     bucket — each side's unmatched null-extended copy is emitted once,
     independent of block boundaries (unlike a per-batch broadcast
-    right/outer merge, see broadcast_join).  NULL keys: the Arrow
-    in-bucket path follows SQL semantics (null never matches null);
-    the pandas fallback for object/nested payloads keeps pandas
-    semantics (NaN matches NaN) — filter null keys first where the
-    distinction matters.
+    right/outer merge, see broadcast_join).  NULL keys follow SQL on
+    both in-bucket bodies: a NULL key matches nothing, so inner and
+    semi drop the row, anti keeps it, and the outer joins
+    null-extend it.
 
     ``semi`` / ``anti`` keep the left rows whose single key ``on`` does
     / does not appear in ``right_ds`` — the exact membership join for a
     key set too big to broadcast (e.g. the drop set of a 30-50%
     duplicate web corpus).  Only the key column of ``right_ds`` is
     read; the output has the left side's columns.  The in-bucket test
-    is ``pc.is_in`` on the Arrow path (a null left key matches no
-    non-null key, so anti keeps it and semi drops it — but it does
-    match a null IN the key set) and ``isin`` on the pandas path.
+    is ``pc.is_in(skip_nulls=True)`` on the Arrow path and ``isin``
+    over the non-null keys on the pandas path.
 
     Mechanism: tag each side, add ``bucket = h(key) % B`` in a
     vectorized map, union the sides, ``groupby(bucket)`` (ONE sort
@@ -435,10 +435,9 @@ def _bucketed_arrow(left_ds, right_ds, keys, num_buckets, how, left_cols,
 
         if join_type is None:                  # semi / anti
             m = pc.is_in(left.column(keys[0]),
-                         value_set=right.column(keys[0]).combine_chunks())
-            m = (pc.fill_null(m, False) if how == "semi"
-                 else pc.fill_null(pc.invert(m), True))
-            return left.filter(m)
+                         value_set=right.column(keys[0]).combine_chunks(),
+                         skip_nulls=True)
+            return left.filter(m if how == "semi" else pc.invert(m))
         out_cols = left_cols + right_cols
         if len(right) == 0:
             lt = left if how in ("left", "full") else left.slice(0, 0)
@@ -575,118 +574,84 @@ def _bucketed_pandas(left_ds, right_ds, keys, num_buckets, how, left_cols,
         left = g[g["__side"] == 0][left_cols]
         right = g[g["__side"] == 1][keys + right_cols]
         if pd_how is None:                     # semi / anti
-            isin = left[keys[0]].isin(right[keys[0]]).to_numpy()
+            # pandas isin matches NaN to NaN; SQL matches NULL to
+            # nothing: with the right side's NULL keys dropped, a NULL
+            # left key is never a member
+            isin = left[keys[0]].isin(right[keys[0]].dropna()).to_numpy()
             # take(), not a boolean __getitem__: the result is a fresh
             # frame, so _pin's column assignments raise no
             # SettingWithCopyWarning
             return _pin(left.take(np.flatnonzero(
                 isin if how == "semi" else ~isin)))
+        # pandas merge also matches NaN to NaN: only non-null right
+        # keys may match (a NULL left key then matches nothing), and a
+        # full join emits the NULL-key right rows unmatched
+        null_r = right[keys].isna().any(axis=1).to_numpy()
+        right_null, right = right[null_r], right[~null_r]
         if len(left) <= chunk:
-            return _pin(left.merge(right, on=keys, how=pd_how))
-        # hot-key/skewed bucket: probe in chunks (see _bucketed_arrow).
-        # full outer cannot chunk directly (right unmatched rows would
-        # repeat per chunk): chunk as left, append the right-anti
-        # remainder once.
-        chunk_how = "left" if how == "full" else pd_how
-        parts = [left.iloc[i:i + chunk].merge(right, on=keys,
-                                              how=chunk_how)
-                 for i in range(0, len(left), chunk)]
-        if how == "full":
-            probe = right.merge(left[keys].drop_duplicates(), on=keys,
-                                how="left", indicator=True)
-            ra = probe[probe["_merge"] == "left_only"].drop(
-                columns=["_merge"])
-            ra = ra.reindex(columns=parts[0].columns)
-            parts.append(ra)
-        return _pin(pd.concat(parts, ignore_index=True))
+            parts = [left.merge(right, on=keys, how=pd_how)]
+        else:
+            # hot-key/skewed bucket: probe in chunks (see
+            # _bucketed_arrow).  full outer cannot chunk directly (right
+            # unmatched rows would repeat per chunk): chunk as left,
+            # append the right-anti remainder once.
+            chunk_how = "left" if how == "full" else pd_how
+            parts = [left.iloc[i:i + chunk].merge(right, on=keys,
+                                                  how=chunk_how)
+                     for i in range(0, len(left), chunk)]
+            if how == "full":
+                probe = right.merge(left[keys].drop_duplicates(), on=keys,
+                                    how="left", indicator=True)
+                parts.append(probe[probe["_merge"] == "left_only"].drop(
+                    columns=["_merge"]))
+        if how == "full" and len(right_null):
+            parts.append(right_null)
+        if len(parts) == 1:
+            return _pin(parts[0])
+        return _pin(pd.concat([p.reindex(columns=parts[0].columns)
+                               for p in parts], ignore_index=True))
 
     return both.groupby("__bucket").map_groups(merge_bucket,
                                                batch_format="pandas")
 
 
-# above this estimated small-side size a driver collect + per-worker
-# broadcast copy stops paying for itself: every worker holds the full
-# table in heap, and the driver materializes it first.  256 MiB is a
-# comfortable slice of a worker heap; scale-proportional sides
-# (customer/supplier at high sf) blow past it and route to the
-# shuffle join instead (VERDICT r2 item 3).
-_BROADCAST_LIMIT_BYTES = 256 << 20
-
-
-def estimate_size_bytes(ds) -> int:
-    """Metadata-only size estimate for a (possibly lazy) Dataset.
-    NEVER ``Dataset.size_bytes()`` — that executes the plan.  Returns
-    0 when metadata can't tell (computed datasets with no parquet
-    provenance).  Project ops (rename_columns / select_columns) report
-    no size of their own but never grow the data, so the walk continues
-    upstream through them — the upstream estimate is a safe UPPER bound
-    for a broadcast gate."""
-    try:
-        op = ds._logical_plan.dag
-        while op is not None:
-            est = op.infer_metadata().size_bytes or 0
-            if est:
-                return est
-            if type(op).__name__ != "Project" or not op.input_dependencies:
-                return 0
-            op = op.input_dependencies[0]
-        return 0
-    except Exception:  # noqa: BLE001 — unknown provenance
-        return 0
-
-
-def auto_join(big_ds, small_ds, on, how: str = "inner",
-              broadcast_limit: int | None = None, _on_choice=None):
-    """Size-gated join selection: broadcast when the small side's
-    metadata estimate fits ``broadcast_limit``, else the bucketed
-    ``hash_join``.  ``small_ds`` is a Dataset either way — the
-    driver only collects it AFTER the gate proves it driver-sized.
-    An unknown estimate (0: computed dataset, no parquet metadata)
-    routes to the shuffle join: at 100 TB "don't know" must mean
-    "don't broadcast".  ``_on_choice`` (tests) receives "broadcast"
-    or "hash"."""
-    limit = _BROADCAST_LIMIT_BYTES if broadcast_limit is None else broadcast_limit
-    est = estimate_size_bytes(small_ds)
-    if 0 < est <= limit:
-        if _on_choice is not None:
-            _on_choice("broadcast")
-        return broadcast_join(big_ds, small_ds.to_pandas(), on=on, how=how)
-    if _on_choice is not None:
-        _on_choice("hash")
+def auto_join(big_ds, small_ds, on, how: str = "inner"):
+    """Size-gated join selection: broadcast when ``small_ds`` fits the
+    driver, else the bucketed ``hash_join``.  The gate measures the
+    small side's own Arrow bytes (``sizing.collect_if_fits``), and the
+    table it collects is the broadcast payload."""
+    small = sizing.collect_if_fits(small_ds)
+    if small is not None:
+        return broadcast_join(big_ds, small.to_pandas(), on=on, how=how)
     return hash_join(big_ds, small_ds, on=on, how=how)
 
 
-def _auto_membership(big_ds, keys_ds, on: str, keep_members: bool,
-                     broadcast_limit: int | None, _on_choice):
-    limit = _BROADCAST_LIMIT_BYTES if broadcast_limit is None else broadcast_limit
-    est = estimate_size_bytes(keys_ds)
-    if 0 < est <= limit:
-        if _on_choice is not None:
-            _on_choice("broadcast")
-        keys = keys_ds.unique(on)
-        return _membership_filter(big_ds, keys, on,
+def _auto_membership(big_ds, keys_ds, on: str, keep_members: bool):
+    import pyarrow as pa
+
+    keys = sizing.collect_if_fits(keys_ds.select_columns([on]))
+    if keys is not None:
+        # an empty side may come back with no columns (Ray knows no
+        # schema for a Dataset whose every block was filtered away)
+        col = keys.column(on) if keys.num_rows else pa.nulls(0)
+        return _membership_filter(big_ds, col, on,
                                   keep_members=keep_members)
-    if _on_choice is not None:
-        _on_choice("hash")
     return hash_join(big_ds, keys_ds, on=on,
                      how="semi" if keep_members else "anti")
 
 
-def auto_semi(big_ds, keys_ds, on: str, broadcast_limit: int | None = None,
-              _on_choice=None):
-    """Size-gated semi-join: key set broadcast (unique + Arrow is_in)
-    when the keys side's metadata estimate is driver-sized, else the
-    exact ``hash_join(how="semi")``.  Unknown estimate →
-    hash (same rationale as auto_join)."""
-    return _auto_membership(big_ds, keys_ds, on, True, broadcast_limit,
-                            _on_choice)
+def auto_semi(big_ds, keys_ds, on: str):
+    """Size-gated semi-join: key set broadcast (distinct keys + Arrow
+    is_in) when the keys side's ``on`` column fits the driver
+    (``sizing.collect_if_fits`` measures that column's Arrow bytes),
+    else the exact ``hash_join(how="semi")``."""
+    return _auto_membership(big_ds, keys_ds, on, True)
 
 
-def auto_anti(big_ds, keys_ds, on: str, broadcast_limit: int | None = None,
-              _on_choice=None):
-    """Size-gated anti-join (the resume primitive at any scale)."""
-    return _auto_membership(big_ds, keys_ds, on, False, broadcast_limit,
-                            _on_choice)
+def auto_anti(big_ds, keys_ds, on: str):
+    """Size-gated anti-join (the resume primitive at any scale); same
+    gate as auto_semi."""
+    return _auto_membership(big_ds, keys_ds, on, False)
 
 
 # ---------------------------------------------------------------------------

@@ -371,8 +371,18 @@ def bench_shuffle_suite(sf_dir: str) -> dict:
         return hash_join(li, orders, on="o_orderkey", tag_batch=tb)
 
     def run_near_dup(sf):
+        from bb_ocr_ray.stages import sizing
+
         docs = _replicated_docs(sf, r_docs)
-        return near_dup_dedup(docs, distributed=True)
+        # a zero driver-size limit sends every near-dup stage down its
+        # shuffle path; the gates all decide inside near_dup_dedup, so
+        # the limit goes back before the plan runs
+        limit = sizing._BROADCAST_LIMIT_BYTES
+        sizing._BROADCAST_LIMIT_BYTES = 0
+        try:
+            return near_dup_dedup(docs)
+        finally:
+            sizing._BROADCAST_LIMIT_BYTES = limit
 
     def run_domain(sf):
         return domain_stats(extract_pages(_replicated_pages(sf, r_pages)))

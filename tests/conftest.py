@@ -27,3 +27,34 @@ def sf_tiny():
 @pytest.fixture(scope="session")
 def sf_small():
     return SF_SMALL
+
+
+@pytest.fixture
+def gate_spy(monkeypatch):
+    """Every driver-size gate decides through ``sizing.collect_if_fits``;
+    this spy records each decision in call order: "driver" when the
+    side came back as a table, "shuffle" when it did not fit."""
+    from bb_ocr_ray.stages import sizing
+
+    real = sizing.collect_if_fits
+    seen = []
+
+    def spy(ds):
+        out = real(ds)
+        seen.append("shuffle" if out is None else "driver")
+        return out
+
+    monkeypatch.setattr(sizing, "collect_if_fits", spy)
+    return seen
+
+
+@pytest.fixture
+def force_shuffle(monkeypatch):
+    """Call to send every later gate down its shuffle path (limit 0, or
+    pass -1 to push even an empty side over)."""
+    from bb_ocr_ray.stages import sizing
+
+    def force(limit: int = 0):
+        monkeypatch.setattr(sizing, "_BROADCAST_LIMIT_BYTES", limit)
+
+    return force

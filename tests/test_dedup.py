@@ -271,18 +271,24 @@ def test_connected_components_ds_matches_driver(ray_session):
                                       got.reset_index(drop=True))
 
 
-def test_near_dup_dedup_distributed_matches_driver(ray_session, dup_docs):
+def test_near_dup_dedup_distributed_matches_driver(ray_session, dup_docs,
+                                                   gate_spy, force_shuffle):
     """The distributed verify+cluster+anti-join path returns exactly
-    the driver fast path's survivors, and never materializes pairs on
-    the driver."""
+    the driver fast path's survivors, and never collects pairs on the
+    driver: the driver run passes all four gates (pairs, mentioned
+    texts, edges, drop set); the forced run fails its three."""
     from bb_ocr_ray.stages.dedup import near_dup_dedup
 
-    a = near_dup_dedup(dup_docs, distributed=False).to_pandas()
-    b = near_dup_dedup(dup_docs, distributed=True).to_pandas()
+    a = near_dup_dedup(dup_docs).to_pandas()
+    assert gate_spy == ["driver"] * 4
+    force_shuffle()
+    b = near_dup_dedup(dup_docs).to_pandas()
+    assert gate_spy[4:] == ["shuffle"] * 3
     assert sorted(a["doc_id"]) == sorted(b["doc_id"]) == [0, 3, 4]
 
 
-def test_near_dup_dedup_distributed_flood(ray_session):
+def test_near_dup_dedup_distributed_flood(ray_session, gate_spy,
+                                          force_shuffle):
     """10k-ish pair graph through the distributed path: a 120-doc
     identical flood plus uniques dedups to one survivor per cluster
     without driver-side clustering."""
@@ -296,24 +302,31 @@ def test_near_dup_dedup_distributed_flood(ray_session):
               "text": f"unique document number {i} with its own words {i*7}"}
              for i in range(30)]
     ds = rd.from_items(rows).repartition(4)
-    kept = near_dup_dedup(ds, min_jaccard=0.9, distributed=True).to_pandas()
+    force_shuffle()
+    kept = near_dup_dedup(ds, min_jaccard=0.9).to_pandas()
+    assert gate_spy == ["shuffle"] * 3
     assert 0 in set(kept["doc_id"])                      # flood survivor
     assert set(kept["doc_id"]) >= {500 + i for i in range(30)}
     assert len(kept) == 31
 
 
-def test_anti_join_hash_matches_broadcast(ray_session):
+def test_anti_join_hash_matches_broadcast(ray_session, gate_spy,
+                                          force_shuffle):
     import ray.data as rd
 
-    from bb_ocr_ray.stages.joins import anti_join_broadcast, hash_join
+    from bb_ocr_ray.stages.joins import auto_anti, hash_join
 
     big = rd.from_items(
         [{"k": i, "val": f"v{i}"} for i in range(500)]).repartition(4)
     drop = [i for i in range(500) if i % 3 == 0]
     keys = rd.from_items([{"k": i} for i in drop]).repartition(2)
-    a = anti_join_broadcast(big, set(drop), "k").to_pandas()
+    a = auto_anti(big, keys, "k").to_pandas()
+    force_shuffle()
+    forced = auto_anti(big, keys, "k").to_pandas()
+    assert gate_spy == ["driver", "shuffle"]
     b = hash_join(big, keys, on="k", how="anti").to_pandas()
-    assert sorted(a["k"]) == sorted(b["k"])
+    assert sorted(a["k"]) == sorted(b["k"]) == sorted(forced["k"])
+    assert sorted(a["k"]) == [i for i in range(500) if i % 3]
     assert set(b.columns) == {"k", "val"}
     # review regression: the keys-side None padding must not degrade
     # big-side dtypes to object
@@ -431,8 +444,9 @@ def test_set_similarity_matches_brute_random(ray_session):
         assert got == expect, f"threshold {thr}: {got ^ expect}"
 
 
-def test_set_similarity_distributed_vocab_path(ray_session):
-    """vocab_broadcast_limit=0 forces the df-rank hash-join path (the
+def test_set_similarity_distributed_vocab_path(ray_session, gate_spy,
+                                               force_shuffle):
+    """A 0-byte driver limit forces the df-rank hash-join path (the
     web-scale branch: no driver-side vocabulary dict, prefix ranks
     attached by the bucketed join + a vectorized per-doc fold).  It
     must produce the exact broadcast-path result — pairs AND
@@ -453,14 +467,15 @@ def test_set_similarity_distributed_vocab_path(ray_session):
     docs.append({"doc_id": 900, "text": ""})       # empty-token edge
     docs.append({"doc_id": 901, "text": ""})       # pairs with 900 at J=1
 
-    def run(limit):
+    def run():
         out = set_similarity_join(
-            rd.from_items(docs).repartition(4), min_jaccard=0.5,
-            vocab_broadcast_limit=limit).to_pandas()
+            rd.from_items(docs).repartition(4), min_jaccard=0.5).to_pandas()
         return set(zip(out["id_a"], out["id_b"], out["inter"], out["uni"]))
 
-    broadcast = run(2_000_000)
-    distributed = run(0)
+    broadcast = run()
+    force_shuffle()
+    distributed = run()
+    assert gate_spy == ["driver", "shuffle"]
     assert distributed == broadcast
     assert (900, 901, 1, 1) in distributed          # "" token round-trips
 
@@ -595,7 +610,8 @@ def test_connected_components_query_matches_islands(ray_session, sf_tiny):
     assert 1 < n_islands < len(d)
 
 
-def test_connected_components_ds_gate_paths_agree(ray_session):
+def test_connected_components_ds_gate_paths_agree(ray_session, gate_spy,
+                                                  force_shuffle):
     """The edge-list size gate: driver min-label loop and distributed
     star rounds label identically (long chain + cliques + isolated
     pair), and the gate reports each path."""
@@ -610,14 +626,12 @@ def test_connected_components_ds_gate_paths_agree(ray_session):
         "id_b": list(range(1, 41)) + [101, 102, 100] + [501]})
     ds = rd.from_pandas(pairs).repartition(4)
 
-    choices = []
-    fast = (connected_components_ds(ds, _on_choice=choices.append)
+    fast = (connected_components_ds(ds)
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    slow = (connected_components_ds(rd.from_pandas(pairs).repartition(4),
-                                    edge_broadcast_limit=0,
-                                    _on_choice=choices.append)
+    force_shuffle()
+    slow = (connected_components_ds(rd.from_pandas(pairs).repartition(4))
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert choices == ["driver", "distributed"]
+    assert gate_spy == ["driver", "shuffle"]
     assert fast["doc_id"].tolist() == slow["doc_id"].tolist()
     assert fast["component"].tolist() == slow["component"].tolist()
     # chain collapses to min label 0; clique to 100; pair to 500

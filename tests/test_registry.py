@@ -84,7 +84,6 @@ _ORPHAN_ALLOW = {
     "functions/hashing.py:minhash_bands",
     "functions/hashing.py:hamming64",
     "functions/hashing.py:jaccard_tokens",
-    "functions/http_replay.py:RecordedHTTPProvider",
     "functions/scalars.py:extract_dates",
     "functions/scalars.py:extract_emails",
     "functions/scalars.py:extract_phones",

@@ -75,23 +75,23 @@ def test_remove_boilerplate_matches_pandas(ray_session, corpus):
     assert all("half " in t for t in ev["clean_text"])
 
 
-def test_remove_boilerplate_broadcast_vs_distributed(ray_session, corpus):
+def test_remove_boilerplate_broadcast_vs_distributed(ray_session, corpus,
+                                                     gate_spy, force_shuffle):
     """VERDICT r4 item 1: the frequent-set gate.  Default limit takes
-    the zero-shuffle fused broadcast path; broadcast_limit=1 forces the
+    the zero-shuffle fused broadcast path; a 0-byte limit forces the
     explode + join + doc_id-bucket rebuild path.  Outputs must be
-    row-identical, and the gate must report the forced choice."""
+    row-identical, and each run's two gates (domain counts, frequent
+    set) must take the expected path."""
     import ray.data as rd
 
     from bb_ocr_ray.stages.boilerplate import remove_boilerplate
 
-    choices = []
-    fast = (remove_boilerplate(rd.from_pandas(corpus),
-                               _on_choice=choices.append)
+    fast = (remove_boilerplate(rd.from_pandas(corpus))
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    slow = (remove_boilerplate(rd.from_pandas(corpus), broadcast_limit=1,
-                               _on_choice=choices.append)
+    force_shuffle()
+    slow = (remove_boilerplate(rd.from_pandas(corpus))
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert choices == ["broadcast", "hash"]
+    assert gate_spy == ["driver", "driver", "shuffle", "shuffle"]
     slow["doc_id"] = slow["doc_id"].astype("int64")
     fast["doc_id"] = fast["doc_id"].astype("int64")
     for c in ("doc_id", "n_lines", "n_kept", "clean_text"):
@@ -140,16 +140,17 @@ def test_pmi_pairs_deterministic_and_windowed(ray_session, tmp_path):
     assert key == sorted(key)
 
 
-def test_lm_quality_assembly_paths_agree(ray_session, sf_tiny, monkeypatch):
+def test_lm_quality_assembly_paths_agree(ray_session, sf_tiny, gate_spy,
+                                         force_shuffle):
     """The size-gated LM model assembly (driver pandas vs distributed
     fold+join) is a pure plan choice: forcing the distributed path
     with a 0-byte gate must yield identical scores."""
-    import bb_ocr_ray.stages.joins as joins
     from bb_ocr_ray.pipelines.queries import q_lm_quality
 
     a = q_lm_quality(sf_tiny)
-    monkeypatch.setattr(joins, "_BROADCAST_LIMIT_BYTES", 0)
+    force_shuffle()
     b = q_lm_quality(sf_tiny)
+    assert gate_spy == ["driver", "shuffle"]
     assert a.values.tolist() == b.values.tolist()
 
 

@@ -4,6 +4,7 @@ size-aware repartition."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def test_bloom_semi_join_no_false_negatives(ray_session, sf_tiny):
@@ -188,11 +189,11 @@ def test_hll_registers_mergeable():
     assert merged == regs(str(i) for i in range(900))
 
 
-def test_auto_join_size_gate(ray_session, sf_tiny):
-    """auto_join routes by the small side's metadata size estimate:
-    a parquet-backed dim under the limit broadcasts; forcing the limit
-    to 1 byte routes the SAME join through the hash path — results
-    identical either way (VERDICT r2 item 3)."""
+def test_auto_join_size_gate(ray_session, sf_tiny, gate_spy, force_shuffle):
+    """auto_join routes by the small side's real bytes: a dim under the
+    limit broadcasts; forcing the limit to 0 bytes routes the SAME join
+    through the hash path — results identical either way (VERDICT r2
+    item 3)."""
     import ray.data as rd
 
     from bb_ocr_ray.stages.joins import auto_join
@@ -203,18 +204,16 @@ def test_auto_join_size_gate(ray_session, sf_tiny):
                            columns=["s_suppkey", "s_nationkey"]
                            ).rename_columns({"s_suppkey": "l_suppkey"})
 
-    choices = []
-    via_bcast = auto_join(li, supp, on="l_suppkey",
-                          _on_choice=choices.append).to_pandas()
+    via_bcast = auto_join(li, supp, on="l_suppkey").to_pandas()
+    force_shuffle()
     via_hash = auto_join(
         rd.read_parquet(f"{sf_tiny}/lineitem.parquet",
                         columns=["l_orderkey", "l_suppkey"]),
         rd.read_parquet(f"{sf_tiny}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"]
                         ).rename_columns({"s_suppkey": "l_suppkey"}),
-        on="l_suppkey", broadcast_limit=1,
-        _on_choice=choices.append).to_pandas()
-    assert choices == ["broadcast", "hash"]
+        on="l_suppkey").to_pandas()
+    assert gate_spy == ["driver", "shuffle"]
 
     key = ["l_orderkey", "l_suppkey", "s_nationkey"]
     a = via_bcast[key].sort_values(key).reset_index(drop=True)
@@ -222,9 +221,10 @@ def test_auto_join_size_gate(ray_session, sf_tiny):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_auto_semi_anti_size_gate(ray_session, sf_tiny):
+def test_auto_semi_anti_size_gate(ray_session, sf_tiny, gate_spy,
+                                  force_shuffle):
     """auto_semi / auto_anti: broadcast vs hash paths agree exactly,
-    and the 1-byte limit provably exercises the hash path."""
+    and the 0-byte limit provably exercises the hash path."""
     import ray.data as rd
 
     from bb_ocr_ray.stages.joins import auto_anti, auto_semi, hash_join
@@ -244,16 +244,12 @@ def test_auto_semi_anti_size_gate(ray_session, sf_tiny):
         # (repo-documented gotcha): an empty anti result is legitimate
         return set(df["s_suppkey"]) if "s_suppkey" in df.columns else set()
 
-    choices = []
-    semi_b = vals(auto_semi(supp(), keys(), "s_suppkey",
-                            _on_choice=choices.append))
-    semi_h = vals(auto_semi(supp(), keys(), "s_suppkey", broadcast_limit=1,
-                            _on_choice=choices.append))
-    anti_b = vals(auto_anti(supp(), keys(), "s_suppkey",
-                            _on_choice=choices.append))
-    anti_h = vals(auto_anti(supp(), keys(), "s_suppkey", broadcast_limit=1,
-                            _on_choice=choices.append))
-    assert choices == ["broadcast", "hash", "broadcast", "hash"]
+    semi_b = vals(auto_semi(supp(), keys(), "s_suppkey"))
+    anti_b = vals(auto_anti(supp(), keys(), "s_suppkey"))
+    force_shuffle()
+    semi_h = vals(auto_semi(supp(), keys(), "s_suppkey"))
+    anti_h = vals(auto_anti(supp(), keys(), "s_suppkey"))
+    assert gate_spy == ["driver", "driver", "shuffle", "shuffle"]
     assert semi_b == semi_h
     assert anti_b == anti_h
     # the hash path IS hash_join(how="semi"/"anti"): called directly
@@ -580,11 +576,12 @@ def test_bucketed_join_pins_dtypes(ray_session):
     assert got["w"].tolist() == list(range(30))
 
 
-def test_pagerank_rank_broadcast_gate_paths_agree(ray_session):
+def test_pagerank_rank_broadcast_gate_paths_agree(ray_session, gate_spy,
+                                                  force_shuffle):
     """VERDICT r4 item 6: the per-iteration join shape is size-gated
     on the rank vector.  Forced-hash and default-broadcast paths must
     produce the same ranks (within float summation-order drift far
-    below the 6dp oracle grain) and report their gate choice."""
+    below the 6dp oracle grain), each through its own gate path."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -596,21 +593,20 @@ def test_pagerank_rank_broadcast_gate_paths_agree(ray_session):
         "src": rng.randint(0, 400, 3000).astype("int64"),
         "dst": rng.randint(0, 450, 3000).astype("int64")})
 
-    choices = []
-    fast = (pagerank(rd.from_pandas(edges).repartition(4), iters=6,
-                     _on_choice=choices.append)
+    fast = (pagerank(rd.from_pandas(edges).repartition(4), iters=6)
             .to_pandas().sort_values("node").reset_index(drop=True))
-    slow = (pagerank(rd.from_pandas(edges).repartition(4), iters=6,
-                     rank_broadcast_limit=0, _on_choice=choices.append)
+    force_shuffle()
+    slow = (pagerank(rd.from_pandas(edges).repartition(4), iters=6)
             .to_pandas().sort_values("node").reset_index(drop=True))
-    assert choices == ["broadcast", "hash"]
+    assert gate_spy == ["driver", "shuffle"]
     assert fast["node"].tolist() == slow["node"].tolist()
     np.testing.assert_allclose(fast["rank"].to_numpy(),
                                slow["rank"].to_numpy(),
                                rtol=0, atol=1e-12)
 
 
-def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
+def test_hits_matches_numpy_and_gate_paths_agree(ray_session, gate_spy,
+                                                 force_shuffle):
     """HITS == dense numpy reference (same sweep order: a from old h,
     normalize, h from NEW a, normalize); forced-hash path equals the
     default broadcast path; dangling/source-only nodes hold 0."""
@@ -640,9 +636,7 @@ def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
         nrm = np.sqrt((h ** 2).sum())
         h = h / nrm if nrm > 0 else h
 
-    choices = []
-    got = (hits(rd.from_pandas(edges).repartition(4), iters=5,
-                _on_choice=choices.append)
+    got = (hits(rd.from_pandas(edges).repartition(4), iters=5)
            .to_pandas().sort_values("node").reset_index(drop=True))
     assert got["node"].tolist() == nodes.tolist()
     np.testing.assert_allclose(got["authority"].to_numpy(), a,
@@ -653,10 +647,10 @@ def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
     sinks = got[got["node"] >= n]
     assert len(sinks) and (sinks["hub"] == 0.0).all()
 
-    forced = (hits(rd.from_pandas(edges).repartition(4), iters=5,
-                   vec_broadcast_limit=0, _on_choice=choices.append)
+    force_shuffle()
+    forced = (hits(rd.from_pandas(edges).repartition(4), iters=5)
               .to_pandas().sort_values("node").reset_index(drop=True))
-    assert choices == ["broadcast", "hash"]
+    assert gate_spy == ["driver", "shuffle"]
     np.testing.assert_allclose(forced["authority"].to_numpy(),
                                got["authority"].to_numpy(),
                                rtol=0, atol=1e-12)
@@ -664,3 +658,165 @@ def test_hits_matches_numpy_and_gate_paths_agree(ray_session):
                                got["hub"].to_numpy(), rtol=0, atol=1e-12)
 
 
+
+
+# ---------------------------------------------------------------------------
+# SQL NULL rule on every join/membership path, held to DuckDB on the
+# probe L.k = [1, NULL, 3, 4], R.k = [1, NULL, 4] (int64)
+# ---------------------------------------------------------------------------
+_NULL_L = pa.table({"k": pa.array([1, None, 3, 4], pa.int64()),
+                    "v": pa.array(["a", "b", "c", "d"])})
+_NULL_R = pa.table({"k": pa.array([1, None, 4], pa.int64()),
+                    "w": pa.array(["x", "y", "z"])})
+_NULL_SQL = {
+    "semi": "SELECT k, v FROM L WHERE k IN (SELECT k FROM R)",
+    "anti": ("SELECT k, v FROM L WHERE NOT EXISTS "
+             "(SELECT 1 FROM R WHERE R.k = L.k)"),
+    "inner": "SELECT L.k, v, w FROM L JOIN R ON L.k = R.k",
+}
+
+
+def _null_rows(df: pd.DataFrame, cols) -> list:
+    if not len(df):
+        return []
+    return sorted(
+        (tuple(None if pd.isna(x) else (int(x) if c == "k" else x)
+               for c, x in zip(cols, row))
+         for row in df[list(cols)].itertuples(index=False)),
+        key=repr)
+
+
+def _arrow_side(t):
+    import ray.data as rd
+
+    return rd.from_arrow(t)
+
+
+def _pandas_side(t):
+    # pandas blocks with an object payload: hash_join's pandas body
+    import ray.data as rd
+
+    return rd.from_pandas(t.to_pandas())
+
+
+@pytest.mark.parametrize("path", [
+    "semi-broadcast", "anti-broadcast", "semi-forced", "anti-forced",
+    "semi-arrow-body", "anti-arrow-body", "semi-pandas-body",
+    "anti-pandas-body", "inner-broadcast", "inner-auto",
+    "inner-hash-arrow", "inner-hash-pandas"])
+def test_null_keys_match_duckdb(ray_session, gate_spy, force_shuffle, path):
+    """A NULL key equals nothing on every path: inner/semi never keep
+    it, anti always does (NOT EXISTS).  Each path's rows must equal
+    DuckDB's on the same two tables."""
+    import duckdb
+
+    from bb_ocr_ray.stages import joins
+
+    how, kind = path.split("-", 1)
+    if how == "inner":
+        if kind == "broadcast":
+            got = joins.broadcast_join(_arrow_side(_NULL_L),
+                                       _NULL_R.to_pandas(), on="k")
+        elif kind == "auto":
+            got = joins.auto_join(_arrow_side(_NULL_L),
+                                  _arrow_side(_NULL_R), on="k")
+            assert gate_spy == ["driver"]
+        else:
+            side = _arrow_side if kind == "hash-arrow" else _pandas_side
+            left, right = side(_NULL_L), side(_NULL_R)
+            assert joins._arrow_schema(left)[1] == (kind == "hash-arrow")
+            got = joins.hash_join(left, right, on="k")
+    elif kind in ("broadcast", "forced"):
+        if kind == "forced":
+            force_shuffle()
+        # the key side is computed (a map_batches), as in q_anti_join
+        keys = _arrow_side(_NULL_R).map_batches(
+            lambda t: t.select(["k"]), batch_format="pyarrow")
+        fn = joins.auto_semi if how == "semi" else joins.auto_anti
+        got = fn(_arrow_side(_NULL_L), keys, "k")
+        assert gate_spy == ["driver" if kind == "broadcast" else "shuffle"]
+    else:
+        side = _arrow_side if kind == "arrow-body" else _pandas_side
+        got = joins.hash_join(side(_NULL_L), side(_NULL_R), on="k", how=how)
+
+    L, R = _NULL_L, _NULL_R  # noqa: F841 — DuckDB scans them by name
+    want_df = duckdb.sql(_NULL_SQL[how]).df()
+    cols = list(want_df.columns)
+    assert _null_rows(got.to_pandas(), cols) == _null_rows(want_df, cols)
+
+
+# ---------------------------------------------------------------------------
+# Path pins: which way each gated driver query goes at sf_tiny, and the
+# empty side on each gated entry point
+# ---------------------------------------------------------------------------
+def test_driver_query_gate_paths(ray_session, sf_tiny, gate_spy):
+    """Every gate of the driver-checked queries collects its side at
+    sf0.001 — q_anti_join's too, although its key side is computed
+    (filtered orders) and has no metadata size estimate."""
+    from bb_ocr_ray.pipelines.queries import QUERIES
+
+    want = {"q5_revenue_by_nation": 2, "q_anti_join": 1, "q_semi_join": 1,
+            # verify's pairs + mentioned texts, the edges, the drop set
+            "q_near_dup_dedup": 4}
+    for q, n in want.items():
+        gate_spy.clear()
+        QUERIES[q](sf_tiny)
+        assert gate_spy == ["driver"] * n, (q, gate_spy)
+
+
+def _rows(df: pd.DataFrame) -> list:
+    return sorted(map(tuple, df.itertuples(index=False)), key=repr)
+
+
+def test_empty_side_gates_match_forced_shuffle(ray_session, gate_spy,
+                                               force_shuffle):
+    """An empty side fits the driver like any other; each gated entry
+    point must give its forced-shuffle answer (a -1 limit pushes even
+    an empty side over).  An empty Dataset's to_pandas may drop its
+    columns, so the comparison is by rows."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.boilerplate import remove_boilerplate
+    from bb_ocr_ray.stages.dedup import connected_components_ds
+    from bb_ocr_ray.stages.joins import auto_anti, auto_join, auto_semi
+
+    big = pd.DataFrame({"k": np.arange(6, dtype="int64"),
+                        "v": np.arange(6, dtype="int64") * 10})
+    no_keys = pd.DataFrame({"k": pd.Series([], dtype="int64"),
+                            "w": pd.Series([], dtype="int64")})
+    no_pairs = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
+                             "id_b": pd.Series([], dtype="int64")})
+    # every line unique: the frequent-line set is empty
+    docs = pd.DataFrame({"doc_id": np.arange(4, dtype="int64"),
+                         "source": ["s"] * 4,
+                         "text": [f"line {i}\nother {i}" for i in range(4)]})
+
+    def run():
+        b = rd.from_pandas(big)
+        return {
+            "join_inner": _rows(auto_join(b, rd.from_pandas(no_keys),
+                                          on="k").to_pandas()),
+            "join_left": _rows(auto_join(
+                b, rd.from_pandas(no_keys), on="k",
+                how="left").to_pandas()[["k", "v"]]),
+            "semi": _rows(auto_semi(b, rd.from_pandas(no_keys),
+                                    "k").to_pandas()),
+            "anti": _rows(auto_anti(b, rd.from_pandas(no_keys),
+                                    "k").to_pandas()),
+            "components": _rows(connected_components_ds(
+                rd.from_pandas(no_pairs)).to_pandas()),
+            "boilerplate": _rows(remove_boilerplate(
+                rd.from_pandas(docs)).to_pandas().sort_values("doc_id")),
+        }
+
+    driver = run()
+    assert set(gate_spy) == {"driver"}
+    n = len(gate_spy)
+    force_shuffle(-1)
+    shuffled = run()
+    assert gate_spy[n:] == ["shuffle"] * n
+    assert driver == shuffled
+    assert driver["join_inner"] == driver["semi"] == []
+    assert driver["anti"] == _rows(big)
+    assert len(driver["join_left"]) == 6 and driver["components"] == []
+    assert len(driver["boilerplate"]) == 4
