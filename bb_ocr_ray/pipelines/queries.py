@@ -4531,7 +4531,8 @@ def q_dup_ratio(sf_dir: str):
     — the scalar a crawl operator watches before paying for near-dup
     passes (a source at 40% exact dups gets fixed upstream, not
     MinHashed).  Two chained coarse folds: (source, md5) group sizes
-    (doc-cardinality in, hash-cardinality out, never on the driver),
+    (doc-cardinality in, hash-cardinality out, on the driver only
+    below its limit),
     then per-batch partials over the group-size table fold to one row
     per source.  Only the 16-byte hashes ever shuffle — never text
     (the q_dedup_exact posture)."""
@@ -4844,8 +4845,8 @@ def q_js_divergence(sf_dir: str):
     token-keyed bucket fold (each token's full source row lands in one
     bucket, where all C(S,2) pair contributions for that token are
     computed from a local pivot) and fold to a pairs-bounded table.
-    The corpus shuffles token COUNTS exactly once; nothing
-    vocabulary-sized touches the driver.  6 dp absorbs the
+    The corpus shuffles token COUNTS at most once; a vocabulary over
+    the driver limit never touches the driver.  6 dp absorbs the
     summation-order ulps of the float term fold."""
     import math
 

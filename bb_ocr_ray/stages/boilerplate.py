@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 _SEP = "\x1f"   # never occurs in "\n"-split lines of utf-8 web text
 
@@ -150,16 +151,17 @@ def remove_boilerplate(docs_ds, id_col: str = "doc_id",
 
     joined = auto_join(df, nd, on=domain_col)
 
-    def pick_frequent(b: pd.DataFrame) -> pd.DataFrame:
+    def pick_frequent(b: pd.DataFrame) -> pa.Table:
         dfv = b["df"].to_numpy(np.int64)
         ndv = b["n_docs"].to_numpy(np.int64)
         m = (dfv >= min_docs) & (dfv * 100 > max_ratio_pct * ndv)
         b = b[m]
-        # _bp is the shuffle path's match flag, set here: a map over an
-        # all-empty materialized table loses its schema in Ray
-        return pd.DataFrame(
-            {"k": b[domain_col].astype(str) + _SEP + b["lh"].astype(str),
-             "_bp": np.int64(1)})
+        # _bp is the shuffle path's match flag, set here.  Arrow, not
+        # pandas: a 0-row object column makes Ray's block sizing fail
+        return pa.table(
+            {"k": pa.array(b[domain_col].astype(str) + _SEP
+                           + b["lh"].astype(str), pa.string()),
+             "_bp": pa.array(np.ones(len(b), np.int64))})
 
     # heavy-hitter-sized by construction: each surviving line covers
     # > ratio of its domain's docs, so a domain holds < 100/ratio of

@@ -12,7 +12,9 @@ The re-expression: stamp ``hash(key) % coarse_buckets`` (bucket count
 sized to the cluster, every occurrence of a key lands in exactly one
 bucket), shuffle ONCE on that bounded key, and do the per-key work
 inside the task with vectorized pandas.  Exact same result, per-row
-cost instead of per-group.
+cost instead of per-group.  The in-bucket fold is bucket-oblivious, so
+when the stamped side fits the driver (``sizing.fold_buckets``) it
+runs once over the whole side there and the shuffle is skipped.
 
 Pre-shuffle block-count bounding (``tag_batch``, the joins._TAG_BATCH
 lesson) is OPT-IN here: forcing a large ``batch_size`` on the stamp
@@ -30,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa_lib
+
+from bb_ocr_ray.stages import sizing
 
 
 def _bucket_ids(frame: pd.DataFrame, keys: list[str],
@@ -57,7 +61,8 @@ def _bucket_ids(frame: pd.DataFrame, keys: list[str],
 
 def coarse_agg(ds, keys, agg: dict, coarse_buckets: int | None = None,
                partial: bool = True, tag_batch: int | None = None):
-    """``groupby(keys).agg(**agg)`` through ONE coarse shuffle.
+    """``groupby(keys).agg(**agg)`` through ONE coarse shuffle, or one
+    driver-side fold when the stamped side fits (``sizing.fold_buckets``).
 
     ``agg`` is pandas named-aggregation: ``{out_col: (in_col, how)}``
     with ``how`` in {"sum", "min", "max", "size", "first", ...} — any
@@ -163,14 +168,16 @@ def coarse_agg(ds, keys, agg: dict, coarse_buckets: int | None = None,
                 .groupby(keys, as_index=False, dropna=False, sort=True)
                 .agg(**spec))
 
-    return (ds.map_batches(stamp, batch_format=None,
-                           batch_size=tag_batch)
-            .groupby("__coarse").map_groups(fold, batch_format="pandas"))
+    return sizing.fold_buckets(
+        ds.map_batches(stamp, batch_format=None, batch_size=tag_batch),
+        "__coarse", fold)
 
 
 def grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None,
                     tag_batch: int | None = None):
-    """``groupby(key).map_groups(fn)`` through ONE coarse shuffle.
+    """``groupby(key).map_groups(fn)`` through ONE coarse shuffle, or
+    one driver-side pass when the stamped side fits
+    (``sizing.fold_buckets``).
 
     The map_groups sibling of :func:`coarse_agg`: the shuffle key is
     ``hash(key) % coarse_buckets`` and the per-key split happens
@@ -201,7 +208,6 @@ def grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None,
             return all_parts[0]
         return pd.concat(parts, ignore_index=True)
 
-    return (ds.map_batches(stamp, batch_format="pandas",
-                           batch_size=tag_batch)
-            .groupby("__coarse").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return sizing.fold_buckets(
+        ds.map_batches(stamp, batch_format="pandas", batch_size=tag_batch),
+        "__coarse", per_bucket)

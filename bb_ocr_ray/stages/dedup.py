@@ -118,7 +118,10 @@ def dedup_pairs(pairs_ds, cols=("id_a", "id_b"),
     derived from the pair, in-task drop_duplicates — a constant group
     count instead of the per-pair groups a direct
     ``groupby([id_a, id_b])`` would create (Ray grouped ops pay
-    ~0.16 ms per GROUP; pair sets can be huge)."""
+    ~0.16 ms per GROUP; pair sets can be huge).  A pair set that fits
+    the driver is deduplicated there in one pass
+    (``sizing.fold_buckets``)."""
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     if coarse_buckets is None:
@@ -136,7 +139,7 @@ def dedup_pairs(pairs_ds, cols=("id_a", "id_b"),
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=[c0, c1]).drop(columns=["_coarse"])
 
-    return pre.groupby("_coarse").map_groups(dd, batch_format="pandas")
+    return sizing.fold_buckets(pre, "_coarse", dd)
 
 
 _BUCKET_CAP = 64
@@ -238,8 +241,12 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     pairs — degenerate buckets (duplicate floods) do full pairwise on
     the first 64 members and CHAIN the rest (:func:`cap_chain_pairs`),
     so connectivity survives at O(B) cost instead of pairs silently
-    vanishing; a warning with the bucket size is logged.
+    vanishing; a warning with the bucket size is logged.  When the
+    exploded side fits the driver (``sizing.fold_buckets``), the pair
+    rule runs once over all of it there: :func:`cap_chain_pairs` ranks
+    within each (band_id, band_key) bucket, so the pairs are the same.
     """
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     # Shuffle-cardinality design: grouping directly on (band, key)
@@ -269,9 +276,8 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]}
                             ).drop_duplicates()
 
-    pairs = exploded.groupby("coarse").map_groups(coarse_pairs,
-                                                  batch_format="pandas")
-    # dedup pairs found in multiple bands — one coarse shuffle, never
+    pairs = sizing.fold_buckets(exploded, "coarse", coarse_pairs)
+    # dedup pairs found in multiple bands — one coarse fold, never
     # per-pair groups
     return dedup_pairs(pairs)
 
@@ -468,7 +474,12 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     (25 s for 153k groups).  Instead the packed bucket key shuffles
     ONCE on a coarse integer (one group per reducer slot) and colliding
     buckets are found INSIDE each task by :func:`cap_chain_pairs` and
-    hamming-filtered with a SWAR popcount.  Identical pair set."""
+    hamming-filtered with a SWAR popcount.  Identical pair set.  When
+    the exploded side fits the driver (``sizing.fold_buckets``) that
+    rule runs once over all of it there: :func:`cap_chain_pairs` ranks
+    within each ``tb`` bucket and the hamming test is per pair, so the
+    pairs are the same."""
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     coarse_buckets = _auto_num_buckets()
@@ -505,8 +516,7 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"id_a": ids[ia][ok], "id_b": ids[ib][ok],
                              "hamming": d[ok]})
 
-    pairs = exploded.groupby("coarse").map_groups(coarse_verify,
-                                                  batch_format="pandas")
+    pairs = sizing.fold_buckets(exploded, "coarse", coarse_verify)
     # a pair's hamming is the same in every colliding band, so the old
     # Min-aggregate was pure dedup paying per-PAIR group overhead —
     # dedup_pairs keeps the (identical) hamming of the first occurrence
@@ -845,7 +855,10 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     candidate pairs plus the mentioned texts, :func:`connected_components_ds`
     on the verified edges, and ``auto_anti`` on the drop set.  The
     candidate pairs are materialized (bounded: LSH output, not the
-    corpus) so an over-limit gate never re-runs the MinHash pass."""
+    corpus) so no later gate re-runs the MinHash pass; inside
+    :func:`minhash_candidates` an exploded side over the limit re-runs
+    only the MinHash work that produced the first limit's worth of
+    rows, and the pair dedup behind its band shuffle is not probed."""
     from bb_ocr_ray.stages.joins import auto_anti
 
     cands = minhash_candidates(

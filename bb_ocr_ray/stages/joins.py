@@ -186,11 +186,16 @@ def _arrow_schema(ds):
     schema with no nested types, or a pandas-block schema of purely
     numeric/bool/datetime dtypes.  A pandas ``object`` column is NOT
     clean — it may hold strings, lists, or sets; only runtime data
-    would tell, so the caller must take the pandas merge path."""
+    would tell, so the caller must take the pandas merge path.
+    ``(None, False)`` when Ray knows no schema: every block of ``ds``
+    came out of a map empty."""
     import numpy as np
     import pyarrow as pa
 
-    base = ds.schema().base_schema
+    schema = ds.schema()
+    if schema is None:
+        return None, False
+    base = schema.base_schema
     if isinstance(base, pa.Schema):
         # null-typed fields appear when Ray cannot infer an aggregate
         # column's type — acero rejects them as join payloads, and the
@@ -266,6 +271,10 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
 
     left_schema, left_clean = _arrow_schema(left_ds)
     right_schema, right_clean = _arrow_schema(right_ds)
+    if left_schema is None:       # empty: only a full join keeps rows
+        return right_ds if how == "full" else left_ds
+    if right_schema is None:
+        return _join_empty_side(left_ds, how)
     left_cols = list(left_schema.names)
     right_cols = [c for c in right_schema.names if c not in keys]
 
@@ -337,6 +346,19 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
     return _bucketed_pandas(
         left_ds, right_ds, keys, num_buckets, how, left_cols, right_cols,
         all_cols, both_int, _canon, tag_batch, types or {})
+
+
+def _join_empty_side(left_ds, how: str):
+    """``left_ds`` joined with an empty right side that has no columns
+    (Ray reports ``schema()`` None for a Dataset whose every block came
+    out of a map empty): left, full and anti keep every left row, inner
+    and semi keep none, typed with the left side's columns."""
+    if how in ("left", "full", "anti"):
+        return left_ds
+    import ray.data as rd
+
+    schema = _arrow_schema(left_ds)[0]
+    return left_ds if schema is None else rd.from_arrow(schema.empty_table())
 
 
 def _bucketed_arrow(left_ds, right_ds, keys, num_buckets, how, left_cols,
@@ -621,9 +643,11 @@ def auto_join(big_ds, small_ds, on, how: str = "inner"):
     small side's own Arrow bytes (``sizing.collect_if_fits``), and the
     table it collects is the broadcast payload."""
     small = sizing.collect_if_fits(small_ds)
-    if small is not None:
-        return broadcast_join(big_ds, small.to_pandas(), on=on, how=how)
-    return hash_join(big_ds, small_ds, on=on, how=how)
+    if small is None:
+        return hash_join(big_ds, small_ds, on=on, how=how)
+    if not small.num_columns:     # an empty side with no known columns
+        return _join_empty_side(big_ds, how)
+    return broadcast_join(big_ds, small.to_pandas(), on=on, how=how)
 
 
 def _auto_membership(big_ds, keys_ds, on: str, keep_members: bool):

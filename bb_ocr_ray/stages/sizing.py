@@ -12,6 +12,19 @@ collects anyway, so a computed input (a filtered key set, a folded
 vocabulary) is measured in real Arrow bytes instead of reading as
 "unknown".
 
+``fold_buckets`` asks the same question of a coarse-bucket fold's
+stamped side: when it fits, the fold runs once over the whole side on
+the driver instead of one reducer task per bucket after a sort shuffle.
+The gated folds are ``coarse.coarse_agg`` (every caller, domain_stats
+among them), ``coarse.grouped_per_key``, ``dedup.dedup_pairs``,
+``dedup.minhash_candidates``' band fold and ``dedup.simhash_near_dups``'
+band fold; each in-bucket function is bucket-oblivious, so both paths
+give the same rows.  A side whose plan still holds an unexecuted
+all-to-all (a shuffle, sort, repartition, aggregate or join) is not
+probed: reading its first batch would run that whole barrier and
+everything above it, all of it thrown away when the side turns out
+too big, so such a side goes straight to the shuffle.
+
 Megadocs (multi-MB html payloads) make block sizes — and therefore task
 times and worker heaps — wildly uneven if rows are bundled by count.
 ``split_by_bytes`` re-cuts every batch into sub-batches bounded by a
@@ -67,11 +80,13 @@ def collect_if_fits(ds) -> pa.Table | None:
     Rejects at once when the metadata estimate is already over the
     limit; otherwise streams the blocks with ``iter_batches`` and gives
     up as soon as the Arrow bytes read pass the limit.  So the driver
-    never holds more than the limit plus one block, and a side that is
-    too big costs at most the limit in wasted work before the caller's
-    shuffle path runs it again (callers materialize a side first where
-    re-running its lineage would be dear).  An empty side fits, and
-    comes back as an empty table with the Dataset's columns."""
+    never holds more than the limit plus one block.  A side that is too
+    big wastes the work that produced its first ``limit`` bytes, which
+    the caller's shuffle path runs again; a side behind an unexecuted
+    shuffle runs that whole shuffle before its first batch, so callers
+    materialize a side first where re-running its lineage would be dear
+    (``fold_buckets`` does not probe such a side at all).  An empty side
+    fits, and comes back as an empty table with the Dataset's columns."""
     limit = _BROADCAST_LIMIT_BYTES
     if estimate_size_bytes(ds) > limit:
         return None
@@ -91,6 +106,72 @@ def collect_if_fits(ds) -> pa.Table | None:
     return pa.schema(
         [pa.field(n, t if isinstance(t, pa.DataType) else pa.string())
          for n, t in zip(schema.names, schema.types)]).empty_table()
+
+
+def _behind_all_to_all(ds) -> bool:
+    """True when ``ds``'s logical plan still holds an all-to-all operator
+    (sort, shuffle, repartition, aggregate) or a join, anywhere
+    upstream.  A materialized Dataset's plan starts at its blocks, so
+    a barrier that has already run does not count."""
+    try:
+        from ray.data._internal.logical.operators.all_to_all_operator \
+            import AbstractAllToAll
+        from ray.data._internal.logical.operators.join_operator import Join
+
+        stack = [ds._logical_plan.dag]
+    except Exception:  # noqa: BLE001 — no readable plan: probe as before
+        return False
+    while stack:
+        op = stack.pop()
+        if isinstance(op, (AbstractAllToAll, Join)):
+            return True
+        stack.extend(op.input_dependencies)
+    return False
+
+
+def fold_buckets(ds, bucket_col: str, fn):
+    """``ds.groupby(bucket_col).map_groups(fn, batch_format="pandas")``,
+    or, when ``collect_if_fits(ds)`` returns the side, ``fn`` run ONCE
+    on the whole side in the driver process: no shuffle, no reducer
+    tasks.
+
+    Exact only for a bucket-oblivious ``fn``, one whose answer on any
+    union of whole buckets is the union of its per-bucket answers (a
+    per-key fold whose keys never straddle buckets, a drop_duplicates
+    on the columns the bucket is derived from).  A 0-row side gives
+    what the shuffle gives it, a 0-row Dataset with no schema, without
+    calling ``fn`` on a shape ``map_groups`` never hands it.
+
+    Cost of a side that does not fit: the probe stops once it has read
+    the limit in Arrow bytes, and the shuffle then re-runs the side's
+    lineage from the start, so the work thrown away is what produced
+    the side's first ``_BROADCAST_LIMIT_BYTES`` (for a side that
+    shrinks its input a lot, such as per-batch partial aggregates,
+    that can be a large share of the upstream).  A side behind an
+    unexecuted all-to-all is never probed (``_behind_all_to_all``), so
+    an over-limit side never re-runs a whole shuffle.  The driver
+    result is cut into about one block per ``target_min_block_size``
+    of output, at most the cluster-sized bucket count, so the maps and
+    writes downstream of a large folded side still run in parallel."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from bb_ocr_ray.stages.joins import _auto_num_buckets
+
+    table = None if _behind_all_to_all(ds) else collect_if_fits(ds)
+    if table is None:
+        return ds.groupby(bucket_col).map_groups(fn, batch_format="pandas")
+    if not table.num_rows:
+        return rd.from_items([])
+    out = fn(table.to_pandas())
+    n = min(_auto_num_buckets(),
+            int(out.memory_usage(index=False).sum())
+            // DataContext.get_current().target_min_block_size)
+    if n <= 1:
+        return rd.from_pandas(out)
+    step = -(-len(out) // n)
+    return rd.from_pandas([out.iloc[i:i + step]
+                           for i in range(0, len(out), step)])
 
 
 def split_by_bytes(ds, payload_col: str = "html",

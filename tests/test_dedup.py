@@ -275,15 +275,19 @@ def test_near_dup_dedup_distributed_matches_driver(ray_session, dup_docs,
                                                    gate_spy, force_shuffle):
     """The distributed verify+cluster+anti-join path returns exactly
     the driver fast path's survivors, and never collects pairs on the
-    driver: the driver run passes all four gates (pairs, mentioned
-    texts, edges, drop set); the forced run fails its three."""
+    driver: the driver run passes all six gates (the band fold and the
+    pair dedup of minhash_candidates, verify's pairs and mentioned
+    texts, the edges, the drop set); the forced run fails five (the
+    band fold, verify's pairs, the edges, the star rounds' root pair
+    dedup, the drop set: verify's mentioned texts drop out, and the
+    pair dedup reads the band shuffle's output, so it is not probed)."""
     from bb_ocr_ray.stages.dedup import near_dup_dedup
 
     a = near_dup_dedup(dup_docs).to_pandas()
-    assert gate_spy == ["driver"] * 4
+    assert gate_spy == ["driver"] * 6
     force_shuffle()
     b = near_dup_dedup(dup_docs).to_pandas()
-    assert gate_spy[4:] == ["shuffle"] * 3
+    assert gate_spy[6:] == ["shuffle"] * 5
     assert sorted(a["doc_id"]) == sorted(b["doc_id"]) == [0, 3, 4]
 
 
@@ -304,7 +308,10 @@ def test_near_dup_dedup_distributed_flood(ray_session, gate_spy,
     ds = rd.from_items(rows).repartition(4)
     force_shuffle()
     kept = near_dup_dedup(ds, min_jaccard=0.9).to_pandas()
-    assert gate_spy == ["shuffle"] * 3
+    # verify's pairs, edges, root pair dedup, drop set; the band fold
+    # reads the repartitioned docs and the pair dedup the band shuffle,
+    # so neither is probed
+    assert gate_spy == ["shuffle"] * 4
     assert 0 in set(kept["doc_id"])                      # flood survivor
     assert set(kept["doc_id"]) >= {500 + i for i in range(30)}
     assert len(kept) == 31
@@ -475,6 +482,8 @@ def test_set_similarity_distributed_vocab_path(ray_session, gate_spy,
     broadcast = run()
     force_shuffle()
     distributed = run()
+    # each run's vocabulary gate; the df fold reads the repartitioned
+    # docs and the pair dedup a shuffle, so neither is probed
     assert gate_spy == ["driver", "shuffle"]
     assert distributed == broadcast
     assert (900, 901, 1, 1) in distributed          # "" token round-trips
@@ -631,7 +640,8 @@ def test_connected_components_ds_gate_paths_agree(ray_session, gate_spy,
     force_shuffle()
     slow = (connected_components_ds(rd.from_pandas(pairs).repartition(4))
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert gate_spy == ["driver", "shuffle"]
+    # the star rounds' root pair dedup is the forced run's second gate
+    assert gate_spy == ["driver", "shuffle", "shuffle"]
     assert fast["doc_id"].tolist() == slow["doc_id"].tolist()
     assert fast["component"].tolist() == slow["component"].tolist()
     # chain collapses to min label 0; clique to 100; pair to 500

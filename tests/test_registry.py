@@ -137,3 +137,62 @@ def test_no_orphaned_helpers():
         f"newly orphaned: {sorted(orphans - _ORPHAN_ALLOW)}")
     assert not _ORPHAN_ALLOW - orphans, (
         f"stale allow-list entries: {sorted(_ORPHAN_ALLOW - orphans)}")
+
+
+# Every direct ``.groupby(...).map_groups(...)`` in bb_ocr_ray/, as
+# "file:top-level function" -> count.  The coarse folds whose in-bucket
+# work is bucket-oblivious run through ``sizing.fold_buckets``, which
+# skips the shuffle when the side fits the driver; a new site here is
+# an ungated shuffle, so adding one is a decision this list records.
+_MAP_GROUPS_ALLOW = Counter({
+    "stages/sizing.py:fold_buckets": 1,
+    "stages/joins.py:_bucketed_arrow": 1,
+    "stages/joins.py:_bucketed_pandas": 1,
+    "stages/dedup.py:dedup_exact": 1,
+    "stages/dedup.py:paragraph_dedup": 2,
+    "stages/dedup.py:set_similarity_join": 2,
+    "stages/dedup.py:connected_components_ds": 1,
+    "stages/dedup.py:dup_span_stats": 2,
+    "stages/dedup.py:sorted_neighborhood_pairs": 1,
+    "stages/dedup.py:typo_variant_pairs": 1,
+    "stages/boilerplate.py:remove_boilerplate": 1,
+    "stages/ann.py:ann_topk": 1,
+    "stages/ann.py:embedding_near_dups": 1,
+    "stages/ann.py:ivf_topk_exact": 3,
+    "stages/graph.py:_distinct_nodes": 1,
+    "stages/layout_stage.py:reading_order_stage": 1,
+    "stages/lookup.py:dedup_offers": 1,
+    "stages/streaming.py:sessionize_watermark": 1,
+    "state/hash_index.py:build_hash_index": 1,
+    "state/hash_index.py:update_hash_index": 1,
+    **{f"pipelines/queries.py:{q}": 1 for q in (
+        "q_count_distinct", "q_ctfidf", "q_distinct", "q_dup_flow",
+        "q_events_sliding", "q_hard_negatives", "q_inverted_index",
+        "q_js_divergence", "q_knn_label", "q_median", "q_ngram_entropy",
+        "q_offer_ranking", "q_pack_sequences", "q_posting_lists",
+        "q_running_total", "q_source_overlap", "q_topk_per_group")},
+})
+
+
+def _map_groups_sites(root: Path) -> Counter:
+    import ast
+
+    sites = Counter()
+    for p in sorted(root.rglob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                f = getattr(node, "func", None)
+                if (isinstance(f, ast.Attribute) and f.attr == "map_groups"
+                        and isinstance(f.value, ast.Call)
+                        and isinstance(f.value.func, ast.Attribute)
+                        and f.value.func.attr == "groupby"):
+                    sites[f"{p.relative_to(root).as_posix()}:{name}"] += 1
+    return sites
+
+
+def test_map_groups_sites_pinned():
+    sites = _map_groups_sites(SRC.parent)
+    assert sites == _MAP_GROUPS_ALLOW, (
+        f"new: {dict(sites - _MAP_GROUPS_ALLOW)}, "
+        f"gone: {dict(_MAP_GROUPS_ALLOW - sites)}")

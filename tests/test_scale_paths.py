@@ -598,6 +598,10 @@ def test_pagerank_rank_broadcast_gate_paths_agree(ray_session, gate_spy,
     force_shuffle()
     slow = (pagerank(rd.from_pandas(edges).repartition(4), iters=6)
             .to_pandas().sort_values("node").reset_index(drop=True))
+    # the rank gate of each run; the coarse folds (out-degree over the
+    # repartitioned edges, each forced iteration's contributions over
+    # the hash_join output) sit behind an unexecuted shuffle, so they
+    # are never probed and the forced run pays no per-iteration probe
     assert gate_spy == ["driver", "shuffle"]
     assert fast["node"].tolist() == slow["node"].tolist()
     np.testing.assert_allclose(fast["rank"].to_numpy(),
@@ -650,6 +654,9 @@ def test_hits_matches_numpy_and_gate_paths_agree(ray_session, gate_spy,
     force_shuffle()
     forced = (hits(rd.from_pandas(edges).repartition(4), iters=5)
               .to_pandas().sort_values("node").reset_index(drop=True))
+    # the hub-vector gate of each run; the forced run's neighbour-sum
+    # folds read the hash_join output, behind a shuffle, and are not
+    # probed
     assert gate_spy == ["driver", "shuffle"]
     np.testing.assert_allclose(forced["authority"].to_numpy(),
                                got["authority"].to_numpy(),
@@ -756,8 +763,9 @@ def test_driver_query_gate_paths(ray_session, sf_tiny, gate_spy):
     from bb_ocr_ray.pipelines.queries import QUERIES
 
     want = {"q5_revenue_by_nation": 2, "q_anti_join": 1, "q_semi_join": 1,
-            # verify's pairs + mentioned texts, the edges, the drop set
-            "q_near_dup_dedup": 4}
+            # minhash_candidates' band fold + pair dedup, verify's
+            # pairs + mentioned texts, the edges, the drop set
+            "q_near_dup_dedup": 6}
     for q, n in want.items():
         gate_spy.clear()
         QUERIES[q](sf_tiny)
@@ -777,7 +785,10 @@ def test_empty_side_gates_match_forced_shuffle(ray_session, gate_spy,
     import ray.data as rd
 
     from bb_ocr_ray.stages.boilerplate import remove_boilerplate
-    from bb_ocr_ray.stages.dedup import connected_components_ds
+    from bb_ocr_ray.stages.coarse import coarse_agg, grouped_per_key
+    from bb_ocr_ray.stages.dedup import (connected_components_ds,
+                                         dedup_pairs, minhash_candidates,
+                                         simhash_near_dups)
     from bb_ocr_ray.stages.joins import auto_anti, auto_join, auto_semi
 
     big = pd.DataFrame({"k": np.arange(6, dtype="int64"),
@@ -807,6 +818,18 @@ def test_empty_side_gates_match_forced_shuffle(ray_session, gate_spy,
                 rd.from_pandas(no_pairs)).to_pandas()),
             "boilerplate": _rows(remove_boilerplate(
                 rd.from_pandas(docs)).to_pandas().sort_values("doc_id")),
+            "coarse_agg": _rows(coarse_agg(
+                rd.from_pandas(no_keys), ["k"],
+                {"n": ("w", "size")}).to_pandas()),
+            "grouped_per_key": _rows(grouped_per_key(
+                rd.from_pandas(no_keys), "k", lambda g: g.head(1)
+            ).to_pandas()),
+            "dedup_pairs": _rows(dedup_pairs(
+                rd.from_pandas(no_pairs)).to_pandas()),
+            "minhash": _rows(minhash_candidates(rd.from_arrow(
+                pa.Table.from_pandas(docs.head(0)))).to_pandas()),
+            "simhash": _rows(simhash_near_dups(rd.from_arrow(
+                pa.Table.from_pandas(docs.head(0)))).to_pandas()),
         }
 
     driver = run()
@@ -814,9 +837,261 @@ def test_empty_side_gates_match_forced_shuffle(ray_session, gate_spy,
     n = len(gate_spy)
     force_shuffle(-1)
     shuffled = run()
-    assert gate_spy[n:] == ["shuffle"] * n
+    # forced, the pair dedup of minhash and of simhash reads its band
+    # shuffle's output and is not probed: two fewer gates
+    assert gate_spy[n:] == ["shuffle"] * (n - 2)
     assert driver == shuffled
     assert driver["join_inner"] == driver["semi"] == []
     assert driver["anti"] == _rows(big)
     assert len(driver["join_left"]) == 6 and driver["components"] == []
     assert len(driver["boilerplate"]) == 4
+    assert all(driver[f] == [] for f in ("coarse_agg", "grouped_per_key",
+                                         "dedup_pairs", "minhash",
+                                         "simhash"))
+
+
+# ---------------------------------------------------------------------------
+# Coarse folds: the driver fold (sizing.fold_buckets) against the
+# forced shuffle, rows compared as multisets
+# ---------------------------------------------------------------------------
+def _bag(df: pd.DataFrame):
+    from collections import Counter
+
+    return Counter(tuple(None if pd.isna(x) else x for x in row)
+                   for row in df.itertuples(index=False))
+
+
+def _blocks(df: pd.DataFrame, n: int):
+    """``df`` as an n-block Dataset with no all-to-all in its plan (a
+    ``repartition`` would keep every fold off its probe)."""
+    import ray.data as rd
+
+    return rd.from_pandas([df.iloc[i::n] for i in range(n)])
+
+
+# each builder: (Dataset, gates on the default path, gates forced)
+def _fold_coarse_agg():
+    from bb_ocr_ray.stages.coarse import coarse_agg
+
+    rng = np.random.RandomState(11)
+    df = pd.DataFrame({
+        "a": [None if i % 9 == 0 else f"d{i % 7}" for i in range(600)],
+        "b": rng.randint(0, 5, 600).astype("int64"),
+        "v": rng.randint(-50, 50, 600).astype("int64")})
+    return coarse_agg(_blocks(df, 4), ["a", "b"],
+                      {"n": ("v", "size"), "lo": ("v", "min")}), 1, 1
+
+
+def _fold_grouped_per_key():
+    from bb_ocr_ray.stages.coarse import grouped_per_key
+
+    df = pd.DataFrame({"u": np.arange(300, dtype="int64") % 23,
+                       "v": np.arange(300, dtype="int64")})
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"u": [g["u"].iloc[0]], "top": [g["v"].max()],
+                             "n": [len(g)]})
+
+    return grouped_per_key(_blocks(df, 3), "u", fn), 1, 1
+
+
+def _fold_dedup_pairs():
+    from bb_ocr_ray.stages.dedup import dedup_pairs
+
+    rng = np.random.RandomState(5)
+    pairs = pd.DataFrame({"id_a": rng.randint(0, 30, 500),
+                          "id_b": rng.randint(30, 60, 500)}).astype("int64")
+    return dedup_pairs(_blocks(pairs, 4)), 1, 1
+
+
+def _flood_docs() -> pd.DataFrame:
+    # a flood past the 64-member bucket cap (full pairs on the head,
+    # the tail chained) plus unrelated docs
+    text = "one mirrored page body copied onto many hosts with the same words"
+    rows = [{"doc_id": i, "text": text} for i in range(90)]
+    rows += [{"doc_id": 1000 + i,
+              "text": f"distinct page {i} about topic {i * 13} and more {i}"}
+             for i in range(25)]
+    return pd.DataFrame(rows)
+
+
+def _fold_minhash_candidates():
+    from bb_ocr_ray.stages.dedup import minhash_candidates
+
+    # the band fold, then dedup_pairs; forced, dedup_pairs reads the
+    # band shuffle's output and is not probed
+    return minhash_candidates(_blocks(_flood_docs(), 4)), 2, 1
+
+
+def _fold_simhash_near_dups():
+    from bb_ocr_ray.stages.dedup import simhash_near_dups
+
+    return simhash_near_dups(_blocks(_flood_docs(), 4)), 2, 1
+
+
+@pytest.mark.parametrize("build", [
+    _fold_coarse_agg, _fold_grouped_per_key, _fold_dedup_pairs,
+    _fold_minhash_candidates, _fold_simhash_near_dups],
+    ids=lambda f: f.__name__[len("_fold_"):])
+def test_coarse_folds_driver_matches_shuffle(ray_session, gate_spy,
+                                             force_shuffle, build):
+    """Each bucket-oblivious fold gives the same rows whether its side
+    is folded once on the driver or bucket by bucket in the shuffle."""
+    ds, on_driver, forced = build()
+    driver = _bag(ds.to_pandas())
+    assert gate_spy == ["driver"] * on_driver
+    force_shuffle()
+    ds, _, _ = build()
+    shuffled = _bag(ds.to_pandas())
+    assert gate_spy[on_driver:] == ["shuffle"] * forced
+    assert driver == shuffled and len(driver)
+    if build in (_fold_minhash_candidates, _fold_simhash_near_dups):
+        flood = {row[:2] for row in driver if row[1] < 1000}
+        # 64 * 63 / 2 head pairs plus the 26 chained tail links
+        assert len(flood) == 64 * 63 // 2 + 26
+        assert all(b < 1000 or a >= 1000 for a, b, *_ in driver)
+
+
+def test_driver_fold_keeps_downstream_parallelism(ray_session, gate_spy):
+    """A driver-folded result of a few MiB comes back as several blocks
+    (one per ``target_min_block_size``), not one, with the same rows."""
+    from bb_ocr_ray.stages.coarse import coarse_agg
+
+    n = 200_000
+    df = pd.DataFrame({"k": np.arange(n, dtype="int64"),
+                       "v": np.arange(n, dtype="int64") % 7})
+    got = coarse_agg(_blocks(df, 4), ["k"], {"s": ("v", "sum")}).materialize()
+    assert gate_spy == ["driver"]
+    assert got.num_blocks() == 3       # 3.2 MB of (k, s) over 1 MiB
+    out = got.to_pandas().sort_values("k").reset_index(drop=True)
+    pd.testing.assert_frame_equal(out, df.rename(columns={"v": "s"}),
+                                  check_dtype=False)
+
+
+# ---------------------------------------------------------------------------
+# What an over-limit fold costs upstream: a counting map writes one file
+# per batch holding its row count, so the test sees how many input rows
+# were run, across the probe and the shuffle
+# ---------------------------------------------------------------------------
+def _counted(df: pd.DataFrame, n: int, tmp_path):
+    import uuid
+
+    def count(b: pd.DataFrame) -> pd.DataFrame:
+        (tmp_path / uuid.uuid4().hex).write_text(str(len(b)))
+        return b
+
+    return _blocks(df, n).map_batches(count, batch_format="pandas")
+
+
+def _rows_run(tmp_path) -> int:
+    return sum(int(p.read_text()) for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("behind_shuffle", [False, True])
+def test_over_limit_fold_reruns_at_most_its_probe(ray_session, gate_spy,
+                                                  force_shuffle, tmp_path,
+                                                  behind_shuffle):
+    """grouped_per_key with the limit one byte below its stamped side
+    (int64 k, v plus the int64 bucket: 24 B a row).  A side fed by maps
+    only is probed, found too big after reading all of it, and run again
+    by the shuffle: 2N rows.  A side behind an unexecuted sort is not
+    probed, so its upstream, sort included, runs once: N rows."""
+    from bb_ocr_ray.stages.coarse import grouped_per_key
+
+    n = 4000
+    df = pd.DataFrame({"k": np.arange(n, dtype="int64") % 97,
+                       "v": np.arange(n, dtype="int64")})
+    side = _counted(df, 4, tmp_path)
+    if behind_shuffle:
+        side = side.sort("v")
+    force_shuffle(24 * n - 1)
+    got = grouped_per_key(side, "k", lambda g: g.nlargest(1, "v")
+                          ).to_pandas()
+    assert sorted(got["v"]) == list(range(n - 97, n))
+    if behind_shuffle:
+        assert gate_spy == [] and _rows_run(tmp_path) == n
+    else:
+        assert gate_spy == ["shuffle"] and _rows_run(tmp_path) == 2 * n
+
+
+def test_domain_stats_over_limit_runs_its_input_at_most_twice(
+        ray_session, gate_spy, force_shuffle, tmp_path):
+    """domain_stats with partials over the limit: the first fold's probe
+    and its shuffle each run the input once at most, and the salt-strip
+    fold, behind that shuffle, adds no third run."""
+    from bb_ocr_ray.stages.domain_agg import domain_stats
+
+    n = 2000
+    i = np.arange(n)
+    df = pd.DataFrame({
+        "url": [f"https://site{j % 7}.example.com/doc-{j}" for j in i],
+        "domain": [f"site{j % 7}.example.com" for j in i],
+        "html_bytes": (i * 3).astype("int64"),
+        "text": ["x" * (j % 50) for j in i],
+        "status": ["ok" if j % 13 else "empty" for j in i]})
+    force_shuffle()
+    got = (domain_stats(_counted(df, 4, tmp_path)).to_pandas()
+           .set_index("domain").sort_index())
+    assert gate_spy == ["shuffle"]
+    assert n < _rows_run(tmp_path) <= 2 * n
+    want = (df.assign(n_docs=1, extracted_chars=df["text"].str.len(),
+                      n_errors=(df["status"] != "ok").astype("int64"))
+            .groupby("domain")[["n_docs", "html_bytes", "extracted_chars",
+                                "n_errors"]].sum())
+    pd.testing.assert_frame_equal(got[want.columns], want,
+                                  check_dtype=False)
+
+
+# ---------------------------------------------------------------------------
+# A schema-less empty side (Ray's schema() is None when every block of
+# a Dataset came out of a map empty) joins like an empty table in SQL
+# ---------------------------------------------------------------------------
+def _schemaless_side():
+    import ray.data as rd
+
+    side = (rd.from_arrow(_NULL_R)
+            .map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+            .materialize()
+            .map_batches(lambda t: t.append_column(
+                "x", pa.array([1] * len(t), pa.int64())),
+                batch_format="pyarrow"))
+    assert side.schema() is None
+    return side
+
+
+_EMPTY_SQL = {
+    "inner": "SELECT L.k, v FROM L JOIN R ON L.k = R.k",
+    "semi": "SELECT k, v FROM L WHERE k IN (SELECT k FROM R)",
+    "anti": ("SELECT k, v FROM L WHERE NOT EXISTS "
+             "(SELECT 1 FROM R WHERE R.k = L.k)"),
+    "left": "SELECT L.k, v FROM L LEFT JOIN R ON L.k = R.k",
+}
+
+
+@pytest.mark.parametrize("path", [
+    "hash-inner", "hash-semi", "hash-anti", "hash-left", "auto-inner",
+    "auto-left"])
+def test_schemaless_empty_side_joins_match_duckdb(ray_session, gate_spy,
+                                                  path):
+    """hash_join and auto_join against a schema-less empty right side:
+    inner and semi keep no row but keep the left columns, anti and left
+    keep every left row — DuckDB's rows on an empty R."""
+    import duckdb
+
+    from bb_ocr_ray.stages import joins
+
+    kind, how = path.split("-")
+    left = _arrow_side(_NULL_L)
+    if kind == "hash":
+        got = joins.hash_join(left, _schemaless_side(), on="k", how=how)
+    else:
+        got = joins.auto_join(left, _schemaless_side(), on="k", how=how)
+        assert gate_spy == ["driver"]
+    L, R = _NULL_L, _NULL_R.slice(0, 0)  # noqa: F841 — DuckDB scans them
+    want_df = duckdb.sql(_EMPTY_SQL[how]).df()
+    assert got.count() == len(want_df)
+    if len(want_df):
+        assert (_null_rows(got.to_pandas(), ["k", "v"])
+                == _null_rows(want_df, ["k", "v"]))
+    else:
+        assert got.schema().names == ["k", "v"]
