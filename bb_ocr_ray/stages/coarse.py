@@ -168,9 +168,8 @@ def coarse_agg(ds, keys, agg: dict, coarse_buckets: int | None = None,
                 .groupby(keys, as_index=False, dropna=False, sort=True)
                 .agg(**spec))
 
-    return sizing.fold_buckets(
-        ds.map_batches(stamp, batch_format=None, batch_size=tag_batch),
-        "__coarse", fold)
+    return sizing.fold_buckets(ds, stamp, "__coarse", fold,
+                               batch_format=None, batch_size=tag_batch)
 
 
 def grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None,
@@ -208,6 +207,5 @@ def grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None,
             return all_parts[0]
         return pd.concat(parts, ignore_index=True)
 
-    return sizing.fold_buckets(
-        ds.map_batches(stamp, batch_format="pandas", batch_size=tag_batch),
-        "__coarse", per_bucket)
+    return sizing.fold_buckets(ds, stamp, "__coarse", per_bucket,
+                               batch_size=tag_batch)

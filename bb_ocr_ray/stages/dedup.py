@@ -134,12 +134,10 @@ def dedup_pairs(pairs_ds, cols=("id_a", "id_b"),
                + b[c1].to_numpy(np.int64))
         return b.assign(_coarse=key % coarse_buckets)
 
-    pre = pairs_ds.map_batches(local, batch_format="pandas")
-
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=[c0, c1]).drop(columns=["_coarse"])
 
-    return sizing.fold_buckets(pre, "_coarse", dd)
+    return sizing.fold_buckets(pairs_ds, local, "_coarse", dd)
 
 
 _BUCKET_CAP = 64
@@ -205,20 +203,26 @@ def cap_chain_pairs(frame: pd.DataFrame, keys: list, id_col: str,
             np.concatenate([pos_a + step, tail]))
 
 
-def minhash_explode(batch: pd.DataFrame, id_col: str, text_col: str,
-                    n_bands: int = 32) -> pd.DataFrame:
-    """doc batch -> (band_id, band_key, doc_id) rows for the LSH shuffle.
+def _int64_ids(batch: pa.Table, id_col: str) -> np.ndarray:
+    return batch.column(id_col).to_numpy().astype(np.int64, copy=False)
 
-    Signatures come from the batched kernel (one numpy expression per
-    batch instead of per doc — VERDICT r3 item 3).  Each band's slots
-    fold into one deterministic uint64 ``band_key`` (a splitmix64 chain
-    over the band's slot values, all numpy): two docs share a bucket
-    iff they agree on every slot of the band, up to a 2^-64 key
-    collision — the collision class of a 16-hex-digit digest, with
-    fixed-width columns and no per-band Python string."""
+
+def minhash_explode(batch: pa.Table, id_col: str, text_col: str,
+                    n_bands: int = 32) -> pd.DataFrame:
+    """Arrow doc batch -> (band_id, band_key, doc_id) rows for the LSH
+    shuffle.
+
+    Signatures come from the batched kernel, which reads the text
+    column's UTF-8 buffer in place (one numpy pass per batch instead of
+    per doc — VERDICT r3 item 3).  Each band's slots fold into one
+    deterministic uint64 ``band_key`` (a splitmix64 chain over the
+    band's slot values, all numpy): two docs share a bucket iff they
+    agree on every slot of the band, up to a 2^-64 key collision — the
+    collision class of a 16-hex-digit digest, with fixed-width columns
+    and no per-band Python string."""
     from bb_ocr_ray.functions.hashing import minhash_signatures_batch
 
-    sigs = minhash_signatures_batch(list(batch[text_col]))
+    sigs = minhash_signatures_batch(batch.column(text_col))
     n_docs, n_perm = sigs.shape
     slots = sigs.reshape(n_docs, n_bands, n_perm // n_bands)
     key = np.zeros((n_docs, n_bands), dtype=np.uint64)
@@ -227,7 +231,7 @@ def minhash_explode(batch: pd.DataFrame, id_col: str, text_col: str,
     return pd.DataFrame(
         {"band_id": np.tile(np.arange(n_bands, dtype=np.int64), n_docs),
          "band_key": key.ravel(),
-         id_col: np.repeat(batch[id_col].to_numpy(np.int64), n_bands)})
+         id_col: np.repeat(_int64_ids(batch, id_col), n_bands)})
 
 
 def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
@@ -259,14 +263,12 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     # coarse_buckets just grows with the cluster.
     coarse_buckets = _auto_num_buckets()
 
-    def to_rows(b: pd.DataFrame) -> pd.DataFrame:
+    def to_rows(b: pa.Table) -> pd.DataFrame:
         out = minhash_explode(b, id_col, text_col, n_bands)
         # band_key is already mixed: its residue spreads buckets evenly
         out["coarse"] = (out["band_key"].to_numpy()
                          % np.uint64(coarse_buckets)).astype(np.int64)
         return out
-
-    exploded = docs_ds.map_batches(to_rows, batch_format="pandas")
 
     def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
         rows, ia, ib = cap_chain_pairs(group, ["band_id", "band_key"],
@@ -276,7 +278,8 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]}
                             ).drop_duplicates()
 
-    pairs = sizing.fold_buckets(exploded, "coarse", coarse_pairs)
+    pairs = sizing.fold_buckets(docs_ds, to_rows, "coarse", coarse_pairs,
+                                batch_format="pyarrow")
     # dedup pairs found in multiple bands — one coarse fold, never
     # per-pair groups
     return dedup_pairs(pairs)
@@ -484,10 +487,10 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
     coarse_buckets = _auto_num_buckets()
 
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
+    def explode(batch: pa.Table) -> pd.DataFrame:
         from bb_ocr_ray.functions.hashing import simhash_batch
 
-        sh = simhash_batch(list(batch[text_col]))          # uint64[n]
+        sh = simhash_batch(batch.column(text_col))          # uint64[n]
         shifts = (np.arange(n_tables, dtype=np.uint64) * np.uint64(16))
         bands = ((sh[:, None] >> shifts[None, :])
                  & np.uint64(0xFFFF)).astype("int64").ravel()
@@ -499,10 +502,8 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                   % coarse_buckets).astype("int64")
         return pd.DataFrame(
             {"tb": tb, "coarse": coarse,
-             id_col: np.repeat(batch[id_col].to_numpy(), n_tables),
+             id_col: np.repeat(_int64_ids(batch, id_col), n_tables),
              "sh": np.repeat(sh, n_tables)})
-
-    exploded = docs_ds.map_batches(explode, batch_format="pandas")
 
     def coarse_verify(group: pd.DataFrame) -> pd.DataFrame:
         # colliding buckets only, cap+chain rule (chain pairs included)
@@ -516,7 +517,8 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"id_a": ids[ia][ok], "id_b": ids[ib][ok],
                              "hamming": d[ok]})
 
-    pairs = sizing.fold_buckets(exploded, "coarse", coarse_verify)
+    pairs = sizing.fold_buckets(docs_ds, explode, "coarse", coarse_verify,
+                                batch_format="pyarrow")
     # a pair's hamming is the same in every colliding band, so the old
     # Min-aggregate was pure dedup paying per-PAIR group overhead —
     # dedup_pairs keeps the (identical) hamming of the first occurrence
@@ -546,7 +548,6 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
     from fractions import Fraction
 
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from bb_ocr_ray.stages import sizing
 
@@ -587,8 +588,8 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
             if u > 0 and i * j.denominator >= j.numerator * u:
                 kept.append((a, b, i, u))
     out = np.array(kept, dtype=np.int64).reshape(-1, 4)
-    return rd.from_pandas(pd.DataFrame(out, columns=["id_a", "id_b",
-                                                     "inter", "uni"]))
+    return sizing.from_driver(pd.DataFrame(out, columns=["id_a", "id_b",
+                                                         "inter", "uni"]))
 
 
 def connected_components(pairs_df: pd.DataFrame, max_rounds: int = 20) -> pd.DataFrame:
@@ -656,28 +657,27 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
     bloom = build_bloom(mentioned, "mid")
     cand_docs = semi_join_bloom(docs_ds, bloom, id_col)
 
-    def tokset(batch: pd.DataFrame) -> pd.DataFrame:
-        # DEDUPED token lists, not frozensets: an Arrow list<string>
-        # column moves through the join shuffle zero-copy, where a
-        # Python-object column would be pickled per block (and the
-        # Arrow-native hash_join could not carry it at all)
-        return pd.DataFrame(
-            {"tid": batch[id_col].astype("int64"),
-             "toks": [sorted(set((t or "").split(" ")))
-                      for t in batch[text_col]]}
-        )
+    def tokset(batch: pa.Table) -> pa.Table:
+        # each doc's DISTINCT tokens, sorted and joined by the " " they
+        # were split on (no token holds one, so split(" ") restores
+        # them): a plain string column keeps both joins on the Arrow
+        # body, where a list or Python-object column would force the
+        # pandas body and its object-dtype blocks
+        return pa.table(
+            {"tid": _int64_ids(batch, id_col),
+             "toks": pa.array([" ".join(sorted(set((t or "").split(" "))))
+                               for t in batch.column(text_col).to_pylist()],
+                              pa.string())})
 
     # tokenize ONCE and materialize: toks is consumed by BOTH joins,
     # and without the checkpoint Ray re-executes the shared lineage
     # (corpus read + Bloom prune + tokenize) per consumer.  Bounded:
     # only Bloom-surviving (mentioned) docs' token sets.
-    toks = cand_docs.map_batches(tokset, batch_format="pandas").materialize()
+    toks = cand_docs.map_batches(tokset, batch_format="pyarrow").materialize()
     toks_a = toks.map_batches(
-        lambda b: b.rename(columns={"tid": "id_a", "toks": "toks_a"}),
-        batch_format="pandas")
+        lambda b: b.rename_columns(["id_a", "toks_a"]), batch_format="pyarrow")
     toks_b = toks.map_batches(
-        lambda b: b.rename(columns={"tid": "id_b", "toks": "toks_b"}),
-        batch_format="pandas")
+        lambda b: b.rename_columns(["id_b", "toks_b"]), batch_format="pyarrow")
     j = hash_join(pairs_ds, toks_a, on="id_a")
     j = hash_join(j, toks_b, on="id_b")
 
@@ -686,7 +686,7 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         inter, uni, keep = [], [], []
         for la, lb in zip(batch["toks_a"], batch["toks_b"]):
-            sa, sb = set(la), set(lb)   # lists are already deduped
+            sa, sb = set(la.split(" ")), set(lb.split(" "))
             i = len(sa & sb)
             u = len(sa) + len(sb) - i
             keep.append(u > 0 and i * jfrac.denominator >= jfrac.numerator * u)
@@ -694,14 +694,9 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
             uni.append(u)
         out = batch.assign(inter=pd.Series(inter, dtype="int64").values,
                            uni=pd.Series(uni, dtype="int64").values)
-        out = out[pd.Series(keep).values]
-        out = out[["id_a", "id_b", "inter", "uni"]]
-        # the bucketed join pads absent columns with None, degrading
-        # int ids to object in mixed blocks — restore the contract
-        for c in ("id_a", "id_b"):
-            if out[c].dtype != "int64":
-                out[c] = out[c].astype("int64")
-        return out
+        out = out[pd.Series(keep, dtype=bool).values]
+        return out[["id_a", "id_b", "inter", "uni"]].astype(
+            {"id_a": "int64", "id_b": "int64"})
 
     return j.map_batches(score, batch_format="pandas")
 
@@ -715,14 +710,15 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
     shrinking) edge list, and converges in O(log^2 n) rounds even on
     long chains.
 
-    SIZE-GATED on the materialized (id_a, id_b) edge list's Arrow
-    bytes (the pagerank/HITS driver-fold posture): a verified near-dup
-    pair graph is tiny relative to the corpus, so when
-    ``sizing.collect_if_fits`` collects it the whole computation runs
-    as the driver-side min-label loop (:func:`connected_components`)
-    — zero shuffles instead of O(log² n) star rounds.  Above the gate
-    the star rounds run unchanged; the edge set never lands on the
-    driver there.
+    SIZE-GATED on the pairs' (id_a, id_b) Arrow bytes (the
+    pagerank/HITS driver-fold posture): a verified near-dup pair graph
+    is tiny relative to the corpus, so when ``sizing.collect_if_fits``
+    collects it the whole computation runs as the driver-side
+    min-label loop (:func:`connected_components`) — zero shuffles
+    instead of O(log² n) star rounds.  A held pair set (the driver
+    verify's result) is read back with no Ray execution; a lazy one
+    is materialized once first.  Above the gate the star rounds run
+    unchanged; the edge set never lands on the driver there.
 
     Returns a Dataset of (doc_id, component) with component = the
     minimum doc_id of the node's component, identical to the
@@ -733,8 +729,6 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
     corpus — and required so round N+1 does not re-execute rounds
     1..N through lazy lineage.
     """
-    import ray.data as rd
-
     from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
@@ -792,20 +786,24 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
         t = edges_ds.map_batches(p, batch_format="pandas").to_pandas()
         return (int(t["n"].sum()), int(np.uint64(t["s"].to_numpy(np.uint64).sum())))
 
-    edges = pairs_ds.map_batches(
-        lambda b: pd.DataFrame(
+    def ordered(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {"id_a": np.minimum(b["id_a"].to_numpy(np.int64),
                                 b["id_b"].to_numpy(np.int64)),
              "id_b": np.maximum(b["id_a"].to_numpy(np.int64),
-                                b["id_b"].to_numpy(np.int64))}),
-        batch_format="pandas",
-    ).materialize()
-    small = sizing.collect_if_fits(edges)
+                                b["id_b"].to_numpy(np.int64))})
+
+    # gate the (id_a, id_b) columns of a held pair set: read back with
+    # no Ray execution (a lazy one is materialized once first)
+    pairs = pairs_ds if sizing.is_held(pairs_ds) else pairs_ds.materialize()
+    small = sizing.collect_if_fits(pairs.select_columns(["id_a", "id_b"]))
     if small is not None:
-        return rd.from_pandas(connected_components(small.to_pandas()))
+        return sizing.from_driver(connected_components(
+            ordered(small.to_pandas()) if small.num_rows else pd.DataFrame()))
+    edges = pairs.map_batches(ordered, batch_format="pandas").materialize()
     n_edges = edges.count()
     if n_edges == 0:              # reachable only under a negative limit
-        return rd.from_pandas(connected_components(pd.DataFrame()))
+        return sizing.from_driver(connected_components(pd.DataFrame()))
     # block count proportional to DATA, not to upstream lineage: the
     # candidate pipeline can hand over hundreds of near-empty blocks,
     # and every round's sort+map_groups pays per-block task overhead
@@ -858,7 +856,12 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     corpus) so no later gate re-runs the MinHash pass; inside
     :func:`minhash_candidates` an exploded side over the limit re-runs
     only the MinHash work that produced the first limit's worth of
-    rows, and the pair dedup behind its band shuffle is not probed."""
+    rows, and the pair dedup behind its band shuffle is not probed.
+    On the driver path every step after the MinHash pass reads a side
+    the driver already holds, so the whole job reads the corpus three
+    times (MinHash, the mentioned texts, the anti filter) and runs no
+    other Ray execution."""
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import auto_anti
 
     cands = minhash_candidates(
@@ -866,12 +869,17 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     verified = verify_candidates(cands, docs_ds, id_col=id_col,
                                  text_col=text_col, min_jaccard=min_jaccard)
     comps = connected_components_ds(verified)
-    drops = comps.map_batches(
-        lambda b: pd.DataFrame(
-            {id_col: b.loc[b["doc_id"] != b["component"],
-                           "doc_id"].to_numpy(np.int64)}),
-        batch_format="pandas",
-    )
+
+    def drop_rows(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({id_col: b.loc[b["doc_id"] != b["component"],
+                                           "doc_id"].to_numpy(np.int64)})
+
+    # components computed on the driver are held: derive the drop set
+    # there too, so auto_anti reads it back with no Ray execution
+    held = sizing.collect_if_fits(comps) if sizing.is_held(comps) else None
+    drops = (comps.map_batches(drop_rows, batch_format="pandas")
+             if held is None else
+             sizing.from_driver(drop_rows(held.to_pandas())))
     return auto_anti(docs_ds, drops, id_col)
 
 

@@ -16,7 +16,9 @@ reducer sees more than 1/S of the hot domain.  Each fold goes through
 ``sizing.fold_buckets``: a stamped side that fits the driver is folded
 there in one pass with no shuffle; a side over the limit, or one behind
 an unexecuted shuffle or repartition (which the probe would have to run
-in full), takes the coarse shuffle.  When the first fold shuffles, the
+in full), takes the coarse shuffle.  When the first fold runs on the
+driver, the salt strip reads its held result back with no Ray
+execution and folds it there too; when the first fold shuffles, the
 salt strip reads that shuffle's output and shuffles too, unprobed.
 """
 

@@ -563,19 +563,31 @@ def _bucketed_pandas(left_ds, right_ds, keys, num_buckets, how, left_cols,
              % num_buckets for row in zip(*arrs)),
             dtype=np.int64, count=len(df))
 
+    # A column only one side has is padded with nulls on the other, and
+    # every tagged block must carry ONE dtype per column (else Ray warns
+    # of a RefBundle with a different schema, and the shuffle's pandas
+    # concat upcasts).  Such int and bool columns ride as pandas'
+    # nullable dtypes on both sides: a float64 pad would lose int64
+    # values above 2**53, an object pad would split the column's dtype.
+    # Floats pad with NaN; anything else (strings: object) with None.
+    one_sided = set(left_cols) ^ set(keys + right_cols)
+    pad_dtype = {c: ("boolean" if t.kind == "b" else t if t.kind == "f"
+                     else {"i": "Int", "u": "UInt"}[t.kind] + str(8 * t.itemsize))
+                 for c, t in pin_targets.items() if c in one_sided}
+
     def tag(side: int):
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.copy()
             for c in all_cols:
+                dtype = pad_dtype.get(c)
                 if c not in batch.columns:
-                    # pad float columns with NaN (mixed union blocks
-                    # stay float64 through the sort shuffle's pandas
-                    # rebuild) and everything else with None: an
-                    # int64 column padded or pre-cast to float64 loses
-                    # values above 2**53, while object keeps them exact
-                    # for _pin to restore
-                    float_col = c in pin_targets and pin_targets[c].kind == "f"
-                    batch[c] = np.nan if float_col else None
+                    batch[c] = pd.Series(None, index=batch.index, dtype=dtype
+                                         ) if dtype is not None else None
+                elif dtype is not None and batch[c].dtype != dtype:
+                    try:
+                        batch[c] = batch[c].astype(dtype)
+                    except (TypeError, ValueError):
+                        pass   # runtime surprise: ship it as it came
             batch = batch[all_cols]
             batch["__side"] = np.int8(side)
             batch["__bucket"] = _bucket_of(batch)
@@ -734,16 +746,20 @@ def build_bloom(keys_ds, col: str, n_bits: int = 1 << 20) -> BloomFilter:
 def semi_join_bloom(big_ds, bloom: BloomFilter, col: str):
     """Approximate semi-join: keeps all true matches (no false
     negatives) plus ~fp-rate of non-matches; follow with an exact
-    filter where exactness matters."""
+    filter where exactness matters.  Arrow batches: a block the
+    filter empties stays typed (a 0-row pandas block with an object
+    column makes Ray's block sizing log an error)."""
+    import pyarrow as pa
     import ray
 
     ref = ray.put(bloom)
 
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
+    def fn(batch: pa.Table) -> pa.Table:
         bf = ray.get(ref)
-        return batch[[k in bf for k in batch[col]]]
+        return batch.filter(pa.array(
+            [k in bf for k in batch.column(col).to_pylist()], pa.bool_()))
 
-    return big_ds.map_batches(fn, batch_format="pandas")
+    return big_ds.map_batches(fn, batch_format="pyarrow")
 
 
 def band_join(left_ds, right_ds, time_col: str, band_us: int,

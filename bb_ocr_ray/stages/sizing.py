@@ -12,18 +12,34 @@ collects anyway, so a computed input (a filtered key set, a folded
 vocabulary) is measured in real Arrow bytes instead of reading as
 "unknown".
 
-``fold_buckets`` asks the same question of a coarse-bucket fold's
-stamped side: when it fits, the fold runs once over the whole side on
-the driver instead of one reducer task per bucket after a sort shuffle.
-The gated folds are ``coarse.coarse_agg`` (every caller, domain_stats
-among them), ``coarse.grouped_per_key``, ``dedup.dedup_pairs``,
+A side whose blocks already exist is HELD: a driver result
+(``from_driver``, ``from_pandas``/``from_arrow``/``from_blocks``) or a
+materialized Dataset, optionally under ``select_columns``.
+``collect_if_fits`` reads a held side back with
+``ray.get`` and no Ray execution, under the same limit and in the same
+Arrow bytes as a lazy side, so a chain of driver steps (the salt strip
+after the first ``domain_stats`` fold, the pair dedup after the band
+fold, the edges, the drop set) never pushes a table the driver already
+holds through a remote map just to read it back.  ``from_driver`` wraps
+each driver result with block metadata computed locally.
+
+``fold_buckets(ds, pre, bucket_col, fn)`` asks the same question of a
+coarse-bucket fold: ``pre`` is the per-batch stamp (combiner plus
+bucket column).  A held input is gated as it stands and, when it fits,
+stamped and folded in this process; any other input is probed as
+``ds.map_batches(pre)``, the stamped side the shuffle would move.  When
+it fits, the fold runs once over the whole side on the driver instead
+of one reducer task per bucket after a sort shuffle.  The gated folds
+are ``coarse.coarse_agg`` (every caller, domain_stats among them),
+``coarse.grouped_per_key``, ``dedup.dedup_pairs``,
 ``dedup.minhash_candidates``' band fold and ``dedup.simhash_near_dups``'
-band fold; each in-bucket function is bucket-oblivious, so both paths
-give the same rows.  A side whose plan still holds an unexecuted
-all-to-all (a shuffle, sort, repartition, aggregate or join) is not
-probed: reading its first batch would run that whole barrier and
-everything above it, all of it thrown away when the side turns out
-too big, so such a side goes straight to the shuffle.
+band fold; each in-bucket function is bucket-oblivious and each stamp a
+per-row map or a re-foldable combiner, so both paths give the same
+rows.  A side whose plan still holds an unexecuted all-to-all (a
+shuffle, sort, repartition, aggregate or join) is not probed: reading
+its first batch would run that whole barrier and everything above it,
+all of it thrown away when the side turns out too big, so such a side
+goes straight to the shuffle.
 
 Megadocs (multi-MB html payloads) make block sizes — and therefore task
 times and worker heaps — wildly uneven if rows are bundled by count.
@@ -73,25 +89,91 @@ def estimate_size_bytes(ds) -> int:
         return 0
 
 
+def _held_tables(ds):
+    """The blocks of a Dataset that already holds them, as Arrow tables
+    read back with ``ray.get`` (no execution), or ``None`` for any other
+    Dataset.  Held: a ``from_pandas``/``from_arrow``/``from_blocks``/
+    ``from_items`` source or a materialized Dataset, optionally under
+    ``select_columns`` projections, which are applied here.  Returns a generator, so a caller that stops early
+    never fetches the remaining blocks."""
+    try:
+        from ray.data._internal.logical.operators.from_operators import \
+            AbstractFrom
+        from ray.data._internal.logical.operators.input_data_operator \
+            import InputData
+        from ray.data._internal.logical.operators.map_operator import Project
+
+        op = ds._logical_plan.dag
+    except Exception:  # noqa: BLE001 — no readable plan: not held
+        return None
+    projects = []
+    while isinstance(op, Project) and not (op.exprs or op.cols_rename):
+        projects.append(op.cols)
+        op = op.input_dependencies[0]
+    if not isinstance(op, (AbstractFrom, InputData)):
+        return None
+
+    def tables():
+        import ray
+        from ray.data.block import BlockAccessor
+
+        for bundle in op.output_data():
+            for ref, _meta in bundle.blocks:
+                block = ray.get(ref)
+                acc = BlockAccessor.for_block(block)
+                if acc.num_rows() or isinstance(block, pa.Table):
+                    t = acc.to_arrow()
+                else:
+                    # Ray types every column of an empty pandas block
+                    # as null: keep its dtypes, objects read as string
+                    t = pa.schema(
+                        [pa.field(f.name, pa.string()
+                                  if pa.types.is_null(f.type) else f.type)
+                         for f in pa.Schema.from_pandas(
+                             block, preserve_index=False)]).empty_table()
+                for cols in reversed(projects):
+                    t = t.select(cols)
+                yield t
+
+    return tables()
+
+
+def is_held(ds) -> bool:
+    """True when ``ds`` already holds its blocks (see ``_held_tables``):
+    ``collect_if_fits`` reads such a side with no Ray execution."""
+    return _held_tables(ds) is not None
+
+
 def collect_if_fits(ds) -> pa.Table | None:
     """The whole of ``ds`` as ONE Arrow table on the driver, or ``None``
     when it does not fit ``_BROADCAST_LIMIT_BYTES``.
 
-    Rejects at once when the metadata estimate is already over the
-    limit; otherwise streams the blocks with ``iter_batches`` and gives
-    up as soon as the Arrow bytes read pass the limit.  So the driver
-    never holds more than the limit plus one block.  A side that is too
-    big wastes the work that produced its first ``limit`` bytes, which
-    the caller's shuffle path runs again; a side behind an unexecuted
-    shuffle runs that whole shuffle before its first batch, so callers
-    materialize a side first where re-running its lineage would be dear
-    (``fold_buckets`` does not probe such a side at all).  An empty side
-    fits, and comes back as an empty table with the Dataset's columns."""
+    A held side (``is_held``: blocks that already exist, such as a
+    driver result or a materialized Dataset) is read back block by
+    block with ``ray.get``, with no execution.  Any other side is
+    rejected at once when the metadata estimate is already over the
+    limit, else streamed with ``iter_batches``.  Either way the read
+    gives up as soon as the Arrow bytes read pass the limit, so the
+    driver never holds more than the limit plus one block, and a held
+    side answers exactly as the same rows behind a lazy map would.  A
+    lazy side that is too big wastes the work that produced its first
+    ``limit`` bytes, which the caller's shuffle path runs again; a
+    side behind an unexecuted shuffle runs that whole shuffle before
+    its first batch, so callers materialize a side first where
+    re-running its lineage would be dear (``fold_buckets`` does not
+    probe such a side at all).  An empty side fits (a negative limit
+    pushes even that over), and comes back as an empty table with the
+    Dataset's columns."""
     limit = _BROADCAST_LIMIT_BYTES
-    if estimate_size_bytes(ds) > limit:
+    if limit < 0:
         return None
+    batches = _held_tables(ds)
+    if batches is None:
+        if estimate_size_bytes(ds) > limit:
+            return None
+        batches = ds.iter_batches(batch_size=None, batch_format="pyarrow")
     parts, seen = [], 0
-    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+    for batch in batches:
         seen += batch.nbytes
         if seen > limit:
             return None
@@ -106,6 +188,36 @@ def collect_if_fits(ds) -> pa.Table | None:
     return pa.schema(
         [pa.field(n, t if isinstance(t, pa.DataType) else pa.string())
          for n, t in zip(schema.names, schema.types)]).empty_table()
+
+
+def from_driver(frame):
+    """A Dataset holding ``frame`` (a pandas DataFrame computed on the
+    driver), with the blocks ``rd.from_pandas`` would build but their
+    metadata computed here, where ``from_pandas`` starts one remote
+    task per block for it.  The frame is cut into about one block per
+    ``target_min_block_size``, at most the cluster-sized bucket count,
+    so the maps and writes downstream of a large driver result still
+    run in parallel."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from bb_ocr_ray.stages.joins import _auto_num_buckets
+
+    ctx = DataContext.get_current()
+    if ctx.enable_tensor_extension_casting:
+        from ray.air.util.data_batch_conversion import \
+            _cast_ndarray_columns_to_tensor_extension
+
+        frame = _cast_ndarray_columns_to_tensor_extension(
+            frame.copy(deep=False))
+    n = min(_auto_num_buckets(),
+            int(frame.memory_usage(index=False).sum())
+            // ctx.target_min_block_size)
+    if n <= 1:
+        return rd.from_blocks([frame])
+    step = -(-len(frame) // n)
+    return rd.from_blocks([frame.iloc[i:i + step]
+                           for i in range(0, len(frame), step)])
 
 
 def _behind_all_to_all(ds) -> bool:
@@ -129,49 +241,62 @@ def _behind_all_to_all(ds) -> bool:
     return False
 
 
-def fold_buckets(ds, bucket_col: str, fn):
-    """``ds.groupby(bucket_col).map_groups(fn, batch_format="pandas")``,
-    or, when ``collect_if_fits(ds)`` returns the side, ``fn`` run ONCE
-    on the whole side in the driver process: no shuffle, no reducer
-    tasks.
+def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
+                 batch_size=None):
+    """``ds.map_batches(pre).groupby(bucket_col).map_groups(fn)``, or,
+    when the side fits the driver, ``pre`` and ``fn`` run ONCE over the
+    whole side in the driver process: no shuffle, no reducer tasks.
+
+    ``pre`` is the per-batch stamp that adds ``bucket_col`` (with any
+    combiner), called with ``batch_format``/``batch_size`` batches on
+    the shuffle path.  A held input (``is_held``) is gated as it
+    stands, read back with no execution, stamped and folded here; it
+    reaches ``pre`` as one pandas frame, the format of driver-built
+    blocks, unless ``batch_format`` is "pyarrow" (so the driver never
+    starts Arrow's grouped-aggregation engine for a combiner).  Any
+    other input is probed as ``ds.map_batches(pre)``, the side the
+    shuffle would move.
 
     Exact only for a bucket-oblivious ``fn``, one whose answer on any
     union of whole buckets is the union of its per-bucket answers (a
     per-key fold whose keys never straddle buckets, a drop_duplicates
-    on the columns the bucket is derived from).  A 0-row side gives
-    what the shuffle gives it, a 0-row Dataset with no schema, without
-    calling ``fn`` on a shape ``map_groups`` never hands it.
+    on the columns the bucket is derived from), and a ``pre`` whose
+    output on the whole side folds to what its per-batch outputs fold
+    to (a per-row map, a re-foldable combiner).  A 0-row stamped side
+    gives what the shuffle gives it, a 0-row Dataset with no schema,
+    without calling ``fn`` on a shape ``map_groups`` never hands it.
 
-    Cost of a side that does not fit: the probe stops once it has read
-    the limit in Arrow bytes, and the shuffle then re-runs the side's
-    lineage from the start, so the work thrown away is what produced
-    the side's first ``_BROADCAST_LIMIT_BYTES`` (for a side that
-    shrinks its input a lot, such as per-batch partial aggregates,
-    that can be a large share of the upstream).  A side behind an
-    unexecuted all-to-all is never probed (``_behind_all_to_all``), so
-    an over-limit side never re-runs a whole shuffle.  The driver
-    result is cut into about one block per ``target_min_block_size``
-    of output, at most the cluster-sized bucket count, so the maps and
-    writes downstream of a large folded side still run in parallel."""
+    Cost of a lazy side that does not fit: the probe stops once it has
+    read the limit in Arrow bytes, and the shuffle then re-runs the
+    side's lineage from the start, so the work thrown away is what
+    produced the side's first ``_BROADCAST_LIMIT_BYTES`` (for a side
+    that shrinks its input a lot, such as per-batch partial
+    aggregates, that can be a large share of the upstream).  A side
+    behind an unexecuted all-to-all is never probed
+    (``_behind_all_to_all``), so an over-limit side never re-runs a
+    whole shuffle.  The driver result is returned through
+    ``from_driver``."""
+    import pandas as pd
     import ray.data as rd
-    from ray.data import DataContext
 
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    table = None if _behind_all_to_all(ds) else collect_if_fits(ds)
-    if table is None:
-        return ds.groupby(bucket_col).map_groups(fn, batch_format="pandas")
-    if not table.num_rows:
+    stamped = ds.map_batches(pre, batch_format=batch_format,
+                             batch_size=batch_size)
+    if is_held(ds):
+        out = collect_if_fits(ds)
+        if out is not None and out.num_rows:
+            out = pre(out if batch_format == "pyarrow" else out.to_pandas())
+            if isinstance(out, pd.DataFrame):
+                out = out.reset_index(drop=True)
+    else:
+        out = None if _behind_all_to_all(ds) else collect_if_fits(stamped)
+    if out is None:
+        return stamped.groupby(bucket_col).map_groups(fn,
+                                                      batch_format="pandas")
+    if not len(out):
         return rd.from_items([])
-    out = fn(table.to_pandas())
-    n = min(_auto_num_buckets(),
-            int(out.memory_usage(index=False).sum())
-            // DataContext.get_current().target_min_block_size)
-    if n <= 1:
-        return rd.from_pandas(out)
-    step = -(-len(out) // n)
-    return rd.from_pandas([out.iloc[i:i + step]
-                           for i in range(0, len(out), step)])
+    if not isinstance(out, pd.DataFrame):
+        out = out.to_pandas()
+    return from_driver(fn(out))
 
 
 def split_by_bytes(ds, payload_col: str = "html",

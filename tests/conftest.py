@@ -58,3 +58,33 @@ def force_shuffle(monkeypatch):
         monkeypatch.setattr(sizing, "_BROADCAST_LIMIT_BYTES", limit)
 
     return force
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Spy on Ray Data's streaming executor: one entry (the physical
+    plan's last operator) per Dataset execution, in call order."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    real = StreamingExecutor.execute
+    seen = []
+
+    def spy(self, dag, *args, **kwargs):
+        seen.append(dag.name)
+        return real(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", spy)
+    return seen
+
+
+@pytest.fixture
+def ray_data_log(caplog):
+    """``caplog`` records of the ``ray.data`` logger tree, which does
+    not propagate to the root logger that ``caplog`` listens on."""
+    import logging
+
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(caplog.handler)
+    yield caplog
+    logger.removeHandler(caplog.handler)

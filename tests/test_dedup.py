@@ -242,6 +242,45 @@ def test_verify_exact_jaccard_boundary(ray_session):
         assert got == [(1, 2, 11, 20)], (verify.__name__, got)
 
 
+def test_verify_hash_blocks_size_cleanly(ray_session, monkeypatch,
+                                         ray_data_log):
+    """verify_candidates_hash's two joins carry each doc's token set
+    as one string column, so they run on hash_join's Arrow body: no
+    block of theirs is a 0-row pandas frame with object columns, whose
+    sizing makes Ray log "Error calculating size for column"."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockAccessor
+
+    from bb_ocr_ray.stages import joins
+    from bb_ocr_ray.stages.dedup import verify_candidates_hash
+
+    real, joined = joins.hash_join, []
+
+    def spy(*args, **kwargs):
+        joined.append(real(*args, **kwargs).materialize())
+        return joined[-1]
+
+    monkeypatch.setattr(joins, "hash_join", spy)
+    docs = rd.from_items([{"doc_id": i, "text": f"shared words here x{i % 3}"}
+                          for i in range(40)])
+    pairs = pd.DataFrame({"id_a": [0, 10, 20, 5], "id_b": [3, 13, 21, 30]})
+    got = verify_candidates_hash(rd.from_pandas(pairs), docs,
+                                 min_jaccard=0.7).to_pandas()
+    assert sorted(map(tuple, got.itertuples(index=False))) == [
+        (0, 3, 4, 4), (10, 13, 4, 4)]
+    assert len(joined) == 2
+    for ds in joined:
+        for bundle in ds.iter_internal_ref_bundles():
+            for ref, _ in bundle.blocks:
+                block = ray.get(ref)
+                assert isinstance(block, pa.Table), type(block)
+                BlockAccessor.for_block(block).size_bytes()
+    assert not [r for r in ray_data_log.records
+                if "Error calculating size" in r.getMessage()]
+
+
 def test_connected_components_ds_matches_driver(ray_session):
     """Distributed alternating-star CC must agree with the driver-side
     min-label implementation on chains, islands, and random graphs."""
@@ -275,19 +314,21 @@ def test_near_dup_dedup_distributed_matches_driver(ray_session, dup_docs,
                                                    gate_spy, force_shuffle):
     """The distributed verify+cluster+anti-join path returns exactly
     the driver fast path's survivors, and never collects pairs on the
-    driver: the driver run passes all six gates (the band fold and the
-    pair dedup of minhash_candidates, verify's pairs and mentioned
-    texts, the edges, the drop set); the forced run fails five (the
-    band fold, verify's pairs, the edges, the star rounds' root pair
-    dedup, the drop set: verify's mentioned texts drop out, and the
-    pair dedup reads the band shuffle's output, so it is not probed)."""
+    driver: the driver run passes all seven gates (the band fold and
+    the pair dedup of minhash_candidates, verify's pairs and mentioned
+    texts, the edges, the held components the drop set is derived
+    from, the drop set); the forced run fails five (the band fold,
+    verify's pairs, the edges, the star rounds' root pair dedup, the
+    drop set: verify's mentioned texts drop out, the pair dedup reads
+    the band shuffle's output, so it is not probed, and the star
+    rounds' components are not held)."""
     from bb_ocr_ray.stages.dedup import near_dup_dedup
 
     a = near_dup_dedup(dup_docs).to_pandas()
-    assert gate_spy == ["driver"] * 6
+    assert gate_spy == ["driver"] * 7
     force_shuffle()
     b = near_dup_dedup(dup_docs).to_pandas()
-    assert gate_spy[6:] == ["shuffle"] * 5
+    assert gate_spy[7:] == ["shuffle"] * 5
     assert sorted(a["doc_id"]) == sorted(b["doc_id"]) == [0, 3, 4]
 
 
@@ -554,6 +595,92 @@ def test_batched_sketch_kernels_match_per_doc():
         assert int(sb[i]) == simhash(t), f"simhash mismatch at {i}: {t!r}"
 
 
+# Shingle byte lengths at the MD5 padding edges (one block holds up to
+# 55 message bytes, two up to 119) and past the numpy kernel's four
+# blocks: each length L appears as a 3-shingle ("p"*10 "q"*10 "r"*...)
+# and a 2-shingle ("p"*10 "r"*...).
+_EDGE_LENGTHS = (54, 55, 56, 57, 63, 64, 65, 119, 120, 121, 247, 248, 300)
+_EDGE_DOCS = ([f"{'p' * 10} {'q' * 10} {'r' * (n - 22)}" for n in _EDGE_LENGTHS]
+              + [f"{'p' * 10}\r\n{'r' * (n - 11)}" for n in _EDGE_LENGTHS])
+_SEPS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\v", "\f", " \v\f\t"]
+_WORDS = ["a", "bb", "ccc", "\u00a0", "x\u00a0y", "\u2028", "z\u2028z",
+          "\U0001F600", "\U0001D11Ex", "\u00e9t\u00e9", "1" * 17, "2" * 26,
+          "3" * 40, "4" * 60, "5" * 130]
+
+
+def _sketch_docs():
+    from hypothesis import strategies as st
+
+    # tokens never hold the six ASCII separators; NBSP, U+2028 and
+    # astral characters stay inside them
+    token = st.sampled_from(_WORDS) | st.text(
+        alphabet=st.characters(codec="utf-8",
+                               exclude_characters=" \t\n\r\f\v"),
+        min_size=1, max_size=70)
+    sep = st.sampled_from(_SEPS)
+    body = st.builds(
+        lambda lead, parts, tail: lead + "".join(t + s for t, s in parts) + tail,
+        st.sampled_from(["", " ", "\v\f", "\r\n"]),
+        st.lists(st.tuples(token, sep), max_size=12),
+        st.sampled_from(["", " ", "\n\n"]))
+    return st.lists(st.none() | st.just("") | body, max_size=8)
+
+
+def test_sketch_kernels_match_per_doc_fuzz():
+    """Differential fuzz of the numpy sketch kernels: batched MinHash
+    and SimHash equal the per-doc functions, each doc's shingle slices
+    decode to exactly its ``_shingles`` set, and the numpy MD5 equals
+    hashlib — on None and empty texts, sub-k docs, duplicate docs,
+    \\v/\\f/\\r\\n runs, NBSP and U+2028 inside tokens, astral
+    characters, and shingle byte lengths at every MD5 block edge."""
+    import hashlib
+
+    import numpy as np
+    import pyarrow as pa
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from bb_ocr_ray.functions.hashing import (
+        _shingle_slices, _shingles, md5_slices, minhash_signature,
+        minhash_signatures_batch, simhash, simhash_batch, ws_tokens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sketch_docs(), st.integers(0, 3))
+    def check(docs, n_dup):
+        texts = docs + docs[:n_dup] + _EDGE_DOCS
+        for k in (2, 3):
+            norm, starts, lengths, offsets = _shingle_slices(texts, k)
+            raw = norm.tobytes()
+            for i, t in enumerate(texts):
+                got = {raw[a:a + n].decode("utf-8") for a, n in zip(
+                    starts[offsets[i]:offsets[i + 1]].tolist(),
+                    lengths[offsets[i]:offsets[i + 1]].tolist())}
+                assert got == _shingles(ws_tokens(t or ""), k), (k, t)
+        mb = minhash_signatures_batch(texts)
+        np.testing.assert_array_equal(
+            mb, minhash_signatures_batch(pa.array(texts, pa.large_string())))
+        sb = simhash_batch(pa.chunked_array([pa.array(texts, pa.string())]))
+        for i, t in enumerate(texts):
+            np.testing.assert_array_equal(mb[i], minhash_signature(t or ""))
+            assert int(sb[i]) == simhash(t or ""), t
+
+    check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.binary(max_size=300), max_size=12))
+    def check_md5(msgs):
+        msgs = msgs + [b"\x80" * n for n in (0, 1) + _EDGE_LENGTHS]
+        lengths = np.array([len(m) for m in msgs], dtype=np.int64)
+        lo, hi = md5_slices(np.frombuffer(b"".join(msgs), np.uint8),
+                            np.cumsum(lengths) - lengths, lengths)
+        for m, a, b in zip(msgs, lo.tolist(), hi.tolist()):
+            d = hashlib.md5(m).digest()
+            assert (a, b) == (int.from_bytes(d[:8], "little"),
+                              int.from_bytes(d[8:], "little")), m
+
+    check_md5()
+
+
 def test_dup_span_explode_slicing_matches_joins():
     """dup_span_stats' window slicing must hash exactly the k-token
     join strings — pinned against an independent ' '.join re-derivation
@@ -647,3 +774,66 @@ def test_connected_components_ds_gate_paths_agree(ray_session, gate_spy,
     # chain collapses to min label 0; clique to 100; pair to 500
     comp = dict(zip(fast["doc_id"], fast["component"]))
     assert comp[40] == 0 and comp[102] == 100 and comp[501] == 500
+
+
+def _planted_corpus(path, n_docs=300, n_files=4):
+    """An extracted-shape Parquet directory (doc_id, url, domain, text,
+    html_bytes, status) in which about 40% of docs sit in clusters of
+    2-4 near or exact copies; every group draws private tokens.
+    Returns (kept ids, per-domain doc counts)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(7)
+    order = rng.permutation(n_docs)
+    texts, kept, pos, group = [""] * n_docs, [], 0, 0
+    while pos < n_docs:
+        size = min(1 if rng.random() < 0.6 else int(rng.integers(2, 5)),
+                   n_docs - pos)
+        members = order[pos:pos + size]
+        base = [f"g{group}t{k}" for k in range(int(rng.integers(40, 60)))]
+        for m, doc in enumerate(members):
+            toks = list(base)
+            if m and rng.random() < 0.5:
+                toks[int(rng.integers(len(toks)))] = f"g{group}v{m}"
+            texts[int(doc)] = " ".join(toks)
+        kept.append(int(members.min()))
+        pos, group = pos + size, group + 1
+    domains = [f"site{i % 5}.example.net" for i in range(n_docs)]
+    table = pa.table({
+        "doc_id": pa.array(np.arange(n_docs), pa.int64()),
+        "url": [f"https://{d}/d{i}" for i, d in enumerate(domains)],
+        "domain": domains,
+        "text": texts,
+        "html_bytes": pa.array(np.full(n_docs, 1000), pa.int64()),
+        "status": ["ok"] * n_docs})
+    path.mkdir()
+    step = -(-n_docs // n_files)
+    for f in range(n_files):
+        pq.write_table(table.slice(f * step, step), path / f"part-{f}.parquet")
+    return sorted(kept), {d: domains.count(d) for d in set(domains)}
+
+
+def test_dedup_rollup_execution_count(ray_session, executions, tmp_path):
+    """domain_stats + near_dup_dedup, each written to Parquet, run five
+    Ray Data executions: the partial-aggregate probe and the stats write,
+    the MinHash probe, verify's mentioned-text read and the final anti
+    filter with its write.  Every driver-held side in between (the salt
+    strip, the pair dedup, the edges, the drop set) is read back with
+    no execution."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.dedup import near_dup_dedup
+    from bb_ocr_ray.stages.domain_agg import domain_stats
+
+    kept, per_domain = _planted_corpus(tmp_path / "docs")
+    src = str(tmp_path / "docs")
+    domain_stats(rd.read_parquet(src)).write_parquet(str(tmp_path / "stats"))
+    near_dup_dedup(rd.read_parquet(src)).write_parquet(str(tmp_path / "kept"))
+    assert len(executions) <= 5, executions
+    stats = pq.read_table(tmp_path / "stats").to_pandas()
+    assert dict(zip(stats["domain"], stats["n_docs"])) == per_domain
+    got = pq.read_table(tmp_path / "kept", columns=["doc_id"])
+    assert sorted(got.column("doc_id").to_pylist()) == kept

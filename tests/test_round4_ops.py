@@ -98,6 +98,23 @@ def test_remove_boilerplate_broadcast_vs_distributed(ray_session, corpus,
         assert fast[c].tolist() == slow[c].tolist(), c
 
 
+def test_remove_boilerplate_shuffle_path_keeps_one_schema(
+        ray_session, corpus, force_shuffle, ray_data_log):
+    """The forced path's hash_joins pad a column only one side has
+    (df / n_docs, then doc_id / idx / _bp) to one dtype on both sides,
+    so Ray logs no RefBundle schema change and int ids stay int64."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.boilerplate import remove_boilerplate
+
+    force_shuffle()
+    out = remove_boilerplate(rd.from_pandas(corpus)).to_pandas()
+    changed = [r.getMessage() for r in ray_data_log.records
+               if "different schema" in r.getMessage()]
+    assert changed == []
+    assert out["doc_id"].dtype == "int64" and len(out) == len(corpus)
+
+
 def test_remove_boilerplate_dup_line_df_counts_docs(ray_session, corpus):
     """'dup line' appears 3x in each %7 doc (18 of 121 docs per the
     corpus, under every source's 60%), so within-doc repetition must

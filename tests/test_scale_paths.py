@@ -764,8 +764,9 @@ def test_driver_query_gate_paths(ray_session, sf_tiny, gate_spy):
 
     want = {"q5_revenue_by_nation": 2, "q_anti_join": 1, "q_semi_join": 1,
             # minhash_candidates' band fold + pair dedup, verify's
-            # pairs + mentioned texts, the edges, the drop set
-            "q_near_dup_dedup": 6}
+            # pairs + mentioned texts, the edges, the held components
+            # the drop set is derived from, the drop set
+            "q_near_dup_dedup": 7}
     for q, n in want.items():
         gate_spy.clear()
         QUERIES[q](sf_tiny)
@@ -966,6 +967,37 @@ def test_driver_fold_keeps_downstream_parallelism(ray_session, gate_spy):
     out = got.to_pandas().sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(out, df.rename(columns={"v": "s"}),
                                   check_dtype=False)
+
+
+def test_held_side_collects_without_execution(ray_session, executions,
+                                              force_shuffle):
+    """A side whose blocks already exist (from_pandas, under a column
+    projection or not) is read back with no Ray execution, and decides
+    at limits 0 and -1 exactly as the same rows behind a lazy map."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import sizing
+
+    df = pd.DataFrame({"k": np.arange(5, dtype="int64"), "s": list("abcde")})
+    for frame in (df, df.iloc[:0]):
+        got = sizing.collect_if_fits(rd.from_pandas(frame))
+        pd.testing.assert_frame_equal(got.to_pandas(),
+                                      frame.reset_index(drop=True))
+        got = sizing.collect_if_fits(
+            rd.from_pandas([frame, frame]).select_columns(["s"]))
+        assert got.column_names == ["s"]
+        assert got.column("s").to_pylist() == 2 * list(frame["s"])
+    assert executions == []
+    for limit in (0, -1):
+        force_shuffle(limit)
+        for frame in (df, df.iloc[:0]):
+            held = sizing.collect_if_fits(rd.from_pandas(frame))
+            assert executions == []
+            lazy = sizing.collect_if_fits(rd.from_pandas(frame).map_batches(
+                lambda b: b, batch_format="pandas"))
+            executions.clear()
+            assert (held is None) == (lazy is None), (limit, len(frame))
+            assert (held is None) == (limit < 0 or len(frame) > 0)
 
 
 # ---------------------------------------------------------------------------
