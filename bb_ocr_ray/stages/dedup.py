@@ -279,7 +279,7 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                             ).drop_duplicates()
 
     pairs = sizing.fold_buckets(docs_ds, to_rows, "coarse", coarse_pairs,
-                                batch_format="pyarrow")
+                                batch_format="pyarrow", stamp_here=False)
     # dedup pairs found in multiple bands — one coarse fold, never
     # per-pair groups
     return dedup_pairs(pairs)
@@ -518,7 +518,7 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                              "hamming": d[ok]})
 
     pairs = sizing.fold_buckets(docs_ds, explode, "coarse", coarse_verify,
-                                batch_format="pyarrow")
+                                batch_format="pyarrow", stamp_here=False)
     # a pair's hamming is the same in every colliding band, so the old
     # Min-aggregate was pure dedup paying per-PAIR group overhead —
     # dedup_pairs keeps the (identical) hamming of the first occurrence
@@ -717,8 +717,9 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
     min-label loop (:func:`connected_components`) — zero shuffles
     instead of O(log² n) star rounds.  A held pair set (the driver
     verify's result) is read back with no Ray execution; a lazy one
-    is materialized once first.  Above the gate the star rounds run
-    unchanged; the edge set never lands on the driver there.
+    is mapped to ordered edges and materialized once first.  Above
+    the gate the star rounds run unchanged; the edge set never lands
+    on the driver there.
 
     Returns a Dataset of (doc_id, component) with component = the
     minimum doc_id of the node's component, identical to the
@@ -793,14 +794,17 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
              "id_b": np.maximum(b["id_a"].to_numpy(np.int64),
                                 b["id_b"].to_numpy(np.int64))})
 
-    # gate the (id_a, id_b) columns of a held pair set: read back with
-    # no Ray execution (a lazy one is materialized once first)
-    pairs = pairs_ds if sizing.is_held(pairs_ds) else pairs_ds.materialize()
-    small = sizing.collect_if_fits(pairs.select_columns(["id_a", "id_b"]))
+    # a held pair set is gated on its id columns as it stands, with no
+    # Ray execution, and mapped to ordered edges only past the gate
+    held = sizing.is_held(pairs_ds)
+    edges = (pairs_ds.select_columns(["id_a", "id_b"]) if held else
+             pairs_ds.map_batches(ordered, batch_format="pandas").materialize())
+    small = sizing.collect_if_fits(edges)
     if small is not None:
         return sizing.from_driver(connected_components(
             ordered(small.to_pandas()) if small.num_rows else pd.DataFrame()))
-    edges = pairs.map_batches(ordered, batch_format="pandas").materialize()
+    if held:
+        edges = edges.map_batches(ordered, batch_format="pandas").materialize()
     n_edges = edges.count()
     if n_edges == 0:              # reachable only under a negative limit
         return sizing.from_driver(connected_components(pd.DataFrame()))
@@ -874,9 +878,10 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({id_col: b.loc[b["doc_id"] != b["component"],
                                            "doc_id"].to_numpy(np.int64)})
 
-    # components computed on the driver are held: derive the drop set
-    # there too, so auto_anti reads it back with no Ray execution
-    held = sizing.collect_if_fits(comps) if sizing.is_held(comps) else None
+    # components computed on the driver are held, and came from pairs
+    # the gate already let onto the driver: derive the drop set there
+    # with no second gate, so auto_anti reads it back with no execution
+    held = sizing.held_table(comps)
     drops = (comps.map_batches(drop_rows, batch_format="pandas")
              if held is None else
              sizing.from_driver(drop_rows(held.to_pandas())))

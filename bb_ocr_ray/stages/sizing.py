@@ -24,12 +24,15 @@ holds through a remote map just to read it back.  ``from_driver`` wraps
 each driver result with block metadata computed locally.
 
 ``fold_buckets(ds, pre, bucket_col, fn)`` asks the same question of a
-coarse-bucket fold: ``pre`` is the per-batch stamp (combiner plus
-bucket column).  A held input is gated as it stands and, when it fits,
-stamped and folded in this process; any other input is probed as
-``ds.map_batches(pre)``, the stamped side the shuffle would move.  When
-it fits, the fold runs once over the whole side on the driver instead
-of one reducer task per bucket after a sort shuffle.  The gated folds
+coarse-bucket fold's stamped side, the side the shuffle would move:
+``pre`` is the per-batch stamp (combiner plus bucket column).  A held
+input is stamped in this process block by block as it is read back,
+and the stamped bytes are counted against the limit; any other input
+(and a held corpus under a sketch stamp, which stays on the workers)
+is probed as ``ds.map_batches(pre)``.  Both decide on the same bytes.
+When the stamped side fits, the fold runs once over the whole side on
+the driver instead of one reducer task per bucket after a sort
+shuffle.  The gated folds
 are ``coarse.coarse_agg`` (every caller, domain_stats among them),
 ``coarse.grouped_per_key``, ``dedup.dedup_pairs``,
 ``dedup.minhash_candidates``' band fold and ``dedup.simhash_near_dups``'
@@ -89,13 +92,14 @@ def estimate_size_bytes(ds) -> int:
         return 0
 
 
-def _held_tables(ds):
-    """The blocks of a Dataset that already holds them, as Arrow tables
-    read back with ``ray.get`` (no execution), or ``None`` for any other
-    Dataset.  Held: a ``from_pandas``/``from_arrow``/``from_blocks``/
-    ``from_items`` source or a materialized Dataset, optionally under
-    ``select_columns`` projections, which are applied here.  Returns a generator, so a caller that stops early
-    never fetches the remaining blocks."""
+def _held_blocks(ds):
+    """The blocks of a Dataset that already holds them, read back with
+    ``ray.get`` (no execution) as Ray stores them (pandas or Arrow), or
+    ``None`` for any other Dataset.  Held: a ``from_pandas``/
+    ``from_arrow``/``from_blocks``/``from_items`` source or a
+    materialized Dataset, optionally under ``select_columns``
+    projections, which are applied here.  Returns a generator, so a
+    caller that stops early never fetches the remaining blocks."""
     try:
         from ray.data._internal.logical.operators.from_operators import \
             AbstractFrom
@@ -113,62 +117,99 @@ def _held_tables(ds):
     if not isinstance(op, (AbstractFrom, InputData)):
         return None
 
-    def tables():
+    def blocks():
         import ray
-        from ray.data.block import BlockAccessor
 
         for bundle in op.output_data():
             for ref, _meta in bundle.blocks:
                 block = ray.get(ref)
-                acc = BlockAccessor.for_block(block)
-                if acc.num_rows() or isinstance(block, pa.Table):
-                    t = acc.to_arrow()
-                else:
-                    # Ray types every column of an empty pandas block
-                    # as null: keep its dtypes, objects read as string
-                    t = pa.schema(
-                        [pa.field(f.name, pa.string()
-                                  if pa.types.is_null(f.type) else f.type)
-                         for f in pa.Schema.from_pandas(
-                             block, preserve_index=False)]).empty_table()
                 for cols in reversed(projects):
-                    t = t.select(cols)
-                yield t
+                    block = (block.select(cols) if isinstance(block, pa.Table)
+                             else block[cols])
+                yield block
 
-    return tables()
+    return blocks()
 
 
 def is_held(ds) -> bool:
-    """True when ``ds`` already holds its blocks (see ``_held_tables``):
+    """True when ``ds`` already holds its blocks (see ``_held_blocks``):
     ``collect_if_fits`` reads such a side with no Ray execution."""
-    return _held_tables(ds) is not None
+    return _held_blocks(ds) is not None
 
 
-def collect_if_fits(ds) -> pa.Table | None:
-    """The whole of ``ds`` as ONE Arrow table on the driver, or ``None``
-    when it does not fit ``_BROADCAST_LIMIT_BYTES``.
+def held_table(ds) -> pa.Table | None:
+    """All of a held ``ds`` as one Arrow table, read back with no
+    execution and NO size check, or ``None`` when ``ds`` is not held.
+    Only for a side derived on the driver from one that
+    ``collect_if_fits`` already let in (the components of a gated pair
+    set), so it is no larger than what the driver already held."""
+    blocks = _held_blocks(ds)
+    if blocks is None:
+        return None
+    return pa.concat_tables([_arrow(b) for b in blocks],
+                            promote_options="permissive")
+
+
+def _arrow(block) -> pa.Table:
+    """A pandas or Arrow block as Arrow, the form the lazy probe reads.
+    Ray types every column of an empty pandas block as null: keep its
+    dtypes instead, objects read as string."""
+    from ray.data.block import BlockAccessor
+
+    if isinstance(block, pa.Table):
+        return block
+    if len(block):
+        return BlockAccessor.for_block(block).to_arrow()
+    return pa.schema(
+        [pa.field(f.name, pa.string() if pa.types.is_null(f.type) else f.type)
+         for f in pa.Schema.from_pandas(block, preserve_index=False)]
+    ).empty_table()
+
+
+def collect_if_fits(ds, pre=None, batch_format="pandas") -> pa.Table | None:
+    """The whole of ``ds`` (or, given the per-batch map ``pre``, of
+    ``ds.map_batches(pre, batch_format=batch_format)``) as ONE Arrow
+    table on the driver, or ``None`` when it does not fit
+    ``_BROADCAST_LIMIT_BYTES``.
 
     A held side (``is_held``: blocks that already exist, such as a
     driver result or a materialized Dataset) is read back block by
-    block with ``ray.get``, with no execution.  Any other side is
-    rejected at once when the metadata estimate is already over the
-    limit, else streamed with ``iter_batches``.  Either way the read
-    gives up as soon as the Arrow bytes read pass the limit, so the
-    driver never holds more than the limit plus one block, and a held
-    side answers exactly as the same rows behind a lazy map would.  A
-    lazy side that is too big wastes the work that produced its first
-    ``limit`` bytes, which the caller's shuffle path runs again; a
-    side behind an unexecuted shuffle runs that whole shuffle before
-    its first batch, so callers materialize a side first where
-    re-running its lineage would be dear (``fold_buckets`` does not
-    probe such a side at all).  An empty side fits (a negative limit
-    pushes even that over), and comes back as an empty table with the
-    Dataset's columns."""
+    block with ``ray.get``, with no execution, and each non-empty block
+    put through ``pre`` here as it arrives.  Any other side is rejected
+    at once when the metadata estimate is already over the limit, else
+    streamed with ``iter_batches``.  Either way the bytes counted are
+    the Arrow bytes of the side after ``pre``, and the read gives up as
+    soon as they pass the limit, so the driver never holds more than
+    the limit plus one block, and a held side answers exactly as the
+    same rows behind a lazy map would.  A lazy side that is too big
+    wastes the work that produced its first ``limit`` bytes, which the
+    caller's shuffle path runs again; a side behind an unexecuted
+    shuffle runs that whole shuffle before its first batch, so callers
+    materialize a side first where re-running its lineage would be
+    dear (``fold_buckets`` does not probe such a side at all).  An
+    empty side fits (a negative limit pushes even that over), and comes
+    back as an empty table with the Dataset's columns (no columns at
+    all when a held side went through ``pre``)."""
+    from ray.data.block import BlockAccessor
+
     limit = _BROADCAST_LIMIT_BYTES
     if limit < 0:
         return None
-    batches = _held_tables(ds)
-    if batches is None:
+    blocks = _held_blocks(ds)
+    if blocks is not None:
+        if pre is not None:
+            def as_batch(block):
+                acc = BlockAccessor.for_block(block)
+                return (acc.to_arrow() if batch_format == "pyarrow" else
+                        acc.to_pandas() if batch_format == "pandas" else
+                        block)
+
+            blocks = (pre(as_batch(b)) for b in blocks
+                      if BlockAccessor.for_block(b).num_rows())
+        batches = map(_arrow, blocks)
+    else:
+        if pre is not None:
+            ds = ds.map_batches(pre, batch_format=batch_format)
         if estimate_size_bytes(ds) > limit:
             return None
         batches = ds.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -182,7 +223,7 @@ def collect_if_fits(ds) -> pa.Table | None:
         # blocks of one side can disagree on a type (an int column
         # upcast to double by a null in one pandas block)
         return pa.concat_tables(parts, promote_options="permissive")
-    schema = ds.schema()
+    schema = None if pre is not None else ds.schema()
     if schema is None:
         return pa.table({})
     return pa.schema(
@@ -242,29 +283,33 @@ def _behind_all_to_all(ds) -> bool:
 
 
 def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
-                 batch_size=None):
+                 batch_size=None, stamp_here: bool = True):
     """``ds.map_batches(pre).groupby(bucket_col).map_groups(fn)``, or,
-    when the side fits the driver, ``pre`` and ``fn`` run ONCE over the
-    whole side in the driver process: no shuffle, no reducer tasks.
+    when the stamped side fits the driver, ``fn`` run ONCE over the
+    whole stamped side in the driver process: no shuffle, no reducer
+    tasks.
 
     ``pre`` is the per-batch stamp that adds ``bucket_col`` (with any
-    combiner), called with ``batch_format``/``batch_size`` batches on
-    the shuffle path.  A held input (``is_held``) is gated as it
-    stands, read back with no execution, stamped and folded here; it
-    reaches ``pre`` as one pandas frame, the format of driver-built
-    blocks, unless ``batch_format`` is "pyarrow" (so the driver never
-    starts Arrow's grouped-aggregation engine for a combiner).  Any
-    other input is probed as ``ds.map_batches(pre)``, the side the
-    shuffle would move.
+    combiner), called with ``batch_format``/``batch_size`` batches.
+    The gate (``collect_if_fits``) always measures what the stamp
+    makes, in Arrow bytes.  A held input (``is_held``) is read back
+    block by block with no execution and each block stamped here as it
+    arrives, so the driver holds at most the limit of stamped rows plus
+    one block and decides exactly as the lazy probe would.  Any other
+    input, and a held one when ``stamp_here`` is False (a stamp too
+    dear to run serially on the driver, such as a corpus-wide sketch
+    that also multiplies the rows), is probed as
+    ``ds.map_batches(pre)`` on the workers.
 
     Exact only for a bucket-oblivious ``fn``, one whose answer on any
     union of whole buckets is the union of its per-bucket answers (a
     per-key fold whose keys never straddle buckets, a drop_duplicates
     on the columns the bucket is derived from), and a ``pre`` whose
-    output on the whole side folds to what its per-batch outputs fold
-    to (a per-row map, a re-foldable combiner).  A 0-row stamped side
-    gives what the shuffle gives it, a 0-row Dataset with no schema,
-    without calling ``fn`` on a shape ``map_groups`` never hands it.
+    per-batch outputs fold to the same answer however the side is cut
+    into batches (a per-row map, a re-foldable combiner).  A 0-row
+    stamped side gives what the shuffle gives it, a 0-row Dataset with
+    no schema, without calling ``fn`` on a shape ``map_groups`` never
+    hands it.
 
     Cost of a lazy side that does not fit: the probe stops once it has
     read the limit in Arrow bytes, and the shuffle then re-runs the
@@ -276,27 +321,22 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
     (``_behind_all_to_all``), so an over-limit side never re-runs a
     whole shuffle.  The driver result is returned through
     ``from_driver``."""
-    import pandas as pd
     import ray.data as rd
 
     stamped = ds.map_batches(pre, batch_format=batch_format,
                              batch_size=batch_size)
-    if is_held(ds):
-        out = collect_if_fits(ds)
-        if out is not None and out.num_rows:
-            out = pre(out if batch_format == "pyarrow" else out.to_pandas())
-            if isinstance(out, pd.DataFrame):
-                out = out.reset_index(drop=True)
+    if stamp_here and is_held(ds):
+        table = collect_if_fits(ds, pre, batch_format)
+    elif _behind_all_to_all(ds):
+        table = None
     else:
-        out = None if _behind_all_to_all(ds) else collect_if_fits(stamped)
-    if out is None:
+        table = collect_if_fits(stamped)
+    if table is None:
         return stamped.groupby(bucket_col).map_groups(fn,
                                                       batch_format="pandas")
-    if not len(out):
+    if not table.num_rows:
         return rd.from_items([])
-    if not isinstance(out, pd.DataFrame):
-        out = out.to_pandas()
-    return from_driver(fn(out))
+    return from_driver(fn(table.to_pandas()))
 
 
 def split_by_bytes(ds, payload_col: str = "html",

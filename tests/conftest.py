@@ -39,8 +39,8 @@ def gate_spy(monkeypatch):
     real = sizing.collect_if_fits
     seen = []
 
-    def spy(ds):
-        out = real(ds)
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
         seen.append("shuffle" if out is None else "driver")
         return out
 

@@ -314,21 +314,19 @@ def test_near_dup_dedup_distributed_matches_driver(ray_session, dup_docs,
                                                    gate_spy, force_shuffle):
     """The distributed verify+cluster+anti-join path returns exactly
     the driver fast path's survivors, and never collects pairs on the
-    driver: the driver run passes all seven gates (the band fold and
-    the pair dedup of minhash_candidates, verify's pairs and mentioned
-    texts, the edges, the held components the drop set is derived
-    from, the drop set); the forced run fails five (the band fold,
-    verify's pairs, the edges, the star rounds' root pair dedup, the
-    drop set: verify's mentioned texts drop out, the pair dedup reads
-    the band shuffle's output, so it is not probed, and the star
-    rounds' components are not held)."""
+    driver: the driver run passes all six gates (the band fold and the
+    pair dedup of minhash_candidates, verify's pairs and mentioned
+    texts, the edges, the drop set); the forced run fails five (the
+    band fold, verify's pairs, the edges, the star rounds' root pair
+    dedup, the drop set: verify's mentioned texts drop out, and the
+    pair dedup reads the band shuffle's output, so it is not probed)."""
     from bb_ocr_ray.stages.dedup import near_dup_dedup
 
     a = near_dup_dedup(dup_docs).to_pandas()
-    assert gate_spy == ["driver"] * 7
+    assert gate_spy == ["driver"] * 6
     force_shuffle()
     b = near_dup_dedup(dup_docs).to_pandas()
-    assert gate_spy[7:] == ["shuffle"] * 5
+    assert gate_spy[6:] == ["shuffle"] * 5
     assert sorted(a["doc_id"]) == sorted(b["doc_id"]) == [0, 3, 4]
 
 

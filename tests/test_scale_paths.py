@@ -764,9 +764,8 @@ def test_driver_query_gate_paths(ray_session, sf_tiny, gate_spy):
 
     want = {"q5_revenue_by_nation": 2, "q_anti_join": 1, "q_semi_join": 1,
             # minhash_candidates' band fold + pair dedup, verify's
-            # pairs + mentioned texts, the edges, the held components
-            # the drop set is derived from, the drop set
-            "q_near_dup_dedup": 7}
+            # pairs + mentioned texts, the edges, the drop set
+            "q_near_dup_dedup": 6}
     for q, n in want.items():
         gate_spy.clear()
         QUERIES[q](sf_tiny)
@@ -998,6 +997,51 @@ def test_held_side_collects_without_execution(ray_session, executions,
             executions.clear()
             assert (held is None) == (lazy is None), (limit, len(frame))
             assert (held is None) == (limit < 0 or len(frame) > 0)
+
+
+def test_held_fold_input_gates_on_stamped_bytes(ray_session, gate_spy,
+                                                executions, force_shuffle):
+    """A held fold input is gated on what its stamp makes, not on its
+    own bytes, and decides as the same rows behind a lazy map do, in
+    both directions: grouped_per_key's stamp adds a bucket column to
+    every row (16 -> 24 B/row), so under a limit between the two the
+    held side shuffles; coarse_agg's per-batch combiner shrinks 4,000
+    rows to two, so under half the raw bytes the held side still folds
+    on the driver.  The held side's gate runs no Ray execution."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.coarse import coarse_agg, grouped_per_key
+
+    n = 4000
+    df = pd.DataFrame({"k": np.arange(n, dtype="int64") % 2,
+                       "v": np.arange(n, dtype="int64")})
+    raw = pa.Table.from_pandas(df, preserve_index=False).nbytes
+
+    def sides():
+        return (("held", rd.from_pandas(df)),
+                ("lazy", rd.from_pandas(df).map_batches(
+                    lambda b: b, batch_format="pandas")))
+
+    cases = (
+        (raw + raw // 4, "shuffle",
+         lambda ds: grouped_per_key(ds, "k", lambda g: g.nsmallest(2, "v"))),
+        (raw // 2, "driver",
+         lambda ds: coarse_agg(ds, ["k"], {"s": ("v", "sum"),
+                                           "c": ("v", "size")})),
+    )
+    for limit, want, run in cases:
+        force_shuffle(limit)
+        got = {}
+        for name, ds in sides():
+            gate_spy.clear()
+            executions.clear()
+            out = run(ds)
+            assert gate_spy == [want], (name, limit)
+            assert (executions == []) == (name == "held"), (name, executions)
+            got[name] = (out.to_pandas().sort_values(list(out.schema().names))
+                         .reset_index(drop=True))
+        pd.testing.assert_frame_equal(got["held"], got["lazy"],
+                                      check_dtype=False)
 
 
 # ---------------------------------------------------------------------------
