@@ -448,12 +448,9 @@ ORACLES.update({
 # (length-difference // pattern length), earliest-wins argmax (CASE
 # chain in _LANG_ORDER order).
 # ---------------------------------------------------------------------------
-def _langid_pred_cte() -> str:
-    """The shared WITH…pred prefix: every detect_lang step mirrored in
-    SQL generated from the engine's own profile tables.  Used by both
-    the accuracy oracle (q_langid) and the confusion-matrix oracle
-    (q_lang_confusion) so the classifier mirror cannot drift between
-    them."""
+def _langid_oracle_sql() -> str:
+    """Every detect_lang step mirrored in SQL generated from the
+    engine's own profile tables, then per-lang agreement counts."""
     from bb_ocr_ray.functions.textstats import _LANG_ORDER, _LANG_PROFILES
 
     def score_expr(lang: str) -> str:
@@ -491,23 +488,12 @@ def _langid_pred_cte() -> str:
                     THEN 'zh'
                     {case}
                     ELSE 'und' END AS lang_pred
-            FROM sc)"""
-
-
-def _langid_oracle_sql() -> str:
-    return _langid_pred_cte() + """
+            FROM sc)
         SELECT lang,
                CAST(sum(CASE WHEN lang = lang_pred THEN 1 ELSE 0 END)
                     AS BIGINT) AS n_agree,
                count(*) AS n_docs
         FROM pred GROUP BY 1
-    """
-
-
-def _lang_confusion_oracle_sql() -> str:
-    return _langid_pred_cte() + """
-        SELECT lang, lang_pred, CAST(count(*) AS BIGINT) AS n
-        FROM pred GROUP BY 1, 2 ORDER BY 1, 2
     """
 
 
@@ -675,15 +661,6 @@ WHERE doc_id NOT IN (SELECT node FROM comp WHERE component < node)
 ORACLES.update({
     "q_minhash_candidates":
         f"WITH {_minhash_cte()} SELECT id_a, id_b FROM mh_pairs",
-    "q_minhash_est": f"""
-        WITH {_minhash_cte()}
-        SELECT p.id_a, p.id_b,
-               count(*) FILTER (WHERE sa.v = sb.v) AS n_eq_slots
-        FROM mh_pairs p
-        JOIN sig2 sa ON sa.doc_id = p.id_a
-        JOIN sig2 sb ON sb.doc_id = p.id_b AND sb.p = sa.p
-        GROUP BY 1, 2
-    """,
     "q_simhash_near_dups": _SIMHASH_SQL,
     "q_near_dup_dedup": _near_dup_dedup_sql(),
 })
@@ -817,27 +794,6 @@ ORACLES["q_decontaminate"] = f"""
 """
 
 
-ORACLES["q_ngram_freq"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    bg AS (SELECT CASE WHEN len(tk) < 2 THEN CAST([] AS VARCHAR[])
-                       ELSE list_transform(generate_series(1, len(tk) - 1),
-                                i -> tk[i] || ' ' || tk[i+1])
-                  END AS bgs
-           FROM toks)
-    SELECT ngram, count(*) AS n
-    FROM (SELECT unnest(bgs) AS ngram FROM bg)
-    GROUP BY 1 ORDER BY n DESC, ngram LIMIT 20
-"""
-
-
-ORACLES["q_doc_freq"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    dt AS (SELECT DISTINCT doc_id, unnest(tk) AS tok FROM toks)
-    SELECT tok, count(*) AS df FROM dt
-    GROUP BY 1 ORDER BY df DESC, tok LIMIT 20
-"""
-
-
 ORACLES["q_hll_registers"] = """
     WITH h AS (SELECT md5_number_upper(CAST(user_id AS VARCHAR)) AS hv
                FROM events WHERE user_id IS NOT NULL),
@@ -906,33 +862,6 @@ ORACLES["q_chunk_docs"] = f"""
            CAST(least(32, len(tk) - s + 1) AS BIGINT) AS n_tok
     FROM starts
 """
-
-
-def _pii_redact_sql() -> str:
-    """Three-stage RE2 cascade mirroring functions.pii.REDACTION_CASCADE
-    — generated from the engine's own pattern constants so pattern
-    edits cannot drift the oracle."""
-    from bb_ocr_ray.functions.pii import EMAIL_PAT, IPV4_PAT, PHONE_PAT
-
-    return f"""
-    WITH t0 AS (SELECT doc_id, coalesce(text, '') AS tx FROM documents),
-    s1 AS (SELECT doc_id,
-                  len(regexp_extract_all(tx, '{EMAIL_PAT}')) AS n_emails,
-                  regexp_replace(tx, '{EMAIL_PAT}', '<EMAIL>', 'g') AS tx
-           FROM t0),
-    s2 AS (SELECT doc_id, n_emails,
-                  len(regexp_extract_all(tx, '{PHONE_PAT}')) AS n_phones,
-                  regexp_replace(tx, '{PHONE_PAT}', '<PHONE>', 'g') AS tx
-           FROM s1),
-    s3 AS (SELECT doc_id, n_emails, n_phones,
-                  len(regexp_extract_all(tx, '{IPV4_PAT}')) AS n_ips,
-                  regexp_replace(tx, '{IPV4_PAT}', '<IP>', 'g') AS tx
-           FROM s2)
-    SELECT doc_id, tx AS clean_text, n_emails, n_phones, n_ips FROM s3
-    """
-
-
-ORACLES["q_pii_redact"] = _pii_redact_sql()
 
 
 # Paragraph-level exact dedup: first global (doc_id, idx) occurrence of
@@ -1011,21 +940,6 @@ ORACLES["q_hll_grouped"] = """
           FROM b)
     SELECT event_type, bucket, CAST(max(rho) AS BIGINT) AS max_rho
     FROM r GROUP BY 1, 2
-"""
-
-
-# Unigram LM cross-entropy: -avg ln(corpus_count(tok)/N) over each
-# doc's token occurrences.  Empty docs emit no row on either engine.
-ORACLES["q_lm_score"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    pc AS (SELECT doc_id, unnest(tk) AS tok FROM toks),
-    tc AS (SELECT tok, count(*) AS c FROM pc GROUP BY 1),
-    n AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM tc)
-    SELECT p.doc_id, count(*) AS n_tok,
-           round(-sum(ln(CAST(t.c AS DOUBLE) / (SELECT n FROM n)))
-                 / count(*), 6) AS cross_entropy
-    FROM pc p JOIN tc t USING (tok)
-    GROUP BY p.doc_id
 """
 
 
@@ -1181,25 +1095,6 @@ ORACLES["q_corpus_pipeline"] = """
     SELECT split, source, count(*) AS n_docs,
            CAST(sum(n) AS BIGINT) AS sum_chars
     FROM sp2 GROUP BY 1, 2
-"""
-
-
-# Code-point Shannon entropy; log2 via ln/ln(2), per-occurrence sum.
-ORACLES["q_char_entropy"] = """
-    WITH ch AS (SELECT doc_id,
-                       unnest(string_split_regex(text, '')) AS c
-                FROM documents
-                WHERE doc_id IS NOT NULL AND text IS NOT NULL
-                  AND text <> ''),
-    cnt AS (SELECT doc_id, c, count(*) AS k FROM ch GROUP BY 1, 2),
-    agg AS (SELECT doc_id, CAST(sum(k) AS BIGINT) AS n,
-                   count(*) AS n_distinct,
-                   sum(k * ln(CAST(k AS DOUBLE))) AS slk
-            FROM cnt GROUP BY 1)
-    SELECT doc_id, n AS n_chars, n_distinct,
-           round((ln(CAST(n AS DOUBLE)) - slk / n) / ln(2.0), 6)
-               AS entropy
-    FROM agg
 """
 
 
@@ -1403,9 +1298,10 @@ ORACLES["q_lm_quality"] = f"""
 
 
 def _pii_scrub_sql() -> str:
-    """Planted-PII variant of _pii_redact_sql: identical cascade
-    (generated from the same engine pattern constants) over text
-    dirtied by the same doc_id arithmetic as queries._plant_pii."""
+    """Three-stage RE2 cascade mirroring functions.pii.REDACTION_CASCADE
+    — generated from the engine's own pattern constants so pattern
+    edits cannot drift the oracle — over text dirtied by the same
+    doc_id arithmetic as queries._plant_pii."""
     from bb_ocr_ray.functions.pii import EMAIL_PAT, IPV4_PAT, PHONE_PAT
 
     return f"""
@@ -1476,46 +1372,6 @@ ORACLES["q_connected_components"] = """
 """
 
 
-ORACLES["q_nb_classify"] = """
-    WITH toks AS (
-      SELECT doc_id, coalesce(lang, '<null>') AS lang,
-             list_filter(regexp_split_to_array(coalesce(text, ''),
-                         '[ \t\n\r\f\v]+'), x -> x <> '') AS tk
-      FROM documents),
-    train AS (SELECT * FROM toks WHERE doc_id % 5 <> 0),
-    test  AS (SELECT * FROM toks WHERE doc_id % 5 = 0 AND len(tk) > 0),
-    tt  AS (SELECT lang, unnest(tk) AS tok FROM train),
-    cnt AS (SELECT lang, tok, CAST(count(*) AS BIGINT) AS c
-            FROM tt GROUP BY 1, 2),
-    tot AS (SELECT lang, CAST(sum(c) AS BIGINT) AS tot FROM cnt GROUP BY 1),
-    voc AS (SELECT CAST(count(DISTINCT tok) AS BIGINT) AS v FROM cnt),
-    prior AS (SELECT lang, CAST(count(*) AS BIGINT) AS nd
-              FROM train GROUP BY 1),
-    ntr AS (SELECT CAST(count(*) AS BIGINT) AS n FROM train),
-    langs AS (SELECT p.lang, p.nd, coalesce(t.tot, 0) AS tot
-              FROM prior p LEFT JOIN tot t USING (lang)),
-    dt AS (SELECT doc_id, tok, CAST(count(*) AS BIGINT) AS f
-           FROM (SELECT doc_id, unnest(tk) AS tok FROM test)
-           GROUP BY 1, 2),
-    sc AS (SELECT d.doc_id, l.lang,
-                  ln(CAST(l.nd AS DOUBLE) / (SELECT n FROM ntr))
-                + sum(d.f * ln((coalesce(c.c, 0) + 1.0)
-                               / (l.tot + (SELECT v FROM voc)))) AS score
-           FROM dt d CROSS JOIN langs l
-           LEFT JOIN cnt c ON c.lang = l.lang AND c.tok = d.tok
-           GROUP BY d.doc_id, l.lang, l.nd, l.tot),
-    rk AS (SELECT doc_id, lang, round(score, 6) AS s6,
-                  row_number() OVER (PARTITION BY doc_id
-                                     ORDER BY round(score, 6) DESC,
-                                              lang ASC) AS rn
-           FROM sc)
-    SELECT t.doc_id, t.lang AS lang, r.lang AS pred, r.s6 AS score6
-    FROM rk r JOIN test t USING (doc_id)
-    WHERE r.rn = 1
-    ORDER BY t.doc_id
-"""
-
-
 ORACLES["q_boilerplate"] = """
     WITH dirty AS (
       SELECT doc_id, source,
@@ -1553,37 +1409,6 @@ ORACLES["q_boilerplate"] = """
            md5(coalesce(string_agg(line, chr(10) ORDER BY idx)
                         FILTER (WHERE NOT bp), '')) AS clean_md5
     FROM flagged GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_pmi_pairs"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    prs AS (
-      SELECT unnest(list_transform(generate_series(1, greatest(len(tk)-1, 0)),
-                                   i -> tk[i])) AS w1,
-             unnest(list_transform(generate_series(1, greatest(len(tk)-1, 0)),
-                                   i -> tk[i+1])) AS w2
-      FROM toks
-      UNION ALL
-      SELECT unnest(list_transform(generate_series(1, greatest(len(tk)-2, 0)),
-                                   i -> tk[i])),
-             unnest(list_transform(generate_series(1, greatest(len(tk)-2, 0)),
-                                   i -> tk[i+2]))
-      FROM toks),
-    cnt AS (SELECT w1, w2, count(*) AS c12 FROM prs GROUP BY 1, 2),
-    uni AS (SELECT unnest(tk) AS tok FROM toks),
-    uc AS (SELECT tok, count(*) AS c FROM uni GROUP BY 1),
-    nt AS (SELECT count(*) AS n_tokens FROM uni),
-    npr AS (SELECT count(*) AS n_pairs FROM prs)
-    SELECT cnt.w1, cnt.w2, CAST(cnt.c12 AS BIGINT) AS c12,
-           round(ln(cnt.c12::DOUBLE / npr.n_pairs * nt.n_tokens / u1.c
-                    * nt.n_tokens / u2.c), 6) AS pmi
-    FROM cnt
-    JOIN uc u1 ON cnt.w1 = u1.tok
-    JOIN uc u2 ON cnt.w2 = u2.tok
-    CROSS JOIN nt CROSS JOIN npr
-    WHERE cnt.c12 >= 5
-    ORDER BY pmi DESC, cnt.w1, cnt.w2 LIMIT 20
 """
 
 
@@ -1668,49 +1493,6 @@ ORACLES["q_sorted_neighborhood"] = """
            CAST(b.rnk - a.rnk AS BIGINT) AS d,
            CAST(a.bk = b.bk AS BIGINT) AS key_match
     FROM r a JOIN r b ON b.rnk - a.rnk BETWEEN 1 AND 3
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_embed_covariance"] = """
-    WITH v AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS e
-               FROM embeddings),
-    x AS (SELECT vec_id, unnest(generate_series(1, 64)) AS i,
-                 unnest(list_transform(generate_series(1, 64),
-                                       k -> e[k])) AS val
-          FROM v),
-    n AS (SELECT count(*) AS n FROM v),
-    s AS (SELECT i, sum(val) AS sx FROM x GROUP BY 1),
-    p AS (SELECT a.i AS i, b.i AS j, sum(a.val * b.val) AS sxy
-          FROM x a JOIN x b ON a.vec_id = b.vec_id AND a.i <= b.i
-          GROUP BY 1, 2)
-    SELECT CAST(p.i AS BIGINT) AS i, CAST(p.j AS BIGINT) AS j,
-           round((p.sxy - sa.sx * sb.sx / n.n) / n.n, 6) AS cov
-    FROM p
-    JOIN s sa ON sa.i = p.i
-    JOIN s sb ON sb.i = p.j
-    CROSS JOIN n
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_typo_pairs"] = f"""
-    WITH t0 AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    dirty AS (
-      SELECT d.doc_id,
-             coalesce(d.text, '') ||
-             CASE WHEN d.doc_id % 3 = 0 AND len(t0.tk) >= 1
-                       AND len(t0.tk[1]) >= 4
-                  THEN ' ' || substr(t0.tk[1], 1, 1) || substr(t0.tk[1], 3)
-                  ELSE '' END AS text
-      FROM documents d JOIN t0 ON t0.doc_id = d.doc_id),
-    toks AS (SELECT doc_id, {_TOKS} AS tk FROM dirty),
-    pc AS (SELECT DISTINCT doc_id, unnest(tk) AS tok FROM toks),
-    df AS (SELECT tok, count(*) AS df FROM pc GROUP BY 1),
-    v AS (SELECT tok FROM df WHERE df >= 5 AND len(tok) >= 4)
-    SELECT a.tok AS tok_a, b.tok AS tok_b
-    FROM v a JOIN v b ON a.tok < b.tok
-    WHERE levenshtein(a.tok, b.tok) = 1
     ORDER BY 1, 2
 """
 
@@ -1836,63 +1618,6 @@ ORACLES["q_anchor_terms"] = """
 """
 
 
-ORACLES["q_source_overlap"] = """
-    WITH st AS (SELECT DISTINCT source,
-                       unnest(list_filter(regexp_split_to_array(
-                           coalesce(text, ''), '[ \t\n\r\f\v]+'),
-                           x -> x <> '')) AS tok
-                FROM documents),
-    vocab AS (SELECT source, count(*) AS nv FROM st GROUP BY 1),
-    srcs AS (SELECT DISTINCT source FROM documents),
-    p AS (SELECT a.source AS sa, b.source AS sb
-          FROM srcs a JOIN srcs b ON a.source < b.source),
-    inter AS (SELECT x.source AS sa, y.source AS sb, count(*) AS n
-              FROM st x JOIN st y
-                ON x.tok = y.tok AND x.source < y.source
-              GROUP BY 1, 2)
-    SELECT p.sa AS source_a, p.sb AS source_b,
-           CAST(coalesce(i.n, 0) AS BIGINT) AS n_common,
-           CAST(va.nv + vb.nv - coalesce(i.n, 0) AS BIGINT) AS n_union,
-           round(CAST(coalesce(i.n, 0) AS DOUBLE) /
-                 (va.nv + vb.nv - coalesce(i.n, 0)), 6) AS jaccard
-    FROM p LEFT JOIN inter i ON i.sa = p.sa AND i.sb = p.sb
-    JOIN vocab va ON va.source = p.sa
-    JOIN vocab vb ON vb.source = p.sb
-    ORDER BY 1, 2
-"""
-
-
-ORACLES["q_ks_test"] = """
-    -- a NULL length is not an observation: it joins no CDF
-    WITH docs AS (SELECT source, n_chars FROM documents
-                  WHERE n_chars IS NOT NULL),
-    h AS (SELECT source, n_chars AS x, count(*) AS c
-          FROM docs GROUP BY 1, 2),
-    xs AS (SELECT DISTINCT n_chars AS x FROM docs),
-    srcs AS (SELECT source, count(*) AS n FROM docs GROUP BY 1),
-    tot AS (SELECT count(*) AS gn FROM docs),
-    grid AS (SELECT s.source, xs.x FROM srcs s CROSS JOIN xs),
-    cum AS (SELECT g.source, g.x,
-                   CAST(sum(coalesce(h.c, 0)) OVER
-                        (PARTITION BY g.source ORDER BY g.x) AS HUGEINT)
-                       AS cs
-            FROM grid g LEFT JOIN h ON h.source = g.source AND h.x = g.x),
-    ca AS (SELECT x, CAST(sum(cx) OVER (ORDER BY x) AS HUGEINT) AS call
-           FROM (SELECT x, sum(c) AS cx FROM h GROUP BY 1)),
-    d AS (SELECT cum.source,
-                 max(abs(cum.cs * (tot.gn - s.n)
-                         - (ca.call - cum.cs) * s.n)) AS dnum
-          FROM cum JOIN ca USING (x)
-          JOIN srcs s ON s.source = cum.source CROSS JOIN tot
-          GROUP BY cum.source)
-    SELECT d.source, CAST(s.n AS BIGINT) AS n_source,
-           round(CAST(d.dnum AS DOUBLE)
-                 / (CAST(s.n AS DOUBLE) * (tot.gn - s.n)), 6) AS ks_d
-    FROM d JOIN srcs s ON s.source = d.source CROSS JOIN tot
-    ORDER BY 1
-"""
-
-
 ORACLES["q_feature_hash"] = f"""
     WITH probe AS (SELECT doc_id, text FROM documents
                    WHERE doc_id % 41 = 0),
@@ -1901,39 +1626,6 @@ ORACLES["q_feature_hash"] = f"""
     SELECT doc_id, CAST(md5_number_upper(tok) % 256 AS BIGINT) AS bucket,
            CAST(count(*) AS BIGINT) AS n
     FROM pc GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-ORACLES["q_lang_entropy"] = """
-    WITH c AS (SELECT source, lang, count(*) AS c
-               FROM documents GROUP BY 1, 2),
-    n AS (SELECT source, CAST(sum(c) AS BIGINT) AS n,
-                 count(*) AS n_langs
-          FROM c GROUP BY 1)
-    SELECT c.source, n.n AS n_docs,
-           CAST(n.n_langs AS BIGINT) AS n_langs,
-           round(sum(-(CAST(c.c AS DOUBLE) / n.n)
-                     * ln(CAST(c.c AS DOUBLE) / n.n)), 6) AS entropy_nats
-    FROM c JOIN n USING (source)
-    GROUP BY 1, 2, 3 ORDER BY 1
-"""
-
-
-ORACLES["q_chi2_cells"] = """
-    WITH c AS (SELECT lang, source, count(*) AS o
-               FROM documents GROUP BY 1, 2),
-    r AS (SELECT lang, CAST(sum(o) AS BIGINT) AS rt FROM c GROUP BY 1),
-    k AS (SELECT source, CAST(sum(o) AS BIGINT) AS ct FROM c GROUP BY 1),
-    t AS (SELECT CAST(count(*) AS BIGINT) AS n FROM documents),
-    g AS (SELECT r.lang, k.source, r.rt, k.ct FROM r CROSS JOIN k)
-    SELECT g.lang, g.source,
-           CAST(coalesce(c.o, 0) AS BIGINT) AS n_obs,
-           round(CAST(g.rt AS DOUBLE) * g.ct / t.n, 6) AS expected,
-           round(pow(coalesce(c.o, 0)
-                     - CAST(g.rt AS DOUBLE) * g.ct / t.n, 2)
-                 / (CAST(g.rt AS DOUBLE) * g.ct / t.n), 6) AS chi2_term
-    FROM g LEFT JOIN c USING (lang, source) CROSS JOIN t
-    ORDER BY 1, 2
 """
 
 
@@ -1954,48 +1646,6 @@ ORACLES["q_robots_filter"] = """
 """
 
 
-ORACLES["q_zipf_slope"] = f"""
-    WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
-    pc AS (SELECT unnest(tk) AS tok FROM toks),
-    cnt AS (SELECT tok, count(*) AS n FROM pc GROUP BY 1),
-    top AS (SELECT tok, n, row_number() OVER (ORDER BY n DESC, tok) AS r
-            FROM cnt ORDER BY n DESC, tok LIMIT 200)
-    SELECT CAST(count(*) AS BIGINT) AS k,
-           CAST(max(CASE WHEN r = 1 THEN n END) AS BIGINT) AS n_top1,
-           CAST(max(CASE WHEN r = (SELECT count(*) FROM top) THEN n END)
-                AS BIGINT) AS n_top_last,
-           round(regr_slope(ln(CAST(n AS DOUBLE)),
-                            ln(CAST(r AS DOUBLE))), 6) AS zipf_slope
-    FROM top
-"""
-
-
-ORACLES["q_dup_ratio"] = """
-    WITH h AS (SELECT source, md5(coalesce(text, '')) AS h,
-                      count(*) AS c
-               FROM documents GROUP BY 1, 2),
-    s AS (SELECT source, CAST(sum(c) AS BIGINT) AS n_docs,
-                 CAST(count(*) AS BIGINT) AS n_distinct,
-                 CAST(sum(CASE WHEN c > 1 THEN c ELSE 0 END) AS BIGINT)
-                     AS n_dup_docs
-          FROM h GROUP BY 1)
-    SELECT source, n_docs, n_distinct, n_dup_docs,
-           round(CAST(n_dup_docs AS DOUBLE) / n_docs, 6) AS dup_ratio
-    FROM s ORDER BY 1
-"""
-
-
-ORACLES["q_norm_bands"] = """
-    WITH n AS (SELECT round(sqrt(list_sum(list_transform(embedding,
-                           x -> CAST(x AS DOUBLE) * x))), 4) AS norm
-               FROM embeddings)
-    SELECT CAST(floor(norm * 10) AS BIGINT) AS band,
-           CAST(count(*) AS BIGINT) AS n_vecs,
-           min(norm) AS min_norm, max(norm) AS max_norm
-    FROM n GROUP BY 1 ORDER BY 1
-"""
-
-
 ORACLES["q_term_scan"] = """
     WITH t AS (SELECT coalesce(text, '') AS x FROM documents),
     terms(term) AS (VALUES ('table'), ('hash'), ('merge batch'),
@@ -2006,187 +1656,6 @@ ORACLES["q_term_scan"] = """
            CAST(sum((length(t.x) - length(replace(t.x, terms.term, '')))
                     // length(terms.term)) AS BIGINT) AS n_occurrences
     FROM terms CROSS JOIN t GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_vocab_growth"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    pc AS (SELECT doc_id, unnest(tk) AS tok FROM toks),
-    f AS (SELECT tok, min(doc_id) AS fd FROM pc GROUP BY 1),
-    b AS (SELECT CASE WHEN fd = 0 THEN 0
-                 ELSE CAST(floor(log2(CAST(fd AS DOUBLE))) AS BIGINT) + 1
-                 END AS k, count(*) AS n
-          FROM f GROUP BY 1),
-    grid AS (SELECT unnest(generate_series(0, (SELECT max(k) FROM b)))
-                 AS k)
-    SELECT grid.k, CAST(coalesce(b.n, 0) AS BIGINT) AS new_tokens,
-           CAST(sum(coalesce(b.n, 0)) OVER (ORDER BY grid.k) AS BIGINT)
-               AS vocab
-    FROM grid LEFT JOIN b USING (k) ORDER BY 1
-"""
-
-
-ORACLES["q_dup_cluster_sizes"] = """
-    WITH h AS (SELECT md5(substr(coalesce(text, ''), 1, 64)) AS h,
-                      count(*) AS c
-               FROM documents GROUP BY 1)
-    SELECT CAST(c AS BIGINT) AS cluster_size,
-           CAST(count(*) AS BIGINT) AS n_clusters,
-           CAST(c * count(*) AS BIGINT) AS n_docs
-    FROM h GROUP BY c ORDER BY 1
-"""
-
-
-ORACLES["q_bpe_pairs"] = f"""
-    WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
-    pc AS (SELECT unnest(tk) AS tok FROM toks),
-    pr AS (SELECT substr(tok, CAST(i AS INT), 2) AS pair
-           FROM (SELECT tok, unnest(range(1, length(tok))) AS i
-                 FROM pc)),
-    cnt AS (SELECT pair, count(*) AS n FROM pr GROUP BY 1)
-    SELECT pair, CAST(n AS BIGINT) AS n FROM cnt
-    ORDER BY n DESC, pair LIMIT 20
-"""
-
-
-ORACLES["q_hapax"] = f"""
-    WITH toks AS (SELECT source, {_TOKS} AS tk FROM documents),
-    pc AS (SELECT source, unnest(tk) AS tok FROM toks),
-    cnt AS (SELECT source, tok, count(*) AS n FROM pc GROUP BY 1, 2)
-    SELECT source, CAST(count(*) AS BIGINT) AS vocab,
-           CAST(sum(CASE WHEN n = 1 THEN 1 ELSE 0 END) AS BIGINT)
-               AS hapax,
-           round(CAST(sum(CASE WHEN n = 1 THEN 1 ELSE 0 END) AS DOUBLE)
-                 / count(*), 6) AS hapax_ratio
-    FROM cnt GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_js_divergence"] = f"""
-    WITH toks AS (SELECT source, {_TOKS} AS tk FROM documents),
-    pc AS (SELECT source, unnest(tk) AS tok FROM toks),
-    cnt AS (SELECT source, tok, count(*) AS n FROM pc GROUP BY 1, 2),
-    tot AS (SELECT source, sum(n) AS t FROM cnt GROUP BY 1),
-    p AS (SELECT c.source, c.tok, CAST(c.n AS DOUBLE) / t.t AS p
-          FROM cnt c JOIN tot t USING (source)),
-    srcs AS (SELECT DISTINCT source FROM cnt),
-    pairs AS (SELECT a.source AS src_a, b.source AS src_b
-              FROM srcs a JOIN srcs b ON a.source < b.source),
-    vocab AS (SELECT DISTINCT tok FROM cnt),
-    u AS (SELECT pr.src_a, pr.src_b,
-                 coalesce(x.p, 0) AS px, coalesce(y.p, 0) AS py
-          FROM pairs pr
-          CROSS JOIN vocab tk
-          LEFT JOIN p x ON x.source = pr.src_a AND x.tok = tk.tok
-          LEFT JOIN p y ON y.source = pr.src_b AND y.tok = tk.tok
-          WHERE coalesce(x.p, 0) + coalesce(y.p, 0) > 0)
-    SELECT src_a, src_b,
-           round(sum(
-               CASE WHEN px > 0
-                    THEN px * ln(2 * px / (px + py)) ELSE 0 END
-               + CASE WHEN py > 0
-                      THEN py * ln(2 * py / (px + py)) ELSE 0 END)
-               / 2 / ln(2), 6) AS js
-    FROM u GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-ORACLES["q_char_trigrams"] = """
-    WITH s AS (SELECT lang,
-                      regexp_replace(lower(coalesce(text, '')),
-                                     '[ \t\n\r\f\v]+', ' ', 'g') AS s
-               FROM documents),
-    tri AS (SELECT lang, substr(s, CAST(i AS INT), 3) AS tri
-            FROM (SELECT lang, s, unnest(range(1, length(s) - 1)) AS i
-                  FROM s)),
-    cnt AS (SELECT lang, tri, count(*) AS n FROM tri GROUP BY 1, 2),
-    rk AS (SELECT lang, tri, n,
-                  row_number() OVER (PARTITION BY lang
-                                     ORDER BY n DESC, tri) AS r
-           FROM cnt)
-    SELECT lang, tri, CAST(n AS BIGINT) AS n, CAST(r AS BIGINT) AS rank
-    FROM rk WHERE r <= 10 ORDER BY lang, rank
-"""
-
-
-ORACLES["q_class_weights"] = """
-    WITH c AS (SELECT CAST(label AS BIGINT) AS label, count(*) AS n
-               FROM embeddings GROUP BY 1),
-    s AS (SELECT sum(n) AS total, count(*) AS k FROM c)
-    SELECT label, CAST(n AS BIGINT) AS n,
-           round(CAST(s.total AS DOUBLE) / (s.k * n), 6) AS weight
-    FROM c, s ORDER BY 1
-"""
-
-
-ORACLES["q_oov_rate"] = f"""
-    WITH toks AS (SELECT lang, {_TOKS} AS tk FROM documents),
-    pc AS (SELECT lang, unnest(tk) AS tok FROM toks),
-    cnt AS (SELECT tok, count(*) AS n FROM pc GROUP BY 1),
-    top AS (SELECT tok FROM cnt ORDER BY n DESC, tok LIMIT 20)
-    SELECT lang, CAST(count(*) AS BIGINT) AS n_tokens,
-           CAST(sum(CASE WHEN tok IN (SELECT tok FROM top)
-                         THEN 0 ELSE 1 END) AS BIGINT) AS n_oov,
-           round(CAST(sum(CASE WHEN tok IN (SELECT tok FROM top)
-                               THEN 0 ELSE 1 END) AS DOUBLE)
-                 / count(*), 6) AS oov_rate
-    FROM pc GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_tok_len_dist"] = f"""
-    WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
-    pc AS (SELECT unnest(tk) AS tok FROM toks)
-    SELECT CAST(length(tok) AS BIGINT) AS tok_len,
-           CAST(count(*) AS BIGINT) AS n
-    FROM pc GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_ngram_entropy"] = f"""
-    WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
-    bg AS (SELECT CASE WHEN len(tk) < 2 THEN CAST([] AS VARCHAR[])
-                       ELSE list_transform(generate_series(1, len(tk) - 1),
-                                i -> tk[i] || chr(1) || tk[i+1])
-                  END AS bgs
-           FROM toks),
-    cnt AS (SELECT ngram, count(*) AS c
-            FROM (SELECT unnest(bgs) AS ngram FROM bg) GROUP BY 1),
-    marg AS (SELECT split_part(ngram, chr(1), 1) AS prev,
-                    sum(c) AS cu
-             FROM cnt GROUP BY 1),
-    tot AS (SELECT sum(c) AS n FROM cnt),
-    hj AS (SELECT ln(CAST(n AS DOUBLE))
-                  - sum(c * ln(CAST(c AS DOUBLE))) / n AS h
-           FROM cnt, tot GROUP BY n),
-    hp AS (SELECT ln(CAST(n AS DOUBLE))
-                  - sum(cu * ln(CAST(cu AS DOUBLE))) / n AS h
-           FROM marg, tot GROUP BY n)
-    SELECT (SELECT CAST(n AS BIGINT) FROM tot) AS n_bigrams,
-           round(hj.h / ln(2), 6) AS h_joint,
-           round((hj.h - hp.h) / ln(2), 6) AS h_cond
-    FROM hj, hp
-"""
-
-
-ORACLES["q_emb_quantize"] = """
-    WITH x AS (SELECT CAST(embedding[CAST(i AS INT)] AS DOUBLE) AS v,
-                      CAST(i AS BIGINT) AS d
-               FROM embeddings,
-                    unnest(range(1, len(embedding) + 1)) AS t(i)),
-    mm AS (SELECT d, min(v) AS mn, max(v) AS mx FROM x GROUP BY 1),
-    e AS (SELECT x.v, mm.mn, (mm.mx - mm.mn) / 255.0 AS sc
-          FROM x JOIN mm USING (d)),
-    r AS (SELECT v,
-                 CASE WHEN sc = 0 THEN mn
-                      ELSE mn + least(greatest(
-                               floor((v - mn) / sc + 0.5), 0), 255) * sc
-                 END AS recon
-          FROM e)
-    SELECT CAST(count(*) AS BIGINT) AS n_vals,
-           round(max(abs(v - recon)), 6) AS max_abs_err,
-           round(avg((v - recon) * (v - recon)) * 1e6, 6) AS mse_e6
-    FROM r
 """
 
 
@@ -2233,96 +1702,6 @@ ORACLES["q_hard_negatives"] = """
 """
 
 
-ORACLES["q_lang_confusion"] = _lang_confusion_oracle_sql()
-
-
-ORACLES["q_vocab_coverage"] = f"""
-    WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
-    pc AS (SELECT unnest(tk) AS tok FROM toks),
-    cnt AS (SELECT tok, count(*) AS n FROM pc GROUP BY 1),
-    r AS (SELECT n, row_number() OVER (ORDER BY n DESC, tok) AS i
-          FROM cnt),
-    cum AS (SELECT i, sum(n) OVER (ORDER BY i
-                                   ROWS UNBOUNDED PRECEDING) AS cs
-            FROM r),
-    s AS (SELECT count(*) AS v, sum(n) AS tot FROM cnt),
-    ks(k) AS (VALUES (1), (2), (4), (8), (16), (32), (64), (128))
-    SELECT CAST(ks.k AS BIGINT) AS k,
-           CAST((SELECT cs FROM cum WHERE i = ks.k) AS BIGINT)
-               AS n_covered,
-           round(CAST((SELECT cs FROM cum WHERE i = ks.k) AS DOUBLE)
-                 / s.tot, 6) AS coverage
-    FROM ks, s WHERE ks.k <= s.v ORDER BY 1
-"""
-
-
-ORACLES["q_gopher_rules"] = f"""
-    WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
-    f AS (SELECT len(tk) AS wc,
-                 CASE WHEN len(tk) = 0 THEN 0.0
-                      ELSE CAST(list_aggregate(
-                               list_transform(tk, x -> length(x)),
-                               'sum') AS DOUBLE) / len(tk) END AS mwl,
-                 len(list_filter(tk, x -> x IN
-                     ('the','a','and','of','to','in','is'))) AS stop,
-                 len(list_filter(tk,
-                     x -> regexp_matches(x, '^[a-zA-Z]+$'))) AS alpha
-          FROM toks),
-    r AS (SELECT (wc >= 40) AS r1,
-                 (wc > 0 AND mwl >= 3.0 AND mwl <= 10.0) AS r2,
-                 (stop >= 2) AS r3,
-                 (wc > 0 AND alpha * 5 >= wc * 4) AS r4
-          FROM f)
-    SELECT CAST(count(*) AS BIGINT) AS n_docs,
-           CAST(sum(CASE WHEN r1 THEN 1 ELSE 0 END) AS BIGINT)
-               AS pass_wordcount,
-           CAST(sum(CASE WHEN r2 THEN 1 ELSE 0 END) AS BIGINT)
-               AS pass_wordlen,
-           CAST(sum(CASE WHEN r3 THEN 1 ELSE 0 END) AS BIGINT)
-               AS pass_stopwords,
-           CAST(sum(CASE WHEN r4 THEN 1 ELSE 0 END) AS BIGINT)
-               AS pass_alpha,
-           CAST(sum(CASE WHEN r1 AND r2 AND r3 AND r4 THEN 1 ELSE 0 END)
-                AS BIGINT) AS n_keep
-    FROM r
-"""
-
-
-ORACLES["q_script_mix"] = """
-    WITH t AS (SELECT lang, coalesce(text, '') AS s FROM documents)
-    SELECT lang,
-           CAST(sum(len(regexp_extract_all(s, '[A-Za-z]'))) AS BIGINT)
-               AS n_latin,
-           CAST(sum(len(regexp_extract_all(s, '[0-9]'))) AS BIGINT)
-               AS n_digit,
-           CAST(sum(len(regexp_extract_all(s, '[ \t\n\r\f\v]')))
-                AS BIGINT) AS n_ws,
-           CAST(sum(len(regexp_extract_all(s,
-                '[\\x{4E00}-\\x{9FFF}]'))) AS BIGINT) AS n_cjk,
-           CAST(sum(length(s)
-                    - len(regexp_extract_all(s, '[A-Za-z]'))
-                    - len(regexp_extract_all(s, '[0-9]'))
-                    - len(regexp_extract_all(s, '[ \t\n\r\f\v]'))
-                    - len(regexp_extract_all(s,
-                          '[\\x{4E00}-\\x{9FFF}]'))) AS BIGINT)
-               AS n_other
-    FROM t GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_dup_flow"] = """
-    WITH h AS (SELECT doc_id, source,
-                      md5(substr(coalesce(text, ''), 1, 64)) AS h
-               FROM documents),
-    f AS (SELECT h, min(doc_id) AS keep FROM h GROUP BY 1),
-    j AS (SELECT hf.source AS src_first, hd.source AS src_dup
-          FROM f JOIN h hf ON hf.doc_id = f.keep
-                 JOIN h hd ON hd.h = f.h AND hd.doc_id <> f.keep)
-    SELECT src_first, src_dup, CAST(count(*) AS BIGINT) AS n
-    FROM j GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 ORACLES["q_wand_bounds"] = f"""
     WITH toks AS (SELECT doc_id, {_TOKS} AS tk FROM documents),
     pc AS (SELECT doc_id, unnest(tk) AS tok FROM toks),
@@ -2336,41 +1715,6 @@ ORACLES["q_wand_bounds"] = f"""
     FROM stats, n
     ORDER BY round(max_tf * ln(CAST(c AS DOUBLE) / df), 6) DESC, tok
     LIMIT 20
-"""
-
-
-ORACLES["q_rare_collapse"] = f"""
-    WITH toks AS (SELECT {_TOKS} AS tk FROM documents),
-    pc AS (SELECT unnest(tk) AS tok FROM toks),
-    cnt AS (SELECT tok, count(*) AS n FROM pc GROUP BY 1),
-    s AS (SELECT sum(n) AS tot FROM cnt),
-    r AS (SELECT CASE WHEN n * 100 < s.tot THEN '__rare__'
-                      ELSE tok END AS category, n
-          FROM cnt, s)
-    SELECT category, CAST(sum(n) AS BIGINT) AS n
-    FROM r GROUP BY 1 ORDER BY 1
-"""
-
-
-ORACLES["q_case_stats"] = f"""
-    WITH toks AS (SELECT source, {_TOKS} AS tk FROM documents),
-    pc AS (SELECT source, unnest(tk) AS tok FROM toks),
-    c AS (SELECT source,
-                 CASE WHEN regexp_matches(tok, '^[a-z]+$') THEN 0
-                      WHEN regexp_matches(tok, '^[A-Z]{{2,}}$') THEN 1
-                      WHEN regexp_matches(tok, '^[A-Z][a-z]*$') THEN 2
-                      ELSE 3 END AS k
-          FROM pc)
-    SELECT source,
-           CAST(sum(CASE WHEN k = 0 THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_lower,
-           CAST(sum(CASE WHEN k = 1 THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_upper,
-           CAST(sum(CASE WHEN k = 2 THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_title,
-           CAST(sum(CASE WHEN k = 3 THEN 1 ELSE 0 END) AS BIGINT)
-               AS n_other
-    FROM c GROUP BY 1 ORDER BY 1
 """
 
 
@@ -2395,30 +1739,4 @@ ORACLES["q_emb_outliers"] = """
                          THEN 1 ELSE 0 END) AS BIGINT) AS n_out
     FROM s JOIN dist ON dist.label = s.label
     GROUP BY 1, 2, 3 ORDER BY 1
-"""
-
-
-ORACLES["q_dataset_card"] = f"""
-    WITH toks AS (SELECT text, lang, source, {_TOKS} AS tk
-                  FROM documents),
-    s AS (SELECT count(*) AS n_docs,
-                 CAST(sum(len(tk)) AS BIGINT) AS n_tokens,
-                 CAST(sum(length(coalesce(text, ''))) AS BIGINT)
-                     AS n_chars,
-                 count(DISTINCT lang) AS n_langs,
-                 count(DISTINCT source) AS n_sources,
-                 count(DISTINCT md5(substr(coalesce(text, ''), 1, 64)))
-                     AS n_clusters
-          FROM toks),
-    v AS (SELECT count(DISTINCT tok) AS vocab
-          FROM (SELECT unnest(tk) AS tok FROM toks))
-    SELECT CAST(s.n_docs AS BIGINT) AS n_docs, s.n_tokens,
-           CAST(v.vocab AS BIGINT) AS vocab,
-           CAST(s.n_langs AS BIGINT) AS n_langs,
-           CAST(s.n_sources AS BIGINT) AS n_sources,
-           round(CAST(s.n_docs - s.n_clusters AS DOUBLE) / s.n_docs, 6)
-               AS prefix_dup_share,
-           round(CAST(s.n_chars AS DOUBLE) / s.n_docs, 6)
-               AS mean_doc_chars
-    FROM s, v
 """

@@ -1710,120 +1710,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# Corpus n-gram statistics (training-corpus vocabulary analysis)
-# ---------------------------------------------------------------------------
-def q_ngram_freq(sf_dir: str):
-    """Top-20 corpus bigrams by total occurrence count.  The per-batch
-    Counter partial bounds the shuffle at O(per-batch vocabulary) —
-    one (ngram, n) row per distinct bigram per batch instead of one
-    row per occurrence; the groupby-sum then moves counts, not text.
-    Deterministic (count desc, ngram asc) tiebreak."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            tk = ws_tokens(t or "")
-            c.update(tk[i] + " " + tk[i + 1] for i in range(len(tk) - 1))
-        return pd.DataFrame({"ngram": list(c.keys()),
-                             "n": pd.array(list(c.values()), dtype="int64")})
-
-    # the ngram vocabulary is unbounded: coarse_agg (per-group tax)
-    agg = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["ngram"], {"n": ("n", "sum")},
-    ).to_pandas()
-    agg["n"] = agg["n"].astype("int64")
-    return (agg.sort_values(["n", "ngram"], ascending=[False, True],
-                            kind="mergesort")
-            .head(20).reset_index(drop=True))
-
-
-# ---------------------------------------------------------------------------
-# Document frequency (how many docs contain each token)
-# ---------------------------------------------------------------------------
-def q_doc_freq(sf_dir: str):
-    """Top-20 tokens by DOCUMENT frequency (each doc counts once per
-    token) — the IDF numerator of a corpus.  Per-batch distinct-per-doc
-    Counter partial, groupby-sum, (df desc, token asc) tiebreak."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            c.update(set(ws_tokens(t or "")))
-        return pd.DataFrame({"tok": list(c.keys()),
-                             "df": pd.array(list(c.values()), dtype="int64")})
-
-    # the token vocabulary is unbounded: coarse_agg (per-group tax)
-    agg = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["tok"], {"df": ("df", "sum")},
-    ).to_pandas()
-    agg["df"] = agg["df"].astype("int64")
-    return (agg.sort_values(["df", "tok"], ascending=[False, True],
-                            kind="mergesort")
-            .head(20).reset_index(drop=True))
-
-
-QUERIES.update({"q_ngram_freq": q_ngram_freq, "q_doc_freq": q_doc_freq})
-
-
-# ---------------------------------------------------------------------------
-# MinHash Jaccard estimation (sketch-based similarity, integer-exact)
-# ---------------------------------------------------------------------------
-def q_minhash_est(sf_dir: str):
-    """Signature-slot Jaccard estimate for every LSH candidate pair:
-    ``n_eq_slots`` = number of equal MinHash slots (of 128), the
-    integer numerator of est = n_eq/128 — reported as an int so the
-    oracle comparison is exact.  Signatures are computed distributed
-    for MENTIONED docs only and collected (bounded by the candidate
-    set — the verify-stage pattern); the pair list never reshuffles."""
-    import ray
-
-    from bb_ocr_ray.functions.hashing import minhash_signature
-    from bb_ocr_ray.stages.dedup import minhash_candidates
-
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
-    pairs = minhash_candidates(docs).to_pandas()
-    if pairs.empty:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "n_eq_slots": pd.Series([], dtype="int64")})
-    mentioned = frozenset(pairs["id_a"]) | frozenset(pairs["id_b"])
-    ref = ray.put(mentioned)
-
-    def sigs(b: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(ref)
-        rows = [(int(d), minhash_signature(t or "").tobytes())
-                for d, t in zip(b["doc_id"], b["text"]) if d in m]
-        return pd.DataFrame({"doc_id": pd.array([r[0] for r in rows],
-                                                dtype="int64"),
-                             "sig": [r[1] for r in rows]})
-
-    sig_pd = docs.map_batches(sigs, batch_format="pandas").to_pandas()
-    lut = {d: np.frombuffer(s, dtype=np.uint64)
-           for d, s in zip(sig_pd["doc_id"], sig_pd["sig"])}
-    out = pairs[["id_a", "id_b"]].copy()
-    out["n_eq_slots"] = pd.array(
-        [int((lut[a] == lut[b]).sum())
-         for a, b in zip(pairs["id_a"], pairs["id_b"])], dtype="int64")
-    return out
-
-
-QUERIES.update({"q_minhash_est": q_minhash_est})
-
-
-# ---------------------------------------------------------------------------
 # Training-data chunking: fixed token windows with stride (flat_map)
 # ---------------------------------------------------------------------------
 def q_chunk_docs(sf_dir: str, window: int = 32, stride: int = 24):
@@ -2008,36 +1894,6 @@ QUERIES.update({"q_inverted_index": q_inverted_index})
 
 
 # ---------------------------------------------------------------------------
-# PII detection + redaction (training-data hygiene transform)
-# ---------------------------------------------------------------------------
-def q_pii_redact(sf_dir: str):
-    """Redact emails / international phone numbers / IPv4 literals from
-    every document and count each category.  Pure per-row transform —
-    one map_batches, zero shuffle, the ideal 100-TB shape: compiled
-    patterns live in module scope (compiled once per worker process,
-    not per batch), and the value-hash gate proves the redacted TEXT is
-    byte-identical to the RE2 cascade in the oracle, not just the
-    counts.  Pattern-parity rules in ``functions/pii.py``."""
-    from bb_ocr_ray.functions.pii import redact_text
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-
-    def redact(b: pd.DataFrame) -> pd.DataFrame:
-        out = [redact_text(t) for t in b["text"]]
-        return pd.DataFrame({
-            "doc_id": b["doc_id"].astype("int64").to_numpy(),
-            "clean_text": [r[0] for r in out],
-            "n_emails": pd.array([r[1] for r in out], dtype="int64"),
-            "n_phones": pd.array([r[2] for r in out], dtype="int64"),
-            "n_ips": pd.array([r[3] for r in out], dtype="int64")})
-
-    return ds.map_batches(redact, batch_format="pandas")
-
-
-QUERIES.update({"q_pii_redact": q_pii_redact})
-
-
-# ---------------------------------------------------------------------------
 # Paragraph-level exact dedup (sub-document dedup granularity)
 # ---------------------------------------------------------------------------
 def q_paragraph_dedup(sf_dir: str):
@@ -2082,8 +1938,8 @@ QUERIES.update({"q_dup_spans": q_dup_spans})
 def q_tfidf(sf_dir: str, topk: int = 3):
     """Top-3 TF-IDF terms per document.  Two corpus passes, ZERO
     per-doc shuffle: pass 1 builds document frequencies (per-batch
-    distinct-per-doc Counter partial -> vocabulary-sized groupby, the
-    q_doc_freq shape), the df map is broadcast once via ray.put, and
+    distinct-per-doc Counter partial -> vocabulary-sized groupby), the
+    df map is broadcast once via ray.put, and
     pass 2 re-tokenizes each doc and ranks locally.  Tokenizing twice
     trades pure CPU for not shuffling (doc_id, tok, tf) rows per doc
     — at 100 TB the per-doc shuffle (or a corpus-sized materialize
@@ -2182,67 +2038,6 @@ def q_train_split(sf_dir: str):
 
 
 QUERIES.update({"q_train_split": q_train_split})
-
-
-# ---------------------------------------------------------------------------
-# Unigram LM cross-entropy scoring (CCNet-style quality filter)
-# ---------------------------------------------------------------------------
-def q_lm_score(sf_dir: str):
-    """Per-document cross-entropy under a corpus-trained unigram LM —
-    the shape of CCNet's perplexity quality filter with the KenLM
-    5-gram swapped for a unigram model (no LM artifacts in this env;
-    the Ray plumbing — train pass, broadcast model, score pass — is
-    identical).  Pass 1 builds corpus token counts (per-batch Counter
-    partial -> vocabulary-sized groupby, the q_doc_freq shape with
-    multiplicity), the model is broadcast ONCE via ray.put, and pass 2
-    re-tokenizes and scores each doc locally: zero per-doc shuffle,
-    same two-pass tradeoff as q_tfidf.  Bounded-vocabulary assumption:
-    the count map must fit one worker's heap.  Empty/NULL-text docs
-    produce no row (no tokens to score).  Float note: the per-doc sum
-    of ln() terms accumulates ~1e-13 error across engines — absorbed
-    by the gate's round-6."""
-    import math
-    from collections import Counter
-
-    import ray
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-
-    def tc_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            c.update(ws_tokens(t or ""))
-        return pd.DataFrame({"tok": list(c.keys()),
-                             "c": pd.array(list(c.values()), dtype="int64")})
-
-    tc_pd = coarse_agg(
-        ds.map_batches(tc_partial, batch_format="pandas"),
-        ["tok"], {"c": ("c", "sum")},
-    ).to_pandas()
-    n_total = int(tc_pd["c"].sum())
-    model_ref = ray.put(dict(zip(tc_pd["tok"], (int(x) for x in tc_pd["c"]))))
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        model = ray.get(model_ref)
-        ids, ntoks, ces = [], [], []
-        for d, t in zip(b["doc_id"], b["text"]):
-            tf = Counter(ws_tokens(t or ""))
-            n = sum(tf.values())
-            if n == 0:
-                continue
-            lp = sum(c * math.log(model[tok] / n_total)
-                     for tok, c in tf.items())
-            ids.append(int(d))
-            ntoks.append(n)
-            ces.append(float(_round_sql(-lp / n, 6)))
-        return pd.DataFrame({
-            "doc_id": pd.array(ids, dtype="int64"),
-            "n_tok": pd.array(ntoks, dtype="int64"),
-            "cross_entropy": pd.array(ces, dtype="float64")})
-
-    return ds.map_batches(score, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -2488,8 +2283,7 @@ def q_centroids(sf_dir: str):
             .map_batches(final, batch_format="pandas", batch_size=None))
 
 
-QUERIES.update({"q_lm_score": q_lm_score,
-                "q_pack_sequences": q_pack_sequences,
+QUERIES.update({"q_pack_sequences": q_pack_sequences,
                 "q_domain_quota": q_domain_quota,
                 "q_line_filter": q_line_filter,
                 "q_centroids": q_centroids})
@@ -2671,49 +2465,6 @@ QUERIES.update({"q_corpus_pipeline": q_corpus_pipeline})
 
 
 # ---------------------------------------------------------------------------
-# Character-level Shannon entropy (quality signal)
-# ---------------------------------------------------------------------------
-def q_char_entropy(sf_dir: str):
-    """Per-document Shannon entropy over code points, plus the
-    distinct-char count — the Gopher-family "gibberish / binary
-    spill" quality signal (natural text sits ~3.5-4.5 bits; base64
-    blobs and repeated-char padding fall far outside).  Doc-local,
-    one map_batches, NO shuffle.  entropy = log2(n) - (1/n) * sum
-    c*log2(c) over char counts c — the engine folds per DISTINCT char
-    while the oracle sums per occurrence; both accumulate ~1e-13
-    float error, absorbed by round-6.  Empty/NULL docs emit no row
-    (entropy of nothing is undefined, not zero)."""
-    import math
-    from collections import Counter
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-
-    def ent(b: pd.DataFrame) -> pd.DataFrame:
-        ids, ns, nd, es = [], [], [], []
-        for d, t in zip(b["doc_id"], b["text"]):
-            if pd.isna(d) or not t:
-                continue
-            c = Counter(t)
-            n = len(t)
-            h = math.log2(n) - sum(v * math.log2(v)
-                                   for v in c.values()) / n
-            ids.append(int(d))
-            ns.append(n)
-            nd.append(len(c))
-            es.append(float(_round_sql(h, 6)))
-        return pd.DataFrame({
-            "doc_id": pd.array(ids, dtype="int64"),
-            "n_chars": pd.array(ns, dtype="int64"),
-            "n_distinct": pd.array(nd, dtype="int64"),
-            "entropy": pd.array(es, dtype="float64")})
-
-    return ds.map_batches(ent, batch_format="pandas")
-
-
-QUERIES.update({"q_char_entropy": q_char_entropy})
-
-
-# ---------------------------------------------------------------------------
 # Deterministic global shuffle (hash-order training-data reordering)
 # ---------------------------------------------------------------------------
 def q_pseudo_shuffle(sf_dir: str):
@@ -2806,7 +2557,7 @@ def q_bm25(sf_dir: str):
     corpus (k1=1.2, b=0.75, the Robertson idf with +1).
 
     Shape: two aggregate passes (corpus stats fold to one row per
-    batch; df is the q_doc_freq pattern), the 3 terms + constants
+    batch; df is q_tfidf's pass 1), the 3 terms + constants
     broadcast in the task closure, then one scoring map with per-batch
     partial top-20 — nothing row-sized reaches the driver.  The float
     fold over terms is in FIXED term order on both sides; avglen is
@@ -3078,10 +2829,8 @@ def q_lm_quality(sf_dir: str):
     pipeline trains on a reference corpus and smooths — the operator
     shape is identical).
 
-    Complementary to q_lm_score (unigram LM broadcast via ray.put —
-    right when the model fits one worker's heap): here the model is
-    bigram-sized, so counts attach to the scoring stream via
-    DISTRIBUTED bucketed hash joins instead of a broadcast — the
+    The model is bigram-sized, so counts attach to the scoring stream
+    via DISTRIBUTED bucketed hash joins instead of a broadcast — the
     join-attached posture survives models that outgrow any heap.
 
     Scale shape (reworked after the sf0.1 sweep showed this the
@@ -3217,9 +2966,9 @@ def _plant_pii(doc_id: int, text: str) -> str:
 def q_pii_scrub(sf_dir: str):
     """The REAL redaction cascade (functions/pii.redact_text —
     email -> phone -> IPv4, sequential, RE2-parity patterns) exercised
-    on text with PLANTED PII.  q_pii_redact runs the same cascade on
-    the raw corpus, which carries no PII — its value-hash gate proves
-    only that clean text passes through unchanged.  This query plants
+    on text with PLANTED PII (the raw corpus carries none, so a
+    value-hash gate over it would prove only that clean text passes
+    through unchanged).  This query plants
     deterministic emails/phones/IPs from doc_id arithmetic so the
     oracle verifies the cascade actually FIRES: per-category counts
     plus the md5 of the redacted text (byte-exact rewrite, not just
@@ -3352,111 +3101,6 @@ QUERIES.update({"q_connected_components": q_connected_components})
 
 
 # ---------------------------------------------------------------------------
-# Distributed multinomial Naive Bayes (train = count aggregation, score =
-# broadcast-model map; the classic quality/language classifier shape)
-# ---------------------------------------------------------------------------
-def q_nb_classify(sf_dir: str):
-    """Multinomial Naive Bayes with Laplace smoothing, trained and
-    applied distributed: TRAINING is nothing but count aggregation —
-    per-(lang, token) counts and per-lang doc counts, each one
-    per-batch Counter partial + one coarse_agg — so the classic
-    fastText-shaped corpus classifier needs no parameter server.  The
-    fitted model (|V|·K counts) is broadcast ONCE via ray.put and the
-    SCORE pass is shuffle-free (bounded-vocabulary assumption, the
-    q_lm_score posture; at web-scale vocabularies attach counts by a
-    token hash join instead — the q_lm_quality posture).
-
-    Split: doc_id % 5 != 0 trains, % 5 == 0 is scored.  Zero-token
-    test docs are skipped (no evidence, same rule as q_lm_score).
-    score = ln(nd_L/N) + Σ_tok f·ln((c_{L,tok}+1)/(tot_L+V)), rounded
-    to 6 dp on both engines before the argmax; ties break on lang
-    ascending.  NULL lang trains as the '<null>' class (q_mix_balance
-    convention)."""
-    import math
-    from collections import Counter
-
-    import ray
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    ds = _read_parquet(_t(sf_dir, "documents"),
-                       columns=["doc_id", "lang", "text"])
-
-    def tok_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["doc_id"] % 5 != 0]
-        c = Counter()
-        for lg, t in zip(b["lang"].fillna("<null>"), b["text"]):
-            for tok in ws_tokens(t or ""):
-                c[(lg, tok)] += 1
-        ks = list(c.keys())
-        return pd.DataFrame({
-            "lang": pd.array([k[0] for k in ks], dtype="object"),
-            "tok": pd.array([k[1] for k in ks], dtype="object"),
-            "c": pd.array(list(c.values()), dtype="int64")})
-
-    def doc_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["doc_id"] % 5 != 0]
-        g = (b.assign(lang=b["lang"].fillna("<null>"))
-             .groupby("lang", as_index=False).agg(nd=("doc_id", "size")))
-        g["nd"] = g["nd"].astype("int64")
-        return g
-
-    cnt_pd = coarse_agg(
-        ds.map_batches(tok_partial, batch_format="pandas"),
-        ["lang", "tok"], {"c": ("c", "sum")}).to_pandas()
-    prior_pd = coarse_agg(
-        ds.map_batches(doc_partial, batch_format="pandas"),
-        ["lang"], {"nd": ("nd", "sum")}).to_pandas()
-
-    n_train = int(prior_pd["nd"].sum())
-    vocab = int(cnt_pd["tok"].nunique())
-    tot = {lg: int(s) for lg, s in
-           cnt_pd.groupby("lang")["c"].sum().items()}
-    nd = dict(zip(prior_pd["lang"], (int(x) for x in prior_pd["nd"])))
-    langs = sorted(nd)
-    model_ref = ray.put({
-        "cnt": {(lg, tk): int(c) for lg, tk, c in
-                zip(cnt_pd["lang"], cnt_pd["tok"], cnt_pd["c"])},
-        "tot": tot, "nd": nd, "langs": langs,
-        "n": n_train, "v": vocab})
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(model_ref)
-        cnt, totl = m["cnt"], m["tot"]
-        ids, truth, preds, s6s = [], [], [], []
-        b = b[b["doc_id"] % 5 == 0]
-        for d, lg, t in zip(b["doc_id"], b["lang"].fillna("<null>"),
-                            b["text"]):
-            tf = Counter(ws_tokens(t or ""))
-            if not tf:
-                continue
-            best_s, best_l = None, None
-            for L in m["langs"]:           # ascending: tie keeps min lang
-                denom = totl.get(L, 0) + m["v"]
-                s = math.log(m["nd"][L] / m["n"]) + sum(
-                    f * math.log((cnt.get((L, tok), 0) + 1) / denom)
-                    for tok, f in tf.items())
-                s6 = float(_round_sql(s, 6))
-                if best_s is None or s6 > best_s:
-                    best_s, best_l = s6, L
-            ids.append(int(d))
-            truth.append(lg)
-            preds.append(best_l)
-            s6s.append(best_s)
-        return pd.DataFrame({
-            "doc_id": pd.array(ids, dtype="int64"),
-            "lang": pd.array(truth, dtype="object"),
-            "pred": pd.array(preds, dtype="object"),
-            "score6": pd.array(s6s, dtype="float64")})
-
-    out = ds.map_batches(score, batch_format="pandas").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-QUERIES.update({"q_nb_classify": q_nb_classify})
-
-
-# ---------------------------------------------------------------------------
 # Per-domain boilerplate line removal (CCNet/C4 corpus cleaning)
 # ---------------------------------------------------------------------------
 def _plant_boiler(doc_id: int, source: str, text: str) -> str:
@@ -3517,103 +3161,6 @@ def q_boilerplate(sf_dir: str):
 
 
 QUERIES.update({"q_boilerplate": q_boilerplate})
-
-
-# ---------------------------------------------------------------------------
-# PMI cooccurrence pairs (word-association / phrase mining)
-# ---------------------------------------------------------------------------
-def q_pmi_pairs(sf_dir: str, window: int = 2, min_count: int = 5,
-                topk: int = 20):
-    """Pointwise mutual information over skip-gram token pairs (Church
-    & Hanks 1990; the word2vec-era association-mining input — public
-    method): for every ordered pair (t[i], t[i+d]), d in 1..window,
-    PMI = ln(P(pair) / (P(w1) P(w2))) with P(pair) = c12/n_pairs and
-    P(w) = c/n_tokens.  Top-k pairs by (pmi desc, w1, w2) at
-    c12 >= min_count.
-
-    Scale shape: per-batch Counter partials bound both explodes at
-    per-doc vocabulary; the pair and unigram tables are
-    vocabulary-sized coarse folds; the c12 >= min_count filter shrinks
-    the pair table BEFORE the two unigram attachments (vocab-sized
-    hash joins — never corpus-wide); the grand totals are two
-    aggregate sums.  The sort ranks the filtered pair table only.
-    pmi rounds to 6 dp before ranking (cross-engine libm drift is
-    ~1e-13; ties break on the pair itself)."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import hash_join
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def pair_partials(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            tk = ws_tokens(t or "")
-            for d in range(1, window + 1):
-                c.update(zip(tk[:-d], tk[d:]))
-        if not c:
-            return pd.DataFrame({"w1": pd.array([], dtype="object"),
-                                 "w2": pd.array([], dtype="object"),
-                                 "k": pd.array([], dtype="int64")})
-        w1s, w2s = zip(*c.keys())
-        return pd.DataFrame({"w1": pd.array(w1s, dtype="object"),
-                             "w2": pd.array(w2s, dtype="object"),
-                             "k": pd.array(list(c.values()),
-                                           dtype="int64")})
-
-    def tok_partials(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            c.update(ws_tokens(t or ""))
-        return pd.DataFrame({"tok": pd.array(list(c.keys()),
-                                             dtype="object"),
-                             "k": pd.array(list(c.values()),
-                                           dtype="int64")})
-
-    # the pair table feeds the min_count filter AND the grand total —
-    # pair-vocabulary-sized, materialize once so the corpus explode
-    # runs exactly once for it
-    pairs = coarse_agg(ds.map_batches(pair_partials,
-                                      batch_format="pandas"),
-                       ["w1", "w2"], {"c12": ("k", "sum")}).materialize()
-    # unigram counts feed BOTH attachments and both grand totals —
-    # vocabulary-sized, materialize once
-    uni = coarse_agg(ds.map_batches(tok_partials, batch_format="pandas"),
-                     ["tok"], {"c": ("k", "sum")}).materialize()
-
-    n_tokens = int(uni.sum("c"))
-    n_pairs = int(pairs.sum("c12"))
-    kept = pairs.filter(expr=f"c12 >= {int(min_count)}")
-
-    j = hash_join(
-        kept.map_batches(lambda b: b.rename(columns={"w1": "tok"}),
-                         batch_format="pandas"),
-        uni, on="tok")
-    j = hash_join(
-        j.map_batches(
-            lambda b: pd.DataFrame({"w1": b["tok"], "c1": b["c"],
-                                    "w2": b["w2"], "c12": b["c12"]})
-            .rename(columns={"w2": "tok"}), batch_format="pandas"),
-        uni, on="tok")
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        c12 = b["c12"].astype("float64").to_numpy()
-        c1 = b["c1"].astype("float64").to_numpy()
-        c2 = b["c"].astype("float64").to_numpy()
-        pmi = np.log(c12 / n_pairs * n_tokens / c1 * n_tokens / c2)
-        return pd.DataFrame({"w1": b["w1"], "w2": b["tok"],
-                             "c12": b["c12"].astype("int64"),
-                             "pmi": _round_sql(pd.Series(pmi), 6)})
-
-    out = (j.map_batches(score, batch_format="pandas")
-           .sort(["pmi", "w1", "w2"], descending=[True, False, False])
-           .limit(topk).to_pandas())
-    return out.reset_index(drop=True)
-
-
-QUERIES.update({"q_pmi_pairs": q_pmi_pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -3780,134 +3327,6 @@ def q_sorted_neighborhood(sf_dir: str):
 
 
 QUERIES.update({"q_sorted_neighborhood": q_sorted_neighborhood})
-
-
-# ---------------------------------------------------------------------------
-# Distributed covariance of the embedding matrix (PCA input)
-# ---------------------------------------------------------------------------
-def q_embed_covariance(sf_dir: str, dim: int = 64):
-    """Full covariance matrix of the embedding corpus — the input of a
-    PCA / whitening stage, computed as DISTRIBUTED MATRIX PARTIAL
-    SUMS: each batch contributes one vectorized X^T X (numpy matmul,
-    upper triangle flattened to (i, j, sxy) rows), the column-sum
-    vector, and its row count; one coarse fold merges the partials and
-    the final (dim x (dim+1)/2)-row covariance assembles from the
-    merged sums.  Nothing corpus-sized moves: the shuffle carries
-    2,080 partial rows PER BATCH regardless of batch row count.
-
-    Both engines evaluate the identical expression
-    cov = (Sxy - Sx*Sy/n)/n from their own float64 sums; summation
-    order differs (numpy pairwise vs DuckDB sequential) by ~1e-12
-    relative, absorbed by the round-6 grain."""
-    from bb_ocr_ray.stages.coarse import coarse_agg
-
-    ds = _read_parquet(_t(sf_dir, "embeddings"), columns=["embedding"])
-    iu, ju = np.triu_indices(dim)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        X = np.asarray([np.asarray(v, dtype=np.float64)
-                        for v in b["embedding"]])
-        if not len(X):
-            return pd.DataFrame({"i": pd.array([], dtype="int64"),
-                                 "j": pd.array([], dtype="int64"),
-                                 "s": pd.array([], dtype="float64")})
-        if X.shape[1] != dim:
-            # triu_indices(dim) silently indexes a sub-block of a
-            # WIDER M — fail loudly on a schema change (ADVICE r4)
-            raise ValueError(
-                f"embedding width {X.shape[1]} != configured dim {dim}")
-        M = X.T @ X                       # dim x dim, one BLAS call
-        sx = X.sum(axis=0)
-        # (i, j) 1-based upper triangle; (i, 0) rows carry the column
-        # sums; (0, 0) carries the row count — one uniform fold key
-        return pd.DataFrame({
-            "i": np.concatenate([iu + 1, np.arange(1, dim + 1),
-                                 [0]]).astype("int64"),
-            "j": np.concatenate([ju + 1, np.zeros(dim, dtype=int),
-                                 [0]]).astype("int64"),
-            "s": np.concatenate([M[iu, ju], sx,
-                                 [float(len(X))]])})
-
-    merged = coarse_agg(ds.map_batches(partial, batch_format="pandas"),
-                        ["i", "j"], {"s": ("s", "sum")}).to_pandas()
-
-    n = float(merged.loc[(merged["i"] == 0) & (merged["j"] == 0),
-                         "s"].iloc[0])
-    sx = (merged[(merged["j"] == 0) & (merged["i"] > 0)]
-          .set_index("i")["s"])
-    up = merged[merged["j"] > 0]
-    cov = ((up["s"].to_numpy()
-            - sx.loc[up["i"]].to_numpy() * sx.loc[up["j"]].to_numpy() / n)
-           / n)
-    out = pd.DataFrame({"i": up["i"].astype("int64").to_numpy(),
-                        "j": up["j"].astype("int64").to_numpy(),
-                        "cov": _round_sql(pd.Series(cov), 6)})
-    return out.sort_values(["i", "j"]).reset_index(drop=True)
-
-
-QUERIES.update({"q_embed_covariance": q_embed_covariance})
-
-
-# ---------------------------------------------------------------------------
-# Typo-variant vocabulary pairs (SymSpell deletion-neighborhood blocking)
-# ---------------------------------------------------------------------------
-def q_typo_pairs(sf_dir: str):
-    """Vocabulary pairs at byte-Levenshtein distance EXACTLY 1 via
-    :func:`stages.dedup.typo_variant_pairs` (FastSS / SymSpell
-    deletion-neighborhood blocking) — the spelling-variant mining /
-    vocabulary-cleaning step of a corpus pipeline.  The clean
-    synthetic vocabulary has no distance-1 pairs, so typos are
-    PLANTED (the q_pii_scrub pattern): every doc_id % 3 == 0 doc
-    appends its first token with the second character dropped; both
-    engines derive the same dirty text, and the planted variants
-    clear the df >= 5 vocabulary gate.  The oracle verifies with
-    DuckDB's own levenshtein() over the vocabulary cross join — a
-    genuinely independent distance implementation (byte-based, which
-    is why the engine's verify runs on UTF-8 bytes)."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages.dedup import typo_variant_pairs
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-
-    def dirty(b: pd.DataFrame) -> pd.DataFrame:
-        texts = []
-        for d, t in zip(b["doc_id"], b["text"]):
-            t = t or ""
-            tk = ws_tokens(t)
-            if int(d) % 3 == 0 and tk and len(tk[0]) >= 4:
-                t = t + " " + tk[0][:1] + tk[0][2:]
-            texts.append(t)
-        return pd.DataFrame({"doc_id": b["doc_id"].astype("int64"),
-                             "text": pd.array(texts, dtype="object")})
-
-    dd = ds.map_batches(dirty, batch_format="pandas")
-
-    def df_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            c.update(set(ws_tokens(t or "")))
-        return pd.DataFrame({"tok": pd.array(list(c.keys()),
-                                             dtype="object"),
-                             "df": pd.array(list(c.values()),
-                                            dtype="int64")})
-
-    vocab = coarse_agg(dd.map_batches(df_partial, batch_format="pandas"),
-                       ["tok"], {"df": ("df", "sum")}).map_batches(
-        lambda b: b[(b["df"].astype("int64") >= 5)
-                    & (b["tok"].str.len() >= 4)][["tok"]],
-        batch_format="pandas").materialize()
-
-    out = typo_variant_pairs(vocab).to_pandas()
-    if not len(out):
-        return pd.DataFrame({"tok_a": pd.array([], dtype="object"),
-                             "tok_b": pd.array([], dtype="object")})
-    return (out.sort_values(["tok_a", "tok_b"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({"q_typo_pairs": q_typo_pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -4165,136 +3584,6 @@ QUERIES.update({"q_anchor_terms": q_anchor_terms})
 
 
 # ---------------------------------------------------------------------------
-# Dataset-level vocabulary overlap (corpus similarity / snapshot QA)
-# ---------------------------------------------------------------------------
-def q_source_overlap(sf_dir: str):
-    """Exact vocabulary Jaccard between every SOURCE pair — the
-    dataset-similarity probe (how much do two crawls / snapshots share
-    a vocabulary?), computed without ever joining corpus-sized sets:
-    distinct (source, token) pairs fold through ONE coarse shuffle on
-    token; each bucket emits per-token source-SET membership collapsed
-    to a '|'-joined mask, and masks have at most 2^|sources| values
-    (sources are the declared low-cardinality column, q_profile
-    contract), so the driver sees a bounded histogram and recovers
-    every pairwise intersection/union by inclusion arithmetic — exact
-    integers, zero float folds until the final ratio."""
-    from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    n_buckets = _auto_num_buckets()
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["source", "text"])
-
-    def pairs(b: pd.DataFrame) -> pd.DataFrame:
-        seen = set()
-        for s, t in zip(b["source"], b["text"]):
-            for w in set(ws_tokens(t or "")):
-                seen.add((s, w))
-        out = pd.DataFrame(list(seen) or None, columns=["source", "tok"])
-        out["__coarse"] = _bucket_ids(out, ["tok"], n_buckets)
-        return out
-
-    def masks(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["source", "tok"])
-        if not len(g):
-            return pd.DataFrame({"mask": pd.array([], dtype="object"),
-                                 "n": pd.array([], dtype="int64")})
-        # vectorized membership fold: sorted-source bit codes OR-reduced
-        # per token run (no per-token Python); bit order == sorted order
-        # so the decoded mask string is identical across buckets
-        srcs = np.sort(g["source"].unique())
-        assert len(srcs) <= 63, "source is the declared low-cardinality column"
-        bit = {s: np.int64(1) << i for i, s in enumerate(srcs)}
-        gv = g.sort_values("tok", kind="mergesort")
-        codes = gv["source"].map(bit).to_numpy("int64")
-        toks = gv["tok"].to_numpy(dtype=object)
-        starts = np.concatenate(
-            [[0], np.flatnonzero(toks[1:] != toks[:-1]) + 1])
-        m = np.bitwise_or.reduceat(codes, starts)
-        vals, counts = np.unique(m, return_counts=True)
-        names = ["|".join(srcs[j] for j in range(len(srcs))
-                          if int(v) >> j & 1) for v in vals]
-        return pd.DataFrame({"mask": pd.array(names, dtype="object"),
-                             "n": counts.astype("int64")})
-
-    hist = (ds.map_batches(pairs, batch_format="pandas")
-            .groupby("__coarse").map_groups(
-                lambda g: masks(g.drop(columns=["__coarse"])),
-                batch_format="pandas")
-            .to_pandas())
-    hist = hist.groupby("mask", as_index=False)["n"].sum()
-
-    sources = sorted({s for m in hist["mask"] for s in m.split("|")})
-    sets = [frozenset(m.split("|")) for m in hist["mask"]]
-    ns = hist["n"].to_numpy("int64")
-    recs = []
-    for i, a in enumerate(sources):
-        for b in sources[i + 1:]:
-            inter = int(sum(n for st, n in zip(sets, ns)
-                            if a in st and b in st))
-            union = int(sum(n for st, n in zip(sets, ns)
-                            if a in st or b in st))
-            recs.append({
-                "source_a": a, "source_b": b,
-                "n_common": inter, "n_union": union,
-                "jaccard": float(_round_sql(
-                    float(inter) / float(union), 6)) if union else 0.0})
-    out = pd.DataFrame(recs)
-    out = out.astype({"n_common": "int64", "n_union": "int64"})
-    return out.reset_index(drop=True)
-
-
-QUERIES.update({"q_source_overlap": q_source_overlap})
-
-
-# ---------------------------------------------------------------------------
-# Distribution-drift QA: Kolmogorov–Smirnov per source vs the rest
-# ---------------------------------------------------------------------------
-def q_ks_test(sf_dir: str):
-    """Per-source two-sample Kolmogorov–Smirnov statistic of the
-    n_chars length distribution against the REST of the corpus — the
-    standard drift detector for "did this crawl source's content shape
-    change?" (run-over-run data QA).  One corpus pass folds the
-    (source, n_chars) histogram through coarse_agg; the histogram is
-    VALUE-bounded (≤ |sources| × max_doc_len rows — aggregate-sized at
-    any corpus scale, never row-cardinality), so the cumulative fold
-    runs on the driver.  D is EXACT: with per-source totals (n_s, n_r)
-    constant, max_x |F_s − F_r| = max_x |cs·n_r − cr·n_s| / (n_s·n_r),
-    so the max is taken over INTEGER cross-products (python ints — no
-    overflow at any corpus size) and divided once, rounded 6 dp.  A
-    NULL n_chars is not an observation: the fold drops it."""
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["source", "n_chars"])
-    hist = coarse_agg(docs, ["source", "n_chars"],
-                      {"c": ("n_chars", "size")}).to_pandas()
-    hist["c"] = hist["c"].astype("int64")
-    pv = (hist.pivot_table(index="n_chars", columns="source", values="c",
-                           aggfunc="sum", fill_value=0)
-          .sort_index())
-    cum = pv.cumsum(axis=0)
-    n_s = pv.sum(axis=0)
-    gn = int(n_s.sum())
-    cum_all = cum.sum(axis=1)
-    recs = []
-    for s in sorted(pv.columns):
-        ns = int(n_s[s])
-        nr = gn - ns
-        cs = cum[s].to_numpy("int64").astype(object)
-        cr = cum_all.to_numpy("int64").astype(object) - cs
-        d_num = max(abs(int(a) * nr - int(b) * ns)
-                    for a, b in zip(cs, cr))
-        ks = float(d_num) / (float(ns) * float(nr))
-        recs.append({"source": s, "n_source": ns,
-                     "ks_d": float(_round_sql(ks, 6))})
-    out = pd.DataFrame(recs).sort_values("source").reset_index(drop=True)
-    out["n_source"] = out["n_source"].astype("int64")
-    return out
-
-
-QUERIES.update({"q_ks_test": q_ks_test})
-
-
-# ---------------------------------------------------------------------------
 # Hashing-trick vectorizer (fixed-width sparse features, doc-local)
 # ---------------------------------------------------------------------------
 def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
@@ -4341,85 +3630,6 @@ def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
 
 
 QUERIES.update({"q_feature_hash": q_feature_hash})
-
-
-# ---------------------------------------------------------------------------
-# Per-source language-mix entropy (corpus composition QA)
-# ---------------------------------------------------------------------------
-def q_lang_entropy(sf_dir: str):
-    """Per-source Shannon entropy (nats) of the language mix — the
-    corpus-composition monitor a multilingual crawl ships next to
-    q_ks_test's shape drift: a source whose lang entropy collapses
-    started emitting one language (or lost its langid).  One corpus
-    pass folds (source, lang) counts through coarse_agg — the table is
-    |sources|x|langs|, aggregate-sized at any corpus scale — and the
-    driver evaluates -sum(p ln p) per source over langs in ascending
-    order from exact integer counts.  Cross-term float order differs
-    from the oracle's unordered sum by <=1 ulp; 6 dp rounding absorbs
-    it (the registry-wide convention for bounded float folds)."""
-    import math
-
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["source", "lang"])
-    cnt = coarse_agg(docs, ["source", "lang"],
-                     {"c": ("lang", "size")}).to_pandas()
-    cnt["c"] = cnt["c"].astype("int64")
-    recs = []
-    for s, g in cnt.groupby("source", sort=True):
-        g = g.sort_values("lang")
-        n = int(g["c"].sum())
-        h = sum(-(int(c) / n) * math.log(int(c) / n)
-                for c in g["c"])
-        recs.append({"source": s, "n_docs": n, "n_langs": len(g),
-                     "entropy_nats": float(_round_sql(h, 6))})
-    out = pd.DataFrame(recs)
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["n_langs"] = out["n_langs"].astype("int64")
-    return out.sort_values("source").reset_index(drop=True)
-
-
-QUERIES.update({"q_lang_entropy": q_lang_entropy})
-
-
-# ---------------------------------------------------------------------------
-# Chi-squared contingency cells (lang x source independence audit)
-# ---------------------------------------------------------------------------
-def q_chi2_cells(sf_dir: str):
-    """Chi-squared independence audit of the lang x source contingency
-    table, emitted PER CELL (observed, expected, chi2 term) rather than
-    as one scalar — per-cell rows keep every double a pure function of
-    exact integer marginals (no cross-cell float summation whose order
-    could differ between engines) and tell the operator WHICH cell
-    drives the dependence.  One coarse fold produces the observed
-    counts (|langs|x|sources| — aggregate-sized); the driver completes
-    the grid with zero cells (a missing combination still contributes
-    its full expectation) and evaluates e = rt*ct/n and (o-e)^2/e with
-    the same association order as the SQL."""
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["lang", "source"])
-    obs = coarse_agg(docs, ["lang", "source"],
-                     {"o": ("lang", "size")}).to_pandas()
-    obs["o"] = obs["o"].astype("int64")
-    rt = obs.groupby("lang")["o"].sum()
-    ct = obs.groupby("source")["o"].sum()
-    n = float(int(obs["o"].sum()))
-    seen = {(l, s): int(o) for l, s, o in
-            zip(obs["lang"], obs["source"], obs["o"])}
-    recs = []
-    for l in sorted(rt.index):
-        for s in sorted(ct.index):
-            o = seen.get((l, s), 0)
-            e = float(int(rt[l])) * int(ct[s]) / n
-            recs.append({"lang": l, "source": s,
-                         "n_obs": o,
-                         "expected": float(_round_sql(e, 6)),
-                         "chi2_term": float(_round_sql((o - e) ** 2 / e, 6))})
-    out = pd.DataFrame(recs)
-    out["n_obs"] = out["n_obs"].astype("int64")
-    return out.sort_values(["lang", "source"]).reset_index(drop=True)
-
-
-QUERIES.update({"q_chi2_cells": q_chi2_cells})
 
 
 # ---------------------------------------------------------------------------
@@ -4474,143 +3684,6 @@ QUERIES.update({"q_robots_filter": q_robots_filter})
 
 
 # ---------------------------------------------------------------------------
-# Zipf slope of the token frequency spectrum (corpus-health scalar)
-# ---------------------------------------------------------------------------
-def q_zipf_slope(sf_dir: str):
-    """OLS slope of ln(frequency) on ln(rank) over the corpus' top-200
-    tokens — natural text sits near the Zipf -1 line, and a corpus
-    whose slope drifts flat (boilerplate/templating) or steep
-    (vocabulary collapse) fails ingest QA (Zipf 1949; public method).
-    Per-batch token-count partials fold through one coarse shuffle
-    (vocab-bounded table); the top-200 cut is a Dataset sort+limit
-    with a total (n DESC, tok ASC) tiebreak so rank assignment is
-    deterministic on both engines.  The slope is computed from
-    centered sums in rank order; 200 same-magnitude float terms agree
-    with the oracle's regr_slope within ulps — 6 dp absorbs it (the
-    registry's bounded-float-fold convention)."""
-    import math
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-        cnt: Counter = Counter()
-        for t in b["text"]:
-            cnt.update(ws_tokens(t or ""))
-        return pd.DataFrame({"tok": list(cnt.keys()),
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    vocab = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                       ["tok"], {"n": ("n", "sum")})
-    top = (vocab.sort(["n", "tok"], descending=[True, False])
-           .limit(200).to_pandas())
-    top["n"] = top["n"].astype("int64")
-    k = len(top)
-    x = np.log(np.arange(1, k + 1, dtype="float64"))
-    y = np.log(top["n"].to_numpy("float64"))
-    mx, my = x.mean(), y.mean()
-    slope = float(((x - mx) * (y - my)).sum() / ((x - mx) ** 2).sum())
-    return pd.DataFrame({
-        "k": pd.array([k], dtype="int64"),
-        "n_top1": pd.array([int(top["n"].iloc[0])], dtype="int64"),
-        "n_top_last": pd.array([int(top["n"].iloc[-1])], dtype="int64"),
-        "zipf_slope": [float(_round_sql(slope, 6))]})
-
-
-QUERIES.update({"q_zipf_slope": q_zipf_slope})
-
-
-# ---------------------------------------------------------------------------
-# Per-source exact-duplicate share (ingest-QA ratio on content hashes)
-# ---------------------------------------------------------------------------
-def q_dup_ratio(sf_dir: str):
-    """Per-source exact-duplicate share: of each source's docs, how
-    many belong to a content-hash group of size > 1 WITHIN that source
-    — the scalar a crawl operator watches before paying for near-dup
-    passes (a source at 40% exact dups gets fixed upstream, not
-    MinHashed).  Two chained coarse folds: (source, md5) group sizes
-    (doc-cardinality in, hash-cardinality out, on the driver only
-    below its limit),
-    then per-batch partials over the group-size table fold to one row
-    per source.  Only the 16-byte hashes ever shuffle — never text
-    (the q_dedup_exact posture)."""
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["source", "text"])
-
-    def hashed(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "source": b["source"],
-            "h": [md5_hex(t or "") for t in b["text"]]})
-
-    groups = coarse_agg(docs.map_batches(hashed, batch_format="pandas"),
-                        ["source", "h"], {"c": ("h", "size")})
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = b["c"].to_numpy("int64")
-        g = pd.DataFrame({"source": b["source"], "n_docs": c,
-                          "n_distinct": np.ones(len(b), dtype="int64"),
-                          "n_dup_docs": np.where(c > 1, c, 0)})
-        return g.groupby("source", as_index=False).sum()
-
-    out = coarse_agg(groups.map_batches(partial, batch_format="pandas"),
-                     ["source"], {"n_docs": ("n_docs", "sum"),
-                                  "n_distinct": ("n_distinct", "sum"),
-                                  "n_dup_docs": ("n_dup_docs", "sum")}
-                     ).to_pandas()
-    for c in ("n_docs", "n_distinct", "n_dup_docs"):
-        out[c] = out[c].astype("int64")
-    out["dup_ratio"] = [float(_round_sql(int(d) / int(n), 6))
-                        for d, n in zip(out["n_dup_docs"], out["n_docs"])]
-    return out.sort_values("source").reset_index(drop=True)
-
-
-QUERIES.update({"q_dup_ratio": q_dup_ratio})
-
-
-# ---------------------------------------------------------------------------
-# Embedding L2-norm bands (vector-ingest QA)
-# ---------------------------------------------------------------------------
-def q_norm_bands(sf_dir: str):
-    """L2-norm distribution of the embedding column in 0.1-wide bands
-    — the vector-ingest QA histogram (un-normalized or zero vectors
-    land in the wrong band and fail the gate before any ANN index is
-    built).  Pure map + one aggregate-sized fold; the float32 values
-    widen to float64 BEFORE squaring on both engines, and the norm is
-    rounded to 4 dp before banding so the ulp-level difference between
-    numpy's pairwise and SQL's sequential summation (~1e-12) can never
-    flip a band edge (band width 0.1 >> 5e-5 grain).  Output per band:
-    count and the rounded min/max norm (rounding is monotone, so
-    min/max commute with it)."""
-    emb = _read_parquet(_t(sf_dir, "embeddings"),
-                        columns=["vec_id", "embedding"])
-
-    def bands(b: pd.DataFrame) -> pd.DataFrame:
-        X = np.asarray([np.asarray(e, dtype="float64") for e in
-                        b["embedding"]])
-        norm = _round_sql(np.sqrt((X * X).sum(axis=1)), 4)
-        g = pd.DataFrame({
-            "band": np.floor(norm * 10).astype("int64"),
-            "n_vecs": np.ones(len(b), dtype="int64"),
-            "min_norm": norm, "max_norm": norm})
-        return g.groupby("band", as_index=False).agg(
-            n_vecs=("n_vecs", "sum"), min_norm=("min_norm", "min"),
-            max_norm=("max_norm", "max"))
-
-    out = coarse_agg(emb.map_batches(bands, batch_format="pandas"),
-                     ["band"], {"n_vecs": ("n_vecs", "sum"),
-                                "min_norm": ("min_norm", "min"),
-                                "max_norm": ("max_norm", "max")}).to_pandas()
-    out["band"] = out["band"].astype("int64")
-    out["n_vecs"] = out["n_vecs"].astype("int64")
-    return out.sort_values("band").reset_index(drop=True)
-
-
-QUERIES.update({"q_norm_bands": q_norm_bands})
-
-
-# ---------------------------------------------------------------------------
 # Brand-safety / blocklist term scan (broadcast patterns, zero shuffle)
 # ---------------------------------------------------------------------------
 _TERM_SCAN_PATTERNS = ("table", "hash", "merge batch", "zzz-absent-term")
@@ -4655,591 +3728,6 @@ def q_term_scan(sf_dir: str):
 
 
 QUERIES.update({"q_term_scan": q_term_scan})
-
-
-# ---------------------------------------------------------------------------
-# Heaps-law vocabulary growth curve (corpus-health QA)
-# ---------------------------------------------------------------------------
-def q_vocab_growth(sf_dir: str):
-    """Vocabulary size after each power-of-two doc_id prefix — the
-    Heaps'-law growth curve (Heaps 1978, public method): natural
-    corpora grow vocab ~ n^beta with beta<1, and a curve that goes
-    flat (template spam) or linear (random noise/IDs) fails ingest QA.
-    One pass: per-token FIRST doc_id folds through one coarse shuffle
-    (vocab-bounded), collapses to a <=64-row histogram keyed by
-    bit_length(first_doc_id) — token t is new in prefix 2^k exactly
-    when k = bit_length(first) — and the driver cumsums.  Exact
-    integers everywhere; doc_id 0 lands in bin 0 on both engines
-    (oracle: floor(log2(fd))+1 is exact for all int64 because powers
-    of two are exactly representable doubles)."""
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["doc_id", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        first: dict = {}
-        for did, t in zip(b["doc_id"].to_numpy("int64"), b["text"]):
-            for tok in ws_tokens(t or ""):
-                if tok not in first or did < first[tok]:
-                    first[tok] = did
-        return pd.DataFrame({"tok": list(first.keys()),
-                             "fd": np.fromiter(first.values(),
-                                               dtype="int64")})
-
-    firsts = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                        ["tok"], {"fd": ("fd", "min")})
-
-    def bins(b: pd.DataFrame) -> pd.DataFrame:
-        k = np.array([int(x).bit_length() for x in b["fd"]], dtype="int64")
-        return (pd.DataFrame({"k": k, "n": np.ones(len(b), dtype="int64")})
-                .groupby("k", as_index=False).sum())
-
-    hist = coarse_agg(firsts.map_batches(bins, batch_format="pandas"),
-                      ["k"], {"n": ("n", "sum")}).to_pandas()
-    hist = hist.astype({"k": "int64", "n": "int64"}).sort_values("k")
-    ks = np.arange(int(hist["k"].max()) + 1, dtype="int64")
-    new = np.zeros(len(ks), dtype="int64")
-    new[hist["k"].to_numpy()] = hist["n"].to_numpy()
-    return pd.DataFrame({"k": ks,
-                         "new_tokens": new,
-                         "vocab": new.cumsum().astype("int64")})
-
-
-QUERIES.update({"q_vocab_growth": q_vocab_growth})
-
-
-# ---------------------------------------------------------------------------
-# Duplicate-cluster size histogram (dedup planning QA)
-# ---------------------------------------------------------------------------
-def q_dup_cluster_sizes(sf_dir: str):
-    """Histogram of PREFIX-fingerprint cluster sizes — docs clustered
-    by the md5 of their first 64 characters, the cheap template
-    detector a crawl runs before committing to a full dedup pass
-    (boilerplate-led pages share lead bytes long before they share
-    bodies; a few million-member clusters mean the hot-key dedup path
-    is needed).  Two chained hash-only folds: (md5 -> cluster size)
-    is hash-cardinality and stays distributed; (size -> n_clusters)
-    is value-bounded.  Only 16-byte hashes shuffle, never text
-    (q_dedup_exact posture)."""
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    clusters = coarse_agg(
-        docs.map_batches(
-            lambda b: pd.DataFrame({"h": [md5_hex((t or "")[:64])
-                                          for t in b["text"]]}),
-            batch_format="pandas"),
-        ["h"], {"c": ("h", "size")})
-    out = coarse_agg(clusters, ["c"],
-                     {"n_clusters": ("c", "size")}).to_pandas()
-    out = out.rename(columns={"c": "cluster_size"})
-    out["cluster_size"] = out["cluster_size"].astype("int64")
-    out["n_clusters"] = out["n_clusters"].astype("int64")
-    out["n_docs"] = (out["cluster_size"] * out["n_clusters"]).astype("int64")
-    return out.sort_values("cluster_size").reset_index(drop=True)
-
-
-QUERIES.update({"q_dup_cluster_sizes": q_dup_cluster_sizes})
-
-
-# ---------------------------------------------------------------------------
-# BPE merge-candidate table (top adjacent char pairs inside tokens)
-# ---------------------------------------------------------------------------
-def q_bpe_pairs(sf_dir: str):
-    """Top-20 adjacent character pairs inside tokens, weighted by token
-    occurrence — the candidate table of the FIRST byte-pair-encoding
-    merge step (Sennrich, Haddow & Birch, ACL 2016; public method).
-    Per-batch partial: token occurrences are counted once (Counter),
-    each DISTINCT token's pair multiset is derived once and scaled by
-    its count (natural-text vocabularies are Zipfian, so the memo
-    collapses almost all per-occurrence work); the shuffle then moves
-    a pair-vocabulary-bounded (pair, n) table through one coarse
-    fold.  Total (n desc, pair asc) tiebreak."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        occ: Counter = Counter()
-        for t in b["text"]:
-            occ.update(ws_tokens(t or ""))
-        pairs: Counter = Counter()
-        for tok, c in occ.items():
-            for i in range(len(tok) - 1):
-                pairs[tok[i:i + 2]] += c
-        return pd.DataFrame({"pair": list(pairs.keys()),
-                             "n": np.fromiter(pairs.values(),
-                                              dtype="int64")})
-
-    folded = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                        ["pair"], {"n": ("n", "sum")})
-    out = (folded.sort(["n", "pair"], descending=[True, False])
-           .limit(20).to_pandas())
-    out["n"] = out["n"].astype("int64")
-    return out.reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Per-source hapax legomena ratio (vocabulary-health ingest QA)
-# ---------------------------------------------------------------------------
-def q_hapax(sf_dir: str):
-    """Per-source vocabulary size, hapax-legomena count (tokens seen
-    exactly once in that source) and hapax ratio — the vocabulary-
-    health QA metric: natural text runs ~40-60% hapax, templated or
-    deduplicated-to-death corpora collapse toward 0 (Baayen's word
-    frequency distributions; public method).  Two bounded folds: a
-    (source, token)-keyed count fold (vocab x source bounded), then a
-    source-bounded summary fold; raw token streams never shuffle."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["source", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for s, t in zip(b["source"], b["text"]):
-            for tok in ws_tokens(t or ""):
-                cnt[(s, tok)] += 1
-        if not cnt:
-            return pd.DataFrame({"source": pd.Series([], dtype="object"),
-                                 "tok": pd.Series([], dtype="object"),
-                                 "n": pd.Series([], dtype="int64")})
-        ks = list(cnt.keys())
-        return pd.DataFrame({"source": [k[0] for k in ks],
-                             "tok": [k[1] for k in ks],
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    cnt = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                     ["source", "tok"], {"n": ("n", "sum")})
-
-    def summ(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "source": b["source"],
-            "vocab": np.ones(len(b), dtype="int64"),
-            "hapax": (b["n"].astype("int64") == 1).astype("int64")})
-
-    out = coarse_agg(cnt.map_batches(summ, batch_format="pandas"),
-                     ["source"], {"vocab": ("vocab", "sum"),
-                                  "hapax": ("hapax", "sum")}).to_pandas()
-    out["vocab"] = out["vocab"].astype("int64")
-    out["hapax"] = out["hapax"].astype("int64")
-    out["hapax_ratio"] = [
-        float(_round_sql(h / v, 6))
-        for h, v in zip(out["hapax"], out["vocab"])]
-    return out.sort_values("source").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Pairwise source-distribution Jensen-Shannon divergence (mixture drift QA)
-# ---------------------------------------------------------------------------
-def q_js_divergence(sf_dir: str):
-    """Jensen-Shannon divergence (bits) between every pair of sources'
-    unigram distributions — the standard corpus-mixture drift monitor
-    (Lin 1991; public method).  Scale shape: ONE (source, token) count
-    fold; per-source totals are a source-bounded table shipped as a
-    closure constant; the pairwise term sums accumulate inside a
-    token-keyed bucket fold (each token's full source row lands in one
-    bucket, where all C(S,2) pair contributions for that token are
-    computed from a local pivot) and fold to a pairs-bounded table.
-    The corpus shuffles token COUNTS at most once; a vocabulary over
-    the driver limit never touches the driver.  6 dp absorbs the
-    summation-order ulps of the float term fold."""
-    import math
-
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["source", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for s, t in zip(b["source"], b["text"]):
-            for tok in ws_tokens(t or ""):
-                cnt[(s, tok)] += 1
-        ks = list(cnt.keys())
-        return pd.DataFrame({"source": [k[0] for k in ks],
-                             "tok": [k[1] for k in ks],
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    cnt = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                     ["source", "tok"], {"n": ("n", "sum")}).materialize()
-
-    totals = coarse_agg(cnt, ["source"], {"t": ("n", "sum")}).to_pandas()
-    tot = {s: int(t) for s, t in zip(totals["source"], totals["t"])}
-    srcs = sorted(tot)
-    prs = [(a, b) for i, a in enumerate(srcs) for b in srcs[i + 1:]]
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__coarse"] = _bucket_ids(b, ["tok"], nb)
-        return b
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        pv = g.pivot_table(index="tok", columns="source", values="n",
-                           aggfunc="sum", fill_value=0)
-        p = {s: (pv[s].to_numpy("float64") / tot[s]
-                 if s in pv.columns
-                 else np.zeros(len(pv))) for s in srcs}
-        rows = []
-        for sa, sb in prs:
-            px, py = p[sa], p[sb]
-            m = (px + py) / 2.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = (np.where(px > 0, px * np.log(px / m), 0.0)
-                        + np.where(py > 0, py * np.log(py / m), 0.0))
-            rows.append((sa, sb, float(term.sum())))
-        return pd.DataFrame(rows, columns=["src_a", "src_b", "part"])
-
-    parts = (cnt.map_batches(stamp, batch_format="pandas")
-             .groupby("__coarse").map_groups(bucket, batch_format="pandas"))
-    out = coarse_agg(parts, ["src_a", "src_b"],
-                     {"part": ("part", "sum")}).to_pandas()
-    out["js"] = [float(_round_sql(x / 2.0 / math.log(2.0), 6))
-                 for x in out["part"]]
-    return (out[["src_a", "src_b", "js"]]
-            .sort_values(["src_a", "src_b"]).reset_index(drop=True))
-
-
-# ---------------------------------------------------------------------------
-# Per-language char-trigram profile (the langid profile builder)
-# ---------------------------------------------------------------------------
-def q_char_trigrams(sf_dir: str):
-    """Top-10 character trigrams per language over the lowercased,
-    whitespace-collapsed text — the n-gram language-profile builder
-    of Cavnar & Trenkle (1994; public method), the training half of
-    q_langid's classifier.  Vectorized and unicode-exact: each doc's
-    codepoints come from one utf-32 reinterpret (no per-char Python),
-    trigram windows never cross documents, and windows pack into one
-    int64 (3 x 21-bit codepoints) so the shuffle moves a
-    trigram-vocabulary-bounded (lang, code, n) table through one
-    coarse fold.  Ranking ties break on the decoded STRING (codepoint
-    order == UTF-8 binary order, so both engines agree)."""
-    import re
-
-    _WS = re.compile(r"[ \t\n\r\f\v]+")
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["lang", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        per_lang: dict = {}
-        for lang, t in zip(b["lang"], b["text"]):
-            s = _WS.sub(" ", (t or "").lower())
-            if len(s) < 3:
-                continue
-            cp = np.frombuffer(s.encode("utf-32-le"),
-                               dtype="<u4").astype("int64")
-            code = (cp[:-2] << 42) | (cp[1:-1] << 21) | cp[2:]
-            per_lang.setdefault(lang, []).append(code)
-        rows = []
-        for lang, chunks in per_lang.items():
-            u, c = np.unique(np.concatenate(chunks), return_counts=True)
-            rows.append(pd.DataFrame({"lang": lang, "code": u,
-                                      "n": c.astype("int64")}))
-        if not rows:
-            return pd.DataFrame({"lang": pd.Series([], dtype="object"),
-                                 "code": pd.Series([], dtype="int64"),
-                                 "n": pd.Series([], dtype="int64")})
-        return pd.concat(rows, ignore_index=True)
-
-    folded = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                        ["lang", "code"], {"n": ("n", "sum")}).to_pandas()
-    folded["code"] = folded["code"].astype("int64")
-    folded["n"] = folded["n"].astype("int64")
-
-    def decode(code: int) -> str:
-        return "".join(chr((code >> s) & ((1 << 21) - 1))
-                       for s in (42, 21, 0))
-
-    folded["tri"] = [decode(c) for c in folded["code"]]
-    folded = folded.sort_values(["lang", "n", "tri"],
-                                ascending=[True, False, True],
-                                kind="mergesort")
-    folded["rank"] = folded.groupby("lang").cumcount() + 1
-    out = folded[folded["rank"] <= 10][["lang", "tri", "n", "rank"]]
-    out["rank"] = out["rank"].astype("int64")
-    return out.sort_values(["lang", "rank"]).reset_index(drop=True)
-
-
-QUERIES.update({
-    "q_bpe_pairs": q_bpe_pairs,
-    "q_hapax": q_hapax,
-    "q_js_divergence": q_js_divergence,
-    "q_char_trigrams": q_char_trigrams,
-})
-
-
-# ---------------------------------------------------------------------------
-# Inverse-frequency class weights (imbalanced-label training prep)
-# ---------------------------------------------------------------------------
-def q_class_weights(sf_dir: str):
-    """Per-label inverse-frequency weights n_total / (k * n_label) —
-    the sklearn-style 'balanced' class weighting every skewed-label
-    training run starts with (King & Zeng 2001; public method).  One
-    label-bounded count fold; the weights derive from that bounded
-    table."""
-    emb = _read_parquet(_t(sf_dir, "embeddings"), columns=["label"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["label"].astype("int64").value_counts()
-        return pd.DataFrame({"label": vc.index.to_numpy("int64"),
-                             "n": vc.to_numpy("int64")})
-
-    t = coarse_agg(emb.map_batches(partial, batch_format="pandas"),
-                   ["label"], {"n": ("n", "sum")}).to_pandas()
-    t["label"] = t["label"].astype("int64")
-    t["n"] = t["n"].astype("int64")
-    total = int(t["n"].sum())
-    k = len(t)
-    t["weight"] = [float(_round_sql(total / (k * n), 6)) for n in t["n"]]
-    return t.sort_values("label").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Out-of-vocabulary rate per language (tokenizer-coverage QA)
-# ---------------------------------------------------------------------------
-def q_oov_rate(sf_dir: str):
-    """Per-language out-of-vocabulary rate against the corpus' global
-    top-20 token vocabulary — the tokenizer-coverage QA run before
-    committing a vocab (the OOV column of every tokenizer paper;
-    public method).  Pass 1 folds the global vocabulary and takes the
-    top-20 cut (n desc, tok asc tiebreak, aggregate-sized); the cut
-    broadcasts as a closure frozenset into pass 2, whose per-language
-    (total, oov) occurrence counts fold through one lang-bounded
-    shuffle.  Both passes are column-pruned reads; raw token streams
-    never shuffle."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def vocab_partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for t in b["text"]:
-            cnt.update(ws_tokens(t or ""))
-        return pd.DataFrame({"tok": list(cnt.keys()),
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    vocab = coarse_agg(docs.map_batches(vocab_partial,
-                                        batch_format="pandas"),
-                       ["tok"], {"n": ("n", "sum")})
-    top = (vocab.sort(["n", "tok"], descending=[True, False])
-           .limit(20).to_pandas())
-    known = frozenset(top["tok"])
-
-    docs2 = _read_parquet(_t(sf_dir, "documents"),
-                          columns=["lang", "text"])
-
-    def oov_partial(b: pd.DataFrame) -> pd.DataFrame:
-        rows: dict = {}
-        for lang, t in zip(b["lang"], b["text"]):
-            tot, oov = rows.get(lang, (0, 0))
-            for tok in ws_tokens(t or ""):
-                tot += 1
-                if tok not in known:
-                    oov += 1
-            rows[lang] = (tot, oov)
-        return pd.DataFrame({
-            "lang": list(rows.keys()),
-            "n_tokens": np.array([v[0] for v in rows.values()],
-                                 dtype="int64"),
-            "n_oov": np.array([v[1] for v in rows.values()],
-                              dtype="int64")})
-
-    out = coarse_agg(docs2.map_batches(oov_partial, batch_format="pandas"),
-                     ["lang"], {"n_tokens": ("n_tokens", "sum"),
-                                "n_oov": ("n_oov", "sum")}).to_pandas()
-    out["n_tokens"] = out["n_tokens"].astype("int64")
-    out["n_oov"] = out["n_oov"].astype("int64")
-    out["oov_rate"] = [
-        float(_round_sql(o / t, 6)) if t else 0.0
-        for o, t in zip(out["n_oov"], out["n_tokens"])]
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-QUERIES.update({
-    "q_class_weights": q_class_weights,
-    "q_oov_rate": q_oov_rate,
-})
-
-
-# ---------------------------------------------------------------------------
-# Token length histogram (tokenizer fertility QA)
-# ---------------------------------------------------------------------------
-def q_tok_len_dist(sf_dir: str):
-    """Histogram of token lengths by occurrence — the tokenizer
-    fertility/shape QA every vocab decision starts from (mean token
-    length drives bytes-per-token).  Per-batch Counter over lengths
-    (a length-bounded dict), one length-bounded fold.  Output:
-    (len, n) ascending."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for t in b["text"]:
-            for tok in ws_tokens(t or ""):
-                cnt[len(tok)] += 1
-        return pd.DataFrame({
-            "tok_len": np.fromiter(cnt.keys(), dtype="int64"),
-            "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    out = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                     ["tok_len"], {"n": ("n", "sum")}).to_pandas()
-    out["tok_len"] = out["tok_len"].astype("int64")
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("tok_len").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Bigram conditional entropy (corpus predictability / LM-difficulty QA)
-# ---------------------------------------------------------------------------
-def q_ngram_entropy(sf_dir: str):
-    """Joint and conditional entropy (bits) of the corpus' token-bigram
-    distribution — H(joint) of bigram frequencies and
-    H(next | prev) = H(joint) - H(prev margins), the corpus
-    predictability statistic (Shannon 1951; public method).  One
-    bigram count fold (doc-local pairs, vocab^2-bounded counts); the
-    prev margins DERIVE from the bigram table inside a prev-keyed
-    bucket fold (the q_lm_quality posture — no second corpus pass);
-    per-bucket float partials (sum c*ln c over cells and over
-    margins) fold to three scalars.  6 dp absorbs summation-order
-    ulps."""
-    import math
-
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for t in b["text"]:
-            tk = ws_tokens(t or "")
-            for i in range(len(tk) - 1):
-                cnt[(tk[i], tk[i + 1])] += 1
-        ks = list(cnt.keys())
-        return pd.DataFrame({"prev": [k[0] for k in ks],
-                             "nxt": [k[1] for k in ks],
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    bi = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                    ["prev", "nxt"], {"n": ("n", "sum")})
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__coarse"] = _bucket_ids(b, ["prev"], nb)
-        return b
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        c = g["n"].to_numpy("int64").astype("float64")
-        cu = (g.groupby("prev")["n"].sum()
-              .to_numpy().astype("float64"))
-        return pd.DataFrame({
-            "n_bigrams": [int(c.sum())],
-            "s_cell": [float((c * np.log(c)).sum())],
-            "s_marg": [float((cu * np.log(cu)).sum())]})
-
-    parts = (bi.map_batches(stamp, batch_format="pandas")
-             .groupby("__coarse").map_groups(bucket,
-                                             batch_format="pandas")
-             .to_pandas())
-    n_total = int(parts["n_bigrams"].sum())
-    if n_total == 0:
-        return pd.DataFrame({"n_bigrams": pd.array([0], dtype="int64"),
-                             "h_joint": [float("nan")],
-                             "h_cond": [float("nan")]})
-    ln_n = math.log(n_total)
-    h_joint = (ln_n - float(parts["s_cell"].sum()) / n_total) / math.log(2)
-    h_prev = (ln_n - float(parts["s_marg"].sum()) / n_total) / math.log(2)
-    return pd.DataFrame({
-        "n_bigrams": pd.array([n_total], dtype="int64"),
-        "h_joint": [float(_round_sql(h_joint, 6))],
-        "h_cond": [float(_round_sql(h_joint - h_prev, 6))]})
-
-
-QUERIES.update({
-    "q_tok_len_dist": q_tok_len_dist,
-    "q_ngram_entropy": q_ngram_entropy,
-})
-
-
-# ---------------------------------------------------------------------------
-# Embedding int8 quantization-error QA (compression readiness)
-# ---------------------------------------------------------------------------
-def q_emb_quantize(sf_dir: str):
-    """Reconstruction error of per-dimension min/max int8 (256-level)
-    quantization over the embedding table — the compression-readiness
-    QA run before shipping vectors to an ANN index (asymmetric scalar
-    quantization per Jegou et al.'s PQ framing, TPAMI 2011; public
-    method).  Pass 1 folds per-dimension min/max (a dim-bounded
-    table); pass 2 broadcasts the 2xD bounds as closure constants and
-    folds (count, sum of squared error, max abs error) partials.
-    Both engines quantize with the identical double-precision
-    floor(x + 0.5) ladder, so max_abs_err matches bit-for-bit
-    (max is summation-order-free) and the mean squared error is
-    reported x1e6 at 6 dp to keep resolution above the rounding
-    grain."""
-    emb = _read_parquet(_t(sf_dir, "embeddings"), columns=["embedding"])
-
-    def minmax(b: pd.DataFrame) -> pd.DataFrame:
-        X = np.asarray([np.asarray(e, dtype="float64")
-                        for e in b["embedding"]])
-        dims = np.arange(X.shape[1], dtype="int64")
-        return pd.DataFrame({"d": dims,
-                             "mn": X.min(axis=0),
-                             "mx": X.max(axis=0)})
-
-    mm = coarse_agg(emb.map_batches(minmax, batch_format="pandas"),
-                    ["d"], {"mn": ("mn", "min"),
-                            "mx": ("mx", "max")}).to_pandas()
-    mm = mm.sort_values("d").reset_index(drop=True)
-    mn = mm["mn"].to_numpy("float64")
-    mx = mm["mx"].to_numpy("float64")
-    dim = len(mm)
-    sc = (mx - mn) / 255.0
-
-    def err(b: pd.DataFrame) -> pd.DataFrame:
-        X = np.asarray([np.asarray(e, dtype="float64")
-                        for e in b["embedding"]])
-        assert X.shape[1] == dim, "embedding width changed mid-table"
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.floor((X - mn) / sc + 0.5)
-        q = np.clip(q, 0.0, 255.0)
-        recon = np.where(sc == 0.0, mn, mn + q * sc)
-        e = X - recon
-        return pd.DataFrame({
-            "n_vals": [int(e.size)],
-            "sse": [float((e * e).sum())],
-            "max_abs_err": [float(np.abs(e).max())]})
-
-    p = emb.map_batches(err, batch_format="pandas").to_pandas()
-    n_vals = int(p["n_vals"].sum())
-    return pd.DataFrame({
-        "n_vals": pd.array([n_vals], dtype="int64"),
-        "max_abs_err": [float(_round_sql(float(p["max_abs_err"].max()),
-                                         6))],
-        "mse_e6": [float(_round_sql(
-            float(p["sse"].sum()) / n_vals * 1e6, 6))]})
-
-
-QUERIES.update({"q_emb_quantize": q_emb_quantize})
 
 
 # ---------------------------------------------------------------------------
@@ -5369,245 +3857,6 @@ QUERIES.update({
 
 
 # ---------------------------------------------------------------------------
-# Language-ID confusion matrix (classifier-eval view of q_langid)
-# ---------------------------------------------------------------------------
-def q_lang_confusion(sf_dir: str):
-    """Full (true lang, predicted lang) confusion matrix of the n-gram
-    language-ID heuristic — the eval table behind q_langid's per-lang
-    accuracy scalar.  Same engine-side detect_lang and the same
-    SQL-generated classifier mirror (oracles._langid_pred_cte), so
-    the two operators cannot drift; one lang²-bounded count fold."""
-    from bb_ocr_ray.stages.text_stats import add_lang_pred
-
-    ds = _read_parquet(_t(sf_dir, "documents"), columns=["lang", "text"])
-    scored = ds.map_batches(add_lang_pred, batch_format="pandas")
-    out = coarse_agg(
-        scored.map_batches(
-            lambda b: pd.DataFrame({
-                "lang": b["lang"], "lang_pred": b["lang_pred"],
-                "n": np.ones(len(b), dtype="int64")}),
-            batch_format="pandas"),
-        ["lang", "lang_pred"], {"n": ("n", "sum")}).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values(["lang", "lang_pred"])
-            .reset_index(drop=True))
-
-
-# ---------------------------------------------------------------------------
-# Vocabulary coverage curve (tokenizer sizing)
-# ---------------------------------------------------------------------------
-def q_vocab_coverage(sf_dir: str):
-    """Share of all token OCCURRENCES covered by the top-k vocabulary
-    for k in {1,2,4,...,128} — the coverage curve every tokenizer
-    vocab-size decision is read off (the OOV complement of q_oov_rate
-    as a function of k).  One vocab-bounded count fold; the top-128
-    cut is a Dataset sort+limit with the (n desc, tok asc) total
-    tiebreak; the cumulative arithmetic runs on those 128 rows plus
-    the aggregate total."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for t in b["text"]:
-            cnt.update(ws_tokens(t or ""))
-        return pd.DataFrame({"tok": list(cnt.keys()),
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    vocab = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                       ["tok"], {"n": ("n", "sum")}).materialize()
-    vocab_size = vocab.count()
-    total = int(vocab.sum("n"))
-    top = (vocab.sort(["n", "tok"], descending=[True, False])
-           .limit(128).to_pandas())
-    cum = np.cumsum(top["n"].to_numpy("int64"))
-    rows = []
-    for k in (1, 2, 4, 8, 16, 32, 64, 128):
-        if k > vocab_size:
-            break
-        cov = int(cum[k - 1])
-        rows.append((k, cov, float(_round_sql(cov / total, 6))))
-    out = pd.DataFrame(rows, columns=["k", "n_covered", "coverage"])
-    out["k"] = out["k"].astype("int64")
-    out["n_covered"] = out["n_covered"].astype("int64")
-    return out
-
-
-QUERIES.update({
-    "q_lang_confusion": q_lang_confusion,
-    "q_vocab_coverage": q_vocab_coverage,
-})
-
-
-# ---------------------------------------------------------------------------
-# Gopher-style rule filter report (quality-gate pass counts)
-# ---------------------------------------------------------------------------
-def q_gopher_rules(sf_dir: str):
-    """Pass counts for four Gopher-style document quality rules plus
-    the all-rules keep count — the filter REPORT view next to
-    q_doc_quality's feature sums (Rae et al. 2021 'Gopher' rule
-    family; public method).  Rules: word count >= 40; mean word
-    length in [3, 10]; >= 2 stopword hits; >= 80% purely-alphabetic
-    tokens.  Pure vectorized doc-local flags, one five-scalar fold;
-    the report is what a RefinedWeb-style cleaning run logs per
-    shard."""
-    from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.functions.textstats import STOPWORDS
-
-    stop = frozenset(STOPWORDS)
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def flags(b: pd.DataFrame) -> pd.DataFrame:
-        import re
-        alpha = re.compile(r"^[a-zA-Z]+$")
-        n = lenr = stopr = alphar = keep = docs_n = 0
-        for t in b["text"]:
-            tk = ws_tokens(t or "")
-            wc = len(tk)
-            r1 = wc >= 40
-            r2 = (wc > 0
-                  and 3.0 <= sum(len(x) for x in tk) / wc <= 10.0)
-            r3 = sum(1 for x in tk if x in stop) >= 2
-            r4 = wc > 0 and sum(
-                1 for x in tk if alpha.match(x)) * 5 >= wc * 4
-            docs_n += 1
-            n += r1
-            lenr += r2
-            stopr += r3
-            alphar += r4
-            keep += (r1 and r2 and r3 and r4)
-        return pd.DataFrame({
-            "n_docs": [docs_n], "pass_wordcount": [n],
-            "pass_wordlen": [lenr], "pass_stopwords": [stopr],
-            "pass_alpha": [alphar], "n_keep": [keep]})
-
-    p = docs.map_batches(flags, batch_format="pandas").to_pandas()
-    out = pd.DataFrame({c: pd.array([int(p[c].sum())], dtype="int64")
-                        for c in ("n_docs", "pass_wordcount",
-                                  "pass_wordlen", "pass_stopwords",
-                                  "pass_alpha", "n_keep")})
-    return out
-
-
-QUERIES.update({"q_gopher_rules": q_gopher_rules})
-
-
-# ---------------------------------------------------------------------------
-# Script-mix histogram per language (charset QA)
-# ---------------------------------------------------------------------------
-def q_script_mix(sf_dir: str):
-    """Per-language codepoint class counts — latin letters, digits,
-    whitespace, CJK, other — the charset-mix QA that catches mojibake
-    and mislabeled languages before they poison a tokenizer.  One
-    utf-32 reinterpret per doc vectorizes the classification (no
-    per-char Python); a lang-bounded five-column fold."""
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["lang", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        rows: dict = {}
-        for lang, t in zip(b["lang"], b["text"]):
-            s = t or ""
-            cp = np.frombuffer(s.encode("utf-32-le"), dtype="<u4")
-            lat = int((((cp >= 65) & (cp <= 90))
-                       | ((cp >= 97) & (cp <= 122))).sum())
-            dig = int(((cp >= 48) & (cp <= 57)).sum())
-            ws = int(np.isin(cp, (32, 9, 10, 13, 12, 11)).sum())
-            cjk = int(((cp >= 0x4E00) & (cp <= 0x9FFF)).sum())
-            oth = len(cp) - lat - dig - ws - cjk
-            acc = rows.setdefault(lang, [0, 0, 0, 0, 0])
-            for i, v in enumerate((lat, dig, ws, cjk, oth)):
-                acc[i] += v
-        ks = list(rows.keys())
-        return pd.DataFrame({
-            "lang": ks,
-            "n_latin": np.array([rows[k][0] for k in ks], dtype="int64"),
-            "n_digit": np.array([rows[k][1] for k in ks], dtype="int64"),
-            "n_ws": np.array([rows[k][2] for k in ks], dtype="int64"),
-            "n_cjk": np.array([rows[k][3] for k in ks], dtype="int64"),
-            "n_other": np.array([rows[k][4] for k in ks], dtype="int64")})
-
-    out = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                     ["lang"],
-                     {c: (c, "sum") for c in
-                      ("n_latin", "n_digit", "n_ws", "n_cjk",
-                       "n_other")}).to_pandas()
-    for c in out.columns:
-        if c != "lang":
-            out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Duplicate-provenance flow matrix (who published first)
-# ---------------------------------------------------------------------------
-def q_dup_flow(sf_dir: str):
-    """(first source, duplicating source) counts over PREFIX-content
-    clusters (md5 of the first 64 chars — the q_dup_cluster_sizes
-    key, non-degenerate at every corpus scale): for each cluster, the
-    min-doc_id owner is the 'first publisher' and every other member
-    charges one count to its own source — the provenance matrix
-    behind q_dup_ratio's per-source totals (the dedup-auditing view
-    of first-wins).  ONE coarse shuffle on the prefix hash co-locates
-    each cluster; the in-bucket fold picks the min owner and emits
-    source-pair counts; a source²-bounded fold finishes.  Doc text
-    never shuffles, only 16-byte hashes + source labels."""
-    from bb_ocr_ray.functions.hashing import md5_hex
-    from bb_ocr_ray.stages.coarse import _bucket_ids
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    nb = _auto_num_buckets()
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["doc_id", "source", "text"])
-
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({
-            "doc_id": b["doc_id"].astype("int64"),
-            "source": b["source"],
-            "h": [md5_hex((t or "")[:64]) for t in b["text"]]})
-        g["__coarse"] = _bucket_ids(g, ["h"], nb)
-        return g
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["h", "doc_id"], kind="mergesort")
-        first = g.groupby("h").agg(keep=("doc_id", "min"),
-                                   src_first=("source", "first"))
-        m = g.merge(first, on="h")
-        dups = m[m["doc_id"] != m["keep"]]
-        if dups.empty:
-            return pd.DataFrame({"src_first": pd.Series([], dtype="object"),
-                                 "src_dup": pd.Series([], dtype="object"),
-                                 "n": pd.Series([], dtype="int64")})
-        out = (dups.groupby(["src_first", "source"], as_index=False)
-               .size().rename(columns={"source": "src_dup",
-                                       "size": "n"}))
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    folded = (docs.map_batches(stamp, batch_format="pandas")
-              .groupby("__coarse").map_groups(bucket,
-                                              batch_format="pandas"))
-    out = coarse_agg(folded, ["src_first", "src_dup"],
-                     {"n": ("n", "sum")}).to_pandas()
-    if out.empty:
-        out = pd.DataFrame({"src_first": pd.Series([], dtype="object"),
-                            "src_dup": pd.Series([], dtype="object"),
-                            "n": pd.Series([], dtype="int64")})
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values(["src_first", "src_dup"])
-            .reset_index(drop=True))
-
-
-QUERIES.update({
-    "q_script_mix": q_script_mix,
-    "q_dup_flow": q_dup_flow,
-})
-
-
-# ---------------------------------------------------------------------------
 # WAND per-term score upper bounds (top-k retrieval pruning table)
 # ---------------------------------------------------------------------------
 def q_wand_bounds(sf_dir: str):
@@ -5658,106 +3907,10 @@ def q_wand_bounds(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Rare-category collapse (tail-cardinality capping featurizer)
-# ---------------------------------------------------------------------------
-def q_rare_collapse(sf_dir: str):
-    """Token histogram with every token under 1% of total occurrences
-    collapsed to '__rare__' — the tail-capping every categorical
-    featurizer applies before one-hot/hashing (cardinality control).
-    Exact integer threshold (n·100 < total, no float compare); one
-    vocab-bounded fold, then bounded recode arithmetic."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter = Counter()
-        for t in b["text"]:
-            cnt.update(ws_tokens(t or ""))
-        return pd.DataFrame({"tok": list(cnt.keys()),
-                             "n": np.fromiter(cnt.values(), dtype="int64")})
-
-    vocab = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                       ["tok"], {"n": ("n", "sum")}).to_pandas()
-    vocab["n"] = vocab["n"].astype("int64")
-    total = int(vocab["n"].sum())
-    rare = vocab["n"] * 100 < total
-    kept = vocab[~rare][["tok", "n"]].rename(columns={"tok": "category"})
-    if rare.any():
-        kept = pd.concat([kept, pd.DataFrame(
-            {"category": ["__rare__"],
-             "n": [int(vocab.loc[rare, "n"].sum())]})],
-            ignore_index=True)
-    kept["n"] = kept["n"].astype("int64")
-    return kept.sort_values("category").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
 # Token casing profile per source (OCR/mojibake artifact QA)
 # ---------------------------------------------------------------------------
-def q_case_stats(sf_dir: str):
-    """Per-source token casing mix — all-lower, Title-case, ALL-UPPER
-    (2+ chars), other — the casing QA that flags OCR shout-case
-    artifacts and broken sentence segmentation.  Classes are disjoint
-    ASCII regex classes evaluated in a fixed priority (lower, upper,
-    title, other) identically on both engines; per-batch Counter with
-    a distinct-token memo; one source-bounded fold."""
-    import re
-
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import ws_tokens
-
-    _LOW = re.compile(r"^[a-z]+$")
-    _UP = re.compile(r"^[A-Z]{2,}$")
-    _TI = re.compile(r"^[A-Z][a-z]*$")
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["source", "text"])
-
-    def cls(tok: str) -> int:
-        if _LOW.match(tok):
-            return 0
-        if _UP.match(tok):
-            return 1
-        if _TI.match(tok):
-            return 2
-        return 3
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        memo: dict = {}
-        rows: dict = {}
-        for s, t in zip(b["source"], b["text"]):
-            acc = rows.setdefault(s, [0, 0, 0, 0])
-            for tok in ws_tokens(t or ""):
-                k = memo.get(tok)
-                if k is None:
-                    k = memo[tok] = cls(tok)
-                acc[k] += 1
-        ks = list(rows.keys())
-        return pd.DataFrame({
-            "source": ks,
-            "n_lower": np.array([rows[k][0] for k in ks], dtype="int64"),
-            "n_upper": np.array([rows[k][1] for k in ks], dtype="int64"),
-            "n_title": np.array([rows[k][2] for k in ks], dtype="int64"),
-            "n_other": np.array([rows[k][3] for k in ks], dtype="int64")})
-
-    out = coarse_agg(docs.map_batches(partial, batch_format="pandas"),
-                     ["source"],
-                     {c: (c, "sum") for c in
-                      ("n_lower", "n_upper", "n_title", "n_other")}
-                     ).to_pandas()
-    for c in out.columns:
-        if c != "source":
-            out[c] = out[c].astype("int64")
-    return out.sort_values("source").reset_index(drop=True)
-
-
 QUERIES.update({
     "q_wand_bounds": q_wand_bounds,
-    "q_rare_collapse": q_rare_collapse,
-    "q_case_stats": q_case_stats,
 })
 
 
@@ -5840,82 +3993,3 @@ def q_emb_outliers(sf_dir: str):
 
 
 QUERIES.update({"q_emb_outliers": q_emb_outliers})
-
-
-# ---------------------------------------------------------------------------
-# Corpus datasheet (one-row dataset card)
-# ---------------------------------------------------------------------------
-def q_dataset_card(sf_dir: str):
-    """One-row corpus datasheet — docs, token occurrences, vocabulary,
-    languages, sources, prefix-duplicate share, mean doc length — the
-    'Datasheets for Datasets' summary (Gebru et al., CACM 2021;
-    public method) every published training corpus ships with.  One
-    doc-local scalar fold + one vocab-bounded fold + one
-    prefix-hash-cardinality fold; each contributes aggregate-sized
-    partials, so the card costs three bounded folds regardless of
-    corpus size."""
-    from collections import Counter
-
-    from bb_ocr_ray.functions.hashing import md5_hex, ws_tokens
-
-    docs = _read_parquet(_t(sf_dir, "documents"),
-                         columns=["text", "lang", "source"])
-
-    def scalars(b: pd.DataFrame) -> pd.DataFrame:
-        toks = 0
-        chars = 0
-        langs = set()
-        srcs = set()
-        for t, lang, s in zip(b["text"], b["lang"], b["source"]):
-            toks += len(ws_tokens(t or ""))
-            chars += len(t or "")
-            langs.add(lang)
-            srcs.add(s)
-        return pd.DataFrame({
-            "n_docs": [len(b)], "n_tokens": [toks], "n_chars": [chars],
-            "langs": ["|".join(sorted(langs))],
-            "srcs": ["|".join(sorted(srcs))]})
-
-    p = docs.map_batches(scalars, batch_format="pandas").to_pandas()
-    n_docs = int(p["n_docs"].sum())
-    n_tokens = int(p["n_tokens"].sum())
-    n_chars = int(p["n_chars"].sum())
-    langs = set()
-    srcs = set()
-    for ls, ss in zip(p["langs"], p["srcs"]):
-        langs.update(x for x in ls.split("|") if x)
-        srcs.update(x for x in ss.split("|") if x)
-
-    def vocab_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in b["text"]:
-            c.update(set(ws_tokens(t or "")))
-        return pd.DataFrame({"tok": list(c.keys()),
-                             "one": np.ones(len(c), dtype="int64")})
-
-    vocab = coarse_agg(
-        docs.map_batches(vocab_partial, batch_format="pandas"),
-        ["tok"], {"one": ("one", "sum")}).count()
-
-    def prefix_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"h": [md5_hex((t or "")[:64])
-                                   for t in b["text"]]})
-
-    clusters = coarse_agg(
-        docs.map_batches(prefix_partial, batch_format="pandas"),
-        ["h"], {"c": ("h", "size")})
-    n_clusters = clusters.count()
-
-    return pd.DataFrame({
-        "n_docs": pd.array([n_docs], dtype="int64"),
-        "n_tokens": pd.array([n_tokens], dtype="int64"),
-        "vocab": pd.array([int(vocab)], dtype="int64"),
-        "n_langs": pd.array([len(langs)], dtype="int64"),
-        "n_sources": pd.array([len(srcs)], dtype="int64"),
-        "prefix_dup_share": [float(_round_sql(
-            (n_docs - n_clusters) / n_docs, 6)) if n_docs else 0.0],
-        "mean_doc_chars": [float(_round_sql(n_chars / n_docs, 6))
-                           if n_docs else 0.0]})
-
-
-QUERIES.update({"q_dataset_card": q_dataset_card})

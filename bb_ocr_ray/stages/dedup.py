@@ -1197,89 +1197,3 @@ def sorted_neighborhood_pairs(docs_ds, key_fn=None, window: int = 3,
             "key_match": (b["bk_a"] == b["bk"]).astype("int64")})
 
     return pairs.map_batches(finish, batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
-# Typo-variant pairs (FastSS/SymSpell deletion-neighborhood blocking)
-# ---------------------------------------------------------------------------
-def _one_edit_bytes(a: bytes, b: bytes) -> bool:
-    """Exact byte-Levenshtein == 1 via the two-pointer one-edit check
-    (O(n), no DP).  BYTES, not codepoints: DuckDB's levenshtein()
-    measures UTF-8 bytes (levenshtein('e-acute','e') = 2), and oracle
-    parity requires the same metric."""
-    la, lb = len(a), len(b)
-    if abs(la - lb) > 1 or a == b:
-        return False
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    if la == lb:
-        return a[i + 1:] == b[i + 1:]
-    return a[i:] == b[i + 1:]
-
-
-def typo_variant_pairs(vocab_ds, tok_col: str = "tok",
-                       coarse_buckets: int | None = None):
-    """All vocabulary pairs at byte-Levenshtein distance EXACTLY 1 —
-    FastSS / SymSpell deletion-neighborhood blocking (Bocek et al.
-    2007; Garbe's SymSpell; public methods): two strings are within
-    distance 1 iff their {self} ∪ {one-byte-deletion} variant sets
-    intersect, so candidates come from ONE coarse shuffle on variant
-    hashes (never all-pairs), and an exact O(n) one-edit check
-    verifies in-task.  Distance-2 collisions (e.g. 'ab'/'ba' share
-    variants 'a' and 'b') are filtered by the verify.
-
-    Variant keys are md5 of the variant BYTES (deletion can split a
-    multibyte char; the key is never decoded), so only 16-byte hashes
-    travel.  Returns distinct (tok_a, tok_b), tok_a < tok_b."""
-    from bb_ocr_ray.stages.coarse import coarse_agg
-    from bb_ocr_ray.stages.joins import _auto_num_buckets
-
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
-
-    def variants(b: pd.DataFrame) -> pd.DataFrame:
-        import hashlib
-
-        toks, keys = [], []
-        for t in b[tok_col]:
-            raw = t.encode("utf-8")
-            seen = {raw}
-            for i in range(len(raw)):
-                seen.add(raw[:i] + raw[i + 1:])
-            for v in seen:
-                toks.append(t)
-                keys.append(hashlib.md5(v).hexdigest()[:16])
-        out = pd.DataFrame({tok_col: pd.array(toks, dtype="object"),
-                            "vk": pd.array(keys, dtype="object")})
-        out["coarse"] = (pd.util.hash_array(out["vk"].to_numpy(),
-                                            categorize=False)
-                         % coarse_buckets).astype("int64")
-        return out
-
-    exploded = vocab_ds.map_batches(variants, batch_format="pandas")
-
-    def collide(g: pd.DataFrame) -> pd.DataFrame:
-        dup = g[g.duplicated("vk", keep=False)]
-        out_a, out_b = [], []
-        for _, sub in dup.groupby("vk", sort=True):
-            ts = sorted(set(sub[tok_col]))
-            for x in range(len(ts)):
-                for y in range(x + 1, len(ts)):
-                    a, b_ = ts[x], ts[y]
-                    if _one_edit_bytes(a.encode("utf-8"),
-                                       b_.encode("utf-8")):
-                        out_a.append(a)
-                        out_b.append(b_)
-        return pd.DataFrame({"tok_a": pd.array(out_a, dtype="object"),
-                             "tok_b": pd.array(out_b, dtype="object")})
-
-    pairs = exploded.groupby("coarse").map_groups(collide,
-                                                  batch_format="pandas")
-    # a pair collides once per shared variant — one coarse dedup fold
-    return coarse_agg(pairs.map_batches(
-        lambda b: b.assign(one=np.int64(1)), batch_format="pandas"),
-        ["tok_a", "tok_b"], {"one": ("one", "min")},
-        coarse_buckets=coarse_buckets).drop_columns(["one"])

@@ -4,15 +4,17 @@ Plain mode:
     python bench.py
         runs the headline pipelines over $GRAFT_SF_DIR (default
         /root/testdata/sf0.1) with ray.init(num_cpus=$RAY_GRAFT_CPUS
-        or 32) and prints
+        or the process's CPU-affinity core count) and prints
         {"metric": ..., "value": sec, "unit": "sec", "queries": {...},
          "sf": ..., "num_cpus": N, "docs_per_sec": ..., ...}
 
 Scaling mode (the sandbox stand-in for N- vs 4N-node clusters):
     python bench.py --scaling
         runs the SAME headline pipeline in two fresh processes at
-        num_cpus=8 and num_cpus=32 and reports both throughputs plus
-        scaling efficiency ((t8/t32)/4; 1.0 = perfectly linear).
+        num_cpus=N/2 and num_cpus=N (N = the num_cpus above, so both
+        levels are cores the box has) and reports both throughputs plus
+        scaling efficiency ((t_lo/t_hi)/(hi/lo); 1.0 = perfectly
+        linear).
 
 The headline pipeline is the flagship extraction: synthesize
 Common-Crawl-style pages from the documents table (replicated
@@ -31,7 +33,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 REPLICATION = int(os.environ.get("BENCH_REPLICATION", "8"))
 
 
@@ -217,14 +220,10 @@ def run_plain() -> dict:
         "q_simhash_near_dups": bench_query(Q.q_simhash_near_dups, SF_DIR),
         "q_lm_quality": bench_query(Q.q_lm_quality, SF_DIR),
         "q_boilerplate": bench_query(Q.q_boilerplate, SF_DIR),
-        # round-5 showcase ops: HITS link analysis, corpus-wide
-        # distinct-(source, token) vocabulary overlap, URL
-        # canonicalization fold, pairwise source JS divergence
-        # (token-bucket pair fold)
+        # round-5 showcase ops: HITS link analysis, URL
+        # canonicalization fold
         "q_hits": bench_query(Q.q_hits, SF_DIR),
-        "q_source_overlap": bench_query(Q.q_source_overlap, SF_DIR),
         "q_url_canonical": bench_query(Q.q_url_canonical, SF_DIR),
-        "q_js_divergence": bench_query(Q.q_js_divergence, SF_DIR),
     }
     out = {
         "metric": "headline extraction wall time (docs->text)",
@@ -428,13 +427,14 @@ def run_shuffle_mode() -> dict:
 
 
 def run_scaling_shuffle() -> dict:
-    """8-vs-32-cpu scaling for the shuffle-heavy operators, fresh
-    process per level (each query best-of-2 inside its process).
+    """N/2-vs-N-cpu scaling (N = NUM_CPUS) for the shuffle-heavy
+    operators, fresh process per level (each query best-of-2 inside
+    its process).
 
     Reports BOTH standard metrics:
 
-    - strong: same data at both levels; eff = (t8/t32)/4.  On a single
-      shared-memory box this is a known-pessimistic lower bound for
+    - strong: same data at both levels; eff = (t_lo/t_hi)/(hi/lo).  On
+      a single shared-memory box this is a known-pessimistic lower bound for
       shuffles: the AllToAll barrier latency and the object-store
       memcpy bandwidth are per-BOX constants that a real cluster
       scales with node count (every node adds its own memory bus and
@@ -442,11 +442,11 @@ def run_scaling_shuffle() -> dict:
       ~6 core-SECONDS of remote work under ~8 s of AllToAll barrier
       latency — strong scaling at feasible local sizes measures that
       latency, not throughput.
-    - weak: data scaled with cpus (8 cpus get 1/4 of the rows);
-      eff = t8/t32 — the 100-TB question as a cluster actually
-      experiences it (4x hardware, 4x data, same wall).
+    - weak: data scaled with cpus (lo cpus get 1/(hi//lo) of the rows);
+      eff = t_lo/t_hi — the 100-TB question as a cluster actually
+      experiences it (k x hardware, k x data, same wall).
     """
-    lo, hi = 8, 32
+    lo, hi = max(1, NUM_CPUS // 2), NUM_CPUS
     factor = hi // lo
     base = {
         "BENCH_JOIN_REPLICATION":
@@ -466,20 +466,20 @@ def run_scaling_shuffle() -> dict:
                              check=True).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    r_hi = run(hi, 1)          # full data at 32 cpus (shared by both)
-    r_lo_full = run(lo, 1)     # full data at 8 cpus (strong)
-    r_lo_quarter = run(lo, factor)   # 1/4 data at 8 cpus (weak)
+    r_hi = run(hi, 1)          # full data at hi cpus (shared by both)
+    r_lo_full = run(lo, 1)     # full data at lo cpus (strong)
+    r_lo_part = run(lo, factor)   # 1/factor of the data at lo cpus (weak)
     effs = {}
     for q in ("hash_join", "near_dup_distributed", "domain_stats"):
         effs[q] = {
-            "sec_32_full": r_hi[q],
-            "sec_8_full": r_lo_full[q],
-            "sec_8_quarter": r_lo_quarter[q],
+            "sec_hi_full": r_hi[q],
+            "sec_lo_full": r_lo_full[q],
+            "sec_lo_part": r_lo_part[q],
             "strong_efficiency": round((r_lo_full[q] / r_hi[q]) / factor, 3),
-            "weak_efficiency": round(r_lo_quarter[q] / r_hi[q], 3),
+            "weak_efficiency": round(r_lo_part[q] / r_hi[q], 3),
         }
     return {
-        "metric": "scaling efficiency (shuffle ops, 8 vs 32 cpus)",
+        "metric": f"scaling efficiency (shuffle ops, {lo} vs {hi} cpus)",
         "value": round(min(v["weak_efficiency"] for v in effs.values()), 3),
         "unit": "efficiency",
         "queries": effs,
@@ -493,8 +493,8 @@ def run_scaling() -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), BENCH_ONLY_EXTRACT="1")
         # scaling needs a compute-dominated workload: default to a larger
         # replication than plain mode unless the caller pinned one.
-        # 384x (1.92M docs, ~2 GB html) keeps the 32-cpu run ~30 s —
-        # measured: at 128x the 32-cpu side finishes in ~10-12 s and
+        # 384x (1.92M docs, ~2 GB html) kept a 32-cpu run on 4 cores
+        # ~30 s — measured: at 128x that side finished in ~10-12 s and
         # ±2.4 s of session jitter alone swings efficiency 0.78-0.97;
         # the bar is about throughput scaling, which wants steady state
         env.setdefault("BENCH_REPLICATION", "384")
@@ -509,18 +509,18 @@ def run_scaling() -> dict:
         a, b = run_once(ncpu), run_once(ncpu)
         return a if a["value"] <= b["value"] else b
 
-    lo, hi = 8, 32
+    lo, hi = max(1, NUM_CPUS // 2), NUM_CPUS
     r_lo, r_hi = run(lo), run(hi)
     t_lo, t_hi = r_lo["value"], r_hi["value"]
     eff = (t_lo / t_hi) / (hi / lo)
     return {
-        "metric": "scaling efficiency (extraction, 8 vs 32 cpus)",
+        "metric": f"scaling efficiency (extraction, {lo} vs {hi} cpus)",
         "value": round(eff, 3),
         "unit": "efficiency",
-        "sec_8": t_lo,
-        "sec_32": t_hi,
-        "docs_per_sec_8": r_lo["docs_per_sec"],
-        "docs_per_sec_32": r_hi["docs_per_sec"],
+        "sec_lo": t_lo,
+        "sec_hi": t_hi,
+        "docs_per_sec_lo": r_lo["docs_per_sec"],
+        "docs_per_sec_hi": r_hi["docs_per_sec"],
         "sf": SF_DIR,
         "replication": r_hi.get("replication", REPLICATION),
     }

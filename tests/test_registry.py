@@ -154,7 +154,6 @@ _MAP_GROUPS_ALLOW = Counter({
     "stages/dedup.py:connected_components_ds": 1,
     "stages/dedup.py:dup_span_stats": 2,
     "stages/dedup.py:sorted_neighborhood_pairs": 1,
-    "stages/dedup.py:typo_variant_pairs": 1,
     "stages/boilerplate.py:remove_boilerplate": 1,
     "stages/ann.py:ann_topk": 1,
     "stages/ann.py:embedding_near_dups": 1,
@@ -166,11 +165,10 @@ _MAP_GROUPS_ALLOW = Counter({
     "state/hash_index.py:build_hash_index": 1,
     "state/hash_index.py:update_hash_index": 1,
     **{f"pipelines/queries.py:{q}": 1 for q in (
-        "q_count_distinct", "q_ctfidf", "q_distinct", "q_dup_flow",
-        "q_events_sliding", "q_hard_negatives", "q_inverted_index",
-        "q_js_divergence", "q_knn_label", "q_median", "q_ngram_entropy",
+        "q_count_distinct", "q_ctfidf", "q_distinct", "q_events_sliding",
+        "q_hard_negatives", "q_inverted_index", "q_knn_label", "q_median",
         "q_offer_ranking", "q_pack_sequences", "q_posting_lists",
-        "q_running_total", "q_source_overlap", "q_topk_per_group")},
+        "q_running_total", "q_topk_per_group")},
 })
 
 

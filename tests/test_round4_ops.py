@@ -1,7 +1,7 @@
 """Round-4 operator differentials: boilerplate removal (pandas
 reference on a corpus with within-doc repeats, NULL text, per-domain
-frequency structure), PMI pairs, the size-gated LM assembly paths,
-sorted-neighborhood blocking, and embedding covariance."""
+frequency structure), the size-gated LM assembly paths and
+sorted-neighborhood blocking."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -128,35 +128,6 @@ def test_remove_boilerplate_dup_line_df_counts_docs(ray_session, corpus):
     assert d0.count("dup line") == 3
 
 
-def test_pmi_pairs_deterministic_and_windowed(ray_session, tmp_path):
-    """q_pmi_pairs: stable across runs, and distance-2 skip-grams are
-    really counted (a corpus where 'a c' only ever cooccurs at d=2)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_pmi_pairs
-
-    docs = ["a b c"] * 6 + ["b c a"] * 3 + ["c b a"] * 3
-    tbl = pa.table({"doc_id": pa.array(range(12), "int64"),
-                    "text": pa.array(docs, "string"),
-                    "lang": pa.array(["en"] * 12, "string"),
-                    "source": pa.array(["s"] * 12, "string"),
-                    "n_chars": pa.array([5] * 12, "int64")})
-    pq.write_table(tbl, tmp_path / "documents.parquet")
-
-    r1 = q_pmi_pairs(str(tmp_path), min_count=2, topk=50)
-    r2 = q_pmi_pairs(str(tmp_path), min_count=2, topk=50)
-    assert r1.values.tolist() == r2.values.tolist()
-    got = {(a, b): c for a, b, c in
-           zip(r1["w1"], r1["w2"], r1["c12"])}
-    # d=2 pair from 'a b c' (x6); d=1 'a b' also x6
-    assert got[("a", "c")] == 6
-    assert got[("a", "b")] == 6
-    # ranking is (pmi desc, w1, w2): verify sortedness
-    key = list(zip(-r1["pmi"], r1["w1"], r1["w2"]))
-    assert key == sorted(key)
-
-
 def test_lm_quality_assembly_paths_agree(ray_session, sf_tiny, gate_spy,
                                          force_shuffle):
     """The size-gated LM model assembly (driver pandas vs distributed
@@ -209,67 +180,3 @@ def test_sorted_neighborhood_matches_pandas(ray_session):
     assert got.values.tolist() == want.values.tolist()
     # boundary pairs exist: some pair spans two different buckets
     assert (got["key_match"] == 0).any() and (got["key_match"] == 1).any()
-
-
-def test_embed_covariance_matches_numpy(ray_session, sf_tiny):
-    """Distributed matrix partial sums == np.cov (population) on the
-    materialized embedding matrix."""
-    import pyarrow.parquet as pq
-
-    from bb_ocr_ray.pipelines.queries import q_embed_covariance
-
-    got = q_embed_covariance(sf_tiny)
-    X = np.asarray([np.asarray(v, dtype=np.float64) for v in
-                    pq.read_table(f"{sf_tiny}/embeddings.parquet",
-                                  columns=["embedding"])
-                    ["embedding"].to_pylist()])
-    C = np.cov(X, rowvar=False, bias=True)      # population covariance
-    iu, ju = np.triu_indices(X.shape[1])
-    want = np.round(C[iu, ju], 6)
-    assert got["i"].tolist() == (iu + 1).tolist()
-    assert got["j"].tolist() == (ju + 1).tolist()
-    np.testing.assert_allclose(got["cov"].to_numpy(), want, atol=2e-6)
-    assert np.abs(got["cov"].to_numpy()).max() > 0   # non-degenerate
-
-
-def test_typo_variant_pairs_matches_bruteforce(ray_session):
-    """Deletion-neighborhood blocking == brute-force byte-Levenshtein
-    over a vocabulary with planted distance-1 variants, a distance-2
-    shared-variant false candidate ('ab...'/'ba...'), and a multibyte
-    token proving the BYTE metric (DuckDB levenshtein parity)."""
-    import ray.data as rd
-
-    from bb_ocr_ray.stages.dedup import typo_variant_pairs
-
-    vocab = ["table", "tble", "tabel", "chair", "chairs", "abcd",
-             "bacd", "café", "cafe", "stone", "st0ne", "zzzz"]
-    got = (typo_variant_pairs(
-        rd.from_pandas(pd.DataFrame({"tok": vocab})))
-        .to_pandas().sort_values(["tok_a", "tok_b"])
-        .reset_index(drop=True))
-
-    def lev(a, b):
-        a, b = a.encode(), b.encode()
-        prev = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            cur = [i]
-            for j, cb in enumerate(b, 1):
-                cur.append(min(prev[j] + 1, cur[-1] + 1,
-                               prev[j - 1] + (ca != cb)))
-            prev = cur
-        return prev[-1]
-
-    want = sorted((a, b) for i, a in enumerate(vocab)
-                  for b in vocab[i + 1:] if lev(*sorted((a, b))) == 1
-                  for a, b in [sorted((a, b))])
-    assert list(zip(got["tok_a"], got["tok_b"])) == want
-    pairs = set(zip(got["tok_a"], got["tok_b"]))
-    assert ("table", "tble") in pairs            # deletion
-    assert ("st0ne", "stone") in pairs           # substitution
-    # transposition = distance 2; shares deletion variants with its
-    # partner, so it IS a candidate — the verify must filter it
-    assert ("abcd", "bacd") not in pairs
-    # café/cafe differ by a 2-byte char swap -> byte distance 2
-    assert ("cafe", "café") not in pairs
-
-

@@ -1,8 +1,6 @@
 """Round-5 fourth-session operator differentials: URL canonicalization
-rules, anchor-text extraction and source vocabulary overlap."""
+rules and anchor-text extraction."""
 
-import numpy as np
-import pandas as pd
 import pytest
 
 from bb_ocr_ray.functions.urls import canonicalize_url
@@ -56,31 +54,3 @@ def test_extract_anchor_texts_rules():
         ("https://e.com/img", ""),
         ("https://e.com/z?q=1", "frag stripped"),
     ]
-
-
-def test_source_overlap_matches_pandas(ray_session, tmp_path):
-    rng = np.random.RandomState(13)
-    vocab = [f"w{i}" for i in range(40)]
-    rows = []
-    for d in range(400):
-        src = f"s{rng.randint(0, 4)}"
-        text = " ".join(rng.choice(vocab, rng.randint(1, 12)))
-        rows.append((d, text, "en", src, len(text)))
-    docs = pd.DataFrame(rows, columns=["doc_id", "text", "lang",
-                                       "source", "n_chars"])
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    docs.to_parquet(sf / "documents.parquet", index=False)
-
-    from bb_ocr_ray.pipelines.queries import q_source_overlap
-    got = q_source_overlap(str(sf))
-
-    vocabs = {s: set(" ".join(g["text"]).split())
-              for s, g in docs.groupby("source")}
-    srcs = sorted(vocabs)
-    assert len(got) == len(srcs) * (len(srcs) - 1) // 2
-    for _, r in got.iterrows():
-        a, b = vocabs[r["source_a"]], vocabs[r["source_b"]]
-        assert int(r["n_common"]) == len(a & b)
-        assert int(r["n_union"]) == len(a | b)
-        assert abs(float(r["jaccard"]) - len(a & b) / len(a | b)) < 1e-6

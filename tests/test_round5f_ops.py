@@ -1,5 +1,5 @@
-"""Round-5 sixth-session batch-B differentials: norm bands vs
-per-vector numpy norms, and the term scan vs Python str.count."""
+"""Round-5 sixth-session batch-B differential: the term scan vs
+Python str.count."""
 import numpy as np
 import pandas as pd
 
@@ -10,32 +10,6 @@ def _write(tmp_path, **tables):
     for name, df in tables.items():
         df.to_parquet(sf / f"{name}.parquet", index=False)
     return str(sf)
-
-
-# ----------------------------------------------------------- norm bands
-def test_norm_bands_matches_numpy(ray_session, tmp_path):
-    rng = np.random.RandomState(2)
-    vecs = [rng.normal(0, 1, 64).astype("float32") for _ in range(300)]
-    vecs += [np.zeros(64, dtype="float32")]              # zero vector
-    vecs += [(rng.normal(0, 1, 64) * 5).astype("float32")]  # un-normalized
-    emb = pd.DataFrame({"vec_id": np.arange(len(vecs), dtype="int64"),
-                        "embedding": vecs,
-                        "label": np.zeros(len(vecs), dtype="int32")})
-    sf = _write(tmp_path, embeddings=emb)
-
-    from bb_ocr_ray.pipelines.queries import q_norm_bands
-    got = q_norm_bands(sf)
-
-    norms = np.round([np.sqrt((v.astype("float64") ** 2).sum())
-                      for v in vecs], 4)
-    bands = np.floor(norms * 10).astype("int64")
-    for _, r in got.iterrows():
-        m = bands == r["band"]
-        assert r["n_vecs"] == m.sum()
-        assert abs(r["min_norm"] - norms[m].min()) < 1e-9
-        assert abs(r["max_norm"] - norms[m].max()) < 1e-9
-    assert int(got["n_vecs"].sum()) == len(vecs)
-    assert 0 in set(got["band"])                 # the zero vector's band
 
 
 # ------------------------------------------------------------ term scan

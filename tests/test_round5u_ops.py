@@ -1,6 +1,5 @@
-"""Round-5 seventh-session batch-N differentials: WAND bounds vs a
-direct per-term max-tf·idf computation, rare-category collapse on a
-planted head/tail split, and casing classes on planted tokens."""
+"""Round-5 seventh-session batch-N differential: WAND bounds vs a
+direct per-term max-tf·idf computation."""
 import math
 
 import numpy as np
@@ -15,12 +14,9 @@ def _write(tmp_path, **tables):
     return str(sf)
 
 
-def _docs(texts, source=None):
-    n = len(texts)
-    return pd.DataFrame({"doc_id": np.arange(n, dtype="int64"),
-                         "text": texts, "lang": "en",
-                         "source": source if source is not None
-                         else ["s"] * n,
+def _docs(texts):
+    return pd.DataFrame({"doc_id": np.arange(len(texts), dtype="int64"),
+                         "text": texts, "lang": "en", "source": "s",
                          "n_chars": [len(t) for t in texts]})
 
 
@@ -56,40 +52,3 @@ def test_wand_bounds_matches_direct(ray_session, tmp_path):
     assert [tuple(r) for r in got.itertuples(index=False)] == want
     # the planted rare-high-tf term tops the table
     assert got["tok"].iloc[0] == "burst"
-
-
-# ------------------------------------------------------------ rare collapse
-def test_rare_collapse_head_tail(ray_session, tmp_path):
-    # 'head' = 60% of mass, 'mid' = 38%, 100 singleton tail tokens
-    texts = [" ".join(["head"] * 300), " ".join(["mid"] * 190),
-             " ".join(f"tail{i}" for i in range(10))]
-    sf = _write(tmp_path, documents=_docs(texts))
-
-    from bb_ocr_ray.pipelines.queries import q_rare_collapse
-    got = q_rare_collapse(sf).set_index("category")
-
-    total = 300 + 190 + 10
-    # 1% threshold = 5: tail tokens (1 each) collapse
-    assert int(got.loc["head", "n"]) == 300
-    assert int(got.loc["mid", "n"]) == 190
-    assert int(got.loc["__rare__", "n"]) == 10
-    assert len(got) == 3
-    assert int(got["n"].sum()) == total
-
-
-# ---------------------------------------------------------------- case stats
-def test_case_stats_planted_classes(ray_session, tmp_path):
-    texts = ["the Cat SAT On THE mat A 123 héllo MiXeD"]
-    sf = _write(tmp_path, documents=_docs(texts, source=["s1"]))
-
-    from bb_ocr_ray.pipelines.queries import q_case_stats
-    got = q_case_stats(sf).iloc[0]
-
-    # lower: the, mat, on? 'On' is title. lower = {the, mat} -> 2
-    assert int(got["n_lower"]) == 2
-    # upper (2+): SAT, THE -> 2
-    assert int(got["n_upper"]) == 2
-    # title: Cat, On, A (single capital) -> 3
-    assert int(got["n_title"]) == 3
-    # other: 123, héllo (non-ascii), MiXeD -> 3
-    assert int(got["n_other"]) == 3

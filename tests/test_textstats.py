@@ -94,21 +94,3 @@ def test_jaccard_integer_pair():
 def test_simhash_empty():
     assert simhash("") == 0
     assert minhash_signature("").max() == np.iinfo(np.uint64).max
-
-
-def test_nb_classify_beats_chance_and_is_deterministic(ray_session, sf_tiny):
-    """The NB classifier must beat 5-class chance on held-out lang
-    (the synthetic corpus is only weakly separable — majority-class
-    level is expected, random level is a bug), score every
-    doc_id%5==0 doc with tokens, and be run-to-run identical."""
-    import pandas as pd
-
-    from bb_ocr_ray.pipelines.queries import q_nb_classify
-
-    out = q_nb_classify(sf_tiny)
-    assert (out["doc_id"] % 5 == 0).all()
-    assert set(out["pred"]) <= set(out["lang"]) | {"<null>"}
-    acc = (out["lang"] == out["pred"]).mean()
-    assert acc > 0.25, f"accuracy {acc:.2f} at chance level"
-    out2 = q_nb_classify(sf_tiny)
-    pd.testing.assert_frame_equal(out, out2)
