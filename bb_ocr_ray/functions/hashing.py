@@ -80,8 +80,7 @@ def shingle_set(text: str, k: int) -> set:
     """DISTINCT k-token shingles of the ws_tokens stream; docs shorter
     than k yield NONE (decontamination semantics — unlike _shingles
     below, which keeps a short doc's whole text as one shingle for
-    minhash).  Shared by q_decontaminate and q_training_prep so their
-    overlap semantics cannot drift."""
+    minhash).  The decontamination shingles of ``stages.curate``."""
     tk = ws_tokens(text or "")
     return {" ".join(tk[i:i + k]) for i in range(len(tk) - k + 1)}
 

@@ -13,6 +13,8 @@ mirror it character-for-character.
 
 from __future__ import annotations
 
+import re
+
 import pandas as pd
 
 # Fixed stopword list (subset of the synthetic corpus vocabulary + common
@@ -52,7 +54,9 @@ def quality_features(texts: pd.Series) -> pd.DataFrame:
     n_chars = texts.str.len()
     n_tok = n_tokens_series(texts)
     n_stop = stop_token_counts(texts)
-    n_punct = texts.str.count(r"[^\w\s]")
+    # re.ASCII: RE2's \w/\s are ASCII-only; unicode-aware counting
+    # would diverge from the DuckDB mirror on non-ASCII corpora
+    n_punct = texts.str.count(r"[^\w\s]", flags=re.ASCII)
     return pd.DataFrame(
         {
             "n_chars": n_chars.astype("int64"),
@@ -97,11 +101,3 @@ def detect_lang(text: str) -> str:
 
 def detect_lang_series(texts: pd.Series) -> pd.Series:
     return texts.map(detect_lang)
-
-
-def bpe_ish_token_count(texts: pd.Series) -> pd.Series:
-    """Approximate subword token count: GPT-2-style pre-tokenizer regex
-    (contractions / letter-runs / digit-runs / punct-runs) — public
-    pattern family; counts matches without building the tokens."""
-    pat = r"'s|'t|'re|'ve|'m|'ll|'d| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+(?!\S)|\s+"
-    return texts.str.count(pat)

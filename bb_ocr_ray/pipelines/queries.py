@@ -22,13 +22,10 @@ import ray.data as rd
 from bb_ocr_ray.sources.tables import read_parquet_clean as _read_parquet
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from bb_ocr_ray.stages.coarse import coarse_agg
+from bb_ocr_ray.stages.coarse import coarse_agg, grouped_per_key
 
 from bb_ocr_ray.functions.hashing import md5_hex
-from bb_ocr_ray.functions.textstats import (
-    n_tokens_series,
-    stop_token_counts,
-)
+from bb_ocr_ray.functions.textstats import n_tokens_series, quality_features
 
 
 def _t(sf_dir: str, name: str) -> str:
@@ -41,16 +38,6 @@ def _round_sql(x, decimals: int):
     oracles on exactly-representable midpoints (e.g. 817/32 at 4 dp)."""
     f = 10.0 ** decimals
     return np.sign(x) * np.floor(np.abs(x) * f + 0.5) / f
-
-
-def _grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None):
-    """See stages/coarse.grouped_per_key — natural keys (user_id, url,
-    content hash) are row-cardinality, and Ray grouped ops pay
-    per-GROUP overhead, so no query hands Ray a high-cardinality
-    grouping key directly."""
-    from bb_ocr_ray.stages.coarse import grouped_per_key
-
-    return grouped_per_key(ds, key, fn, coarse_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +452,7 @@ def q_sessionize(sf_dir: str):
              "n_events": pd.Series([len(g)], dtype="int64")}
         )
 
-    return _grouped_per_key(ds, "user_id", sessions)
+    return grouped_per_key(ds, "user_id", sessions)
 
 
 def q_json_extract(sf_dir: str):
@@ -553,15 +540,8 @@ def q_doc_quality(sf_dir: str):
                          columns=["source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        t = batch["text"].fillna("")
-        return pd.DataFrame(
-            {"source": batch["source"],
-             "n_tokens": n_tokens_series(t).astype("int64"),
-             "n_stop_tokens": stop_token_counts(t).astype("int64"),
-             # re.ASCII: RE2's \w/\s are ASCII-only; unicode-aware
-             # counting would diverge on non-ASCII corpora
-             "n_punct": t.str.count(r"[^\w\s]", flags=__import__("re").ASCII)
-                        .astype("int64")}
+        return quality_features(batch["text"].fillna("")).assign(
+            source=batch["source"]
         ).groupby("source", as_index=False).agg(
             n_docs=("n_tokens", "size"), sum_tokens=("n_tokens", "sum"),
             sum_stop_tokens=("n_stop_tokens", "sum"),
@@ -719,21 +699,28 @@ def q_embedding_near_dups(sf_dir: str):
     huge margin (next-highest corpus cosine ~0.49 vs threshold 0.9)
     plus deterministic seeded planes make LSH recall exactly 1 on this
     probe set, so the oracle is a true value-hash gate."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
     from bb_ocr_ray.stages.ann import embedding_near_dups
 
     vecs = _read_parquet(_t(sf_dir, "embeddings"),
                            columns=["vec_id", "embedding"])
 
-    def plant(b: pd.DataFrame) -> pd.DataFrame:
-        t = b[b["vec_id"] < 25]
-        return pd.DataFrame(
-            {"vec_id": (t["vec_id"] + 1_000_000).astype("int64"),
-             "embedding": [
-                 (np.asarray(v, dtype=np.float64) + 0.01).astype(np.float32)
-                 for v in t["embedding"]]}
-        )
+    def plant(t: pa.Table) -> pa.Table:
+        # Arrow in and out: a batch with no vec_id < 25 row still
+        # yields the input's list<float> type, not an untyped column
+        t = t.filter(pc.less(t["vec_id"], 25))
+        emb = t["embedding"].combine_chunks()
+        vals = (pc.list_flatten(emb).to_numpy(zero_copy_only=False)
+                .astype(np.float64) + 0.01).astype(np.float32)
+        offsets = np.r_[0, np.cumsum(pc.list_value_length(emb))]
+        return pa.table({
+            "vec_id": pc.add(t["vec_id"], 1_000_000),
+            "embedding": pa.ListArray.from_arrays(
+                pa.array(offsets, pa.int32()), vals, type=emb.type)})
 
-    twins = vecs.map_batches(plant, batch_format="pandas")
+    twins = vecs.map_batches(plant, batch_format="pyarrow")
     pairs = embedding_near_dups(vecs.union(twins), threshold=0.9)
     return pairs.map_batches(
         lambda b: b[(b["id_a"] >= 1_000_000) | (b["id_b"] >= 1_000_000)],
@@ -784,7 +771,7 @@ def q_dedup_pages(sf_dir: str):
 
     # url-cardinality == row count: coarse-bucketed per-key grouping
     # (one Ray group per key would pay the per-group tax on every row)
-    return _grouped_per_key(pages, "url", first_row)
+    return grouped_per_key(pages, "url", first_row)
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +932,7 @@ def q_asof_join(sf_dir: str):
              "last_click_epoch": epoch.fillna(-1).astype("int64")}
         )
 
-    return _grouped_per_key(ds, "user_id", per_user)
+    return grouped_per_key(ds, "user_id", per_user)
 
 
 def q_events_sliding(sf_dir: str):
@@ -1658,42 +1645,30 @@ def q_repetition(sf_dir: str):
 # ---------------------------------------------------------------------------
 # Benchmark decontamination (train/eval n-gram overlap)
 # ---------------------------------------------------------------------------
-def q_decontaminate(sf_dir: str, k: int = 8):
-    """Decontamination: flag corpus docs sharing any k-token shingle
+def q_decontaminate(sf_dir: str):
+    """Decontamination: flag corpus docs sharing any 8-token shingle
     with the eval set (doc_id % 50 == 0) and count the DISTINCT
     overlapping shingles.  The eval side is a benchmark — inherently
     small — so its distinct-shingle set is built once and broadcast
-    via ray.put; the corpus streams through one map_batches with no
-    shuffle (the standard scale shape for training-data decontam)."""
-    import functools
+    (``curate.eval_shingles``); the corpus streams through one
+    map_batches (``curate.eval_hits``) with no shuffle (the standard
+    scale shape for training-data decontam)."""
+    import pyarrow as pa
 
-    import ray
-
-    from bb_ocr_ray.functions.hashing import shingle_set
+    from bb_ocr_ray.stages.curate import eval_hits, eval_shingles, is_eval
 
     docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    sh_of = functools.partial(shingle_set, k=k)
+    corpus = docs.map_batches(
+        lambda t: t.filter(pa.array(~is_eval(t.column("doc_id").to_numpy()))),
+        batch_format="pyarrow")
 
-    eval_pd = docs.map_batches(lambda b: b[b["doc_id"] % 50 == 0],
-                               batch_format="pandas").to_pandas()
-    eval_sh = set().union(*map(sh_of, eval_pd["text"])) \
-        if len(eval_pd) else set()
-    ref = ray.put(eval_sh)
+    def contaminated(b: pd.DataFrame) -> pd.DataFrame:
+        b = b[b["n_hit_shingles"] > 0]
+        return pd.DataFrame({"doc_id": b["doc_id"].astype("int64"),
+                             "n_hit_shingles": b["n_hit_shingles"]})
 
-    def flag(b: pd.DataFrame) -> pd.DataFrame:
-        es = ray.get(ref)
-        ids, hits = [], []
-        for d, t in zip(b["doc_id"], b["text"]):
-            if d % 50 == 0:
-                continue
-            n = len(sh_of(t) & es)
-            if n:
-                ids.append(int(d))
-                hits.append(n)
-        return pd.DataFrame({"doc_id": pd.array(ids, dtype="int64"),
-                             "n_hit_shingles": pd.array(hits, dtype="int64")})
-
-    out = docs.map_batches(flag, batch_format="pandas").to_pandas()
+    out = (eval_hits(corpus, eval_shingles(docs))
+           .map_batches(contaminated, batch_format="pandas").to_pandas())
     if out.empty:
         # an all-empty Dataset loses its schema through to_pandas()
         # (Ray drops empty blocks); re-type the contamination report so
@@ -1712,13 +1687,12 @@ QUERIES.update({
 # ---------------------------------------------------------------------------
 # Training-data chunking: fixed token windows with stride (flat_map)
 # ---------------------------------------------------------------------------
-def q_chunk_docs(sf_dir: str, window: int = 32, stride: int = 24):
-    """Split each document into token windows of ``window`` tokens at
-    ``stride`` spacing (overlap = window - stride) — the standard LLM
-    training-prep chunker, expressed as a 1->N batch expansion.  Chunk
-    starts are every stride-th token position, so every token lands in
-    at least one chunk; empty docs produce none.  Doc-local: one
-    map_batches, NO shuffle."""
+def q_chunk_docs(sf_dir: str):
+    """Split each document into 32-token windows at 24-token spacing
+    (overlap 8) — the standard LLM training-prep chunker, expressed as
+    a 1->N batch expansion.  Chunk starts are every 24th token
+    position, so every token lands in at least one chunk; empty docs
+    produce none.  Doc-local: one map_batches, NO shuffle."""
     from bb_ocr_ray.functions.hashing import ws_tokens
 
     ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -1727,8 +1701,8 @@ def q_chunk_docs(sf_dir: str, window: int = 32, stride: int = 24):
         ids, cids, texts, ntoks = [], [], [], []
         for d, t in zip(b["doc_id"], b["text"]):
             tk = ws_tokens(t or "")
-            for ci, s in enumerate(range(0, len(tk), stride), start=1):
-                w = tk[s:s + window]
+            for ci, s in enumerate(range(0, len(tk), 24), start=1):
+                w = tk[s:s + 32]
                 ids.append(int(d))
                 cids.append(ci)
                 texts.append(" ".join(w))
@@ -1760,47 +1734,36 @@ def q_training_prep(sf_dir: str):
       2. exact dedup      — keep the min doc_id per md5(text)
                             (`stages.dedup.dedup_exact`);
       3. decontamination  — drop docs sharing any 8-token shingle with
-                            the eval set (shingle set broadcast once);
+                            the eval set (`stages.curate.eval_hits`,
+                            shingle set broadcast once);
       4. chunking         — 32-token windows at stride 24 (counted,
                             not materialized);
       5. summary          — per-source surviving docs / chunks /
                             tokens (partial agg, tiny final groupby).
 
     Every stage streams; nothing corpus-sized touches the driver."""
-    import functools
+    import pyarrow.compute as pc
 
-    import ray
-
-    from bb_ocr_ray.functions.hashing import md5_hex, shingle_set, ws_tokens
+    from bb_ocr_ray.functions.hashing import ws_tokens
+    from bb_ocr_ray.stages.curate import eval_hits, eval_shingles, is_eval
     from bb_ocr_ray.stages.dedup import dedup_exact
 
     docs = _read_parquet(_t(sf_dir, "documents"),
                          columns=["doc_id", "text", "source"])
-    sh8 = functools.partial(shingle_set, k=8)
-
-    eval_pd = docs.map_batches(lambda b: b[b["doc_id"] % 50 == 0],
-                               batch_format="pandas").to_pandas()
-    eval_sh = set().union(*map(sh8, eval_pd["text"])) \
-        if len(eval_pd) else set()
-    ref = ray.put(eval_sh)
 
     def qual_and_hash(b: pd.DataFrame) -> pd.DataFrame:
-        keep = [d % 50 != 0 and len(ws_tokens(t or "")) >= 10
-                for d, t in zip(b["doc_id"], b["text"])]
-        b = b[pd.Series(keep, index=b.index)].copy()
+        keep = ~is_eval(b["doc_id"]) & np.array(
+            [len(ws_tokens(t or "")) >= 10 for t in b["text"]], dtype=bool)
+        b = b[keep].copy()
         b["content_hash"] = [md5_hex(t or "") for t in b["text"]]
         return b
 
     qual = docs.map_batches(qual_and_hash, batch_format="pandas")
     survivors = dedup_exact(qual, key="content_hash",
                             order_col="doc_id")
-
-    def decon(b: pd.DataFrame) -> pd.DataFrame:
-        es = ray.get(ref)
-        keep = [not (sh8(t) & es) if es else True for t in b["text"]]
-        return b[pd.Series(keep, index=b.index)]
-
-    clean = survivors.map_batches(decon, batch_format="pandas")
+    clean = eval_hits(survivors, eval_shingles(docs)).map_batches(
+        lambda t: t.filter(pc.equal(t["n_hit_shingles"], 0)),
+        batch_format="pyarrow")
 
     def chunk_stats(b: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1840,19 +1803,10 @@ def q_inverted_index(sf_dir: str):
     import ray
 
     from bb_ocr_ray.functions.hashing import ws_tokens
+    from bb_ocr_ray.stages.curate import doc_freq
 
     docs = _read_parquet(_t(sf_dir, "documents"),
                          columns=["doc_id", "text"])
-
-    def df_partial(b: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-
-        c = Counter()
-        for t in b["text"]:
-            c.update(set(ws_tokens(t or "")))
-        return pd.DataFrame({"tok": list(c.keys()),
-                             "df": pd.array(list(c.values()),
-                                            dtype="int64")})
 
     # Two corpus passes instead of one pinned (doc_id, tok) table: the
     # pair table is CORPUS-sized (every distinct token of every doc),
@@ -1861,11 +1815,7 @@ def q_inverted_index(sf_dir: str):
     # to per-batch Counter partials (vocabulary-bounded shuffle);
     # pass 2 re-tokenizes and emits ONLY the 10 winners' pairs — the
     # second shuffle moves 10 posting lists, never the vocabulary.
-    df_counts = coarse_agg(
-        docs.map_batches(df_partial, batch_format="pandas"),
-        ["tok"], {"df": ("df", "sum")},
-    ).to_pandas()
-    df_counts["df"] = df_counts["df"].astype("int64")
+    df_counts = doc_freq(docs)
     top = (df_counts.sort_values(["df", "tok"], ascending=[False, True],
                                  kind="mergesort").head(10))
     top_ref = ray.put(frozenset(top["tok"]))
@@ -1935,12 +1885,11 @@ QUERIES.update({"q_dup_spans": q_dup_spans})
 # ---------------------------------------------------------------------------
 # TF-IDF: top-3 scored terms per document
 # ---------------------------------------------------------------------------
-def q_tfidf(sf_dir: str, topk: int = 3):
+def q_tfidf(sf_dir: str):
     """Top-3 TF-IDF terms per document.  Two corpus passes, ZERO
-    per-doc shuffle: pass 1 builds document frequencies (per-batch
-    distinct-per-doc Counter partial -> vocabulary-sized groupby), the
-    df map is broadcast once via ray.put, and
-    pass 2 re-tokenizes each doc and ranks locally.  Tokenizing twice
+    per-doc shuffle: pass 1 builds document frequencies
+    (``curate.doc_freq``), the df map is broadcast once via ray.put,
+    and pass 2 re-tokenizes each doc and ranks locally.  Tokenizing twice
     trades pure CPU for not shuffling (doc_id, tok, tf) rows per doc
     — at 100 TB the per-doc shuffle (or a corpus-sized materialize
     feeding two consumers) loses to a second pruned read.
@@ -1956,21 +1905,11 @@ def q_tfidf(sf_dir: str, topk: int = 3):
     import ray
 
     from bb_ocr_ray.functions.hashing import ws_tokens
+    from bb_ocr_ray.stages.curate import doc_freq
 
     ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     n_docs = ds.count()
-
-    def df_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in b["text"]:
-            c.update(set(ws_tokens(t or "")))
-        return pd.DataFrame({"tok": list(c.keys()),
-                             "df": pd.array(list(c.values()), dtype="int64")})
-
-    df_pd = coarse_agg(
-        ds.map_batches(df_partial, batch_format="pandas"),
-        ["tok"], {"df": ("df", "sum")},
-    ).to_pandas()
+    df_pd = doc_freq(ds)
     df_ref = ray.put(dict(zip(df_pd["tok"], (int(x) for x in df_pd["df"]))))
 
     def rank(b: pd.DataFrame) -> pd.DataFrame:
@@ -1979,7 +1918,7 @@ def q_tfidf(sf_dir: str, topk: int = 3):
         for d, t in zip(b["doc_id"], b["text"]):
             tf = Counter(ws_tokens(t or ""))
             top = sorted(tf.items(),
-                         key=lambda kv: (-kv[1], dfm[kv[0]], kv[0]))[:topk]
+                         key=lambda kv: (-kv[1], dfm[kv[0]], kv[0]))[:3]
             for tok, c in top:
                 ids.append(int(d))
                 toks.append(tok)
@@ -2007,20 +1946,17 @@ def q_train_split(sf_dir: str):
     """Hash-based 90/5/5 train/val/test assignment over documents with
     per-(split, source) doc and char counts — the canonical
     training-data partitioning step.  Assignment is a pure function of
-    doc_id (stable md5 bucket % 100), so it is reproducible across
-    runs, machines, and engines — never random state.  Per-batch
-    partial -> one-task final groupby (bounded: 3 × |sources| keys)."""
-    from bb_ocr_ray.functions.hashing import stable_u64
+    doc_id (``curate.split_of``: stable md5 bucket % 100), so it is
+    reproducible across runs, machines, and engines — never random
+    state.  Per-batch partial -> one-task final groupby (bounded:
+    3 × |sources| keys)."""
+    from bb_ocr_ray.stages.curate import split_of
 
     ds = _read_parquet(_t(sf_dir, "documents"),
                        columns=["doc_id", "source", "n_chars"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        buck = np.array([stable_u64(str(int(d))) % 100 for d in b["doc_id"]],
-                        dtype=np.int64)
-        split = np.where(buck < 90, "train",
-                         np.where(buck < 95, "val", "test"))
-        g = (b.assign(split=split)
+        g = (b.assign(split=split_of(b["doc_id"]))
              .groupby(["split", "source"], as_index=False)
              .agg(n_docs=("doc_id", "size"), sum_chars=("n_chars", "sum")))
         return g
@@ -2043,14 +1979,14 @@ QUERIES.update({"q_train_split": q_train_split})
 # ---------------------------------------------------------------------------
 # Sequence packing (concat-and-split, GPT-style training prep)
 # ---------------------------------------------------------------------------
-def q_pack_sequences(sf_dir: str, seq_len: int = 64):
+def q_pack_sequences(sf_dir: str):
     """Concat-and-split sequence packing: within each source, token
     streams are concatenated in doc_id order and cut into fixed
-    ``seq_len`` sequences (documents straddle cuts — the GPT
+    64-token sequences (documents straddle cuts — the GPT
     pre-training packing discipline, vs first-fit bin packing which is
     neither order-stable nor SQL-mirrorable).  Emits one row per
     (source, seq_id): how many docs contributed and the sequence's
-    token count (= seq_len except the tail).  Packing is inherently
+    token count (= 64 except the tail).  Packing is inherently
     sequential per stream, so the unit of parallelism is the stream:
     ``groupby(source).map_groups`` gives each source one task that
     sorts by doc_id and does integer cumsum arithmetic — at 100 TB the
@@ -2072,6 +2008,8 @@ def q_pack_sequences(sf_dir: str, seq_len: int = 64):
                             "source": b["source"].fillna("").astype(object),
                             "n": n})
         return out[out["n"] > 0]
+
+    seq_len = 64
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
@@ -2103,17 +2041,18 @@ def q_pack_sequences(sf_dir: str, seq_len: int = 64):
 # ---------------------------------------------------------------------------
 # Per-source quota cap (deterministic hash-rank downsampling)
 # ---------------------------------------------------------------------------
-def q_domain_quota(sf_dir: str, quota: int = 50):
-    """Cap each source at ``quota`` documents chosen by ascending
-    stable md5 hash of doc_id — the per-domain downsampling step every
-    crawl pipeline runs so no single site dominates the training mix.
-    Hash-rank selection is a reproducible "random" sample (pure
-    function of doc_id, no RNG state).  Per-batch partial keeps only
-    its local top-``quota`` per source plus (count, char-sum) totals,
-    so the merge task sees O(sources × quota) candidate rows, never
-    the corpus — the bounded-aggregate shape of q_train_split with a
-    top-k twist.  Output per source: n_total, n_kept, sum_chars_kept."""
-    from bb_ocr_ray.functions.hashing import stable_u64
+def q_domain_quota(sf_dir: str):
+    """Cap each source at 50 documents chosen by ascending stable md5
+    hash of doc_id (``curate.hash_rank``/``curate.top_quota``) — the
+    per-domain downsampling step every crawl pipeline runs so no
+    single site dominates the training mix.  Hash-rank selection is a
+    reproducible "random" sample (pure function of doc_id, no RNG
+    state).  Per-batch partial keeps only its local top-50 per source
+    plus (count, char-sum) totals, so the merge task sees
+    O(sources × quota) candidate rows, never the corpus — the
+    bounded-aggregate shape of q_train_split with a top-k twist.
+    Output per source: n_total, n_kept, sum_chars_kept."""
+    from bb_ocr_ray.stages.curate import hash_rank, top_quota
 
     ds = _read_parquet(_t(sf_dir, "documents"),
                        columns=["doc_id", "source", "n_chars"])
@@ -2128,13 +2067,9 @@ def q_domain_quota(sf_dir: str, quota: int = 50):
                 "n_chars": pd.array([], dtype="float64"),
                 "n_sub": pd.array([], dtype="int64")})
         b["source"] = b["source"].fillna("").astype(object)
-        # object dtype: hashes are full-width uint64 (> int64 max)
-        b["hv"] = pd.array(
-            [stable_u64(str(int(d))) for d in b["doc_id"]], dtype="object")
+        b["hv"] = hash_rank(b["doc_id"])
         b["n_sub"] = 1  # rows this candidate row stands for (count only)
-        keep = (b.sort_values(["source", "hv", "doc_id"], kind="mergesort")
-                .groupby("source", as_index=False, sort=False)
-                .head(quota))
+        keep = top_quota(b)
         # totals rows: candidates dropped here must still be counted
         dropped = b.loc[~b.index.isin(keep.index)]
         if len(dropped):
@@ -2147,11 +2082,7 @@ def q_domain_quota(sf_dir: str, quota: int = 50):
         return keep
 
     def final(b: pd.DataFrame) -> pd.DataFrame:
-        cand = b[b["hv"].notna()].copy()
-        kept = (cand.sort_values(["source", "hv", "doc_id"],
-                                 kind="mergesort")
-                .groupby("source", as_index=False, sort=False)
-                .head(quota))
+        kept = top_quota(b[b["hv"].notna()])
         out = b.groupby("source", as_index=False).agg(
             n_total=("n_sub", "sum"))
         ks = kept.groupby("source", as_index=False).agg(
@@ -2172,58 +2103,26 @@ def q_domain_quota(sf_dir: str, quota: int = 50):
 # ---------------------------------------------------------------------------
 # C4-style line-level filtering
 # ---------------------------------------------------------------------------
-_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ",
-                             "abcdefghijklmnopqrstuvwxyz")
-
-
-def q_line_filter(sf_dir: str, min_words: int = 3):
-    """C4's line-level cleaning rules as a doc-local batch transform:
-    a line survives iff (after stripping ASCII space/tab/CR) it ends
-    in terminal punctuation [.!?"], has >= ``min_words`` words, and
-    does not mention 'javascript' (C4 drops boilerplate JS warnings).
-    Emits per doc: total lines, kept lines, and the char length of the
-    newline-rejoined cleaned text.  One map_batches, NO shuffle — the
-    ideal 100-TB operator shape.  Cross-engine determinism: the
-    case-fold for the javascript test is an explicit A-Z->a-z
-    translate (Python .lower()/SQL lower() disagree on exotic unicode
-    case maps, cf. detect_lang), the strip set and the word splitter
-    '[ \\t\\r\\f\\v]+' are shared ASCII classes, and lengths are code
-    points on both engines."""
-    import re
-
-    word_re = re.compile("[ \t\r\f\v]+")
+def q_line_filter(sf_dir: str):
+    """C4's line-level cleaning rules (``curate.line_filter`` with the
+    terminal-punctuation rule and >= 3 words) as a doc-local batch
+    transform.  Emits per doc: total lines, kept lines, and the char
+    length of the newline-rejoined cleaned text.  One map_batches, NO
+    shuffle — the ideal 100-TB operator shape."""
+    from bb_ocr_ray.stages.curate import line_filter
 
     ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
 
-    def clean(b: pd.DataFrame) -> pd.DataFrame:
-        ids, nl, nk, nc = [], [], [], []
-        for d, t in zip(b["doc_id"], b["text"]):
-            if pd.isna(d):
-                continue
-            lines = (t or "").split("\n")
-            kept_len = 0
-            kept = 0
-            for raw in lines:
-                s = raw.strip(" \t\r")
-                if not s or s[-1] not in '.!?"':
-                    continue
-                if "javascript" in s.translate(_ASCII_LOWER):
-                    continue
-                if len([w for w in word_re.split(s) if w]) < min_words:
-                    continue
-                kept += 1
-                kept_len += len(s)
-            ids.append(int(d))
-            nl.append(len(lines))
-            nk.append(kept)
-            nc.append(kept_len + max(0, kept - 1))
+    def counts(b: pd.DataFrame) -> pd.DataFrame:
+        b = b[b["doc_id"].notna()]
         return pd.DataFrame({
-            "doc_id": pd.array(ids, dtype="int64"),
-            "n_lines": pd.array(nl, dtype="int64"),
-            "n_kept": pd.array(nk, dtype="int64"),
-            "n_chars_kept": pd.array(nc, dtype="int64")})
+            "doc_id": b["doc_id"].astype("int64"),
+            "n_lines": b["n_lines"],
+            "n_kept": b["n_kept"],
+            "n_chars_kept": b["text"].str.len().astype("int64")})
 
-    return ds.map_batches(clean, batch_format="pandas")
+    return line_filter(ds, 3, True).map_batches(counts,
+                                                batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -2292,7 +2191,7 @@ QUERIES.update({"q_pack_sequences": q_pack_sequences,
 # ---------------------------------------------------------------------------
 # Percentile-bounds outlier filter (two-pass, exact global quantiles)
 # ---------------------------------------------------------------------------
-def q_outlier_filter(sf_dir: str, lo_q: float = 0.01, hi_q: float = 0.99):
+def q_outlier_filter(sf_dir: str):
     """Drop length outliers outside the corpus's exact [p1, p99] of
     n_chars — the Gopher/RefinedWeb "remove the freak documents" step.
     Exact GLOBAL quantiles over an unbounded corpus normally need a
@@ -2329,7 +2228,7 @@ def q_outlier_filter(sf_dir: str, lo_q: float = 0.01, hi_q: float = 0.99):
         return int(vals[np.searchsorted(cum, math.ceil(q * n) - 1,
                                         side="right")])
 
-    lo, hi = pick(lo_q), pick(hi_q)
+    lo, hi = pick(0.01), pick(0.99)
 
     def summary(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -2365,19 +2264,20 @@ QUERIES.update({"q_outlier_filter": q_outlier_filter})
 # ---------------------------------------------------------------------------
 # Flagship composition #2: clean -> dedup -> quota -> split -> summary
 # ---------------------------------------------------------------------------
-def q_corpus_pipeline(sf_dir: str, quota: int = 50):
-    """Five-stage web-corpus curation pipeline composed from this
-    round's operators, one streaming lineage end-to-end:
+def q_corpus_pipeline(sf_dir: str):
+    """Five-stage web-corpus curation pipeline composed from the
+    curation stages, one streaming lineage end-to-end:
 
-      1. line-level clean (RefinedWeb-style short-line removal:
-         keep lines with >= 15 words and no 'javascript' — the C4
-         terminal-punct rule has zero signal on this corpus), drop
-         docs with no surviving line, rejoin kept lines with newline;
-      2. exact dedup on md5(cleaned text), keep-min-doc_id (the
-         q_dedup_exact discipline) — ONE sort shuffle on the 32-char
-         hash, payload never shuffled twice;
-      3. per-source quota cap by stable hash rank (q_domain_quota);
-      4. deterministic 90/5/5 split (q_train_split);
+      1. line-level clean (``curate.line_filter``, RefinedWeb-style
+         short-line removal: keep lines with >= 15 words and no
+         'javascript' — the C4 terminal-punct rule has zero signal on
+         this corpus), drop docs with no surviving line;
+      2. exact dedup on md5(cleaned text), keep-min-doc_id
+         (``dedup.dedup_exact``) — payload never shuffled twice;
+      3. per-source quota cap of 50 by stable hash rank
+         (``curate.top_quota``, as q_domain_quota);
+      4. deterministic 90/5/5 split (``curate.split_of``, as
+         q_train_split);
       5. per-(split, source) doc/char summary.
 
     Stages 3-5 run on bounded data (partial top-quota per batch ->
@@ -2386,66 +2286,36 @@ def q_corpus_pipeline(sf_dir: str, quota: int = 50):
     chain over the same five stages — integer/string-exact
     throughout, so the value-hash gate covers the whole composition,
     not just the stages in isolation."""
-    import re
-
-    from bb_ocr_ray.functions.hashing import md5_hex, stable_u64
-
-    word_re = re.compile("[ \t\r\f\v]+")
+    from bb_ocr_ray.stages.curate import (hash_rank, line_filter, split_of,
+                                          top_quota)
+    from bb_ocr_ray.stages.dedup import dedup_exact
 
     ds = _read_parquet(_t(sf_dir, "documents"),
                        columns=["doc_id", "source", "text"])
 
-    def clean(b: pd.DataFrame) -> pd.DataFrame:
-        ids, srcs, hs, ns = [], [], [], []
-        for d, src, t in zip(b["doc_id"], b["source"], b["text"]):
-            if pd.isna(d):
-                continue
-            kept = []
-            for raw in (t or "").split("\n"):
-                s = raw.strip(" \t\r")
-                if (s and "javascript" not in s.translate(_ASCII_LOWER)
-                        and len([w for w in word_re.split(s) if w]) >= 15):
-                    kept.append(s)
-            if not kept:
-                continue
-            ctext = "\n".join(kept)
-            ids.append(int(d))
-            srcs.append("" if pd.isna(src) else src)
-            hs.append(md5_hex(ctext))
-            ns.append(len(ctext))
+    def hashed(b: pd.DataFrame) -> pd.DataFrame:
+        b = b[b["doc_id"].notna() & (b["n_kept"] > 0)]
         return pd.DataFrame({
-            "doc_id": pd.array(ids, dtype="int64"),
-            "source": pd.array(srcs, dtype="object"),
-            "h": pd.array(hs, dtype="object"),
-            "n": pd.array(ns, dtype="int64")})
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.sort_values("doc_id", kind="mergesort").head(1)
-                [["doc_id", "source", "n"]])
+            "doc_id": b["doc_id"].astype("int64"),
+            "source": b["source"].fillna("").astype(object),
+            "h": pd.array([md5_hex(t) for t in b["text"]], dtype="object"),
+            "n": b["text"].str.len().astype("int64")})
 
     def quota_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["hv"] = pd.array(
-            [stable_u64(str(int(d))) for d in b["doc_id"]], dtype="object")
-        return (b.sort_values(["source", "hv", "doc_id"], kind="mergesort")
-                .groupby("source", as_index=False, sort=False).head(quota))
+        return top_quota(b.assign(hv=hash_rank(b["doc_id"])))
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
-        kept = (b.sort_values(["source", "hv", "doc_id"], kind="mergesort")
-                .groupby("source", as_index=False, sort=False)
-                .head(quota).copy())
-        buck = np.array([stable_u64(str(int(d))) % 100
-                         for d in kept["doc_id"]], dtype=np.int64)
-        kept["split"] = np.where(buck < 90, "train",
-                                 np.where(buck < 95, "val", "test"))
-        g = kept.groupby(["split", "source"], as_index=False).agg(
-            n_docs=("doc_id", "size"), sum_chars=("n", "sum"))
+        kept = top_quota(b)
+        g = (kept.assign(split=split_of(kept["doc_id"]))
+             .groupby(["split", "source"], as_index=False)
+             .agg(n_docs=("doc_id", "size"), sum_chars=("n", "sum")))
         g["n_docs"] = g["n_docs"].astype("int64")
         g["sum_chars"] = g["sum_chars"].astype("int64")
         return g
 
-    out = (_grouped_per_key(
-               ds.map_batches(clean, batch_format="pandas"), "h", keep_min)
+    cleaned = line_filter(ds, 15, False).map_batches(hashed,
+                                                     batch_format="pandas")
+    out = (dedup_exact(cleaned, key="h", order_col="doc_id")
            .map_batches(quota_partial, batch_format="pandas")
            .repartition(1)
            .map_batches(finish, batch_format="pandas", batch_size=None)
@@ -2557,15 +2427,14 @@ def q_bm25(sf_dir: str):
     corpus (k1=1.2, b=0.75, the Robertson idf with +1).
 
     Shape: two aggregate passes (corpus stats fold to one row per
-    batch; df is q_tfidf's pass 1), the 3 terms + constants
+    batch; df is ``curate.doc_freq``), the 3 terms + constants
     broadcast in the task closure, then one scoring map with per-batch
     partial top-20 — nothing row-sized reaches the driver.  The float
     fold over terms is in FIXED term order on both sides; avglen is
     exact-integer-sum / count so the division is bit-identical to the
     oracle's CAST(sum() AS DOUBLE)/count(*)."""
-    from collections import Counter
-
     from bb_ocr_ray.functions.hashing import ws_tokens
+    from bb_ocr_ray.stages.curate import doc_freq
 
     k1, b = 1.2, 0.75
     ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -2580,25 +2449,12 @@ def q_bm25(sf_dir: str):
     n_docs = int(st["n"].sum())
     avglen = int(st["toks"].sum()) / n_docs
 
-    def df_partial(bt: pd.DataFrame) -> pd.DataFrame:
-        c = Counter()
-        for t in bt["text"]:
-            c.update(set(ws_tokens(t or "")))
-        return pd.DataFrame({"token": list(c.keys()),
-                             "df": pd.array(list(c.values()),
-                                            dtype="int64")})
-
-    # the token vocabulary is unbounded: coarse_agg (per-group tax)
-    dft = coarse_agg(
-        ds.map_batches(df_partial, batch_format="pandas"),
-        ["token"], {"df": ("df", "sum")},
-    ).to_pandas()
-    dft["df"] = dft["df"].astype("int64")
-    top = dft.sort_values(["df", "token"], ascending=[False, True],
+    dft = doc_freq(ds)
+    top = dft.sort_values(["df", "tok"], ascending=[False, True],
                           kind="mergesort").head(3)
-    terms = list(top["token"])
+    terms = list(top["tok"])
     idf = {t: float(np.log((n_docs - int(d) + 0.5) / (int(d) + 0.5) + 1.0))
-           for t, d in zip(top["token"], top["df"])}
+           for t, d in zip(top["tok"], top["df"])}
 
     def score_partial(bt: pd.DataFrame) -> pd.DataFrame:
         ids, scores = [], []
@@ -2634,7 +2490,27 @@ QUERIES.update({"q_bm25": q_bm25})
 # ---------------------------------------------------------------------------
 # PageRank (web-graph link analysis)
 # ---------------------------------------------------------------------------
-def q_pagerank(sf_dir: str, iters: int = 10):
+def _link_edges(sf_dir: str):
+    """The synthetic (src, dst) link graph q_pagerank and q_hits rank:
+    each doc links to 3 arithmetic targets mod (max_id + 1).
+    Quadratic + 2-to-1 + affine: a deliberately NON-regular graph
+    (skewed in-degrees), so a wrong rank flow cannot hide behind a
+    uniform stationary distribution."""
+    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
+    m = int(docs.max("doc_id")) + 1
+
+    def edges(b: pd.DataFrame) -> pd.DataFrame:
+        d = b["doc_id"].to_numpy("int64")
+        return pd.DataFrame({"src": np.repeat(d, 3),
+                             "dst": np.stack([(d * d + 1) % m,
+                                              (d // 2 + 7) % m,
+                                              (d * 3 + 11) % m],
+                                             axis=1).reshape(-1)})
+
+    return docs.map_batches(edges, batch_format="pandas")
+
+
+def q_pagerank(sf_dir: str):
     """PageRank over a deterministic synthetic link graph: each doc
     links to 3 arithmetic targets mod (max_id + 1) — parallel edges
     kept (multiplicity), targets need not be existing docs (dangling
@@ -2646,24 +2522,7 @@ def q_pagerank(sf_dir: str, iters: int = 10):
     far under the rounding grain)."""
     from bb_ocr_ray.stages.graph import pagerank
 
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    import ray
-
-    m = int(docs.max("doc_id")) + 1
-
-    def edges(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        # quadratic + 2-to-1 + affine: a deliberately NON-regular graph
-        # (skewed in-degrees), so a wrong rank flow cannot hide behind
-        # a uniform stationary distribution
-        return pd.DataFrame({"src": np.repeat(d, 3),
-                             "dst": np.stack([(d * d + 1) % m,
-                                              (d // 2 + 7) % m,
-                                              (d * 3 + 11) % m],
-                                             axis=1).reshape(-1)})
-
-    out = pagerank(docs.map_batches(edges, batch_format="pandas"),
-                   iters=iters).to_pandas()
+    out = pagerank(_link_edges(sf_dir), iters=10).to_pandas()
     out["rank"] = _round_sql(out["rank"], 6)
     return out.sort_values("node", kind="mergesort").reset_index(drop=True)
 
@@ -2857,7 +2716,7 @@ def q_lm_quality(sf_dir: str):
     from collections import Counter
 
     from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages.coarse import coarse_agg
+    from bb_ocr_ray.stages.coarse import coarse_agg, grouped_per_key
     from bb_ocr_ray.stages.joins import hash_join
 
     ds = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -3166,7 +3025,7 @@ QUERIES.update({"q_boilerplate": q_boilerplate})
 # ---------------------------------------------------------------------------
 # Hybrid retrieval: reciprocal-rank fusion of BM25 + dense cosine arms
 # ---------------------------------------------------------------------------
-def q_hybrid_rrf(sf_dir: str, k_fuse: int = 60):
+def q_hybrid_rrf(sf_dir: str):
     """Reciprocal-rank fusion of a lexical and a dense retrieval arm —
     the hybrid-retrieval step of a RAG / retrieval stack (Cormack,
     Clarke & Buettcher SIGIR'09; public method).  The arms are the
@@ -3176,7 +3035,7 @@ def q_hybrid_rrf(sf_dir: str, k_fuse: int = 60):
     partial top-k).  Both arm outputs are k-row aggregates, so the
     fusion itself is driver-side arithmetic BY CONSTRUCTION — the
     distributed work is inside the arms.  RRF contributions
-    1/(k_fuse + rank) are integer-ratio doubles, bit-identical across
+    1/(60 + rank) are integer-ratio doubles, bit-identical across
     engines; outputs round to 6 dp (the canon grain).  BOTH arms rank
     at a fixed 4 dp grain — the BM25 arm rounds its score and the
     dense arm rounds the cosine (``score_round=4``, mirrored by
@@ -3196,9 +3055,9 @@ def q_hybrid_rrf(sf_dir: str, k_fuse: int = 60):
 
     f = lex[["doc_id", "r_lex"]].merge(dn, on="doc_id", how="outer")
     lexc = np.where(f["r_lex"].notna(),
-                    1.0 / (k_fuse + f["r_lex"].fillna(0)), 0.0)
+                    1.0 / (60 + f["r_lex"].fillna(0)), 0.0)
     denc = np.where(f["r_dense"].notna(),
-                    1.0 / (k_fuse + f["r_dense"].fillna(0)), 0.0)
+                    1.0 / (60 + f["r_dense"].fillna(0)), 0.0)
     out = pd.DataFrame({
         "doc_id": f["doc_id"].astype("int64"),
         "lex_rrf": _round_sql(pd.Series(lexc), 6),
@@ -3214,7 +3073,7 @@ QUERIES.update({"q_hybrid_rrf": q_hybrid_rrf})
 # ---------------------------------------------------------------------------
 # c-TF-IDF cluster labeling (BERTopic-style top terms per cluster)
 # ---------------------------------------------------------------------------
-def q_ctfidf(sf_dir: str, topk: int = 5):
+def q_ctfidf(sf_dir: str):
     """Class-based TF-IDF over the embedding clusters — the topic /
     cluster LABELING step of a BERTopic-style corpus map (Grootendorst
     2022; public method): every document joins its cluster id (the
@@ -3285,11 +3144,11 @@ def q_ctfidf(sf_dir: str, topk: int = 5):
         return (b.sort_values(["label", "w", "token"],
                               ascending=[True, False, True],
                               kind="mergesort")
-                .groupby("label", as_index=False).head(topk))
+                .groupby("label", as_index=False).head(5))
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["w", "token"], ascending=[False, True],
-                          kind="mergesort").head(topk)
+                          kind="mergesort").head(5)
         return g.assign(rank=pd.Series(range(1, len(g) + 1),
                                        dtype="int64").values)
 
@@ -3332,7 +3191,7 @@ QUERIES.update({"q_sorted_neighborhood": q_sorted_neighborhood})
 # ---------------------------------------------------------------------------
 # HITS hubs & authorities (Kleinberg link analysis)
 # ---------------------------------------------------------------------------
-def q_hits(sf_dir: str, iters: int = 5):
+def q_hits(sf_dir: str):
     """HITS over the q_pagerank link graph (same deterministic
     3-targets-mod-m generator — skewed in-degrees, dangling ids) via
     :func:`stages.graph.hits`: per half-round one neighbor-sum fold +
@@ -3342,19 +3201,7 @@ def q_hits(sf_dir: str, iters: int = 5):
     far under the grain)."""
     from bb_ocr_ray.stages.graph import hits
 
-    docs = _read_parquet(_t(sf_dir, "documents"), columns=["doc_id"])
-    m = int(docs.max("doc_id")) + 1
-
-    def edges(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["doc_id"].to_numpy("int64")
-        return pd.DataFrame({"src": np.repeat(d, 3),
-                             "dst": np.stack([(d * d + 1) % m,
-                                              (d // 2 + 7) % m,
-                                              (d * 3 + 11) % m],
-                                             axis=1).reshape(-1)})
-
-    out = hits(docs.map_batches(edges, batch_format="pandas"),
-               iters=iters).to_pandas()
+    out = hits(_link_edges(sf_dir), iters=5).to_pandas()
     out["authority"] = _round_sql(out["authority"], 6)
     out["hub"] = _round_sql(out["hub"], 6)
     return out.sort_values("node").reset_index(drop=True)
@@ -3366,11 +3213,11 @@ QUERIES.update({"q_hits": q_hits})
 # ---------------------------------------------------------------------------
 # Inverted index build (term -> ordered posting list)
 # ---------------------------------------------------------------------------
-def q_posting_lists(sf_dir: str, min_df: int = 5):
+def q_posting_lists(sf_dir: str):
     """Build the df-banded inverted index over documents: one row per
     surviving term with its document frequency and the FULL ordered
     posting list (comma-joined doc ids — value-hash-checkable).  Terms
-    keep ``df >= min_df`` (typo/hapax floor) and ``df*5 <= 3*n_docs``
+    keep ``df >= 5`` (typo/hapax floor) and ``df*5 <= 3*n_docs``
     (stopword ceiling, exact integer arithmetic — the 60% bar also
     BOUNDS every posting row, so no term can produce a corpus-sized
     output row; real indexers shard hotter terms instead of inlining
@@ -3417,7 +3264,7 @@ def q_posting_lists(sf_dir: str, min_df: int = 5):
         terms, dfs, posts = [], [], []
         for s, e in zip(starts, ends):
             df = int(e - s)
-            if df >= min_df and df * 5 <= 3 * n_docs:
+            if df >= 5 and df * 5 <= 3 * n_docs:
                 terms.append(t[s])
                 dfs.append(df)
                 posts.append(",".join(map(str, d[s:e])))
@@ -3586,7 +3433,7 @@ QUERIES.update({"q_anchor_terms": q_anchor_terms})
 # ---------------------------------------------------------------------------
 # Hashing-trick vectorizer (fixed-width sparse features, doc-local)
 # ---------------------------------------------------------------------------
-def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
+def q_feature_hash(sf_dir: str):
     """Feature-hashing vectorizer (the 'hashing trick': Weinberger et
     al., ICML'09 — public method) over a deterministic doc sample:
     token OCCURRENCE counts folded into a fixed 256-bucket space via
@@ -3594,7 +3441,7 @@ def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
     vocabulary-free featurizer that feeds linear quality classifiers at
     corpus scale.  Entirely doc-local — each row's features are
     computed inside its own map task with a per-batch distinct-token
-    memo, ZERO shuffles; output bounded by |sample| × n_buckets.  The
+    memo, ZERO shuffles; output bounded by |sample| × 256.  The
     probe gate (doc_id % 41) bounds the demo output; production drops
     the gate and writes per-shard parquet."""
     from collections import Counter
@@ -3605,7 +3452,7 @@ def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
                        columns=["doc_id", "text"])
 
     def feats(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["doc_id"] % probe_mod == 0]
+        b = b[b["doc_id"] % 41 == 0]
         memo: dict = {}
         ids, buckets, counts = [], [], []
         for did, tx in zip(b["doc_id"], b["text"]):
@@ -3613,7 +3460,7 @@ def q_feature_hash(sf_dir: str, n_buckets: int = 256, probe_mod: int = 41):
             for tok, c in Counter(ws_tokens(tx or "")).items():
                 bk = memo.get(tok)
                 if bk is None:
-                    bk = memo[tok] = stable_u64(tok) % n_buckets
+                    bk = memo[tok] = stable_u64(tok) % 256
                 acc[bk] += c
             for bk in sorted(acc):
                 ids.append(did)
@@ -3906,9 +3753,6 @@ def q_wand_bounds(sf_dir: str):
     return out[["tok", "max_tf", "df", "bound"]].reset_index(drop=True)
 
 
-# ---------------------------------------------------------------------------
-# Token casing profile per source (OCR/mojibake artifact QA)
-# ---------------------------------------------------------------------------
 QUERIES.update({
     "q_wand_bounds": q_wand_bounds,
 })

@@ -328,16 +328,20 @@ def ivf_topk_exact(vectors_ds, query_ids, k: int = 5, n_lists: int = 16,
     Recall is 1 by construction; what the data controls is how much of
     pass B survives pruning.  Returns (query_id, rank, neighbor_id),
     integer-only like ann_topk."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
     centroids = kmeans_fit(vectors_ds, k=n_lists)
     cref = ray.put(centroids)
 
-    qset = set(int(q) for q in query_ids)
+    qset = sorted(set(int(q) for q in query_ids))
+    # an Arrow filter keeps the input's column types in every block,
+    # the many that hold no query row among them
     qrows = vectors_ds.map_batches(
-        lambda b: b[b[id_col].isin(qset)], batch_format="pandas"
-    ).to_pandas().sort_values(id_col)
+        lambda t: t.filter(pc.is_in(t[id_col], pa.array(qset, t[id_col].type))),
+        batch_format="pyarrow").to_pandas().sort_values(id_col)
     qids = [int(x) for x in qrows[id_col]]
     qmat = _normalize(_to_matrix(qrows[vec_col]))
     probe = np.argsort(-(qmat @ centroids.T), axis=1)[:, :n_probe]

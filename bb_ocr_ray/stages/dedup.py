@@ -30,23 +30,16 @@ def add_content_hash(batch: pa.Table, text_col: str = "text",
     return batch.append_column(out_col, hashes)
 
 
-def _local_first(batch: pd.DataFrame, key: str, order_col: str) -> pd.DataFrame:
-    """Per-block pre-dedup (combiner): keep the first row per key locally
-    before the shuffle — same final result, far less shuffle input."""
-    return batch.sort_values([key, order_col], kind="mergesort").drop_duplicates(
-        subset=[key], keep="first"
-    )
-
-
-def _first_positions(keys: pd.Series, orders: pd.Series) -> np.ndarray:
-    """Row positions of each key's min-``order`` winner, in original
-    row order — the positional core both dedup_exact paths share."""
-    mini = pd.DataFrame({"k": keys.reset_index(drop=True),
-                         "o": orders.reset_index(drop=True)})
+def _first_rows(t: pa.Table, key: str, order_col: str) -> pa.Table:
+    """Each key's min-``order_col`` row, in original row order: the
+    per-block pre-dedup (combiner) and the in-bucket winner pick of
+    dedup_exact alike."""
+    mini = pd.DataFrame({"k": t.column(key).to_pandas(),
+                         "o": t.column(order_col).to_pandas()})
     keep = (mini.sort_values(["k", "o"], kind="mergesort")
             .drop_duplicates(subset=["k"], keep="first").index.to_numpy())
     keep.sort()
-    return keep
+    return t.take(keep)
 
 
 def dedup_exact(ds, key: str = "content_hash", order_col: str = "url",
@@ -57,54 +50,41 @@ def dedup_exact(ds, key: str = "content_hash", order_col: str = "url",
     count (content hashes are row-cardinality; grouping on them
     directly pays Ray's per-group tax on every surviving row) and the
     per-key winner pick is a vectorized in-task positional select.
-    Requires ``key`` column present (see add_content_hash).
+    The pick is bucket-oblivious, so when the pre-deduplicated side
+    fits the driver it runs there once with no shuffle
+    (``sizing.fold_buckets``).  Requires ``key`` column present (see
+    add_content_hash).
 
-    Native-block dual path (the coarse_agg stamp pattern): ARROW
-    blocks stay arrow — only the (key, order) pair converts to pandas
+    Arrow end to end: only the (key, order) pair converts to pandas
     for the winner pick and the survivors are a zero-copy
-    ``Table.take`` — so wide payloads never copy through pandas and
+    ``Table.take``, so wide payloads never copy through pandas and
     NESTED columns (list<...>, which Ray's pandas block rebuild
-    rejects outright) survive dedup.  Both paths hash the key with
-    the same function, so a mixed block stream cannot split a key
-    across buckets.
+    rejects outright) survive dedup on both paths.
 
     Determinism contract: (key, order_col) must identify rows uniquely
     — if two rows tie on BOTH, the survivor's remaining columns depend
     on block/shuffle order.  Use a unique order_col (url, row id).
     """
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     if coarse_buckets is None:
         coarse_buckets = _auto_num_buckets()
 
-    def _kb_of(keys: pd.Series) -> np.ndarray:
-        return (pd.util.hash_array(keys.to_numpy(), categorize=False)
-                % coarse_buckets).astype("int64")
+    def pre(t: pa.Table) -> pa.Table:
+        t = _first_rows(t, key, order_col)
+        kb = pd.util.hash_array(t.column(key).to_pandas().to_numpy(),
+                                categorize=False) % coarse_buckets
+        return t.append_column("_kb", pa.array(kb.astype("int64")))
 
-    def pre(b):
-        if isinstance(b, pd.DataFrame):
-            b = _local_first(b, key, order_col)
-            return b.assign(_kb=_kb_of(b[key]))
-        keep = _first_positions(b.column(key).to_pandas(),
-                                b.column(order_col).to_pandas())
-        t = b.take(keep)
-        return t.append_column(
-            "_kb", pa.array(_kb_of(t.column(key).to_pandas()),
-                            pa.int64()))
-
-    def winners(g):
-        if isinstance(g, pd.DataFrame):
-            return _local_first(g, key, order_col).drop(columns=["_kb"])
-        keep = _first_positions(g.column(key).to_pandas(),
-                                g.column(order_col).to_pandas())
-        t = g.take(keep)
-        return t.drop(["_kb"])
+    def winners(g: pa.Table) -> pa.Table:
+        return _first_rows(g, key, order_col).drop(["_kb"])
 
     # no forced batch_size: dedup_exact often follows expensive maps
     # (quality filters), and a large batch_size on a FUSED map chain
     # serializes the upstream (see stages/coarse.py docstring)
-    return (ds.map_batches(pre, batch_format=None)
-            .groupby("_kb").map_groups(winners, batch_format=None))
+    return sizing.fold_buckets(ds, pre, "_kb", winners,
+                               batch_format="pyarrow", fn_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -232,32 +232,35 @@ def collect_if_fits(ds, pre=None, batch_format="pandas") -> pa.Table | None:
 
 
 def from_driver(frame):
-    """A Dataset holding ``frame`` (a pandas DataFrame computed on the
-    driver), with the blocks ``rd.from_pandas`` would build but their
-    metadata computed here, where ``from_pandas`` starts one remote
-    task per block for it.  The frame is cut into about one block per
-    ``target_min_block_size``, at most the cluster-sized bucket count,
-    so the maps and writes downstream of a large driver result still
-    run in parallel."""
+    """A Dataset holding ``frame`` (a pandas DataFrame or an Arrow table
+    computed on the driver), with the blocks ``rd.from_pandas`` would
+    build but their metadata computed here, where ``from_pandas``
+    starts one remote task per block for it.  The frame is cut into
+    about one block per ``target_min_block_size``, at most the
+    cluster-sized bucket count, so the maps and writes downstream of a
+    large driver result still run in parallel."""
     import ray.data as rd
     from ray.data import DataContext
 
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     ctx = DataContext.get_current()
-    if ctx.enable_tensor_extension_casting:
-        from ray.air.util.data_batch_conversion import \
-            _cast_ndarray_columns_to_tensor_extension
+    if isinstance(frame, pa.Table):
+        nbytes = frame.nbytes
+    else:
+        if ctx.enable_tensor_extension_casting:
+            from ray.air.util.data_batch_conversion import \
+                _cast_ndarray_columns_to_tensor_extension
 
-        frame = _cast_ndarray_columns_to_tensor_extension(
-            frame.copy(deep=False))
-    n = min(_auto_num_buckets(),
-            int(frame.memory_usage(index=False).sum())
-            // ctx.target_min_block_size)
+            frame = _cast_ndarray_columns_to_tensor_extension(
+                frame.copy(deep=False))
+        nbytes = int(frame.memory_usage(index=False).sum())
+    n = min(_auto_num_buckets(), nbytes // ctx.target_min_block_size)
     if n <= 1:
         return rd.from_blocks([frame])
     step = -(-len(frame) // n)
-    return rd.from_blocks([frame.iloc[i:i + step]
+    rows = frame if isinstance(frame, pa.Table) else frame.iloc
+    return rd.from_blocks([rows[i:i + step]
                            for i in range(0, len(frame), step)])
 
 
@@ -283,7 +286,8 @@ def _behind_all_to_all(ds) -> bool:
 
 
 def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
-                 batch_size=None, stamp_here: bool = True):
+                 batch_size=None, stamp_here: bool = True,
+                 fn_format="pandas"):
     """``ds.map_batches(pre).groupby(bucket_col).map_groups(fn)``, or,
     when the stamped side fits the driver, ``fn`` run ONCE over the
     whole stamped side in the driver process: no shuffle, no reducer
@@ -299,7 +303,9 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
     input, and a held one when ``stamp_here`` is False (a stamp too
     dear to run serially on the driver, such as a corpus-wide sketch
     that also multiplies the rows), is probed as
-    ``ds.map_batches(pre)`` on the workers.
+    ``ds.map_batches(pre)`` on the workers.  ``fn`` takes its buckets
+    as ``fn_format`` batches: pandas, or "pyarrow" for a fold that must
+    carry nested list columns, which pandas cannot round-trip.
 
     Exact only for a bucket-oblivious ``fn``, one whose answer on any
     union of whole buckets is the union of its per-bucket answers (a
@@ -333,10 +339,11 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
         table = collect_if_fits(stamped)
     if table is None:
         return stamped.groupby(bucket_col).map_groups(fn,
-                                                      batch_format="pandas")
+                                                      batch_format=fn_format)
     if not table.num_rows:
         return rd.from_items([])
-    return from_driver(fn(table.to_pandas()))
+    return from_driver(fn(table if fn_format == "pyarrow"
+                          else table.to_pandas()))
 
 
 def split_by_bytes(ds, payload_col: str = "html",

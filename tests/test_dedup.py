@@ -20,12 +20,23 @@ def dup_docs(ray_session):
     return rd.from_items(rows)
 
 
-def test_exact_dedup_keeps_min(ray_session, dup_docs):
+@pytest.mark.parametrize("path", ["driver", "shuffle"])
+def test_exact_dedup_keeps_min(ray_session, dup_docs, gate_spy,
+                               force_shuffle, path):
+    """The winner pick is bucket-oblivious, so the driver fold (side
+    fits) and the coarse shuffle give the same rows."""
     from bb_ocr_ray.stages.dedup import add_content_hash, dedup_exact
 
+    if path == "shuffle":
+        force_shuffle()
     hashed = dup_docs.map_batches(add_content_hash, batch_format="pyarrow")
     out = dedup_exact(hashed, key="content_hash", order_col="doc_id").to_pandas()
-    assert sorted(out["doc_id"]) == [0, 2, 3, 4]   # 1 and 5 deduped into 0
+    assert gate_spy == [path]
+    out = out.sort_values("doc_id").reset_index(drop=True)
+    assert list(out.columns) == ["doc_id", "text", "content_hash"]
+    assert list(out["doc_id"]) == [0, 2, 3, 4]   # 1 and 5 deduped into 0
+    docs = dup_docs.to_pandas().set_index("doc_id")
+    assert list(out["text"]) == list(docs.loc[[0, 2, 3, 4], "text"])
 
 
 def test_minhash_finds_near_dups(ray_session, dup_docs):

@@ -767,3 +767,24 @@ def test_real_decode_when_codec_present(ray_session):
     assert out.column("width").to_pylist() == [40, -1]
     assert out.column("height").to_pylist() == [30, -1]
     assert abs(out.column("mean_px").to_pylist()[0] - 128.0) < 1e-9
+
+
+def test_embedding_filters_keep_one_schema(ray_session, sf_tiny,
+                                           ray_data_log):
+    """The twin plant of q_embedding_near_dups and ivf_topk_exact's
+    query filter keep rows of one block only (vec_id < 25 and 10..19),
+    so most of their batches keep no row.  Those 0-row blocks carry the
+    input's `embedding` type, so Ray logs no schema change of a block
+    with that column and no failed sizing of it.  (The shuffle stages
+    after them emit column-less empty partitions of Ray's own, whose
+    schema-change lines name no `embedding`.)"""
+    from bb_ocr_ray.pipelines.queries import q_embedding_near_dups, q_ivf_topk
+
+    pairs = q_embedding_near_dups(sf_tiny).to_pandas()
+    assert set(pairs["id_b"] - pairs["id_a"]) == {1_000_000}
+    assert len(q_ivf_topk(sf_tiny).to_pandas()) == 50
+    logged = [r.getMessage() for r in ray_data_log.records]
+    assert not [m for m in logged
+                if "different schema" in m and "'embedding'" in m]
+    assert not [m for m in logged
+                if "Error calculating size for column 'embedding'" in m]

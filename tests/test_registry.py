@@ -90,8 +90,6 @@ _ORPHAN_ALLOW = {
     "functions/scalars.py:slugify",
     "functions/scalars.py:extract_series",
     "functions/scalars.py:fuzzy_match",
-    "functions/textstats.py:quality_features",
-    "functions/textstats.py:bpe_ish_token_count",
     "kernel/layout.py:union_bbox",
     "kernel/layout.py:area_filter",
     "sources/files.py:read_html_dir",
@@ -148,7 +146,6 @@ _MAP_GROUPS_ALLOW = Counter({
     "stages/sizing.py:fold_buckets": 1,
     "stages/joins.py:_bucketed_arrow": 1,
     "stages/joins.py:_bucketed_pandas": 1,
-    "stages/dedup.py:dedup_exact": 1,
     "stages/dedup.py:paragraph_dedup": 2,
     "stages/dedup.py:set_similarity_join": 2,
     "stages/dedup.py:connected_components_ds": 1,

@@ -385,3 +385,48 @@ def test_runner_rejects_out_of_range_input(ray_session, sf_tiny, tmp_path,
     assert getattr(cli, f"cmd_{cmd}")(args) == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_extract_then_line_filter_through_runner(ray_session, sf_tiny,
+                                                 tmp_path):
+    """Extraction and curation meet in the resumable runner: pages ->
+    extract_pages -> curate.line_filter through ``_run_pass``' stage
+    seam publishes exactly the rows line_filter makes of the same
+    extracted rows, and a rerun skips every partition with every
+    manifest digest unchanged."""
+    import ray.data as rd
+
+    from bb_ocr_ray.pipelines.extract_pipeline import extract_pages
+    from bb_ocr_ray.sources.pages import read_pages
+    from bb_ocr_ray.stages.curate import line_filter
+    from bb_ocr_ray.state.manifest import _run_pass
+
+    # the RefinedWeb rule of q_corpus_pipeline: extracted template
+    # text carries no terminal punctuation, so C4's rule keeps nothing
+    def stage(pages, cfg):
+        return line_filter(extract_pages(pages, cfg), 15, False)
+
+    out_root = str(tmp_path / "curated")
+    assert _run_pass(sf_tiny, out_root, 4, None, stage) == (4, 0)
+    man = RunManifest(out_root).completed()
+    got = pa.concat_tables(
+        pq.read_table(os.path.join(out_root, f"part-{pid:05d}"),
+                      columns=["url", "text", "n_lines", "n_kept"])
+        for pid in sorted(man)).to_pandas()
+    assert sum(rec["row_count"] for rec in man.values()) == len(got)
+
+    extracted = extract_pages(read_pages(sf_tiny)).to_pandas()
+    want = line_filter(rd.from_pandas(extracted[["url", "text"]]),
+                       15, False).to_pandas()
+    assert len(got) == len(want) == len(extracted)
+    got, want = (f.sort_values("url").reset_index(drop=True)
+                 for f in (got, want))
+    for c in ("url", "text", "n_lines", "n_kept"):
+        assert got[c].tolist() == want[c].tolist(), c
+    assert (want["n_kept"] < want["n_lines"]).any()
+    assert (want["n_kept"] > 0).any()
+
+    assert _run_pass(sf_tiny, out_root, 4, None, stage) == (0, 4)
+    again = RunManifest(out_root).completed()
+    assert {p: r["digest"] for p, r in again.items()} == {
+        p: r["digest"] for p, r in man.items()}

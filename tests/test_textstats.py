@@ -14,7 +14,6 @@ from bb_ocr_ray.functions.hashing import (
     stable_u64,
 )
 from bb_ocr_ray.functions.textstats import (
-    bpe_ish_token_count,
     detect_lang,
     n_tokens_series,
     quality_features,
@@ -44,12 +43,6 @@ def test_detect_lang_heuristics():
     assert detect_lang("der schnelle braune fuchs springt über den faulen hund und die katze") == "de"
     assert detect_lang("这是一个中文句子这是一个中文句子这是一个中文句子") == "zh"
     assert detect_lang("") == "und"
-
-
-def test_bpe_ish_counts_monotone():
-    s = pd.Series(["hello world", "hello world hello world"])
-    c = bpe_ish_token_count(s)
-    assert c.iloc[1] > c.iloc[0] > 0
 
 
 def test_hashes_deterministic_across_calls():
