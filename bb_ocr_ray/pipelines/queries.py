@@ -1018,14 +1018,19 @@ def q_running_total(sf_dir: str):
         columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
     )
 
-    # coarse-bucket shuffle + fully vectorized inner window: one python
-    # call per BUCKET (64), with pandas groupby().cumsum() doing every
+    from bb_ocr_ray.stages import sizing
+    from bb_ocr_ray.stages.joins import _auto_num_buckets
+
+    n_buckets = _auto_num_buckets()
+
+    # coarse-bucket fold + fully vectorized inner window: one python
+    # call per BUCKET, with pandas groupby().cumsum() doing every
     # customer at once — no per-customer python (23.5 s -> ~3 s at sf0.1)
     def add_coarse(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
         batch["__coarse"] = (
             batch["o_custkey"].astype("uint64") * 2654435761 % (1 << 32)
-        ) % 64
+        ) % n_buckets
         return batch
 
     def running_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -1040,11 +1045,7 @@ def q_running_total(sf_dir: str):
                  g.groupby("o_custkey")["o_totalprice"].cumsum(), 2)}
         )
 
-    return (
-        ds.map_batches(add_coarse, batch_format="pandas")
-        .groupby("__coarse")
-        .map_groups(running_bucket, batch_format="pandas")
-    )
+    return sizing.fold_buckets(ds, add_coarse, "__coarse", running_bucket)
 
 
 def q_ivf_topk(sf_dir: str):
@@ -3229,10 +3230,12 @@ def q_posting_lists(sf_dir: str):
     bigrams spread across the band and the hapax floor.
 
     Scale shape: per-doc DISTINCT terms explode in-task (a doc never
-    splits across batches), ONE coarse shuffle on the term moves
-    (term, doc_id) pairs, and each bucket folds its terms with a
-    sort + boundary scan.  n_docs is a parquet-metadata count."""
+    splits across batches), ONE coarse fold on the term
+    (``sizing.fold_buckets``: on the driver when the (term, doc_id)
+    pairs fit, else one shuffle), and each bucket folds its terms with
+    a sort + boundary scan.  n_docs is a parquet-metadata count."""
     from bb_ocr_ray.functions.hashing import ws_tokens
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.coarse import _bucket_ids
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
@@ -3272,10 +3275,7 @@ def q_posting_lists(sf_dir: str):
                              "df": pd.array(dfs, dtype="int64"),
                              "postings": pd.array(posts, dtype="object")})
 
-    out = (docs.map_batches(explode, batch_format="pandas")
-           .groupby("__coarse").map_groups(
-               lambda g: fold(g.drop(columns=["__coarse"])),
-               batch_format="pandas").to_pandas())
+    out = sizing.fold_buckets(docs, explode, "__coarse", fold).to_pandas()
     return out.sort_values("term").reset_index(drop=True)
 
 

@@ -166,7 +166,7 @@ def lsh_bucket_ids(mat: np.ndarray, n_planes: int = 8, dim: int = 64,
 def embedding_near_dups(vectors_ds, threshold: float = 0.95,
                         id_col: str = "vec_id", vec_col: str = "embedding",
                         n_planes: int = 8, n_tables: int = 6,
-                        bucket_cap: int = 2048, coarse_buckets: int = 64):
+                        bucket_cap: int = 2048):
     """Embedding-cosine near-dup pairs via multi-table hyperplane LSH.
 
     A pair is a candidate if it shares a bucket in ANY of ``n_tables``
@@ -185,11 +185,15 @@ def embedding_near_dups(vectors_ds, threshold: float = 0.95,
     dropping them — connectivity for downstream clustering is
     preserved at O(B) cost, and a warning with the bucket size is
     logged.  At 10^12-vector scale, grow ``n_planes`` with log2(N) so
-    expected bucket size stays bounded, and ``coarse_buckets`` with
-    the cluster's reducer count.
+    expected bucket size stays bounded; the coarse bucket count grows
+    with the cluster (``joins._auto_num_buckets``).
     """
     import logging
     import zlib
+
+    from bb_ocr_ray.stages.joins import _auto_num_buckets
+
+    coarse_buckets = _auto_num_buckets()
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         if batch.empty:
@@ -211,8 +215,6 @@ def embedding_near_dups(vectors_ds, threshold: float = 0.95,
                  "table": np.full(len(ids), t, dtype=np.int64),
                  "bucket": buckets, id_col: ids, "vec": list(mat)}))
         return pd.concat(frames, ignore_index=True)
-
-    exploded = vectors_ds.map_batches(explode, batch_format="pandas")
 
     def verify(group: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
@@ -241,8 +243,13 @@ def embedding_near_dups(vectors_ds, threshold: float = 0.95,
              "id_b": pd.Series(out_b, dtype="int64")}
         )
 
-    pairs = exploded.groupby("coarse").map_groups(verify, batch_format="pandas")
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.dedup import dedup_pairs
+
+    # the explode multiplies the vectors by n_tables: it stays on the
+    # workers
+    pairs = sizing.fold_buckets(vectors_ds, explode, "coarse", verify,
+                                stamp_here=False)
 
     return dedup_pairs(pairs)
 

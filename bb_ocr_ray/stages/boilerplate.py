@@ -103,8 +103,7 @@ def _explode(batch: pd.DataFrame, id_col: str, domain_col: str,
 
 def remove_boilerplate(docs_ds, id_col: str = "doc_id",
                        domain_col: str = "source", text_col: str = "text",
-                       max_ratio_pct: int = 60, min_docs: int = 2,
-                       coarse_buckets: int | None = None):
+                       max_ratio_pct: int = 60, min_docs: int = 2):
     """Drop every line that appears in more than ``max_ratio_pct`` %
     of a domain's documents (and in at least ``min_docs`` of them);
     rebuild each document from its kept lines in original order.
@@ -125,8 +124,7 @@ def remove_boilerplate(docs_ds, id_col: str = "doc_id",
     from bb_ocr_ray.stages.joins import (_auto_num_buckets, auto_join,
                                          hash_join)
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     # -- line document frequency AND docs-per-domain from ONE pass
     #    (doc-locally distinct inside the explode task: a doc's lines
@@ -137,8 +135,7 @@ def remove_boilerplate(docs_ds, id_col: str = "doc_id",
         .assign(one=np.int64(1)),
         batch_format="pandas")
     folded = coarse_agg(df_rows, [domain_col, "lh"],
-                        {"df": ("one", "sum")},
-                        coarse_buckets=coarse_buckets).materialize()
+                        {"df": ("one", "sum")}).materialize()
 
     df = folded.map_batches(lambda b: b[b["lh"] != ""],
                             batch_format="pandas")

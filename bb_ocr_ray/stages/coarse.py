@@ -8,9 +8,9 @@ keys (content hash, user id, url, token vocabulary, domain, hour
 bucket) reach 1e6–1e9 groups at web scale, so no operator may hand Ray
 a high-cardinality grouping key directly.
 
-The re-expression: stamp ``hash(key) % coarse_buckets`` (bucket count
-sized to the cluster, every occurrence of a key lands in exactly one
-bucket), shuffle ONCE on that bounded key, and do the per-key work
+The re-expression: stamp ``hash(key) % B`` (B =
+``joins._auto_num_buckets()``, sized to the cluster; every occurrence
+of a key lands in exactly one bucket), shuffle ONCE on that bounded key, and do the per-key work
 inside the task with vectorized pandas.  Exact same result, per-row
 cost instead of per-group.  The in-bucket fold is bucket-oblivious, so
 when the stamped side fits the driver (``sizing.fold_buckets``) it
@@ -172,14 +172,13 @@ def coarse_agg(ds, keys, agg: dict, coarse_buckets: int | None = None,
                                batch_format=None, batch_size=tag_batch)
 
 
-def grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None,
-                    tag_batch: int | None = None):
+def grouped_per_key(ds, key: str, fn, tag_batch: int | None = None):
     """``groupby(key).map_groups(fn)`` through ONE coarse shuffle, or
     one driver-side pass when the stamped side fits
     (``sizing.fold_buckets``).
 
     The map_groups sibling of :func:`coarse_agg`: the shuffle key is
-    ``hash(key) % coarse_buckets`` and the per-key split happens
+    ``hash(key) % joins._auto_num_buckets()`` and the per-key split happens
     IN-TASK with a pandas groupby — ``fn`` sees exactly the frames
     ``map_groups`` would have given it, one key per call.
     ``dropna=False`` mirrors Ray's null-key group.  ``tag_batch`` is
@@ -187,8 +186,7 @@ def grouped_per_key(ds, key: str, fn, coarse_buckets: int | None = None,
     """
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     def stamp(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()

@@ -42,8 +42,7 @@ def _first_rows(t: pa.Table, key: str, order_col: str) -> pa.Table:
     return t.take(keep)
 
 
-def dedup_exact(ds, key: str = "content_hash", order_col: str = "url",
-                coarse_buckets: int | None = None):
+def dedup_exact(ds, key: str = "content_hash", order_col: str = "url"):
     """Keep exactly one row per key: the minimum ``order_col`` row
     (deterministic winner).  Two-phase: local pre-dedup (combiner),
     then ONE coarse shuffle — the key is hashed into a bounded bucket
@@ -68,8 +67,7 @@ def dedup_exact(ds, key: str = "content_hash", order_col: str = "url",
     from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     def pre(t: pa.Table) -> pa.Table:
         t = _first_rows(t, key, order_col)
@@ -90,8 +88,7 @@ def dedup_exact(ds, key: str = "content_hash", order_col: str = "url",
 # ---------------------------------------------------------------------------
 # MinHash + LSH near-dup
 # ---------------------------------------------------------------------------
-def dedup_pairs(pairs_ds, cols=("id_a", "id_b"),
-                coarse_buckets: int | None = None):
+def dedup_pairs(pairs_ds, cols=("id_a", "id_b")):
     """Distinct (id_a, id_b) pairs via ONE coarse shuffle.
 
     Local drop_duplicates (combiner), shuffle on a coarse int key
@@ -104,8 +101,7 @@ def dedup_pairs(pairs_ds, cols=("id_a", "id_b"),
     from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
     c0, c1 = cols
 
     def local(b: pd.DataFrame) -> pd.DataFrame:
@@ -266,8 +262,7 @@ def minhash_candidates(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
 
 def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
-                        id_col: str = "doc_id", text_col: str = "text",
-                        coarse_buckets: int | None = None):
+                        id_col: str = "doc_id", text_col: str = "text"):
     """EXACT all-pairs token-set Jaccard join at threshold t — the
     sub-quadratic rescue of the brute-force baseline (VERDICT r2 item
     6), via prefix filtering (PPJoin family: Xiao et al., WWW'08 —
@@ -287,7 +282,9 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
     inter, uni), id_a < id_b.
 
     Scale posture: two corpus passes (df, prefix emission) + one
-    coarse shuffle of prefix rows + the verify joins.  The df table is
+    coarse fold of prefix rows (``sizing.fold_buckets``: on the driver
+    when the prefix rows fit, else one shuffle) + the verify joins.
+    The df table is
     size-gated (VERDICT r3 item 2) on its (token, df) Arrow bytes by
     ``sizing.collect_if_fits``: when it fits the driver it is broadcast
     once via ``ray.put``; above it — a web-scale vocabulary is 1e9+
@@ -301,16 +298,13 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
     identical docs); the algorithm is output-sensitive, never silently
     lossy."""
     from fractions import Fraction
-    import zlib
 
     import ray
-    import ray.data as rd
 
     from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
     t = Fraction(str(min_jaccard))
     num, den = t.numerator, t.denominator
 
@@ -340,7 +334,7 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
 
         def prefix_rows(b: pd.DataFrame) -> pd.DataFrame:
             dfm = ray.get(df_ref)
-            out = {"coarse": [], "token": [], "doc": [], "size": []}
+            out = {"token": [], "doc": [], "size": []}
             for did, toks in zip(b[id_col], distinct_tokens(b)):
                 n = len(toks)
                 if n == 0:
@@ -348,18 +342,15 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
                 toks.sort(key=lambda w: (dfm.get(w, 0), w))
                 p = n - (n * num + den - 1) // den + 1   # n - ceil(t*n) + 1
                 for w in toks[:p]:
-                    out["coarse"].append(
-                        zlib.crc32(w.encode()) % coarse_buckets)
                     out["token"].append(w)
                     out["doc"].append(int(did))
                     out["size"].append(n)
             return pd.DataFrame(
-                {"coarse": pd.Series(out["coarse"], dtype="int64"),
-                 "token": pd.Series(out["token"], dtype="object"),
+                {"token": pd.Series(out["token"], dtype="object"),
                  "doc": pd.Series(out["doc"], dtype="int64"),
                  "size": pd.Series(out["size"], dtype="int64")})
 
-        exploded = docs_ds.map_batches(prefix_rows, batch_format="pandas")
+        prefixes = docs_ds.map_batches(prefix_rows, batch_format="pandas")
     else:
         # web-scale vocabulary: df-rank HASH JOIN, no driver dict.
         # (doc, token, size) incidence rows join the df table on token
@@ -399,18 +390,17 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
             n = g["size"].to_numpy()
             keep = rank < n - (n * num + den - 1) // den + 1
             g = g[keep]
-            toks = g["token"].to_numpy()
             return pd.DataFrame(
-                {"coarse": pd.Series(
-                    (pd.util.hash_array(toks, categorize=False)
-                     % coarse_buckets).astype("int64")),
-                 "token": pd.Series(toks, dtype="object"),
+                {"token": pd.Series(g["token"].to_numpy(), dtype="object"),
                  "doc": pd.Series(g["doc"].to_numpy(), dtype="int64"),
                  "size": pd.Series(g["size"].to_numpy(), dtype="int64")})
 
-        exploded = (joined.map_batches(stamp_doc, batch_format="pandas")
-                    .groupby("__coarse")
-                    .map_groups(prefix_fold, batch_format="pandas"))
+        # behind the join's shuffle, so this fold shuffles too
+        prefixes = sizing.fold_buckets(joined, stamp_doc, "__coarse",
+                                       prefix_fold)
+
+    def stamp_token(b: pd.DataFrame) -> pd.DataFrame:
+        return b.assign(coarse=_bucket_ids(b, ["token"], coarse_buckets))
 
     def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
@@ -434,9 +424,8 @@ def set_similarity_join(docs_ds, min_jaccard: float = 0.5,
             {"id_a": pd.Series(out_a, dtype="int64"),
              "id_b": pd.Series(out_b, dtype="int64")})
 
-    pairs = dedup_pairs(
-        exploded.groupby("coarse").map_groups(coarse_pairs,
-                                              batch_format="pandas"))
+    pairs = dedup_pairs(sizing.fold_buckets(prefixes, stamp_token, "coarse",
+                                            coarse_pairs))
     return verify_candidates_hash(pairs, docs_ds, id_col=id_col,
                                   text_col=text_col,
                                   min_jaccard=min_jaccard)
@@ -681,8 +670,7 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
     return j.map_batches(score, batch_format="pandas")
 
 
-def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
-                            max_rounds: int = 30):
+def connected_components_ds(pairs_ds, max_rounds: int = 30):
     """Distributed connected components: alternating large-star /
     small-star rounds (Kiveris et al., "Connected Components in
     MapReduce and Beyond", SoCC 2014) run as Ray coarse-bucket groupby
@@ -713,8 +701,7 @@ def connected_components_ds(pairs_ds, coarse_buckets: int | None = None,
     from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     def star(edges_ds, large: bool):
         def sym(b: pd.DataFrame) -> pd.DataFrame:
@@ -872,7 +859,7 @@ def near_dup_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 # Paragraph-level exact dedup (sub-document granularity)
 # ---------------------------------------------------------------------------
 def paragraph_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                    sep: str = "\n\n", coarse_buckets: int | None = None):
+                    sep: str = "\n\n"):
     """Corpus-wide paragraph-level exact dedup, first occurrence wins
     (the sub-document granularity of Lee et al., "Deduplicating
     Training Data Makes Language Models Better" — exact-match variant
@@ -887,17 +874,20 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     paragraphs re-joined by ``sep`` in original order (may be '' when
     every paragraph was claimed by an earlier document).
 
-    Scale shape (three passes, two shuffles, nothing driver-sized):
+    Scale shape (three passes, two coarse folds):
       1. explode     — map_batches: (id, idx, para, phash=md5) rows;
                        the 16-byte phash is the shuffle key.
-      2. winners     — COARSE-bucket shuffle on phash (constant group
+      2. winners     — COARSE-bucket fold on phash (constant group
                        count, same rationale as dedup_pairs: Ray pays
                        ~0.16 ms per group, one group per distinct
-                       paragraph would dominate) then a vectorized
-                       in-task sort + drop_duplicates picks the
+                       paragraph would dominate): a vectorized
+                       sort + drop_duplicates picks the
                        (id, idx)-minimal occurrence per phash.
-      3. rebuild     — coarse-bucket shuffle on id, in-task per-doc
-                       ordered fold back to text.
+      3. rebuild     — coarse-bucket fold on id, per-doc ordered
+                       fold back to text.
+    Both folds go through ``sizing.fold_buckets``: a side that fits
+    the driver is folded there with no shuffle, and the rebuild then
+    reads the driver's winners back with no Ray execution.
     Per-doc totals come from a separate pruned pass over the doc table
     (each doc row exists exactly once, so per-batch counting is exact
     with no shuffle); a bucketed LEFT hash join stitches totals to
@@ -908,10 +898,10 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     store instead of re-reading a pruned column, a worse trade at
     100 TB.
     """
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets, hash_join
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     def split_paras(text) -> list:
         return [p for p in (text or "").split(sep) if p != ""]
@@ -945,9 +935,10 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     def pick_winners(g: pd.DataFrame) -> pd.DataFrame:
         w = (g.sort_values(["phash", id_col, "idx"], kind="mergesort")
              .drop_duplicates(subset=["phash"], keep="first"))
-        w = w.drop(columns=["_pb", "phash"]).copy()
-        w["_db"] = w[id_col].to_numpy(np.int64) % coarse_buckets
-        return w
+        return w.drop(columns=["_pb", "phash"])
+
+    def stamp_doc(b: pd.DataFrame) -> pd.DataFrame:
+        return b.assign(_db=b[id_col].to_numpy(np.int64) % coarse_buckets)
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -959,11 +950,10 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
             "n_kept": pd.array([r[1] for r in rows], dtype="int64"),
             "new_text": pd.array([r[2] for r in rows], dtype="object")})
 
-    exploded = docs_ds.map_batches(explode, batch_format="pandas")
-    winners = exploded.groupby("_pb").map_groups(
-        pick_winners, batch_format="pandas")
-    rebuilt = winners.groupby("_db").map_groups(
-        lambda g: rebuild(g.drop(columns=["_db"])), batch_format="pandas")
+    # the explode multiplies the corpus: it stays on the workers
+    winners = sizing.fold_buckets(docs_ds, explode, "_pb", pick_winners,
+                                  stamp_here=False)
+    rebuilt = sizing.fold_buckets(winners, stamp_doc, "_db", rebuild)
 
     def totals(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -991,7 +981,7 @@ def paragraph_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 # Duplicated-substring statistics (exact window-level duplication)
 # ---------------------------------------------------------------------------
 def dup_span_stats(docs_ds, k: int = 8, id_col: str = "doc_id",
-                   text_col: str = "text", coarse_buckets: int | None = None):
+                   text_col: str = "text"):
     """Exact duplicated-window detection, the substring-granularity
     member of the dedup family (Lee et al., "Deduplicating Training
     Data Makes Language Models Better", ACL'22 — suffix-array ExactSubstr;
@@ -1006,17 +996,19 @@ def dup_span_stats(docs_ds, k: int = 8, id_col: str = "doc_id",
     only, so the SQL oracle compares exactly.
 
     Scale shape: map-side combiner emits per-(window-hash, doc) counts
-    (16-hex md5 travels, never the window text); ONE coarse shuffle on
+    (16-hex md5 travels, never the window text); ONE coarse fold on
     hash(window) so each window's global total is computable in-task;
     per-doc partials re-bucket on hash(doc) for the final in-task sum.
-    No grouped op ever sees a per-key group (per-group tax) and no
-    stage holds more than a bucket.
+    No grouped op ever sees a per-key group (per-group tax).  Both
+    folds go through ``sizing.fold_buckets``, so a side that fits the
+    driver is folded there with no shuffle; otherwise no stage holds
+    more than a bucket.
     """
     from bb_ocr_ray.functions.hashing import ws_tokens
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
         # window strings are SLICES of the ws-normalized text (cheaper
@@ -1059,13 +1051,14 @@ def dup_span_stats(docs_ds, k: int = 8, id_col: str = "doc_id",
         # so the >=2 test is exact in-task
         tot = g.groupby("h")["c"].transform("sum")
         dup = np.where(tot.to_numpy() >= 2, g["c"].to_numpy(), 0)
-        out = (g.assign(dup=dup)
-               .groupby(id_col, as_index=False)
-               .agg(n_windows=("c", "sum"), n_dup_windows=("dup", "sum")))
-        out["_db"] = (pd.util.hash_array(
-            out[id_col].to_numpy().astype("float64"), categorize=False)
-            % coarse_buckets).astype("int64")
-        return out
+        return (g.assign(dup=dup)
+                .groupby(id_col, as_index=False)
+                .agg(n_windows=("c", "sum"), n_dup_windows=("dup", "sum")))
+
+    def stamp_doc(b: pd.DataFrame) -> pd.DataFrame:
+        return b.assign(_db=(pd.util.hash_array(
+            b[id_col].to_numpy().astype("float64"), categorize=False)
+            % coarse_buckets).astype("int64"))
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(id_col, as_index=False)
@@ -1077,13 +1070,10 @@ def dup_span_stats(docs_ds, k: int = 8, id_col: str = "doc_id",
         return out
 
     # per-block explode (no forced batch_size: md5-per-window is the
-    # expensive part and must stay parallel)
-    return (docs_ds
-            .map_batches(explode, batch_format="pandas")
-            .groupby("_wb").map_groups(window_totals, batch_format="pandas")
-            .groupby("_db").map_groups(
-                lambda g: per_doc(g.drop(columns=["_db"])),
-                batch_format="pandas"))
+    # expensive part and must stay parallel, on the workers)
+    totals = sizing.fold_buckets(docs_ds, explode, "_wb", window_totals,
+                                 stamp_here=False)
+    return sizing.fold_buckets(totals, stamp_doc, "_db", per_doc)
 
 
 # ---------------------------------------------------------------------------

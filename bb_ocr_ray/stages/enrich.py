@@ -77,7 +77,7 @@ class EnrichStage:
 
 
 def enrich(ds, backend: str = "fake", model: str = "fake-model",
-           concurrency: int = 2, batch_size: int = 256,
+           concurrency: int | tuple = (1, 2), batch_size: int = 256,
            max_attempts: int = 3, backoff_seconds: float = 1.0,
            num_gpus: float | None = None, num_cpus: float | None = None,
            client_factory=None):
@@ -92,6 +92,8 @@ def enrich(ds, backend: str = "fake", model: str = "fake-model",
     default (large binary/image payloads need small batches).  The
     sandbox has no GPU, so the spec is exercised in tests with a
     CPU stand-in model via ``client_factory`` and ``num_gpus=0``.
+    The default pool autoscales between one and two actors, so an
+    input of one block starts one actor and one client.
     """
     remote_args = {}
     if num_gpus is not None:

@@ -20,9 +20,14 @@ import numpy as np
 import pandas as pd
 
 
-def _distinct_nodes(edges_ds, coarse_buckets: int):
-    """Distinct node ids from (src, dst) — coarse in-task dedup.
+def _distinct_nodes(edges_ds):
+    """Distinct node ids from (src, dst) — one coarse fold
+    (``sizing.fold_buckets``) with a per-batch distinct combiner.
     No forced batch_size (fusion trap — see stages/coarse.py)."""
+    from bb_ocr_ray.stages import sizing
+    from bb_ocr_ray.stages.joins import _auto_num_buckets
+
+    coarse_buckets = _auto_num_buckets()
 
     def locals_(b: pd.DataFrame) -> pd.DataFrame:
         ids = pd.concat([b["src"], b["dst"]], ignore_index=True)
@@ -33,14 +38,12 @@ def _distinct_nodes(edges_ds, coarse_buckets: int):
             % coarse_buckets).astype("int64")
         return out
 
-    return (edges_ds.map_batches(locals_, batch_format="pandas")
-            .groupby("_nb").map_groups(
-                lambda g: g.drop_duplicates("node").drop(columns=["_nb"]),
-                batch_format="pandas"))
+    return sizing.fold_buckets(
+        edges_ds, locals_, "_nb",
+        lambda g: g.drop_duplicates("node").drop(columns=["_nb"]))
 
 
 def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
-             coarse_buckets: int | None = None,
              tol: float | None = None, stats: dict | None = None,
              check_every: int | None = None):
     """Power-iteration PageRank over an edge Dataset (src, dst) —
@@ -92,13 +95,12 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     from bb_ocr_ray.stages.joins import (_auto_num_buckets,
                                          broadcast_join, hash_join)
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
     # no select_columns here: Project ops crash on pandas blocks, and
     # synthesized edge Datasets arrive as pandas — the contract is the
     # caller passes exactly (src, dst)
-    nodes = _distinct_nodes(edges_ds, coarse_buckets).materialize()
+    nodes = _distinct_nodes(edges_ds).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
         # guard FIRST: an empty Dataset has no schema and the join
@@ -265,7 +267,7 @@ def pagerank(edges_ds, iters: int = 10, damping: float = 0.85,
     return ranks.map_batches(finish, batch_format="pandas")
 
 
-def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None):
+def hits(edges_ds, iters: int = 5):
     """HITS hubs & authorities (Kleinberg 1999, public algorithm) over
     an edge Dataset (src, dst) — int64 node ids, parallel edges carry
     multiplicity.  Returns a Dataset of (node, authority, hub).
@@ -292,10 +294,9 @@ def hits(edges_ds, iters: int = 5, coarse_buckets: int | None = None):
     from bb_ocr_ray.stages.joins import (_auto_num_buckets,
                                          broadcast_join, hash_join)
 
-    if coarse_buckets is None:
-        coarse_buckets = _auto_num_buckets()
+    coarse_buckets = _auto_num_buckets()
 
-    nodes = _distinct_nodes(edges_ds, coarse_buckets).materialize()
+    nodes = _distinct_nodes(edges_ds).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
         import ray.data as rd

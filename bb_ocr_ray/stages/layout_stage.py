@@ -19,14 +19,18 @@ from bb_ocr_ray.kernel.layout import order_blocks
 def reading_order_stage(boxes_ds, page_col: str = "page",
                         strategy: str = "banded", **strategy_kw):
     """Dataset of box rows (page, item_id, x, y, w, h) -> same rows +
-    ``reading_rank`` (1-based within page).  One shuffle on page_col;
-    the per-page ordering is pure kernel code."""
+    ``reading_rank`` (1-based within page).  One coarse fold on
+    page_col (``sizing.fold_buckets``: on the driver when the boxes
+    fit, else one shuffle); the per-page ordering is pure kernel
+    code."""
+    from bb_ocr_ray.stages import sizing
+    from bb_ocr_ray.stages.joins import _auto_num_buckets
 
-    # Coarse-bucket shuffle: grouping on raw page ids means one python
+    # Coarse-bucket fold: grouping on raw page ids means one python
     # call per PAGE (Ray grouped ops pay per-group overhead); instead
-    # shuffle once on hash(page) % 64 and iterate pages vectorized
+    # shuffle once on hash(page) % buckets and iterate pages vectorized
     # inside each task.  Same output, ~5x faster at 150k pages.
-    coarse_buckets = 64
+    coarse_buckets = _auto_num_buckets()
 
     def add_coarse(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
@@ -57,12 +61,7 @@ def reading_order_stage(boxes_ds, page_col: str = "page",
                 rank[idx] = r + 1
             g["reading_rank"] = pd.Series(rank, dtype="int64")
             out.append(g)
-        res = pd.concat(out, ignore_index=True) if out else group.head(0)
-        return res.drop(columns=["__coarse"])
+        return pd.concat(out, ignore_index=True).drop(columns=["__coarse"])
 
     bucket_fn = per_bucket_banded if strategy == "banded" else per_bucket
-    return (
-        boxes_ds.map_batches(add_coarse, batch_format="pandas")
-        .groupby("__coarse")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return sizing.fold_buckets(boxes_ds, add_coarse, "__coarse", bucket_fn)

@@ -123,6 +123,7 @@ def dedup_offers(offers_ds):
                                  kind="mergesort").drop_duplicates(
             subset=["record_key", "provider", "listing_id"], keep="first")
 
+    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     subset = ["record_key", "provider", "listing_id"]
@@ -130,7 +131,8 @@ def dedup_offers(offers_ds):
 
     # record_key is row-cardinality: grouping on the composite key
     # directly pays Ray's per-group tax per offer.  Hash the composite
-    # key into a bounded bucket count (one shuffle) and drop duplicates
+    # key into a bounded bucket count (one coarse fold: on the driver
+    # when the offers fit, else one shuffle) and drop duplicates
     # in-task — same first-wins result, vectorized.
     def pre(b: pd.DataFrame) -> pd.DataFrame:
         b = local(b)
@@ -143,5 +145,4 @@ def dedup_offers(offers_ds):
 
     # no forced batch_size: the upstream is the provider fan-out
     # (expensive per row) — see stages/coarse.py on fusion
-    return (offers_ds.map_batches(pre, batch_format="pandas")
-            .groupby("_kb").map_groups(winners, batch_format="pandas"))
+    return sizing.fold_buckets(offers_ds, pre, "_kb", winners)

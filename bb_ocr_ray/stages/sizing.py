@@ -32,13 +32,23 @@ and the stamped bytes are counted against the limit; any other input
 is probed as ``ds.map_batches(pre)``.  Both decide on the same bytes.
 When the stamped side fits, the fold runs once over the whole side on
 the driver instead of one reducer task per bucket after a sort
-shuffle.  The gated folds
-are ``coarse.coarse_agg`` (every caller, domain_stats among them),
-``coarse.grouped_per_key``, ``dedup.dedup_pairs``,
-``dedup.minhash_candidates``' band fold and ``dedup.simhash_near_dups``'
-band fold; each in-bucket function is bucket-oblivious and each stamp a
-per-row map or a re-foldable combiner, so both paths give the same
-rows.  A side whose plan still holds an unexecuted all-to-all (a
+shuffle.  Every bucket-oblivious coarse fold in the package is gated
+here: ``coarse.coarse_agg`` (every caller, domain_stats among them)
+and ``coarse.grouped_per_key``; in ``dedup``, ``dedup_exact``,
+``dedup_pairs``, the MinHash and SimHash band folds, both folds of
+``set_similarity_join``, ``paragraph_dedup`` and ``dup_span_stats``;
+``ann.embedding_near_dups``' band fold, ``lookup.dedup_offers``,
+``graph._distinct_nodes``,
+``layout_stage.reading_order_stage``, the distinct-key fold of
+``state/hash_index`` and the ``q_posting_lists`` and
+``q_running_total`` queries.  Each in-bucket function is
+bucket-oblivious and each stamp a per-row map or a re-foldable
+combiner, so both paths give the same rows.  A two-fold stage whose
+first fold ran on the driver hands the second a held side, stamped
+here with no Ray execution.  Every fold reads its bucket count from
+``joins._auto_num_buckets()`` at call time, except the hash index
+(its shard count) and a ``coarse_agg`` whose caller sizes the count
+from its input (``pagerank``, ``hits``).  A side whose plan still holds an unexecuted all-to-all (a
 shuffle, sort, repartition, aggregate or join) is not probed: reading
 its first batch would run that whole barrier and everything above it,
 all of it thrown away when the side turns out too big, so such a side

@@ -16,7 +16,8 @@ prior run.  This module is that artifact for the Ray engine:
 * ``build_hash_index`` publishes atomically (write to a temp dir, one
   ``os.replace``) — a killed build leaves no index, never half of one;
 * ``update_hash_index`` appends a DELTA directory named by a digest of
-  its own content, so re-running the same update is a no-op (skip if
+  its distinct key set (and of nothing else: not of how the keys are
+  cut into blocks), so re-running the same update is a no-op (skip if
   the delta exists) and concurrent updates of different batches never
   collide; readers treat duplicate hashes across deltas as harmless
   (anti-join semantics are idempotent in the key);
@@ -51,12 +52,13 @@ def shard_of(keys: pd.Series, n_shards: int) -> np.ndarray:
         dtype=np.int64, count=len(keys))
 
 
-def build_hash_index(ds, index_dir: str, key: str = "content_hash",
-                     n_shards: int = 64) -> str:
-    """Distinct ``key`` values of ``ds`` -> ``index_dir/shard=K/``.
-
-    One coarse shuffle (per-batch distinct partials, shard-keyed fold);
-    atomic publish.  Returns ``index_dir``."""
+def _distinct_keys(ds, key: str, n_shards: int):
+    """(key, shard) rows, one per distinct ``key`` value of ``ds``: a
+    per-batch distinct combiner, then one shard-keyed coarse fold
+    (``sizing.fold_buckets``: on the driver when the keys fit, else one
+    shuffle).  The writes partition on ``shard`` themselves, so the
+    fold needs no co-location beyond the dedup."""
+    from bb_ocr_ray.stages import sizing
 
     def local(b: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({key: b[key].drop_duplicates()
@@ -64,11 +66,17 @@ def build_hash_index(ds, index_dir: str, key: str = "content_hash",
         out["shard"] = shard_of(out[key], n_shards)
         return out
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=[key])
+    return sizing.fold_buckets(ds, local, "shard",
+                               lambda g: g.drop_duplicates(subset=[key]))
 
-    distinct = (ds.map_batches(local, batch_format="pandas")
-                .groupby("shard").map_groups(fold, batch_format="pandas"))
+
+def build_hash_index(ds, index_dir: str, key: str = "content_hash",
+                     n_shards: int = 64) -> str:
+    """Distinct ``key`` values of ``ds`` -> ``index_dir/shard=K/``.
+
+    One coarse fold (``_distinct_keys``); atomic publish.  Returns
+    ``index_dir``."""
+    distinct = _distinct_keys(ds, key, n_shards)
     tmp = f"{index_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     distinct.write_parquet(tmp, partition_cols=["shard"])
@@ -106,54 +114,39 @@ def update_hash_index(ds, index_dir: str, key: str = "content_hash",
                       n_shards: int = 64) -> str | None:
     """Append a batch's distinct keys as a content-addressed delta.
 
-    The delta directory is named by a digest of the batch's sorted
-    distinct keys, so re-running the same update is a skip, not a
-    duplicate.  Returns the delta path (None if it already existed).
-    The key set must be small enough to digest on the driver relative
-    to the batch (it is distinct-key-sized, the same order as the
-    index write itself); the parquet write is still distributed."""
+    The delta directory is named by a digest of the batch's distinct
+    key set alone: the count and the sum mod 2**64 of a 64-bit md5 of
+    each key, folded on the driver from per-block partials
+    (block-count rows), so the same keys give the same delta however
+    they are cut into blocks, and re-running the same update is a skip,
+    not a duplicate.  Returns the delta path (None if it already
+    existed or the batch has no key).  The parquet write is
+    distributed."""
     _check_meta(index_dir, key, n_shards)
 
-    def local(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({key: b[key].drop_duplicates()
-                             .astype(str).to_numpy()})
+    distinct = _distinct_keys(ds, key, n_shards).materialize()
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=[key]).drop(columns=["_sh"])
+    def block_sum(b: pd.DataFrame) -> pd.DataFrame:
+        md5 = hashlib.md5
+        h = np.fromiter(
+            (int.from_bytes(md5(k.encode("utf-8")).digest()[:8], "little")
+             for k in b[key]), dtype=np.uint64, count=len(b))
+        return pd.DataFrame({"n": [np.int64(len(b))],
+                             "s": [h.sum(dtype=np.uint64)]})
 
-    def stamp(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_sh"] = shard_of(b[key], n_shards)
-        return b
-
-    distinct = (ds.map_batches(local, batch_format="pandas")
-                .map_batches(stamp, batch_format="pandas")
-                .groupby("_sh").map_groups(fold, batch_format="pandas")
-                .materialize())
-    # content address: order-insensitive digest of the distinct keys
-    # (per-block digests fold on the driver — block-count values)
-    def block_digest(b: pd.DataFrame) -> pd.DataFrame:
-        h = hashlib.sha256("\x1e".join(sorted(b[key])).encode()).hexdigest()
-        return pd.DataFrame({"d": [h], "n": [len(b)]})
-
-    parts = distinct.map_batches(block_digest,
+    parts = distinct.map_batches(block_sum,
                                  batch_format="pandas").to_pandas()
-    if parts.empty or int(parts["n"].sum()) == 0:
+    n = int(parts["n"].sum()) if len(parts) else 0
+    if n == 0:
         return None                               # nothing new: skip
-    digest = hashlib.sha256(
-        "\x1e".join(sorted(parts["d"])).encode()).hexdigest()[:16]
+    s = int(parts["s"].to_numpy(np.uint64).sum(dtype=np.uint64))
+    digest = hashlib.sha256(f"{n}:{s}".encode()).hexdigest()[:16]
     delta_dir = os.path.join(index_dir, f"delta-{digest}")
     if os.path.isdir(delta_dir):
         return None                               # idempotent re-update
-    def shard_col(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["shard"] = shard_of(b[key], n_shards)
-        return b
-
     tmp = f"{delta_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-    distinct.map_batches(shard_col, batch_format="pandas").write_parquet(
-        tmp, partition_cols=["shard"])
+    distinct.write_parquet(tmp, partition_cols=["shard"])
     os.replace(tmp, delta_dir)
     return delta_dir
 

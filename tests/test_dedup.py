@@ -539,12 +539,17 @@ def test_set_similarity_distributed_vocab_path(ray_session, gate_spy,
     assert (900, 901, 1, 1) in distributed          # "" token round-trips
 
 
-def test_dup_span_stats_planted(ray_session):
+def test_dup_span_stats_planted(ray_session, monkeypatch, force_shuffle):
     """Planted window duplication: a shared 8-token sentence across two
-    docs, a within-doc repeat, and a unique doc — exact counts."""
+    docs, a within-doc repeat, and a unique doc — exact counts, through
+    a 7-bucket shuffle."""
     import ray.data as rd
 
+    from bb_ocr_ray.stages import joins
     from bb_ocr_ray.stages.dedup import dup_span_stats
+
+    monkeypatch.setattr(joins, "_auto_num_buckets", lambda: 7)
+    force_shuffle()
 
     shared = "alpha beta gamma delta epsilon zeta eta theta"  # 8 tokens
     docs = [
@@ -559,8 +564,7 @@ def test_dup_span_stats_planted(ray_session):
         {"doc_id": 3, "text": "u1 u2 u3 u4 u5 u6 u7 u8 u9"},
         {"doc_id": 4, "text": "too short"},
     ]
-    out = (dup_span_stats(rd.from_items(docs).repartition(3), k=8,
-                          coarse_buckets=7)
+    out = (dup_span_stats(rd.from_items(docs).repartition(3), k=8)
            .to_pandas().set_index("doc_id").sort_index())
 
     # doc 4 has no window at all -> no row

@@ -151,3 +151,32 @@ def test_shard_pruning_reads_only_named_shards(ray_session, tmp_path):
     assert sorted(got) == expect
     # pruning to a shard reads a strict subset
     assert len(got) < len(rows)
+
+
+def test_update_delta_ignores_block_layout(ray_session, tmp_path,
+                                           force_shuffle):
+    """The delta's content address is a function of the distinct key
+    set alone: the same keys in one block, in five, and through the
+    forced shuffle name one delta, written once."""
+    import ray.data as rd
+
+    from bb_ocr_ray.functions.hashing import md5_hex
+    from bb_ocr_ray.state.hash_index import (build_hash_index,
+                                             read_hash_index,
+                                             update_hash_index)
+
+    idx = str(tmp_path / "idx")
+    build_hash_index(rd.from_items([{"content_hash": md5_hex("seed")}]),
+                     idx, n_shards=8)
+    keys = pd.DataFrame({"content_hash": [md5_hex(f"k{i % 200}")
+                                          for i in range(260)]})
+    one = rd.from_pandas(keys)
+    five = rd.from_pandas([keys.iloc[i::5] for i in range(5)])
+    delta = update_hash_index(one, idx, n_shards=8)
+    assert delta is not None and os.path.isdir(delta)
+    assert update_hash_index(five, idx, n_shards=8) is None
+    force_shuffle()
+    assert update_hash_index(five, idx, n_shards=8) is None
+    assert [n for n in os.listdir(idx) if n.startswith("delta-")] == [
+        os.path.basename(delta)]
+    assert read_hash_index(idx).count() == 201

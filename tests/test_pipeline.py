@@ -712,10 +712,12 @@ def test_llm_backend_registry_and_fake_determinism():
             "title": "echo"}
 
 
-def test_lifecycle_enrichment_slot(ray_session, tmp_path):
+def test_lifecycle_enrichment_slot(ray_session, tmp_path, recwarn):
     """Backend swap through run_lifecycle: the fake enrichment stage
     adds deterministic columns that persist through the partitioned
-    sink (and therefore the audit read-back source)."""
+    sink (and therefore the audit read-back source).  The one-block
+    input starts one actor of the autoscaling pool, so Ray does not
+    warn of a pool minimum above the operator's inputs."""
     import os
 
     import pyarrow.parquet as pq
@@ -744,6 +746,9 @@ def test_lifecycle_enrichment_slot(ray_session, tmp_path):
     key2 = sorted(zip(back2["url"], back2["enrichment_digest"].fillna("")))
     assert key1 == key2
     assert os.path.isdir(out)
+    # Ray raises this one as a Python warning, not a log record
+    assert not [w for w in recwarn
+                if "minimum number of concurrent actors" in str(w.message)]
 
 
 def test_real_decode_when_codec_present(ray_session):
@@ -788,3 +793,15 @@ def test_embedding_filters_keep_one_schema(ray_session, sf_tiny,
                 if "different schema" in m and "'embedding'" in m]
     assert not [m for m in logged
                 if "Error calculating size for column 'embedding'" in m]
+
+
+def test_jaccard_pairs_keeps_one_schema(ray_session, sf_tiny, ray_data_log):
+    """q_jaccard_pairs' coarse folds (the df fold, the prefix fold and
+    the pair dedup) fit the driver on sf_tiny and run there, so no sort
+    shuffle emits Ray's column-less 0-row partitions and Ray logs no
+    schema change."""
+    from bb_ocr_ray.pipelines.queries import q_jaccard_pairs
+
+    assert len(q_jaccard_pairs(sf_tiny).to_pandas()) == 90_752
+    assert not [r for r in ray_data_log.records
+                if "different schema" in r.getMessage()]

@@ -138,34 +138,41 @@ def test_no_orphaned_helpers():
 
 
 # Every direct ``.groupby(...).map_groups(...)`` in bb_ocr_ray/, as
-# "file:top-level function" -> count.  The coarse folds whose in-bucket
-# work is bucket-oblivious run through ``sizing.fold_buckets``, which
-# skips the shuffle when the side fits the driver; a new site here is
-# an ungated shuffle, so adding one is a decision this list records.
+# "file:top-level function" -> count.  Every coarse fold whose in-bucket
+# work is bucket-oblivious (a per-key fold whose keys never straddle
+# buckets) runs through ``sizing.fold_buckets``, which skips the shuffle
+# when the side fits the driver; a new site here is an ungated shuffle,
+# so adding one is a decision this list records.  Each site left says
+# why it is not such a fold.
 _MAP_GROUPS_ALLOW = Counter({
+    # the one gated fold itself
     "stages/sizing.py:fold_buckets": 1,
+    # the shuffle arm of the join gate: both sides co-bucketed in one
+    # union; the driver arm is the broadcast join
     "stages/joins.py:_bucketed_arrow": 1,
     "stages/joins.py:_bucketed_pandas": 1,
-    "stages/dedup.py:paragraph_dedup": 2,
-    "stages/dedup.py:set_similarity_join": 2,
+    # star rounds run only when the pair graph did not fit the driver,
+    # each round re-shuffling the previous round's edges
     "stages/dedup.py:connected_components_ds": 1,
-    "stages/dedup.py:dup_span_stats": 2,
+    # groups on the raw prefix key: each group reads its one prefix's
+    # global rank offset
     "stages/dedup.py:sorted_neighborhood_pairs": 1,
+    # a bucket-oblivious rebuild, but it runs only when the frequent-line
+    # table did not fit the driver, behind the flagging hash_join, where
+    # fold_buckets would always shuffle
     "stages/boilerplate.py:remove_boilerplate": 1,
+    # raw query_id groups: the top-k keeps k rows per group
     "stages/ann.py:ann_topk": 1,
-    "stages/ann.py:embedding_near_dups": 1,
+    # raw (kind, query_id) and query_id groups: per-group top-k/radius
     "stages/ann.py:ivf_topk_exact": 3,
-    "stages/graph.py:_distinct_nodes": 1,
-    "stages/layout_stage.py:reading_order_stage": 1,
-    "stages/lookup.py:dedup_offers": 1,
+    # each bucket replays, in event-time order, into its one actor
     "stages/streaming.py:sessionize_watermark": 1,
-    "state/hash_index.py:build_hash_index": 1,
-    "state/hash_index.py:update_hash_index": 1,
+    # raw-key query folds: each call handles one key (head(1), iloc[0],
+    # a per-group top-k, a per-source packing order)
     **{f"pipelines/queries.py:{q}": 1 for q in (
         "q_count_distinct", "q_ctfidf", "q_distinct", "q_events_sliding",
         "q_hard_negatives", "q_inverted_index", "q_knn_label", "q_median",
-        "q_offer_ranking", "q_pack_sequences", "q_posting_lists",
-        "q_running_total", "q_topk_per_group")},
+        "q_offer_ranking", "q_pack_sequences", "q_topk_per_group")},
 })
 
 

@@ -1,10 +1,14 @@
 """Tests for the at-scale variants: exact IVF ANN, Bloom semi-join,
 size-aware repartition."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+
+from conftest import SF_TINY
 
 
 def test_bloom_semi_join_no_false_negatives(ray_session, sf_tiny):
@@ -409,14 +413,19 @@ def test_coarse_agg_arrow_blocks_match_pandas_blocks(ray_session):
     pd.testing.assert_frame_equal(got_f, exp_f, check_dtype=False)
 
 
-def test_pagerank_matches_numpy(ray_session):
+def test_pagerank_matches_numpy(ray_session, monkeypatch):
     """Distributed PageRank == dense numpy power iteration on a random
-    graph with parallel edges, skewed in-degrees, and dangling sinks."""
+    graph with parallel edges, skewed in-degrees, and dangling sinks.
+    The node fold reads repartitioned edges, so it shuffles, here into
+    5 buckets."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
+    from bb_ocr_ray.stages import joins
     from bb_ocr_ray.stages.graph import pagerank
+
+    monkeypatch.setattr(joins, "_auto_num_buckets", lambda: 5)
 
     rng = np.random.RandomState(11)
     n = 60
@@ -436,8 +445,7 @@ def test_pagerank_matches_numpy(ray_session):
             m[idx[d]] += 0.85 * r[idx[s]] / outdeg[s]
         r = 0.15 / nv + m
 
-    got = (pagerank(rd.from_pandas(edges).repartition(4), iters=10,
-                    coarse_buckets=5)
+    got = (pagerank(rd.from_pandas(edges).repartition(4), iters=10)
            .to_pandas().sort_values("node").reset_index(drop=True))
     assert list(got["node"]) == list(nodes)
     np.testing.assert_allclose(got["rank"].to_numpy(),
@@ -445,7 +453,7 @@ def test_pagerank_matches_numpy(ray_session):
                                rtol=1e-12, atol=1e-15)
 
 
-def test_pagerank_tol_early_exit(ray_session):
+def test_pagerank_tol_early_exit(ray_session, monkeypatch):
     """tol-mode PageRank stops as soon as max |Δrank| <= tol (observed
     via the stats out-param) and the early result stays within the
     documented drift bound tol*d/(1-d) of the full fixed-iteration
@@ -455,7 +463,10 @@ def test_pagerank_tol_early_exit(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from bb_ocr_ray.stages import joins
     from bb_ocr_ray.stages.graph import pagerank
+
+    monkeypatch.setattr(joins, "_auto_num_buckets", lambda: 5)
 
     rng = np.random.RandomState(7)
     edges = pd.DataFrame({
@@ -463,12 +474,12 @@ def test_pagerank_tol_early_exit(ray_session):
         "dst": rng.randint(0, 60, 400).astype("int64")})
     ds = rd.from_pandas(edges).repartition(4)
 
-    full = (pagerank(ds, iters=40, coarse_buckets=5)
+    full = (pagerank(ds, iters=40)
             .to_pandas().sort_values("node").reset_index(drop=True))
 
     tol = 1e-6
     st = {}
-    early = (pagerank(ds, iters=40, coarse_buckets=5, tol=tol, stats=st)
+    early = (pagerank(ds, iters=40, tol=tol, stats=st)
              .to_pandas().sort_values("node").reset_index(drop=True))
     assert st["iters_run"] < 40, "tol exit never fired"
     assert st["max_delta"] <= tol
@@ -478,26 +489,32 @@ def test_pagerank_tol_early_exit(ray_session):
                   - full["rank"].to_numpy()).max() <= bound
 
     st2 = {}
-    exact = (pagerank(ds, iters=10, coarse_buckets=5, stats=st2)
+    exact = (pagerank(ds, iters=10, stats=st2)
              .to_pandas().sort_values("node").reset_index(drop=True))
     assert st2["iters_run"] == 10, "exact mode exited before convergence"
     # repeat runs agree to float-sum-reorder noise (coarse partials
     # arrive in nondeterministic order; the query rounds to 6 dp)
     np.testing.assert_allclose(
         exact["rank"].to_numpy(),
-        pagerank(ds, iters=10, coarse_buckets=5).to_pandas()
+        pagerank(ds, iters=10).to_pandas()
         .sort_values("node")["rank"].to_numpy(), rtol=1e-12, atol=1e-15)
 
 
-def test_grouped_per_key_matches_map_groups_semantics(ray_session):
+def test_grouped_per_key_matches_map_groups_semantics(ray_session,
+                                                      monkeypatch,
+                                                      force_shuffle):
     """grouped_per_key(fn) == pandas per-key apply of fn, including
     null keys, int/float key upcast across blocks, and fns that fold
-    some keys to zero rows."""
+    some keys to zero rows, through a 5-bucket shuffle."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
+    from bb_ocr_ray.stages import joins
     from bb_ocr_ray.stages.coarse import grouped_per_key
+
+    monkeypatch.setattr(joins, "_auto_num_buckets", lambda: 5)
+    force_shuffle()
 
     rng = np.random.RandomState(3)
     df = pd.DataFrame({
@@ -513,8 +530,7 @@ def test_grouped_per_key_matches_map_groups_semantics(ray_session):
             return g.head(0)[["v"]].assign(n=pd.array([], dtype="int64"))
         return pd.DataFrame({"v": [lo], "n": [len(g)]})
 
-    got = (grouped_per_key(rd.from_pandas(df).repartition(6), "u", fn,
-                           coarse_buckets=5)
+    got = (grouped_per_key(rd.from_pandas(df).repartition(6), "u", fn)
            .to_pandas().sort_values(["v", "n"]).reset_index(drop=True))
 
     parts = [fn(g) for _, g in df.groupby("u", dropna=False, sort=True)]
@@ -929,22 +945,164 @@ def _fold_simhash_near_dups():
     return simhash_near_dups(_blocks(_flood_docs(), 4)), 2, 1
 
 
+def _fold_dedup_offers():
+    from bb_ocr_ray.stages.lookup import dedup_offers
+
+    # repeats of one (record_key, provider, listing_id) carry one
+    # amount: which copy wins is the seen-set's arrival order
+    rng = np.random.RandomState(9)
+    n = 400
+    r, p, lid = (rng.randint(0, 60, n), rng.randint(0, 3, n),
+                 rng.randint(0, 8, n))
+    offers = pd.DataFrame({
+        "record_key": [f"r{i}" for i in r],
+        "provider": [("a", "b", "c")[i] for i in p],
+        "listing_id": [None if i == 0 else f"l{i}" for i in lid],
+        "amount": (r * 100 + p * 10 + lid).astype("float64")})
+    return dedup_offers(_blocks(offers, 4)), 1, 1
+
+
+def _fold_distinct_nodes():
+    from bb_ocr_ray.stages.graph import _distinct_nodes
+
+    rng = np.random.RandomState(4)
+    edges = pd.DataFrame({"src": rng.randint(0, 80, 500),
+                          "dst": rng.randint(50, 200, 500)}).astype("int64")
+    return _distinct_nodes(_blocks(edges, 4)), 1, 1
+
+
+def _fold_hash_index():
+    import tempfile
+
+    import ray.data as rd
+
+    from bb_ocr_ray.state.hash_index import build_hash_index, read_hash_index
+
+    keys = pd.DataFrame({"content_hash": [f"h{i % 70}" for i in range(300)]})
+    with tempfile.TemporaryDirectory() as tmp:
+        idx = build_hash_index(_blocks(keys, 4), f"{tmp}/idx", n_shards=8)
+        shards = sorted(n for n in os.listdir(idx) if n.startswith("shard="))
+        out = read_hash_index(idx).to_pandas()
+    assert len(shards) == 8 and len(out) == 70
+    return rd.from_pandas(out), 1, 1
+
+
+def _boxes() -> pd.DataFrame:
+    return pd.DataFrame(
+        [{"page": page, "item_id": item, "x": (item * 97 + page) % 280,
+          "y": (item * 61) % 350, "w": 40, "h": 18}
+         for page in range(30) for item in range(7)])
+
+
+def _fold_reading_order_banded():
+    from bb_ocr_ray.stages.layout_stage import reading_order_stage
+
+    return reading_order_stage(_blocks(_boxes(), 3)), 1, 1
+
+
+def _fold_reading_order_xy_cut():
+    from bb_ocr_ray.stages.layout_stage import reading_order_stage
+
+    return reading_order_stage(_blocks(_boxes(), 3), strategy="xy_cut"), 1, 1
+
+
+def _para_docs() -> pd.DataFrame:
+    paras = [f"paragraph {i} with words" for i in range(12)]
+    return pd.DataFrame({
+        "doc_id": np.arange(40, dtype="int64"),
+        "text": ["\n\n".join(paras[(i * j) % 12] for j in range(1, 5))
+                 for i in range(40)]})
+
+
+def _fold_paragraph_dedup():
+    from bb_ocr_ray.stages.dedup import paragraph_dedup
+
+    # the winners fold, then the rebuild over the driver's held winners;
+    # forced, the rebuild reads the winners' shuffle and is not probed
+    return paragraph_dedup(_blocks(_para_docs(), 4)), 2, 1
+
+
+def _fold_paragraph_dedup_empty():
+    from bb_ocr_ray.stages.dedup import paragraph_dedup
+
+    # no paragraph at all: the stamped side is 0 rows, the rebuild
+    # reads the driver's 0-row result and the left join meets it
+    docs = pd.DataFrame({"doc_id": np.arange(6, dtype="int64"),
+                         "text": ["", "\n\n", None, "", "\n\n\n\n", ""]})
+    return paragraph_dedup(_blocks(docs, 3)), 2, 1
+
+
+def _fold_dup_span_stats():
+    from bb_ocr_ray.stages.dedup import dup_span_stats
+
+    return dup_span_stats(_blocks(_para_docs(), 4), k=3), 2, 1
+
+
+def _fold_set_similarity_join():
+    from bb_ocr_ray.stages.dedup import set_similarity_join
+
+    rng = np.random.RandomState(77)
+    pool = [f"t{i}" for i in range(30)]
+    docs = pd.DataFrame({
+        "doc_id": np.arange(60, dtype="int64"),
+        "text": [" ".join(sorted(set(rng.choice(pool, rng.randint(3, 14)))))
+                 for _ in range(60)]})
+    # driver: the df fold, the vocabulary, the prefix fold and the pair
+    # dedup; forced: the df fold and the vocabulary, the rest behind
+    # the df-rank join
+    return set_similarity_join(_blocks(docs, 4)), 4, 2
+
+
+def _fold_embedding_near_dups():
+    from bb_ocr_ray.stages.ann import embedding_near_dups
+
+    rng = np.random.RandomState(7)
+    base = rng.standard_normal((120, 64))
+    twins = base[:15] + 0.02 * rng.standard_normal((15, 64))
+    vecs = pd.DataFrame({
+        "vec_id": np.r_[np.arange(120), 1000 + np.arange(15)].astype("int64"),
+        "embedding": list(np.vstack([base, twins]).astype(np.float32))})
+    # the band fold, then dedup_pairs over the driver's held pairs
+    return embedding_near_dups(_blocks(vecs, 3), threshold=0.95), 2, 1
+
+
+def _fold_posting_lists():
+    import ray.data as rd
+
+    from bb_ocr_ray.pipelines.queries import q_posting_lists
+
+    return rd.from_pandas(q_posting_lists(SF_TINY)), 1, 1
+
+
+def _fold_running_total():
+    from bb_ocr_ray.pipelines.queries import q_running_total
+
+    return q_running_total(SF_TINY), 1, 1
+
+
 @pytest.mark.parametrize("build", [
     _fold_coarse_agg, _fold_grouped_per_key, _fold_dedup_pairs,
-    _fold_minhash_candidates, _fold_simhash_near_dups],
+    _fold_minhash_candidates, _fold_simhash_near_dups, _fold_dedup_offers,
+    _fold_distinct_nodes, _fold_hash_index, _fold_reading_order_banded,
+    _fold_reading_order_xy_cut, _fold_paragraph_dedup,
+    _fold_paragraph_dedup_empty, _fold_dup_span_stats,
+    _fold_set_similarity_join, _fold_embedding_near_dups,
+    _fold_posting_lists, _fold_running_total],
     ids=lambda f: f.__name__[len("_fold_"):])
 def test_coarse_folds_driver_matches_shuffle(ray_session, gate_spy,
                                              force_shuffle, build):
     """Each bucket-oblivious fold gives the same rows whether its side
-    is folded once on the driver or bucket by bucket in the shuffle."""
+    is folded once on the driver or bucket by bucket in the shuffle
+    (a -1 limit pushes even a 0-row side over)."""
     ds, on_driver, forced = build()
     driver = _bag(ds.to_pandas())
     assert gate_spy == ["driver"] * on_driver
-    force_shuffle()
+    force_shuffle(-1)
     ds, _, _ = build()
     shuffled = _bag(ds.to_pandas())
     assert gate_spy[on_driver:] == ["shuffle"] * forced
-    assert driver == shuffled and len(driver)
+    assert driver == shuffled
+    assert len(driver) or build is _fold_paragraph_dedup_empty
     if build in (_fold_minhash_candidates, _fold_simhash_near_dups):
         flood = {row[:2] for row in driver if row[1] < 1000}
         # 64 * 63 / 2 head pairs plus the 26 chained tail links
