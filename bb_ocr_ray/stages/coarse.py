@@ -16,15 +16,14 @@ cost instead of per-group.  The in-bucket fold is bucket-oblivious, so
 when the stamped side fits the driver (``sizing.fold_buckets``) it
 runs once over the whole side there and the shuffle is skipped.
 
-Pre-shuffle block-count bounding (``tag_batch``, the joins._TAG_BATCH
-lesson) is OPT-IN here: forcing a large ``batch_size`` on the stamp
-stage makes Ray fuse it with whatever map feeds it, and when that
+The stamp stage takes no batch size (unlike joins' tag stage, which
+bounds its block count with ``_TAG_BATCH``): a large ``batch_size``
+makes Ray fuse the stamp with whatever map feeds it, and when that
 upstream is expensive (extraction, provider fan-out) one fused task
-must pull 262k rows through the WHOLE chain — parallelism collapses to
-rows/tag_batch tasks (measured: domain_stats 37 s vs 13 s at 32 cpus).
-The combiner already shrinks aggregate shuffles to near-nothing, so
-the default (one stamped block per upstream block) is right unless the
-caller stamps a raw many-small-block source directly.
+must pull 262k rows through the WHOLE chain (measured: domain_stats
+37 s vs 13 s at 32 cpus).  The combiner already shrinks aggregate
+shuffles to near-nothing, so one stamped block per upstream block is
+right.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def _bucket_ids(frame: pd.DataFrame, keys: list[str],
 
 
 def coarse_agg(ds, keys, agg: dict, coarse_buckets: int | None = None,
-               partial: bool = True, tag_batch: int | None = None):
+               partial: bool = True):
     """``groupby(keys).agg(**agg)`` through ONE coarse shuffle, or one
     driver-side fold when the stamped side fits (``sizing.fold_buckets``).
 
@@ -169,10 +168,10 @@ def coarse_agg(ds, keys, agg: dict, coarse_buckets: int | None = None,
                 .agg(**spec))
 
     return sizing.fold_buckets(ds, stamp, "__coarse", fold,
-                               batch_format=None, batch_size=tag_batch)
+                               batch_format=None)
 
 
-def grouped_per_key(ds, key: str, fn, tag_batch: int | None = None):
+def grouped_per_key(ds, key: str, fn):
     """``groupby(key).map_groups(fn)`` through ONE coarse shuffle, or
     one driver-side pass when the stamped side fits
     (``sizing.fold_buckets``).
@@ -181,8 +180,7 @@ def grouped_per_key(ds, key: str, fn, tag_batch: int | None = None):
     ``hash(key) % joins._auto_num_buckets()`` and the per-key split happens
     IN-TASK with a pandas groupby — ``fn`` sees exactly the frames
     ``map_groups`` would have given it, one key per call.
-    ``dropna=False`` mirrors Ray's null-key group.  ``tag_batch`` is
-    opt-in for the same fusion reason as :func:`coarse_agg`.
+    ``dropna=False`` mirrors Ray's null-key group.
     """
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
@@ -205,5 +203,4 @@ def grouped_per_key(ds, key: str, fn, tag_batch: int | None = None):
             return all_parts[0]
         return pd.concat(parts, ignore_index=True)
 
-    return sizing.fold_buckets(ds, stamp, "__coarse", per_bucket,
-                               batch_size=tag_batch)
+    return sizing.fold_buckets(ds, stamp, "__coarse", per_bucket)

@@ -629,9 +629,8 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
     def tokset(batch: pa.Table) -> pa.Table:
         # each doc's DISTINCT tokens, sorted and joined by the " " they
         # were split on (no token holds one, so split(" ") restores
-        # them): a plain string column keeps both joins on the Arrow
-        # body, where a list or Python-object column would force the
-        # pandas body and its object-dtype blocks
+        # them): a plain string column is the cheapest payload for
+        # both joins to carry through their shuffles
         return pa.table(
             {"tid": _int64_ids(batch, id_col),
              "toks": pa.array([" ".join(sorted(set((t or "").split(" "))))

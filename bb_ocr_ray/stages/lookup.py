@@ -3,7 +3,8 @@
 Re-expresses ``pipeline_demo/pricing_api/pricing_api/core/aggregator.py``:
   - N providers queried per record, results merged (:46-59);
   - per-provider errors are DATA, not exceptions (:53-56);
-  - offers deduplicated by a seen-key, first wins (:61-69);
+  - offers deduplicated by a seen-key (:61-69), the least payload
+    winning a repeat where the reference keeps the first seen;
   - provider plugin surface = any callable with the lookup signature
     (:10-15; stubs as templates amazon_stub.py:5-17).
 
@@ -57,7 +58,6 @@ def provider_fanout(records_ds, providers: dict, key_col: str,
     def _error_rows(batch, name, status, msg):
         return pd.DataFrame(
             {"record_key": batch[key_col],
-             "listing_id": None, "amount": None,
              "provider": name, "status": status, "error": msg}
         )
 
@@ -99,11 +99,15 @@ def provider_fanout(records_ds, providers: dict, key_col: str,
 
         for name, offers, err, status in results:
             if err is None:
-                outs.append(offers.assign(provider=name, status="ok",
-                                          error=None))
+                outs.append(offers.assign(provider=name, status="ok"))
             else:
                 outs.append(_error_rows(batch, name, status, err))
-        merged = pd.concat(outs, ignore_index=True)
+        # no empty frame and no all-NA column enters the concat (pandas
+        # deprecates how those count toward a column's dtype): error
+        # rows carry no offer columns, offers no error column, and a
+        # column no part carries is added as None below
+        merged = pd.concat([o for o in outs if len(o)] or outs[:1],
+                           ignore_index=True)
         for c in OFFER_COLUMNS:
             if c not in merged.columns:
                 merged[c] = None
@@ -116,11 +120,15 @@ def dedup_offers(offers_ds):
     """Seen-key dedup per record: the key INCLUDES the provider
     ((provider, listing_id), aggregator.py:61-69) so intra-provider
     repeats collapse while distinct providers' offers — and their
-    error rows (listing_id=None) — all survive."""
+    error rows (listing_id=None) — all survive.  Of a repeated key the
+    least row wins, ordered on the payload after the key (``amount``,
+    ``status``, ``error``): a shuffle does not keep arrival order, so
+    "first seen" would let the driver and shuffle paths keep
+    different rows."""
 
     def local(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.sort_values(["record_key", "provider", "listing_id"],
-                                 kind="mergesort").drop_duplicates(
+        order = [c for c in OFFER_COLUMNS if c in batch.columns]
+        return batch.sort_values(order, kind="mergesort").drop_duplicates(
             subset=["record_key", "provider", "listing_id"], keep="first")
 
     from bb_ocr_ray.stages import sizing

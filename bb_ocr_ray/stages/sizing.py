@@ -296,15 +296,14 @@ def _behind_all_to_all(ds) -> bool:
 
 
 def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
-                 batch_size=None, stamp_here: bool = True,
-                 fn_format="pandas"):
+                 stamp_here: bool = True, fn_format="pandas"):
     """``ds.map_batches(pre).groupby(bucket_col).map_groups(fn)``, or,
     when the stamped side fits the driver, ``fn`` run ONCE over the
     whole stamped side in the driver process: no shuffle, no reducer
     tasks.
 
     ``pre`` is the per-batch stamp that adds ``bucket_col`` (with any
-    combiner), called with ``batch_format``/``batch_size`` batches.
+    combiner), called with whole blocks as ``batch_format`` batches.
     The gate (``collect_if_fits``) always measures what the stamp
     makes, in Arrow bytes.  A held input (``is_held``) is read back
     block by block with no execution and each block stamped here as it
@@ -340,7 +339,7 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
     import ray.data as rd
 
     stamped = ds.map_batches(pre, batch_format=batch_format,
-                             batch_size=batch_size)
+                             batch_size=None)
     if stamp_here and is_held(ds):
         table = collect_if_fits(ds, pre, batch_format)
     elif _behind_all_to_all(ds):

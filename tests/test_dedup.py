@@ -256,9 +256,9 @@ def test_verify_exact_jaccard_boundary(ray_session):
 def test_verify_hash_blocks_size_cleanly(ray_session, monkeypatch,
                                          ray_data_log):
     """verify_candidates_hash's two joins carry each doc's token set
-    as one string column, so they run on hash_join's Arrow body: no
-    block of theirs is a 0-row pandas frame with object columns, whose
-    sizing makes Ray log "Error calculating size for column"."""
+    as one string column through hash_join: every block of theirs is
+    Arrow, none a 0-row pandas frame with object columns, whose sizing
+    makes Ray log "Error calculating size for column"."""
     import pyarrow as pa
     import ray
     import ray.data as rd

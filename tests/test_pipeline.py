@@ -547,6 +547,49 @@ def test_provider_fanout_time_budget(ray_session):
     assert len(slow_rows) == 5
 
 
+def test_provider_fanout_merge_no_future_warning():
+    """One batch's merge of offers, an empty provider (the stub) and a
+    failing provider's error rows hands pandas no empty frame and no
+    all-NA column, so it raises no FutureWarning (one sf0.01 oracle
+    sweep logged 16).  The merge runs in-process: the fan-out's batch
+    function is taken from a stand-in Dataset."""
+    import warnings
+
+    from bb_ocr_ray.stages.lookup import (OFFER_COLUMNS, make_stub_provider,
+                                          provider_fanout)
+
+    class Capture:
+        def map_batches(self, fn, **_):
+            self.fn = fn
+            return self
+
+    def offers(records):
+        return pd.DataFrame({"record_key": records["k"],
+                             "listing_id": records["k"] * 10,
+                             "amount": 1.5})
+
+    def broken(records):
+        raise RuntimeError("down")
+
+    def fan(providers):
+        return provider_fanout(Capture(), providers, key_col="k").fn
+
+    stub = make_stub_provider("stub")
+    batch = pd.DataFrame({"k": [1, 2, 3]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        out = fan({"ok": offers, "stub": stub, "broken": broken})(batch)
+        empty = fan({"stub": stub})(batch)
+    assert list(out.columns) == list(empty.columns) == OFFER_COLUMNS
+    assert len(empty) == 0
+    assert out["record_key"].tolist() == [1, 2, 3] * 2
+    assert out["provider"].tolist() == ["ok"] * 3 + ["broken"] * 3
+    assert out["status"].tolist() == ["ok"] * 3 + ["error"] * 3
+    assert out["listing_id"].tolist()[:3] == [10, 20, 30]
+    assert out["amount"].isna().tolist() == [False] * 3 + [True] * 3
+    assert out["error"].tolist()[3:] == ["RuntimeError: down"] * 3
+
+
 def test_watermark_sessionizer_matches_batch(ray_session, sf_small):
     """In-order stream + any lateness == batch sessionization, 0 late."""
     import ray.data as rd

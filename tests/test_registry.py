@@ -148,9 +148,9 @@ _MAP_GROUPS_ALLOW = Counter({
     # the one gated fold itself
     "stages/sizing.py:fold_buckets": 1,
     # the shuffle arm of the join gate: both sides co-bucketed in one
-    # union; the driver arm is the broadcast join
-    "stages/joins.py:_bucketed_arrow": 1,
-    "stages/joins.py:_bucketed_pandas": 1,
+    # union and joined by its one in-bucket body; the driver arm is the
+    # broadcast join
+    "stages/joins.py:hash_join": 1,
     # star rounds run only when the pair graph did not fit the driver,
     # each round re-shuffling the previous round's edges
     "stages/dedup.py:connected_components_ds": 1,

@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SF_TINY
 
@@ -716,7 +718,8 @@ def _arrow_side(t):
 
 
 def _pandas_side(t):
-    # pandas blocks with an object payload: hash_join's pandas body
+    # pandas blocks with an object payload: hash_join tags them as
+    # Arrow, typing the object column from one peeked row
     import ray.data as rd
 
     return rd.from_pandas(t.to_pandas())
@@ -746,9 +749,7 @@ def test_null_keys_match_duckdb(ray_session, gate_spy, force_shuffle, path):
             assert gate_spy == ["driver"]
         else:
             side = _arrow_side if kind == "hash-arrow" else _pandas_side
-            left, right = side(_NULL_L), side(_NULL_R)
-            assert joins._arrow_schema(left)[1] == (kind == "hash-arrow")
-            got = joins.hash_join(left, right, on="k")
+            got = joins.hash_join(side(_NULL_L), side(_NULL_R), on="k")
     elif kind in ("broadcast", "forced"):
         if kind == "forced":
             force_shuffle()
@@ -766,6 +767,115 @@ def test_null_keys_match_duckdb(ray_session, gate_spy, force_shuffle, path):
     want_df = duckdb.sql(_NULL_SQL[how]).df()
     cols = list(want_df.columns)
     assert _null_rows(got.to_pandas(), cols) == _null_rows(want_df, cols)
+
+
+# ---------------------------------------------------------------------------
+# hash_join held to DuckDB on drawn tables: every how, on Arrow and on
+# pandas blocks, and once through the chunked hot-key probe
+# ---------------------------------------------------------------------------
+_JOIN_SQL = {
+    "inner": "SELECT L.k, v, w FROM L JOIN R ON L.k = R.k",
+    "left": "SELECT L.k, v, w FROM L LEFT JOIN R ON L.k = R.k",
+    "full": ("SELECT COALESCE(L.k, R.k), v, w FROM L "
+             "FULL JOIN R ON L.k = R.k"),
+    "semi": "SELECT k, v FROM L WHERE k IN (SELECT k FROM R)",
+    "anti": ("SELECT k, v FROM L WHERE NOT EXISTS "
+             "(SELECT 1 FROM R WHERE R.k = L.k)"),
+}
+
+
+def _join_tables(lk, rk, typ):
+    """(L, R): Arrow tables (k, v) and (k, w) on the given keys.  ``v``
+    sits above 2**53, where float64 would round it."""
+    L = pa.table({"k": pa.array(lk, typ),
+                  "v": pa.array([(1 << 60) + i for i in range(len(lk))],
+                                pa.int64())})
+    R = pa.table({"k": pa.array(rk, typ),
+                  "w": pa.array([None if i % 3 == 2 else f"w{i}"
+                                 for i in range(len(rk))], pa.string())})
+    return L, R
+
+
+@st.composite
+def _join_sides(draw):
+    """Int or string keys.  A non-empty side holds a NULL key, sorted
+    last, so its first pandas block keeps an int key int64 and its
+    second upcasts it to float64.  The left side may repeat one hot
+    key."""
+    ints = draw(st.booleans())
+    key = st.integers(-3, 6) if ints else st.sampled_from(
+        ["", "a", "b", "1", "\u00e4"])
+
+    def keys(hot):
+        ks = draw(st.lists(st.one_of(st.none(), key), max_size=6))
+        ks += [draw(key)] * hot + [None] if ks else []
+        return sorted(ks, key=lambda k: k is None)
+
+    return _join_tables(keys(draw(st.integers(0, 6))), keys(0),
+                        pa.int64() if ints else pa.string())
+
+
+def _plain(x):
+    # a float key (a pandas block's int key upcast by a NULL) compares
+    # as the int it equals
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sides=_join_sides())
+@example(sides=_join_tables([1, 4, 4, 4, 4, 2, None], [4, 5, None],
+                            pa.int64()))
+@example(sides=_join_tables(["a", "", None], [], pa.string()))
+def test_hash_join_matches_duckdb_fuzz(ray_session, sides):
+    """Every ``how`` of hash_join returns DuckDB's rows on the same two
+    tables, whether the sides arrive as Arrow or as two-block pandas
+    Datasets, and again with the hot-key probe chunked every 2 rows."""
+    import duckdb
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import joins
+
+    L, R = sides
+    con = duckdb.connect()
+    con.register("L", L)
+    con.register("R", R)
+
+    def side(t, fmt):
+        parts = [t.slice(0, (len(t) + 1) // 2), t.slice((len(t) + 1) // 2)]
+        if fmt == "arrow":
+            return rd.from_arrow(parts)
+        return rd.from_pandas([p.to_pandas() for p in parts])
+
+    def rows(it):
+        return sorted((tuple(map(_plain, r)) for r in it), key=repr)
+
+    def run(how, fmt):
+        out = joins.hash_join(side(L, fmt), side(R, fmt), on="k", how=how,
+                              num_buckets=4)
+        return rows(r.values() for r in out.take_all())
+
+    want = {how: rows(con.sql(sql).fetchall())
+            for how, sql in _JOIN_SQL.items()}
+    for how in _JOIN_SQL:
+        for fmt in ("arrow", "pandas"):
+            assert run(how, fmt) == want[how], (how, fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(joins, "_MERGE_CHUNK", 2)
+        assert run("full", "pandas") == want["full"]
+
+
+def test_hash_join_rejects_keys_that_do_not_unify(ray_session, executions):
+    """An int key joined to a string key is refused at plan time, naming
+    the column, where a join by value would silently match nothing."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import joins
+
+    right = rd.from_arrow(pa.table({"k": ["1", "4"], "w": ["x", "z"]}))
+    with pytest.raises(ValueError, match="'k'"):
+        joins.hash_join(rd.from_arrow(_NULL_L), right, on="k")
+    assert executions == []
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +1058,9 @@ def _fold_simhash_near_dups():
 def _fold_dedup_offers():
     from bb_ocr_ray.stages.lookup import dedup_offers
 
-    # repeats of one (record_key, provider, listing_id) carry one
-    # amount: which copy wins is the seen-set's arrival order
+    # repeats of one (record_key, provider, listing_id) carry different
+    # amounts: the winner must not depend on arrival order, which a
+    # shuffle does not keep
     rng = np.random.RandomState(9)
     n = 400
     r, p, lid = (rng.randint(0, 60, n), rng.randint(0, 3, n),
@@ -958,7 +1069,7 @@ def _fold_dedup_offers():
         "record_key": [f"r{i}" for i in r],
         "provider": [("a", "b", "c")[i] for i in p],
         "listing_id": [None if i == 0 else f"l{i}" for i in lid],
-        "amount": (r * 100 + p * 10 + lid).astype("float64")})
+        "amount": rng.randint(0, 1000, n).astype("float64")})
     return dedup_offers(_blocks(offers, 4)), 1, 1
 
 
