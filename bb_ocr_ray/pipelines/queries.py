@@ -5,6 +5,12 @@ pyarrow Table.  Every aggregate column is explicitly named to match the
 DuckDB oracle in ``bb_ocr_ray.pipelines.oracles`` (the driver's
 correctness gate hashes values after sorting columns by name).
 
+Grouped work has two shapes, both gated by ``sizing.fold_buckets``
+(one driver-side pass when the side fits, else one coarse shuffle): a
+grouped aggregate is a per-row map followed by one ``coarse_agg``,
+whose per-batch combiner is the partial aggregate, and a per-key fold
+is ``grouped_per_key``.  No query calls Ray's ``groupby()`` directly.
+
 Determinism conventions used throughout:
   - float aggregates are rounded to a fixed decimal count on BOTH
     sides (tiny summation-order drift is absorbed by rounding);
@@ -20,7 +26,6 @@ import pandas as pd
 import ray.data as rd
 
 from bb_ocr_ray.sources.tables import read_parquet_clean as _read_parquet
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from bb_ocr_ray.stages.coarse import coarse_agg, grouped_per_key
 
@@ -44,11 +49,9 @@ def _round_sql(x, decimals: int):
 # Relational: aggregation with partial pre-agg (TPC-H Q1 shape)
 # ---------------------------------------------------------------------------
 def q1_pricing_summary(sf_dir: str):
-    """Filter -> partial per-batch agg (combiner) -> small final groupby.
-
-    The partial agg inside map_batches collapses each ~64k-row batch to
-    ≤ 6 rows (|returnflag|×|linestatus|), so the shuffle moves a few
-    hundred partial rows instead of every lineitem row.
+    """Filter -> one coarse_agg, whose per-batch combiner collapses each
+    batch to ≤ 6 rows (|returnflag|×|linestatus|), so a shuffle would
+    move a few hundred partial rows instead of every lineitem row.
 
     Money sums are INTEGER-CENT exact: prices/discounts are 2-dp
     decimals, so ext_cents = round(price*100) and disc_pct =
@@ -64,43 +67,27 @@ def q1_pricing_summary(sf_dir: str):
                  "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def cents(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch[batch["l_shipdate"] <= pd.Timestamp("1998-09-02")]
-        if batch.empty:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=d) for c, d in
-                 [("l_returnflag", "object"), ("l_linestatus", "object"),
-                  ("sum_qty", "float64"), ("base_cents", "int64"),
-                  ("disc_units", "int64"), ("count_order", "int64")]}
-            )
         ext_c = _round_sql(batch["l_extendedprice"] * 100.0,
                            0).astype("int64")
         disc_pct = _round_sql(batch["l_discount"] * 100.0,
                               0).astype("int64")
-        batch = batch.assign(base_cents=ext_c,
-                             disc_units=ext_c * (100 - disc_pct))
-        g = batch.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            base_cents=("base_cents", "sum"),
-            disc_units=("disc_units", "sum"),
-            count_order=("l_quantity", "size"),
-        )
-        return g
+        return batch.assign(base_cents=ext_c,
+                            disc_units=ext_c * (100 - disc_pct))
 
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("base_cents", alias_name="base_cents"),
-        Sum("disc_units", alias_name="disc_units"),
-        Sum("count_order", alias_name="count_order"),
+    out = coarse_agg(
+        ds.map_batches(cents, batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("l_quantity", "sum"),
+         "base_cents": ("base_cents", "sum"),
+         "disc_units": ("disc_units", "sum"),
+         "count_order": ("l_quantity", "size")},
     ).to_pandas()
     out["avg_qty"] = _round_sql(out["sum_qty"] / out["count_order"], 4)
     out["sum_qty"] = _round_sql(out["sum_qty"], 2)
-    out["sum_base_price"] = _round_sql(
-        out["base_cents"].astype("int64") / 100.0, 2)
-    out["sum_disc_price"] = _round_sql(
-        out["disc_units"].astype("int64") / 10000.0, 2)
-    out["count_order"] = out["count_order"].astype("int64")
+    out["sum_base_price"] = _round_sql(out["base_cents"] / 100.0, 2)
+    out["sum_disc_price"] = _round_sql(out["disc_units"] / 10000.0, 2)
     return out.drop(columns=["base_cents", "disc_units"])
 
 
@@ -144,45 +131,32 @@ def q_topk_per_group(sf_dir: str):
         g = g.assign(rank=pd.Series(range(1, len(g) + 1), dtype="int64").values)
         return g
 
-    return (
-        ds.map_batches(local_topk, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    return grouped_per_key(ds.map_batches(local_topk, batch_format="pandas"),
+                           "o_orderpriority", final_topk)
 
 
 # ---------------------------------------------------------------------------
 # Relational: distinct / count-distinct
 # ---------------------------------------------------------------------------
-def q_distinct(sf_dir: str):
+def _segment_nations(sf_dir: str):
+    """Customers per distinct (c_mktsegment, c_nationkey) pair, as
+    column ``n``: one coarse_agg size count."""
     ds = _read_parquet(_t(sf_dir, "customer"),
-                         columns=["c_mktsegment", "c_nationkey"])
-    return ds.groupby(["c_mktsegment", "c_nationkey"]).map_groups(
-        lambda g: g.head(1), batch_format="pandas"
-    )
+                       columns=["c_mktsegment", "c_nationkey"])
+    return coarse_agg(ds, ["c_mktsegment", "c_nationkey"],
+                      {"n": ("c_nationkey", "size")})
+
+
+def q_distinct(sf_dir: str):
+    return _segment_nations(sf_dir).drop_columns(["n"])
 
 
 def q_count_distinct(sf_dir: str):
-    ds = _read_parquet(_t(sf_dir, "customer"),
-                         columns=["c_mktsegment", "c_nationkey"])
-    # two-level: distinct pairs (with per-batch local distinct combiner),
-    # then count per segment; plus a straight row count per segment
-    local = ds.map_batches(
-        lambda b: b.drop_duplicates(), batch_format="pandas"
-    )
-    pairs = local.groupby(["c_mktsegment", "c_nationkey"]).map_groups(
-        lambda g: g.head(1), batch_format="pandas"
-    )
-    n_nations = pairs.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_nations")
-    ).to_pandas()
-    n_customers = ds.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_customers")
-    ).to_pandas()
-    out = n_nations.merge(n_customers, on="c_mktsegment")
-    out["n_nations"] = out["n_nations"].astype("int64")
-    out["n_customers"] = out["n_customers"].astype("int64")
-    return out
+    # two-level: the distinct pairs with their customer counts, then per
+    # segment the number of pairs and the sum of their counts
+    return coarse_agg(_segment_nations(sf_dir), ["c_mktsegment"],
+                      {"n_nations": ("n", "size"),
+                       "n_customers": ("n", "sum")}).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +194,10 @@ def q_hash_join(sf_dir: str):
     orders = _read_parquet(_t(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderstatus"])
     joined = hash_join(li, orders, on="o_orderkey")
-    # partial agg per joined block — the final groupby shuffles a few
-    # hundred partial rows instead of re-shuffling every joined row
-    partials = joined.map_batches(
-        lambda b: b.groupby("o_orderstatus", as_index=False).agg(
-            revenue_u=("revenue_u", "sum"), n_lineitems=("n", "sum")),
-        batch_format="pandas",
-    )
-    out = partials.groupby("o_orderstatus").aggregate(
-        Sum("revenue_u", alias_name="revenue_u"),
-        Sum("n_lineitems", alias_name="n_lineitems"),
-    ).to_pandas()
-    out["revenue"] = _round_sql(
-        out["revenue_u"].astype("int64") / 10000.0, 2)
-    out["n_lineitems"] = out["n_lineitems"].astype("int64")
+    out = coarse_agg(joined, ["o_orderstatus"],
+                     {"revenue_u": ("revenue_u", "sum"),
+                      "n_lineitems": ("n", "sum")}).to_pandas()
+    out["revenue"] = _round_sql(out["revenue_u"] / 10000.0, 2)
     return out.drop(columns=["revenue_u"])
 
 
@@ -257,13 +221,10 @@ def q_broadcast_join_nation(sf_dir: str):
         lambda b: b.assign(acct_c=_round_sql(
             b["c_acctbal"] * 100.0, 0).astype("int64")),
         batch_format="pandas")
-    out = joined.groupby("r_name").aggregate(
-        Count(alias_name="n_customers"),
-        Sum("acct_c", alias_name="total_acctbal"),
-    ).to_pandas()
-    out["total_acctbal"] = _round_sql(
-        out["total_acctbal"].astype("int64") / 100.0, 2)
-    out["n_customers"] = out["n_customers"].astype("int64")
+    out = coarse_agg(joined, ["r_name"],
+                     {"n_customers": ("acct_c", "size"),
+                      "total_acctbal": ("acct_c", "sum")}).to_pandas()
+    out["total_acctbal"] = _round_sql(out["total_acctbal"] / 100.0, 2)
     return out
 
 
@@ -321,19 +282,10 @@ def q5_revenue_by_nation(sf_dir: str):
                              columns=["n_nationkey", "n_name"])
     nation = nation.rename(columns={"n_nationkey": "s_nationkey"})
     joined = broadcast_join(joined, nation, on="s_nationkey")
-    partials = joined.map_batches(
-        lambda b: b.groupby("n_name", as_index=False).agg(
-            revenue_u=("revenue_u", "sum"),
-            n_lineitems=("revenue_u", "size")),
-        batch_format="pandas",
-    )
-    out = partials.groupby("n_name").aggregate(
-        Sum("revenue_u", alias_name="revenue_u"),
-        Sum("n_lineitems", alias_name="n_lineitems"),
-    ).to_pandas()
-    out["revenue"] = _round_sql(
-        out["revenue_u"].astype("int64") / 10000.0, 2)
-    out["n_lineitems"] = out["n_lineitems"].astype("int64")
+    out = coarse_agg(joined, ["n_name"],
+                     {"revenue_u": ("revenue_u", "sum"),
+                      "n_lineitems": ("revenue_u", "size")}).to_pandas()
+    out["revenue"] = _round_sql(out["revenue_u"] / 10000.0, 2)
     return out.drop(columns=["revenue_u"])
 
 
@@ -403,7 +355,7 @@ def q_events_hourly(sf_dir: str):
     ds = _read_parquet(_t(sf_dir, "events"),
                          columns=["event_type", "ts", "value"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def hours(batch: pd.DataFrame) -> pd.DataFrame:
         # hour as epoch seconds (int64): avoids ns-vs-us timestamp
         # precision drift between engines in the value-hash compare
         # (total_seconds is unit-independent; .astype(int64) is not)
@@ -412,21 +364,16 @@ def q_events_hourly(sf_dir: str):
             .dt.total_seconds()
             .astype("int64")
         )
-        batch = batch.assign(hour_epoch=hour)
-        return batch.groupby(["event_type", "hour_epoch"], as_index=False).agg(
-            n_events=("value", "size"), sum_value=("value", "sum")
-        )
+        return batch.assign(hour_epoch=hour)
 
     # hour buckets grow with the corpus time span (x event types):
     # coarse_agg keeps the Ray group count bounded (per-group tax)
     out = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(hours, batch_format="pandas"),
         ["event_type", "hour_epoch"],
-        {"n_events": ("n_events", "sum"),
-         "sum_value": ("sum_value", "sum")},
+        {"n_events": ("value", "size"), "sum_value": ("value", "sum")},
     ).to_pandas()
     out["sum_value"] = _round_sql(out["sum_value"].fillna(0.0), 4)
-    out["n_events"] = out["n_events"].astype("int64")
     return out
 
 
@@ -462,7 +409,7 @@ def q_json_extract(sf_dir: str):
     ds = _read_parquet(_t(sf_dir, "events"),
                          columns=["event_type", "props"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def parse(batch: pd.DataFrame) -> pd.DataFrame:
         import re as _re
 
         k = batch["props"].str.extract(r'"k":\s*(-?\d+)', expand=False,
@@ -484,22 +431,12 @@ def q_json_extract(sf_dir: str):
             {"event_type": batch["event_type"].to_numpy(),
              "k": vals,
              "parsed": parsed}
-        ).groupby("event_type", as_index=False).agg(
-            sum_k=("k", "sum"), n_parsed=("parsed", "sum"),
-            n_rows=("parsed", "size"),
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("sum_k", alias_name="sum_k"),
-                   Sum("n_parsed", alias_name="n_parsed"),
-                   Sum("n_rows", alias_name="n_rows"))
-        .to_pandas()
-    )
-    for c in ("sum_k", "n_parsed", "n_rows"):
-        out[c] = out[c].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(parse, batch_format="pandas"),
+                      ["event_type"],
+                      {"sum_k": ("k", "sum"), "n_parsed": ("parsed", "sum"),
+                       "n_rows": ("parsed", "size")}).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +446,18 @@ def q_doc_stats(sf_dir: str):
     ds = _read_parquet(_t(sf_dir, "documents"),
                          columns=["lang", "text", "n_chars"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.assign(text=batch["text"].fillna(""))
-        batch = batch.assign(n_tokens=n_tokens_series(batch["text"]))
-        return batch.groupby("lang", as_index=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum"),
-            sum_tokens=("n_tokens", "sum"), max_chars=("n_chars", "max"),
-            min_chars=("n_chars", "min"),
-        )
+    def tokens(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch.assign(
+            n_tokens=n_tokens_series(batch["text"].fillna("")))
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("sum_chars", alias_name="sum_chars"),
-                   Sum("sum_tokens", alias_name="sum_tokens"),
-                   Max("max_chars", alias_name="max_chars"),
-                   Min("min_chars", alias_name="min_chars"))
-        .to_pandas()
-    )
-    for c in ("n_docs", "sum_chars", "sum_tokens", "max_chars", "min_chars"):
+    out = coarse_agg(
+        ds.map_batches(tokens, batch_format="pandas"), ["lang"],
+        {"n_docs": ("n_chars", "size"), "sum_chars": ("n_chars", "sum"),
+         "sum_tokens": ("n_tokens", "sum"), "max_chars": ("n_chars", "max"),
+         "min_chars": ("n_chars", "min")},
+    ).to_pandas()
+    # a NULL n_chars makes the pandas fold's n_chars columns float64
+    for c in ("sum_chars", "max_chars", "min_chars"):
         out[c] = out[c].astype("int64")
     return out
 
@@ -539,28 +468,15 @@ def q_doc_quality(sf_dir: str):
     ds = _read_parquet(_t(sf_dir, "documents"),
                          columns=["source", "text"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def features(batch: pd.DataFrame) -> pd.DataFrame:
         return quality_features(batch["text"].fillna("")).assign(
-            source=batch["source"]
-        ).groupby("source", as_index=False).agg(
-            n_docs=("n_tokens", "size"), sum_tokens=("n_tokens", "sum"),
-            sum_stop_tokens=("n_stop_tokens", "sum"),
-            sum_punct=("n_punct", "sum"),
-        )
+            source=batch["source"])
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("sum_tokens", alias_name="sum_tokens"),
-                   Sum("sum_stop_tokens", alias_name="sum_stop_tokens"),
-                   Sum("sum_punct", alias_name="sum_punct"))
-        .to_pandas()
-    )
-    for c in out.columns:
-        if c != "source":
-            out[c] = out[c].astype("int64")
-    return out
+    return coarse_agg(
+        ds.map_batches(features, batch_format="pandas"), ["source"],
+        {"n_docs": ("n_tokens", "size"), "sum_tokens": ("n_tokens", "sum"),
+         "sum_stop_tokens": ("n_stop_tokens", "sum"),
+         "sum_punct": ("n_punct", "sum")}).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -647,20 +563,13 @@ def q_langid(sf_dir: str):
     ds = _read_parquet(_t(sf_dir, "documents"),
                          columns=["doc_id", "lang", "text"])
     scored = ds.map_batches(add_lang_pred, batch_format="pandas")
-    out = (
-        scored.map_batches(
-            lambda b: pd.DataFrame(
-                {"lang": b["lang"],
-                 "agree": (b["lang"] == b["lang_pred"]).astype("int64"),
-                 "one": np.ones(len(b), dtype="int64")}
-            ),
-            batch_format="pandas",
-        )
-        .groupby("lang")
-        .aggregate(Sum("agree", alias_name="n_agree"),
-                   Sum("one", alias_name="n_docs"))
-    )
-    return out
+    agree = scored.map_batches(
+        lambda b: pd.DataFrame(
+            {"lang": b["lang"],
+             "agree": (b["lang"] == b["lang_pred"]).astype("int64")}),
+        batch_format="pandas")
+    return coarse_agg(agree, ["lang"], {"n_agree": ("agree", "sum"),
+                                        "n_docs": ("agree", "size")})
 
 
 def q_fingerprint(sf_dir: str):
@@ -756,22 +665,17 @@ def q_domain_stats(sf_dir: str):
 
 
 def q_dedup_pages(sf_dir: str):
-    """Per-url dedup over pages (groupby + deterministic first row).
-    The synthetic corpus has unique urls, so output rows == input rows —
-    still a real shuffle + the oracle checks the invariant holds."""
+    """Per-url dedup over pages: the earliest-``warc_ts`` row per url
+    (``dedup.dedup_exact``).  The synthetic corpus has unique urls, so
+    output rows == input rows — the oracle checks the invariant holds."""
     from bb_ocr_ray.sources.pages import read_pages
+    from bb_ocr_ray.stages.dedup import dedup_exact
 
-    # project BEFORE the shuffle: first_row only needs (url, warc_ts,
-    # lang), so the multi-KB html payload never enters the exchange
+    # project BEFORE the fold: the winner pick only needs (url,
+    # warc_ts, lang), so the multi-KB html payload never enters it
     pages = read_pages(sf_dir).select_columns(["url", "warc_ts", "lang"])
-
-    def first_row(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("warc_ts", kind="mergesort").head(1)
-        return pd.DataFrame({"url": g["url"], "lang": g["lang"]})
-
-    # url-cardinality == row count: coarse-bucketed per-key grouping
-    # (one Ray group per key would pay the per-group tax on every row)
-    return grouped_per_key(pages, "url", first_row)
+    return dedup_exact(pages, key="url",
+                       order_col="warc_ts").drop_columns(["warc_ts"])
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +764,8 @@ def q_offer_ranking(sf_dir: str):
         g = g.assign(rank=pd.Series(range(1, len(g) + 1), dtype="int64").values)
         return g[["p_brand", "p_partkey", "score", "p_retailprice", "rank"]]
 
-    return (
-        ds.map_batches(score, batch_format="pandas")
-        .groupby("p_brand")
-        .map_groups(final, batch_format="pandas")
-    )
+    return grouped_per_key(ds.map_batches(score, batch_format="pandas"),
+                           "p_brand", final)
 
 
 def q_keyword_genre(sf_dir: str):
@@ -888,18 +789,10 @@ def q_keyword_genre(sf_dir: str):
         # argmax with fixed tie order = first max in genre declaration order
         best = df.idxmax(axis=1)
         best[df.max(axis=1) == 0] = "none"
-        return pd.DataFrame({"genre": best, "one": 1}).groupby(
-            "genre", as_index=False
-        ).agg(n_docs=("one", "sum"))
+        return pd.DataFrame({"genre": best})
 
-    out = (
-        ds.map_batches(classify, batch_format="pandas")
-        .groupby("genre")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-        .to_pandas()
-    )
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(classify, batch_format="pandas"),
+                      ["genre"], {"n_docs": ("genre", "size")}).to_pandas()
 
 
 def q_asof_join(sf_dir: str):
@@ -955,11 +848,7 @@ def q_events_sliding(sf_dir: str):
              "n_events_6h": pd.Series(out_n, dtype="int64")}
         )
 
-    return (
-        rd.from_pandas(hourly)
-        .groupby("event_type")
-        .map_groups(windows, batch_format="pandas")
-    )
+    return grouped_per_key(rd.from_pandas(hourly), "event_type", windows)
 
 
 QUERIES.update(
@@ -1129,25 +1018,17 @@ def q_value_histogram(sf_dir: str):
                          columns=["event_type", "value"])
     lo, hi, nbins = 0.0, 100.0, 20
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def bins(batch: pd.DataFrame) -> pd.DataFrame:
         # NULL values would NaN-poison the int cast — drop them here and
         # mirror with WHERE value IS NOT NULL in the oracle
         batch = batch[batch["value"].notna()]
-        b = np.clip(((batch["value"] - lo) / (hi - lo) * nbins).astype(int),
-                    0, nbins - 1)
-        df = pd.DataFrame({"event_type": batch["event_type"], "bin": b,
-                           "n": 1})
-        return df.groupby(["event_type", "bin"], as_index=False).sum()
+        b = np.clip(((batch["value"] - lo) / (hi - lo) * nbins)
+                    .astype("int64"), 0, nbins - 1)
+        return pd.DataFrame({"event_type": batch["event_type"], "bin": b})
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "bin"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    out["bin"] = out["bin"].astype("int64")
-    out["n"] = out["n"].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(bins, batch_format="pandas"),
+                      ["event_type", "bin"],
+                      {"n": ("bin", "size")}).to_pandas()
 
 
 def q_rollup(sf_dir: str):
@@ -1159,23 +1040,15 @@ def q_rollup(sf_dir: str):
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def cents(batch: pd.DataFrame) -> pd.DataFrame:
         # integer cents (see q1: float sums drift past round-2 at sf0.1)
-        batch = batch.assign(rev_c=_round_sql(
+        return batch.assign(rev_c=_round_sql(
             batch["o_totalprice"] * 100.0, 0).astype("int64"))
-        return batch.groupby(["o_orderstatus", "o_orderpriority"],
-                             as_index=False).agg(
-            n_orders=("rev_c", "size"),
-            revenue=("rev_c", "sum"),
-        )
 
-    fine = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Sum("n_orders", alias_name="n_orders"),
-                   Sum("revenue", alias_name="revenue"))
-        .to_pandas()
-    )
+    fine = coarse_agg(ds.map_batches(cents, batch_format="pandas"),
+                      ["o_orderstatus", "o_orderpriority"],
+                      {"n_orders": ("rev_c", "size"),
+                       "revenue": ("rev_c", "sum")}).to_pandas()
     mid = fine.groupby("o_orderstatus", as_index=False).agg(
         n_orders=("n_orders", "sum"), revenue=("revenue", "sum"))
     mid["o_orderpriority"] = None
@@ -1185,8 +1058,7 @@ def q_rollup(sf_dir: str):
          "revenue": [fine["revenue"].sum()]}
     )
     out = pd.concat([fine, mid, total], ignore_index=True)
-    out["revenue"] = _round_sql(out["revenue"].astype("int64") / 100.0, 2)
-    out["n_orders"] = out["n_orders"].astype("int64")
+    out["revenue"] = _round_sql(out["revenue"] / 100.0, 2)
     return out[["o_orderstatus", "o_orderpriority", "n_orders", "revenue"]]
 
 
@@ -1216,7 +1088,7 @@ def q_median(sf_dir: str):
         return pd.DataFrame({"event_type": [group["event_type"].iloc[0]],
                              "median_value": pd.Series([m], dtype="float64")})
 
-    return ds.groupby("event_type").map_groups(median, batch_format="pandas")
+    return grouped_per_key(ds, "event_type", median)
 
 
 def q_knn_label(sf_dir: str):
@@ -1242,7 +1114,7 @@ def q_knn_label(sf_dir: str):
              "pred_label": pd.Series([int(top)], dtype="int64")}
         )
 
-    return joined.groupby("query_id").map_groups(vote, batch_format="pandas")
+    return grouped_per_key(joined, "query_id", vote)
 
 
 QUERIES.update({"q_median": q_median, "q_knn_label": q_knn_label})
@@ -1298,20 +1170,15 @@ def q_registrable_domain(sf_dir: str):
     _SHAPES = ("shop.site{k}.co.uk", "news.site{k}.com.au",
                "a.b.site{k}.com", "site{k}.org", "cdn.site{k}.co.jp")
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        d = batch["doc_id"].to_numpy()
-        hosts = [_SHAPES[int(x) % 5].format(k=int(x) % 7) for x in d]
-        reg = [registrable_domain(h) for h in hosts]
-        df = pd.DataFrame({"domain": reg, "n": np.ones(len(d), dtype="int64")})
-        return df.groupby("domain", as_index=False).sum()
+    def domains(batch: pd.DataFrame) -> pd.DataFrame:
+        hosts = [_SHAPES[int(x) % 5].format(k=int(x) % 7)
+                 for x in batch["doc_id"].to_numpy()]
+        return pd.DataFrame({"domain": [registrable_domain(h)
+                                        for h in hosts]})
 
     # registrable domains are unbounded at web scale: coarse_agg
-    out = coarse_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["domain"], {"n_docs": ("n", "sum")},
-    ).to_pandas()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(domains, batch_format="pandas"),
+                      ["domain"], {"n_docs": ("domain", "size")}).to_pandas()
 
 
 QUERIES.update({"q_registrable_domain": q_registrable_domain})
@@ -1344,22 +1211,14 @@ def q_token_histogram(sf_dir: str):
     integer bins so no float-binning drift."""
     ds = _read_parquet(_t(sf_dir, "documents"), columns=["lang", "text"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def bins(batch: pd.DataFrame) -> pd.DataFrame:
         n = n_tokens_series(batch["text"].fillna("")).astype("int64")
-        bins = n.map(lambda x: int(x).bit_length()).astype("int64")
-        df = pd.DataFrame({"lang": batch["lang"], "bin": bins,
-                           "n": np.ones(len(batch), dtype="int64")})
-        return df.groupby(["lang", "bin"], as_index=False).sum()
+        return pd.DataFrame(
+            {"lang": batch["lang"],
+             "bin": n.map(lambda x: int(x).bit_length()).astype("int64")})
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["lang", "bin"])
-        .aggregate(Sum("n", alias_name="n_docs"))
-        .to_pandas()
-    )
-    out["bin"] = out["bin"].astype("int64")
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(bins, batch_format="pandas"),
+                      ["lang", "bin"], {"n_docs": ("bin", "size")}).to_pandas()
 
 
 QUERIES.update({
@@ -1446,24 +1305,14 @@ def q_hll_registers(sf_dir: str):
 
     ds = _read_parquet(_t(sf_dir, "events"), columns=["user_id"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        u = batch["user_id"].dropna()
-        if not len(u):
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "rho": pd.Series([], dtype="int64")})
-        pairs = [hll_bucket_rho(str(int(x))) for x in u]
-        df = pd.DataFrame(pairs, columns=["bucket", "rho"])
-        return df.groupby("bucket", as_index=False).max()
+    def registers(batch: pd.DataFrame) -> pd.DataFrame:
+        pairs = [hll_bucket_rho(str(int(x)))
+                 for x in batch["user_id"].dropna()]
+        return pd.DataFrame(pairs, columns=["bucket", "rho"],
+                            dtype="int64")
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .aggregate(Max("rho", alias_name="max_rho"))
-        .to_pandas()
-    )
-    out["bucket"] = out["bucket"].astype("int64")
-    out["max_rho"] = out["max_rho"].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(registers, batch_format="pandas"),
+                      ["bucket"], {"max_rho": ("rho", "max")}).to_pandas()
 
 
 QUERIES.update({"q_hll_registers": q_hll_registers})
@@ -1481,27 +1330,16 @@ def q_hll_grouped(sf_dir: str):
     ds = _read_parquet(_t(sf_dir, "events"),
                        columns=["event_type", "user_id"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def registers(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.dropna(subset=["user_id"])
-        if not len(b):
-            return pd.DataFrame(
-                {"event_type": pd.Series([], dtype="object"),
-                 "bucket": pd.Series([], dtype="int64"),
-                 "rho": pd.Series([], dtype="int64")})
         pairs = [hll_bucket_rho(str(int(x))) for x in b["user_id"]]
-        df = pd.DataFrame(pairs, columns=["bucket", "rho"])
+        df = pd.DataFrame(pairs, columns=["bucket", "rho"], dtype="int64")
         df["event_type"] = b["event_type"].to_numpy()
-        return df.groupby(["event_type", "bucket"], as_index=False).max()
+        return df
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["event_type", "bucket"])
-        .aggregate(Max("rho", alias_name="max_rho"))
-        .to_pandas()
-    )
-    out["bucket"] = out["bucket"].astype("int64")
-    out["max_rho"] = out["max_rho"].astype("int64")
-    return out
+    return coarse_agg(ds.map_batches(registers, batch_format="pandas"),
+                      ["event_type", "bucket"],
+                      {"max_rho": ("rho", "max")}).to_pandas()
 
 
 QUERIES.update({"q_hll_grouped": q_hll_grouped})
@@ -1588,22 +1426,10 @@ def q_provider_fanout(sf_dir: str):
     offers = provider_fanout(records, providers, key_col="s_suppkey")
     offers = offers.map_batches(lambda b: b[b["status"] == "ok"].dropna(
         subset=["listing_id"]), batch_format="pandas")
-    deduped = dedup_offers(offers)
-
-    def summarize(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby("record_key", as_index=False).agg(
-            n_offers=("listing_id", "size"), best_amount=("amount", "min"))
-
     # record keys scale with the catalog: coarse_agg (per-group tax)
-    out = coarse_agg(
-        deduped.map_batches(summarize, batch_format="pandas"),
-        ["record_key"],
-        {"n_offers": ("n_offers", "sum"),
-         "best_amount": ("best_amount", "min")},
-    ).to_pandas()
-    out["record_key"] = out["record_key"].astype("int64")
-    out["n_offers"] = out["n_offers"].astype("int64")
-    return out
+    return coarse_agg(dedup_offers(offers), ["record_key"],
+                      {"n_offers": ("listing_id", "size"),
+                       "best_amount": ("amount", "min")}).to_pandas()
 
 
 QUERIES.update({"q_provider_fanout": q_provider_fanout})
@@ -1767,25 +1593,16 @@ def q_training_prep(sf_dir: str):
         batch_format="pyarrow")
 
     def chunk_stats(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for s, t in zip(b["source"], b["text"]):
-            n = len(ws_tokens(t or ""))
-            rows.append((s, 1, (n - 1) // 24 + 1 if n else 0, n))
-        df = pd.DataFrame(rows, columns=["source", "n_docs", "n_chunks",
-                                         "n_tokens"])
-        return df.groupby("source", as_index=False).sum()
+        n = np.array([len(ws_tokens(t or "")) for t in b["text"]],
+                     dtype="int64")
+        # (n - 1) // 24 + 1 windows, 0 for an empty doc
+        return pd.DataFrame({"source": b["source"].to_numpy(),
+                             "n_chunks": (n + 23) // 24, "n_tokens": n})
 
-    out = (
-        clean.map_batches(chunk_stats, batch_format="pandas")
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_chunks", alias_name="n_chunks"),
-                   Sum("n_tokens", alias_name="n_tokens"))
-        .to_pandas()
-    )
-    for c in ("n_docs", "n_chunks", "n_tokens"):
-        out[c] = out[c].astype("int64")
-    return out
+    return coarse_agg(
+        clean.map_batches(chunk_stats, batch_format="pandas"), ["source"],
+        {"n_docs": ("n_tokens", "size"), "n_chunks": ("n_chunks", "sum"),
+         "n_tokens": ("n_tokens", "sum")}).to_pandas()
 
 
 QUERIES.update({"q_training_prep": q_training_prep})
@@ -1837,8 +1654,8 @@ def q_inverted_index(sf_dir: str):
                              "df": pd.array([len(ids)], dtype="int64"),
                              "postings": ["|".join(map(str, ids))]})
 
-    return (docs.map_batches(winner_pairs, batch_format="pandas")
-            .groupby("tok").map_groups(fold, batch_format="pandas"))
+    return grouped_per_key(
+        docs.map_batches(winner_pairs, batch_format="pandas"), "tok", fold)
 
 
 QUERIES.update({"q_inverted_index": q_inverted_index})
@@ -1989,7 +1806,7 @@ def q_pack_sequences(sf_dir: str):
     (source, seq_id): how many docs contributed and the sequence's
     token count (= 64 except the tail).  Packing is inherently
     sequential per stream, so the unit of parallelism is the stream:
-    ``groupby(source).map_groups`` gives each source one task that
+    ``grouped_per_key(source)`` gives each source one call that
     sorts by doc_id and does integer cumsum arithmetic — at 100 TB the
     stream key is the SHARD (source × shard_id), keeping groups
     worker-sized; a giant single source here would serialize, and
@@ -2034,9 +1851,8 @@ def q_pack_sequences(sf_dir: str):
             "n_docs": pd.array(n_docs, dtype="int64"),
             "n_tok": pd.array(n_tok, dtype="int64")})
 
-    return (ds.map_batches(count_toks, batch_format="pandas")
-            .groupby("source")
-            .map_groups(pack, batch_format="pandas"))
+    return grouped_per_key(ds.map_batches(count_toks, batch_format="pandas"),
+                           "source", pack)
 
 
 # ---------------------------------------------------------------------------
@@ -3153,11 +2969,10 @@ def q_ctfidf(sf_dir: str):
         return g.assign(rank=pd.Series(range(1, len(g) + 1),
                                        dtype="int64").values)
 
-    out = (scored.map_batches(score, batch_format="pandas")
-           .map_batches(local_topk, batch_format="pandas")
-           .groupby("label").map_groups(final_topk,
-                                        batch_format="pandas")
-           .to_pandas())
+    out = grouped_per_key(
+        scored.map_batches(score, batch_format="pandas")
+        .map_batches(local_topk, batch_format="pandas"),
+        "label", final_topk).to_pandas()
     return (out.sort_values(["label", "rank"])
             .reset_index(drop=True))
 
@@ -3690,10 +3505,7 @@ def q_hard_negatives(sf_dir: str):
                           kind="mergesort").head(1)
         return g.reset_index(drop=True)
 
-    out = (parts.groupby("query_id")
-           .map_groups(reduce_best, batch_format="pandas").to_pandas())
-    for c in ("query_id", "qlabel", "neighbor_id", "neg_label"):
-        out[c] = out[c].astype("int64")
+    out = grouped_per_key(parts, "query_id", reduce_best).to_pandas()
     return out.sort_values("query_id").reset_index(drop=True)
 
 

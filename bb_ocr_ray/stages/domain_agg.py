@@ -25,7 +25,6 @@ salt strip reads that shuffle's output and shuffles too, unprobed.
 from __future__ import annotations
 
 import pandas as pd
-from ray.data.aggregate import Sum
 
 
 def _auto_salt_buckets() -> int:

@@ -160,8 +160,12 @@ def read_hash_index(index_dir: str, key: str = "content_hash",
     ``shard=`` directory at different depths, which breaks hive
     partition inference.  ``shards`` prunes the read to the named
     shard ids — pass it when the new batch is known to touch few
-    shards (the listing itself costs one walk either way)."""
+    shards (the listing itself costs one walk either way).  The read
+    drops the files' schema metadata (``read_parquet_clean``), which
+    Ray otherwise fails to hash when it concatenates the blocks."""
     import ray.data as rd
+
+    from bb_ocr_ray.sources.tables import read_parquet_clean
 
     _check_meta(index_dir, key, None)
 
@@ -178,7 +182,7 @@ def read_hash_index(index_dir: str, key: str = "content_hash",
 
         return rd.from_pandas(_pd.DataFrame(
             {key: _pd.array([], dtype="object")}))
-    return rd.read_parquet(sorted(files), columns=[key])
+    return read_parquet_clean(sorted(files), columns=[key])
 
 
 def incremental_dedup(ds, index_dir: str, key: str = "content_hash",

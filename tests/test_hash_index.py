@@ -180,3 +180,15 @@ def test_update_delta_ignores_block_layout(ray_session, tmp_path,
     assert [n for n in os.listdir(idx) if n.startswith("delta-")] == [
         os.path.basename(delta)]
     assert read_hash_index(idx).count() == 201
+
+
+def test_index_read_keeps_one_hashable_schema(ray_session, sf_tiny,
+                                              ray_data_log):
+    """The index is read with its files' schema metadata dropped, so
+    Ray never fails to hash the schemas of the blocks it concatenates
+    (a ``pa.Schema`` hashes its metadata dict)."""
+    from bb_ocr_ray.pipelines.queries import q_incremental_dedup
+
+    assert len(q_incremental_dedup(sf_tiny))
+    assert not [r for r in ray_data_log.records
+                if "Failed to hash the schemas" in r.getMessage()]

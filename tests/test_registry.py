@@ -167,16 +167,12 @@ _MAP_GROUPS_ALLOW = Counter({
     "stages/ann.py:ivf_topk_exact": 3,
     # each bucket replays, in event-time order, into its one actor
     "stages/streaming.py:sessionize_watermark": 1,
-    # raw-key query folds: each call handles one key (head(1), iloc[0],
-    # a per-group top-k, a per-source packing order)
-    **{f"pipelines/queries.py:{q}": 1 for q in (
-        "q_count_distinct", "q_ctfidf", "q_distinct", "q_events_sliding",
-        "q_hard_negatives", "q_inverted_index", "q_knn_label", "q_median",
-        "q_offer_ranking", "q_pack_sequences", "q_topk_per_group")},
 })
 
 
-def _map_groups_sites(root: Path) -> Counter:
+def _groupby_sites(root: Path, op: str) -> Counter:
+    """Every ``.groupby(...).<op>(...)`` call under ``root``, as
+    "file:top-level function" -> count."""
     import ast
 
     sites = Counter()
@@ -185,7 +181,7 @@ def _map_groups_sites(root: Path) -> Counter:
             name = getattr(top, "name", "<module>")
             for node in ast.walk(top):
                 f = getattr(node, "func", None)
-                if (isinstance(f, ast.Attribute) and f.attr == "map_groups"
+                if (isinstance(f, ast.Attribute) and f.attr == op
                         and isinstance(f.value, ast.Call)
                         and isinstance(f.value.func, ast.Attribute)
                         and f.value.func.attr == "groupby"):
@@ -194,7 +190,19 @@ def _map_groups_sites(root: Path) -> Counter:
 
 
 def test_map_groups_sites_pinned():
-    sites = _map_groups_sites(SRC.parent)
+    sites = _groupby_sites(SRC.parent, "map_groups")
     assert sites == _MAP_GROUPS_ALLOW, (
         f"new: {dict(sites - _MAP_GROUPS_ALLOW)}, "
         f"gone: {dict(_MAP_GROUPS_ALLOW - sites)}")
+
+
+def test_no_native_grouped_aggregates():
+    """Every grouped aggregate goes through ``coarse.coarse_agg`` (or a
+    per-key fold through ``coarse.grouped_per_key``), both gated by
+    ``sizing.fold_buckets``; a Ray ``groupby().aggregate`` would pay a
+    sort shuffle even for a few rows."""
+    assert not _groupby_sites(SRC.parent, "aggregate")
+    imports = [p.relative_to(SRC.parent).as_posix()
+               for p in sorted(SRC.parent.rglob("*.py"))
+               if "ray.data.aggregate" in p.read_text()]
+    assert not imports, imports

@@ -1221,6 +1221,52 @@ def test_coarse_folds_driver_matches_shuffle(ray_session, gate_spy,
         assert all(b < 1000 or a >= 1000 for a, b, *_ in driver)
 
 
+@pytest.fixture(scope="module")
+def edge_sf(tmp_path_factory):
+    from test_edge_gate import _tool
+
+    sf = str(tmp_path_factory.mktemp("edge") / "sf_edge")
+    _tool("make_edge_sf").main(sf)
+    return sf
+
+
+@pytest.mark.parametrize("query, corpus, on_driver, forced", [
+    # a plain sum
+    ("q_json_extract", "tiny", 1, 1),
+    # min/max over an input with a NULL (the edge corpus's doc 9107)
+    ("q_doc_stats", "edge", 1, 1),
+    # the rollup's finest level; the coarser levels fold on the driver
+    ("q_rollup", "tiny", 1, 1),
+    # a per-batch top-k combiner, then the per-key final top-k
+    ("q_offer_ranking", "tiny", 1, 1),
+    # distinct pairs, then a fold of those pairs: forced, the second
+    # fold sits behind the first's shuffle and is not probed
+    ("q_count_distinct", "tiny", 2, 1),
+    # a per-key fold behind ann_topk's shuffle: never probed
+    ("q_knn_label", "tiny", 0, 0),
+])
+def test_query_folds_driver_matches_shuffle(ray_session, gate_spy,
+                                            force_shuffle, edge_sf, query,
+                                            corpus, on_driver, forced):
+    """The queries' grouped aggregates (coarse_agg) and per-key folds
+    (grouped_per_key) give the same answer folded once on the driver
+    and bucket by bucket in the shuffle."""
+    from test_edge_gate import _tool
+
+    from bb_ocr_ray.pipelines.queries import QUERIES
+
+    canon, to_pandas = (getattr(_tool("check_oracles"), n)
+                        for n in ("canon", "to_pandas"))
+    sf = edge_sf if corpus == "edge" else SF_TINY
+    driver = canon(to_pandas(QUERIES[query](sf)))
+    assert gate_spy == ["driver"] * on_driver
+    force_shuffle(-1)
+    shuffled = canon(to_pandas(QUERIES[query](sf)))
+    assert gate_spy[on_driver:] == ["shuffle"] * forced
+    assert len(driver)
+    pd.testing.assert_frame_equal(driver, shuffled)
+
+
 def test_driver_fold_keeps_downstream_parallelism(ray_session, gate_spy):
     """A driver-folded result of a few MiB comes back as several blocks
     (one per ``target_min_block_size``), not one, with the same rows."""
