@@ -80,6 +80,7 @@ def cmd_query(args) -> int:
     import ray.data
 
     from bb_ocr_ray.pipelines.queries import QUERIES
+    from bb_ocr_ray.schema import PARQUET_COMPRESSION
 
     res = QUERIES[args.name](args.sf_dir)
     if args.out:
@@ -87,14 +88,15 @@ def cmd_query(args) -> int:
             # materialize once: write_parquet consumes the lazy plan,
             # and a following count() would re-run it from scratch
             res = res.materialize()
-            res.write_parquet(args.out)
+            res.write_parquet(args.out, compression=PARQUET_COMPRESSION)
             n = res.count()
         else:
             df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
             import os
 
             os.makedirs(args.out, exist_ok=True)
-            df.to_parquet(f"{args.out}/part-0.parquet", index=False)
+            df.to_parquet(f"{args.out}/part-0.parquet", index=False,
+                          compression=PARQUET_COMPRESSION)
             n = len(df)
         print(json.dumps({"cmd": "query", "name": args.name,
                           "out": args.out, "rows": int(n)}))
@@ -123,6 +125,7 @@ def cmd_dedup_index(args) -> int:
 
     import ray.data as rd
 
+    from bb_ocr_ray.schema import PARQUET_COMPRESSION
     from bb_ocr_ray.state.hash_index import (build_hash_index,
                                              incremental_dedup,
                                              update_hash_index)
@@ -149,7 +152,7 @@ def cmd_dedup_index(args) -> int:
                                   order_col=args.order_col).materialize()
     n = survivors.count()
     if args.out:
-        survivors.write_parquet(args.out)
+        survivors.write_parquet(args.out, compression=PARQUET_COMPRESSION)
     delta = None
     if args.update:
         delta = update_hash_index(survivors, args.index, key=args.key,

@@ -101,6 +101,7 @@ def run_lifecycle(pages_ds, out_dir: str, llm_backend: str | None = None,
     registered ``LLMClient`` backend — offline runs use "fake") before
     validation, mirroring the reference's OCR→prompt→LLM→repair slot.
     Returns (out_dir, audit Dataset)."""
+    from bb_ocr_ray.schema import PARQUET_COMPRESSION
     from bb_ocr_ray.stages.sinks import flatten_metadata
 
     # ONE consumer executes the extract+heuristics pipeline: the
@@ -111,7 +112,8 @@ def run_lifecycle(pages_ds, out_dir: str, llm_backend: str | None = None,
     # object store (VERDICT r2 item 2; the trade paragraph_dedup's
     # docstring argues: re-read beats pin).
     decided = lifecycle_decided(pages_ds, llm_backend, llm_model)
-    decided.write_parquet(out_dir, partition_cols=["decision"])
+    decided.write_parquet(out_dir, partition_cols=["decision"],
+                          compression=PARQUET_COMPRESSION)
 
     import ray.data as rd
 

@@ -27,6 +27,7 @@ import ray.data as rd
 
 from bb_ocr_ray.sources.tables import read_parquet_clean as _read_parquet
 
+from bb_ocr_ray.stages import sizing
 from bb_ocr_ray.stages.coarse import coarse_agg, grouped_per_key
 
 from bb_ocr_ray.functions.hashing import md5_hex
@@ -76,14 +77,14 @@ def q1_pricing_summary(sf_dir: str):
         return batch.assign(base_cents=ext_c,
                             disc_units=ext_c * (100 - disc_pct))
 
-    out = coarse_agg(
+    out = sizing.to_frame(coarse_agg(
         ds.map_batches(cents, batch_format="pandas"),
         ["l_returnflag", "l_linestatus"],
         {"sum_qty": ("l_quantity", "sum"),
          "base_cents": ("base_cents", "sum"),
          "disc_units": ("disc_units", "sum"),
          "count_order": ("l_quantity", "size")},
-    ).to_pandas()
+    ))
     out["avg_qty"] = _round_sql(out["sum_qty"] / out["count_order"], 4)
     out["sum_qty"] = _round_sql(out["sum_qty"], 2)
     out["sum_base_price"] = _round_sql(out["base_cents"] / 100.0, 2)
@@ -194,9 +195,9 @@ def q_hash_join(sf_dir: str):
     orders = _read_parquet(_t(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderstatus"])
     joined = hash_join(li, orders, on="o_orderkey")
-    out = coarse_agg(joined, ["o_orderstatus"],
-                     {"revenue_u": ("revenue_u", "sum"),
-                      "n_lineitems": ("n", "sum")}).to_pandas()
+    out = sizing.to_frame(coarse_agg(joined, ["o_orderstatus"],
+                                     {"revenue_u": ("revenue_u", "sum"),
+                                      "n_lineitems": ("n", "sum")}))
     out["revenue"] = _round_sql(out["revenue_u"] / 10000.0, 2)
     return out.drop(columns=["revenue_u"])
 
@@ -368,11 +369,11 @@ def q_events_hourly(sf_dir: str):
 
     # hour buckets grow with the corpus time span (x event types):
     # coarse_agg keeps the Ray group count bounded (per-group tax)
-    out = coarse_agg(
+    out = sizing.to_frame(coarse_agg(
         ds.map_batches(hours, batch_format="pandas"),
         ["event_type", "hour_epoch"],
         {"n_events": ("value", "size"), "sum_value": ("value", "sum")},
-    ).to_pandas()
+    ))
     out["sum_value"] = _round_sql(out["sum_value"].fillna(0.0), 4)
     return out
 
@@ -848,7 +849,8 @@ def q_events_sliding(sf_dir: str):
              "n_events_6h": pd.Series(out_n, dtype="int64")}
         )
 
-    return grouped_per_key(rd.from_pandas(hourly), "event_type", windows)
+    return sizing.to_frame(
+        grouped_per_key(rd.from_pandas(hourly), "event_type", windows))
 
 
 QUERIES.update(
@@ -907,7 +909,6 @@ def q_running_total(sf_dir: str):
         columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
     )
 
-    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 
     n_buckets = _auto_num_buckets()
@@ -1045,17 +1046,18 @@ def q_rollup(sf_dir: str):
         return batch.assign(rev_c=_round_sql(
             batch["o_totalprice"] * 100.0, 0).astype("int64"))
 
-    fine = coarse_agg(ds.map_batches(cents, batch_format="pandas"),
-                      ["o_orderstatus", "o_orderpriority"],
-                      {"n_orders": ("rev_c", "size"),
-                       "revenue": ("rev_c", "sum")}).to_pandas()
+    fine = sizing.to_frame(coarse_agg(
+        ds.map_batches(cents, batch_format="pandas"),
+        ["o_orderstatus", "o_orderpriority"],
+        {"n_orders": ("rev_c", "size"), "revenue": ("rev_c", "sum")}))
     mid = fine.groupby("o_orderstatus", as_index=False).agg(
         n_orders=("n_orders", "sum"), revenue=("revenue", "sum"))
     mid["o_orderpriority"] = None
     total = pd.DataFrame(
         {"o_orderstatus": [None], "o_orderpriority": [None],
          "n_orders": [fine["n_orders"].sum()],
-         "revenue": [fine["revenue"].sum()]}
+         # SQL: the sum over no rows is NULL
+         "revenue": [fine["revenue"].sum(min_count=1)]}
     )
     out = pd.concat([fine, mid, total], ignore_index=True)
     out["revenue"] = _round_sql(out["revenue"] / 100.0, 2)
@@ -2556,8 +2558,6 @@ def q_lm_quality(sf_dir: str):
 
     import ray.data as rd
 
-    from bb_ocr_ray.stages import sizing
-
     rows = ds.map_batches(bigram_partials, batch_format="pandas")
     # materialized so an over-limit gate below does not re-run the
     # corpus fold; it is bigram-vocabulary-sized — the LM model
@@ -3050,7 +3050,6 @@ def q_posting_lists(sf_dir: str):
     pairs fit, else one shuffle), and each bucket folds its terms with
     a sort + boundary scan.  n_docs is a parquet-metadata count."""
     from bb_ocr_ray.functions.hashing import ws_tokens
-    from bb_ocr_ray.stages import sizing
     from bb_ocr_ray.stages.coarse import _bucket_ids
     from bb_ocr_ray.stages.joins import _auto_num_buckets
 

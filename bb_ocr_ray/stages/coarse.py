@@ -194,6 +194,10 @@ def grouped_per_key(ds, key: str, fn):
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         all_parts = [fn(sub.drop(columns=["__coarse"]))
                      for _, sub in g.groupby(key, sort=True, dropna=False)]
+        if not all_parts:
+            # a 0-row side, folded on the driver: fn's columns come
+            # from fn on the typed 0-row frame
+            return fn(g.drop(columns=["__coarse"]))
         parts = [p for p in all_parts if len(p)]
         if not parts:
             # every key folded to nothing: return one of the empty

@@ -287,7 +287,8 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
         return _join_empty_side(left_ds, how)
     left_types = _arrow_schema(left_ds)
     if left_types is None:        # empty: only a full join keeps rows
-        return right_ds if how == "full" else left_ds
+        return right_ds if how == "full" else _join_empty_left(
+            left_ds, right_types, keys, how)
     left_cols = list(left_types)
     right_cols = [c for c in right_types if c not in keys]
 
@@ -450,6 +451,26 @@ def _join_empty_side(left_ds, how: str):
         return left_ds
     return rd.from_arrow(pa.schema(
         [(c, t or pa.null()) for c, t in types.items()]).empty_table())
+
+
+def _join_empty_left(left_ds, right_types: dict, keys: list, how: str):
+    """An empty left side with no columns joined (not full) with a right
+    side of ``right_types``: 0 rows, typed with the left's columns as
+    ``sizing.typed_empty`` tells them, plus the right's payload columns
+    for an inner or left join; ``left_ds`` itself when the left's
+    columns cannot be told."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    left = sizing.typed_empty(left_ds)
+    if left is None:
+        return left_ds
+    fields = list(left.schema)
+    if how in ("inner", "left"):
+        fields += [pa.field(c, t or pa.null())
+                   for c, t in right_types.items()
+                   if c not in keys and c not in left.column_names]
+    return rd.from_arrow(pa.schema(fields).empty_table())
 
 
 def auto_join(big_ds, small_ds, on, how: str = "inner"):

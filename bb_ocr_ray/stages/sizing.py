@@ -241,6 +241,78 @@ def collect_if_fits(ds, pre=None, batch_format="pandas") -> pa.Table | None:
          for n, t in zip(schema.names, schema.types)]).empty_table()
 
 
+def typed_empty(ds) -> pa.Table | None:
+    """A 0-row Arrow table with ``ds``'s columns and types, or ``None``
+    when they cannot be told without rows.
+
+    Ray never calls a map's function on an empty block, so a Dataset
+    whose every block came out of a map empty reports no schema at all.
+    Here the plan is walked up to the nearest operator whose schema is
+    known without execution (a read, held blocks), and the plain-function
+    ``map_batches``, filters and column selections between it and ``ds``
+    are run in this process on a 0-row table of that schema.  Any other
+    operator on the way (a callable class, a row map, an all-to-all)
+    gives ``None``, and so does a map that raises or yields nothing on
+    0 rows."""
+    import inspect
+
+    import ray
+    from ray.data._internal.logical.operators.from_operators import \
+        AbstractFrom
+    from ray.data._internal.logical.operators.input_data_operator import \
+        InputData
+    from ray.data._internal.logical.operators.map_operator import (
+        Filter, MapBatches, Project)
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    op, chain = ds._logical_plan.dag, []
+    while not isinstance(op, (AbstractFrom, InputData, Read)):
+        if not (isinstance(op, Filter)
+                or (isinstance(op, Project)
+                    and not (op.exprs or op.cols_rename))
+                or (isinstance(op, MapBatches)
+                    and inspect.isfunction(op._fn)
+                    and op._batch_format in ("pandas", "pyarrow", None))):
+            return None
+        chain.append(op)
+        op = op.input_dependencies[0]
+    if isinstance(op, Read):
+        table = op.infer_schema()
+        if not isinstance(table, pa.Schema):
+            return None
+        table = table.empty_table()
+    else:
+        refs = [ref for bundle in op.output_data() for ref, _ in bundle.blocks]
+        if not refs:
+            return None
+        table = _arrow(ray.get(refs[0])).slice(0, 0)
+    try:
+        for op in reversed(chain):
+            if isinstance(op, Project):
+                table = table.select(op.cols)
+            elif isinstance(op, MapBatches):
+                out = op._fn(table.to_pandas() if op._batch_format == "pandas"
+                             else table, *(op._fn_args or ()),
+                             **(op._fn_kwargs or {}))
+                if inspect.isgenerator(out):
+                    out = next(out, None)
+                table = _arrow(out).slice(0, 0)
+    except Exception:  # noqa: BLE001 — a map that cannot take 0 rows
+        return None
+    return table
+
+
+def to_frame(ds):
+    """``ds.to_pandas()`` that keeps ``ds``'s columns when it has no
+    rows: Ray builds the frame from batches, and an empty block gives
+    none, so its own answer then has no columns at all."""
+    df = ds.to_pandas()
+    if len(df) or len(df.columns):
+        return df
+    empty = typed_empty(ds)
+    return df if empty is None else empty.to_pandas()
+
+
 def from_driver(frame):
     """A Dataset holding ``frame`` (a pandas DataFrame or an Arrow table
     computed on the driver), with the blocks ``rd.from_pandas`` would
@@ -322,9 +394,8 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
     on the columns the bucket is derived from), and a ``pre`` whose
     per-batch outputs fold to the same answer however the side is cut
     into batches (a per-row map, a re-foldable combiner).  A 0-row
-    stamped side gives what the shuffle gives it, a 0-row Dataset with
-    no schema, without calling ``fn`` on a shape ``map_groups`` never
-    hands it.
+    stamped side that fits gives ``fn`` run once on the typed 0-row
+    stamp (``_empty_fold``), so the result carries the fold's columns.
 
     Cost of a lazy side that does not fit: the probe stops once it has
     read the limit in Arrow bytes, and the shuffle then re-runs the
@@ -336,8 +407,6 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
     (``_behind_all_to_all``), so an over-limit side never re-runs a
     whole shuffle.  The driver result is returned through
     ``from_driver``."""
-    import ray.data as rd
-
     stamped = ds.map_batches(pre, batch_format=batch_format,
                              batch_size=None)
     if stamp_here and is_held(ds):
@@ -350,9 +419,33 @@ def fold_buckets(ds, pre, bucket_col: str, fn, batch_format="pandas",
         return stamped.groupby(bucket_col).map_groups(fn,
                                                       batch_format=fn_format)
     if not table.num_rows:
-        return rd.from_items([])
+        return _empty_fold(ds, pre, fn, table, batch_format, fn_format)
     return from_driver(fn(table if fn_format == "pyarrow"
                           else table.to_pandas()))
+
+
+def _empty_fold(ds, pre, fn, stamped: pa.Table, batch_format, fn_format):
+    """``fold_buckets``' answer for a 0-row stamped side: ``fn`` on the
+    typed 0-row stamp.  When the probe saw no columns (Ray knows no
+    schema for blocks a map left empty, and a held side's empty blocks
+    never reach ``pre``), ``pre`` is first run on ``typed_empty(ds)``.
+    When the columns cannot be told, or ``fn`` cannot take 0 rows, the
+    answer is a 0-row Dataset with no columns, as the shuffle gives."""
+    import ray.data as rd
+
+    try:
+        if not stamped.num_columns:
+            empty = typed_empty(ds)
+            if empty is None:
+                return rd.from_items([])
+            stamped = _arrow(pre(empty if batch_format != "pandas"
+                                 else empty.to_pandas())).slice(0, 0)
+        # as Arrow: Ray cannot size an empty pandas object column and
+        # logs a warning for each
+        return from_driver(_arrow(fn(stamped if fn_format == "pyarrow"
+                                     else stamped.to_pandas())))
+    except Exception:  # noqa: BLE001 — a fold that cannot take 0 rows
+        return rd.from_items([])
 
 
 def split_by_bytes(ds, payload_col: str = "html",

@@ -38,6 +38,8 @@ import shutil
 import numpy as np
 import pandas as pd
 
+from bb_ocr_ray.schema import PARQUET_COMPRESSION
+
 
 def shard_of(keys: pd.Series, n_shards: int) -> np.ndarray:
     """Deterministic shard per key — md5 of the KEY TEXT, never a
@@ -79,7 +81,8 @@ def build_hash_index(ds, index_dir: str, key: str = "content_hash",
     distinct = _distinct_keys(ds, key, n_shards)
     tmp = f"{index_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-    distinct.write_parquet(tmp, partition_cols=["shard"])
+    distinct.write_parquet(tmp, partition_cols=["shard"],
+                           compression=PARQUET_COMPRESSION)
     os.makedirs(tmp, exist_ok=True)              # empty input: 0 files
     with open(os.path.join(tmp, "index_meta.json"), "w") as f:
         import json
@@ -146,7 +149,8 @@ def update_hash_index(ds, index_dir: str, key: str = "content_hash",
         return None                               # idempotent re-update
     tmp = f"{delta_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-    distinct.write_parquet(tmp, partition_cols=["shard"])
+    distinct.write_parquet(tmp, partition_cols=["shard"],
+                           compression=PARQUET_COMPRESSION)
     os.replace(tmp, delta_dir)
     return delta_dir
 

@@ -40,6 +40,7 @@ from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
 from bb_ocr_ray.functions.hashing import crc32
+from bb_ocr_ray.schema import PARQUET_COMPRESSION
 
 # the row field hashed into partitions; recorded so a manifest written
 # under another bucket key is refused instead of silently mixed
@@ -236,9 +237,10 @@ class LineageDatasink(Datasink):
     Each write task stages bucket ``b``'s rows, hive-split by ``split``
     when set, under ``staging/part-{b:05d}/`` in files named by the
     task index, so a retried task overwrites its own files.  Per bucket
-    it returns rows, text chars, row counts per ``split`` value and the
-    content digest keyed by url (joined by ``\\x1f`` with the ``split``
-    value, so a row moved between sinks changes it)."""
+    it returns rows, text chars, the on-disk bytes of the files it
+    wrote, row counts per ``split`` value and the content digest keyed
+    by url (joined by ``\\x1f`` with the ``split`` value, so a row
+    moved between sinks changes it)."""
 
     def __init__(self, staging: str, n_buckets: int, split: str | None):
         self.staging, self.n_buckets, self.split = staging, n_buckets, split
@@ -252,16 +254,20 @@ class LineageDatasink(Datasink):
         tbl = pa.concat_tables(tables, promote_options="default")
         buckets = pa.array(_buckets(tbl.column("url").to_pylist(),
                                     self.n_buckets))
+        options = pads.ParquetFileFormat().make_write_options(
+            compression=PARQUET_COMPRESSION)
         out = {}
         for b in sorted(set(buckets.to_pylist())):
             part = tbl.filter(pc.equal(buckets, b))
+            written = []
             pads.write_dataset(
                 part, os.path.join(self.staging, f"part-{b:05d}"),
-                format="parquet",
+                format="parquet", file_options=options,
                 partitioning=[self.split] if self.split else None,
                 partitioning_flavor="hive",
                 basename_template=f"{ctx.task_idx:05d}-{{i}}.parquet",
-                existing_data_behavior="overwrite_or_ignore")
+                existing_data_behavior="overwrite_or_ignore",
+                file_visitor=lambda f: written.append(f.size))
             keys = part.column("url").to_pylist()
             values = []
             if self.split:
@@ -269,7 +275,7 @@ class LineageDatasink(Datasink):
                 keys = [f"{k}\x1f{v}" for k, v in zip(keys, values)]
             texts = part.column("text").to_pylist()
             out[b] = {"rows": part.num_rows, "chars": sum(map(len, texts)),
-                      "counts": Counter(values),
+                      "bytes": sum(written), "counts": Counter(values),
                       "digest": output_digest(keys, texts)}
         return out
 
@@ -348,6 +354,7 @@ def _run_pass(sf_dir, out_root, n_partitions, cfg, stage, split=None):
         metrics = {"wall_s": round(wall, 3),     # of the pass that wrote it
                    "docs_per_sec": round(n_rows / wall, 1) if wall else 0,
                    "extracted_chars": sum(r["chars"] for r in recs),
+                   "parquet_bytes": sum(r["bytes"] for r in recs),
                    **{f"n_{v}": counts[v] for v in split_values}}
         manifest.record(plan, sum(r["rows"] for r in recs),
                         fold_digests(r["digest"] for r in recs),

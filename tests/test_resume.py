@@ -1,5 +1,6 @@
 """Lineage manifest + kill/restart resume test (FIXTURES.md §3)."""
 
+import glob
 import json
 import os
 
@@ -430,3 +431,21 @@ def test_extract_then_line_filter_through_runner(ray_session, sf_tiny,
     again = RunManifest(out_root).completed()
     assert {p: r["digest"] for p, r in again.items()} == {
         p: r["digest"] for p, r in man.items()}
+
+
+@pytest.mark.parametrize("runner", [run_resumable_extract,
+                                    run_resumable_lifecycle],
+                         ids=["extract", "lifecycle"])
+def test_manifest_parquet_bytes_match_files(ray_session, sf_tiny, tmp_path,
+                                            runner):
+    """Each partition's manifest metrics carry ``parquet_bytes``, the
+    summed on-disk size of the Parquet files published for it."""
+    out_root = str(tmp_path / "run")
+    assert runner(sf_tiny, out_root, 4) == (4, 0)
+    man = RunManifest(out_root).completed()
+    assert sorted(man) == [0, 1, 2, 3]
+    for pid, rec in man.items():
+        files = glob.glob(os.path.join(out_root, f"part-{pid:05d}", "**",
+                                       "*.parquet"), recursive=True)
+        on_disk = sum(os.path.getsize(f) for f in files)
+        assert rec["metrics"]["parquet_bytes"] == on_disk > 0

@@ -1267,6 +1267,30 @@ def test_query_folds_driver_matches_shuffle(ray_session, gate_spy,
     pd.testing.assert_frame_equal(driver, shuffled)
 
 
+def test_folds_over_empty_tables_match_oracles(ray_session, tmp_path):
+    """A fold whose input holds no rows answers 0 rows with the fold's
+    columns: five queries whose folds are fed only by the emptied
+    tables match their DuckDB oracles on a copy of sf0.001 whose
+    customer, lineitem, orders and events tables hold 0 rows (the one
+    row left is q_rollup's grand total, as in SQL)."""
+    import pyarrow.parquet as pq
+    from test_edge_gate import _tool
+
+    sf = tmp_path / "sf_empty"
+    sf.mkdir()
+    for name in os.listdir(SF_TINY):
+        table = pq.read_table(os.path.join(SF_TINY, name))
+        if name.split(".")[0] in ("customer", "lineitem", "orders",
+                                  "events"):
+            table = table.slice(0, 0)
+        pq.write_table(table, str(sf / name))
+    queries = {"q1_pricing_summary", "q_rollup", "q_events_hourly",
+               "q_events_sliding", "q_hash_join"}
+    records = _tool("check_oracles").run_checks(str(sf), queries)
+    assert {n: (r["status"], r.get("rows")) for n, r in records.items()} \
+        == {n: ("pass", int(n == "q_rollup")) for n in queries}
+
+
 def test_driver_fold_keeps_downstream_parallelism(ray_session, gate_spy):
     """A driver-folded result of a few MiB comes back as several blocks
     (one per ``target_min_block_size``), not one, with the same rows."""
