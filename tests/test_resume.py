@@ -449,3 +449,33 @@ def test_manifest_parquet_bytes_match_files(ray_session, sf_tiny, tmp_path,
                                        "*.parquet"), recursive=True)
         on_disk = sum(os.path.getsize(f) for f in files)
         assert rec["metrics"]["parquet_bytes"] == on_disk > 0
+
+
+@pytest.mark.parametrize("runner", [run_resumable_extract,
+                                    run_resumable_lifecycle],
+                         ids=["extract", "lifecycle"])
+def test_manifest_without_parquet_bytes_still_resumes(ray_session, sf_tiny,
+                                                      tmp_path, runner):
+    """A manifest written before ``parquet_bytes`` was recorded resumes:
+    its partitions are skipped, and a lost partition reruns to the same
+    digest, now with its ``parquet_bytes``."""
+    out_root = str(tmp_path / "run")
+    assert runner(sf_tiny, out_root, 4) == (4, 0)
+    before = RunManifest(out_root).completed()
+    for path in glob.glob(os.path.join(out_root, "manifest", "part-*.json")):
+        with open(path) as f:
+            rec = json.load(f)
+        del rec["metrics"]["parquet_bytes"]
+        with open(path, "w") as f:
+            json.dump(rec, f)
+    os.remove(os.path.join(out_root, "manifest", "part-00002.json"))
+    assert runner(sf_tiny, out_root, 4) == (1, 3)
+    after = RunManifest(out_root).completed()
+    assert {p: r["digest"] for p, r in after.items()} == {
+        p: r["digest"] for p, r in before.items()}
+    assert [p for p, r in sorted(after.items())
+            if "parquet_bytes" in r["metrics"]] == [2]
+    files = glob.glob(os.path.join(out_root, "part-00002", "**",
+                                   "*.parquet"), recursive=True)
+    assert (after[2]["metrics"]["parquet_bytes"]
+            == sum(os.path.getsize(f) for f in files) > 0)

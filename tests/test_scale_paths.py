@@ -1267,16 +1267,13 @@ def test_query_folds_driver_matches_shuffle(ray_session, gate_spy,
     pd.testing.assert_frame_equal(driver, shuffled)
 
 
-def test_folds_over_empty_tables_match_oracles(ray_session, tmp_path):
-    """A fold whose input holds no rows answers 0 rows with the fold's
-    columns: five queries whose folds are fed only by the emptied
-    tables match their DuckDB oracles on a copy of sf0.001 whose
-    customer, lineitem, orders and events tables hold 0 rows (the one
-    row left is q_rollup's grand total, as in SQL)."""
+@pytest.fixture(scope="module")
+def empty_sf(tmp_path_factory):
+    """A copy of sf0.001 whose customer, lineitem, orders and events
+    tables hold 0 rows."""
     import pyarrow.parquet as pq
-    from test_edge_gate import _tool
 
-    sf = tmp_path / "sf_empty"
+    sf = tmp_path_factory.mktemp("empty") / "sf_empty"
     sf.mkdir()
     for name in os.listdir(SF_TINY):
         table = pq.read_table(os.path.join(SF_TINY, name))
@@ -1284,11 +1281,214 @@ def test_folds_over_empty_tables_match_oracles(ray_session, tmp_path):
                                   "events"):
             table = table.slice(0, 0)
         pq.write_table(table, str(sf / name))
-    queries = {"q1_pricing_summary", "q_rollup", "q_events_hourly",
-               "q_events_sliding", "q_hash_join"}
-    records = _tool("check_oracles").run_checks(str(sf), queries)
-    assert {n: (r["status"], r.get("rows")) for n, r in records.items()} \
-        == {n: ("pass", int(n == "q_rollup")) for n in queries}
+    return str(sf)
+
+
+@pytest.mark.parametrize("query", [
+    "q1_pricing_summary", "q_rollup", "q_events_hourly", "q_events_sliding",
+    "q_hash_join"])
+def test_folds_over_empty_tables_match_oracles(ray_session, empty_sf, query):
+    """A fold whose input holds no rows answers 0 rows with the fold's
+    columns: queries whose folds are fed only by the emptied tables
+    match their DuckDB oracles (the one row left is q_rollup's grand
+    total, as in SQL)."""
+    from test_edge_gate import _tool
+
+    records = _tool("check_oracles").run_checks(empty_sf, {query})
+    assert ({n: (r["status"], r.get("rows")) for n, r in records.items()}
+            == {query: ("pass", int(query == "q_rollup"))})
+
+
+_T3 = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                "v": pa.array(["a", "b", "c"])})
+
+
+def _worker_maps():
+    """Maps that Ray workers run, defined in a function so that they are
+    pickled by value (the workers cannot import this test module)."""
+    def to_empty(t: pa.Table) -> pa.Table:
+        return t.slice(0, 0)
+
+    def add_w(b: pd.DataFrame) -> pd.DataFrame:
+        return b.assign(w=b["k"] * 2.0)
+
+    def stamp(b: pd.DataFrame) -> pd.DataFrame:
+        return b.assign(bucket=b["k"] % 2)
+
+    return to_empty, add_w, stamp
+
+
+_to_empty, _add_w, _stamp = _worker_maps()
+
+
+def _add_g(t: pa.Table):
+    yield t.append_column("g", pa.array([1] * len(t), pa.int32()))
+
+
+def _raise(b):
+    raise ValueError("no rows expected")
+
+
+class _Identity:
+    def __call__(self, b):
+        return b
+
+
+def _typed_read():
+    import ray.data as rd
+
+    return rd.read_parquet(f"{SF_TINY}/orders.parquet",
+                           columns=["o_orderkey", "o_orderstatus"])
+
+
+# each builder: (Dataset, {column: type} typed_empty must tell, or None)
+_TYPED_EMPTY = {
+    "read": lambda rd: (_typed_read(),
+                        {"o_orderkey": "int64", "o_orderstatus": "string"}),
+    "held-arrow": lambda rd: (rd.from_arrow(_T3),
+                              {"k": "int64", "v": "string"}),
+    "held-pandas": lambda rd: (rd.from_pandas(_T3.to_pandas()),
+                               {"k": "int64", "v": "string"}),
+    "pandas-map": lambda rd: (
+        rd.from_arrow(_T3).map_batches(_add_w, batch_format="pandas"),
+        {"k": "int64", "v": "string", "w": "double"}),
+    "generator-map": lambda rd: (
+        rd.from_arrow(_T3).map_batches(_add_g, batch_format="pyarrow"),
+        {"k": "int64", "v": "string", "g": "int32"}),
+    "maps-left-empty": lambda rd: (
+        rd.from_arrow(_T3).map_batches(_to_empty, batch_format="pyarrow")
+        .map_batches(_add_w, batch_format="pandas"),
+        {"k": "int64", "v": "string", "w": "double"}),
+    "filter": lambda rd: (rd.from_arrow(_T3).filter(lambda r: r["k"] > 5),
+                          {"k": "int64", "v": "string"}),
+    "select": lambda rd: (rd.from_arrow(_T3).select_columns(["v"]),
+                          {"v": "string"}),
+    "rename": lambda rd: (rd.from_arrow(_T3).rename_columns({"v": "u"}),
+                          None),
+    "callable-class": lambda rd: (
+        rd.from_arrow(_T3).map_batches(_Identity, batch_format="pandas",
+                                       concurrency=1), None),
+    "row-map": lambda rd: (rd.from_arrow(_T3).map(lambda r: r), None),
+    "map-raises": lambda rd: (
+        rd.from_arrow(_T3).map_batches(_raise, batch_format="pandas"), None),
+    "all-to-all": lambda rd: (rd.from_arrow(_T3).sort("k"), None),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_TYPED_EMPTY))
+def test_typed_empty_tells_columns_without_rows(ray_session, executions,
+                                                plan):
+    """``sizing.typed_empty`` types a plan's output from its nearest
+    known schema and the plain maps after it, run here on 0 rows, and
+    gives None for any operator it cannot run that way; it executes no
+    Dataset."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import sizing
+
+    ds, want = _TYPED_EMPTY[plan](rd)
+    got = sizing.typed_empty(ds)
+    assert executions == []
+    if want is None:
+        assert got is None
+    else:
+        assert got.num_rows == 0
+        assert {f.name: str(f.type) for f in got.schema} == want
+
+
+def test_to_frame_keeps_columns_of_an_empty_result(ray_session):
+    """``sizing.to_frame`` is ``to_pandas`` for rows, and keeps the
+    columns (and dtypes) of a result whose blocks a map left empty,
+    where Ray's own frame has none."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import sizing
+
+    full = rd.from_arrow(_T3).map_batches(_add_w, batch_format="pandas")
+    pd.testing.assert_frame_equal(sizing.to_frame(full), full.to_pandas())
+    empty = (rd.from_arrow(_T3).map_batches(_to_empty, batch_format="pyarrow")
+             .map_batches(_add_w, batch_format="pandas"))
+    assert list(empty.to_pandas().columns) == []
+    got = sizing.to_frame(empty)
+    assert len(got) == 0
+    assert dict(got.dtypes.astype(str)) == {"k": "int64", "v": "object",
+                                            "w": "float64"}
+
+
+def _count_per_k(g: pd.DataFrame) -> pd.DataFrame:
+    return g.groupby("k", as_index=False).agg(n=("v", "size"))
+
+
+def _count_per_k_arrow(t: pa.Table) -> pa.Table:
+    return t.group_by("k").aggregate([("v", "count")])
+
+
+@pytest.mark.parametrize("side, fn, want", [
+    # a held side with 0 rows: the stamp runs here on its typed frame
+    ("held", _count_per_k, ["k", "n"]),
+    ("held", _count_per_k_arrow, ["k", "v_count"]),
+    # a lazy side whose blocks a map left empty: Ray reports no schema,
+    # so the stamp runs on typed_empty's frame
+    ("emptied", _count_per_k, ["k", "n"]),
+    # a fold that cannot take 0 rows answers as the shuffle does
+    ("held", _raise, []),
+], ids=["held-pandas", "held-pyarrow", "emptied", "fold-raises"])
+def test_fold_buckets_over_zero_rows_keeps_fold_columns(ray_session,
+                                                        gate_spy, side, fn,
+                                                        want):
+    """``fold_buckets`` over a 0-row side runs ``fn`` once on the typed
+    0-row stamp, so its 0-row answer carries the fold's columns."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import sizing
+
+    if side == "held":
+        ds = rd.from_arrow(_T3.slice(0, 0))
+    else:
+        ds = rd.from_arrow(_T3).map_batches(_to_empty, batch_format="pyarrow")
+    fn_format = "pyarrow" if fn is _count_per_k_arrow else "pandas"
+    got = sizing.fold_buckets(ds, _stamp, "bucket", fn, fn_format=fn_format)
+    assert gate_spy == ["driver"]
+    assert got.count() == 0
+    assert (got.schema().names if want else got.schema()) == (want or None)
+
+
+def test_grouped_per_key_over_zero_rows_keeps_fn_columns(ray_session):
+    """``grouped_per_key`` over a 0-row side answers with ``fn``'s
+    columns: ``fn`` runs once on the typed 0-row frame."""
+    import ray.data as rd
+
+    from bb_ocr_ray.stages.coarse import grouped_per_key
+
+    def per_key(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"k": g["k"].head(1),
+                             "n_rows": pd.Series([len(g)] * min(len(g), 1),
+                                                 dtype="int64")})
+
+    got = grouped_per_key(rd.from_arrow(_T3.slice(0, 0)), "k", per_key)
+    assert got.count() == 0
+    assert got.schema().names == ["k", "n_rows"]
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_hash_join_schemaless_empty_left_keeps_columns(ray_session, how):
+    """hash_join with a schema-less empty left side (blocks a map left
+    empty) answers DuckDB's 0 rows with the left's columns, plus the
+    right's payload for an inner or left join."""
+    import duckdb
+    import ray.data as rd
+
+    from bb_ocr_ray.stages import joins
+
+    left = (rd.from_arrow(_NULL_L)
+            .map_batches(_to_empty, batch_format="pyarrow"))
+    got = joins.hash_join(left, rd.from_arrow(_NULL_R), on="k", how=how)
+    L, R = _NULL_L.slice(0, 0), _NULL_R  # noqa: F841 — DuckDB scans them
+    sql = _NULL_SQL.get(how, "SELECT L.k, v, w FROM L LEFT JOIN R "
+                             "ON L.k = R.k")
+    want = duckdb.sql(sql).df()
+    assert got.count() == len(want) == 0
+    assert got.schema().names == list(want.columns)
 
 
 def test_driver_fold_keeps_downstream_parallelism(ray_session, gate_spy):
