@@ -42,13 +42,14 @@ def classify(blocks: list, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
     """RawBlocks -> ClassifiedBlocks, same order."""
     max_link_density = cfg.max_link_density
     min_block_chars = cfg.min_block_chars
+    new = tuple.__new__     # skips the NamedTuple's Python __new__
     out = []
     for block_id, tag_path, depth, dropped, raw, raw_chars, link_chars, n_tags in blocks:
         text = collapse_ws(raw)
         n = len(text)
         link_density = link_chars / raw_chars if raw_chars else 0.0
-        out.append(ClassifiedBlock(
+        out.append(new(ClassifiedBlock, (
             block_id, tag_path, depth, n / max(1, n_tags), link_density,
             not dropped and link_density <= max_link_density and n >= min_block_chars,
-            text))
+            text)))
     return out

@@ -179,7 +179,9 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
     open_counts: dict = {}   # tag -> open count (O(1) membership)
     blocks: list = []
     # the open block: its text runs (None = no block open) and features;
-    # a flush appends RawBlock(len(blocks), ...) and sets runs = None
+    # a flush appends a RawBlock and sets runs = None.  Blocks are built
+    # with tuple.__new__, which skips the NamedTuple's Python __new__.
+    new = tuple.__new__
     runs = None
     path = ""
     depth = raw_chars = link_chars = n_tags = 0
@@ -197,27 +199,30 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
             if li == 3:
                 tag = m.group(2).lower()
                 tm = mask.get(tag, 0)
-                a = m.group(3).rstrip()
+                a = m.group(3)
                 # self-closing only when the '/' is its own token: bare "/",
                 # or preceded by whitespace/quote.  A '/' ending an unquoted
                 # attr value (href=http://x.com/) is VALUE text (mirrors
-                # html.parser, which parses the value first).
-                if a.endswith("/") and (len(a) == 1 or a[-2] in " \t\n\r\"'"):
-                    # <tag/>: like a void element; block tags still flush
-                    if tm & _BLOCK:
-                        if runs is not None:
-                            blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
-                                                   raw_chars, link_chars, n_tags))
-                            runs = None
-                    elif tag == "br" and runs is not None:
-                        runs.append("\n")
-                    continue
+                # html.parser, which parses the value first).  Only attrs
+                # ending in "/" or whitespace can be: rstrip() keeps the rest.
+                if a[-1:] == "/" or a[-1:].isspace():
+                    a = a.rstrip()
+                    if a.endswith("/") and (len(a) == 1 or a[-2] in " \t\n\r\"'"):
+                        # <tag/>: like a void element; block tags still flush
+                        if tm & _BLOCK:
+                            if runs is not None:
+                                blocks.append(new(RawBlock, (len(blocks), path, depth, dropped, "".join(runs),
+                                                             raw_chars, link_chars, n_tags)))
+                                runs = None
+                        elif tag == "br" and runs is not None:
+                            runs.append("\n")
+                        continue
                 if tm & _VOID:
                     if runs is not None and (tag == "br" or tag == "hr"):
                         runs.append("\n")
                         if tag == "hr":
-                            blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
-                                                   raw_chars, link_chars, n_tags))
+                            blocks.append(new(RawBlock, (len(blocks), path, depth, dropped, "".join(runs),
+                                                        raw_chars, link_chars, n_tags)))
                             runs = None
                     continue
                 if tm:
@@ -228,13 +233,13 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                     if tm & _DROP:
                         drop_depth += 1
                     if tm & _BLOCK and runs is not None:
-                        blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
-                                               raw_chars, link_chars, n_tags))
+                        blocks.append(new(RawBlock, (len(blocks), path, depth, dropped, "".join(runs),
+                                                    raw_chars, link_chars, n_tags)))
                         runs = None
                 stack.append(tag)
                 open_counts[tag] = open_counts.get(tag, 0) + 1
                 n_tags += 1   # reset to 1 when a block opens
-                closer = _RAWTEXT_CLOSE.get(tag)
+                closer = _RAWTEXT_CLOSE.get(tag) if tm & _SKIP else None
                 if closer is None:
                     continue
                 # raw-text content: no markup until the close tag, which is
@@ -275,7 +280,12 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                     if runs is not None:
                         runs.append(data)
                     continue
-                k = len(collapse_ws(data))   # >= 1: data has a non-space char
+                # >= 1: data has a non-space char (collapse_ws' first fast
+                # path inlined: most runs are printable with no double space)
+                if data.isprintable() and "  " not in data:
+                    k = len(data.strip())
+                else:
+                    k = len(collapse_ws(data))
                 if runs is None:
                     runs = [data]
                     path = "/".join(stack[:max_depth])
@@ -290,9 +300,10 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                     link_chars += k
                 continue
             # end tag: pop up to and including the matching open tag;
-            # ignore strays and void tags (never pushed)
-            if open_counts.get(tag, 0) > 0:
-                while stack:
+            # ignore strays and void tags (never pushed).  Most end tags
+            # close the top of the stack, which needs no count lookup.
+            if stack and (stack[-1] == tag or open_counts.get(tag, 0) > 0):
+                while True:
                     popped = stack.pop()
                     open_counts[popped] -= 1
                     pm = mask.get(popped, 0)
@@ -304,8 +315,8 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
                         if pm & _DROP:
                             drop_depth -= 1
                         if pm & _BLOCK and runs is not None:
-                            blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
-                                                   raw_chars, link_chars, n_tags))
+                            blocks.append(new(RawBlock, (len(blocks), path, depth, dropped, "".join(runs),
+                                                        raw_chars, link_chars, n_tags)))
                             runs = None
                     if popped == tag:
                         break
@@ -320,6 +331,6 @@ def segment(html_text: str, cfg: ExtractConfig = DEFAULT_EXTRACT) -> list:
             end = n
             token_re = _TAIL_RE
     if runs is not None:
-        blocks.append(RawBlock(len(blocks), path, depth, dropped, "".join(runs),
-                               raw_chars, link_chars, n_tags))
+        blocks.append(new(RawBlock, (len(blocks), path, depth, dropped, "".join(runs),
+                                     raw_chars, link_chars, n_tags)))
     return blocks

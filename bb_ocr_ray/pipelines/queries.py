@@ -222,9 +222,9 @@ def q_broadcast_join_nation(sf_dir: str):
         lambda b: b.assign(acct_c=_round_sql(
             b["c_acctbal"] * 100.0, 0).astype("int64")),
         batch_format="pandas")
-    out = coarse_agg(joined, ["r_name"],
-                     {"n_customers": ("acct_c", "size"),
-                      "total_acctbal": ("acct_c", "sum")}).to_pandas()
+    out = sizing.to_frame(coarse_agg(joined, ["r_name"],
+                                     {"n_customers": ("acct_c", "size"),
+                                      "total_acctbal": ("acct_c", "sum")}))
     out["total_acctbal"] = _round_sql(out["total_acctbal"] / 100.0, 2)
     return out
 
@@ -283,9 +283,9 @@ def q5_revenue_by_nation(sf_dir: str):
                              columns=["n_nationkey", "n_name"])
     nation = nation.rename(columns={"n_nationkey": "s_nationkey"})
     joined = broadcast_join(joined, nation, on="s_nationkey")
-    out = coarse_agg(joined, ["n_name"],
-                     {"revenue_u": ("revenue_u", "sum"),
-                      "n_lineitems": ("revenue_u", "size")}).to_pandas()
+    out = sizing.to_frame(coarse_agg(joined, ["n_name"],
+                                     {"revenue_u": ("revenue_u", "sum"),
+                                      "n_lineitems": ("revenue_u", "size")}))
     out["revenue"] = _round_sql(out["revenue_u"] / 10000.0, 2)
     return out.drop(columns=["revenue_u"])
 
@@ -892,7 +892,8 @@ def q6_revenue_delta(sf_dir: str):
              "n_rows": [int(m.sum())]}
         )
 
-    parts = ds.map_batches(partial, batch_format="pandas", batch_size=65536).to_pandas()
+    parts = sizing.to_frame(ds.map_batches(partial, batch_format="pandas",
+                                           batch_size=65536))
     return pd.DataFrame(
         {"revenue": [float(_round_sql(
             int(parts["revenue_u"].sum()) / 10000.0, 2))],
@@ -1284,12 +1285,12 @@ def q_band_join(sf_dir: str):
     purchases = ev.map_batches(prep("purchase"), batch_format="pandas")
     pairs = band_join(views, purchases, time_col="t_us",
                       band_us=30_000_000)
-    return pairs.map_batches(
+    return sizing.to_frame(pairs.map_batches(
         lambda b: pd.DataFrame(
             {"view_id": b["event_id"].astype("int64"),
              "purchase_id": b["event_id_r"].astype("int64")}),
         batch_format="pandas",
-    )
+    ))
 
 
 QUERIES.update({"q_band_join": q_band_join})

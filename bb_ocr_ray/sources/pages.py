@@ -105,6 +105,16 @@ def pages_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+def read_documents(sf_dir: str):
+    """The ``(doc_id, text, lang)`` rows of {sf_dir}/documents.parquet,
+    as read: the blocks of the Parquet read, with no fan-out."""
+    from bb_ocr_ray.sources.tables import read_parquet_clean
+
+    return read_parquet_clean(
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
+    )
+
+
 def read_pages(sf_dir: str, num_blocks: int | None = None):
     """Streaming pages Dataset synthesized from {sf_dir}/documents.parquet.
 
@@ -116,13 +126,8 @@ def read_pages(sf_dir: str, num_blocks: int | None = None):
     (pass num_blocks=None to skip).  Defaults to 2× available CPUs.
     """
     import ray
-    import ray.data as rd
 
-    from bb_ocr_ray.sources.tables import read_parquet_clean
-
-    docs = read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = read_documents(sf_dir)
     if num_blocks is None:
         num_blocks = 2 * int(ray.cluster_resources().get("CPU", 4))
     if num_blocks > 0:

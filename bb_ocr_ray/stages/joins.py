@@ -284,7 +284,7 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
 
     right_types = _arrow_schema(right_ds)
     if right_types is None:
-        return _join_empty_side(left_ds, how)
+        return _join_empty_side(left_ds, right_ds, keys, how)
     left_types = _arrow_schema(left_ds)
     if left_types is None:        # empty: only a full join keeps rows
         return right_ds if how == "full" else _join_empty_left(
@@ -436,21 +436,29 @@ def hash_join(left_ds, right_ds, on: str, num_buckets: int | None = None,
                                                batch_format="pyarrow")
 
 
-def _join_empty_side(left_ds, how: str):
+def _join_empty_side(left_ds, right_ds, keys, how: str):
     """``left_ds`` joined with an empty right side that has no columns
     (Ray reports ``schema()`` None for a Dataset whose every block came
     out of a map empty): left, full and anti keep every left row, inner
-    and semi keep none, typed with the left side's columns."""
+    and semi keep none, typed with the left side's columns (an inner
+    join adds the right's payload columns when ``sizing.typed_empty``
+    tells them)."""
     if how in ("left", "full", "anti"):
         return left_ds
     import pyarrow as pa
     import ray.data as rd
 
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    right = sizing.typed_empty(right_ds) if how == "inner" else None
+    right_types = {} if right is None else dict(zip(right.column_names,
+                                                    right.schema.types))
     types = _arrow_schema(left_ds)
-    if types is None:
-        return left_ds
-    return rd.from_arrow(pa.schema(
-        [(c, t or pa.null()) for c, t in types.items()]).empty_table())
+    if types is None:             # both sides empty
+        return _join_empty_left(left_ds, right_types, keys, how)
+    fields = [(c, t or pa.null()) for c, t in types.items()]
+    fields += [(c, t) for c, t in right_types.items()
+               if c not in keys and c not in types]
+    return rd.from_arrow(pa.schema(fields).empty_table())
 
 
 def _join_empty_left(left_ds, right_types: dict, keys: list, how: str):
@@ -482,7 +490,7 @@ def auto_join(big_ds, small_ds, on, how: str = "inner"):
     if small is None:
         return hash_join(big_ds, small_ds, on=on, how=how)
     if not small.num_columns:     # an empty side with no known columns
-        return _join_empty_side(big_ds, how)
+        return _join_empty_side(big_ds, small_ds, on, how)
     return broadcast_join(big_ds, small.to_pandas(), on=on, how=how)
 
 
@@ -609,7 +617,10 @@ def band_join(left_ds, right_ds, time_col: str, band_us: int,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    left_cols = set(left_ds.schema().names)
+    # a side every block of which a map left empty reports no schema
+    schema = left_ds.schema()
+    left_cols = set(schema.names if schema is not None else getattr(
+        sizing.typed_empty(left_ds), "column_names", ()))
     time_r = time_col + suffix
 
     def windowed(t: pa.Table, col: str, deltas) -> pa.Table:

@@ -249,11 +249,11 @@ def typed_empty(ds) -> pa.Table | None:
     whose every block came out of a map empty reports no schema at all.
     Here the plan is walked up to the nearest operator whose schema is
     known without execution (a read, held blocks), and the plain-function
-    ``map_batches``, filters and column selections between it and ``ds``
-    are run in this process on a 0-row table of that schema.  Any other
-    operator on the way (a callable class, a row map, an all-to-all)
-    gives ``None``, and so does a map that raises or yields nothing on
-    0 rows."""
+    ``map_batches``, filters, column selections and renames between it
+    and ``ds`` are run in this process on a 0-row table of that schema.
+    Any other operator on the way (a callable class, a row map, an
+    all-to-all) gives ``None``, and so does a map that raises or yields
+    nothing on 0 rows."""
     import inspect
 
     import ray
@@ -268,8 +268,7 @@ def typed_empty(ds) -> pa.Table | None:
     op, chain = ds._logical_plan.dag, []
     while not isinstance(op, (AbstractFrom, InputData, Read)):
         if not (isinstance(op, Filter)
-                or (isinstance(op, Project)
-                    and not (op.exprs or op.cols_rename))
+                or (isinstance(op, Project) and not op.exprs)
                 or (isinstance(op, MapBatches)
                     and inspect.isfunction(op._fn)
                     and op._batch_format in ("pandas", "pyarrow", None))):
@@ -289,7 +288,11 @@ def typed_empty(ds) -> pa.Table | None:
     try:
         for op in reversed(chain):
             if isinstance(op, Project):
-                table = table.select(op.cols)
+                if op.cols:
+                    table = table.select(op.cols)
+                if op.cols_rename:
+                    table = table.rename_columns([op.cols_rename.get(c, c)
+                                                  for c in table.column_names])
             elif isinstance(op, MapBatches):
                 out = op._fn(table.to_pandas() if op._batch_format == "pandas"
                              else table, *(op._fn_args or ()),

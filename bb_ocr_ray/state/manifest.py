@@ -7,8 +7,10 @@ local-cache-before-API decision (SURVEY.md J6).  Here:
 
   - partition ``pid`` holds the rows with ``crc32(url) % n == pid``;
   - a run is ONE pass: the input is read once, the rows of pending
-    partitions flow through the stage, and one :class:`LineageDatasink`
-    stages each partition under ``_staging/`` and returns its lineage;
+    partitions are routed by partition (one task per pending partition)
+    and flow through the stage, and one :class:`LineageDatasink` stages
+    each partition, one file per task, under ``_staging/`` and returns
+    its lineage;
   - then each pending partition is atomically renamed to
     ``part-{pid:05d}`` and recorded in ``manifest/part-{pid:05d}.json``
     (write-temp-rename) with the FIXTURES.md §3 lineage fields;
@@ -224,11 +226,16 @@ def _buckets(urls: list, n_buckets: int) -> list:
     return [crc32(u) % n_buckets for u in urls]
 
 
-def _keep_buckets(batch, n_buckets: int, keep: frozenset):
-    """Pages of the pending partitions only."""
-    mask = [b in keep for b in
-            _buckets(batch.column("url").to_pylist(), n_buckets)]
-    return batch.filter(pa.array(mask, pa.bool_()))
+def _stamp_buckets(batch, n_buckets: int, keep: frozenset):
+    """Document rows of the pending partitions only, each stamped with
+    its partition as ``_bucket`` (the bucket of the url its page gets)."""
+    from bb_ocr_ray.sources.pages import url_for
+
+    buckets = _buckets([url_for(d) for d in batch.column("doc_id").to_pylist()],
+                       n_buckets)
+    mask = pa.array([b in keep for b in buckets], pa.bool_())
+    return batch.append_column(
+        "_bucket", pa.array(buckets, pa.int64())).filter(mask)
 
 
 class LineageDatasink(Datasink):
@@ -236,7 +243,10 @@ class LineageDatasink(Datasink):
 
     Each write task stages bucket ``b``'s rows, hive-split by ``split``
     when set, under ``staging/part-{b:05d}/`` in files named by the
-    task index, so a retried task overwrites its own files.  Per bucket
+    task index, so a retried task overwrites its own files.  The pass
+    routes rows by partition before the stage, so a task normally holds
+    one bucket and writes one file for it (one per ``split`` value);
+    the split by bucket here keeps lineage right for any stage.  Per bucket
     it returns rows, text chars, the on-disk bytes of the files it
     wrote, row counts per ``split`` value and the content digest keyed
     by url (joined by ``\\x1f`` with the ``split`` value, so a row
@@ -296,15 +306,17 @@ def check_run_args(n_partitions: int, cfg) -> None:
 def _run_pass(sf_dir, out_root, n_partitions, cfg, stage, split=None):
     """The resumable pass shared by both runners.
 
-    Reads the pages once, keeps the rows of partitions not already
-    complete, maps them through ``stage(pages, cfg)`` and writes them with
-    one :class:`LineageDatasink`.  Then each pending partition is
-    atomically renamed from the staging dir to ``part-{pid:05d}`` and
-    recorded in the manifest.  ``split`` is ``(column, values)``: each
+    Reads the document rows once, keeps the rows of partitions not
+    already complete and routes them by partition (one block per pending
+    partition), then templates each block into pages, maps them through
+    ``stage(pages, cfg)`` and writes them with one
+    :class:`LineageDatasink`: one write task, and one file, per pending
+    partition.  Then each pending partition is atomically renamed from
+    the staging dir to ``part-{pid:05d}`` and recorded in the manifest.  ``split`` is ``(column, values)``: each
     partition is hive-split by ``column`` and its metrics count the
     rows of each value as ``n_{value}``.  Returns (n_run, n_skipped)."""
     from bb_ocr_ray.config import DEFAULT_PIPELINE
-    from bb_ocr_ray.sources.pages import read_pages
+    from bb_ocr_ray.sources.pages import pages_batch, read_documents
     from bb_ocr_ray.stages.sizing import block_budget, split_by_bytes
 
     cfg = cfg or DEFAULT_PIPELINE
@@ -333,10 +345,16 @@ def _run_pass(sf_dir, out_root, n_partitions, cfg, stage, split=None):
     t0 = time.time()
     with (block_budget(budget_mb << 20) if budget_mb
           else contextlib.nullcontext()):
-        pages = read_pages(sf_dir).map_batches(
-            _keep_buckets, batch_format="pyarrow", batch_size=None,
-            fn_kwargs={"n_buckets": n_partitions,
-                       "keep": frozenset(p.partition_id for p in pending)})
+        ids = [p.partition_id for p in pending]
+        docs = read_documents(sf_dir).map_batches(
+            _stamp_buckets, batch_format="pyarrow", batch_size=None,
+            fn_kwargs={"n_buckets": n_partitions, "keep": frozenset(ids)})
+        # route by partition BEFORE templating, so the shuffle moves the
+        # document rows and not the html: block k holds partition ids[k]
+        docs = (docs.sort("_bucket", boundaries=ids[1:]) if len(ids) > 1
+                else docs.repartition(1))
+        pages = docs.map_batches(pages_batch, batch_format="pyarrow",
+                                 batch_size=None)
         if budget_mb:
             pages = split_by_bytes(pages, "html", max_bytes=budget_mb << 20)
         stage(pages, cfg).write_datasink(sink)

@@ -479,3 +479,77 @@ def test_manifest_without_parquet_bytes_still_resumes(ray_session, sf_tiny,
                                    "*.parquet"), recursive=True)
     assert (after[2]["metrics"]["parquet_bytes"]
             == sum(os.path.getsize(f) for f in files) > 0)
+
+
+def _part_files(out_root: str, pid: int) -> list:
+    return sorted(glob.glob(os.path.join(out_root, f"part-{pid:05d}", "**",
+                                         "*.parquet"), recursive=True))
+
+
+@pytest.mark.parametrize("runner", [run_resumable_extract,
+                                    run_resumable_lifecycle],
+                         ids=["extract", "lifecycle"])
+def test_one_file_per_partition(ray_session, sf_tiny, tmp_path, runner):
+    """The pass routes rows by partition before the stage, so each
+    partition is written by one task as one Parquet file (the lifecycle
+    runner: one per decision=* dir), and holds exactly the rows with
+    crc32(url) % n == pid."""
+    from bb_ocr_ray.functions.hashing import crc32
+
+    out_root, n = str(tmp_path / "run"), 4
+    assert runner(sf_tiny, out_root, n) == (n, 0)
+    for pid in range(n):
+        files = _part_files(out_root, pid)
+        dirs = [os.path.dirname(f) for f in files]
+        assert len(set(dirs)) == len(dirs) >= 1, files
+        if runner is run_resumable_lifecycle:
+            assert all(os.path.basename(d).startswith("decision=")
+                       for d in dirs), files
+        else:
+            assert dirs == [os.path.join(out_root, f"part-{pid:05d}")]
+        urls = pq.read_table(os.path.join(out_root, f"part-{pid:05d}"),
+                             columns=["url"]).column("url").to_pylist()
+        assert urls and all(crc32(u) % n == pid for u in urls), pid
+
+
+@pytest.mark.parametrize("runner", [run_resumable_extract,
+                                    run_resumable_lifecycle],
+                         ids=["extract", "lifecycle"])
+def test_non_contiguous_pending_reruns_to_same_digests(ray_session, sf_tiny,
+                                                       tmp_path, runner):
+    """With only the manifests of partitions 1, 3 and 6 lost, the
+    pending set is not a range: the rerun routes its rows to those three
+    partitions alone, one file each, with the digests of the first run."""
+    out_root, n = str(tmp_path / "run"), 8
+    assert runner(sf_tiny, out_root, n) == (n, 0)
+    before = RunManifest(out_root).completed()
+    for pid in (1, 3, 6):
+        os.remove(os.path.join(out_root, "manifest", f"part-{pid:05d}.json"))
+    assert runner(sf_tiny, out_root, n) == (3, 5)
+    after = RunManifest(out_root).completed()
+    assert {p: (r["row_count"], r["digest"]) for p, r in after.items()} == {
+        p: (r["row_count"], r["digest"]) for p, r in before.items()}
+    for pid in (1, 3, 6):
+        dirs = [os.path.dirname(f) for f in _part_files(out_root, pid)]
+        assert len(set(dirs)) == len(dirs) >= 1, pid
+
+
+@pytest.mark.parametrize("runner", [run_resumable_extract,
+                                    run_resumable_lifecycle],
+                         ids=["extract", "lifecycle"])
+def test_zero_row_documents_records_empty_partitions(ray_session, sf_tiny,
+                                                     tmp_path, runner):
+    """A documents.parquet with no rows completes every partition empty,
+    and the rerun skips them all."""
+    sf = tmp_path / "sf_empty"
+    sf.mkdir()
+    docs = pq.read_table(os.path.join(sf_tiny, "documents.parquet"))
+    pq.write_table(docs.slice(0, 0), str(sf / "documents.parquet"))
+    out_root, n = str(tmp_path / "run"), 4
+    assert runner(str(sf), out_root, n) == (n, 0)
+    man = RunManifest(out_root).completed()
+    assert sorted(man) == list(range(n))
+    assert all(r["row_count"] == 0 for r in man.values())
+    assert all(os.path.isdir(os.path.join(out_root, f"part-{pid:05d}"))
+               for pid in range(n))
+    assert runner(str(sf), out_root, n) == (0, n)

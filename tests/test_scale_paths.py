@@ -1286,17 +1286,19 @@ def empty_sf(tmp_path_factory):
 
 @pytest.mark.parametrize("query", [
     "q1_pricing_summary", "q_rollup", "q_events_hourly", "q_events_sliding",
-    "q_hash_join"])
+    "q_hash_join", "q_broadcast_join_nation", "q5_revenue_by_nation",
+    "q6_revenue_delta", "q_band_join"])
 def test_folds_over_empty_tables_match_oracles(ray_session, empty_sf, query):
-    """A fold whose input holds no rows answers 0 rows with the fold's
-    columns: queries whose folds are fed only by the emptied tables
-    match their DuckDB oracles (the one row left is q_rollup's grand
-    total, as in SQL)."""
+    """A fold or join whose input holds no rows answers 0 rows with its
+    columns: queries fed only by the emptied tables match their DuckDB
+    oracles (the one row left is q_rollup's grand total and
+    q6_revenue_delta's scalar, as in SQL)."""
     from test_edge_gate import _tool
 
     records = _tool("check_oracles").run_checks(empty_sf, {query})
+    one_row = query in ("q_rollup", "q6_revenue_delta")
     assert ({n: (r["status"], r.get("rows")) for n, r in records.items()}
-            == {query: ("pass", int(query == "q_rollup"))})
+            == {query: ("pass", int(one_row))})
 
 
 _T3 = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
@@ -1364,7 +1366,7 @@ _TYPED_EMPTY = {
     "select": lambda rd: (rd.from_arrow(_T3).select_columns(["v"]),
                           {"v": "string"}),
     "rename": lambda rd: (rd.from_arrow(_T3).rename_columns({"v": "u"}),
-                          None),
+                          {"k": "int64", "u": "string"}),
     "callable-class": lambda rd: (
         rd.from_arrow(_T3).map_batches(_Identity, batch_format="pandas",
                                        concurrency=1), None),
@@ -1689,8 +1691,10 @@ _EMPTY_SQL = {
 def test_schemaless_empty_side_joins_match_duckdb(ray_session, gate_spy,
                                                   path):
     """hash_join and auto_join against a schema-less empty right side:
-    inner and semi keep no row but keep the left columns, anti and left
-    keep every left row — DuckDB's rows on an empty R."""
+    inner and semi keep no row, anti and left keep every left row —
+    DuckDB's rows on an empty R.  Semi keeps the left columns; inner
+    adds the right's payload columns, typed from its plan, as a join
+    with rows would."""
     import duckdb
 
     from bb_ocr_ray.stages import joins
@@ -1709,4 +1713,5 @@ def test_schemaless_empty_side_joins_match_duckdb(ray_session, gate_spy,
         assert (_null_rows(got.to_pandas(), ["k", "v"])
                 == _null_rows(want_df, ["k", "v"]))
     else:
-        assert got.schema().names == ["k", "v"]
+        assert got.schema().names == (["k", "v", "w", "x"] if how == "inner"
+                                      else ["k", "v"])
