@@ -131,13 +131,18 @@ def cmd_dedup_index(args) -> int:
                                              update_hash_index)
 
     # enumerate *.parquet explicitly: a resumable run root also holds
-    # manifest/*.json lineage records, which a bare dir read trips on
+    # manifest/*.json lineage records, which a bare dir read trips on.
+    # Skip what pyarrow's dataset discovery skips, "_"/"." names: a
+    # killed pass leaves never-published rows under _staging/
     inp = args.inp
     if os.path.isdir(inp):
-        inp = sorted(
-            os.path.join(root, n)
-            for root, _dirs, names in os.walk(inp)
-            for n in names if n.endswith(".parquet"))
+        hidden = ("_", ".")
+        inp = []
+        for root, dirs, names in os.walk(args.inp):
+            dirs[:] = [d for d in dirs if not d.startswith(hidden)]
+            inp += [os.path.join(root, n) for n in names
+                    if n.endswith(".parquet") and not n.startswith(hidden)]
+        inp.sort()
         if not inp:
             print(f"no parquet files under {args.inp}", file=sys.stderr)
             return 2

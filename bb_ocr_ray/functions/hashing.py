@@ -346,17 +346,6 @@ def simhash_batch(texts, k: int = 2) -> np.ndarray:
     return out
 
 
-def minhash_bands(sig: np.ndarray, n_bands: int = 16) -> list:
-    """Split a signature into LSH band digests: list of (band_id, band_hash)."""
-    rows = len(sig) // n_bands
-    out = []
-    for b in range(n_bands):
-        chunk = sig[b * rows : (b + 1) * rows]
-        digest = hashlib.md5(chunk.tobytes()).hexdigest()[:16]
-        out.append((b, digest))
-    return out
-
-
 _SIMHASH_BITS = 64
 
 
@@ -371,10 +360,6 @@ def simhash(text: str, k: int = 2) -> int:
     counts = bits.sum(axis=0)
     vec = counts * 2 > len(sh)
     return int(np.packbits(vec[::-1]).view(">u8")[0])
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
 
 
 def jaccard_tokens(a: set, b: set) -> tuple:

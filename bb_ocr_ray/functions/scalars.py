@@ -10,8 +10,7 @@ Semantics rebuilt (not copied) from:
   - price/currency parse with last-separator decimal disambiguation:
     ``abebooks_html.py:19-91, 187-223``
   - title/author line heuristics: ``book_extractor.py:115-134``
-  - generic field regexes (dates/emails/phones/amounts):
-    ``hueristics/extractor.py:12-36, 64-96``
+  - eTLD+1 of a hostname against an embedded public-suffix subset
 
 All patterns are compiled once at import (per worker process) and
 applied per batch via pandas ``str`` kernels or list comprehensions.
@@ -135,87 +134,6 @@ def extract_title_author(text: str) -> tuple:
     if m:
         return title, m.group(1)
     return title, (lines[1] if len(lines) > 1 else None)
-
-
-EMAIL_RE = re.compile(r"\b[\w.+-]+@[\w-]+\.[\w.-]+\b")
-PHONE_RE = re.compile(r"(?<![\w.])(?:\+?\d{1,2}[ .-]?)?(?:\(\d{3}\)|\d{3})[ .-]?\d{3}[ .-]?\d{4}\b")
-DATE_RES = (
-    re.compile(r"\b\d{4}-\d{2}-\d{2}\b"),
-    re.compile(r"\b\d{1,2}/\d{1,2}/\d{2,4}\b"),
-    re.compile(r"\b(?:Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)[a-z]*\.?\s+\d{1,2},?\s+\d{4}\b"),
-)
-
-
-def extract_all(pattern_list, text: str) -> list:
-    """Order-preserving dedup of all matches (reference: order-preserving
-    dedup at ``hueristics/extractor.py:99-101``)."""
-    seen, out = set(), []
-    for pat in pattern_list:
-        for m in pat.findall(text):
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-    return out
-
-
-def extract_dates(text: str) -> list:
-    return extract_all(DATE_RES, text)
-
-
-def extract_emails(text: str) -> list:
-    return extract_all((EMAIL_RE,), text)
-
-
-def extract_phones(text: str) -> list:
-    return extract_all((PHONE_RE,), text)
-
-
-def slugify(name: str, max_len: int = 80) -> str:
-    """Filename slug (reference: ``main.py:552-562`` — lowercase, keep
-    [a-z0-9 _.-], collapse to underscores, cap length)."""
-    s = name.lower()
-    s = re.sub(r"[^a-z0-9 _.-]", "", s)
-    s = re.sub(r"[ _]+", "_", s).strip("_")
-    return s[:max_len]
-
-
-SERIES_RES = (
-    # "Book 3 of the Wheel of Time series" — lazy name anchored by the
-    # mandatory trailing " series" so multi-word names capture fully;
-    # ALL forms case-insensitive (reference uses re.IGNORECASE on every
-    # series pattern, book_extractor.py:137-147)
-    re.compile(r"\b(?:Book|Volume|Vol\.?|Part)\s+(\d+)\s+(?:of|in)\s+(?:the\s+)?([A-Za-z][\w' ]{2,40}?)\s+series\b", re.I),
-    re.compile(r"#\s*(\d+)\s+in\s+(?:the\s+)?([A-Za-z][\w' ]{2,40}?)(?:\s+series)\b", re.I),
-    re.compile(r"\(([A-Za-z][\w' ]{2,40}?)\s*,?\s*#\s*(\d+)\)", re.I),
-)
-
-
-def extract_series(text: str) -> tuple:
-    """(series_name, number) — the reference's 3-form series detector
-    (``book_extractor.py:137-147``); first match by form priority."""
-    for i, pat in enumerate(SERIES_RES):
-        m = pat.search(text)
-        if m:
-            if i == 2:                      # parenthesized form: (Name #N)
-                return m.group(1).strip(), int(m.group(2))
-            return m.group(2).strip(), int(m.group(1))
-    return None, None
-
-
-def fuzzy_ratio(a: str, b: str) -> int:
-    """0-100 similarity ratio (fuzz.ratio semantics via stdlib
-    difflib.SequenceMatcher — deterministic, no external dep); the
-    reference's evaluation comparator (``evaluate_results.py:108-109``)."""
-    from difflib import SequenceMatcher
-
-    if not a and not b:
-        return 100
-    return int(round(100 * SequenceMatcher(None, a, b).ratio()))
-
-
-def fuzzy_match(a: str, b: str, threshold: int = 80) -> bool:
-    """Reference default: match at ratio >= 80."""
-    return fuzzy_ratio(a, b) >= threshold
 
 
 # Multi-level public suffixes (a deterministic embedded SUBSET of the

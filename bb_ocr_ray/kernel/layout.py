@@ -1,12 +1,10 @@
 """Layout branch: bounding-box region ordering (the PDF/scan path).
 
-Re-expresses the reference's geometric core — OpenCV contour boxes
-unioned into a text region (``enhanced_extractor.py:289-337``: boxes as
-(x, y, w, h), union at :312-316, margin/clamp at :317-337) and the
-north_star's "PDF/layout branch using reading-order sort of detected
-blocks".  PDF *decoding* is unavailable offline (like image codecs,
-SURVEY.md M9); the layout math below is the real, tested component a
-decoder would feed.
+Re-expresses the north_star's "PDF/layout branch using reading-order
+sort of detected blocks" over the reference's (x, y, w, h) contour
+boxes (``enhanced_extractor.py:289-337``).  PDF *decoding* is
+unavailable offline (like image codecs, SURVEY.md M9); the layout math
+below is the real, tested component a decoder would feed.
 
 Two reading-order strategies:
 
@@ -20,40 +18,6 @@ Two reading-order strategies:
 """
 
 from __future__ import annotations
-
-
-def union_bbox(boxes: list, margin: int = 0,
-               page_w: int | None = None, page_h: int | None = None) -> tuple:
-    """Union of (x, y, w, h) boxes + optional margin, clamped to the page.
-
-    The reference's text-region union (``enhanced_extractor.py:312-337``).
-    Returns (x, y, w, h); raises ValueError on empty input.
-    """
-    if not boxes:
-        raise ValueError("union_bbox of no boxes")
-    x0 = min(b[0] for b in boxes) - margin
-    y0 = min(b[1] for b in boxes) - margin
-    x1 = max(b[0] + b[2] for b in boxes) + margin
-    y1 = max(b[1] + b[3] for b in boxes) + margin
-    x0, y0 = max(0, x0), max(0, y0)
-    if page_w is not None:
-        x1 = min(page_w, x1)
-    if page_h is not None:
-        y1 = min(page_h, y1)
-    return (x0, y0, x1 - x0, y1 - y0)
-
-
-def area_filter(boxes: list, page_w: int, page_h: int,
-                min_frac: float = 1e-4, max_frac: float = 0.10) -> list:
-    """Keep boxes whose area fraction of the page lies in [min, max] —
-    the contour area filter (``enhanced_extractor.py:287-297``)."""
-    page_area = page_w * page_h
-    out = []
-    for b in boxes:
-        frac = (b[2] * b[3]) / page_area if page_area else 0.0
-        if min_frac <= frac <= max_frac:
-            out.append(b)
-    return out
 
 
 def banded_order(boxes: list, band_h: int = 32) -> list:

@@ -1,11 +1,13 @@
-"""The reference's full document lifecycle as one streaming pipeline.
+"""The reference's full document lifecycle as one streaming chain.
 
 Mirrors SURVEY.md §3.1/§3.2 (CLI batch + accept/reject flow): pages ->
 extract -> metadata heuristics over the extracted text (the "Text
 Structuring & Heuristics Engine", design doc component 6) -> business
-validation (M12) -> accept/reject decision -> partitioned sinks (S6)
--> flattened audit rows (S8).  Every stage is a map over the stream;
-nothing materializes; rejects are data, not dropped rows.
+validation (M12) -> accept/reject decision.  The resumable runner
+(``state.manifest.run_resumable_lifecycle``, the ``cli lifecycle``
+command) writes it as the partitioned accept/reject sinks (S6).  Every
+stage is a map over the stream; nothing materializes; rejects are
+data, not dropped rows.
 """
 
 from __future__ import annotations
@@ -50,9 +52,13 @@ def lifecycle_decided(pages_ds, llm_backend: str | None = None,
                       llm_model: str = "fake-model", cfg=None):
     """The lifecycle chain up to (but not including) the sink: pages ->
     extract (-> optional enrichment) -> metadata heuristics ->
-    validation -> decision column.  Lazy; shared by :func:`run_lifecycle`
-    and the resumable runner (``state.manifest.run_resumable_lifecycle``),
-    which write it through different partition layouts."""
+    validation -> decision column.  Lazy; the resumable runner
+    (``state.manifest.run_resumable_lifecycle``) writes it, hive-split
+    by ``decision`` inside each partition.  ``llm_backend`` (optional)
+    routes the extracted stream through the pluggable enrichment-model
+    stage (stages/enrich, §2.10: any registered ``LLMClient`` backend;
+    offline runs use "fake") before validation, the reference's
+    OCR→prompt→LLM→repair slot."""
     from bb_ocr_ray.config import DEFAULT_PIPELINE
     from bb_ocr_ray.pipelines.extract_pipeline import extract_pages
 
@@ -82,41 +88,11 @@ def lifecycle_decided(pages_ds, llm_backend: str | None = None,
         batch = batch.copy()
         batch["decision"] = ok.map({True: "accepted", False: "rejected"})
         # flatten the one list column up front so the persisted sink is
-        # audit-complete: the audit table can then be DERIVED from the
-        # written parquet instead of re-running (or pinning) the corpus
+        # audit-complete: audit rows are read from the written parquet
+        # instead of re-running (or pinning) the corpus
         batch["authors_csv"] = batch["authors"].map(
             lambda a: ", ".join(a)
             if isinstance(a, (list, tuple)) and len(a) else "")
         return batch.drop(columns=["authors"])
 
     return meta.map_batches(decide, batch_format="pandas")
-
-
-def run_lifecycle(pages_ds, out_dir: str, llm_backend: str | None = None,
-                  llm_model: str = "fake-model"):
-    """pages -> accepted/rejected partitioned parquet + audit rows.
-
-    ``llm_backend`` (optional) routes the extracted stream through the
-    pluggable enrichment-model stage (stages/enrich, §2.10: any
-    registered ``LLMClient`` backend — offline runs use "fake") before
-    validation, mirroring the reference's OCR→prompt→LLM→repair slot.
-    Returns (out_dir, audit Dataset)."""
-    from bb_ocr_ray.schema import PARQUET_COMPRESSION
-    from bb_ocr_ray.stages.sinks import flatten_metadata
-
-    # ONE consumer executes the extract+heuristics pipeline: the
-    # partitioned parquet sink.  Audit rows come from reading the sink
-    # back (S9 prior-output loader, manifest.py analog) — a pruned
-    # columnar re-read of the WRITTEN output, never a second execution
-    # and never a full-corpus materialize() pinning 100 TB in the
-    # object store (VERDICT r2 item 2; the trade paragraph_dedup's
-    # docstring argues: re-read beats pin).
-    decided = lifecycle_decided(pages_ds, llm_backend, llm_model)
-    decided.write_parquet(out_dir, partition_cols=["decision"],
-                          compression=PARQUET_COMPRESSION)
-
-    import ray.data as rd
-
-    sink = rd.read_parquet(out_dir)
-    audit = sink.map_batches(flatten_metadata, batch_format="pandas")
-    return out_dir, audit

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-# Codec of every Parquet file the engine writes (the resumable sinks,
-# run_lifecycle, the hash index, the cli query and dedup-index outputs).
+# Codec of every Parquet file the engine writes, at five sites: the
+# resumable runners' sink, the hash index build and update, and the cli
+# query and dedup-index outputs.
 # Extracted text is most of each row's bytes, and zstd at pyarrow's
 # default level stores it far smaller than the snappy default (perfbench
 # resumable-small-pages, 4 cores: 181.3 -> 110.8 bytes/doc with

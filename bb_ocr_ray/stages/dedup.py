@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from bb_ocr_ray.functions.hashing import md5_hex
+from bb_ocr_ray.functions.hashing import jaccard_tokens, md5_hex
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +498,12 @@ def simhash_near_dups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 # ---------------------------------------------------------------------------
 # Full near-dup pipeline: candidates -> verify -> clusters -> keep-min
 # ---------------------------------------------------------------------------
+def _jaccard_at_least(inter: int, union: int, t) -> bool:
+    """``inter / union >= t`` for the Fraction ``t``, exact in integers,
+    so a boundary pair like 11/20 at t = 0.55 is kept on every engine."""
+    return union > 0 and inter * t.denominator >= t.numerator * union
+
+
 def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
                       text_col: str = "text", min_jaccard: float = 0.5):
     """Verify LSH candidate pairs against true token-set Jaccard.
@@ -551,10 +557,8 @@ def verify_candidates(pairs_ds, docs_ds, id_col: str = "doc_id",
             sa, sb = lut.get(a), lut.get(b)
             if sa is None or sb is None:
                 continue
-            i = len(sa & sb)
-            u = len(sa) + len(sb) - i
-            # exact: i/u >= j  <=>  i*den >= num*u (Python ints only)
-            if u > 0 and i * j.denominator >= j.numerator * u:
+            i, u = jaccard_tokens(sa, sb)
+            if _jaccard_at_least(i, u, j):
                 kept.append((a, b, i, u))
     out = np.array(kept, dtype=np.int64).reshape(-1, 4)
     return sizing.from_driver(pd.DataFrame(out, columns=["id_a", "id_b",
@@ -654,10 +658,8 @@ def verify_candidates_hash(pairs_ds, docs_ds, id_col: str = "doc_id",
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         inter, uni, keep = [], [], []
         for la, lb in zip(batch["toks_a"], batch["toks_b"]):
-            sa, sb = set(la.split(" ")), set(lb.split(" "))
-            i = len(sa & sb)
-            u = len(sa) + len(sb) - i
-            keep.append(u > 0 and i * jfrac.denominator >= jfrac.numerator * u)
+            i, u = jaccard_tokens(set(la.split(" ")), set(lb.split(" ")))
+            keep.append(_jaccard_at_least(i, u, jfrac))
             inter.append(i)
             uni.append(u)
         out = batch.assign(inter=pd.Series(inter, dtype="int64").values,

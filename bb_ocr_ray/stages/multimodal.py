@@ -49,7 +49,7 @@ class DecodeImageStub:
         self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake and _PILImage is None:
+        if not self.fake and not pil_available():
             raise NotImplementedError(
                 "image codecs unavailable in this environment; "
                 "construct with fake=True for the deterministic stub"

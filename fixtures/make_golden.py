@@ -9,15 +9,18 @@ semantics change: python fixtures/make_golden.py
 """
 
 import os
+import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from bb_ocr_ray.kernel.extract import extract_page
 from bb_ocr_ray.schema import EXTRACTED_SCHEMA
-from bb_ocr_ray.sources.pages import edge_case_pages
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests"))
+from edge_pages import edge_case_pages  # noqa: E402  (the test fixture)
+
 OUT = os.path.join(HERE, "golden_edge_cases.parquet")
 
 

@@ -65,7 +65,8 @@ def test_pages_url_dedup(ray_session):
     deterministically the earliest warc_ts."""
     import ray.data as rd
 
-    from bb_ocr_ray.sources.pages import edge_case_pages
+    from edge_pages import edge_case_pages
+
     from bb_ocr_ray.stages.dedup import dedup_exact
 
     pages = rd.from_arrow(edge_case_pages())

@@ -37,7 +37,9 @@ def _pages(rows) -> pa.Table:
 def _fixture_batches():
     import duckdb
 
-    from bb_ocr_ray.sources.pages import edge_case_pages, html_for
+    from edge_pages import edge_case_pages
+
+    from bb_ocr_ray.sources.pages import html_for
 
     docs = duckdb.sql(
         "SELECT doc_id, text FROM '/root/testdata/sf0.001/documents.parquet'"

@@ -19,8 +19,9 @@ WS = re.compile(r"[ \t\n\r\f\v]+")
 
 
 def test_golden_edge_cases_byte_identical():
+    from edge_pages import edge_case_pages
+
     from bb_ocr_ray.kernel.extract import extract_page
-    from bb_ocr_ray.sources.pages import edge_case_pages
 
     golden = pq.read_table(GOLDEN).to_pylist()   # same row order as fixtures
     pages = edge_case_pages()

@@ -70,10 +70,6 @@ BLOOM = {
     "cms": [343, 288, 233],
 }
 
-BANDS_FOX_FIRST3 = [(0, "05e122eec02e2251"), (1, "c593b6167f05aae1"),
-                    (2, "5156bf75f80de7d3")]
-
-
 def test_stable_u64_golden():
     from bb_ocr_ray.functions.hashing import stable_u64
 
@@ -107,12 +103,6 @@ def test_minhash_golden():
     batch = minhash_signatures_batch(list(MINHASH_FIRST8))
     for i, v in enumerate(MINHASH_FIRST8.values()):
         assert [int(x) for x in batch[i, :8]] == v
-
-
-def test_minhash_bands_golden():
-    from bb_ocr_ray.functions.hashing import minhash_bands, minhash_signature
-
-    assert minhash_bands(minhash_signature(T_FOX))[:3] == BANDS_FOX_FIRST3
 
 
 def test_hll_bucket_rho_golden():

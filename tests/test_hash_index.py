@@ -192,3 +192,40 @@ def test_index_read_keeps_one_hashable_schema(ray_session, sf_tiny,
     assert len(q_incremental_dedup(sf_tiny))
     assert not [r for r in ray_data_log.records
                 if "Failed to hash the schemas" in r.getMessage()]
+
+
+def test_cli_index_skips_unpublished_staging_rows(ray_session, sf_tiny,
+                                                   tmp_path):
+    """``cli dedup-index --in RUN_ROOT`` reads only published partitions:
+    a killed pass leaves rows under ``_staging/`` that were never
+    published (the runner wipes them only on its next call), and the
+    index must not count them as seen."""
+    import argparse
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from bb_ocr_ray import cli
+    from bb_ocr_ray.state.hash_index import read_hash_index
+    from bb_ocr_ray.state.manifest import run_resumable_extract
+
+    root = str(tmp_path / "run")
+    assert run_resumable_extract(sf_tiny, root, 2) == (2, 0)
+    # a published row, re-keyed to a url the run never wrote
+    first = sorted(glob.glob(os.path.join(root, "part-00000", "*.parquet")))
+    row = pq.read_table(first[0]).slice(0, 1)
+    stale = "https://stale.example.com/never-published"
+    row = row.set_column(row.schema.get_field_index("url"), "url",
+                         pa.array([stale], pa.string()))
+    staged = os.path.join(root, "_staging", "part-00000")
+    os.makedirs(staged)
+    pq.write_table(row, os.path.join(staged, "stale.parquet"))
+
+    idx = str(tmp_path / "idx")
+    assert cli.cmd_dedup_index(argparse.Namespace(
+        action="build", inp=root, index=idx, key="url", order_col="url",
+        shards=4, out=None, update=False)) == 0
+    urls = set(read_hash_index(idx, key="url").to_pandas()["url"])
+    assert stale not in urls
+    assert len(urls) == 500            # every published row's url

@@ -190,7 +190,9 @@ def _fixture_corpus():
 
     import duckdb
 
-    from bb_ocr_ray.sources.pages import edge_case_pages, html_for
+    from edge_pages import edge_case_pages
+
+    from bb_ocr_ray.sources.pages import html_for
 
     docs = duckdb.sql(
         "SELECT doc_id, text FROM '/root/testdata/sf0.001/documents.parquet'"

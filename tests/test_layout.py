@@ -1,31 +1,6 @@
-"""Layout-branch tests: bbox union/filter + reading-order strategies."""
+"""Layout-branch tests: the reading-order strategies."""
 
-from bb_ocr_ray.kernel.layout import (
-    area_filter,
-    banded_order,
-    union_bbox,
-    xy_cut_order,
-)
-
-
-def test_union_bbox_with_margin_and_clamp():
-    boxes = [(10, 20, 30, 40), (50, 10, 20, 20)]
-    assert union_bbox(boxes) == (10, 10, 60, 50)
-    # margin inflates, clamped to page
-    assert union_bbox(boxes, margin=15, page_w=80, page_h=65) == (0, 0, 80, 65)
-
-
-def test_union_bbox_empty_raises():
-    import pytest
-
-    with pytest.raises(ValueError):
-        union_bbox([])
-
-
-def test_area_filter_bounds():
-    # page 1000x1000: area fractions .0004 (keep), .25 (too big), 4e-6 (too small)
-    boxes = [(0, 0, 20, 20), (0, 0, 500, 500), (0, 0, 2, 2)]
-    assert area_filter(boxes, 1000, 1000) == [(0, 0, 20, 20)]
+from bb_ocr_ray.kernel.layout import banded_order, xy_cut_order
 
 
 def test_banded_order_rows_then_x():

@@ -1,7 +1,7 @@
 """Every Parquet file the engine writes is zstd-compressed
-(``schema.PARQUET_COMPRESSION``): the resumable runners' sink, the
-lifecycle sinks, the hash index build and update, and the cli query and
-dedup-index outputs."""
+(``schema.PARQUET_COMPRESSION``): the resumable runners' sink (extract
+and the lifecycle's accept/reject sinks), the hash index build and
+update, and the cli query and dedup-index outputs."""
 
 import argparse
 import glob
@@ -34,9 +34,7 @@ def written(ray_session, sf_tiny, tmp_path_factory):
     import ray.data as rd
 
     from bb_ocr_ray import cli
-    from bb_ocr_ray.pipelines.lifecycle import run_lifecycle
     from bb_ocr_ray.pipelines.queries import QUERIES
-    from bb_ocr_ray.sources.pages import read_pages
     from bb_ocr_ray.state.hash_index import (build_hash_index,
                                              update_hash_index)
     from bb_ocr_ray.state.manifest import (run_resumable_extract,
@@ -49,7 +47,6 @@ def written(ray_session, sf_tiny, tmp_path_factory):
 
     assert run_resumable_extract(sf_tiny, at("extract"), 2) == (2, 0)
     assert run_resumable_lifecycle(sf_tiny, at("lifecycle_run"), 2) == (2, 0)
-    run_lifecycle(read_pages(sf_tiny), at("lifecycle"))
 
     keys = rd.from_items([{"url": f"https://seen.example.com/{i}"}
                           for i in range(20)])
@@ -75,7 +72,6 @@ def written(ray_session, sf_tiny, tmp_path_factory):
 
     return {"resumable-extract": _files(at("extract")),
             "resumable-lifecycle": _files(at("lifecycle_run")),
-            "run-lifecycle": _files(at("lifecycle")),
             "hash-index-build": base,
             "hash-index-update": _files(delta),
             "cli-query-dataset": _files(at("q_union")),
@@ -84,7 +80,7 @@ def written(ray_session, sf_tiny, tmp_path_factory):
 
 
 @pytest.mark.parametrize("site", [
-    "resumable-extract", "resumable-lifecycle", "run-lifecycle",
+    "resumable-extract", "resumable-lifecycle",
     "hash-index-build", "hash-index-update", "cli-query-dataset",
     "cli-query-dataframe", "cli-dedup-index"])
 def test_engine_parquet_write_is_zstd(written, site):

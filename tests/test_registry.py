@@ -76,32 +76,18 @@ def test_docs_name_only_registered_operators():
 
 
 # Top-level names in bb_ocr_ray/ that nothing else in the package
-# references: public entry points and test-only helpers, each one kept
-# on purpose.  A helper orphaned by a deletion fails the test below,
+# references and that are kept on purpose, each with its reason.  It is
+# empty: every package name has a caller, and test-only helpers live
+# under tests/.  A helper orphaned by a deletion fails the test below,
 # and so does an entry here that has gained a reference or gone.
-_ORPHAN_ALLOW = {
-    "__init__.py:__version__",
-    "functions/hashing.py:minhash_bands",
-    "functions/hashing.py:hamming64",
-    "functions/hashing.py:jaccard_tokens",
-    "functions/scalars.py:extract_dates",
-    "functions/scalars.py:extract_emails",
-    "functions/scalars.py:extract_phones",
-    "functions/scalars.py:slugify",
-    "functions/scalars.py:extract_series",
-    "functions/scalars.py:fuzzy_match",
-    "kernel/layout.py:union_bbox",
-    "kernel/layout.py:area_filter",
-    "sources/files.py:read_html_dir",
-    "sources/pages.py:edge_case_pages",
-    "stages/multimodal.py:pil_available",
-}
+_ORPHAN_ALLOW: set = set()
 
 
 def _orphaned_names(root: Path) -> set:
     """Top-level def/class/assign names under ``root`` with no
     word-boundary reference anywhere in the package outside their own
-    definition's lines."""
+    definition's lines.  Dunder names (``__version__``) are module
+    protocol, read from outside the package, and are not counted."""
     import ast
 
     files = {p: p.read_text() for p in sorted(root.rglob("*.py"))}
@@ -119,6 +105,8 @@ def _orphaned_names(root: Path) -> set:
             else:
                 continue
             for name in names:
+                if name.startswith("__") and name.endswith("__"):
+                    continue
                 pat = re.compile(rf"\b{re.escape(name)}\b")
                 if not any(pat.search(line)
                            for q, ls in lines.items()
@@ -135,6 +123,44 @@ def test_no_orphaned_helpers():
         f"newly orphaned: {sorted(orphans - _ORPHAN_ALLOW)}")
     assert not _ORPHAN_ALLOW - orphans, (
         f"stale allow-list entries: {sorted(_ORPHAN_ALLOW - orphans)}")
+
+
+def _unused_module_imports(root: Path) -> set:
+    """Names bound by a module-level import (also inside a module-level
+    ``try``/``if``) under ``root`` that no expression of the module
+    reads.  ``from __future__`` imports and a line marked ``noqa: F401``
+    (a deliberate re-export) are not counted."""
+    import ast
+
+    unused = set()
+    for p in sorted(root.rglob("*.py")):
+        src = p.read_text()
+        tree = ast.parse(src)
+        lines = src.split("\n")
+        stmts, bound = list(tree.body), {}
+        while stmts:
+            node = stmts.pop()
+            if isinstance(node, ast.If):
+                stmts += node.body + node.orelse
+            elif isinstance(node, ast.Try):
+                stmts += node.body + node.orelse + node.finalbody + [
+                    s for h in node.handlers for s in h.body]
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  and "noqa: F401" not in lines[node.lineno - 1]):
+                for a in node.names:
+                    name = a.asname or a.name.split(".")[0]
+                    bound[name] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {f"{p.relative_to(root).as_posix()}:{line}:{name}"
+                   for name, line in bound.items() if name not in read}
+    return unused
+
+
+def test_no_unused_module_imports():
+    # no linter runs here; a deletion must not leave its imports behind
+    unused = _unused_module_imports(SRC.parent)
+    assert not unused, f"unused module-level imports: {sorted(unused)}"
 
 
 # Every direct ``.groupby(...).map_groups(...)`` in bb_ocr_ray/, as

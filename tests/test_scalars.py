@@ -2,16 +2,12 @@
 reference's regex heuristics layer and business rules, SURVEY.md §2.8/M12)."""
 
 from bb_ocr_ray.functions.scalars import (
-    extract_dates,
-    extract_emails,
     extract_isbns,
-    extract_phones,
     extract_price,
     extract_publisher,
     extract_title_author,
     extract_year,
     parse_amount,
-    slugify,
 )
 from bb_ocr_ray.functions.validate import validate_record
 
@@ -66,20 +62,6 @@ def test_title_author_lines():
     assert a == "John Smith"
 
 
-def test_generic_field_extractors():
-    text = ("reach me at a.b+c@example.org or (555) 123-4567, "
-            "meeting 2024-01-15 or Mar 3, 2021")
-    assert extract_emails(text) == ["a.b+c@example.org"]
-    assert extract_phones(text) == ["(555) 123-4567"]
-    dates = extract_dates(text)
-    assert "2024-01-15" in dates and "Mar 3, 2021" in dates
-
-
-def test_slugify():
-    assert slugify("Hello, World! (2nd Ed.)") == "hello_world_2nd_ed."
-    assert len(slugify("x" * 200)) == 80
-
-
 def test_validate_valid_record():
     r = validate_record({"title": "A Book", "authors": ["X"], "isbn_10": "0306406152",
                          "isbn_13": "9780306406157", "page_count": 200})
@@ -116,24 +98,6 @@ def test_assemble_prompt_numbering_and_cap():
     assert p == assemble_prompt(["short one", "x" * 400, "short two"])
 
 
-def test_series_detection_three_forms():
-    from bb_ocr_ray.functions.scalars import extract_series
-
-    assert extract_series("Book 3 of the Wheel of Time series") == ("Wheel of Time", 3)
-    assert extract_series("#2 in the Discworld series") == ("Discworld", 2)
-    assert extract_series("A great read (Foundation #4)") == ("Foundation", 4)
-    assert extract_series("no series mentioned here") == (None, None)
-
-
-def test_fuzzy_ratio_and_threshold():
-    from bb_ocr_ray.functions.scalars import fuzzy_match, fuzzy_ratio
-
-    assert fuzzy_ratio("hello world", "hello world") == 100
-    assert fuzzy_ratio("", "") == 100
-    assert fuzzy_match("The Hoosier School-Master", "The Hoosier Schoolmaster")
-    assert not fuzzy_match("completely different", "unrelated text entirely")
-
-
 def test_json_repair_paths():
     from bb_ocr_ray.functions.jsonrepair import repair_json
 
@@ -165,13 +129,6 @@ def test_json_repair_reference_stubs():
     obj, err = repair_json('{"description": "A tale of <i>great</i> renown"}')
     assert err is None
     assert obj["description"] == "A tale of <i>great</i> renown"
-
-
-def test_series_case_insensitive_all_forms():
-    from bb_ocr_ray.functions.scalars import extract_series
-
-    assert extract_series("book 3 of the wheel of time series") == ("wheel of time", 3)
-    assert extract_series("#2 in the discworld series") == ("discworld", 2)
 
 
 def test_registrable_domain():
